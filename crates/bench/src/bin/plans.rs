@@ -14,8 +14,11 @@
 //!
 //! Results are printed as tables and written to `results/BENCH_plans.json`.
 //! The binary asserts that the smallest MLP subnet and the full-net row of
-//! **both** models are at least 2x faster packed than masked, and that every
-//! compared logits pair is bit-identical.
+//! **both** models are at least 2x faster packed than masked, that stepping
+//! the MLP from subnet 0 to the top costs at most 1.15x one direct packed
+//! pass at the top subnet (`chain_vs_direct`, each chain timed against a
+//! direct pass run right after it), and that every compared logits pair is
+//! bit-identical.
 //!
 //! Run with `cargo run --release -p stepping-bench --bin plans`.
 //! Set `STEPPING_PLANS_REPS` to change the timing repetitions (default 20;
@@ -101,35 +104,65 @@ struct SubnetResult {
 }
 
 /// Benchmarks one model across all its subnets; panics on any logits
-/// mismatch between the packed and masked paths.
-fn run_model(name: &str, net: &mut SteppingNet, input: &Tensor) -> Vec<SubnetResult> {
+/// mismatch between the packed and masked paths. Also returns
+/// `chain_vs_direct`: the median over the repetitions of (begin at subnet 0
+/// plus every expand) over (a direct packed pass at the top subnet timed
+/// right after them).
+fn run_model(name: &str, net: &mut SteppingNet, input: &Tensor) -> (Vec<SubnetResult>, f64) {
     let reps = reps();
     let full = net.full_macs() as f64;
     let subnets = net.subnet_count();
     let mut out = Vec::with_capacity(subnets);
 
-    // Expand path first: one executor pass, timing each step. begin(0)
-    // runs subnet 0; each expand() computes only the new neurons.
-    let mut expand_step = vec![0.0f64; subnets];
+    // Expand path first: `reps` executor passes, timing each step (median
+    // per step, like the direct path below). begin(0) runs subnet 0; each
+    // expand() computes only the new neurons. Right after each chain a
+    // direct packed pass at the top subnet is timed on a copy of the net,
+    // so the chain-vs-direct ratio compares neighbours in time: the host's
+    // speed drifts more between this loop and the direct timings below
+    // than the 15 % the chain gate allows.
+    let mut step_samples = vec![Vec::with_capacity(reps); subnets];
+    let mut ratio_samples = Vec::with_capacity(reps);
     let mut expand_logits = Vec::with_capacity(subnets);
     {
+        let mut direct_net = net.clone();
         let mut exec = IncrementalExecutor::new(net, THRESHOLD);
-        // warm-up compiles the step plans so timing sees the steady state
+        // warm-up compiles the plans so timing sees the steady state
         let _ = exec.begin(input).expect("warm begin");
         for _ in 1..subnets {
             let _ = exec.expand().expect("warm expand");
         }
-        let t = Instant::now();
-        let first = exec.begin(input).expect("begin");
-        expand_step[0] = t.elapsed().as_secs_f64() * 1e6;
-        expand_logits.push(first.logits);
-        for step_us in expand_step.iter_mut().skip(1) {
+        let _ = direct_net
+            .forward_packed(input, subnets - 1)
+            .expect("warm direct");
+        for _ in 0..reps {
+            expand_logits.clear();
+            let mut chain_us = 0.0;
+            for (s, samples) in step_samples.iter_mut().enumerate() {
+                let t = Instant::now();
+                let step = if s == 0 {
+                    exec.begin(input).expect("begin")
+                } else {
+                    exec.expand().expect("expand")
+                };
+                let step_us = t.elapsed().as_secs_f64() * 1e6;
+                samples.push(step_us);
+                expand_logits.push(step.logits);
+                chain_us += step_us;
+            }
             let t = Instant::now();
-            let step = exec.expand().expect("expand");
-            *step_us = t.elapsed().as_secs_f64() * 1e6;
-            expand_logits.push(step.logits);
+            let _ = direct_net
+                .forward_packed(input, subnets - 1)
+                .expect("direct");
+            ratio_samples.push(chain_us / (t.elapsed().as_secs_f64() * 1e6));
         }
     }
+    let median = |samples: &mut Vec<f64>| {
+        samples.sort_by(|a, b| a.total_cmp(b));
+        samples[samples.len() / 2]
+    };
+    let expand_step: Vec<f64> = step_samples.iter_mut().map(median).collect();
+    let chain_vs_direct = median(&mut ratio_samples);
 
     let mut cumulative = 0.0;
     for s in 0..subnets {
@@ -162,7 +195,7 @@ fn run_model(name: &str, net: &mut SteppingNet, input: &Tensor) -> Vec<SubnetRes
             expand_cumulative_us: cumulative,
         });
     }
-    out
+    (out, chain_vs_direct)
 }
 
 fn row(r: &SubnetResult) -> Vec<String> {
@@ -210,7 +243,7 @@ fn main() {
 
     let mut net = mlp();
     let x = init::uniform(Shape::of(&[BATCH, 256]), -1.0, 1.0, &mut init::rng(41));
-    let mlp_results = run_model("mlp", &mut net, &x);
+    let (mlp_results, mlp_chain) = run_model("mlp", &mut net, &x);
     report_text("\nPLANS: MLP (256-512-512-256-10), packed vs masked");
     print_table(&headers, &mlp_results.iter().map(row).collect::<Vec<_>>());
     let mlp_full = net.full_macs();
@@ -222,7 +255,7 @@ fn main() {
         1.0,
         &mut init::rng(43),
     );
-    let conv_results = run_model("conv", &mut cnet, &cx);
+    let (conv_results, conv_chain) = run_model("conv", &mut cnet, &cx);
     report_text("\nPLANS: conv (LeNet-3C1L style), packed vs masked");
     print_table(&headers, &conv_results.iter().map(row).collect::<Vec<_>>());
     let conv_full = cnet.full_macs();
@@ -252,6 +285,16 @@ fn main() {
             last.speedup
         );
     }
+    // ROADMAP item 2's gate: stepping 0 -> top over cached activations may
+    // cost at most 15 % more than one direct packed pass at the top subnet.
+    report_text(&format!(
+        "stepping 0 -> top costs {mlp_chain:.2}x a direct packed pass at the top subnet on the \
+         MLP, {conv_chain:.2}x on the conv net (not gated)"
+    ));
+    assert!(
+        mlp_chain <= 1.15,
+        "acceptance: MLP expand chain costs {mlp_chain:.2}x a direct packed pass (> 1.15x)"
+    );
     report_text("all packed/masked logits pairs bit-identical (asserted)");
 
     let mlp_json: Vec<String> = mlp_results.iter().map(json_entry).collect();
@@ -259,13 +302,16 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"plans\",\n  \"batch\": {BATCH},\n  \"reps\": {},\n  \
          \"bit_identical\": true,\n  \"models\": [\n    {{\n      \"name\": \"mlp\", \
-         \"full_macs\": {},\n      \"subnets\": [\n        {}\n      ]\n    }},\n    \
-         {{\n      \"name\": \"conv\", \"full_macs\": {},\n      \"subnets\": [\n        \
-         {}\n      ]\n    }}\n  ]\n}}\n",
+         \"full_macs\": {}, \"chain_vs_direct\": {:.3},\n      \"subnets\": [\n        \
+         {}\n      ]\n    }},\n    \
+         {{\n      \"name\": \"conv\", \"full_macs\": {}, \"chain_vs_direct\": {:.3},\n      \
+         \"subnets\": [\n        {}\n      ]\n    }}\n  ]\n}}\n",
         reps(),
         mlp_full,
+        mlp_chain,
         mlp_json.join(",\n        "),
         conv_full,
+        conv_chain,
         conv_json.join(",\n        "),
     );
     fs::create_dir_all("results").expect("results dir");

@@ -10,20 +10,27 @@
 //!   caches, cumulative MACs). It is plain data: it can be stored in a
 //!   session table, shipped between worker threads, and upgraded later.
 //! * [`BatchExecutor`] — a short-lived borrow of the net that runs **one
-//!   batched stage pass for several requests at once**: inputs (or cached
-//!   activations) are stacked along the batch dimension, every stage runs
-//!   once, and the results are split back into the per-request caches.
+//!   batched stage pass for several requests at once**. A `begin` stacks
+//!   the inputs along the batch dimension, runs every stage once and
+//!   splits each level back into the per-request caches; an `expand` works
+//!   **in place**: each masked stage gathers its step plan's input columns
+//!   straight from the requests' cached rows into one panel, runs one GEMM
+//!   for the batch, and scatters every request's rows straight back into
+//!   its cached activation.
 //!
 //! Because every kernel in this workspace computes each batch row
 //! independently (row-major loops, per-sample `im2col`, inference-mode
 //! batch norm via running statistics), batched execution is **bit-identical**
 //! to running each request alone — the property the serve crate's tests
 //! assert exhaustively.
+//!
+//! MAC figures come from the net's [`MacTable`], read once when an executor
+//! is created: a step costs a table lookup, not a pass over the weights.
 
 use stepping_tensor::{Shape, Tensor};
 
 use crate::telemetry::{self, Value};
-use crate::{ExpandStep, FixedStage, Result, Stage, SteppingError, SteppingNet};
+use crate::{ExpandStep, MacTable, Result, Stage, SteppingError, SteppingNet};
 
 /// Per-request anytime-inference state, detached from any executor borrow.
 ///
@@ -69,101 +76,72 @@ impl ActivationCache {
     pub fn rows(&self) -> usize {
         self.acts.first().map(|a| a.shape().dims()[0]).unwrap_or(0)
     }
+
+    /// The feature activation (last level), as a typed error instead of a
+    /// panic for an uninitialised cache.
+    pub(crate) fn features(&self) -> Result<&Tensor> {
+        self.acts
+            .last()
+            .ok_or_else(|| SteppingError::ExecutorState("activation cache holds no levels".into()))
+    }
 }
 
 /// Runs the full stage stack plus the head of `subnet` on `input`
 /// (inference mode) through the packed execution plans, returning every
-/// intermediate activation and the logits. Shared by the incremental
-/// executor's `begin` and the batched path. Bit-identical (under `f32 ==`)
-/// to the masked reference pass — see [`crate::plan`].
+/// intermediate activation (level 0 is `input` itself) and the logits.
+/// Shared by the incremental executor's `begin` and the batched path.
+/// Bit-identical (under `f32 ==`) to the masked reference pass — see
+/// [`crate::plan`].
 pub(crate) fn full_pass(
     net: &mut SteppingNet,
-    input: &Tensor,
+    input: Tensor,
     subnet: usize,
 ) -> Result<(Vec<Tensor>, Tensor)> {
     let mut acts = Vec::with_capacity(net.stages().len() + 1);
-    acts.push(input.clone());
+    acts.push(input);
     for si in 0..net.stages().len() {
         let out = net.stages_mut()[si].forward_packed(&acts[si], subnet)?;
         acts.push(out);
     }
-    let features = last_act(&acts)?.clone();
-    let logits = net.head_forward_packed(&features, subnet)?;
+    let logits = net.head_forward_packed(&acts[acts.len() - 1], subnet)?;
     Ok((acts, logits))
 }
 
-/// The feature activation (last element) of an activation stack, as a typed
-/// error instead of a panic when the stack is empty (an uninitialised
-/// cache).
-pub(crate) fn last_act(acts: &[Tensor]) -> Result<&Tensor> {
-    acts.last()
-        .ok_or_else(|| SteppingError::ExecutorState("activation cache holds no levels".into()))
-}
-
-/// Expands cached activations from subnet `k - 1` to `k`, computing only
-/// the newly added neurons plus subnet `k`'s head. Mutates `acts` in place
-/// and returns the logits and the MACs spent (per sample). Shared by the
-/// incremental executor's `expand` and the batched path.
+/// Expands the cached activation stacks of one or more requests from subnet
+/// `k - 1` to `k` in place, computing only the newly added neurons plus
+/// subnet `k`'s head: each masked stage runs its step plan once over the
+/// rows of every stack (see `forward_step_packed_into`), each fixed stage
+/// rewrites the next cached level from the updated one. Returns the logits
+/// of all rows, stacked in `stacks` order. Shared by the incremental
+/// executor's `expand` (one stack) and the batched path.
 pub(crate) fn expand_pass(
     net: &mut SteppingNet,
-    acts: &mut [Tensor],
+    stacks: &mut [&mut [Tensor]],
     k: usize,
-    prune_threshold: f32,
-) -> Result<(Tensor, u64)> {
-    let mut step_macs = 0u64;
-    for si in 0..net.stages().len() {
-        let (done, rest) = acts.split_at_mut(si + 1);
-        let input = &done[si];
-        let target = &mut rest[0];
+) -> Result<Tensor> {
+    let stages = net.stages().len();
+    if stacks.iter().any(|levels| levels.len() != stages + 1) {
+        return Err(SteppingError::ExecutorState(format!(
+            "activation cache does not hold the {} levels of this network",
+            stages + 1
+        )));
+    }
+    for si in 0..stages {
         match &mut net.stages_mut()[si] {
-            Stage::Linear(l) => {
-                let rows = l.out_assign().members(k);
-                if !rows.is_empty() {
-                    for &o in &rows {
-                        step_macs += l.neuron_macs(o, prune_threshold);
-                    }
-                    // Fused gather→GEMM→scatter: the step panel lands
-                    // directly in the cached activation's columns.
-                    l.forward_step_packed_into(input, k, target)?;
-                }
-            }
-            Stage::Conv(c) => {
-                let chans = c.out_assign().members(k);
-                if !chans.is_empty() {
-                    for &oc in &chans {
-                        step_macs += c.neuron_macs(oc, prune_threshold);
-                    }
-                    // Fused im2col→GEMM→scatter into the cached channels.
-                    c.forward_step_packed_into(input, k, target)?;
-                }
-            }
+            Stage::Linear(l) => l.forward_step_packed_into(k, stacks, si)?,
+            Stage::Conv(c) => c.forward_step_packed_into(k, stacks, si)?,
             Stage::Fixed(f) => {
                 // Fixed stages are pure per-channel/per-element maps in
                 // inference mode; recompute on the updated input (no
                 // MACs). Cached channels keep their exact old values.
-                *target = fixed_forward(f, input)?;
+                for levels in stacks.iter_mut() {
+                    let (done, rest) = levels.split_at_mut(si + 1);
+                    f.layer_mut().forward_into(&done[si], &mut rest[0])?;
+                }
             }
         }
     }
-    let features = last_act(acts)?.clone();
-    let logits = net.head_forward_packed(&features, k)?;
-    step_macs += net.head_macs(k);
-    Ok((logits, step_macs))
-}
-
-pub(crate) fn fixed_forward(f: &mut FixedStage, input: &Tensor) -> Result<Tensor> {
-    use stepping_nn::Layer as _;
-    Ok(match f {
-        FixedStage::Relu(l) => l.forward(input, false)?,
-        FixedStage::Tanh(l) => l.forward(input, false)?,
-        FixedStage::Sigmoid(l) => l.forward(input, false)?,
-        FixedStage::MaxPool(l) => l.forward(input, false)?,
-        FixedStage::AvgPool(l) => l.forward(input, false)?,
-        FixedStage::BatchNorm1d { layer, .. } => layer.forward(input, false)?,
-        FixedStage::BatchNorm2d { layer, .. } => layer.forward(input, false)?,
-        FixedStage::Flatten { layer, .. } => layer.forward(input, false)?,
-        FixedStage::Dropout(l) => l.forward(input, false)?,
-    })
+    net.head_forward_packed_rows(stacks.iter().map(|levels| &levels[stages]), k)
 }
 
 /// Writes `fresh` (`[n, cols.len()]`) into columns `cols` of `target`
@@ -229,13 +207,13 @@ pub(crate) fn splice_channels(target: &mut Tensor, fresh: &Tensor, chans: &[usiz
 }
 
 /// Concatenates tensors along the batch (first) dimension. A single part is
-/// returned as a cheap clone.
-fn stack_rows(parts: &[&Tensor]) -> Result<Tensor> {
+/// returned as a clone.
+fn stack_rows(parts: &[Tensor]) -> Result<Tensor> {
     let first = parts
         .first()
         .ok_or_else(|| SteppingError::BadConfig("cannot stack an empty batch".into()))?;
     if parts.len() == 1 {
-        return Ok((*first).clone());
+        return Ok(first.clone());
     }
     let trailing = &first.shape().dims()[1..];
     let mut rows = 0usize;
@@ -255,14 +233,12 @@ fn stack_rows(parts: &[&Tensor]) -> Result<Tensor> {
     for p in parts {
         data.extend_from_slice(p.data());
     }
-    Ok(Tensor::from_vec(Shape::of(&dims), data)?)
+    Ok(Tensor::from_vec(Shape::from(dims), data)?)
 }
 
-/// Splits `t` back into parts of `row_counts` batch rows each.
-fn split_rows(t: &Tensor, row_counts: &[usize]) -> Result<Vec<Tensor>> {
-    if row_counts.len() == 1 {
-        return Ok(vec![t.clone()]);
-    }
+/// Splits `t` back into parts of `row_counts` batch rows each. A single
+/// part is `t` itself, moved.
+fn split_rows(t: Tensor, row_counts: &[usize]) -> Result<Vec<Tensor>> {
     let dims = t.shape().dims();
     let total: usize = row_counts.iter().sum();
     if dims[0] != total {
@@ -271,6 +247,9 @@ fn split_rows(t: &Tensor, row_counts: &[usize]) -> Result<Vec<Tensor>> {
             dims[0]
         )));
     }
+    if row_counts.len() == 1 {
+        return Ok(vec![t]);
+    }
     let row_len: usize = dims[1..].iter().product::<usize>().max(1);
     let mut out = Vec::with_capacity(row_counts.len());
     let mut offset = 0usize;
@@ -278,7 +257,7 @@ fn split_rows(t: &Tensor, row_counts: &[usize]) -> Result<Vec<Tensor>> {
         let mut part_dims = dims.to_vec();
         part_dims[0] = rc;
         let data = t.data()[offset * row_len..(offset + rc) * row_len].to_vec();
-        out.push(Tensor::from_vec(Shape::of(&part_dims), data)?);
+        out.push(Tensor::from_vec(Shape::from(part_dims), data)?);
         offset += rc;
     }
     Ok(out)
@@ -311,17 +290,18 @@ fn split_rows(t: &Tensor, row_counts: &[usize]) -> Result<Vec<Tensor>> {
 #[derive(Debug)]
 pub struct BatchExecutor<'a> {
     net: &'a mut SteppingNet,
-    prune_threshold: f32,
+    /// The net's MAC accounting at the executor's prune threshold. Read
+    /// once: the exclusive borrow keeps weights and assignments — and so
+    /// the table — fixed for the executor's lifetime.
+    costs: MacTable,
 }
 
 impl<'a> BatchExecutor<'a> {
     /// Creates a batch executor over `net`; `prune_threshold` is the
     /// magnitude threshold used for MAC accounting.
     pub fn new(net: &'a mut SteppingNet, prune_threshold: f32) -> Self {
-        BatchExecutor {
-            net,
-            prune_threshold,
-        }
+        let costs = net.mac_table(prune_threshold);
+        BatchExecutor { net, costs }
     }
 
     /// The underlying network.
@@ -358,20 +338,18 @@ impl<'a> BatchExecutor<'a> {
         }
         let span = telemetry::span("inference", "exec.batch_begin");
         let row_counts: Vec<usize> = inputs.iter().map(|t| t.shape().dims()[0]).collect();
-        let refs: Vec<&Tensor> = inputs.iter().collect();
-        let stacked = stack_rows(&refs)?;
-        let (acts, logits) = full_pass(self.net, &stacked, subnet)?;
-        let step_macs = self.net.macs(subnet, self.prune_threshold);
+        let (acts, logits) = full_pass(self.net, stack_rows(inputs)?, subnet)?;
+        let step_macs = self.costs.direct()[subnet];
         // Transpose [level][request] slices back into per-request caches.
         let mut per_req: Vec<Vec<Tensor>> = (0..inputs.len())
             .map(|_| Vec::with_capacity(acts.len()))
             .collect();
-        for level in &acts {
-            for (i, part) in split_rows(level, &row_counts)?.into_iter().enumerate() {
-                per_req[i].push(part);
+        for level in acts {
+            for (req_acts, part) in per_req.iter_mut().zip(split_rows(level, &row_counts)?) {
+                req_acts.push(part);
             }
         }
-        let logit_parts = split_rows(&logits, &row_counts)?;
+        let logit_parts = split_rows(logits, &row_counts)?;
         span.end(&[
             ("batch", Value::U64(inputs.len() as u64)),
             ("subnet", Value::U64(subnet as u64)),
@@ -404,25 +382,22 @@ impl<'a> BatchExecutor<'a> {
     /// All caches must sit at the same current subnet. When every cache
     /// already materialises the target level (after contractions) only the
     /// head runs; otherwise the pass computes exactly the newly added
-    /// neurons, splicing them into each request's cached activations.
+    /// neurons, writing them into each request's cached activations in
+    /// place.
     ///
     /// # Errors
     ///
     /// Returns [`SteppingError::ExecutorState`] for an uninitialised cache,
     /// mixed levels, or a batch already at the largest subnet; propagates
-    /// forward errors.
+    /// forward errors. A pass that fails midway may already have written
+    /// some of the target subnet's neurons into the caches; their level
+    /// markers are unchanged and the smaller subnets' values untouched, so
+    /// a retry recomputes the same entries.
     pub fn expand(&mut self, caches: &mut [ActivationCache]) -> Result<Vec<ExpandStep>> {
         if caches.is_empty() {
             return Ok(Vec::new());
         }
-        let cur = caches[0].current.ok_or_else(|| {
-            SteppingError::ExecutorState("batch expand called before begin".into())
-        })?;
-        if caches.iter().any(|c| c.current != Some(cur)) {
-            return Err(SteppingError::ExecutorState(
-                "batch members sit at different subnet levels".into(),
-            ));
-        }
+        let cur = Self::common_level(caches, "expand")?;
         let k = cur + 1;
         if k >= self.net.subnet_count() {
             return Err(SteppingError::ExecutorState(format!(
@@ -436,45 +411,15 @@ impl<'a> BatchExecutor<'a> {
             ));
         }
         let span = telemetry::span("inference", "exec.batch_expand");
-        let row_counts: Vec<usize> = caches.iter().map(|c| c.rows()).collect();
         let (logits, step_macs) = if head_only {
-            let feats: Vec<&Tensor> = caches
-                .iter()
-                .map(|c| last_act(&c.acts))
-                .collect::<Result<_>>()?;
-            let features = stack_rows(&feats)?;
-            let logits = self.net.head_forward_packed(&features, k)?;
-            (logits, self.net.head_macs(k))
+            (self.head_pass(caches, k)?, self.costs.head()[k])
         } else {
-            let levels = caches[0].acts.len();
-            let mut stacked = Vec::with_capacity(levels);
-            for li in 0..levels {
-                let parts: Vec<&Tensor> = caches.iter().map(|c| &c.acts[li]).collect();
-                stacked.push(stack_rows(&parts)?);
-            }
-            let (logits, step_macs) = expand_pass(self.net, &mut stacked, k, self.prune_threshold)?;
-            for (li, level) in stacked.iter().enumerate() {
-                for (i, part) in split_rows(level, &row_counts)?.into_iter().enumerate() {
-                    caches[i].acts[li] = part;
-                }
-            }
-            (logits, step_macs)
+            let mut stacks: Vec<&mut [Tensor]> =
+                caches.iter_mut().map(|c| c.acts.as_mut_slice()).collect();
+            let logits = expand_pass(self.net, &mut stacks, k)?;
+            (logits, self.costs.step()[k])
         };
-        let logit_parts = split_rows(&logits, &row_counts)?;
-        let mut steps = Vec::with_capacity(caches.len());
-        for (cache, req_logits) in caches.iter_mut().zip(logit_parts) {
-            cache.current = Some(k);
-            if !head_only {
-                cache.computed = k;
-            }
-            cache.cumulative_macs += step_macs;
-            steps.push(ExpandStep {
-                subnet: k,
-                logits: req_logits,
-                step_macs,
-                cumulative_macs: cache.cumulative_macs,
-            });
-        }
+        let steps = Self::finish_step(caches, logits, k, step_macs, !head_only)?;
         span.end(&[
             ("batch", Value::U64(caches.len() as u64)),
             ("subnet", Value::U64(k as u64)),
@@ -495,32 +440,56 @@ impl<'a> BatchExecutor<'a> {
         if caches.is_empty() {
             return Ok(Vec::new());
         }
-        let cur = caches[0].current.ok_or_else(|| {
-            SteppingError::ExecutorState("batch contract called before begin".into())
-        })?;
-        if caches.iter().any(|c| c.current != Some(cur)) {
-            return Err(SteppingError::ExecutorState(
-                "batch members sit at different subnet levels".into(),
-            ));
-        }
+        let cur = Self::common_level(caches, "contract")?;
         if cur == 0 {
             return Err(SteppingError::ExecutorState(
                 "already at smallest subnet".into(),
             ));
         }
         let k = cur - 1;
+        let logits = self.head_pass(caches, k)?;
+        Self::finish_step(caches, logits, k, self.costs.head()[k], false)
+    }
+
+    /// The subnet every cache of the batch currently answers from.
+    fn common_level(caches: &[ActivationCache], op: &str) -> Result<usize> {
+        let cur = caches[0].current.ok_or_else(|| {
+            SteppingError::ExecutorState(format!("batch {op} called before begin"))
+        })?;
+        if caches.iter().any(|c| c.current != Some(cur)) {
+            return Err(SteppingError::ExecutorState(
+                "batch members sit at different subnet levels".into(),
+            ));
+        }
+        Ok(cur)
+    }
+
+    /// Runs subnet `k`'s head over the cached features of every request.
+    fn head_pass(&mut self, caches: &[ActivationCache], k: usize) -> Result<Tensor> {
+        for c in caches {
+            c.features()?;
+        }
+        self.net
+            .head_forward_packed_rows(caches.iter().filter_map(|c| c.acts.last()), k)
+    }
+
+    /// Books a finished step into every cache and hands each request its
+    /// rows of the stacked `logits`.
+    fn finish_step(
+        caches: &mut [ActivationCache],
+        logits: Tensor,
+        k: usize,
+        step_macs: u64,
+        computed: bool,
+    ) -> Result<Vec<ExpandStep>> {
         let row_counts: Vec<usize> = caches.iter().map(|c| c.rows()).collect();
-        let feats: Vec<&Tensor> = caches
-            .iter()
-            .map(|c| last_act(&c.acts))
-            .collect::<Result<_>>()?;
-        let features = stack_rows(&feats)?;
-        let logits = self.net.head_forward_packed(&features, k)?;
-        let step_macs = self.net.head_macs(k);
-        let logit_parts = split_rows(&logits, &row_counts)?;
+        let logit_parts = split_rows(logits, &row_counts)?;
         let mut steps = Vec::with_capacity(caches.len());
         for (cache, req_logits) in caches.iter_mut().zip(logit_parts) {
             cache.current = Some(k);
+            if computed {
+                cache.computed = k;
+            }
             cache.cumulative_macs += step_macs;
             steps.push(ExpandStep {
                 subnet: k,
@@ -710,14 +679,15 @@ mod tests {
     fn stack_and_split_round_trip() {
         let a = Tensor::from_vec(Shape::of(&[1, 2]), vec![1.0, 2.0]).unwrap();
         let b = Tensor::from_vec(Shape::of(&[2, 2]), vec![3.0, 4.0, 5.0, 6.0]).unwrap();
-        let stacked = stack_rows(&[&a, &b]).unwrap();
+        let stacked = stack_rows(&[a.clone(), b.clone()]).unwrap();
         assert_eq!(stacked.shape().dims(), &[3, 2]);
-        let parts = split_rows(&stacked, &[1, 2]).unwrap();
+        assert!(split_rows(stacked.clone(), &[1, 1]).is_err());
+        assert!(split_rows(stacked.clone(), &[2]).is_err());
+        let parts = split_rows(stacked, &[1, 2]).unwrap();
         assert_eq!(parts[0], a);
         assert_eq!(parts[1], b);
         assert!(stack_rows(&[]).is_err());
         let c = Tensor::zeros(Shape::of(&[1, 3]));
-        assert!(stack_rows(&[&a, &c]).is_err());
-        assert!(split_rows(&stacked, &[1, 1]).is_err());
+        assert!(stack_rows(&[a, c]).is_err());
     }
 }

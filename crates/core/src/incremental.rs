@@ -14,7 +14,7 @@ use stepping_tensor::Tensor;
 
 use crate::batch::{self, ActivationCache};
 use crate::telemetry::{self, Value};
-use crate::{Result, SteppingError, SteppingNet};
+use crate::{MacTable, Result, SteppingError, SteppingNet};
 
 /// Outcome of one executor step ([`IncrementalExecutor::begin`] or
 /// [`IncrementalExecutor::expand`]).
@@ -50,7 +50,9 @@ pub struct ExpandStep {
 #[derive(Debug)]
 pub struct IncrementalExecutor<'a> {
     net: &'a mut SteppingNet,
-    prune_threshold: f32,
+    /// The net's MAC accounting at the executor's prune threshold, read
+    /// once (the exclusive borrow keeps it valid).
+    costs: MacTable,
     cache: ActivationCache,
 }
 
@@ -58,9 +60,10 @@ impl<'a> IncrementalExecutor<'a> {
     /// Creates an executor over `net`; `prune_threshold` is the magnitude
     /// threshold used for MAC accounting.
     pub fn new(net: &'a mut SteppingNet, prune_threshold: f32) -> Self {
+        let costs = net.mac_table(prune_threshold);
         IncrementalExecutor {
             net,
-            prune_threshold,
+            costs,
             cache: ActivationCache::new(),
         }
     }
@@ -113,8 +116,8 @@ impl<'a> IncrementalExecutor<'a> {
             });
         }
         let span = telemetry::span("inference", "exec.begin");
-        let (acts, logits) = batch::full_pass(self.net, input, subnet)?;
-        let step_macs = self.net.macs(subnet, self.prune_threshold);
+        let (acts, logits) = batch::full_pass(self.net, input.clone(), subnet)?;
+        let step_macs = self.costs.direct()[subnet];
         let cached_stages = acts.len() as u64 - 1;
         self.cache = ActivationCache {
             acts,
@@ -158,11 +161,11 @@ impl<'a> IncrementalExecutor<'a> {
         let (logits, step_macs) = if head_only {
             // The caches already hold every neuron of subnet `k` (we
             // contracted earlier) — only the head needs to run.
-            let features = batch::last_act(&self.cache.acts)?.clone();
-            let logits = self.net.head_forward_packed(&features, k)?;
-            (logits, self.net.head_macs(k))
+            let logits = self.net.head_forward_packed(self.cache.features()?, k)?;
+            (logits, self.costs.head()[k])
         } else {
-            batch::expand_pass(self.net, &mut self.cache.acts, k, self.prune_threshold)?
+            let logits = batch::expand_pass(self.net, &mut [self.cache.acts.as_mut_slice()], k)?;
+            (logits, self.costs.step()[k])
         };
         self.cache.current = Some(k);
         if !head_only {
@@ -172,7 +175,7 @@ impl<'a> IncrementalExecutor<'a> {
         if span.is_active() {
             // Reuse ratio: fraction of the from-scratch subnet-k cost that
             // cached activations made unnecessary.
-            let scratch = self.net.macs(k, self.prune_threshold);
+            let scratch = self.costs.direct()[k];
             span.end(&[
                 ("subnet", Value::U64(k as u64)),
                 ("step_macs", Value::U64(step_macs)),
@@ -214,9 +217,8 @@ impl<'a> IncrementalExecutor<'a> {
         }
         let span = telemetry::span("inference", "exec.contract");
         let k = cur - 1;
-        let features = batch::last_act(&self.cache.acts)?.clone();
-        let logits = self.net.head_forward_packed(&features, k)?;
-        let step_macs = self.net.head_macs(k);
+        let logits = self.net.head_forward_packed(self.cache.features()?, k)?;
+        let step_macs = self.costs.head()[k];
         self.cache.current = Some(k);
         self.cache.cumulative_macs += step_macs;
         span.end(&[

@@ -71,6 +71,7 @@ pub use masked_conv::MaskedConv2d;
 pub use masked_linear::MaskedLinear;
 pub use net::{SteppingNet, SteppingNetBuilder};
 pub use parallel::{BatchLoss, BatchOutcome, ParallelRunner};
+pub use plan::MacTable;
 pub use stage::{FixedStage, Stage};
 pub use stepping_exec::ParallelConfig;
 

@@ -1,7 +1,7 @@
 use rand::rngs::StdRng;
 use stepping_nn::{Param, ParamLr};
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
-use stepping_tensor::microkernel::{Epilogue, PackedB};
+use stepping_tensor::microkernel::{self, Epilogue, PackedB};
 use stepping_tensor::pack::{self, PackScratch};
 use stepping_tensor::{init, matmul, Shape, Tensor};
 
@@ -393,52 +393,86 @@ impl MaskedConv2d {
         Ok(out)
     }
 
-    /// Fused expand step: computes the subnet-`k` step channels (exactly as
-    /// [`MaskedConv2d::forward_step_packed`]) and scatters them straight
-    /// into the matching channels of `target` (`[n, out_channels, oh, ow]`,
-    /// typically a cached full-width activation) — one
-    /// im2col→GEMM→bias→scatter pass with no intermediate tensor. Untouched
-    /// channels of `target` keep their exact old values.
+    /// Fused, batched expand step over per-request activation stacks: reads
+    /// level `si` of every stack (`[n_i, in_channels, h, w]`), unfolds them
+    /// into one stacked patch matrix, computes the subnet-`k` step channels
+    /// for all their rows in **one** GEMM (exactly as
+    /// [`MaskedConv2d::forward_step_packed`] would per stack — rows are
+    /// independent in every kernel), and scatters each stack's rows straight
+    /// into the matching channels of its level `si + 1`
+    /// (`[n_i, out_channels, oh, ow]`, the cached full-width activation).
+    /// Untouched channels keep their exact old values.
+    ///
+    /// Every stack must hold levels `si` and `si + 1` (`expand_pass` checks
+    /// the stacks against the stage count before walking them).
     ///
     /// # Errors
     ///
-    /// Returns an error for a subnet index out of range or input/target of
-    /// the wrong shape.
+    /// Returns an error for a subnet index out of range or a level of the
+    /// wrong shape.
     pub(crate) fn forward_step_packed_into(
         &mut self,
-        input: &Tensor,
         k: usize,
-        target: &mut Tensor,
+        stacks: &mut [&mut [Tensor]],
+        si: usize,
     ) -> Result<()> {
         self.check_subnet(k)?;
-        let dims = input.shape().dims();
-        if dims.len() != 4 || dims[1] != self.in_channels() {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked conv expects [n, {}, h, w], got {}",
-                self.in_channels(),
-                input.shape()
-            )));
-        }
-        let (n, h, w) = (dims[0], dims[2], dims[3]);
-        let geom = self.geometry(h, w)?;
-        let positions = geom.positions();
-        let oc_n = self.out_channels();
-        if target.shape().dims() != [n, oc_n, geom.out_h, geom.out_w] {
-            return Err(SteppingError::InvalidStructure(format!(
-                "step splice target expects [{n}, {oc_n}, {}, {}], got {}",
-                geom.out_h,
-                geom.out_w,
-                target.shape()
-            )));
-        }
+        let (ic_n, oc_n) = (self.in_channels(), self.out_channels());
         self.ensure_step_plan(k);
         let plan = self.plans.step(k).ok_or_else(|| plan::missing("conv"))?;
         if plan.oc_idx.is_empty() {
             return Ok(());
         }
+        let Some(first) = stacks.first() else {
+            return Ok(());
+        };
+        let &[_, _, h, w] = first[si].shape().dims() else {
+            return Err(SteppingError::InvalidStructure(format!(
+                "masked conv expects [n, {ic_n}, h, w], got {}",
+                first[si].shape()
+            )));
+        };
+        let geom = self.geometry(h, w)?;
+        let mut images = 0usize;
+        for levels in stacks.iter() {
+            let (input, target) = (&levels[si], &levels[si + 1]);
+            let dims = input.shape().dims();
+            if dims.len() != 4 || dims[1..] != [ic_n, h, w] {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "masked conv expects [n, {ic_n}, {h}, {w}], got {}",
+                    input.shape()
+                )));
+            }
+            if target.shape().dims() != [dims[0], oc_n, geom.out_h, geom.out_w] {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "step splice target expects [{}, {oc_n}, {}, {}], got {}",
+                    dims[0],
+                    geom.out_h,
+                    geom.out_w,
+                    target.shape()
+                )));
+            }
+            images += dims[0];
+        }
+        let positions = geom.positions();
+        let patch = plan.ic_idx.len() * self.kernel * self.kernel;
+        let oc_len = plan.oc_idx.len();
         {
             let _pack_timer = plan::pack_timer();
-            pack::im2col_channels_into(input, &geom, &plan.ic_idx, &mut self.scratch.input)?;
+            // every element is overwritten by the unfolds below
+            microkernel::grow(&mut self.scratch.input, images * positions * patch);
+            let mut row = 0;
+            for levels in stacks.iter() {
+                let input = &levels[si];
+                let rows = input.shape().dims()[0] * positions;
+                pack::im2col_channels_slice(
+                    input,
+                    &geom,
+                    &plan.ic_idx,
+                    &mut self.scratch.input[row * patch..(row + rows) * patch],
+                )?;
+                row += rows;
+            }
         }
         {
             let _gemm_timer = plan::gemm_timer();
@@ -446,19 +480,25 @@ impl MaskedConv2d {
                 &self.scratch.input,
                 &plan.weight,
                 &mut self.scratch.out,
-                n * positions,
+                images * positions,
                 &mut self.scratch.a_pack,
                 Epilogue::Bias(&plan.bias),
             );
         }
-        pack::scatter_mat_to_nchw(
-            &self.scratch.out,
-            n,
-            positions,
-            &plan.oc_idx,
-            oc_n,
-            target.data_mut(),
-        );
+        let mut row = 0;
+        for levels in stacks.iter_mut() {
+            let target = &mut levels[si + 1];
+            let n = target.shape().dims()[0];
+            pack::scatter_mat_to_nchw(
+                &self.scratch.out[row * oc_len..(row + n * positions) * oc_len],
+                n,
+                positions,
+                &plan.oc_idx,
+                oc_n,
+                target.data_mut(),
+            );
+            row += n * positions;
+        }
         Ok(())
     }
 
@@ -770,6 +810,16 @@ impl MaskedConv2d {
             }
         }
         count * self.positions as u64
+    }
+
+    /// MACs each step adds at this layer: entry `k` is the sum of
+    /// [`neuron_macs`](Self::neuron_macs) over the filters assigned exactly
+    /// to subnet `k` (see
+    /// [`MaskedLinear::step_macs`](crate::MaskedLinear::step_macs)).
+    pub(crate) fn step_macs(&self, threshold: f32) -> std::sync::Arc<[u64]> {
+        self.plans.step_macs(threshold, &self.out_assign, |oc| {
+            self.neuron_macs(oc, threshold)
+        })
     }
 
     /// Accumulated importance of filter `oc` w.r.t. `subnet`.

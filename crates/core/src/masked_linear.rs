@@ -1,6 +1,6 @@
 use rand::rngs::StdRng;
 use stepping_nn::{Param, ParamLr};
-use stepping_tensor::microkernel::PackedB;
+use stepping_tensor::microkernel::{self, PackedB};
 use stepping_tensor::pack::{self, PackScratch};
 use stepping_tensor::{init, reduce, Shape, Tensor};
 
@@ -397,47 +397,72 @@ impl MaskedLinear {
         Ok(out)
     }
 
-    /// Fused expand step: computes the subnet-`k` step panel (exactly as
-    /// [`MaskedLinear::forward_step_packed`]) and scatters it straight into
-    /// the matching columns of `target` (`[n, out_features]`, typically a
-    /// cached full-width activation) — one gather→GEMM→scatter pass with no
-    /// intermediate tensor. Untouched columns of `target` keep their exact
-    /// old values.
+    /// Fused, batched expand step over per-request activation stacks: reads
+    /// level `si` of every stack (`[n_i, in_features]`), computes the
+    /// subnet-`k` step panel for all their rows in **one** GEMM (exactly as
+    /// [`MaskedLinear::forward_step_packed`] would per stack — rows are
+    /// independent in every kernel), and scatters each stack's rows straight
+    /// into the matching columns of its level `si + 1`
+    /// (`[n_i, out_features]`, the cached full-width activation). The
+    /// stacked panels live in the layer's scratch; untouched columns keep
+    /// their exact old values.
+    ///
+    /// Every stack must hold levels `si` and `si + 1` (`expand_pass` checks
+    /// the stacks against the stage count before walking them).
     ///
     /// # Errors
     ///
-    /// Returns an error for a subnet index out of range or input/target of
-    /// the wrong shape.
+    /// Returns an error for a subnet index out of range or a level of the
+    /// wrong shape.
     pub(crate) fn forward_step_packed_into(
         &mut self,
-        input: &Tensor,
         k: usize,
-        target: &mut Tensor,
+        stacks: &mut [&mut [Tensor]],
+        si: usize,
     ) -> Result<()> {
         self.check_subnet(k)?;
-        let i_n = self.in_features();
-        if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked linear expects [n, {i_n}], got {}",
-                input.shape()
-            )));
-        }
-        let n = input.shape().dims()[0];
-        let o_n = self.out_features();
-        if target.shape().dims() != [n, o_n] {
-            return Err(SteppingError::InvalidStructure(format!(
-                "step splice target expects [{n}, {o_n}], got {}",
-                target.shape()
-            )));
-        }
+        let (i_n, o_n) = (self.in_features(), self.out_features());
         self.ensure_step_plan(k);
         let plan = self.plans.step(k).ok_or_else(|| plan::missing("linear"))?;
         if plan.out_idx.is_empty() {
             return Ok(());
         }
+        let mut total = 0usize;
+        for levels in stacks.iter() {
+            let (input, target) = (&levels[si], &levels[si + 1]);
+            if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "masked linear expects [n, {i_n}], got {}",
+                    input.shape()
+                )));
+            }
+            let n = input.shape().dims()[0];
+            if target.shape().dims() != [n, o_n] {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "step splice target expects [{n}, {o_n}], got {}",
+                    target.shape()
+                )));
+            }
+            total += n;
+        }
+        let (cols_in, cols_out) = (plan.in_idx.len(), plan.out_idx.len());
         {
             let _pack_timer = plan::pack_timer();
-            pack::gather_columns(input.data(), n, i_n, &plan.in_idx, &mut self.scratch.input);
+            // every element is overwritten by the gathers below
+            microkernel::grow(&mut self.scratch.input, total * cols_in);
+            let mut row = 0;
+            for levels in stacks.iter() {
+                let input = &levels[si];
+                let n = input.shape().dims()[0];
+                pack::gather_columns_slice(
+                    input.data(),
+                    n,
+                    i_n,
+                    &plan.in_idx,
+                    &mut self.scratch.input[row * cols_in..(row + n) * cols_in],
+                );
+                row += n;
+            }
         }
         {
             let _gemm_timer = plan::gemm_timer();
@@ -445,12 +470,24 @@ impl MaskedLinear {
                 &self.scratch.input,
                 &plan.weight,
                 &mut self.scratch.out,
-                n,
+                total,
                 &mut self.scratch.a_pack,
                 stepping_tensor::microkernel::Epilogue::Bias(&plan.bias),
             );
         }
-        pack::scatter_columns(&self.scratch.out, n, &plan.out_idx, target.data_mut(), o_n);
+        let mut row = 0;
+        for levels in stacks.iter_mut() {
+            let target = &mut levels[si + 1];
+            let n = target.shape().dims()[0];
+            pack::scatter_columns(
+                &self.scratch.out[row * cols_out..(row + n) * cols_out],
+                n,
+                &plan.out_idx,
+                target.data_mut(),
+                o_n,
+            );
+            row += n;
+        }
         Ok(())
     }
 
@@ -731,6 +768,17 @@ impl MaskedLinear {
             }
         }
         count
+    }
+
+    /// MACs each step adds at this layer: entry `k` is the sum of
+    /// [`neuron_macs`](Self::neuron_macs) over the neurons assigned exactly
+    /// to subnet `k`, so [`macs`](Self::macs)`(s, threshold)` is the sum of
+    /// entries `0..=s`. Counted once per weight/assignment epoch and
+    /// threshold, then served from the plan cache (see [`crate::plan`]).
+    pub(crate) fn step_macs(&self, threshold: f32) -> std::sync::Arc<[u64]> {
+        self.plans.step_macs(threshold, &self.out_assign, |o| {
+            self.neuron_macs(o, threshold)
+        })
     }
 
     /// Accumulated importance of output neuron `o` w.r.t. `subnet`

@@ -4,11 +4,11 @@ use stepping_nn::{
     Sigmoid, Tanh,
 };
 use stepping_tensor::conv::ConvGeometry;
-use stepping_tensor::microkernel::{Epilogue, PackedB};
+use stepping_tensor::microkernel::{self, Epilogue, PackedB};
 use stepping_tensor::pack::{self, PackScratch};
 use stepping_tensor::{init, GradStore, Shape, Tensor};
 
-use crate::plan::{self, FusedAct, HeadPlan, PlanSet};
+use crate::plan::{self, FusedAct, HeadPlan, MacTable, PlanSet};
 use crate::{Assignment, FixedStage, MaskedConv2d, MaskedLinear, Result, Stage, SteppingError};
 
 /// A stepping neural network: a stack of [`Stage`]s plus one lightweight
@@ -340,6 +340,18 @@ impl SteppingNet {
     ///
     /// Propagates head errors and subnet-range errors.
     pub fn head_forward_packed(&mut self, features: &Tensor, subnet: usize) -> Result<Tensor> {
+        self.head_forward_packed_rows(std::iter::once(features), subnet)
+    }
+
+    /// [`SteppingNet::head_forward_packed`] over the feature tensors of
+    /// several requests at once: their active columns are gathered into one
+    /// stacked panel and multiplied in a single GEMM. Returns the logits of
+    /// all rows, `[Σ n_i, classes]`, in `features` order.
+    pub(crate) fn head_forward_packed_rows<'t>(
+        &mut self,
+        features: impl Iterator<Item = &'t Tensor> + Clone,
+        subnet: usize,
+    ) -> Result<Tensor> {
         if subnet >= self.subnets {
             return Err(SteppingError::SubnetOutOfRange {
                 subnet,
@@ -347,30 +359,41 @@ impl SteppingNet {
             });
         }
         let f = self.feature_assign.len();
-        if features.shape().rank() != 2 || features.shape().dims()[1] != f {
-            return Err(SteppingError::InvalidStructure(format!(
-                "head expects [n, {f}], got {}",
-                features.shape()
-            )));
+        let mut total = 0usize;
+        for t in features.clone() {
+            if t.shape().rank() != 2 || t.shape().dims()[1] != f {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "head expects [n, {f}], got {}",
+                    t.shape()
+                )));
+            }
+            total += t.shape().dims()[0];
         }
-        let n = features.shape().dims()[0];
         self.ensure_head_plan(subnet);
         {
             let plan = self
                 .head_plans
                 .full(subnet)
                 .ok_or_else(|| plan::missing("head"))?;
+            let cols = plan.feat_idx.len();
             let _pack_timer = plan::pack_timer();
-            pack::gather_columns(
-                features.data(),
-                n,
-                f,
-                &plan.feat_idx,
-                &mut self.head_scratch.input,
-            );
+            // every element is overwritten by the gathers below
+            microkernel::grow(&mut self.head_scratch.input, total * cols);
+            let mut row = 0;
+            for t in features {
+                let n = t.shape().dims()[0];
+                pack::gather_columns_slice(
+                    t.data(),
+                    n,
+                    f,
+                    &plan.feat_idx,
+                    &mut self.head_scratch.input[row * cols..(row + n) * cols],
+                );
+                row += n;
+            }
         }
         let gathered = std::mem::take(&mut self.head_scratch.input);
-        let out = self.head_forward_gathered(&gathered, n, subnet);
+        let out = self.head_forward_gathered(&gathered, total, subnet);
         self.head_scratch.input = gathered;
         out
     }
@@ -524,7 +547,7 @@ impl SteppingNet {
                             t
                         }
                     };
-                    flow = Some(crate::batch::fixed_forward(f, &x)?);
+                    flow = Some(f.layer_mut().forward(&x, false)?);
                 }
             }
             // A masked stage with a fused activation consumed the next
@@ -776,6 +799,25 @@ impl SteppingNet {
     pub fn macs(&self, subnet: usize, threshold: f32) -> u64 {
         let stage_macs: u64 = self.stages.iter().map(|s| s.macs(subnet, threshold)).sum();
         stage_macs + self.head_macs(subnet)
+    }
+
+    /// The MAC accounting of every subnet and step at `threshold` — the one
+    /// table the executors, the runtime's cost vectors and the server's
+    /// cost tables read. Its entries equal [`SteppingNet::macs`] and the
+    /// per-step sums of `neuron_macs` exactly; the weight scans behind them
+    /// run once per layer, weight/assignment epoch and threshold, and are
+    /// served from the layers' plan caches afterwards — dropped, like the
+    /// compiled panels, by every weight or assignment mutation — so a warm
+    /// call costs no pass over the weights.
+    pub fn mac_table(&self, threshold: f32) -> MacTable {
+        let mut stage_step = vec![0u64; self.subnets];
+        for layer in self.stages.iter().filter_map(|s| s.step_macs(threshold)) {
+            for (total, &macs) in stage_step.iter_mut().zip(layer.iter()) {
+                *total += macs;
+            }
+        }
+        let head = (0..self.subnets).map(|k| self.head_macs(k)).collect();
+        MacTable::new(&stage_step, head)
     }
 
     /// MAC operations of `subnet`'s head (active features × classes).

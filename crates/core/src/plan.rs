@@ -32,13 +32,27 @@
 //! recompile, while a missed invalidation would silently serve stale
 //! weights, which the tests in `crates/core/tests/packed_plans.rs` guard
 //! against.
+//!
+//! ## MAC accounting
+//!
+//! What a subnet or a step costs in MACs is a property of the same weights
+//! and assignments the panels are compiled from, so it is memoised here
+//! too: each [`PlanSet`] holds its layer's per-step MAC counts for one
+//! prune threshold, stamped with the epoch and dropped by
+//! [`PlanSet::invalidate`] together with the panels.
+//! [`SteppingNet::mac_table`](crate::SteppingNet::mac_table) sums the layers
+//! into one [`MacTable`] — the single source of every MAC figure the
+//! executors, the runtime and the server charge, equal by construction to
+//! the brute-force [`SteppingNet::macs`](crate::SteppingNet::macs) /
+//! `neuron_macs` scans it replaces on the serving path.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use stepping_metrics::{start_timer, LogHistogram, MetricsRegistry, PhaseTimer, ShardedCounter};
 use stepping_tensor::microkernel::PackedB;
 
 use crate::telemetry::{self, Value};
+use crate::Assignment;
 
 /// Always-on plan-cache metrics in the process-wide registry, distinct from
 /// the offline `obs` telemetry below: these are live production counters
@@ -163,18 +177,79 @@ pub(crate) struct HeadPlan {
     pub weight: PackedB,
 }
 
+/// Per-subnet MAC accounting of one network at one prune threshold: what a
+/// direct run of each subnet costs, what each incremental step costs, and
+/// the head share of both — the one source of every MAC figure the
+/// executors, the runtime and the server charge.
+///
+/// Built by [`SteppingNet::mac_table`](crate::SteppingNet::mac_table); every
+/// slice is indexed by subnet.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MacTable {
+    direct: Vec<u64>,
+    step: Vec<u64>,
+    head: Vec<u64>,
+}
+
+impl MacTable {
+    /// Assembles the table from the stages' per-step MACs (`stage_step[k]`:
+    /// incoming MACs of the neurons assigned exactly to `k`, summed over
+    /// the masked stages) and the per-subnet head MACs.
+    pub(crate) fn new(stage_step: &[u64], head: Vec<u64>) -> Self {
+        let mut active = 0u64;
+        let mut direct = Vec::with_capacity(head.len());
+        let mut step = Vec::with_capacity(head.len());
+        for (&s, &h) in stage_step.iter().zip(&head) {
+            // a subnet runs every neuron assigned to it or below
+            active += s;
+            direct.push(active + h);
+            step.push(s + h);
+        }
+        MacTable { direct, step, head }
+    }
+
+    /// `direct()[k]`: MACs of running subnet `k` from the input — exactly
+    /// [`SteppingNet::macs`](crate::SteppingNet::macs)`(k, threshold)`.
+    pub fn direct(&self) -> &[u64] {
+        &self.direct
+    }
+
+    /// `step()[k]`: MACs of stepping from subnet `k - 1` to `k` over cached
+    /// activations — the `neuron_macs` of the neurons assigned exactly to
+    /// `k` plus subnet `k`'s head (`step()[0] == direct()[0]`).
+    pub fn step(&self) -> &[u64] {
+        &self.step
+    }
+
+    /// `head()[k]`: MACs of subnet `k`'s head alone — what a contraction or
+    /// a re-expansion over already-computed neurons costs.
+    pub fn head(&self) -> &[u64] {
+        &self.head
+    }
+}
+
+/// One memoised per-step MAC vector: the epoch and prune-threshold bits it
+/// was counted at, and the counts.
+type StepMacs = (u64, u32, Arc<[u64]>);
+
 /// Per-layer cache of compiled plans, keyed by a weight/assignment epoch.
 ///
 /// `full` plans cover every neuron active at a subnet (direct execution);
 /// `step` plans cover only the neurons assigned exactly to a subnet (the
 /// incremental expand path). Both are dropped — and the epoch advances —
 /// on [`PlanSet::invalidate`]; a surviving entry is additionally epoch-
-/// checked on read so a stale plan can never be served.
-#[derive(Debug, Clone)]
+/// checked on read so a stale plan can never be served. The layer's
+/// per-step MAC counts ride along under the same rules
+/// ([`PlanSet::step_macs`]).
+#[derive(Debug)]
 pub(crate) struct PlanSet<P> {
     epoch: u64,
     full: Vec<Option<(u64, P)>>,
     step: Vec<Option<(u64, P)>>,
+    /// Filled through `&self` (MAC queries take the net by shared
+    /// reference), hence the lock; never contended on the serving path,
+    /// where each worker owns its replica.
+    step_macs: Mutex<Option<StepMacs>>,
 }
 
 impl<P> Default for PlanSet<P> {
@@ -183,6 +258,18 @@ impl<P> Default for PlanSet<P> {
             epoch: 0,
             full: Vec::new(),
             step: Vec::new(),
+            step_macs: Mutex::new(None),
+        }
+    }
+}
+
+impl<P: Clone> Clone for PlanSet<P> {
+    fn clone(&self) -> Self {
+        PlanSet {
+            epoch: self.epoch,
+            full: self.full.clone(),
+            step: self.step.clone(),
+            step_macs: Mutex::new(self.lock_step_macs().clone()),
         }
     }
 }
@@ -199,6 +286,10 @@ impl<P> PlanSet<P> {
     /// never-executed layers stays silent).
     pub fn invalidate(&mut self, kind: &'static str) {
         self.epoch = self.epoch.wrapping_add(1);
+        *self
+            .step_macs
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner) = None;
         let had = self.full.iter().any(Option::is_some) || self.step.iter().any(Option::is_some);
         if had {
             self.full.clear();
@@ -226,6 +317,43 @@ impl<P> PlanSet<P> {
     /// Stores the step plan for `subnet` at the current epoch.
     pub fn put_step(&mut self, subnet: usize, plan: P) {
         Self::put(&mut self.step, subnet, self.epoch, plan);
+    }
+
+    /// The owning layer's per-step MAC counts at `threshold`: entry `k` is
+    /// the sum of `neuron_macs(o)` over the outputs `out_assign` puts
+    /// exactly in subnet `k` (the unused pool counts nowhere). Counted once
+    /// per (epoch, threshold) and served from the memo afterwards; a query
+    /// at another threshold recounts and takes the slot over.
+    pub fn step_macs(
+        &self,
+        threshold: f32,
+        out_assign: &Assignment,
+        neuron_macs: impl Fn(usize) -> u64,
+    ) -> Arc<[u64]> {
+        let key = threshold.to_bits();
+        let mut slot = self.lock_step_macs();
+        if let Some((epoch, bits, counts)) = slot.as_ref() {
+            if *epoch == self.epoch && *bits == key {
+                return Arc::clone(counts);
+            }
+        }
+        let mut counts = vec![0u64; out_assign.subnet_count()];
+        for o in 0..out_assign.len() {
+            if let Some(c) = counts.get_mut(out_assign.subnet_of(o)) {
+                *c += neuron_macs(o);
+            }
+        }
+        let counts: Arc<[u64]> = counts.into();
+        *slot = Some((self.epoch, key, Arc::clone(&counts)));
+        counts
+    }
+
+    fn lock_step_macs(&self) -> std::sync::MutexGuard<'_, Option<StepMacs>> {
+        // the slot is replaced whole, so a poisoned lock still guards a
+        // valid value
+        self.step_macs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn get(slots: &[Option<(u64, P)>], subnet: usize, epoch: u64) -> Option<&P> {
@@ -297,6 +425,45 @@ mod tests {
         assert_eq!(set.epoch(), 1);
         assert!(set.full(1).is_none());
         assert!(set.step(0).is_none());
+    }
+
+    #[test]
+    fn step_macs_are_memoised_per_epoch_and_threshold() {
+        use std::cell::Cell;
+        let mut assign = Assignment::new(4, 2);
+        assign.move_neuron(1, 1).unwrap();
+        assign.move_neuron(3, 2).unwrap(); // unused pool: counted nowhere
+        let mut set: PlanSet<u32> = PlanSet::default();
+        let scans = Cell::new(0u32);
+        let count = |set: &PlanSet<u32>, thr: f32| {
+            set.step_macs(thr, &assign, |o| {
+                scans.set(scans.get() + 1);
+                10 + o as u64
+            })
+        };
+        assert_eq!(&*count(&set, 0.5), &[10 + 12, 11]);
+        assert_eq!(scans.get(), 3);
+        count(&set, 0.5);
+        assert_eq!(
+            scans.get(),
+            3,
+            "same epoch and threshold: served from the memo"
+        );
+        assert_eq!(&*count(&set.clone(), 0.5), &[22, 11]);
+        assert_eq!(scans.get(), 3, "a clone carries the memo");
+        count(&set, 0.25);
+        assert_eq!(scans.get(), 6, "another threshold recounts");
+        set.invalidate("test");
+        count(&set, 0.25);
+        assert_eq!(scans.get(), 9, "invalidate drops the memo");
+    }
+
+    #[test]
+    fn mac_table_sums_steps_into_direct_costs() {
+        let table = MacTable::new(&[5, 3, 2], vec![4, 6, 8]);
+        assert_eq!(table.direct(), &[5 + 4, 8 + 6, 10 + 8]);
+        assert_eq!(table.step(), &[5 + 4, 3 + 6, 2 + 8]);
+        assert_eq!(table.head(), &[4, 6, 8]);
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub enum FixedStage {
 }
 
 impl FixedStage {
-    fn layer_mut(&mut self) -> &mut dyn Layer {
+    pub(crate) fn layer_mut(&mut self) -> &mut dyn Layer {
         match self {
             FixedStage::Relu(l) => l,
             FixedStage::Tanh(l) => l,
@@ -259,6 +259,16 @@ impl Stage {
             Stage::Linear(l) => l.macs(subnet, threshold),
             Stage::Conv(c) => c.macs(subnet, threshold),
             Stage::Fixed(_) => 0,
+        }
+    }
+
+    /// Per-step MACs of a masked stage (see
+    /// [`MaskedLinear::step_macs`]); `None` for fixed stages.
+    pub(crate) fn step_macs(&self, threshold: f32) -> Option<std::sync::Arc<[u64]>> {
+        match self {
+            Stage::Linear(l) => Some(l.step_macs(threshold)),
+            Stage::Conv(c) => Some(c.step_macs(threshold)),
+            Stage::Fixed(_) => None,
         }
     }
 

@@ -1,0 +1,133 @@
+//! Allocation guard for the batched expand path.
+//!
+//! A warmed `BatchExecutor::expand` gathers from, and scatters into, the
+//! requests' cached activations in place: the only heap traffic left is the
+//! logits handed back per request plus a few bookkeeping vectors. Stacking
+//! the cached levels of the batch into one tensor per level and splitting
+//! them back (what the path did before) costs one allocation per level and
+//! request and as many bytes as the caches hold — this test fails long
+//! before that.
+//!
+//! The file holds a single test: the counting allocator is process-wide,
+//! and the count is kept per thread so the harness cannot disturb it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use stepping_core::{ActivationCache, BatchExecutor, SteppingNet, SteppingNetBuilder};
+use stepping_tensor::{init, Shape, Tensor};
+
+thread_local! {
+    /// `(allocations, bytes)` made by this thread while `COUNTING` is set.
+    static COUNT: Cell<(usize, usize)> = const { Cell::new((0, 0)) };
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are plain thread-local `Cell`s with
+// constant initialisers (no lazy allocation, no destructor), so touching
+// them cannot re-enter the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.with(Cell::get) {
+            COUNT.with(|c| {
+                let (n, bytes) = c.get();
+                c.set((n + 1, bytes + layout.size()));
+            });
+        }
+        // SAFETY: same layout, forwarded to the system allocator.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `(allocations, bytes)` this thread makes while running `f`.
+fn count_allocs<R>(f: impl FnOnce() -> R) -> (R, usize, usize) {
+    COUNT.with(|c| c.set((0, 0)));
+    COUNTING.with(|c| c.set(true));
+    let out = f();
+    COUNTING.with(|c| c.set(false));
+    let (n, bytes) = COUNT.with(Cell::get);
+    (out, n, bytes)
+}
+
+const SUBNETS: usize = 4;
+const CLASSES: usize = 10;
+
+/// The serving benchmark's MLP (256-512-512-256-10), a quarter of every
+/// layer's neurons per subnet.
+fn mlp() -> SteppingNet {
+    let mut net = SteppingNetBuilder::new(Shape::of(&[256]), SUBNETS, 7)
+        .linear(512)
+        .relu()
+        .linear(512)
+        .relu()
+        .linear(256)
+        .relu()
+        .build(CLASSES)
+        .unwrap();
+    let mut moves = Vec::new();
+    for (stage, width) in [(0, 512), (2, 512), (4, 256)] {
+        for o in 0..width {
+            moves.push((stage, o, o * SUBNETS / width));
+        }
+    }
+    net.move_neurons(&moves).unwrap();
+    net
+}
+
+fn begin(exec: &mut BatchExecutor, requests: usize) -> Vec<ActivationCache> {
+    let inputs: Vec<Tensor> = (0..requests)
+        .map(|i| init::uniform(Shape::of(&[1, 256]), -1.0, 1.0, &mut init::rng(i as u64)))
+        .collect();
+    exec.begin(&inputs, 0)
+        .unwrap()
+        .into_iter()
+        .map(|(cache, _)| cache)
+        .collect()
+}
+
+#[test]
+fn warmed_batched_expand_allocates_only_the_logits() {
+    const REQUESTS: usize = 8;
+    let mut net = mlp();
+    let mut exec = BatchExecutor::new(&mut net, 0.0);
+    // warm-up: compile every step plan and grow the scratch panels
+    let mut warm = begin(&mut exec, REQUESTS);
+    for _ in 1..SUBNETS {
+        exec.expand(&mut warm).unwrap();
+    }
+
+    // what handing one request its logits costs
+    let (_, logits_allocs, logits_bytes) =
+        count_allocs(|| Tensor::from_vec(Shape::of(&[1, CLASSES]), vec![0.0; CLASSES]).unwrap());
+    // bookkeeping that does not grow with the cached levels: the stack and
+    // result vectors, the batch's stacked logits
+    const CONSTANT_ALLOCS: usize = 12;
+    let cache_level_bytes = REQUESTS * 512 * std::mem::size_of::<f32>();
+
+    let mut caches = begin(&mut exec, REQUESTS);
+    for k in 1..SUBNETS {
+        let (steps, allocs, bytes) = count_allocs(|| exec.expand(&mut caches).unwrap());
+        assert_eq!(steps.len(), REQUESTS);
+        assert!(
+            allocs <= REQUESTS * logits_allocs + CONSTANT_ALLOCS,
+            "expand to subnet {k} made {allocs} allocations for {REQUESTS} requests \
+             ({logits_allocs} per logits tensor)"
+        );
+        assert!(
+            bytes <= 4 * REQUESTS * logits_bytes + 1024 && bytes < cache_level_bytes / 4,
+            "expand to subnet {k} allocated {bytes} bytes; one cached level of the batch \
+             holds {cache_level_bytes}"
+        );
+    }
+}

@@ -7,10 +7,14 @@
 //!   right after a weight update invalidated the cached plans.
 //! * Every structural or weight mutator must advance the plan epoch, so a
 //!   stale plan is never served.
+//! * The MAC table compiled beside the plans must equal the brute-force
+//!   `macs()` / `neuron_macs()` scans for arbitrary assignments and prune
+//!   thresholds, and every mutator must drop it with the plans.
 
 use proptest::prelude::*;
 use stepping_core::{
-    Assignment, IncrementalExecutor, MaskedConv2d, MaskedLinear, SteppingNetBuilder,
+    checkpoint, Assignment, IncrementalExecutor, MaskedConv2d, MaskedLinear, Stage, SteppingNet,
+    SteppingNetBuilder,
 };
 use stepping_nn::optim::Sgd;
 use stepping_tensor::{init, Shape};
@@ -64,8 +68,119 @@ fn random_conv(seed: u64, out_moves: &[(u8, u8)], in_moves: &[(u8, u8)]) -> Mask
     c
 }
 
+/// Conv + linear net whose masked stages sit at indices 0 and 4.
+fn table_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
+    let mut net = SteppingNetBuilder::new(Shape::of(&[2, 6, 6]), SUBNETS, seed)
+        .conv(5, 3, 1, 1)
+        .relu()
+        .max_pool(2, 2)
+        .flatten()
+        .linear(9)
+        .relu()
+        .build(4)
+        .unwrap();
+    let moves: Vec<(usize, usize, usize)> = moves
+        .iter()
+        .map(|&(stage, neuron, target)| {
+            let (stage, width) = if stage % 2 == 0 { (0, 5) } else { (4, 9) };
+            (
+                stage,
+                neuron as usize % width,
+                target as usize % (SUBNETS + 1),
+            )
+        })
+        .collect();
+    net.move_neurons(&moves).unwrap();
+    net
+}
+
+/// The table served for `thr` against the brute-force weight scans.
+fn assert_table_matches_scans(net: &SteppingNet, thr: f32, what: &str) {
+    let table = net.mac_table(thr);
+    assert_eq!(table.direct().len(), SUBNETS);
+    for k in 0..SUBNETS {
+        assert_eq!(
+            table.direct()[k],
+            net.macs(k, thr),
+            "{what}: direct[{k}] at {thr}"
+        );
+        let mut step = net.head_macs(k);
+        for stage in net.stages() {
+            if let Some(assign) = stage.out_assign() {
+                for o in assign.members(k) {
+                    step += stage.neuron_macs(o, thr).unwrap();
+                }
+            }
+        }
+        assert_eq!(table.step()[k], step, "{what}: step[{k}] at {thr}");
+        assert_eq!(table.head()[k], net.head_macs(k), "{what}: head[{k}]");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn mac_table_equals_scans_and_is_never_stale(
+        moves in proptest::collection::vec((0u8..8, 0u8..64, 0u8..8), 0..16),
+        later in (0u8..8, 0u8..64, 0u8..8),
+        seed in 0u64..1000,
+        thr in 0.0f32..0.4,
+        scale in 0.1f32..3.0,
+    ) {
+        let mut net = table_net(seed, &moves);
+        // every check reads the table twice: the scan, then the memo
+        let check = |net: &SteppingNet, what: &str| {
+            for t in [thr, 0.0, thr] {
+                assert_table_matches_scans(net, t, what);
+            }
+        };
+        check(&net, "fresh");
+
+        let (stage, width) = if later.0 % 2 == 0 { (0, 5) } else { (4, 9) };
+        net.move_neuron(stage, later.1 as usize % width, later.2 as usize % (SUBNETS + 1))
+            .unwrap();
+        check(&net, "after move_neuron");
+
+        net.prune(thr.max(0.05));
+        check(&net, "after prune");
+
+        for si in [0, 4] {
+            let weight = match &mut net.stages_mut()[si] {
+                Stage::Linear(l) => l.weight_mut(),
+                Stage::Conv(c) => c.weight_mut(),
+                Stage::Fixed(_) => unreachable!("stages 0 and 4 are masked"),
+            };
+            for w in weight.value.data_mut() {
+                *w *= scale;
+            }
+        }
+        check(&net, "after weight_mut");
+
+        // an optimizer step through params_for
+        let x = init::uniform(Shape::of(&[2, 2, 6, 6]), -1.0, 1.0, &mut init::rng(seed ^ 5));
+        net.zero_grad();
+        let y = net.forward(&x, SUBNETS - 1, true).unwrap();
+        net.backward(&y).unwrap();
+        Sgd::new(0.5).unwrap().step(&mut net.params_for(SUBNETS - 1).unwrap()).unwrap();
+        check(&net, "after optimizer step");
+
+        // a layer's input assignment replaced behind the net's back
+        let mut ia = Assignment::new(5 * 3 * 3, SUBNETS);
+        ia.move_neuron(later.1 as usize % 45, later.2 as usize % (SUBNETS + 1)).unwrap();
+        net.stages_mut()[4].set_in_assign(ia).unwrap();
+        check(&net, "after set_in_assign");
+        net.sync_assignments().unwrap();
+        check(&net, "after sync_assignments");
+
+        // a checkpoint of a differently assigned, differently weighted net
+        let mut other = table_net(seed ^ 0x5a, &[(later.0, later.1, later.2)]);
+        let state = checkpoint::save_state(&mut other);
+        check(&other, "checkpointed net");
+        checkpoint::load_state(&mut net, state).unwrap();
+        check(&net, "after load_state");
+        prop_assert_eq!(net.mac_table(thr), other.mac_table(thr));
+    }
 
     #[test]
     fn linear_packed_bit_identical_to_masked(

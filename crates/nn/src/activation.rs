@@ -18,6 +18,26 @@ macro_rules! check_backward_shape {
     }};
 }
 
+/// Writes `f(input)` into `out`, reusing `out`'s buffer when the shapes
+/// already agree (the cached-activation case) and replacing it otherwise.
+fn map_into(input: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
+    if out.shape() == input.shape() {
+        for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
+            *o = f(x);
+        }
+    } else {
+        *out = input.map(f);
+    }
+}
+
+fn relu(x: f32) -> f32 {
+    x.max(0.0)
+}
+
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
 /// Rectified linear unit `max(0, x)` (the paper's activation `φ`).
 ///
 /// # Example
@@ -48,9 +68,17 @@ impl Layer for Relu {
         "Relu"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        self.cached_input = Some(input.clone());
-        Ok(input.map(|x| x.max(0.0)))
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        // Inference never backpropagates: skip the clone and drop any stale
+        // cache so a later `backward` fails loudly.
+        self.cached_input = train.then(|| input.clone());
+        Ok(input.map(relu))
+    }
+
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+        self.cached_input = None;
+        map_into(input, out, relu);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -83,10 +111,16 @@ impl Layer for Tanh {
         "Tanh"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
         let out = input.map(f32::tanh);
-        self.cached_output = Some(out.clone());
+        self.cached_output = train.then(|| out.clone());
         Ok(out)
+    }
+
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+        self.cached_output = None;
+        map_into(input, out, f32::tanh);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -119,10 +153,16 @@ impl Layer for Sigmoid {
         "Sigmoid"
     }
 
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let out = input.map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.cached_output = Some(out.clone());
+    fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor> {
+        let out = input.map(sigmoid);
+        self.cached_output = train.then(|| out.clone());
         Ok(out)
+    }
+
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+        self.cached_output = None;
+        map_into(input, out, sigmoid);
+        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -188,6 +228,46 @@ mod tests {
                 / (2.0 * eps);
             assert!((num - g.data()[i]).abs() < 1e-3);
         }
+    }
+
+    #[test]
+    fn eval_forward_keeps_no_backward_cache() {
+        let g = Tensor::ones(Shape::of(&[1, 4]));
+        let mut relu = Relu::new();
+        relu.forward(&x(), true).unwrap();
+        relu.forward(&x(), false).unwrap();
+        assert!(
+            relu.backward(&g).is_err(),
+            "eval forward must drop the cache"
+        );
+        let mut tanh = Tanh::new();
+        tanh.forward(&x(), false).unwrap();
+        assert!(tanh.backward(&g).is_err());
+        let mut sigmoid = Sigmoid::new();
+        sigmoid.forward(&x(), false).unwrap();
+        assert!(sigmoid.backward(&g).is_err());
+    }
+
+    #[test]
+    fn forward_into_matches_forward_and_reuses_the_buffer() {
+        let input = x();
+        let mut out = Tensor::zeros(Shape::of(&[1, 4]));
+        let buffer = out.data().as_ptr();
+        Relu::new().forward_into(&input, &mut out).unwrap();
+        assert_eq!(out, Relu::new().forward(&input, false).unwrap());
+        Tanh::new().forward_into(&input, &mut out).unwrap();
+        assert_eq!(out, Tanh::new().forward(&input, false).unwrap());
+        Sigmoid::new().forward_into(&input, &mut out).unwrap();
+        assert_eq!(out, Sigmoid::new().forward(&input, false).unwrap());
+        assert_eq!(
+            out.data().as_ptr(),
+            buffer,
+            "matching shape writes in place"
+        );
+        // a mismatched target is replaced, not written out of bounds
+        let mut other = Tensor::zeros(Shape::of(&[2]));
+        Relu::new().forward_into(&input, &mut other).unwrap();
+        assert_eq!(other, Relu::new().forward(&input, false).unwrap());
     }
 
     #[test]

@@ -93,8 +93,10 @@ impl Param {
 /// * `forward(x, train)` — `train` selects training behaviour (batch-norm
 ///   batch statistics, dropout sampling); inference uses running statistics
 ///   and identity dropout.
-/// * `backward(grad_out)` must be called after `forward` with a gradient of
-///   the same shape as the forward output; it accumulates parameter
+/// * `backward(grad_out)` must be called after a `forward` with
+///   `train == true` (an inference forward may skip the backward cache, as
+///   the activations do) and a gradient of the same shape as the forward
+///   output; it accumulates parameter
 ///   gradients (adding to `Param::grad`) and returns the gradient w.r.t. the
 ///   layer input.
 pub trait Layer: std::fmt::Debug + Send {
@@ -107,6 +109,19 @@ pub trait Layer: std::fmt::Debug + Send {
     ///
     /// Returns [`NnError`](crate::NnError) when the input shape is invalid.
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor>;
+
+    /// Inference-mode forward (`train == false`) that leaves the result in
+    /// `out`. Element-wise layers overwrite `out`'s buffer when its shape
+    /// already matches, so a caller holding a cached activation pays no
+    /// allocation; the default replaces `out` with a fresh tensor.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward`].
+    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+        *out = self.forward(input, false)?;
+        Ok(())
+    }
 
     /// Back-propagates `grad_out`, accumulating parameter gradients, and
     /// returns the gradient with respect to the layer's input.

@@ -15,7 +15,7 @@
 //!   subnet discards intermediate results and pays its full MAC count.
 
 use serde::{Deserialize, Serialize};
-use stepping_core::{Result, Stage, SteppingError, SteppingNet};
+use stepping_core::{Result, SteppingError, SteppingNet};
 use stepping_tensor::Tensor;
 
 use crate::session::{Session, SessionConfig};
@@ -71,24 +71,23 @@ pub struct DriveOutcome {
 }
 
 /// MACs required to expand from `subnet` to `subnet + 1` with reuse
-/// (new neurons + next head).
+/// (new neurons + next head), read from the net's
+/// [`MacTable`](stepping_core::MacTable).
+///
+/// # Errors
+///
+/// Returns [`SteppingError::SubnetOutOfRange`] when there is no subnet
+/// `subnet + 1`.
 pub fn expand_macs(net: &SteppingNet, subnet: usize, prune_threshold: f32) -> Result<u64> {
     let next = subnet + 1;
-    if next >= net.subnet_count() {
-        return Err(SteppingError::SubnetOutOfRange {
+    net.mac_table(prune_threshold)
+        .step()
+        .get(next)
+        .copied()
+        .ok_or(SteppingError::SubnetOutOfRange {
             subnet: next,
             count: net.subnet_count(),
-        });
-    }
-    let mut total = net.head_macs(next);
-    for si in net.masked_stage_indices() {
-        let stage: &Stage = &net.stages()[si];
-        let assign = stage.out_assign().expect("masked stage");
-        for o in assign.members(next) {
-            total += stage.neuron_macs(o, prune_threshold).expect("masked stage");
-        }
-    }
-    Ok(total)
+        })
 }
 
 /// Drives anytime inference of `input` over `trace`.

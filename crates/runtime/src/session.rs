@@ -35,7 +35,7 @@ use stepping_core::{IncrementalExecutor, Result, SteppingError, SteppingNet};
 use stepping_tensor::{reduce, Tensor};
 
 use crate::confidence::ConfidentOutcome;
-use crate::driver::{expand_macs, DriveOutcome, SliceLog, UpgradePolicy};
+use crate::driver::{DriveOutcome, SliceLog, UpgradePolicy};
 use crate::live::LatestPrediction;
 use crate::{DeviceModel, ResourceTrace};
 
@@ -194,15 +194,13 @@ impl<'a> Session<'a> {
                 count: subnets,
             });
         }
-        let thr = self.config.prune_threshold;
-        let mut costs = vec![self.net.macs(start, thr)];
-        for k in start..subnets - 1 {
-            let cost = match self.config.policy {
-                UpgradePolicy::Incremental => expand_macs(self.net, k, thr)?,
-                UpgradePolicy::Recompute => self.net.macs(k + 1, thr),
-            };
-            costs.push(cost);
-        }
+        let table = self.net.mac_table(self.config.prune_threshold);
+        let upgrades = match self.config.policy {
+            UpgradePolicy::Incremental => table.step(),
+            UpgradePolicy::Recompute => table.direct(),
+        };
+        let mut costs = vec![table.direct()[start]];
+        costs.extend_from_slice(&upgrades[start + 1..]);
         Ok(costs)
     }
 

@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 
 use stepping_core::batch::{ActivationCache, BatchExecutor};
 use stepping_core::telemetry::{self, Value};
-use stepping_core::{Result, SteppingError, SteppingNet};
+use stepping_core::{MacTable, Result, SteppingError, SteppingNet};
 use stepping_metrics::{elapsed_ns, start_timer, MetricsRegistry, SnapshotWriter};
-use stepping_runtime::{expand_macs, DeviceModel};
+use stepping_runtime::DeviceModel;
 use stepping_tensor::Tensor;
 
 use crate::admission::{AdmissionError, ServeError};
@@ -36,13 +36,12 @@ struct Shared {
     prune_threshold: f32,
     start_subnet: usize,
     shed_policy: ShedPolicy,
-    /// `direct_cost[k]`: per-sample MACs of running subnet `k` from the
-    /// input (what an initial run pays).
-    direct_cost: Vec<u64>,
-    /// `expand_cost[k]` (`k >= 1`): per-sample MACs of stepping from
-    /// `k - 1` to `k` with cached activations (what an upgrade pays per
-    /// level); `expand_cost[0] == 0`.
-    expand_cost: Vec<u64>,
+    /// The net's MAC table at `prune_threshold`, per sample:
+    /// `costs.direct()[k]` is what an initial run of subnet `k` pays,
+    /// `costs.step()[k]` what an upgrade pays for the level `k - 1 → k`
+    /// over cached activations. The workers' executors charge from the
+    /// same table, so admission and accounting cannot disagree.
+    costs: MacTable,
     sessions: Mutex<HashMap<u64, SessionEntry>>,
     next_id: AtomicU64,
     next_session: AtomicU64,
@@ -59,7 +58,7 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 
 impl Shared {
     fn subnet_count(&self) -> usize {
-        self.direct_cost.len()
+        self.costs.direct().len()
     }
 
     /// Largest subnet (≥ the configured start subnet) whose direct cost
@@ -67,7 +66,7 @@ impl Shared {
     fn largest_direct_within(&self, mac_budget: u64) -> usize {
         let mut best = self.start_subnet;
         for k in self.start_subnet..self.subnet_count() {
-            if self.direct_cost[k] <= mac_budget {
+            if self.costs.direct()[k] <= mac_budget {
                 best = k;
             }
         }
@@ -80,7 +79,7 @@ impl Shared {
         let mut best = cur;
         let mut spent = 0u64;
         for k in cur + 1..self.subnet_count() {
-            spent += self.expand_cost[k];
+            spent += self.costs.step()[k];
             if spent <= mac_budget {
                 best = k;
             } else {
@@ -154,8 +153,10 @@ pub struct Server {
 }
 
 impl Server {
-    /// Builds the cost tables, spawns the worker pool (each worker clones
-    /// `net`), and starts accepting requests.
+    /// Reads the net's MAC table — which also warms the per-layer MAC
+    /// memos inside `net`, so the worker replicas cloned next never scan a
+    /// weight — spawns the worker pool (each worker clones `net`), and
+    /// starts accepting requests.
     ///
     /// # Errors
     ///
@@ -188,11 +189,7 @@ impl Server {
                 count: subnets,
             });
         }
-        let direct_cost: Vec<u64> = (0..subnets).map(|k| net.macs(k, thr)).collect();
-        let mut expand_cost = vec![0u64];
-        for k in 0..subnets - 1 {
-            expand_cost.push(expand_macs(net, k, thr)?);
-        }
+        let costs = net.mac_table(thr);
         let registry = MetricsRegistry::global();
         let metrics = Arc::new(crate::metrics::ServeMetrics::new(
             &registry,
@@ -224,8 +221,7 @@ impl Server {
             prune_threshold: thr,
             start_subnet: start,
             shed_policy: config.get_shed_policy(),
-            direct_cost,
-            expand_cost,
+            costs,
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
@@ -579,7 +575,7 @@ impl Server {
 
     /// Per-sample direct MAC cost of each subnet (index = subnet).
     pub fn subnet_costs(&self) -> &[u64] {
-        &self.shared.direct_cost
+        self.shared.costs.direct()
     }
 
     /// Aggregate serving statistics so far.
@@ -639,14 +635,19 @@ impl Drop for Server {
 }
 
 fn worker_loop(shared: Arc<Shared>, mut net: SteppingNet, worker: usize) {
+    // one executor for the worker's lifetime: the replica never changes, so
+    // its MAC table is read once, not per batch
+    let mut exec = BatchExecutor::new(&mut net, shared.prune_threshold);
     while let Some((key, batch)) = shared.lanes.take_batch(worker) {
         let busy_start = stepping_metrics::enabled().then(Instant::now);
         if let Some(occupancy) = shared.metrics.occupancy(key) {
             occupancy.record(batch.len() as u64);
         }
         match key {
-            BatchKey::Begin { subnet } => run_begin_batch(&shared, &mut net, batch, subnet),
-            BatchKey::Upgrade { from, to } => run_upgrade_batch(&shared, &mut net, batch, from, to),
+            BatchKey::Begin { subnet } => run_begin_batch(&shared, &mut exec, batch, subnet),
+            BatchKey::Upgrade { from, to } => {
+                run_upgrade_batch(&shared, &mut exec, batch, from, to)
+            }
         }
         if let Some(start) = busy_start {
             shared.metrics.worker(worker).busy_ns.add(elapsed_ns(start));
@@ -677,7 +678,7 @@ fn outcome_of(
     }
 }
 
-fn run_begin_batch(shared: &Shared, net: &mut SteppingNet, jobs: Vec<Job>, subnet: usize) {
+fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: Vec<Job>, subnet: usize) {
     let span = telemetry::span("serving", "serve.batch");
     let mut inputs = Vec::with_capacity(jobs.len());
     let mut kept = Vec::with_capacity(jobs.len());
@@ -697,7 +698,6 @@ fn run_begin_batch(shared: &Shared, net: &mut SteppingNet, jobs: Vec<Job>, subne
         }
     }
     let jobs = kept;
-    let mut exec = BatchExecutor::new(net, shared.prune_threshold);
     let forward_timer = start_timer(&shared.metrics.forward_ns);
     let forward = exec.begin(&inputs, subnet);
     forward_timer.stop();
@@ -771,7 +771,7 @@ fn run_begin_batch(shared: &Shared, net: &mut SteppingNet, jobs: Vec<Job>, subne
 
 fn run_upgrade_batch(
     shared: &Shared,
-    net: &mut SteppingNet,
+    exec: &mut BatchExecutor,
     jobs: Vec<Job>,
     from: usize,
     to: usize,
@@ -802,7 +802,6 @@ fn run_upgrade_batch(
             }
         }
     }
-    let mut exec = BatchExecutor::new(net, shared.prune_threshold);
     let mut new_macs = 0u64;
     let mut last_steps = None;
     let forward_timer = start_timer(&shared.metrics.forward_ns);

@@ -72,10 +72,27 @@ impl PackScratch {
 /// Panics if `src` is shorter than `rows * width` or any index is out of
 /// bounds.
 pub fn gather_columns(src: &[f32], rows: usize, width: usize, idx: &[usize], dst: &mut Vec<f32>) {
-    let k = idx.len();
     // every element is overwritten below, so retained capacity is not
     // re-zeroed
-    microkernel::grow(dst, rows * k);
+    microkernel::grow(dst, rows * idx.len());
+    gather_columns_slice(src, rows, width, idx, dst);
+}
+
+/// [`gather_columns`] writing into a caller-sized slice
+/// (`dst.len() >= rows * idx.len()`) — used to stack the gathered rows of
+/// several source matrices into one panel.
+///
+/// # Panics
+///
+/// Panics if a slice is shorter than implied or any index is out of bounds.
+pub fn gather_columns_slice(
+    src: &[f32],
+    rows: usize,
+    width: usize,
+    idx: &[usize],
+    dst: &mut [f32],
+) {
+    let k = idx.len();
     for r in 0..rows {
         let srow = &src[r * width..(r + 1) * width];
         let drow = &mut dst[r * k..(r + 1) * k];
@@ -200,6 +217,27 @@ pub fn im2col_channels_into(
     channels: &[usize],
     dst: &mut Vec<f32>,
 ) -> Result<()> {
+    let rows = input.shape().dims().first().copied().unwrap_or(0) * geom.positions();
+    // the unfold writes every entry (padding positions explicitly), so
+    // retained capacity is not re-zeroed
+    microkernel::grow(dst, rows * channels.len() * geom.kernel_h * geom.kernel_w);
+    im2col_channels_slice(input, geom, channels, dst)
+}
+
+/// [`im2col_channels_into`] writing into a caller-sized slice
+/// (`dst.len() >= batch * positions * channels.len() * kh * kw`) — used to
+/// stack the patch rows of several inputs into one matrix.
+///
+/// # Errors
+///
+/// As [`im2col_channels_into`], plus a geometry error when `dst` is too
+/// short.
+pub fn im2col_channels_slice(
+    input: &Tensor,
+    geom: &ConvGeometry,
+    channels: &[usize],
+    dst: &mut [f32],
+) -> Result<()> {
     let dims = input.shape().dims();
     if dims.len() != 4 {
         return Err(TensorError::RankMismatch {
@@ -222,9 +260,13 @@ pub fn im2col_channels_into(
     let window = geom.kernel_h * geom.kernel_w;
     let patch = channels.len() * window;
     let rows = n * geom.positions();
-    // the loops below write every entry (padding positions explicitly), so
-    // retained capacity is not re-zeroed
-    microkernel::grow(dst, rows * patch);
+    if dst.len() < rows * patch {
+        return Err(TensorError::InvalidGeometry(format!(
+            "im2col destination holds {} values, {} needed",
+            dst.len(),
+            rows * patch
+        )));
+    }
     let src = input.data();
     let pad = geom.padding as isize;
     for b in 0..n {
