@@ -271,8 +271,8 @@ fn main() {
         "acceptance: MLP subnet 0 packed speedup {:.2}x < 2x",
         s0.speedup
     );
-    // Full-net rows: the blocked microkernel + fused pipeline must carry
-    // the packed path even when every neuron is active (subnet N).
+    // Full-net rows: the blocked microkernel must carry the packed path
+    // even when every neuron is active (subnet N).
     for (model, results) in [("mlp", &mlp_results), ("conv", &conv_results)] {
         let last = results.last().expect("subnet results");
         report_text(&format!(

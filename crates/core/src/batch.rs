@@ -1,5 +1,7 @@
-//! Batched cached-activation execution — the serving-side counterpart of
-//! [`IncrementalExecutor`](crate::IncrementalExecutor).
+//! Batched cached-activation execution — the one state machine behind
+//! anytime inference (`begin` / `expand` / `contract`).
+//! [`IncrementalExecutor`](crate::IncrementalExecutor) is this executor
+//! over a batch of one request.
 //!
 //! A serving engine handles many concurrent requests whose anytime state
 //! must outlive any single executor borrow. This module therefore splits
@@ -89,14 +91,9 @@ impl ActivationCache {
 /// Runs the full stage stack plus the head of `subnet` on `input`
 /// (inference mode) through the packed execution plans, returning every
 /// intermediate activation (level 0 is `input` itself) and the logits.
-/// Shared by the incremental executor's `begin` and the batched path.
 /// Bit-identical (under `f32 ==`) to the masked reference pass — see
 /// [`crate::plan`].
-pub(crate) fn full_pass(
-    net: &mut SteppingNet,
-    input: Tensor,
-    subnet: usize,
-) -> Result<(Vec<Tensor>, Tensor)> {
+fn full_pass(net: &mut SteppingNet, input: Tensor, subnet: usize) -> Result<(Vec<Tensor>, Tensor)> {
     let mut acts = Vec::with_capacity(net.stages().len() + 1);
     acts.push(input);
     for si in 0..net.stages().len() {
@@ -112,13 +109,8 @@ pub(crate) fn full_pass(
 /// subnet `k`'s head: each masked stage runs its step plan once over the
 /// rows of every stack (see `forward_step_packed_into`), each fixed stage
 /// rewrites the next cached level from the updated one. Returns the logits
-/// of all rows, stacked in `stacks` order. Shared by the incremental
-/// executor's `expand` (one stack) and the batched path.
-pub(crate) fn expand_pass(
-    net: &mut SteppingNet,
-    stacks: &mut [&mut [Tensor]],
-    k: usize,
-) -> Result<Tensor> {
+/// of all rows, stacked in `stacks` order.
+fn expand_pass(net: &mut SteppingNet, stacks: &mut [&mut [Tensor]], k: usize) -> Result<Tensor> {
     let stages = net.stages().len();
     if stacks.iter().any(|levels| levels.len() != stages + 1) {
         return Err(SteppingError::ExecutorState(format!(
@@ -142,68 +134,6 @@ pub(crate) fn expand_pass(
         }
     }
     net.head_forward_packed_rows(stacks.iter().map(|levels| &levels[stages]), k)
-}
-
-/// Writes `fresh` (`[n, cols.len()]`) into columns `cols` of `target`
-/// (`[n, width]`). Superseded on the hot path by the fused
-/// `forward_step_packed_into` scatter; kept as the test oracle for splice
-/// semantics.
-#[cfg(test)]
-pub(crate) fn splice_columns(target: &mut Tensor, fresh: &Tensor, cols: &[usize]) -> Result<()> {
-    let dims = target.shape().dims().to_vec();
-    if dims.len() != 2 {
-        return Err(SteppingError::InvalidStructure(format!(
-            "column splice expects a matrix, got {}",
-            target.shape()
-        )));
-    }
-    let (n, width) = (dims[0], dims[1]);
-    if fresh.shape().dims() != [n, cols.len()] {
-        return Err(SteppingError::InvalidStructure(format!(
-            "fresh columns {} do not match [{n}, {}]",
-            fresh.shape(),
-            cols.len()
-        )));
-    }
-    let td = target.data_mut();
-    for b in 0..n {
-        for (ci, &c) in cols.iter().enumerate() {
-            td[b * width + c] = fresh.data()[b * cols.len() + ci];
-        }
-    }
-    Ok(())
-}
-
-/// Writes `fresh` (`[n, chans.len(), h, w]`) into channels `chans` of
-/// `target` (`[n, c, h, w]`). Superseded on the hot path by the fused
-/// `forward_step_packed_into` scatter; kept as the test oracle for splice
-/// semantics.
-#[cfg(test)]
-pub(crate) fn splice_channels(target: &mut Tensor, fresh: &Tensor, chans: &[usize]) -> Result<()> {
-    let dims = target.shape().dims().to_vec();
-    if dims.len() != 4 {
-        return Err(SteppingError::InvalidStructure(format!(
-            "channel splice expects NCHW, got {}",
-            target.shape()
-        )));
-    }
-    let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
-    let hw = h * w;
-    if fresh.shape().dims() != [n, chans.len(), h, w] {
-        return Err(SteppingError::InvalidStructure(format!(
-            "fresh channels {} do not match [{n}, {}, {h}, {w}]",
-            fresh.shape(),
-            chans.len()
-        )));
-    }
-    let td = target.data_mut();
-    for b in 0..n {
-        for (ci, &ch) in chans.iter().enumerate() {
-            let src = &fresh.data()[(b * chans.len() + ci) * hw..][..hw];
-            td[(b * c + ch) * hw..][..hw].copy_from_slice(src);
-        }
-    }
-    Ok(())
 }
 
 /// Concatenates tensors along the batch (first) dimension. A single part is
@@ -312,9 +242,8 @@ impl<'a> BatchExecutor<'a> {
     /// Runs subnet `subnet` for every input in **one** batched stage pass,
     /// returning each request's freshly populated cache and step outcome.
     ///
-    /// Each request's `step_macs` is the per-sample cost `macs(subnet)` —
-    /// identical to what a lone
-    /// [`IncrementalExecutor`](crate::IncrementalExecutor) would charge.
+    /// Each request's `step_macs` is the per-sample cost `macs(subnet)`,
+    /// whatever the batch size.
     ///
     /// # Errors
     ///
@@ -336,7 +265,7 @@ impl<'a> BatchExecutor<'a> {
                 count: self.net.subnet_count(),
             });
         }
-        let span = telemetry::span("inference", "exec.batch_begin");
+        let span = telemetry::span("inference", "exec.begin");
         let row_counts: Vec<usize> = inputs.iter().map(|t| t.shape().dims()[0]).collect();
         let (acts, logits) = full_pass(self.net, stack_rows(inputs)?, subnet)?;
         let step_macs = self.costs.direct()[subnet];
@@ -410,7 +339,7 @@ impl<'a> BatchExecutor<'a> {
                 "batch mixes head-only and fresh expansions".into(),
             ));
         }
-        let span = telemetry::span("inference", "exec.batch_expand");
+        let span = telemetry::span("inference", "exec.expand");
         let (logits, step_macs) = if head_only {
             (self.head_pass(caches, k)?, self.costs.head()[k])
         } else {
@@ -420,12 +349,21 @@ impl<'a> BatchExecutor<'a> {
             (logits, self.costs.step()[k])
         };
         let steps = Self::finish_step(caches, logits, k, step_macs, !head_only)?;
-        span.end(&[
-            ("batch", Value::U64(caches.len() as u64)),
-            ("subnet", Value::U64(k as u64)),
-            ("step_macs", Value::U64(step_macs)),
-            ("head_only", Value::Bool(head_only)),
-        ]);
+        if span.is_active() {
+            // Reuse ratio: fraction of the from-scratch subnet-k cost that
+            // cached activations made unnecessary.
+            let scratch = self.costs.direct()[k];
+            span.end(&[
+                ("batch", Value::U64(caches.len() as u64)),
+                ("subnet", Value::U64(k as u64)),
+                ("step_macs", Value::U64(step_macs)),
+                ("head_only", Value::Bool(head_only)),
+                (
+                    "reuse_ratio",
+                    Value::F64(1.0 - step_macs as f64 / scratch.max(1) as f64),
+                ),
+            ]);
+        }
         Ok(steps)
     }
 
@@ -446,16 +384,24 @@ impl<'a> BatchExecutor<'a> {
                 "already at smallest subnet".into(),
             ));
         }
+        let span = telemetry::span("inference", "exec.contract");
         let k = cur - 1;
+        let step_macs = self.costs.head()[k];
         let logits = self.head_pass(caches, k)?;
-        Self::finish_step(caches, logits, k, self.costs.head()[k], false)
+        let steps = Self::finish_step(caches, logits, k, step_macs, false)?;
+        span.end(&[
+            ("batch", Value::U64(caches.len() as u64)),
+            ("subnet", Value::U64(k as u64)),
+            ("step_macs", Value::U64(step_macs)),
+        ]);
+        Ok(steps)
     }
 
     /// The subnet every cache of the batch currently answers from.
     fn common_level(caches: &[ActivationCache], op: &str) -> Result<usize> {
-        let cur = caches[0].current.ok_or_else(|| {
-            SteppingError::ExecutorState(format!("batch {op} called before begin"))
-        })?;
+        let cur = caches[0]
+            .current
+            .ok_or_else(|| SteppingError::ExecutorState(format!("{op} called before begin")))?;
         if caches.iter().any(|c| c.current != Some(cur)) {
             return Err(SteppingError::ExecutorState(
                 "batch members sit at different subnet levels".into(),
@@ -547,6 +493,9 @@ mod tests {
             .collect()
     }
 
+    /// Every transition — begin, fresh expands, contract, head-only
+    /// re-expand — over a batch of several requests against the delegating
+    /// [`IncrementalExecutor`] (a batch of one) and the masked reference.
     #[test]
     fn batched_begin_and_expand_match_lone_executor_bitwise() {
         let inputs = samples(5, &[6], 20);
@@ -554,27 +503,39 @@ mod tests {
         let mut batch = BatchExecutor::new(&mut net, 1e-5);
         let mut started = batch.begin(&inputs, 0).unwrap();
         let mut caches: Vec<ActivationCache> = Vec::new();
-        let mut batch_logits: Vec<Vec<Tensor>> = Vec::new();
+        let mut batch_steps: Vec<Vec<ExpandStep>> = Vec::new();
         for (c, s) in started.drain(..) {
             caches.push(c);
-            batch_logits.push(vec![s.logits]);
+            batch_steps.push(vec![s]);
         }
-        for _ in 0..2 {
-            for (i, s) in batch.expand(&mut caches).unwrap().into_iter().enumerate() {
-                batch_logits[i].push(s.logits);
+        // up to 1, up to 2, down to 1, head-only back up to 2
+        for up in [true, true, false, true] {
+            let steps = if up {
+                batch.expand(&mut caches).unwrap()
+            } else {
+                batch.contract(&mut caches).unwrap()
+            };
+            for (i, s) in steps.into_iter().enumerate() {
+                batch_steps[i].push(s);
             }
         }
+        let mut reference = mlp();
         for (i, x) in inputs.iter().enumerate() {
             let mut lone_net = mlp();
+            let head2 = lone_net.head_macs(2);
             let mut lone = IncrementalExecutor::new(&mut lone_net, 1e-5);
-            let steps = lone.run_to(x, 2).unwrap();
-            for (k, step) in steps.iter().enumerate() {
-                assert_eq!(
-                    step.logits, batch_logits[i][k],
-                    "request {i} subnet {k} differs"
-                );
+            let mut steps = lone.run_to(x, 2).unwrap();
+            steps.push(lone.contract().unwrap());
+            steps.push(lone.expand().unwrap());
+            assert_eq!(steps[4].step_macs, head2, "re-expand is head-only");
+            assert_eq!(steps, batch_steps[i], "request {i} differs");
+            for step in &steps {
+                let masked = reference.forward(x, step.subnet, false).unwrap();
+                assert_eq!(step.logits, masked, "request {i} subnet {}", step.subnet);
             }
             assert_eq!(caches[i].cumulative_macs(), lone.cumulative_macs());
+            assert_eq!(caches[i].current_subnet(), lone.current_subnet());
+            assert_eq!(caches[i].computed_level(), lone.cache().computed_level());
         }
     }
 

@@ -64,17 +64,13 @@ pub mod event {
     /// Distillation batches executed.
     pub const DISTILL_BATCHES: &str = "distill.batches";
 
-    // incremental executor
-    /// Initial subnet run span of the incremental executor.
+    // cached-step executor (one span per batch; a lone request is a batch of 1)
+    /// Initial subnet run span (`BatchExecutor::begin`).
     pub const EXEC_BEGIN: &str = "exec.begin";
     /// Expand-step span (only newly added neurons).
     pub const EXEC_EXPAND: &str = "exec.expand";
     /// Contract-step span (head-only re-read at a smaller subnet).
     pub const EXEC_CONTRACT: &str = "exec.contract";
-    /// Batched initial run span (`BatchExecutor::begin`).
-    pub const EXEC_BATCH_BEGIN: &str = "exec.batch_begin";
-    /// Batched expand span (`BatchExecutor::expand`).
-    pub const EXEC_BATCH_EXPAND: &str = "exec.batch_expand";
 
     // session driver
     /// Whole `Session::run*` drive span.
@@ -150,8 +146,6 @@ pub mod event {
         EXEC_BEGIN,
         EXEC_EXPAND,
         EXEC_CONTRACT,
-        EXEC_BATCH_BEGIN,
-        EXEC_BATCH_EXPAND,
         DRIVE_RUN,
         DRIVE_SLICE,
         DRIVE_UPGRADE,

@@ -6,15 +6,15 @@
 //! stage's activations. When more computational resources become available,
 //! [`IncrementalExecutor::expand`] steps to the next subnet by computing
 //! **only the newly added neurons** (plus the next subnet's lightweight
-//! head); cached values are spliced, never recomputed. The executor's outputs
-//! are bit-identical to running the larger subnet from scratch — a property
-//! the test suite asserts exhaustively.
+//! head); cached values are never recomputed. The executor's outputs are
+//! bit-identical to running the larger subnet from scratch — a property the
+//! test suite asserts exhaustively. The state machine itself is
+//! [`BatchExecutor`]: this type runs it over a batch of one request.
 
 use stepping_tensor::Tensor;
 
-use crate::batch::{self, ActivationCache};
-use crate::telemetry::{self, Value};
-use crate::{MacTable, Result, SteppingError, SteppingNet};
+use crate::batch::{ActivationCache, BatchExecutor};
+use crate::{Result, SteppingError, SteppingNet};
 
 /// Outcome of one executor step ([`IncrementalExecutor::begin`] or
 /// [`IncrementalExecutor::expand`]).
@@ -49,21 +49,24 @@ pub struct ExpandStep {
 /// ```
 #[derive(Debug)]
 pub struct IncrementalExecutor<'a> {
-    net: &'a mut SteppingNet,
-    /// The net's MAC accounting at the executor's prune threshold, read
-    /// once (the exclusive borrow keeps it valid).
-    costs: MacTable,
+    /// The state machine: this executor is a batch of one request.
+    exec: BatchExecutor<'a>,
     cache: ActivationCache,
+}
+
+/// The single step of a batch of one.
+fn only<T>(mut batch: Vec<T>) -> Result<T> {
+    batch
+        .pop()
+        .ok_or_else(|| SteppingError::ExecutorState("a batch of one produced no step".into()))
 }
 
 impl<'a> IncrementalExecutor<'a> {
     /// Creates an executor over `net`; `prune_threshold` is the magnitude
     /// threshold used for MAC accounting.
     pub fn new(net: &'a mut SteppingNet, prune_threshold: f32) -> Self {
-        let costs = net.mac_table(prune_threshold);
         IncrementalExecutor {
-            net,
-            costs,
+            exec: BatchExecutor::new(net, prune_threshold),
             cache: ActivationCache::new(),
         }
     }
@@ -79,8 +82,7 @@ impl<'a> IncrementalExecutor<'a> {
     }
 
     /// The per-request activation cache (e.g. to persist across a serving
-    /// session and upgrade later via
-    /// [`BatchExecutor`](crate::batch::BatchExecutor)).
+    /// session and upgrade later via [`BatchExecutor`]).
     pub fn cache(&self) -> &ActivationCache {
         &self.cache
     }
@@ -109,90 +111,22 @@ impl<'a> IncrementalExecutor<'a> {
     /// Returns [`SteppingError::SubnetOutOfRange`] and propagates forward
     /// errors.
     pub fn begin_at(&mut self, input: &Tensor, subnet: usize) -> Result<ExpandStep> {
-        if subnet >= self.net.subnet_count() {
-            return Err(SteppingError::SubnetOutOfRange {
-                subnet,
-                count: self.net.subnet_count(),
-            });
-        }
-        let span = telemetry::span("inference", "exec.begin");
-        let (acts, logits) = batch::full_pass(self.net, input.clone(), subnet)?;
-        let step_macs = self.costs.direct()[subnet];
-        let cached_stages = acts.len() as u64 - 1;
-        self.cache = ActivationCache {
-            acts,
-            current: Some(subnet),
-            computed: subnet,
-            cumulative_macs: step_macs,
-        };
-        span.end(&[
-            ("subnet", Value::U64(subnet as u64)),
-            ("step_macs", Value::U64(step_macs)),
-            ("cached_stages", Value::U64(cached_stages)),
-        ]);
-        Ok(ExpandStep {
-            subnet,
-            logits,
-            step_macs,
-            cumulative_macs: step_macs,
-        })
+        let (cache, step) = only(self.exec.begin(std::slice::from_ref(input), subnet)?)?;
+        self.cache = cache;
+        Ok(step)
     }
 
     /// Steps to the next larger subnet, computing only its new neurons and
-    /// head. Cached activations of smaller subnets are reused verbatim.
+    /// head. Cached activations of smaller subnets are reused verbatim; a
+    /// level already computed before a [`contract`](Self::contract) costs
+    /// only the head.
     ///
     /// # Errors
     ///
     /// Returns [`SteppingError::ExecutorState`] before `begin` or past the
     /// largest subnet, and propagates forward errors.
     pub fn expand(&mut self) -> Result<ExpandStep> {
-        let cur = self
-            .cache
-            .current
-            .ok_or_else(|| SteppingError::ExecutorState("expand called before begin".into()))?;
-        let k = cur + 1;
-        if k >= self.net.subnet_count() {
-            return Err(SteppingError::ExecutorState(format!(
-                "already at largest subnet {cur}"
-            )));
-        }
-        let span = telemetry::span("inference", "exec.expand");
-        let head_only = k <= self.cache.computed;
-        let (logits, step_macs) = if head_only {
-            // The caches already hold every neuron of subnet `k` (we
-            // contracted earlier) — only the head needs to run.
-            let logits = self.net.head_forward_packed(self.cache.features()?, k)?;
-            (logits, self.costs.head()[k])
-        } else {
-            let logits = batch::expand_pass(self.net, &mut [self.cache.acts.as_mut_slice()], k)?;
-            (logits, self.costs.step()[k])
-        };
-        self.cache.current = Some(k);
-        if !head_only {
-            self.cache.computed = k;
-        }
-        self.cache.cumulative_macs += step_macs;
-        if span.is_active() {
-            // Reuse ratio: fraction of the from-scratch subnet-k cost that
-            // cached activations made unnecessary.
-            let scratch = self.costs.direct()[k];
-            span.end(&[
-                ("subnet", Value::U64(k as u64)),
-                ("step_macs", Value::U64(step_macs)),
-                ("cumulative_macs", Value::U64(self.cache.cumulative_macs)),
-                ("head_only", Value::Bool(head_only)),
-                (
-                    "reuse_ratio",
-                    Value::F64(1.0 - step_macs as f64 / scratch.max(1) as f64),
-                ),
-            ]);
-        }
-        Ok(ExpandStep {
-            subnet: k,
-            logits,
-            step_macs,
-            cumulative_macs: self.cache.cumulative_macs,
-        })
+        only(self.exec.expand(std::slice::from_mut(&mut self.cache))?)
     }
 
     /// Steps down to the next *smaller* subnet when resources shrink. The
@@ -206,33 +140,7 @@ impl<'a> IncrementalExecutor<'a> {
     /// Returns [`SteppingError::ExecutorState`] before `begin` or at
     /// subnet 0.
     pub fn contract(&mut self) -> Result<ExpandStep> {
-        let cur = self
-            .cache
-            .current
-            .ok_or_else(|| SteppingError::ExecutorState("contract called before begin".into()))?;
-        if cur == 0 {
-            return Err(SteppingError::ExecutorState(
-                "already at smallest subnet".into(),
-            ));
-        }
-        let span = telemetry::span("inference", "exec.contract");
-        let k = cur - 1;
-        let logits = self.net.head_forward_packed(self.cache.features()?, k)?;
-        let step_macs = self.costs.head()[k];
-        self.cache.current = Some(k);
-        self.cache.cumulative_macs += step_macs;
-        span.end(&[
-            ("subnet", Value::U64(k as u64)),
-            ("step_macs", Value::U64(step_macs)),
-            ("cumulative_macs", Value::U64(self.cache.cumulative_macs)),
-            ("computed_level", Value::U64(self.cache.computed as u64)),
-        ]);
-        Ok(ExpandStep {
-            subnet: k,
-            logits,
-            step_macs,
-            cumulative_macs: self.cache.cumulative_macs,
-        })
+        only(self.exec.contract(std::slice::from_mut(&mut self.cache))?)
     }
 
     /// Runs `begin` and then `expand`s until `subnet`, returning every step.
@@ -241,14 +149,12 @@ impl<'a> IncrementalExecutor<'a> {
     ///
     /// Propagates `begin`/`expand` errors.
     pub fn run_to(&mut self, input: &Tensor, subnet: usize) -> Result<Vec<ExpandStep>> {
-        if subnet >= self.net.subnet_count() {
-            return Err(SteppingError::SubnetOutOfRange {
-                subnet,
-                count: self.net.subnet_count(),
-            });
+        let count = self.exec.net().subnet_count();
+        if subnet >= count {
+            return Err(SteppingError::SubnetOutOfRange { subnet, count });
         }
         let mut steps = vec![self.begin(input)?];
-        while self.cache.current != Some(subnet) {
+        while self.current_subnet() != Some(subnet) {
             steps.push(self.expand()?);
         }
         Ok(steps)
@@ -422,20 +328,5 @@ mod tests {
         let mut net = mlp();
         let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
         assert!(exec.contract().is_err());
-    }
-
-    #[test]
-    fn splice_helpers_validate_shapes() {
-        use crate::batch::{splice_channels, splice_columns};
-        let mut t = Tensor::zeros(Shape::of(&[2, 3]));
-        let fresh = Tensor::ones(Shape::of(&[2, 1]));
-        splice_columns(&mut t, &fresh, &[1]).unwrap();
-        assert_eq!(t.data(), &[0., 1., 0., 0., 1., 0.]);
-        assert!(splice_columns(&mut t, &fresh, &[0, 1]).is_err());
-        let mut img = Tensor::zeros(Shape::of(&[1, 2, 1, 2]));
-        let fresh = Tensor::ones(Shape::of(&[1, 1, 1, 2]));
-        splice_channels(&mut img, &fresh, &[1]).unwrap();
-        assert_eq!(img.data(), &[0., 0., 1., 1.]);
-        assert!(splice_channels(&mut img, &fresh, &[0, 1]).is_err());
     }
 }

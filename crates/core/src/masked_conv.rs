@@ -5,7 +5,7 @@ use stepping_tensor::microkernel::{self, Epilogue, PackedB};
 use stepping_tensor::pack::{self, PackScratch};
 use stepping_tensor::{init, matmul, Shape, Tensor};
 
-use crate::plan::{self, ConvPlan, FusedAct, PlanSet};
+use crate::plan::{self, ConvPlan, PlanSet};
 use crate::{Assignment, Result, SteppingError};
 
 /// A 2-D convolution whose filters (output channels) carry subnet
@@ -268,31 +268,17 @@ impl MaskedConv2d {
     }
 
     /// Packed forward pass for `subnet`: computes the same result as
-    /// [`MaskedConv2d::forward`] (equal under `f32 ==`; see
-    /// [`crate::plan`]) but unfolds only the active input channels and runs
-    /// a dense GEMM over only the active filter panel, compiled on demand
-    /// and cached until the next weight or assignment change.
+    /// [`MaskedConv2d::forward`] (equal under `f32 ==`; see the `plan`
+    /// module docs) but unfolds only the active input channels and runs a
+    /// dense GEMM over only the active filter panel — one
+    /// im2col→GEMM→bias→scatter pass over the plan scratch — compiled on
+    /// demand and cached until the next weight or assignment change.
     /// Inference-only: the backward cache is not populated.
     ///
     /// # Errors
     ///
     /// Returns structural errors for a bad subnet index or input shape.
     pub fn forward_packed(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        self.forward_packed_fused(input, subnet, FusedAct::None)
-    }
-
-    /// [`MaskedConv2d::forward_packed`] with bias — and optionally a
-    /// zero-preserving activation — fused into the blocked GEMM epilogue:
-    /// one im2col→GEMM→bias(+act)→scatter pass over the plan scratch. With
-    /// `FusedAct::Relu`/`Tanh` the result equals masked conv followed by
-    /// the activation layer under `f32 ==` (inactive channels stay `0.0`,
-    /// and `act(0) == 0`).
-    pub(crate) fn forward_packed_fused(
-        &mut self,
-        input: &Tensor,
-        subnet: usize,
-        act: FusedAct,
-    ) -> Result<Tensor> {
         self.check_subnet(subnet)?;
         let dims = input.shape().dims();
         if dims.len() != 4 || dims[1] != self.in_channels() {
@@ -323,7 +309,7 @@ impl MaskedConv2d {
                 &mut self.scratch.out,
                 n * positions,
                 &mut self.scratch.a_pack,
-                act.epilogue(&plan.bias),
+                Epilogue::Bias(&plan.bias),
             );
         }
         let mut z = Tensor::zeros(Shape::of(&[n, oc_n, geom.out_h, geom.out_w]));
@@ -338,85 +324,28 @@ impl MaskedConv2d {
         Ok(z)
     }
 
-    /// Packed equivalent of [`MaskedConv2d::forward_channels`] for the
-    /// filters assigned exactly to subnet `k` (the incremental expand
-    /// step). Returns `[n, members(k).len(), oh, ow]`, channel order
-    /// matching `out_assign().members(k)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns structural errors for a bad subnet index or input shape.
-    pub fn forward_step_packed(&mut self, input: &Tensor, k: usize) -> Result<Tensor> {
-        self.check_subnet(k)?;
-        let dims = input.shape().dims();
-        if dims.len() != 4 || dims[1] != self.in_channels() {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked conv expects [n, {}, h, w], got {}",
-                self.in_channels(),
-                input.shape()
-            )));
-        }
-        let (n, h, w) = (dims[0], dims[2], dims[3]);
-        let geom = self.geometry(h, w)?;
-        let positions = geom.positions();
-        self.ensure_step_plan(k);
-        let plan = self.plans.step(k).ok_or_else(|| plan::missing("conv"))?;
-        let oc_len = plan.oc_idx.len();
-        let mut out = Tensor::zeros(Shape::of(&[n, oc_len, geom.out_h, geom.out_w]));
-        if oc_len == 0 {
-            return Ok(out);
-        }
-        {
-            let _pack_timer = plan::pack_timer();
-            pack::im2col_channels_into(input, &geom, &plan.ic_idx, &mut self.scratch.input)?;
-        }
-        {
-            let _gemm_timer = plan::gemm_timer();
-            pack::gemm_packed_nt_into(
-                &self.scratch.input,
-                &plan.weight,
-                &mut self.scratch.out,
-                n * positions,
-                &mut self.scratch.a_pack,
-                Epilogue::Bias(&plan.bias),
-            );
-        }
-        let dense: Vec<usize> = (0..oc_len).collect();
-        pack::scatter_mat_to_nchw(
-            &self.scratch.out,
-            n,
-            positions,
-            &dense,
-            oc_len,
-            out.data_mut(),
-        );
-        Ok(out)
-    }
-
     /// Fused, batched expand step over per-request activation stacks: reads
     /// level `si` of every stack (`[n_i, in_channels, h, w]`), unfolds them
     /// into one stacked patch matrix, computes the subnet-`k` step channels
-    /// for all their rows in **one** GEMM (exactly as
-    /// [`MaskedConv2d::forward_step_packed`] would per stack — rows are
-    /// independent in every kernel), and scatters each stack's rows straight
+    /// (the filters assigned exactly to `k`, against every input channel
+    /// active at `k`) for all their rows in **one** GEMM — rows are
+    /// independent in every kernel — and scatters each stack's rows straight
     /// into the matching channels of its level `si + 1`
     /// (`[n_i, out_channels, oh, ow]`, the cached full-width activation).
     /// Untouched channels keep their exact old values.
     ///
-    /// Every stack must hold levels `si` and `si + 1` (`expand_pass` checks
-    /// the stacks against the stage count before walking them).
-    ///
     /// # Errors
     ///
-    /// Returns an error for a subnet index out of range or a level of the
-    /// wrong shape.
-    pub(crate) fn forward_step_packed_into(
+    /// Returns an error for a subnet index out of range, a stack that does
+    /// not hold levels `si` and `si + 1`, or a level of the wrong shape.
+    pub fn forward_step_packed_into(
         &mut self,
         k: usize,
         stacks: &mut [&mut [Tensor]],
         si: usize,
     ) -> Result<()> {
         self.check_subnet(k)?;
+        plan::check_levels(stacks, si)?;
         let (ic_n, oc_n) = (self.in_channels(), self.out_channels());
         self.ensure_step_plan(k);
         let plan = self.plans.step(k).ok_or_else(|| plan::missing("conv"))?;
@@ -583,70 +512,6 @@ impl MaskedConv2d {
             weight,
             bias,
         }
-    }
-
-    /// Computes only the given output `channels` against `input`, with the
-    /// same arithmetic order as [`MaskedConv2d::forward`] — used by the
-    /// incremental executor for newly added filters. Returns
-    /// `[n, channels.len(), oh, ow]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns structural errors for bad shapes or channel indices.
-    pub fn forward_channels(
-        &self,
-        input: &Tensor,
-        channels: &[usize],
-        subnet: usize,
-    ) -> Result<Tensor> {
-        self.check_subnet(subnet)?;
-        let dims = input.shape().dims();
-        if dims.len() != 4 || dims[1] != self.in_channels() {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked conv expects [n, {}, h, w], got {}",
-                self.in_channels(),
-                input.shape()
-            )));
-        }
-        let (n, h, w) = (dims[0], dims[2], dims[3]);
-        let geom = self.geometry(h, w)?;
-        let cols = im2col(input, &geom)?;
-        let patch = self.patch_len();
-        let kk = self.kernel * self.kernel;
-        let positions = geom.positions();
-        let mut out = Tensor::zeros(Shape::of(&[n, channels.len(), geom.out_h, geom.out_w]));
-        let od = out.data_mut();
-        for (ci, &oc) in channels.iter().enumerate() {
-            if oc >= self.out_channels() {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "channel {oc} out of range"
-                )));
-            }
-            if !self.out_assign.is_active(oc, subnet) {
-                continue;
-            }
-            let oa = self.out_assign.subnet_of(oc);
-            let mut row = vec![0.0f32; patch];
-            for ic in 0..self.in_channels() {
-                if self.in_assign.subnet_of(ic) <= oa {
-                    for e in 0..kk {
-                        row[ic * kk + e] = self.weight.value.data()[oc * patch + ic * kk + e];
-                    }
-                }
-            }
-            let b = self.bias.value.data()[oc];
-            for img in 0..n {
-                for p in 0..positions {
-                    let col_row = &cols.data()[(img * positions + p) * patch..][..patch];
-                    let mut acc = 0.0f32;
-                    for (cv, rv) in col_row.iter().zip(row.iter()) {
-                        acc += cv * rv;
-                    }
-                    od[(img * channels.len() + ci) * positions + p] = acc + b;
-                }
-            }
-        }
-        Ok(out)
     }
 
     /// Backward pass for the subnet used in the last forward; accumulates
@@ -978,29 +843,6 @@ mod tests {
                 let base = (b * 3 + oc) * positions;
                 for p in 0..positions {
                     assert_eq!(z0.data()[base + p], z1.data()[base + p]);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn forward_channels_matches_forward() {
-        let mut c = conv();
-        c.move_out_neuron(0, 1).unwrap();
-        let mut ia = Assignment::new(2, 3);
-        ia.move_neuron(1, 1).unwrap();
-        c.set_in_assign(ia).unwrap();
-        let x = input();
-        let full = c.forward(&x, 1, false).unwrap();
-        let part = c.forward_channels(&x, &[0, 2], 1).unwrap();
-        let positions = 16;
-        for b in 0..2 {
-            for (ci, &oc) in [0usize, 2].iter().enumerate() {
-                for p in 0..positions {
-                    assert_eq!(
-                        part.data()[(b * 2 + ci) * positions + p],
-                        full.data()[(b * 3 + oc) * positions + p],
-                    );
                 }
             }
         }

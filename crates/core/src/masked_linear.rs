@@ -1,10 +1,10 @@
 use rand::rngs::StdRng;
 use stepping_nn::{Param, ParamLr};
-use stepping_tensor::microkernel::{self, PackedB};
+use stepping_tensor::microkernel::{self, Epilogue, PackedB};
 use stepping_tensor::pack::{self, PackScratch};
 use stepping_tensor::{init, reduce, Shape, Tensor};
 
-use crate::plan::{self, FusedAct, LinearPlan, PlanSet};
+use crate::plan::{self, LinearPlan, PlanSet};
 use crate::{Assignment, Result, SteppingError};
 
 /// A fully-connected layer whose output neurons carry subnet assignments —
@@ -221,8 +221,8 @@ impl MaskedLinear {
     }
 
     /// Packed forward pass for `subnet`: computes the same result as
-    /// [`MaskedLinear::forward`] (equal under `f32 ==`; see
-    /// [`crate::plan`]) but runs a dense GEMM over only the active panel,
+    /// [`MaskedLinear::forward`] (equal under `f32 ==`; see the `plan`
+    /// module docs) but runs a dense GEMM over only the active panel,
     /// compiled on demand and cached until the next weight or assignment
     /// change. Inference-only: the backward cache is not populated.
     ///
@@ -231,33 +231,8 @@ impl MaskedLinear {
     /// Returns an error for a subnet index out of range or an input of the
     /// wrong width.
     pub fn forward_packed(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        self.packed_pass(input, subnet)
-    }
-
-    /// Packed forward pass that **does** populate the backward cache, so a
-    /// training step can route through the compiled panel GEMM and still
-    /// backpropagate exactly as after a masked forward. Legal because the
-    /// packed result equals the masked result under `f32 ==` (the plan
-    /// bit-identity guarantee), so the cached `(input, z)` pair — and every
-    /// gradient derived from it — is bit-unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a subnet index out of range or an input of the
-    /// wrong width.
-    pub fn forward_train_packed(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        let z = self.packed_pass(input, subnet)?;
-        self.cached = Some(CachedForward {
-            input: input.clone(),
-            z: z.clone(),
-            subnet,
-        });
-        Ok(z)
-    }
-
-    /// Shared packed full pass (no cache bookkeeping).
-    fn packed_pass(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        let i_n = self.in_features();
+        self.check_subnet(subnet)?;
+        let (i_n, o_n) = (self.in_features(), self.out_features());
         if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
             return Err(SteppingError::InvalidStructure(format!(
                 "masked linear expects [n, {i_n}], got {}",
@@ -265,162 +240,53 @@ impl MaskedLinear {
             )));
         }
         let n = input.shape().dims()[0];
-        let o_n = self.out_features();
-        let mut out = std::mem::take(&mut self.scratch.out);
-        let res =
-            self.forward_packed_gathered(input.data(), n, false, subnet, FusedAct::None, &mut out);
-        let z = res.map(|out_idx| {
-            let mut z = Tensor::zeros(Shape::of(&[n, o_n]));
-            pack::scatter_columns(&out, n, &out_idx, z.data_mut(), o_n);
-            z
-        });
-        self.scratch.out = out;
-        z
-    }
-
-    /// Compiles (if needed) the full plan for `subnet` and reports whether a
-    /// panel gathered over columns `idx` can feed
-    /// [`MaskedLinear::forward_packed_gathered`] directly (i.e. `idx`
-    /// equals the plan's input column list).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a subnet index out of range.
-    pub(crate) fn panel_feeds_full_plan(&mut self, subnet: usize, idx: &[usize]) -> Result<bool> {
-        self.check_subnet(subnet)?;
         self.ensure_full_plan(subnet);
         let plan = self
             .plans
             .full(subnet)
             .ok_or_else(|| plan::missing("linear"))?;
-        Ok(plan.in_idx == idx)
-    }
-
-    /// Core of the fused packed pipeline: runs the full-plan blocked GEMM
-    /// for `subnet` with bias (and optionally a zero-preserving activation)
-    /// fused into the epilogue, leaving the output *panel*
-    /// (`[n, out_idx.len()]`, column order `out_idx`) in `out` and
-    /// returning the column list.
-    ///
-    /// `gathered == false` treats `src` as the full-width activation
-    /// `[n, in_features]` and gathers the plan's input columns first;
-    /// `gathered == true` treats it as an already-gathered panel in
-    /// `plan.in_idx` order (see
-    /// [`panel_feeds_full_plan`](Self::panel_feeds_full_plan)), skipping the
-    /// gather entirely.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a subnet index out of range or a `src` extent
-    /// that does not match the implied width.
-    pub(crate) fn forward_packed_gathered(
-        &mut self,
-        src: &[f32],
-        n: usize,
-        gathered: bool,
-        subnet: usize,
-        act: FusedAct,
-        out: &mut Vec<f32>,
-    ) -> Result<Vec<usize>> {
-        self.check_subnet(subnet)?;
-        let i_n = self.in_features();
-        self.ensure_full_plan(subnet);
-        let plan = self
-            .plans
-            .full(subnet)
-            .ok_or_else(|| plan::missing("linear"))?;
-        let width = if gathered { plan.in_idx.len() } else { i_n };
-        if src.len() != n * width {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked linear packed pass expects [{n}, {width}] input, got {} values",
-                src.len()
-            )));
-        }
-        let panel: &[f32] = if gathered {
-            src
-        } else {
-            let _pack_timer = plan::pack_timer();
-            pack::gather_columns(src, n, i_n, &plan.in_idx, &mut self.scratch.input);
-            &self.scratch.input
-        };
-        let _gemm_timer = plan::gemm_timer();
-        pack::gemm_packed_nt_into(
-            panel,
-            &plan.weight,
-            out,
-            n,
-            &mut self.scratch.a_pack,
-            act.epilogue(&plan.bias),
-        );
-        Ok(plan.out_idx.clone())
-    }
-
-    /// Packed equivalent of [`MaskedLinear::forward_rows`] for the rows
-    /// assigned exactly to subnet `k` (the incremental expand step).
-    /// Returns `[n, members(k).len()]`, column order matching
-    /// `out_assign().members(k)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a subnet index out of range or an input of the
-    /// wrong width.
-    pub fn forward_step_packed(&mut self, input: &Tensor, k: usize) -> Result<Tensor> {
-        self.check_subnet(k)?;
-        let i_n = self.in_features();
-        if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked linear expects [n, {i_n}], got {}",
-                input.shape()
-            )));
-        }
-        let n = input.shape().dims()[0];
-        self.ensure_step_plan(k);
-        let plan = self.plans.step(k).ok_or_else(|| plan::missing("linear"))?;
-        let rows = plan.out_idx.len();
-        let mut out = Tensor::zeros(Shape::of(&[n, rows]));
-        if rows == 0 {
-            return Ok(out);
-        }
         {
             let _pack_timer = plan::pack_timer();
             pack::gather_columns(input.data(), n, i_n, &plan.in_idx, &mut self.scratch.input);
         }
-        let _gemm_timer = plan::gemm_timer();
-        pack::gemm_packed_nt_slice(
-            &self.scratch.input,
-            &plan.weight,
-            out.data_mut(),
-            n,
-            &mut self.scratch.a_pack,
-            stepping_tensor::microkernel::Epilogue::Bias(&plan.bias),
-        );
-        Ok(out)
+        {
+            let _gemm_timer = plan::gemm_timer();
+            pack::gemm_packed_nt_into(
+                &self.scratch.input,
+                &plan.weight,
+                &mut self.scratch.out,
+                n,
+                &mut self.scratch.a_pack,
+                Epilogue::Bias(&plan.bias),
+            );
+        }
+        let mut z = Tensor::zeros(Shape::of(&[n, o_n]));
+        pack::scatter_columns(&self.scratch.out, n, &plan.out_idx, z.data_mut(), o_n);
+        Ok(z)
     }
 
     /// Fused, batched expand step over per-request activation stacks: reads
     /// level `si` of every stack (`[n_i, in_features]`), computes the
-    /// subnet-`k` step panel for all their rows in **one** GEMM (exactly as
-    /// [`MaskedLinear::forward_step_packed`] would per stack — rows are
-    /// independent in every kernel), and scatters each stack's rows straight
+    /// subnet-`k` step panel (the rows assigned exactly to `k`, against
+    /// every input active at `k`) for all their rows in **one** GEMM — rows
+    /// are independent in every kernel — and scatters each stack's rows straight
     /// into the matching columns of its level `si + 1`
     /// (`[n_i, out_features]`, the cached full-width activation). The
     /// stacked panels live in the layer's scratch; untouched columns keep
     /// their exact old values.
     ///
-    /// Every stack must hold levels `si` and `si + 1` (`expand_pass` checks
-    /// the stacks against the stage count before walking them).
-    ///
     /// # Errors
     ///
-    /// Returns an error for a subnet index out of range or a level of the
-    /// wrong shape.
-    pub(crate) fn forward_step_packed_into(
+    /// Returns an error for a subnet index out of range, a stack that does
+    /// not hold levels `si` and `si + 1`, or a level of the wrong shape.
+    pub fn forward_step_packed_into(
         &mut self,
         k: usize,
         stacks: &mut [&mut [Tensor]],
         si: usize,
     ) -> Result<()> {
         self.check_subnet(k)?;
+        plan::check_levels(stacks, si)?;
         let (i_n, o_n) = (self.in_features(), self.out_features());
         self.ensure_step_plan(k);
         let plan = self.plans.step(k).ok_or_else(|| plan::missing("linear"))?;
@@ -472,7 +338,7 @@ impl MaskedLinear {
                 &mut self.scratch.out,
                 total,
                 &mut self.scratch.a_pack,
-                stepping_tensor::microkernel::Epilogue::Bias(&plan.bias),
+                Epilogue::Bias(&plan.bias),
             );
         }
         let mut row = 0;
@@ -572,56 +438,6 @@ impl MaskedLinear {
                 bias,
             },
         );
-    }
-
-    /// Computes only the given output `rows` against `input`, using exactly
-    /// the same per-row arithmetic as [`MaskedLinear::forward`] — the
-    /// incremental executor uses this to evaluate newly added neurons without
-    /// recomputing the cached ones. Returns `[n, rows.len()]`.
-    ///
-    /// # Errors
-    ///
-    /// Returns structural errors for bad input width or out-of-range rows.
-    pub fn forward_rows(&self, input: &Tensor, rows: &[usize], subnet: usize) -> Result<Tensor> {
-        self.check_subnet(subnet)?;
-        let i_n = self.in_features();
-        if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked linear expects [n, {i_n}], got {}",
-                input.shape()
-            )));
-        }
-        let n = input.shape().dims()[0];
-        let mut out = Tensor::zeros(Shape::of(&[n, rows.len()]));
-        let od = out.data_mut();
-        for (ri, &o) in rows.iter().enumerate() {
-            if o >= self.out_features() {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "row {o} out of range"
-                )));
-            }
-            if !self.out_assign.is_active(o, subnet) {
-                continue; // inactive rows stay exactly zero, as in `forward`
-            }
-            let oa = self.out_assign.subnet_of(o);
-            // Build the effective row with the same zero pattern as
-            // `effective_weight` so the dot product is bit-identical.
-            let mut row = vec![0.0f32; i_n];
-            for (i, r) in row.iter_mut().enumerate() {
-                if self.in_assign.subnet_of(i) <= oa {
-                    *r = self.weight.value.data()[o * i_n + i];
-                }
-            }
-            for b in 0..n {
-                let x_row = &input.data()[b * i_n..(b + 1) * i_n];
-                let mut acc = 0.0f32;
-                for (xv, rv) in x_row.iter().zip(row.iter()) {
-                    acc += xv * rv;
-                }
-                od[b * rows.len() + ri] = acc + self.bias.value.data()[o];
-            }
-        }
-        Ok(out)
     }
 
     /// Backward pass for the subnet used in the last forward: accumulates
@@ -951,25 +767,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_rows_matches_forward_bitexact() {
-        let mut l = layer();
-        l.move_out_neuron(1, 1).unwrap();
-        l.move_out_neuron(3, 2).unwrap();
-        let mut ia = Assignment::new(3, 3);
-        ia.move_neuron(2, 1).unwrap();
-        l.set_in_assign(ia).unwrap();
-        let x = init::uniform(Shape::of(&[3, 3]), -2.0, 2.0, &mut rng(4));
-        let z_full = l.forward(&x, 2, false).unwrap();
-        let rows = [1usize, 3];
-        let z_rows = l.forward_rows(&x, &rows, 2).unwrap();
-        for b in 0..3 {
-            for (ri, &o) in rows.iter().enumerate() {
-                assert_eq!(z_rows.data()[b * 2 + ri], z_full.data()[b * 4 + o]);
-            }
-        }
-    }
-
-    #[test]
     fn backward_masks_gradients_of_illegal_and_inactive_weights() {
         let mut l = layer();
         l.move_out_neuron(0, 2).unwrap(); // neuron 0 only in subnet 2
@@ -1070,6 +867,5 @@ mod tests {
                 count: 3
             })
         ));
-        assert!(l.forward_rows(&x, &[0], 9).is_err());
     }
 }

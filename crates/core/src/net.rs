@@ -8,7 +8,7 @@ use stepping_tensor::microkernel::{self, Epilogue, PackedB};
 use stepping_tensor::pack::{self, PackScratch};
 use stepping_tensor::{init, GradStore, Shape, Tensor};
 
-use crate::plan::{self, FusedAct, HeadPlan, MacTable, PlanSet};
+use crate::plan::{self, HeadPlan, MacTable, PlanSet};
 use crate::{Assignment, FixedStage, MaskedConv2d, MaskedLinear, Result, Stage, SteppingError};
 
 /// A stepping neural network: a stack of [`Stage`]s plus one lightweight
@@ -39,17 +39,11 @@ pub struct SteppingNet {
     input_shape: Shape,
     feature_assign: Assignment,
     last_subnet: Option<usize>,
-    /// Route training-mode forwards of masked linear stages through their
-    /// compiled packed panels (see [`SteppingNet::set_train_packed`]).
-    train_packed: bool,
     /// Compiled packed head panels per subnet, dropped whenever head
     /// weights or the feature assignment change (see [`crate::plan`]).
     head_plans: PlanSet<HeadPlan>,
     /// Reusable gather buffer for the packed head path.
     head_scratch: PackScratch,
-    /// Ping-pong panel buffers for the fused packed walker
-    /// ([`SteppingNet::forward_packed`]).
-    flow_scratch: PackScratch,
 }
 
 impl SteppingNet {
@@ -270,13 +264,8 @@ impl SteppingNet {
             });
         }
         let mut x = input.clone();
-        let packed = train && self.train_packed;
         for stage in &mut self.stages {
-            x = if packed {
-                stage.forward_train_packed(&x, subnet)?
-            } else {
-                stage.forward(&x, subnet, train)?
-            };
+            x = stage.forward(&x, subnet, train)?;
         }
         if x.shape().rank() != 2 || x.shape().dims()[1] != self.feature_assign.len() {
             return Err(SteppingError::InvalidStructure(format!(
@@ -333,8 +322,9 @@ impl SteppingNet {
     /// Packed equivalent of [`SteppingNet::head_forward`] (inference only):
     /// gathers the features active at `subnet` and multiplies against a
     /// compiled `[classes, active]` head panel instead of masking the full
-    /// feature vector. Results equal the masked path under `f32 ==` (see
-    /// [`crate::plan`]).
+    /// feature vector, with the head bias fused into the GEMM epilogue.
+    /// Results equal the masked path under `f32 ==` (see the `plan` module
+    /// docs).
     ///
     /// # Errors
     ///
@@ -370,11 +360,11 @@ impl SteppingNet {
             total += t.shape().dims()[0];
         }
         self.ensure_head_plan(subnet);
+        let plan = self
+            .head_plans
+            .full(subnet)
+            .ok_or_else(|| plan::missing("head"))?;
         {
-            let plan = self
-                .head_plans
-                .full(subnet)
-                .ok_or_else(|| plan::missing("head"))?;
             let cols = plan.feat_idx.len();
             let _pack_timer = plan::pack_timer();
             // every element is overwritten by the gathers below
@@ -392,48 +382,13 @@ impl SteppingNet {
                 row += n;
             }
         }
-        let gathered = std::mem::take(&mut self.head_scratch.input);
-        let out = self.head_forward_gathered(&gathered, total, subnet);
-        self.head_scratch.input = gathered;
-        out
-    }
-
-    /// Compiles (if needed) the head plan for `subnet` and reports whether
-    /// a panel gathered over columns `idx` can feed
-    /// [`SteppingNet::head_forward_gathered`] directly.
-    fn head_panel_feeds(&mut self, subnet: usize, idx: &[usize]) -> Result<bool> {
-        self.ensure_head_plan(subnet);
-        let plan = self
-            .head_plans
-            .full(subnet)
-            .ok_or_else(|| plan::missing("head"))?;
-        Ok(plan.feat_idx == idx)
-    }
-
-    /// Head GEMM over features already gathered to the plan's
-    /// `feat_idx` order, with the head bias fused into the epilogue.
-    /// Requires the plan to be compiled (callers go through
-    /// [`SteppingNet::head_forward_packed`] or
-    /// [`SteppingNet::head_panel_feeds`] first).
-    fn head_forward_gathered(&mut self, src: &[f32], n: usize, subnet: usize) -> Result<Tensor> {
-        let plan = self
-            .head_plans
-            .full(subnet)
-            .ok_or_else(|| plan::missing("head"))?;
-        if src.len() != n * plan.feat_idx.len() {
-            return Err(SteppingError::InvalidStructure(format!(
-                "head panel expects [{n}, {}], got {} values",
-                plan.feat_idx.len(),
-                src.len()
-            )));
-        }
-        let mut out = Tensor::zeros(Shape::of(&[n, self.classes]));
+        let mut out = Tensor::zeros(Shape::of(&[total, self.classes]));
         let _gemm_timer = plan::gemm_timer();
         pack::gemm_packed_nt_slice(
-            src,
+            &self.head_scratch.input,
             &plan.weight,
             out.data_mut(),
-            n,
+            total,
             &mut self.head_scratch.a_pack,
             Epilogue::Bias(self.heads[subnet].bias().value.data()),
         );
@@ -441,21 +396,11 @@ impl SteppingNet {
     }
 
     /// Full packed inference pass: every stage and the head run their
-    /// compiled plans, fused into as few memory passes as possible. Equal
-    /// to `forward(input, subnet, false)` under `f32 ==`; does not populate
+    /// compiled plans — the per-stage kernels
+    /// [`BatchExecutor::begin`](crate::BatchExecutor::begin) runs, without
+    /// keeping the intermediate levels. Equal to
+    /// `forward(input, subnet, false)` under `f32 ==`; does not populate
     /// backward caches or `last_subnet`.
-    ///
-    /// Fusion layers on top of the per-stage packed plans:
-    ///
-    /// * bias — and, when the following stage is a zero-preserving
-    ///   activation (`Relu`/`Tanh`), the activation itself — is applied in
-    ///   the blocked-GEMM epilogue, eliding the separate full-width pass
-    ///   (see [`crate::plan::FusedAct`] for why `Sigmoid` is excluded);
-    /// * consecutive masked-linear stages hand their activation forward as
-    ///   a gathered *panel* whenever the producing plan's output columns
-    ///   equal the consuming plan's input columns, skipping the
-    ///   scatter-to-full-width / re-gather round trip entirely — the head
-    ///   consumes a matching panel the same way.
     ///
     /// # Errors
     ///
@@ -467,112 +412,11 @@ impl SteppingNet {
                 count: self.subnets,
             });
         }
-        let mut cur = std::mem::take(&mut self.flow_scratch.input);
-        let mut nxt = std::mem::take(&mut self.flow_scratch.out);
-        let res = self.forward_packed_flow(input, subnet, &mut cur, &mut nxt);
-        self.flow_scratch.input = cur;
-        self.flow_scratch.out = nxt;
-        res
-    }
-
-    /// The walker behind [`SteppingNet::forward_packed`]; `cur`/`nxt` are
-    /// the ping-pong panel buffers (held by the caller so error paths
-    /// cannot leak them).
-    fn forward_packed_flow(
-        &mut self,
-        input: &Tensor,
-        subnet: usize,
-        cur: &mut Vec<f32>,
-        nxt: &mut Vec<f32>,
-    ) -> Result<Tensor> {
-        // `flow` is the full-width activation; when `None`, the activation
-        // lives in `cur` as a panel over columns `idx` of a `width`-wide
-        // matrix with `n` rows.
-        let mut flow: Option<Tensor> = Some(input.clone());
-        let mut idx: Vec<usize> = Vec::new();
-        let mut n = input.shape().dims().first().copied().unwrap_or(0);
-        let mut width = 0usize;
-        let mut si = 0;
-        while si < self.stages.len() {
-            let act = match self.stages.get(si + 1) {
-                Some(Stage::Fixed(FixedStage::Relu(_))) => FusedAct::Relu,
-                Some(Stage::Fixed(FixedStage::Tanh(_))) => FusedAct::Tanh,
-                _ => FusedAct::None,
-            };
-            let fusable = self.stages[si].is_masked();
-            match &mut self.stages[si] {
-                Stage::Linear(l) => {
-                    if flow.is_none() && !l.panel_feeds_full_plan(subnet, &idx)? {
-                        let mut t = Tensor::zeros(Shape::of(&[n, width]));
-                        pack::scatter_columns(cur, n, &idx, t.data_mut(), width);
-                        flow = Some(t);
-                    }
-                    let out_idx = match &flow {
-                        Some(t) => {
-                            let dims = t.shape().dims();
-                            if dims.len() != 2 || dims[1] != l.in_features() {
-                                return Err(SteppingError::InvalidStructure(format!(
-                                    "masked linear expects [n, {}], got {}",
-                                    l.in_features(),
-                                    t.shape()
-                                )));
-                            }
-                            n = dims[0];
-                            l.forward_packed_gathered(t.data(), n, false, subnet, act, nxt)?
-                        }
-                        None => l.forward_packed_gathered(cur, n, true, subnet, act, nxt)?,
-                    };
-                    std::mem::swap(cur, nxt);
-                    idx = out_idx;
-                    width = l.out_features();
-                    flow = None;
-                }
-                Stage::Conv(c) => {
-                    let x = match flow.take() {
-                        Some(t) => t,
-                        None => {
-                            let mut t = Tensor::zeros(Shape::of(&[n, width]));
-                            pack::scatter_columns(cur, n, &idx, t.data_mut(), width);
-                            t
-                        }
-                    };
-                    flow = Some(c.forward_packed_fused(&x, subnet, act)?);
-                }
-                Stage::Fixed(f) => {
-                    let x = match flow.take() {
-                        Some(t) => t,
-                        None => {
-                            let mut t = Tensor::zeros(Shape::of(&[n, width]));
-                            pack::scatter_columns(cur, n, &idx, t.data_mut(), width);
-                            t
-                        }
-                    };
-                    flow = Some(f.layer_mut().forward(&x, false)?);
-                }
-            }
-            // A masked stage with a fused activation consumed the next
-            // (activation) stage as well.
-            si += if fusable && act != FusedAct::None {
-                2
-            } else {
-                1
-            };
+        let mut x: Option<Tensor> = None;
+        for stage in &mut self.stages {
+            x = Some(stage.forward_packed(x.as_ref().unwrap_or(input), subnet)?);
         }
-        match flow {
-            Some(t) => self.head_forward_packed(&t, subnet),
-            None => {
-                if self.head_panel_feeds(subnet, &idx)? {
-                    let src = std::mem::take(cur);
-                    let out = self.head_forward_gathered(&src, n, subnet);
-                    *cur = src;
-                    out
-                } else {
-                    let mut t = Tensor::zeros(Shape::of(&[n, width]));
-                    pack::scatter_columns(cur, n, &idx, t.data_mut(), width);
-                    self.head_forward_packed(&t, subnet)
-                }
-            }
-        }
+        self.head_forward_packed(x.as_ref().unwrap_or(input), subnet)
     }
 
     /// MAC operations the packed path actually executes for `subnet`: dense
@@ -691,21 +535,6 @@ impl SteppingNet {
                 p.zero_grad();
             }
         }
-    }
-
-    /// Whether training-mode forwards go through compiled packed panels for
-    /// stages that support it (currently masked linear stages; every other
-    /// stage keeps the masked reference path). Off by default.
-    pub fn train_packed(&self) -> bool {
-        self.train_packed
-    }
-
-    /// Enables or disables packed training-mode forwards (see
-    /// [`SteppingNet::train_packed`]). The packed path produces bit-identical
-    /// activations (`f32 ==`) and populates the same backward caches, so
-    /// gradients are unchanged.
-    pub fn set_train_packed(&mut self, on: bool) {
-        self.train_packed = on;
     }
 
     /// Snapshots the gradients of every parameter trained for `subnet`, in
@@ -1224,10 +1053,8 @@ impl SteppingNetBuilder {
             input_shape: self.input_shape,
             feature_assign: Assignment::new(features, self.subnets),
             last_subnet: None,
-            train_packed: false,
             head_plans: PlanSet::default(),
             head_scratch: PackScratch::new(),
-            flow_scratch: PackScratch::new(),
         };
         net.sync_assignments()?;
         Ok(net)

@@ -50,6 +50,7 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use stepping_metrics::{start_timer, LogHistogram, MetricsRegistry, PhaseTimer, ShardedCounter};
 use stepping_tensor::microkernel::PackedB;
+use stepping_tensor::Tensor;
 
 use crate::telemetry::{self, Value};
 use crate::Assignment;
@@ -101,35 +102,6 @@ pub(crate) fn gemm_timer() -> PhaseTimer {
 /// packing of one packed pass.
 pub(crate) fn pack_timer() -> PhaseTimer {
     start_timer(&plan_metrics().pack_ns)
-}
-
-/// Activation fused into a packed GEMM epilogue. Only zero-preserving
-/// activations are fusable: the packed scatter leaves inactive entries at
-/// exactly `0.0`, and the masked reference applies the activation to the
-/// full-width tensor, so fusion is bit-identical only when `act(0) == 0`
-/// (`relu`, `tanh` — not `sigmoid`, whose `0.5` at inactive entries forces
-/// full-width materialisation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum FusedAct {
-    /// Bias only.
-    #[default]
-    None,
-    /// `(v + b).max(0.0)` — the exact expression `Relu` applies.
-    Relu,
-    /// `(v + b).tanh()` — the exact expression `Tanh` applies.
-    Tanh,
-}
-
-impl FusedAct {
-    /// The microkernel epilogue for this activation over `bias`.
-    pub fn epilogue<'a>(self, bias: &'a [f32]) -> stepping_tensor::microkernel::Epilogue<'a> {
-        use stepping_tensor::microkernel::Epilogue;
-        match self {
-            FusedAct::None => Epilogue::Bias(bias),
-            FusedAct::Relu => Epilogue::BiasRelu(bias),
-            FusedAct::Tanh => Epilogue::BiasTanh(bias),
-        }
-    }
 }
 
 /// Packed panel for one `(masked-linear layer, subnet)` pair.
@@ -377,6 +349,18 @@ impl<P> PlanSet<P> {
 /// discipline).
 pub(crate) fn missing(kind: &'static str) -> crate::SteppingError {
     crate::SteppingError::ExecutorState(format!("{kind} plan missing immediately after compile"))
+}
+
+/// Typed error for an activation stack too short for a step of stage `si`,
+/// which reads level `si` and writes level `si + 1`.
+pub(crate) fn check_levels(stacks: &[&mut [Tensor]], si: usize) -> crate::Result<()> {
+    if stacks.iter().any(|levels| levels.len() < si + 2) {
+        return Err(crate::SteppingError::ExecutorState(format!(
+            "activation stack does not hold levels {si} and {}",
+            si + 1
+        )));
+    }
+    Ok(())
 }
 
 /// Emits the `plan.compile` telemetry point for a freshly compiled plan.

@@ -139,7 +139,7 @@ impl Stage {
     /// ([`MaskedLinear::forward_packed`] /
     /// [`MaskedConv2d::forward_packed`]), fixed stages run a plain
     /// inference forward. Results equal [`Stage::forward`] with
-    /// `train == false` under `f32 ==` (see [`crate::plan`]).
+    /// `train == false` under `f32 ==` (see the `plan` module docs).
     ///
     /// # Errors
     ///
@@ -149,24 +149,6 @@ impl Stage {
             Stage::Linear(l) => l.forward_packed(x, subnet),
             Stage::Conv(c) => c.forward_packed(x, subnet),
             Stage::Fixed(f) => Ok(f.layer_mut().forward(x, false)?),
-        }
-    }
-
-    /// Training-mode forward that routes masked linear stages through their
-    /// compiled packed panels ([`MaskedLinear::forward_train_packed`]) while
-    /// still populating the backward caches. Conv and fixed stages fall back
-    /// to [`Stage::forward`] — a packed conv pass would not produce the
-    /// `im2col` buffer its backward needs. Results equal [`Stage::forward`]
-    /// under `f32 ==` (the plan bit-identity guarantee), so gradients are
-    /// bit-unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors.
-    pub fn forward_train_packed(&mut self, x: &Tensor, subnet: usize) -> Result<Tensor> {
-        match self {
-            Stage::Linear(l) => l.forward_train_packed(x, subnet),
-            _ => self.forward(x, subnet, true),
         }
     }
 

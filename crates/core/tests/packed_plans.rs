@@ -1,8 +1,9 @@
 //! Packed execution plans: bit-identity with the masked reference path and
 //! cache-invalidation guarantees, exercised at the layer level.
 //!
-//! * `forward_packed` / `forward_step_packed` must equal the masked
-//!   `forward` / `forward_rows` / `forward_channels` under `f32 ==` for
+//! * `forward_packed` must equal the masked `forward`, and the step panel
+//!   `forward_step_packed_into` writes must equal the masked `forward`'s
+//!   columns / channels `out_assign().members(k)`, under `f32 ==` for
 //!   arbitrary assignments, subnet indices, and batch sizes — including
 //!   right after a weight update invalidated the cached plans.
 //! * Every structural or weight mutator must advance the plan epoch, so a
@@ -17,7 +18,7 @@ use stepping_core::{
     SteppingNetBuilder,
 };
 use stepping_nn::optim::Sgd;
-use stepping_tensor::{init, Shape};
+use stepping_tensor::{init, Shape, Tensor};
 
 const SUBNETS: usize = 3;
 const IN_F: usize = 10;
@@ -66,6 +67,31 @@ fn random_conv(seed: u64, out_moves: &[(u8, u8)], in_moves: &[(u8, u8)]) -> Mask
     }
     c.set_in_assign(ia).unwrap();
     c
+}
+
+/// Runs the layer's subnet-`k` step over the one-stack slice `[x, zeros]`
+/// and checks the written level against the masked `reference`
+/// (`forward(x, k, false)`): neurons `members` carry the reference's values,
+/// every other neuron is untouched. `inner` is the number of values per
+/// neuron and sample (1 for a linear layer, `h * w` for a conv).
+fn assert_step_matches(
+    step: impl FnOnce(&mut [&mut [Tensor]]),
+    x: &Tensor,
+    reference: &Tensor,
+    members: &[usize],
+    inner: usize,
+) {
+    let mut levels = [x.clone(), Tensor::zeros(reference.shape().clone())];
+    step(&mut [&mut levels[..]]);
+    let width = reference.shape().dims()[1];
+    for (i, (&got, &want)) in levels[1].data().iter().zip(reference.data()).enumerate() {
+        let neuron = i / inner % width;
+        if members.contains(&neuron) {
+            assert_eq!(got, want, "step neuron {neuron} differs at {i}");
+        } else {
+            assert_eq!(got, 0.0, "step wrote neuron {neuron} outside its plan");
+        }
+    }
 }
 
 /// Conv + linear net whose masked stages sit at indices 0 and 4.
@@ -202,11 +228,10 @@ proptest! {
             prop_assert_eq!(&cached, &masked, "subnet {} cached plan differs", s);
 
             let rows = l.out_assign().members(s);
-            if !rows.is_empty() {
-                let reference = l.forward_rows(&x, &rows, s).unwrap();
-                let stepped = l.forward_step_packed(&x, s).unwrap();
-                prop_assert_eq!(&stepped, &reference, "subnet {} step plan differs", s);
-            }
+            assert_step_matches(
+                |stack| l.forward_step_packed_into(s, stack, 0).unwrap(),
+                &x, &masked, &rows, 1,
+            );
         }
     }
 
@@ -221,7 +246,8 @@ proptest! {
         // compile and serve plans for every subnet
         for s in 0..SUBNETS {
             let _ = l.forward_packed(&x, s).unwrap();
-            let _ = l.forward_step_packed(&x, s).unwrap();
+            let mut levels = [x.clone(), Tensor::zeros(Shape::of(&[3, OUT_F]))];
+            l.forward_step_packed_into(s, &mut [&mut levels[..]], 0).unwrap();
         }
         let before = l.plan_epoch();
         for w in l.weight_mut().value.data_mut() {
@@ -232,12 +258,12 @@ proptest! {
             let masked = l.forward(&x, s, false).unwrap();
             let packed = l.forward_packed(&x, s).unwrap();
             prop_assert_eq!(&packed, &masked, "stale full plan served for subnet {}", s);
+            // a stale step plan would write the old weights' values
             let rows = l.out_assign().members(s);
-            if !rows.is_empty() {
-                let reference = l.forward_rows(&x, &rows, s).unwrap();
-                let stepped = l.forward_step_packed(&x, s).unwrap();
-                prop_assert_eq!(&stepped, &reference, "stale step plan served for subnet {}", s);
-            }
+            assert_step_matches(
+                |stack| l.forward_step_packed_into(s, stack, 0).unwrap(),
+                &x, &masked, &rows, 1,
+            );
         }
     }
 
@@ -258,11 +284,10 @@ proptest! {
             prop_assert_eq!(&packed, &masked, "subnet {} full plan differs", s);
 
             let chans = c.out_assign().members(s);
-            if !chans.is_empty() {
-                let reference = c.forward_channels(&x, &chans, s).unwrap();
-                let stepped = c.forward_step_packed(&x, s).unwrap();
-                prop_assert_eq!(&stepped, &reference, "subnet {} step plan differs", s);
-            }
+            assert_step_matches(
+                |stack| c.forward_step_packed_into(s, stack, 0).unwrap(),
+                &x, &masked, &chans, EXTENT * EXTENT,
+            );
         }
     }
 
@@ -386,11 +411,11 @@ fn net_packed_forward_tracks_sgd_updates() {
     }
 }
 
-/// Fused-pipeline oracle test: a net whose stage list exercises every
-/// walker decision — relu/tanh epilogue fusion, the sigmoid
-/// materialization fallback, and panel hand-off between masked linears —
-/// must stay bit-identical to the masked `forward` across SGD updates, on
-/// both the direct `forward_packed` path and the incremental expand path.
+/// Pipeline oracle test: a net whose stage list mixes relu, tanh and
+/// sigmoid (`sigmoid(0) != 0` at inactive columns) between masked linears
+/// with ragged column lists must stay bit-identical to the masked
+/// `forward` across SGD updates, on both the direct `forward_packed` path
+/// and the incremental expand path.
 #[test]
 fn fused_mlp_pipeline_tracks_sgd_updates() {
     let subnets = 3;
@@ -435,9 +460,9 @@ fn fused_mlp_pipeline_tracks_sgd_updates() {
     }
 }
 
-/// Same oracle discipline for a conv pipeline: im2col-fused conv stages,
-/// pooling/flatten materialization points, and the packed expand path must
-/// all track the masked reference bitwise while training mutates weights.
+/// Same oracle discipline for a conv pipeline: packed conv stages,
+/// pooling/flatten stages, and the packed expand path must all track the
+/// masked reference bitwise while training mutates weights.
 #[test]
 fn fused_conv_pipeline_tracks_sgd_updates() {
     let subnets = 3;

@@ -10,9 +10,10 @@
 //! bucket-wise difference — which is how the bench harness and the
 //! `stepping-metrics-report` CLI scope always-on totals to one run.
 //!
-//! The JSON parser is hand-rolled (~the same idiom as `stepping_obs::json`;
-//! the vendored `serde` is a stub and `stepping-obs` sits *above* this crate
-//! in the dependency graph, so neither can be used here).
+//! The JSON parser is hand-rolled (the vendored `serde` is a stub) and is
+//! the workspace's one JSON module: `stepping-obs`, which sits above this
+//! crate in the dependency graph, renders and parses its JSONL event lines
+//! with [`escape`], [`render_f64`] and [`json`] too.
 //!
 //! [`MetricsRegistry::snapshot`]: crate::MetricsRegistry::snapshot
 //! [`SnapshotWriter`]: crate::SnapshotWriter
@@ -244,6 +245,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// Renders a float as JSON: non-finite values become `null` (JSON has no
+/// NaN/Infinity).
+pub fn render_f64(x: f64) -> String {
+    if x.is_finite() {
+        // `{}` prints integers without a fraction ("1"), still valid JSON.
+        format!("{x}")
+    } else {
+        "null".into()
+    }
+}
+
 /// The change between two snapshots of the same registry.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotDiff {
@@ -387,6 +399,14 @@ pub mod json {
         pub fn as_str(&self) -> Option<&str> {
             match self {
                 Json::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        /// Boolean value.
+        pub fn as_bool(&self) -> Option<bool> {
+            match self {
+                Json::Bool(b) => Some(*b),
                 _ => None,
             }
         }
@@ -644,5 +664,62 @@ mod tests {
         snap.counters.push(("odd\"name\\x".into(), 7));
         let parsed = Snapshot::parse_json(&snap.to_json()).unwrap();
         assert_eq!(parsed.counter("odd\"name\\x"), Some(7));
+    }
+
+    #[test]
+    fn escape_handles_specials() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+    }
+
+    #[test]
+    fn render_f64_is_json_safe() {
+        assert_eq!(render_f64(1.5), "1.5");
+        assert_eq!(render_f64(2.0), "2");
+        assert_eq!(render_f64(f64::NAN), "null");
+        assert_eq!(render_f64(f64::INFINITY), "null");
+    }
+
+    #[test]
+    fn parse_reads_nested_values_of_every_kind() {
+        let line = r#"{"seq":3,"name":"drive.slice","fields":{"budget":100,"ok":true,"ratio":0.5,"label":"x","none":null,"list":[1,[2]]}}"#;
+        let v = json::parse(line).unwrap();
+        assert_eq!(v.get("seq").unwrap().as_u64(), Some(3));
+        assert_eq!(v.get("name").unwrap().as_str(), Some("drive.slice"));
+        let fields = v.get("fields").unwrap();
+        assert_eq!(fields.get("budget").unwrap().as_u64(), Some(100));
+        assert_eq!(fields.get("ok").unwrap().as_bool(), Some(true));
+        assert_eq!(fields.get("ratio").unwrap().as_f64(), Some(0.5));
+        assert_eq!(fields.get("label").unwrap().as_str(), Some("x"));
+        assert_eq!(fields.get("none"), Some(&json::Json::Null));
+        assert_eq!(
+            fields.get("list"),
+            Some(&json::Json::Array(vec![
+                json::Json::Num(1.0),
+                json::Json::Array(vec![json::Json::Num(2.0)]),
+            ]))
+        );
+    }
+
+    #[test]
+    fn parse_rejects_malformed_input() {
+        assert!(json::parse("{").is_err());
+        assert!(json::parse("{\"a\":}").is_err());
+        assert!(json::parse("[1,2").is_err());
+        assert!(json::parse("123 456").is_err());
+        assert!(json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn parse_unescapes_strings() {
+        let v = json::parse(r#""a\"b\n\u0041""#).unwrap();
+        assert_eq!(v.as_str(), Some("a\"b\nA"));
+    }
+
+    #[test]
+    fn parse_negative_and_exponent_numbers() {
+        assert_eq!(json::parse("-3").unwrap().as_f64(), Some(-3.0));
+        assert_eq!(json::parse("2.5e2").unwrap().as_f64(), Some(250.0));
+        assert_eq!(json::parse("-3").unwrap().as_u64(), None);
     }
 }

@@ -35,7 +35,6 @@ use std::time::Instant;
 
 use stepping_core::telemetry::{self, Event, EventKind, Value};
 
-pub mod json;
 pub mod metrics;
 pub mod sink;
 pub mod summary;

@@ -14,8 +14,12 @@ use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use stepping_core::telemetry::{Event, EventKind, Value};
+use stepping_metrics::snapshot::{escape, render_f64};
 
-use crate::json;
+/// `s` as a JSON string literal, quotes included.
+fn quoted(s: &str) -> String {
+    format!("\"{}\"", escape(s))
+}
 
 /// A telemetry event plus the registry-assigned sequence number and
 /// timestamp, as handed to sinks.
@@ -32,9 +36,8 @@ pub struct Stamped<'a> {
 /// Destination for dispatched events.
 ///
 /// Implementations must be `Send`: the registry is process-global and may be
-/// driven from any thread (e.g. [`run_live`](../stepping_runtime/fn.run_live.html)
-/// workers). Calls are serialized by the registry lock, so no internal
-/// synchronization is needed.
+/// driven from any thread (e.g. `Session::run_live` workers). Calls are
+/// serialized by the registry lock, so no internal synchronization is needed.
 pub trait Sink: Send {
     /// Records one event. Must not call back into the registry (the
     /// registry lock is held).
@@ -95,8 +98,8 @@ impl OwnedValue {
         match self {
             OwnedValue::U64(x) => format!("{x}"),
             OwnedValue::I64(x) => format!("{x}"),
-            OwnedValue::F64(x) => json::render_f64(*x),
-            OwnedValue::Str(s) => json::escape(s),
+            OwnedValue::F64(x) => render_f64(*x),
+            OwnedValue::Str(s) => quoted(s),
             OwnedValue::Bool(b) => format!("{b}"),
         }
     }
@@ -170,8 +173,8 @@ impl OwnedEvent {
             "{{\"seq\":{},\"ts_ns\":{},\"phase\":{},\"name\":{},\"kind\":\"{}\"",
             self.seq,
             self.ts_ns,
-            json::escape(&self.phase),
-            json::escape(&self.name),
+            quoted(&self.phase),
+            quoted(&self.name),
             self.kind,
         );
         if let Some(ns) = self.elapsed_ns {
@@ -185,7 +188,7 @@ impl OwnedEvent {
             if i > 0 {
                 line.push(',');
             }
-            line.push_str(&json::escape(k));
+            line.push_str(&quoted(k));
             line.push(':');
             line.push_str(&v.render_json());
         }
@@ -340,6 +343,7 @@ impl Sink for CaptureSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stepping_metrics::snapshot::json;
 
     fn stamped_span<'a>(fields: &'a [(&'a str, Value<'a>)], event: &'a Event<'a>) -> Stamped<'a> {
         let _ = fields;

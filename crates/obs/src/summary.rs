@@ -11,9 +11,9 @@ use std::fmt;
 
 use stepping_core::events::{event, phase};
 
-use crate::json::{self, Json};
 use crate::metrics::{CounterStats, RatioHistogram, SpanStats};
 use crate::sink::{OwnedEvent, OwnedValue};
+use stepping_metrics::snapshot::json::{self, Json};
 
 /// Per-phase roll-up.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -113,7 +113,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<OwnedEvent>, String> {
             other => return Err(format!("line {}: unknown kind {other:?}", lineno + 1)),
         };
         let fields = match v.get("fields") {
-            Some(Json::Obj(m)) => m
+            Some(Json::Object(m)) => m
                 .iter()
                 .filter_map(|(k, fv)| owned_value(fv).map(|ov| (k.clone(), ov)))
                 .collect(),

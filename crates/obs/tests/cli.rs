@@ -1,10 +1,6 @@
-//! End-to-end CLI test: run a real construct() + drive() pipeline with the
+//! End-to-end CLI test: run a real construct() + Session::run pipeline with the
 //! observer writing JSONL, then feed the file to the `stepping-obs-report`
 //! binary and check the rendered summary.
-
-// These tests intentionally exercise the legacy `drive()` wrapper,
-// which newer code replaces with `Session::run`.
-#![allow(deprecated)]
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -12,7 +8,7 @@ use std::process::Command;
 use stepping_core::{construct, ConstructionOptions, SteppingNetBuilder};
 use stepping_data::{GaussianBlobs, GaussianBlobsConfig};
 use stepping_obs::JsonlSink;
-use stepping_runtime::{drive, ResourceTrace, UpgradePolicy};
+use stepping_runtime::{ResourceTrace, Session, SessionConfig};
 use stepping_tensor::{init, Shape};
 
 fn events_path() -> PathBuf {
@@ -59,14 +55,10 @@ fn produce_events(path: &PathBuf) {
     construct(&mut net, &d, &opts).unwrap();
     let x = init::uniform(Shape::of(&[1, 8]), -1.0, 1.0, &mut init::rng(9));
     let trace = ResourceTrace::constant(net.macs(1, opts.prune_threshold), 4);
-    drive(
-        &mut net,
-        &x,
-        &trace,
-        UpgradePolicy::Incremental,
-        opts.prune_threshold,
-    )
-    .unwrap();
+    let config = SessionConfig::new()
+        .trace(trace)
+        .prune_threshold(opts.prune_threshold);
+    Session::new(&mut net, config).run(&x).unwrap();
     stepping_obs::flush();
 }
 

@@ -1,5 +1,5 @@
 //! Observation must be strictly read-only: running the identical
-//! construct() + drive() pipeline with the observer installed must produce
+//! construct() + Session::run pipeline with the observer installed must produce
 //! bit-identical numerics to running without it.
 //!
 //! The observer hook is a process-wide `OnceLock` and cannot be
@@ -8,14 +8,10 @@
 //! contains exactly one #[test] so no sibling test can install the observer
 //! early.
 
-// These tests intentionally exercise the legacy `drive()` wrapper,
-// which newer code replaces with `Session::run`.
-#![allow(deprecated)]
-
 use stepping_core::{construct, ConstructionOptions, SteppingNet, SteppingNetBuilder};
 use stepping_data::{GaussianBlobs, GaussianBlobsConfig};
 use stepping_obs::CaptureSink;
-use stepping_runtime::{drive, ResourceTrace, UpgradePolicy};
+use stepping_runtime::{ResourceTrace, Session, SessionConfig};
 use stepping_tensor::{init, Shape};
 
 fn data() -> GaussianBlobs {
@@ -71,14 +67,10 @@ fn run_pipeline() -> PipelineResult {
 
     let x = init::uniform(Shape::of(&[2, 8]), -1.0, 1.0, &mut init::rng(5));
     let trace = ResourceTrace::constant(net.macs(1, opts.prune_threshold), 5);
-    let outcome = drive(
-        &mut net,
-        &x,
-        &trace,
-        UpgradePolicy::Incremental,
-        opts.prune_threshold,
-    )
-    .unwrap();
+    let config = SessionConfig::new()
+        .trace(trace)
+        .prune_threshold(opts.prune_threshold);
+    let outcome = Session::new(&mut net, config).run(&x).unwrap();
     PipelineResult {
         report_debug: format!("{report:?}"),
         macs,

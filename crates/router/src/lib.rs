@@ -18,8 +18,9 @@
 //!   half-open after a cooldown, while their existing sessions keep
 //!   upgrading in place.
 //! * **Graceful drain** — [`Router::drain`] flips one replica to
-//!   refusing new sessions ([`AdmissionError::Draining`]
-//!   (stepping_serve::AdmissionError::Draining)); the ring scatters its
+//!   refusing new sessions
+//!   ([`AdmissionError::Draining`](stepping_serve::AdmissionError::Draining));
+//!   the ring scatters its
 //!   fresh traffic across the survivors, old sessions bleed off as they
 //!   complete and release, and [`Router::drained`] reports when the
 //!   replica is empty and safe to shut down.

@@ -11,13 +11,7 @@
 //!
 //! The loop itself lives in
 //! [`Session::run_until_confident`](crate::Session::run_until_confident);
-//! this module keeps the [`ConfidentOutcome`] type and the original free
-//! function as a thin deprecated wrapper.
-
-use stepping_core::{Result, SteppingNet};
-use stepping_tensor::Tensor;
-
-use crate::session::{Session, SessionConfig};
+//! this module keeps the [`ConfidentOutcome`] type.
 
 /// Outcome of a confidence-gated run on one input.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,33 +29,12 @@ pub struct ConfidentOutcome {
     pub early_exit: bool,
 }
 
-/// Runs anytime inference on a single sample, expanding until the top-class
-/// softmax probability reaches `threshold` or the largest subnet is
-/// exhausted.
-///
-/// Deprecated positional-argument wrapper around
-/// [`Session::run_until_confident`](crate::Session::run_until_confident).
-#[deprecated(
-    since = "0.3.0",
-    note = "build a `SessionConfig` with `.confidence(..)` and call `Session::run_until_confident` instead"
-)]
-pub fn infer_until_confident(
-    net: &mut SteppingNet,
-    input: &Tensor,
-    threshold: f32,
-    prune_threshold: f32,
-) -> Result<ConfidentOutcome> {
-    let config = SessionConfig::new()
-        .confidence(threshold)
-        .prune_threshold(prune_threshold);
-    Session::new(net, config).run_until_confident(input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stepping_core::SteppingNetBuilder;
-    use stepping_tensor::{init, Shape};
+    use crate::{Session, SessionConfig};
+    use stepping_core::{Result, SteppingNet, SteppingNetBuilder};
+    use stepping_tensor::{init, Shape, Tensor};
 
     fn net() -> SteppingNet {
         let mut n = SteppingNetBuilder::new(Shape::of(&[6]), 3, 4)
@@ -117,15 +90,5 @@ mod tests {
         assert!(confident(&mut n, &x(), 1.5).is_err());
         let batch = init::uniform(Shape::of(&[2, 6]), -1.0, 1.0, &mut init::rng(4));
         assert!(confident(&mut n, &batch, 0.5).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_matches_session() {
-        let mut n1 = net();
-        let via_fn = infer_until_confident(&mut n1, &x(), 0.5, 0.0).unwrap();
-        let mut n2 = net();
-        let via_session = confident(&mut n2, &x(), 0.5).unwrap();
-        assert_eq!(via_fn, via_session);
     }
 }

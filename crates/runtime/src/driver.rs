@@ -1,10 +1,8 @@
-//! Anytime-inference driver types and the deprecated free-function entry
-//! points.
+//! Anytime-inference driver types.
 //!
 //! The drive loop itself lives in [`Session`](crate::Session); this module
 //! keeps its vocabulary types ([`UpgradePolicy`], [`SliceLog`],
-//! [`DriveOutcome`], [`expand_macs`]) and the original free functions as
-//! thin deprecated wrappers.
+//! [`DriveOutcome`], [`expand_macs`]).
 //!
 //! Two upgrade policies are supported so the cost of recomputation can be
 //! measured directly:
@@ -17,9 +15,6 @@
 use serde::{Deserialize, Serialize};
 use stepping_core::{Result, SteppingError, SteppingNet};
 use stepping_tensor::Tensor;
-
-use crate::session::{Session, SessionConfig};
-use crate::ResourceTrace;
 
 /// How subnet upgrades are charged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,55 +85,10 @@ pub fn expand_macs(net: &SteppingNet, subnet: usize, prune_threshold: f32) -> Re
         })
 }
 
-/// Drives anytime inference of `input` over `trace`.
-///
-/// Deprecated positional-argument wrapper around
-/// [`Session::run`](crate::Session::run).
-#[deprecated(
-    since = "0.3.0",
-    note = "build a `SessionConfig` and call `Session::run` instead"
-)]
-pub fn drive(
-    net: &mut SteppingNet,
-    input: &Tensor,
-    trace: &ResourceTrace,
-    policy: UpgradePolicy,
-    prune_threshold: f32,
-) -> Result<DriveOutcome> {
-    let config = SessionConfig::new()
-        .trace(trace.clone())
-        .policy(policy)
-        .prune_threshold(prune_threshold);
-    Session::new(net, config).run(input)
-}
-
-/// Runs the drive loop but stops consuming the trace at `deadline_slice`
-/// (exclusive).
-///
-/// Deprecated positional-argument wrapper around
-/// [`Session::run_until_deadline`](crate::Session::run_until_deadline).
-#[deprecated(
-    since = "0.3.0",
-    note = "build a `SessionConfig` and call `Session::run_until_deadline` instead"
-)]
-pub fn drive_until_deadline(
-    net: &mut SteppingNet,
-    input: &Tensor,
-    trace: &ResourceTrace,
-    deadline_slice: usize,
-    policy: UpgradePolicy,
-    prune_threshold: f32,
-) -> Result<DriveOutcome> {
-    let config = SessionConfig::new()
-        .trace(trace.clone())
-        .policy(policy)
-        .prune_threshold(prune_threshold);
-    Session::new(net, config).run_until_deadline(input, deadline_slice)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ResourceTrace, Session, SessionConfig};
     use stepping_core::SteppingNetBuilder;
     use stepping_tensor::{init, Shape};
 
@@ -271,32 +221,5 @@ mod tests {
         let trace = ResourceTrace::from_budgets(vec![]);
         let cfg = session_cfg(trace, UpgradePolicy::Incremental);
         assert!(Session::new(&mut n, cfg).run(&x()).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_match_session() {
-        let trace = ResourceTrace::constant(net().macs(2, 0.0) / 3, 6);
-        let mut n1 = net();
-        let via_fn = drive(&mut n1, &x(), &trace, UpgradePolicy::Incremental, 0.0).unwrap();
-        let mut n2 = net();
-        let via_session = Session::new(
-            &mut n2,
-            session_cfg(trace.clone(), UpgradePolicy::Incremental),
-        )
-        .run(&x())
-        .unwrap();
-        assert_eq!(via_fn, via_session);
-
-        let mut n3 = net();
-        let fn_deadline =
-            drive_until_deadline(&mut n3, &x(), &trace, 3, UpgradePolicy::Incremental, 0.0)
-                .unwrap();
-        let mut n4 = net();
-        let session_deadline =
-            Session::new(&mut n4, session_cfg(trace, UpgradePolicy::Incremental))
-                .run_until_deadline(&x(), 3)
-                .unwrap();
-        assert_eq!(fn_deadline, session_deadline);
     }
 }

@@ -28,9 +28,6 @@
 //!   composes naturally with the stepping structure because each additional
 //!   opinion costs only the new neurons.
 //!
-//! The original free functions (`drive`, `drive_until_deadline`,
-//! `run_live`, `infer_until_confident`) remain as deprecated wrappers.
-//!
 //! ## Example
 //!
 //! ```
@@ -65,10 +62,3 @@ pub use driver::{expand_macs, DriveOutcome, SliceLog, UpgradePolicy};
 pub use live::LatestPrediction;
 pub use session::{Session, SessionConfig};
 pub use trace::ResourceTrace;
-
-#[allow(deprecated)]
-pub use confidence::infer_until_confident;
-#[allow(deprecated)]
-pub use driver::{drive, drive_until_deadline};
-#[allow(deprecated)]
-pub use live::run_live;

@@ -6,19 +6,12 @@
 //! the caller's thread runs anytime inference, publishing every refined
 //! prediction into a shared [`LatestPrediction`] cell that a controller
 //! (e.g. the vehicle's planner) can poll at any moment without blocking
-//! inference. This module keeps the [`LatestPrediction`] cell and the
-//! original free function as a thin deprecated wrapper.
+//! inference. This module keeps the [`LatestPrediction`] cell.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::RwLock;
-use stepping_core::{Result, SteppingNet};
 use stepping_tensor::Tensor;
-
-use crate::driver::{DriveOutcome, UpgradePolicy};
-use crate::session::{Session, SessionConfig};
-use crate::ResourceTrace;
 
 /// A published prediction: the subnet level it came from and the logits.
 type Prediction = (usize, Vec<f32>);
@@ -48,36 +41,13 @@ impl LatestPrediction {
     }
 }
 
-/// Runs anytime inference live against a threaded resource producer.
-///
-/// Deprecated positional-argument wrapper around
-/// [`Session::run_live`](crate::Session::run_live).
-#[deprecated(
-    since = "0.3.0",
-    note = "build a `SessionConfig` and call `Session::run_live` instead"
-)]
-pub fn run_live(
-    net: &mut SteppingNet,
-    input: &Tensor,
-    trace: &ResourceTrace,
-    policy: UpgradePolicy,
-    prune_threshold: f32,
-    tick: Duration,
-    latest: &LatestPrediction,
-) -> Result<DriveOutcome> {
-    let config = SessionConfig::new()
-        .trace(trace.clone())
-        .policy(policy)
-        .prune_threshold(prune_threshold)
-        .tick(tick);
-    Session::new(net, config).run_live(input, latest)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ResourceTrace, Session, SessionConfig};
     use std::thread;
-    use stepping_core::SteppingNetBuilder;
+    use std::time::Duration;
+    use stepping_core::{SteppingNet, SteppingNetBuilder};
     use stepping_tensor::{init, Shape};
 
     fn net() -> SteppingNet {
@@ -133,31 +103,5 @@ mod tests {
             .tick(Duration::from_micros(100));
         Session::new(&mut n, cfg).run_live(&x, &latest).unwrap();
         assert!(observer.join().unwrap(), "observer never saw a prediction");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_matches_session() {
-        let x = init::uniform(Shape::of(&[1, 5]), -1.0, 1.0, &mut init::rng(5));
-        let trace = ResourceTrace::constant(net().macs(1, 0.0), 3);
-        let latest_fn = LatestPrediction::new();
-        let mut n1 = net();
-        let via_fn = run_live(
-            &mut n1,
-            &x,
-            &trace,
-            UpgradePolicy::Incremental,
-            0.0,
-            Duration::ZERO,
-            &latest_fn,
-        )
-        .unwrap();
-        let latest_session = LatestPrediction::new();
-        let mut n2 = net();
-        let via_session = Session::new(&mut n2, SessionConfig::new().trace(trace))
-            .run_live(&x, &latest_session)
-            .unwrap();
-        assert_eq!(via_fn, via_session);
-        assert_eq!(latest_fn.get(), latest_session.get());
     }
 }

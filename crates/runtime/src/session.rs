@@ -1,12 +1,9 @@
 //! The unified inference API: a [`SessionConfig`] builder plus a
 //! [`Session`] exposing every anytime-inference mode as a method.
 //!
-//! Historically this crate grew four overlapping free functions
-//! (`drive`, `drive_until_deadline`, `run_live`, `infer_until_confident`),
-//! each with its own positional-argument signature — impossible to compose
-//! into a server. A [`Session`] holds the network and one validated
-//! configuration, so callers (including the `stepping-serve` engine and the
-//! benchmark harness) consume **one** type:
+//! A [`Session`] holds the network and one validated configuration, so
+//! callers (including the `stepping-serve` engine and the benchmark
+//! harness) consume **one** type:
 //!
 //! ```
 //! use stepping_core::SteppingNetBuilder;
@@ -23,8 +20,6 @@
 //! assert_eq!(out.final_subnet, Some(1));
 //! # Ok::<(), stepping_core::SteppingError>(())
 //! ```
-//!
-//! The old free functions survive as thin deprecated wrappers.
 
 use std::time::Duration;
 

@@ -166,8 +166,8 @@ impl Ticket {
     }
 
     /// Non-blocking poll: `Some` once the request is resolved (at most one
-    /// `Ok`; a dropped request yields the same error as [`wait`]
-    /// (Ticket::wait)), `None` while it is still in flight.
+    /// `Ok`; a dropped request yields the same error as
+    /// [`wait`](Ticket::wait)), `None` while it is still in flight.
     pub fn try_wait(&self) -> Option<Result<Response>> {
         match self.rx.try_recv() {
             Ok(result) => Some(result),

@@ -12,7 +12,7 @@ use stepping_core::telemetry::{self, Value};
 use stepping_core::{MacTable, Result, SteppingError, SteppingNet};
 use stepping_metrics::{elapsed_ns, start_timer, MetricsRegistry, SnapshotWriter};
 use stepping_runtime::DeviceModel;
-use stepping_tensor::Tensor;
+use stepping_tensor::{Shape, Tensor};
 
 use crate::admission::{AdmissionError, ServeError};
 use crate::config::{ServeConfig, ShedPolicy};
@@ -42,6 +42,10 @@ struct Shared {
     /// over cached activations. The workers' executors charge from the
     /// same table, so admission and accounting cannot disagree.
     costs: MacTable,
+    /// Shape of one input sample (no batch dimension); requests of any
+    /// other trailing shape are refused at `submit`, before they can share
+    /// a batch with well-formed ones.
+    input_shape: Shape,
     sessions: Mutex<HashMap<u64, SessionEntry>>,
     next_id: AtomicU64,
     next_session: AtomicU64,
@@ -222,6 +226,7 @@ impl Server {
             start_subnet: start,
             shed_policy: config.get_shed_policy(),
             costs,
+            input_shape: net.input_shape().clone(),
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
@@ -289,6 +294,14 @@ impl Server {
             return Err(SteppingError::BadConfig(
                 "request input must have at least one batch row".into(),
             )
+            .into());
+        }
+        if dims[1..] != *self.shared.input_shape.dims() {
+            return Err(SteppingError::InvalidStructure(format!(
+                "request input {} does not hold samples of shape {}",
+                request.input.shape(),
+                self.shared.input_shape
+            ))
             .into());
         }
         // only elastic targets may be downgraded; a pinned subnet is a

@@ -5,9 +5,9 @@
 use std::time::Duration;
 
 use stepping_baselines::regular_assign;
-use stepping_core::{SteppingNet, SteppingNetBuilder};
+use stepping_core::{SteppingError, SteppingNet, SteppingNetBuilder};
 use stepping_runtime::{DeviceModel, SessionConfig};
-use stepping_serve::{Outcome, Request, ServeConfig, Server};
+use stepping_serve::{Outcome, Request, ServeConfig, ServeError, Server};
 use stepping_tensor::{init, Shape, Tensor};
 
 fn net() -> SteppingNet {
@@ -218,6 +218,38 @@ fn validates_configuration_and_requests() {
     srv.shutdown();
     // post-shutdown submissions are rejected
     assert!(srv.submit(Request::full(sample(1))).is_err());
+}
+
+/// A request of the wrong trailing shape would fail the stacked forward of
+/// whatever batch it joined; it must be refused at `submit` so that its
+/// would-be batch neighbours are still answered.
+#[test]
+fn malformed_request_is_refused_and_spares_its_batch() {
+    let srv = server(1, 4, Duration::from_millis(100));
+    let inputs: Vec<Tensor> = (0..3).map(|i| sample(300 + i)).collect();
+    let mut tickets = Vec::new();
+    for (i, x) in inputs.iter().enumerate() {
+        if i == 1 {
+            // same lane, same max_wait window as its neighbours
+            for bad in [Shape::of(&[1, 5]), Shape::of(&[1, 6, 1]), Shape::of(&[6])] {
+                let err = srv
+                    .submit(Request::at_subnet(Tensor::zeros(bad), 1))
+                    .unwrap_err();
+                assert!(
+                    matches!(err, ServeError::Invalid(SteppingError::InvalidStructure(_))),
+                    "{err:?}"
+                );
+            }
+        }
+        tickets.push(srv.submit(Request::at_subnet(x.clone(), 1)).unwrap());
+    }
+    let mut scratch = net();
+    for (x, t) in inputs.iter().zip(tickets) {
+        let resp = t.wait().expect("a well-formed request failed");
+        assert_eq!(resp.logits, scratch.forward(x, 1, false).unwrap());
+    }
+    srv.shutdown();
+    assert_eq!(srv.stats().requests, 3);
 }
 
 #[test]

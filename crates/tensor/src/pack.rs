@@ -10,7 +10,7 @@
 //! exact reference dot-product loop behind
 //! [`matmul_bt`](crate::matmul::matmul_bt) (kept as the test oracle), while
 //! [`gemm_packed_nt_into`]/[`gemm_packed_nt_slice`] run the blocked,
-//! register-tiled [`microkernel`](crate::microkernel) against a pre-packed
+//! register-tiled [`microkernel`] against a pre-packed
 //! weight panel with an optional fused bias/activation epilogue — the hot
 //! inference path.
 //!
@@ -18,7 +18,7 @@
 //!
 //! Both entry points accumulate every output element sequentially in `k`
 //! from `+0.0`, one rounding step per term — the identical per-element
-//! order as the dense loop (see [`microkernel`](crate::microkernel) for the
+//! order as the dense loop (see [`microkernel`] for the
 //! blocked kernel's argument). As long as the gathered indices are in
 //! ascending order, the surviving terms of each dot product are accumulated
 //! in the same order as the dense path; the dropped terms are all exact

@@ -1,7 +1,7 @@
 //! # stepping-verify
 //!
 //! Static invariant analyzer for SteppingNet stepping networks: takes a
-//! [`SteppingNet`](stepping_core::SteppingNet) or a serialized checkpoint
+//! [`SteppingNet`] or a serialized checkpoint
 //! and — **without running inference** — rebuilds the synapse dependency
 //! graph from the masks and [`Assignment`](stepping_core::Assignment)s and
 //! checks six rules:

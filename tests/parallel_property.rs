@@ -238,33 +238,3 @@ fn parallel_evaluation_agrees_with_sequential_everywhere() {
         }
     }
 }
-
-#[test]
-fn packed_training_forward_keeps_gradients_bit_identical() {
-    use steppingnet::core::parallel::{BatchLoss, ParallelRunner};
-    use steppingnet::data::Dataset;
-
-    let d = data();
-    let (x, y) = d
-        .batch(Split::Train, &(0..24).collect::<Vec<usize>>())
-        .unwrap();
-    let runner = ParallelRunner::new(ParallelConfig::default(), "training").unwrap();
-
-    let mut masked = mlp(2);
-    let mut packed = masked.clone();
-    packed.set_train_packed(true);
-    assert!(packed.train_packed());
-
-    let om = runner
-        .train_batch(&mut masked, &x, &y, 0, BatchLoss::CrossEntropy, false)
-        .unwrap();
-    let op = runner
-        .train_batch(&mut packed, &x, &y, 0, BatchLoss::CrossEntropy, false)
-        .unwrap();
-    assert_eq!(om.loss.to_bits(), op.loss.to_bits());
-    assert_eq!(
-        masked.export_grads(0).unwrap(),
-        packed.export_grads(0).unwrap(),
-        "packed training forward must not change gradients"
-    );
-}

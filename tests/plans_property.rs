@@ -5,9 +5,23 @@
 //! never go stale across SGD weight updates.
 
 use proptest::prelude::*;
-use steppingnet::core::{BatchExecutor, IncrementalExecutor, SteppingNet, SteppingNetBuilder};
+use steppingnet::core::{
+    Assignment, BatchExecutor, IncrementalExecutor, SteppingNet, SteppingNetBuilder,
+};
 use steppingnet::nn::optim::Sgd;
 use steppingnet::tensor::{init, Shape, Tensor};
+
+/// Applies a random `(masked stage, neuron, target subnet)` move sequence.
+fn apply_moves(net: &mut SteppingNet, moves: &[(u8, u8, u8)]) {
+    let masked = net.masked_stage_indices();
+    for &(s, n, t) in moves {
+        let stage = masked[s as usize % masked.len()];
+        let count = net.stages()[stage].neuron_count().unwrap();
+        let neuron = n as usize % count;
+        let target = t as usize % (net.subnet_count() + 1); // may hit the unused pool
+        net.move_neuron(stage, neuron, target).unwrap();
+    }
+}
 
 /// Builds a 2-hidden-layer MLP and applies a random move sequence.
 fn build_with_moves(
@@ -24,14 +38,7 @@ fn build_with_moves(
         .relu()
         .build(3)
         .unwrap();
-    let masked = net.masked_stage_indices();
-    for &(s, n, t) in moves {
-        let stage = masked[s as usize % masked.len()];
-        let count = net.stages()[stage].neuron_count().unwrap();
-        let neuron = n as usize % count;
-        let target = t as usize % (subnets + 1); // may hit the unused pool
-        net.move_neuron(stage, neuron, target).unwrap();
-    }
+    apply_moves(&mut net, moves);
     net
 }
 
@@ -55,6 +62,44 @@ proptest! {
             prop_assert_eq!(&cold, &masked, "cold plan differs at subnet {}", k);
             let warm = net.forward_packed(&x, k).unwrap();
             prop_assert_eq!(&warm, &masked, "cached plan differs at subnet {}", k);
+        }
+    }
+
+    /// Two stage shapes in which a packed layer's scattered zeros matter: a
+    /// sigmoid between masked linear stages (`sigmoid(0) != 0`, so inactive
+    /// columns are non-zero downstream), and a masked linear stage whose
+    /// input columns are not its producer's output columns. The direct
+    /// packed pass, the executor's full pass and the masked reference agree.
+    #[test]
+    fn packed_paths_agree_on_sigmoid_and_mismatched_columns(
+        moves in proptest::collection::vec((0u8..4, 0u8..32, 0u8..4), 0..24),
+        in_moves in proptest::collection::vec((0u8..32, 0u8..4), 0..8),
+        seed in 0u64..1000,
+        batch in 1usize..4,
+    ) {
+        let subnets = 3;
+        let mut net = SteppingNetBuilder::new(Shape::of(&[6]), subnets, seed)
+            .linear(9)
+            .sigmoid()
+            .linear(8)
+            .relu()
+            .linear(7)
+            .tanh()
+            .build(3)
+            .unwrap();
+        apply_moves(&mut net, &moves);
+        let mut ia = Assignment::new(8, subnets);
+        for &(n, t) in &in_moves {
+            ia.move_neuron(n as usize % 8, t as usize % (subnets + 1)).unwrap();
+        }
+        net.stages_mut()[4].set_in_assign(ia).unwrap();
+        let x = init::uniform(Shape::of(&[batch, 6]), -2.0, 2.0, &mut init::rng(seed ^ 1));
+        for k in 0..subnets {
+            let masked = net.clone().forward(&x, k, false).unwrap();
+            let packed = net.forward_packed(&x, k).unwrap();
+            prop_assert_eq!(&packed, &masked, "direct packed pass differs at subnet {}", k);
+            let begun = IncrementalExecutor::new(&mut net, 0.0).begin_at(&x, k).unwrap();
+            prop_assert_eq!(&begun.logits, &masked, "executor begin differs at subnet {}", k);
         }
     }
 
