@@ -12,7 +12,8 @@
 //!    packed kernels actually execute) next to the paper's budget ratio
 //!    `P_i = macs(i) / full_macs`.
 //!
-//! Results are printed as tables and written to `results/BENCH_plans.json`.
+//! Results are printed as tables and written to `results/BENCH_plans.json`,
+//! which names the microkernel tier (`"isa"`) that produced them.
 //! The binary asserts that the smallest MLP subnet and the full-net row of
 //! **both** models are at least 2x faster packed than masked, that stepping
 //! the MLP from subnet 0 to the top costs at most 1.15x one direct packed
@@ -31,6 +32,7 @@ use stepping_baselines::regular_assign;
 use stepping_bench::observe::{self, progress, report_text};
 use stepping_bench::print_table;
 use stepping_core::{IncrementalExecutor, SteppingNet, SteppingNetBuilder};
+use stepping_tensor::microkernel::Tier;
 use stepping_tensor::{init, Shape, Tensor};
 
 /// Rows per inference batch.
@@ -229,7 +231,9 @@ fn json_entry(r: &SubnetResult) -> String {
 
 fn main() {
     observe::init("plans");
-    progress(&format!("batch = {BATCH}, reps = {}", reps()));
+    // the numbers below belong to the kernel tier this host selected
+    let isa = Tier::active().name();
+    progress(&format!("batch = {BATCH}, reps = {}, isa = {isa}", reps()));
     let headers = [
         "subnet",
         "P_i",
@@ -300,8 +304,8 @@ fn main() {
     let mlp_json: Vec<String> = mlp_results.iter().map(json_entry).collect();
     let conv_json: Vec<String> = conv_results.iter().map(json_entry).collect();
     let json = format!(
-        "{{\n  \"bench\": \"plans\",\n  \"batch\": {BATCH},\n  \"reps\": {},\n  \
-         \"bit_identical\": true,\n  \"models\": [\n    {{\n      \"name\": \"mlp\", \
+        "{{\n  \"bench\": \"plans\",\n  \"isa\": \"{isa}\",\n  \"batch\": {BATCH},\n  \
+         \"reps\": {},\n  \"bit_identical\": true,\n  \"models\": [\n    {{\n      \"name\": \"mlp\", \
          \"full_macs\": {}, \"chain_vs_direct\": {:.3},\n      \"subnets\": [\n        \
          {}\n      ]\n    }},\n    \
          {{\n      \"name\": \"conv\", \"full_macs\": {}, \"chain_vs_direct\": {:.3},\n      \

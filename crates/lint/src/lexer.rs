@@ -57,11 +57,21 @@ pub struct Suppression {
     pub rules: Vec<String>,
 }
 
+/// One `//` line comment: its line and its text after the slashes
+/// (doc-comment markers included), trimmed.
+#[derive(Debug, Clone)]
+pub struct LineComment {
+    pub line: u32,
+    pub text: String,
+}
+
 /// Lexer output: the token stream plus side tables.
 #[derive(Debug, Default)]
 pub struct Lexed {
     pub tokens: Vec<Token>,
     pub suppressions: Vec<Suppression>,
+    /// Every line comment, in source order (rule L7 reads `SAFETY:` ones).
+    pub comments: Vec<LineComment>,
 }
 
 /// Tokenizes `src`, collecting suppression comments on the side.
@@ -102,6 +112,10 @@ pub fn lex(src: &str) -> Lexed {
         if c == '/' && bytes.get(i + 1) == Some(&b'/') {
             let end = src[i..].find('\n').map(|n| i + n).unwrap_or(bytes.len());
             scan_suppression(&src[i..end], tline, &mut out.suppressions);
+            out.comments.push(LineComment {
+                line: tline,
+                text: src[i + 2..end].trim().to_string(),
+            });
             advance!(end - i);
             continue;
         }
@@ -330,6 +344,11 @@ mod tests {
         assert_eq!(lx.tokens[5].col, 1);
         assert_eq!(lx.suppressions.len(), 1);
         assert_eq!(lx.suppressions[0].rules, vec!["L4"]);
+        assert_eq!(lx.comments.len(), 1);
+        assert_eq!(
+            (lx.comments[0].line, lx.comments[0].text.as_str()),
+            (1, "lint:allow(L4)")
+        );
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //!
 //! PRs 4 and 5 introduced invariants that rustc cannot check — plan-epoch
 //! invalidation, shard-safety classification, determinism zones, panic and
-//! lock discipline in the serving/exec hot paths, and a central telemetry
-//! name registry. Each was maintained by hand (doc comments, review
+//! lock discipline in the serving/exec hot paths, a central telemetry
+//! name registry, and (PR 14) the one file allowed to contain `unsafe`. Each was maintained by hand (doc comments, review
 //! checklists, property tests that only fire on lucky inputs). This crate
 //! mechanizes them: it lexes and scans the workspace's own sources with a
 //! hand-rolled lexer (the vendored deps are offline API stubs, so there is
-//! no `syn`), runs six rules, and reports findings with rustc-style
+//! no `syn`), runs seven rules, and reports findings with rustc-style
 //! diagnostics or JSON.
 //!
 //! Run via `cargo run -q --release -p stepping-lint -- --deny-warnings`
@@ -35,7 +35,8 @@ use scan::FileModel;
 #[derive(Debug, Default)]
 pub struct Config {
     /// Files or directories to scan; empty means the workspace default
-    /// (`crates/*/src` and `src/` under the current directory).
+    /// (`crates/*/{src,tests}` and `{src,tests}/` under the current
+    /// directory).
     pub paths: Vec<PathBuf>,
     /// Baseline file of accepted findings.
     pub baseline: Option<PathBuf>,
@@ -106,25 +107,22 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// The default scan set: every workspace crate's `src/` plus the root
-/// package's `src/`, relative to `root`.
+/// The default scan set: every workspace crate's `src/` and `tests/` plus
+/// the root package's, relative to `root`. The `tests/` trees are there for
+/// rule L7 (no other rule's scope reaches them); fixture directories below
+/// them are skipped like everywhere else.
 pub fn default_paths(root: &Path) -> Vec<PathBuf> {
-    let mut paths = Vec::new();
-    let crates = root.join("crates");
-    if let Ok(entries) = fs::read_dir(&crates) {
-        let mut dirs: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok())
-            .map(|e| e.path().join("src"))
-            .filter(|p| p.is_dir())
-            .collect();
-        dirs.sort();
-        paths.extend(dirs);
+    let mut packages = Vec::new();
+    if let Ok(entries) = fs::read_dir(root.join("crates")) {
+        packages.extend(entries.filter_map(|e| e.ok()).map(|e| e.path()));
+        packages.sort();
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        paths.push(root_src);
-    }
-    paths
+    packages.push(root.to_path_buf());
+    packages
+        .iter()
+        .flat_map(|p| [p.join("src"), p.join("tests")])
+        .filter(|p| p.is_dir())
+        .collect()
 }
 
 /// Runs the analyzer; I/O errors (unreadable path, bad baseline file)

@@ -12,8 +12,9 @@ USAGE:
     stepping-lint [OPTIONS] [PATHS...]
 
 ARGS:
-    [PATHS...]         Files or directories to scan. Default: crates/*/src
-                       and src/ under the current directory.
+    [PATHS...]         Files or directories to scan. Default: crates/*/src,
+                       crates/*/tests, src/ and tests/ under the current
+                       directory.
 
 OPTIONS:
     --json             Emit findings as a JSON report on stdout
@@ -28,6 +29,8 @@ RULES:
     L4 panic           no unwrap/expect/panic! in core/serve/exec library code
     L5 locks           no .lock().unwrap(), no nested lock under a held guard
     L6 telemetry       event and phase names must come from the central registry
+    L7 unsafe-zone     unsafe only in tensor's microkernel.rs, each use with a
+                       // SAFETY: comment naming the detected CPU feature
 
 Suppress inline with `// lint:allow(L4)` (same line or the line above).
 Details and rationale: docs/ANALYSIS.md.

@@ -1,4 +1,4 @@
-//! The six workspace rules. Each rule is a pure function from the scanned
+//! The seven workspace rules. Each rule is a pure function from the scanned
 //! workspace to diagnostics; `run_all` concatenates them.
 //!
 //! | rule | invariant | origin |
@@ -9,6 +9,7 @@
 //! | L4   | panic discipline in library hot paths | PRs 3–5 |
 //! | L5   | lock discipline around the serve job queue | PR 3 |
 //! | L6   | telemetry names come from the central registry | PR 5 |
+//! | L7   | unsafe-zone: `unsafe` only in the GEMM microkernel, every use justified | PR 14 |
 
 pub mod l1_plan_epoch;
 pub mod l2_shard_safety;
@@ -16,6 +17,7 @@ pub mod l3_determinism;
 pub mod l4_panic;
 pub mod l5_locks;
 pub mod l6_telemetry;
+pub mod l7_unsafe_zone;
 
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{TokKind, Token};
@@ -42,6 +44,7 @@ pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     diags.extend(l4_panic::run(ws));
     diags.extend(l5_locks::run(ws));
     diags.extend(l6_telemetry::run(ws));
+    diags.extend(l7_unsafe_zone::run(ws));
     diags
 }
 

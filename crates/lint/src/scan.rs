@@ -8,7 +8,7 @@
 //! `#[cfg(test)]` modules and `#[test]`/`#[cfg(test)]` functions — is
 //! recorded as opaque token ranges so every rule can cheaply skip it.
 
-use crate::lexer::{lex, Suppression, Token};
+use crate::lexer::{lex, LineComment, Suppression, Token};
 
 /// How a function takes `self`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,6 +61,8 @@ pub struct FileModel {
     pub lines: Vec<String>,
     pub tokens: Vec<Token>,
     pub suppressions: Vec<Suppression>,
+    /// Every `//` line comment, in source order.
+    pub comments: Vec<LineComment>,
     pub fns: Vec<FnInfo>,
     pub enums: Vec<EnumInfo>,
     /// Token index ranges (exclusive end) that belong to test-only code.
@@ -76,6 +78,7 @@ impl FileModel {
             lines: src.lines().map(str::to_string).collect(),
             tokens: lexed.tokens,
             suppressions: lexed.suppressions,
+            comments: lexed.comments,
             fns: Vec::new(),
             enums: Vec::new(),
             test_ranges: Vec::new(),
@@ -89,6 +92,26 @@ impl FileModel {
     /// Is token index `i` inside test-only code?
     pub fn tok_in_test(&self, i: usize) -> bool {
         self.test_ranges.iter().any(|&(s, e)| s <= i && i < e)
+    }
+
+    /// The `// SAFETY:` comment that ends on the line above `line`: the
+    /// text from `SAFETY:` to the end of the unbroken run of comment lines
+    /// directly above, joined with spaces.
+    pub fn safety_comment_above(&self, line: u32) -> Option<String> {
+        let mut run: Vec<&str> = Vec::new();
+        let mut at = line;
+        while at > 1 {
+            at -= 1;
+            let Some(c) = self.comments.iter().find(|c| c.line == at) else {
+                break;
+            };
+            run.push(&c.text);
+            if c.text.starts_with("SAFETY:") {
+                run.reverse();
+                return Some(run.join(" "));
+            }
+        }
+        None
     }
 
     /// Source line text (1-based), if present.

@@ -36,7 +36,7 @@ fn help_exits_zero_and_lists_rules() {
     assert!(out.status.success());
     let text = stdout(&out);
     assert!(text.contains("USAGE"));
-    for rule in ["L1", "L2", "L3", "L4", "L5", "L6"] {
+    for rule in ["L1", "L2", "L3", "L4", "L5", "L6", "L7"] {
         assert!(text.contains(rule), "help is missing {rule}");
     }
 }
@@ -98,4 +98,13 @@ fn text_rendering_matches_golden() {
 fn json_rendering_matches_golden() {
     let out = lint(&["--json", "l1/bad.rs"]);
     assert_eq!(stdout(&out), golden("l1_bad.json"));
+}
+
+#[test]
+fn unsafe_zone_rendering_matches_golden() {
+    let out = lint(&["l7/bad"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert_eq!(stdout(&out), golden("l7_bad.txt"));
+    let out = lint(&["--json", "l7/bad"]);
+    assert_eq!(stdout(&out), golden("l7_bad.json"));
 }

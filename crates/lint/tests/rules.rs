@@ -176,6 +176,39 @@ fn l6_reports_missing_registry() {
 }
 
 #[test]
+fn l7_fires_outside_the_zone_and_on_unjustified_unsafe() {
+    let diags = lint("l7/bad");
+    assert_eq!(diags.len(), 5, "{}", messages(&diags));
+    assert!(diags
+        .iter()
+        .all(|d| d.rule == "L7" && d.severity == Severity::Error));
+    let outside: Vec<_> = diags
+        .iter()
+        .filter(|d| d.message.contains("outside the unsafe zone"))
+        .collect();
+    assert_eq!(outside.len(), 2, "a justified block and an `unsafe fn`");
+    assert!(outside
+        .iter()
+        .all(|d| d.file.ends_with("serve/src/fast.rs")));
+    let kernel: Vec<_> = diags
+        .iter()
+        .filter(|d| d.file.ends_with("tensor/src/microkernel.rs"))
+        .collect();
+    // no comment; a comment separated by a blank line; a comment that does
+    // not name the feature
+    let lines: Vec<u32> = kernel.iter().map(|d| d.line).collect();
+    assert_eq!(lines, vec![9, 15, 20], "{}", messages(&diags));
+    assert!(kernel[2].message.contains("does not name the detected"));
+    assert!(kernel[2].note.as_deref().unwrap_or("").contains("[avx2]"));
+}
+
+#[test]
+fn l7_silent_on_justified_kernel_unsafe_and_test_allocators() {
+    let diags = lint("l7/good");
+    assert!(diags.is_empty(), "{}", messages(&diags));
+}
+
+#[test]
 fn inline_suppressions_silence_only_their_lines() {
     let diags = lint("suppress");
     assert_eq!(diags.len(), 1, "{}", messages(&diags));

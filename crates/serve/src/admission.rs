@@ -65,6 +65,13 @@ pub enum ServeError {
     /// The request or server state was invalid (unknown session, bad
     /// budget, out-of-range subnet, ...).
     Invalid(SteppingError),
+    /// The session's previous upgrade has not resolved yet: its activation
+    /// cache is with a worker, so a second upgrade has nothing to step
+    /// from. Wait on the first ticket, then upgrade again.
+    UpgradeInFlight {
+        /// The session whose upgrade is still running.
+        session: u64,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -72,6 +79,9 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Admission(e) => write!(f, "admission refused: {e}"),
             ServeError::Invalid(e) => e.fmt(f),
+            ServeError::UpgradeInFlight { session } => {
+                write!(f, "session {session} already has an upgrade in flight")
+            }
         }
     }
 }
@@ -81,6 +91,7 @@ impl Error for ServeError {
         match self {
             ServeError::Admission(e) => Some(e),
             ServeError::Invalid(e) => Some(e),
+            ServeError::UpgradeInFlight { .. } => None,
         }
     }
 }
@@ -109,6 +120,9 @@ impl From<ServeError> for SteppingError {
             }
             ServeError::Admission(refused) => SteppingError::Worker(refused.to_string()),
             ServeError::Invalid(inner) => inner,
+            in_flight @ ServeError::UpgradeInFlight { .. } => {
+                SteppingError::ExecutorState(in_flight.to_string())
+            }
         }
     }
 }

@@ -495,14 +495,21 @@ impl LaneSet {
 
     /// Blocks until a batch is ready and extracts it; `None` once the set
     /// is sealed *and* every lane is empty (worker should exit). `worker`
-    /// attributes the lock-wait measurement to the calling worker's series.
-    pub fn take_batch(&self, worker: usize) -> Option<(BatchKey, Vec<Job>)> {
+    /// attributes the lock-wait measurement to the calling worker's series;
+    /// `views` is the worker's own scan buffer, refilled on every scan so
+    /// that scanning allocates nothing.
+    pub fn take_batch(
+        &self,
+        worker: usize,
+        views: &mut Vec<LaneView>,
+    ) -> Option<(BatchKey, Vec<Job>)> {
         loop {
             let version = self.doorbell.version();
             let draining = self.shutting_down.load(Ordering::SeqCst);
             let now_ns = self.now_ns();
-            let views: Vec<LaneView> = self.lanes.iter().map(Lane::view).collect();
-            let pick = select_lane(&views, now_ns, self.max_batch, self.max_wait_ns(), draining);
+            views.clear();
+            views.extend(self.lanes.iter().map(Lane::view));
+            let pick = select_lane(views, now_ns, self.max_batch, self.max_wait_ns(), draining);
             if let Some(index) = pick.lane {
                 // Work stealing: when the pick is the only ready lane and a
                 // mega-lane (depth >= 2 * max_batch), a worker that loses
@@ -510,7 +517,7 @@ impl LaneSet {
                 // partial batch rather than sleeping — one hot batch key
                 // must not serialize the whole worker pool.
                 let split = splittable(
-                    &views,
+                    views,
                     index,
                     now_ns,
                     self.max_batch,
@@ -711,7 +718,7 @@ mod tests {
             set.push(job).map_err(|_| "push").unwrap();
             rxs.push(rx);
         }
-        let (key, batch) = set.take_batch(0).expect("a ready batch");
+        let (key, batch) = set.take_batch(0, &mut Vec::new()).expect("a ready batch");
         assert_eq!(key, BatchKey::Begin { subnet: 1 });
         assert_eq!(batch.len(), 3);
         assert!(
@@ -720,7 +727,7 @@ mod tests {
         );
         set.shutdown();
         assert!(
-            set.take_batch(0).is_none(),
+            set.take_batch(0, &mut Vec::new()).is_none(),
             "sealed and empty: worker exits"
         );
     }
@@ -734,7 +741,9 @@ mod tests {
         set.push(old).map_err(|_| "push").unwrap();
         let (fresh, _rx1) = begin_job(1, 1, Some(Instant::now() - Duration::from_millis(1)));
         set.push(fresh).map_err(|_| "push").unwrap();
-        let (key, batch) = set.take_batch(0).expect("expired lane is ready");
+        let (key, batch) = set
+            .take_batch(0, &mut Vec::new())
+            .expect("expired lane is ready");
         assert_eq!(
             key,
             BatchKey::Begin { subnet: 1 },
@@ -750,9 +759,11 @@ mod tests {
         set.push(job).map_err(|_| "push").unwrap();
         set.shutdown();
         // the huge max_wait no longer matters: draining flushes at once
-        let (_, batch) = set.take_batch(0).expect("draining flushes the lane");
+        let (_, batch) = set
+            .take_batch(0, &mut Vec::new())
+            .expect("draining flushes the lane");
         assert_eq!(batch.len(), 1);
-        assert!(set.take_batch(0).is_none());
+        assert!(set.take_batch(0, &mut Vec::new()).is_none());
     }
 
     #[test]

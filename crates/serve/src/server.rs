@@ -28,6 +28,17 @@ struct SessionEntry {
     last_logits: Tensor,
 }
 
+/// One row of the session table.
+#[derive(Debug)]
+enum Slot {
+    /// The session's cache is here, ready to be upgraded.
+    Resident(SessionEntry),
+    /// An upgrade job carries the cache; the slot stays so that a
+    /// [`Server::release`] arriving meanwhile is remembered (`released`)
+    /// and a second upgrade is told to wait instead of "unknown session".
+    InFlight { released: bool },
+}
+
 /// State shared between the client-facing handle and the workers.
 #[derive(Debug)]
 struct Shared {
@@ -46,7 +57,7 @@ struct Shared {
     /// other trailing shape are refused at `submit`, before they can share
     /// a batch with well-formed ones.
     input_shape: Shape,
-    sessions: Mutex<HashMap<u64, SessionEntry>>,
+    sessions: Mutex<HashMap<u64, Slot>>,
     next_id: AtomicU64,
     next_session: AtomicU64,
     /// Replica drain ([`Server::drain`]): new sessions are refused while
@@ -91,6 +102,26 @@ impl Shared {
             }
         }
         best
+    }
+
+    /// Ends `session`'s in-flight upgrade: puts `entry` back in the table,
+    /// or drops it when the session was released while the job ran.
+    fn settle(&self, session: u64, entry: SessionEntry) {
+        let mut sessions = lock(&self.sessions);
+        if matches!(
+            sessions.get(&session),
+            Some(Slot::InFlight { released: true })
+        ) {
+            sessions.remove(&session);
+        } else {
+            sessions.insert(session, Slot::Resident(entry));
+        }
+    }
+
+    /// Ends `session`'s in-flight upgrade when its cache was lost with a
+    /// failed job: the session is gone.
+    fn forget(&self, session: u64) {
+        lock(&self.sessions).remove(&session);
     }
 
     /// Absolute EDF deadline of a request submitted now with `budget_us`.
@@ -374,8 +405,9 @@ impl Server {
     /// # Errors
     ///
     /// [`ServeError::Invalid`] for an unknown session or a non-positive
-    /// budget; [`ServeError::Admission`] when shutting down, or when lanes
-    /// are full under [`ShedPolicy::Reject`].
+    /// budget; [`ServeError::UpgradeInFlight`] while the session's previous
+    /// upgrade has not resolved; [`ServeError::Admission`] when shutting
+    /// down, or when lanes are full under [`ShedPolicy::Reject`].
     pub fn upgrade(
         &self,
         session: u64,
@@ -405,9 +437,20 @@ impl Server {
                 .into());
             }
         }
-        let entry = lock(&self.shared.sessions)
-            .remove(&session)
-            .ok_or_else(|| SteppingError::BadConfig(format!("unknown session {session}")))?;
+        let entry = {
+            let mut sessions = lock(&self.shared.sessions);
+            let Some(slot) = sessions.get_mut(&session) else {
+                return Err(SteppingError::BadConfig(format!("unknown session {session}")).into());
+            };
+            match std::mem::replace(slot, Slot::InFlight { released: false }) {
+                Slot::Resident(entry) => entry,
+                in_flight @ Slot::InFlight { .. } => {
+                    // keep the running upgrade's marker as it was
+                    *slot = in_flight;
+                    return Err(ServeError::UpgradeInFlight { session });
+                }
+            }
+        };
         let cur = entry.last_subnet;
         let target = match extra_budget_us {
             None => self.shared.subnet_count() - 1,
@@ -432,7 +475,7 @@ impl Server {
                     ("subnet", Value::U64(cur as u64)),
                 ],
             );
-            lock(&self.shared.sessions).insert(session, entry);
+            self.shared.settle(session, entry);
             let _ = tx.send(Ok(response));
             return Ok(Ticket { rx });
         }
@@ -484,14 +527,14 @@ impl Server {
                         let id = returned.id;
                         let reply = returned.reply.clone();
                         self.reinstall(session, *returned, &entry.last_logits, cur);
-                        let shed = {
-                            let sessions = lock(&self.shared.sessions);
-                            sessions.get(&session).map(|e| {
+                        let shed = match lock(&self.shared.sessions).get(&session) {
+                            Some(Slot::Resident(e)) => {
                                 let mut r = self.cached_response(session, e, Outcome::Shed);
                                 r.id = id;
                                 r.latency_us = submitted.elapsed().as_secs_f64() * 1e6;
-                                r
-                            })
+                                Some(r)
+                            }
+                            _ => None,
                         };
                         if let Some(response) = shed {
                             self.shared.stats.record_shed();
@@ -527,10 +570,10 @@ impl Server {
     }
 
     /// Puts a refused upgrade job's cache back into the session table so
-    /// the session survives the refusal.
+    /// the session survives the refusal (unless it was released meanwhile).
     fn reinstall(&self, session: u64, job: Job, last_logits: &Tensor, last_subnet: usize) {
         if let Work::Upgrade { cache, .. } = job.work {
-            lock(&self.shared.sessions).insert(
+            self.shared.settle(
                 session,
                 SessionEntry {
                     cache,
@@ -575,15 +618,28 @@ impl Server {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// Forgets a session, freeing its activation cache. Unknown sessions
-    /// are ignored.
+    /// Forgets a session, freeing its activation cache. A session whose
+    /// upgrade is in flight is forgotten when that upgrade completes — its
+    /// ticket still resolves. Unknown sessions are ignored.
     pub fn release(&self, session: u64) {
-        lock(&self.shared.sessions).remove(&session);
+        let mut sessions = lock(&self.shared.sessions);
+        match sessions.get_mut(&session) {
+            Some(Slot::InFlight { released }) => *released = true,
+            Some(Slot::Resident(_)) => {
+                sessions.remove(&session);
+            }
+            None => {}
+        }
     }
 
-    /// Number of sessions currently retained.
+    /// Number of sessions currently retained in the table. A session whose
+    /// upgrade is in flight travels with the job and is counted again once
+    /// the upgrade completes — unless it was released meanwhile.
     pub fn session_count(&self) -> usize {
-        lock(&self.shared.sessions).len()
+        lock(&self.shared.sessions)
+            .values()
+            .filter(|slot| matches!(slot, Slot::Resident(_)))
+            .count()
     }
 
     /// Per-sample direct MAC cost of each subnet (index = subnet).
@@ -651,7 +707,8 @@ fn worker_loop(shared: Arc<Shared>, mut net: SteppingNet, worker: usize) {
     // one executor for the worker's lifetime: the replica never changes, so
     // its MAC table is read once, not per batch
     let mut exec = BatchExecutor::new(&mut net, shared.prune_threshold);
-    while let Some((key, batch)) = shared.lanes.take_batch(worker) {
+    let mut lane_views = Vec::new();
+    while let Some((key, batch)) = shared.lanes.take_batch(worker, &mut lane_views) {
         let busy_start = stepping_metrics::enabled().then(Instant::now);
         if let Some(occupancy) = shared.metrics.occupancy(key) {
             occupancy.record(batch.len() as u64);
@@ -668,9 +725,19 @@ fn worker_loop(shared: Arc<Shared>, mut net: SteppingNet, worker: usize) {
     }
 }
 
-fn respond_error(jobs: Vec<Job>, err: SteppingError) {
-    for job in jobs {
-        let _ = job.reply.send(Err(err.clone()));
+/// What a batch keeps of a job once its payload (input tensor or
+/// activation cache) has moved into the pass: what the reply needs.
+struct Waiting {
+    id: u64,
+    requested: usize,
+    budget_us: Option<f64>,
+    submitted: Instant,
+    reply: mpsc::Sender<Result<Response>>,
+}
+
+fn respond_error(waiting: Vec<Waiting>, err: SteppingError) {
+    for w in waiting {
+        let _ = w.reply.send(Err(err.clone()));
     }
 }
 
@@ -694,23 +761,40 @@ fn outcome_of(
 fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: Vec<Job>, subnet: usize) {
     let span = telemetry::span("serving", "serve.batch");
     let mut inputs = Vec::with_capacity(jobs.len());
-    let mut kept = Vec::with_capacity(jobs.len());
+    let mut waiting = Vec::with_capacity(jobs.len());
     for job in jobs {
-        match &job.work {
+        let Job {
+            id,
+            work,
+            requested,
+            budget_us,
+            submitted,
+            reply,
+            ..
+        } = job;
+        match work {
+            // the input tensor moves into the pass, it is not copied
             Work::Begin { input, .. } => {
-                inputs.push(input.clone());
-                kept.push(job);
+                inputs.push(input);
+                waiting.push(Waiting {
+                    id,
+                    requested,
+                    budget_us,
+                    submitted,
+                    reply,
+                });
             }
             // A mis-keyed job can't run in this batch; answer it with an
-            // error instead of poisoning the whole batch.
-            Work::Upgrade { .. } => {
-                let _ = job.reply.send(Err(SteppingError::ExecutorState(
+            // error instead of poisoning the whole batch. Its cache is
+            // lost with it, so the session ends.
+            Work::Upgrade { session, .. } => {
+                shared.forget(session);
+                let _ = reply.send(Err(SteppingError::ExecutorState(
                     "upgrade job routed to a begin batch".into(),
                 )));
             }
         }
     }
-    let jobs = kept;
     let forward_timer = start_timer(&shared.metrics.forward_ns);
     let forward = exec.begin(&inputs, subnet);
     forward_timer.stop();
@@ -718,18 +802,18 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: Vec<Job>, su
         Ok(r) => r,
         Err(e) => {
             span.end(&[("error", Value::Bool(true))]);
-            respond_error(jobs, e);
+            respond_error(waiting, e);
             return;
         }
     };
-    let batch_size = jobs.len();
+    let batch_size = waiting.len();
     let mut batch_macs = 0u64;
     let mut misses = 0u64;
     let mut degraded = 0u64;
     // stats and session entries must be visible before any reply is sent,
     // so sends are buffered until all bookkeeping is done
     let mut outbox = Vec::with_capacity(batch_size);
-    for (job, (cache, step)) in jobs.into_iter().zip(results) {
+    for (job, (cache, step)) in waiting.into_iter().zip(results) {
         let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
         let modeled = shared.device.latency_us(step.step_macs);
         let (outcome, miss) = outcome_of(job.requested, step.subnet, job.budget_us, modeled);
@@ -755,11 +839,11 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: Vec<Job>, su
         };
         lock(&shared.sessions).insert(
             session,
-            SessionEntry {
+            Slot::Resident(SessionEntry {
                 cache,
                 last_subnet: step.subnet,
                 last_logits: step.logits,
-            },
+            }),
         );
         outbox.push((job.reply, response));
     }
@@ -798,13 +882,13 @@ fn run_upgrade_batch(
             Work::Upgrade { session, cache, .. } => {
                 sessions_meta.push(session);
                 caches.push(cache);
-                replies.push((
-                    job.id,
-                    job.requested,
-                    job.budget_us,
-                    job.submitted,
-                    job.reply,
-                ));
+                replies.push(Waiting {
+                    id: job.id,
+                    requested: job.requested,
+                    budget_us: job.budget_us,
+                    submitted: job.submitted,
+                    reply: job.reply,
+                });
             }
             // A mis-keyed job can't run in this batch; answer it with an
             // error instead of poisoning the whole batch.
@@ -827,9 +911,9 @@ fn run_upgrade_batch(
             Err(e) => {
                 forward_timer.stop();
                 span.end(&[("error", Value::Bool(true))]);
-                for (_, _, _, _, reply) in replies {
-                    let _ = reply.send(Err(e.clone()));
-                }
+                // the caches are in an unknown state: the sessions end
+                sessions_meta.into_iter().for_each(|s| shared.forget(s));
+                respond_error(replies, e);
                 return;
             }
         }
@@ -839,41 +923,41 @@ fn run_upgrade_batch(
         // `to > from` is guaranteed by the caller, so an empty loop means the
         // batch key was inconsistent; fail the requests rather than panic.
         span.end(&[("error", Value::Bool(true))]);
-        for (_, _, _, _, reply) in replies {
-            let _ = reply.send(Err(SteppingError::ExecutorState(
-                "upgrade batch performed no expand step".into(),
-            )));
-        }
+        sessions_meta.into_iter().for_each(|s| shared.forget(s));
+        respond_error(
+            replies,
+            SteppingError::ExecutorState("upgrade batch performed no expand step".into()),
+        );
         return;
     };
     let batch_size = replies.len();
     let mut misses = 0u64;
     let mut degraded = 0u64;
     let mut outbox = Vec::with_capacity(batch_size);
-    for (((session, cache), step), (id, requested, budget_us, submitted, reply)) in sessions_meta
+    for (((session, cache), step), job) in sessions_meta
         .into_iter()
         .zip(caches)
         .zip(steps)
         .zip(replies)
     {
         let modeled = shared.device.latency_us(new_macs);
-        let (outcome, miss) = outcome_of(requested, step.subnet, budget_us, modeled);
+        let (outcome, miss) = outcome_of(job.requested, step.subnet, job.budget_us, modeled);
         if miss {
             misses += 1;
         }
-        if step.subnet < requested {
+        if step.subnet < job.requested {
             degraded += 1;
         }
         let total = cache.cumulative_macs();
         let response = Response {
-            id,
+            id: job.id,
             session,
             subnet: step.subnet,
             logits: step.logits.clone(),
             step_macs: new_macs,
             total_macs: total,
             modeled_latency_us: modeled,
-            latency_us: submitted.elapsed().as_secs_f64() * 1e6,
+            latency_us: job.submitted.elapsed().as_secs_f64() * 1e6,
             outcome,
             batch_size,
             cache_reuse: if total == 0 {
@@ -882,7 +966,8 @@ fn run_upgrade_batch(
                 1.0 - new_macs as f64 / total as f64
             },
         };
-        lock(&shared.sessions).insert(
+        // back into the table — or dropped, if released while in flight
+        shared.settle(
             session,
             SessionEntry {
                 cache,
@@ -890,7 +975,7 @@ fn run_upgrade_batch(
                 last_logits: step.logits,
             },
         );
-        outbox.push((reply, response));
+        outbox.push((job.reply, response));
     }
     shared.stats.record_batch(
         batch_size as u64,

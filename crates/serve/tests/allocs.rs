@@ -1,0 +1,132 @@
+//! Allocation guard for the serve worker's per-request overhead.
+//!
+//! Two things a worker used to allocate for every request, besides the
+//! pass itself: a fresh vector of lane snapshots on every scan of the
+//! lanes, and a copy of the request's input tensor on the way into the
+//! batch. The scan now refills a buffer the worker owns and the input is
+//! moved, so a scan that claims nothing allocates nothing, and a begin
+//! batch allocates less than it did by the size of its inputs.
+//!
+//! The file holds a single test: the counting allocator is process-wide.
+//! Allocations are attributed by thread — the test's own thread (the
+//! client: tickets, channels, jobs) is exempt, everything else is a worker.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
+
+use stepping_core::SteppingNetBuilder;
+use stepping_runtime::{DeviceModel, SessionConfig};
+use stepping_serve::{Request, ServeConfig, Server};
+use stepping_tensor::{Shape, Tensor};
+
+thread_local! {
+    /// Set on the client thread, whose allocations are not counted.
+    static EXEMPT: Cell<bool> = const { Cell::new(false) };
+}
+
+static WORKER_ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static WORKER_BYTES: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAlloc;
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are atomics and a thread-local
+// `Cell` with a constant initialiser (no lazy allocation, no destructor),
+// so touching them cannot re-enter the allocator.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if !EXEMPT.with(Cell::get) {
+            WORKER_ALLOCS.fetch_add(1, Ordering::Relaxed);
+            WORKER_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        }
+        // SAFETY: same layout, forwarded to the system allocator.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// `(allocations, bytes)` made off the client thread so far.
+fn worker_counts() -> (usize, usize) {
+    (
+        WORKER_ALLOCS.load(Ordering::Relaxed),
+        WORKER_BYTES.load(Ordering::Relaxed),
+    )
+}
+
+/// Inputs wide enough that one copy of a request dwarfs everything else a
+/// batch allocates.
+const WIDTH: usize = 16 * 1024;
+const BATCH: usize = 8;
+
+#[test]
+fn worker_scans_allocate_nothing_and_inputs_are_moved() {
+    EXEMPT.with(|e| e.set(true));
+    let net = SteppingNetBuilder::new(Shape::of(&[WIDTH]), 1, 3)
+        .linear(4)
+        .relu()
+        .build(2)
+        .unwrap();
+    // a flush window far longer than the test: a batch runs when it is
+    // full, and until then its requests stay queued
+    let config = ServeConfig::builder()
+        .workers(1)
+        .max_batch(BATCH)
+        .max_wait(Duration::from_secs(600))
+        .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
+        .build();
+    let server = Server::new(&net, config).unwrap();
+    let submit = || {
+        server
+            .submit(Request::full(Tensor::ones(Shape::of(&[1, WIDTH]))))
+            .unwrap()
+    };
+
+    // warm-up: one full batch compiles the plan and grows every buffer the
+    // worker keeps (pack scratch, lane snapshots)
+    let warm: Vec<_> = (0..BATCH).map(|_| submit()).collect();
+    for t in warm {
+        assert_eq!(t.wait().unwrap().batch_size, BATCH);
+    }
+    std::thread::sleep(Duration::from_millis(50));
+
+    // scans: each push rings the doorbell, the worker rescans the lanes,
+    // finds no batch ready and goes back to sleep
+    let (before, _) = worker_counts();
+    let mut tickets = Vec::new();
+    for _ in 0..BATCH - 1 {
+        tickets.push(submit());
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (after, _) = worker_counts();
+    assert_eq!(
+        after - before,
+        0,
+        "a lane scan that claims nothing must not allocate"
+    );
+
+    // inputs: the push that fills the batch lets it run. Stacking the rows
+    // and handing every session its level-0 activations are two copies of
+    // the inputs; a clone on the way into the batch would be a third
+    let (_, before) = worker_counts();
+    tickets.push(submit());
+    for t in tickets {
+        assert_eq!(t.wait().unwrap().batch_size, BATCH);
+    }
+    let (_, after) = worker_counts();
+    let inputs_bytes = BATCH * WIDTH * std::mem::size_of::<f32>();
+    let batch_bytes = after - before;
+    assert!(
+        batch_bytes < 2 * inputs_bytes + inputs_bytes / 2,
+        "the begin batch allocated {batch_bytes} B for {inputs_bytes} B of inputs"
+    );
+    server.shutdown();
+}

@@ -325,6 +325,58 @@ fn release_frees_sessions() {
 }
 
 #[test]
+fn release_during_an_in_flight_upgrade_is_honoured_on_completion() {
+    // one worker, and a flush window long enough that a lone upgrade job
+    // is still queued — in flight — while the client acts
+    let srv = server(1, 8, Duration::from_millis(300));
+    let first = srv
+        .submit(Request::at_subnet(sample(41), 0))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let bystander = srv
+        .submit(Request::at_subnet(sample(42), 0))
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert_eq!(srv.session_count(), 2);
+
+    let ticket = srv.upgrade(first.session, None).unwrap();
+    assert_eq!(srv.session_count(), 1, "the cache travels with the job");
+    match srv.upgrade(first.session, None) {
+        Err(ServeError::UpgradeInFlight { session }) => assert_eq!(session, first.session),
+        other => panic!("second concurrent upgrade: expected UpgradeInFlight, got {other:?}"),
+    }
+    srv.release(first.session);
+
+    // the ticket still resolves, with the upgraded answer
+    let upgraded = ticket.wait().unwrap();
+    assert_eq!(upgraded.subnet, 2);
+    assert_eq!(
+        upgraded.logits,
+        net().forward(&sample(41), 2, false).unwrap()
+    );
+    assert_eq!(
+        srv.session_count(),
+        1,
+        "the worker dropped the released cache instead of reinstalling it"
+    );
+    assert!(matches!(
+        srv.upgrade(first.session, None),
+        Err(ServeError::Invalid(SteppingError::BadConfig(_)))
+    ));
+    srv.release(bystander.session);
+    assert_eq!(srv.session_count(), 0);
+    srv.shutdown();
+    let stats = srv.stats();
+    assert_eq!(
+        stats.admitted, 3,
+        "two begins and one upgrade were admitted"
+    );
+    assert_eq!(stats.requests, 3, "and each was answered exactly once");
+}
+
+#[test]
 fn batch_rows_per_request_are_preserved() {
     // a request may carry several rows; they stay together through batching
     let srv = server(1, 3, Duration::from_millis(50));

@@ -1,36 +1,65 @@
-//! Cache-blocked, register-tiled f32 GEMM microkernel.
+//! Cache-blocked, register-tiled f32 GEMM microkernel, run at the host's
+//! vector width.
 //!
 //! The naive kernels in [`matmul`](crate::matmul) accumulate each output
 //! element through a single dependent add chain, so they run at the FP-add
 //! *latency* (one multiply-add every ~4 cycles) instead of the FP
 //! *throughput* of the machine. This module is the packed-path replacement:
-//! a BLIS-style blocked GEMM whose inner loop keeps an `MR×NR` tile of
-//! independent accumulators live in registers — `MR·NR/NR_vec` separate add
-//! chains that the CPU can overlap — while A and B stream from contiguous,
-//! tile-major packed panels.
+//! a BLIS-style blocked GEMM whose inner loop keeps a register tile of
+//! independent accumulators live — separate add chains that the CPU can
+//! overlap — while A and B stream from contiguous, tile-major packed
+//! panels.
 //!
 //! ## Structure
 //!
 //! * [`PackedB`] — the right-hand operand packed once into `NR`-wide
 //!   micro-panels (`data[(jt·k + kk)·NR + j]`). Execution plans pack their
 //!   weight panels at compile time, so steady-state inference never repacks
-//!   B.
-//! * `pack_a_block` — the left-hand operand packed per `(Mc, Kc)` block
-//!   into `MR`-interleaved micro-panels inside a reusable scratch `Vec`.
+//!   B. The layout is the same in every tier.
+//! * `pack_a_tile` — the left-hand operand packed per call into
+//!   row-interleaved micro-panels inside a reusable scratch `Vec`; the
+//!   interleave follows the tile that will read it.
 //! * [`gemm_packed`] — the driver: `Kc` (depth) and `Mc` (row) cache
-//!   blocking around an `MR×NR` register-tile microkernel, with an optional
-//!   fused [`Epilogue`] (bias add, bias+activation) applied to each tile
-//!   while it is still hot.
+//!   blocking around `rows_pass`, the one tile body (pack A, then per tile:
+//!   resume, multiply, store), with an optional fused [`Epilogue`] (bias
+//!   add, bias+activation) applied to each tile while it is still hot.
+//!
+//! ## Tiers and tile shapes
+//!
+//! The tile body is written once, generic over the tile shape and the
+//! multiply, and instantiated in two instruction [`Tier`]s, chosen once per
+//! process from what the CPU reports — no build flag, feature or
+//! environment variable, and one binary runs everywhere:
+//!
+//! * **portable** — plain Rust the compiler vectorises for the build's
+//!   baseline target (SSE2 on x86-64): a `4 rows × 1 panel` tile, 8
+//!   four-wide accumulator vectors inside 16 XMM registers.
+//! * **avx2** (x86-64 with AVX2 detected) — the tile body inlined into a
+//!   `#[target_feature(enable = "avx2")]` function, so its pack and store
+//!   loops are compiled 8 lanes wide too, around a multiply of explicit
+//!   `std::arch` intrinsics, one vector per `NR = 8` panel row. A
+//!   tile is `rows × panels` with `rows · panels = 8`, so every shape keeps
+//!   eight independent accumulator vectors: `8 × 1` for full tiles (full
+//!   batches, conv's `batch × positions`), and `4 × 2`, `2 × 4`, `1 × 8`
+//!   for a thin batch or the ragged tail of a tall one, so a lone request
+//!   row multiplies against eight weight panels at once instead of
+//!   dragging seven rows of zero padding through the tile.
 //!
 //! ## Bit-identity
 //!
 //! Results are bit-identical (`f32 ==`, with `-0.0 == 0.0`) to the
-//! reference `nt_kernel` dot-product loop, because for every output element
-//! the accumulation is *sequential in `k` starting from `+0.0`* with one
-//! `acc += a·b` rounding step per term — exactly the reference order:
+//! reference `nt_kernel` dot-product loop *in every tier and shape*,
+//! because for every output element the accumulation is *sequential in `k`
+//! starting from `+0.0`* with one rounded multiply followed by one rounded
+//! add per term — exactly the reference order:
 //!
-//! * `m`/`n` tiling and the register tile only regroup *independent*
-//!   elements; no element's own sum is ever split or reordered.
+//! * `m`/`n` tiling, the register tile and the vector lanes only regroup
+//!   *independent* elements; no element's own sum is ever split or
+//!   reordered.
+//! * The AVX2 tier issues `_mm256_mul_ps` then `_mm256_add_ps` and is
+//!   compiled with `avx2` only — **never FMA**: a fused multiply-add rounds
+//!   once where the reference rounds twice, which changes last bits. Rust
+//!   never contracts a separate multiply and add on its own.
 //! * `Kc` blocking spills the partial sum to `out` between depth blocks; an
 //!   `f32` store/load round-trip is exact, and the next block resumes the
 //!   same chain (the first block *writes* its tile, so `out` needs no
@@ -53,24 +82,131 @@
 //!
 //! ## Tuning knobs
 //!
-//! [`MR`]`×`[`NR`] `= 4×8` keeps 8 four-wide SSE accumulator vectors plus
-//! operands inside the 16 XMM registers of baseline x86-64; [`KC`]` = 256`
-//! keeps one A micro-panel (`KC·MR` floats ≈ 4 KiB) L1-resident and one B
-//! micro-panel (`KC·NR` ≈ 8 KiB) L1/L2-resident; [`MC`]` = 128` bounds the
-//! packed A block (`MC·KC` ≈ 128 KiB) to L2. See `docs/PERFORMANCE.md` for
-//! the measured effect.
+//! [`NR`]` = 8` is one AVX2 vector (two SSE ones) and stays fixed so a
+//! [`PackedB`] serves every tier; the tile height is the tier's
+//! ([`Tier::rows`]: 4 portable, 8 AVX2). [`KC`]` = 256` keeps one A
+//! micro-panel (`KC·8` floats ≈ 8 KiB) and one B micro-panel (`KC·NR` ≈
+//! 8 KiB) L1-resident; [`MC`]` = 128` bounds the packed A block (`MC·KC` ≈
+//! 128 KiB) to L2. See `docs/PERFORMANCE.md` § Microkernel for the measured
+//! effect.
+//!
+//! ## Unsafe
+//!
+//! This is the one file of the workspace allowed to contain `unsafe`
+//! (`stepping-lint` rule L7): the pointer loads of the AVX2 multiply and
+//! the call into the AVX2 instantiation. A [`Tier`] can only be obtained
+//! from [`Tier::active`] / [`Tier::supported`], which run the CPUID check,
+//! so holding the AVX2 tier is the proof the call site needs.
+
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::matmul::GemmSpec;
 use crate::{Result, Shape, Tensor, TensorError};
 
-/// Register-tile rows: independent accumulator rows per microkernel call.
-pub const MR: usize = 4;
-/// Register-tile columns: accumulator lanes per row (two 4-wide vectors).
+/// Register-tile columns: accumulator lanes per row — one micro-panel of
+/// [`PackedB`], one 8-lane vector (or two 4-lane ones).
 pub const NR: usize = 8;
 /// Depth (`k`) cache-block: A micro-panels stay L1-resident.
 pub const KC: usize = 256;
 /// Row (`m`) cache-block: one packed A block stays L2-resident.
 pub const MC: usize = 128;
+
+/// Accumulator vectors in a register tile, in every tier and shape.
+const ACCS: usize = 8;
+
+/// One register tile's accumulators: vector `i·panels + p` holds row `i` of
+/// micro-panel `p`.
+type Acc = [[f32; NR]; ACCS];
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Isa {
+    Portable,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+}
+
+/// The instruction tier the microkernel's multiply runs in.
+///
+/// Values come only from [`Tier::active`] and [`Tier::supported`], both of
+/// which ask the CPU first — a `Tier` in hand is a tier this host can run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tier(Isa);
+
+/// A register-tile shape: `rows` A rows against `panels` B micro-panels.
+#[derive(Debug, Clone, Copy)]
+struct TileShape {
+    rows: usize,
+    panels: usize,
+}
+
+/// Rows of the one shape (`4 × 1`) `microtile_portable` is written for.
+const PORTABLE_ROWS: usize = 4;
+
+/// The shapes `microtile_avx2` is instantiated for: `rows · panels = 8`
+/// accumulator vectors each.
+#[cfg(target_arch = "x86_64")]
+const AVX2_TILES: [TileShape; 4] = [
+    TileShape { rows: 1, panels: 8 },
+    TileShape { rows: 2, panels: 4 },
+    TileShape { rows: 4, panels: 2 },
+    TileShape { rows: 8, panels: 1 },
+];
+
+impl Tier {
+    /// The tier [`gemm_packed`] runs in: the widest the host supports,
+    /// detected on first use and fixed for the life of the process.
+    pub fn active() -> Tier {
+        static ACTIVE: OnceLock<Tier> = OnceLock::new();
+        *ACTIVE.get_or_init(|| *Tier::supported().last().expect("portable tier"))
+    }
+
+    /// Every tier this host can run, narrowest first. For tests that hold
+    /// the tiers against each other; serving code uses [`Tier::active`].
+    #[doc(hidden)]
+    pub fn supported() -> Vec<Tier> {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return vec![Tier(Isa::Portable), Tier(Isa::Avx2)];
+        }
+        vec![Tier(Isa::Portable)]
+    }
+
+    /// Short lower-case name (`"portable"`, `"avx2"`) for reports.
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Isa::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+        }
+    }
+
+    /// This tier's tile shapes, shortest first; the last is the full tile.
+    fn shapes(self) -> &'static [TileShape] {
+        match self.0 {
+            Isa::Portable => &[TileShape {
+                rows: PORTABLE_ROWS,
+                panels: 1,
+            }],
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => &AVX2_TILES,
+        }
+    }
+
+    /// Rows of this tier's full register tile.
+    pub fn rows(self) -> usize {
+        self.shapes().last().expect("a tier has a tile").rows
+    }
+
+    /// The tile for `rows_left` remaining rows: the shortest shape that
+    /// holds them (the full tile when none does), so absent rows become
+    /// extra panels instead of padding wherever the tier has the shape.
+    fn shape_for(self, rows_left: usize) -> TileShape {
+        let shapes = self.shapes();
+        let fits = shapes.iter().find(|s| s.rows >= rows_left);
+        *fits.unwrap_or(&shapes[shapes.len() - 1])
+    }
+}
 
 /// Fused per-element epilogue applied to each output tile while it is still
 /// in registers, after the final depth block.
@@ -99,6 +235,27 @@ impl Epilogue<'_> {
             Epilogue::Bias(bias) => v + bias[j],
             Epilogue::BiasRelu(bias) => (v + bias[j]).max(0.0),
             Epilogue::BiasTanh(bias) => (v + bias[j]).tanh(),
+        }
+    }
+
+    /// Stores one finished accumulator row: `out[j] = apply(acc[j], col0 + j)`
+    /// for the `out.len() <= NR` lanes the tile owns. The variant is
+    /// matched once per row, not per element, so each loop is a plain
+    /// lane-wise expression.
+    #[inline(always)]
+    fn store(&self, acc: &[f32; NR], col0: usize, out: &mut [f32]) {
+        let lanes = out.iter_mut().zip(acc);
+        match self {
+            Epilogue::None => lanes.for_each(|(o, &v)| *o = v),
+            Epilogue::Bias(bias) => lanes
+                .zip(&bias[col0..])
+                .for_each(|((o, &v), &b)| *o = v + b),
+            Epilogue::BiasRelu(bias) => lanes
+                .zip(&bias[col0..])
+                .for_each(|((o, &v), &b)| *o = (v + b).max(0.0)),
+            Epilogue::BiasTanh(bias) => lanes
+                .zip(&bias[col0..])
+                .for_each(|((o, &v), &b)| *o = (v + b).tanh()),
         }
     }
 
@@ -182,18 +339,19 @@ impl PackedB {
     }
 }
 
-/// The innermost loop: accumulates one `MR×NR` register tile over `kc`
-/// depth steps. `apanel` is `kc` groups of `MR` interleaved A values,
-/// `bpanel` is `kc` groups of `NR` interleaved B values; per element the
-/// depth order is strictly ascending, matching the reference dot product.
+/// The portable tier's multiply: accumulates a `4 × 1` tile over the depth
+/// of `apanel` (groups of 4 interleaved A values) against `bpanel` (groups
+/// of `NR` interleaved B values); per element the depth order is strictly
+/// ascending, matching the reference dot product.
 #[inline(always)]
-fn microtile(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
+fn microtile_portable(apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
+    const R: usize = PORTABLE_ROWS;
     // Work on a by-value copy so the accumulators are locals LLVM can hold
     // in vector registers across the depth loop, instead of memory the
     // caller's `&mut` points at.
-    let mut local = *acc;
-    for (av, bv) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        let av: &[f32; MR] = av.try_into().expect("MR chunk");
+    let mut local: [[f32; NR]; R] = [acc[0], acc[1], acc[2], acc[3]];
+    for (av, bv) in apanel.chunks_exact(R).zip(bpanel.chunks_exact(NR)) {
+        let av: &[f32; R] = av.try_into().expect("row chunk");
         let bv: &[f32; NR] = bv.try_into().expect("NR chunk");
         for j in 0..NR {
             let b = bv[j];
@@ -203,7 +361,56 @@ fn microtile(apanel: &[f32], bpanel: &[f32], acc: &mut [[f32; NR]; MR]) {
             local[3][j] += av[3] * b;
         }
     }
-    *acc = local;
+    acc[..R].copy_from_slice(&local);
+}
+
+/// The AVX2 tier's multiply: accumulates an `R × P` tile (`R · P = 8`
+/// accumulator vectors) over the depth of `apanel` (groups of `R`
+/// interleaved A values). `panels = (b, stride, pn)`: micro-panel `p`
+/// starts at `b[p · stride]` and holds one group of `NR` B values per depth
+/// step; only the first `pn` panels exist — a ragged last group re-reads
+/// panel `pn - 1` in the missing slots and the tile body never stores those
+/// accumulators.
+///
+/// Each term is `_mm256_mul_ps` then `_mm256_add_ps` — two roundings, like
+/// the reference — and the function enables `avx2` only, so no FMA can be
+/// emitted here.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+fn microtile_avx2<const R: usize, const P: usize>(
+    apanel: &[f32],
+    (b, stride, pn): (&[f32], usize, usize),
+    acc: &mut Acc,
+) {
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
+    };
+    let kc = apanel.len() / R;
+    assert!(R * P == ACCS && (1..=P).contains(&pn));
+    assert!(b.len() >= (pn - 1) * stride + kc * NR);
+    let ap = apanel.as_ptr();
+    let bp: [*const f32; P] = std::array::from_fn(|p| b[p.min(pn - 1) * stride..].as_ptr());
+    // SAFETY: avx2 is enabled on this function, which is all the intrinsics
+    // need. Every load is in bounds: `ap` is read at `kk·R + i < kc·R <=
+    // apanel.len()`, each `bp[p]` at `kk·NR .. kk·NR + 8` with `kk < kc`,
+    // inside `b` by the assert above, and `acc` holds `ACCS = R·P` rows of
+    // exactly 8 floats.
+    unsafe {
+        let mut c: [__m256; ACCS] = std::array::from_fn(|t| _mm256_loadu_ps(acc[t].as_ptr()));
+        for kk in 0..kc {
+            let bv: [__m256; P] = std::array::from_fn(|p| _mm256_loadu_ps(bp[p].add(kk * NR)));
+            for i in 0..R {
+                let a = _mm256_set1_ps(*ap.add(kk * R + i));
+                for p in 0..P {
+                    c[i * P + p] = _mm256_add_ps(c[i * P + p], _mm256_mul_ps(a, bv[p]));
+                }
+            }
+        }
+        for (row, v) in acc.iter_mut().zip(c) {
+            _mm256_storeu_ps(row.as_mut_ptr(), v);
+        }
+    }
 }
 
 /// Grows `buf` to `len` elements without re-zeroing retained capacity.
@@ -220,43 +427,39 @@ pub fn grow(buf: &mut Vec<f32>, len: usize) {
     }
 }
 
-/// Packs the `rows × depth` block of A into `MR`-interleaved micro-panels
-/// (`apack[(it·kc + kk)·MR + i]`), zero-padding ragged row tiles.
-/// `trans_a` reads A as `[k_total, m]` (TN/TT layouts).
-fn pack_a_block(
+/// Packs rows `rows` × depth `depth` of A into one `mr`-interleaved
+/// micro-panel (`dst[kk·mr + i]`, `dst.len() == depth.len() · mr`),
+/// zero-padding the rows a ragged tile lacks. `trans_a` reads A as
+/// `[k_total, m]` (TN/TT layouts).
+#[inline(always)]
+fn pack_a_tile(
     a: &[f32],
     trans_a: bool,
     (m, k): (usize, usize),
-    rows: std::ops::Range<usize>,
-    depth: std::ops::Range<usize>,
-    apack: &mut Vec<f32>,
+    rows: Range<usize>,
+    depth: Range<usize>,
+    mr: usize,
+    dst: &mut [f32],
 ) {
-    let (ic, mc) = (rows.start, rows.len());
+    let (row0, mr_act) = (rows.start, rows.len());
     let (pc, kc) = (depth.start, depth.len());
-    let mtiles = mc.div_ceil(MR);
-    grow(apack, mtiles * kc * MR);
-    for it in 0..mtiles {
-        let dst = &mut apack[it * kc * MR..(it + 1) * kc * MR];
-        let mr_act = MR.min(mc - it * MR);
-        let row0 = ic + it * MR;
-        if trans_a {
-            for (kk, d) in dst.chunks_exact_mut(MR).enumerate() {
-                let arow = &a[(pc + kk) * m..(pc + kk) * m + m];
-                for (i, v) in d.iter_mut().enumerate() {
-                    *v = if i < mr_act { arow[row0 + i] } else { 0.0 };
-                }
+    if trans_a {
+        for (kk, d) in dst.chunks_exact_mut(mr).enumerate() {
+            let arow = &a[(pc + kk) * m..(pc + kk) * m + m];
+            for (i, v) in d.iter_mut().enumerate() {
+                *v = if i < mr_act { arow[row0 + i] } else { 0.0 };
             }
-        } else {
-            for i in 0..MR {
-                if i < mr_act {
-                    let arow = &a[(row0 + i) * k + pc..(row0 + i) * k + pc + kc];
-                    for (kk, &v) in arow.iter().enumerate() {
-                        dst[kk * MR + i] = v;
-                    }
-                } else {
-                    for kk in 0..kc {
-                        dst[kk * MR + i] = 0.0;
-                    }
+        }
+    } else {
+        for i in 0..mr {
+            if i < mr_act {
+                let arow = &a[(row0 + i) * k + pc..(row0 + i) * k + pc + kc];
+                for (kk, &v) in arow.iter().enumerate() {
+                    dst[kk * mr + i] = v;
+                }
+            } else {
+                for kk in 0..kc {
+                    dst[kk * mr + i] = 0.0;
                 }
             }
         }
@@ -264,7 +467,7 @@ fn pack_a_block(
 }
 
 /// Blocked, register-tiled `C = op(A) · Bᵀ_packed` into a caller-sized
-/// slice (`out.len() == m * b.n()`).
+/// slice (`out.len() == m * b.n()`), in the host's [`Tier::active`] tier.
 ///
 /// `a` is row-major `[m, k]` (or `[k, m]` with `trans_a`); `b` carries the
 /// packed right-hand operand and the `k`/`n` extents; `apack` is reusable
@@ -273,14 +476,147 @@ fn pack_a_block(
 ///
 /// Every output element is written (first depth block stores, later blocks
 /// read-modify-write), so `out` does not need to be zeroed beforehand.
-/// Results are bit-identical to the reference `nt_kernel` loop — see the
-/// module docs for the argument.
+/// Results are bit-identical to the reference `nt_kernel` loop in every
+/// tier — see the module docs for the argument.
 ///
 /// # Panics
 ///
 /// Panics if `a`, `out`, or an epilogue bias is shorter than its implied
 /// extent.
 pub fn gemm_packed(
+    a: &[f32],
+    trans_a: bool,
+    b: &PackedB,
+    out: &mut [f32],
+    m: usize,
+    apack: &mut Vec<f32>,
+    epi: Epilogue,
+) {
+    gemm_packed_tier(Tier::active(), a, trans_a, b, out, m, apack, epi);
+}
+
+/// What one `(Kc, Mc)` block pass needs besides its rows: the operands and
+/// the depth block `pc .. pc + kc` it covers.
+struct Block<'a> {
+    a: &'a [f32],
+    trans_a: bool,
+    m: usize,
+    b: &'a PackedB,
+    pc: usize,
+    kc: usize,
+    epi: Epilogue<'a>,
+}
+
+/// The one tile body, generic over the tile shape and the multiply: packs
+/// `rows` of A into `R`-row micro-panels, then for every group of `P`
+/// micro-panels of B and every row tile resumes the accumulators from
+/// `out` (unless this is the first depth block), runs `mul` over the depth
+/// block and stores the tile — through the epilogue after the last depth
+/// block. `#[inline(always)]` so that each tier's instantiation is compiled
+/// whole, pack and store loops included, with that tier's instructions.
+#[inline(always)]
+fn rows_pass<const R: usize, const P: usize>(
+    blk: &Block,
+    rows: Range<usize>,
+    apack: &mut Vec<f32>,
+    out: &mut [f32],
+    mul: impl Fn(&[f32], (&[f32], usize, usize), &mut Acc),
+) {
+    let (k, n) = (blk.b.k, blk.b.n);
+    let (pc, kc) = (blk.pc, blk.kc);
+    let (first, last) = (pc == 0, pc + kc == k);
+    let panel_len = kc * R;
+    grow(apack, rows.len().div_ceil(R) * panel_len);
+    for (it, dst) in apack.chunks_exact_mut(panel_len).enumerate() {
+        let row0 = rows.start + it * R;
+        let tile_rows = row0..rows.end.min(row0 + R);
+        pack_a_tile(
+            blk.a,
+            blk.trans_a,
+            (blk.m, k),
+            tile_rows,
+            pc..pc + kc,
+            R,
+            dst,
+        );
+    }
+    let ntiles = n.div_ceil(NR);
+    for jt in (0..ntiles).step_by(P) {
+        let pn = P.min(ntiles - jt);
+        let bpanels = &blk.b.data[(jt * k + pc) * NR..];
+        for (it, apanel) in apack.chunks_exact(panel_len).enumerate() {
+            let row0 = rows.start + it * R;
+            let mr_act = R.min(rows.end - row0);
+            // the slice of `out` behind accumulator (i, p)
+            let span = |i: usize, p: usize| {
+                let col0 = (jt + p) * NR;
+                (row0 + i) * n + col0..(row0 + i) * n + n.min(col0 + NR)
+            };
+            let mut acc: Acc = [[0.0; NR]; ACCS];
+            if !first {
+                // Resume each element's chain from its spilled partial sum
+                // (exact f32 round-trip).
+                for i in 0..mr_act {
+                    for p in 0..pn {
+                        let orow = &out[span(i, p)];
+                        acc[i * P + p][..orow.len()].copy_from_slice(orow);
+                    }
+                }
+            }
+            mul(apanel, (bpanels, k * NR, pn), &mut acc);
+            for i in 0..mr_act {
+                for p in 0..pn {
+                    let row = &acc[i * P + p];
+                    let orow = &mut out[span(i, p)];
+                    if last {
+                        blk.epi.store(row, (jt + p) * NR, orow);
+                    } else {
+                        let len = orow.len();
+                        orow.copy_from_slice(&row[..len]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`rows_pass`] with the AVX2 multiply, in the tile `shape`: everything
+/// inlined into this function — the tile body around the multiply too — is
+/// compiled with `avx2` enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn rows_pass_avx2(
+    shape: TileShape,
+    blk: &Block,
+    rows: Range<usize>,
+    apack: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    // the closures inherit this function's `avx2`, which is what lets them
+    // call the `avx2` multiply as a safe function
+    match (shape.rows, shape.panels) {
+        (8, 1) => rows_pass::<8, 1>(blk, rows, apack, out, |a, b, acc| {
+            microtile_avx2::<8, 1>(a, b, acc)
+        }),
+        (4, 2) => rows_pass::<4, 2>(blk, rows, apack, out, |a, b, acc| {
+            microtile_avx2::<4, 2>(a, b, acc)
+        }),
+        (2, 4) => rows_pass::<2, 4>(blk, rows, apack, out, |a, b, acc| {
+            microtile_avx2::<2, 4>(a, b, acc)
+        }),
+        (1, 8) => rows_pass::<1, 8>(blk, rows, apack, out, |a, b, acc| {
+            microtile_avx2::<1, 8>(a, b, acc)
+        }),
+        _ => unreachable!("{shape:?} is not one of AVX2_TILES"),
+    }
+}
+
+/// [`gemm_packed`] in a named tier — the entry point the tier-parity tests
+/// use to hold every supported tier against the reference.
+#[doc(hidden)]
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_packed_tier(
+    tier: Tier,
     a: &[f32],
     trans_a: bool,
     b: &PackedB,
@@ -304,42 +640,48 @@ pub fn gemm_packed(
         }
         return;
     }
-    let ntiles = n.div_ceil(NR);
+    let full_rows = tier.rows();
     for pc in (0..k).step_by(KC) {
         let kc = KC.min(k - pc);
-        let first = pc == 0;
-        let last = pc + kc == k;
+        let blk = Block {
+            a,
+            trans_a,
+            m,
+            b,
+            pc,
+            kc,
+            epi,
+        };
         for ic in (0..m).step_by(MC) {
             let mc = MC.min(m - ic);
-            pack_a_block(a, trans_a, (m, k), ic..ic + mc, pc..pc + kc, apack);
-            let mtiles = mc.div_ceil(MR);
-            for jt in 0..ntiles {
-                let bpanel = &b.data[(jt * k + pc) * NR..(jt * k + pc + kc) * NR];
-                let col0 = jt * NR;
-                let nr_act = NR.min(n - col0);
-                for it in 0..mtiles {
-                    let apanel = &apack[it * kc * MR..(it + 1) * kc * MR];
-                    let mr_act = MR.min(mc - it * MR);
-                    let row0 = ic + it * MR;
-                    let mut acc = [[0.0f32; NR]; MR];
-                    if !first {
-                        // Resume each element's chain from its spilled
-                        // partial sum (exact f32 round-trip).
-                        for (i, row) in acc.iter_mut().enumerate().take(mr_act) {
-                            let orow = &out[(row0 + i) * n + col0..(row0 + i) * n + col0 + nr_act];
-                            row[..nr_act].copy_from_slice(orow);
-                        }
+            // full tiles first, then the ragged rest in the shape that fits
+            // the rows actually present
+            let split = ic + mc - mc % full_rows;
+            for rows in [ic..split, split..ic + mc] {
+                if rows.is_empty() {
+                    continue;
+                }
+                let shape = tier.shape_for(rows.len());
+                match tier.0 {
+                    Isa::Portable => {
+                        debug_assert_eq!((shape.rows, shape.panels), (PORTABLE_ROWS, 1));
+                        rows_pass::<PORTABLE_ROWS, 1>(
+                            &blk,
+                            rows,
+                            apack,
+                            out,
+                            |apanel, (bpanel, _, _), acc| {
+                                microtile_portable(apanel, &bpanel[..kc * NR], acc)
+                            },
+                        );
                     }
-                    microtile(apanel, bpanel, &mut acc);
-                    for (i, row) in acc.iter().enumerate().take(mr_act) {
-                        let orow = &mut out[(row0 + i) * n + col0..(row0 + i) * n + col0 + nr_act];
-                        if last {
-                            for (j, o) in orow.iter_mut().enumerate() {
-                                *o = epi.apply(row[j], col0 + j);
-                            }
-                        } else {
-                            orow.copy_from_slice(&row[..nr_act]);
-                        }
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx2 => {
+                        // SAFETY: a `Tier` holding `Isa::Avx2` is only built
+                        // by `Tier::supported` after
+                        // `is_x86_feature_detected!("avx2")` returned true,
+                        // so avx2 code may run on this CPU.
+                        unsafe { rows_pass_avx2(shape, &blk, rows, apack, out) }
                     }
                 }
             }
@@ -408,13 +750,15 @@ mod tests {
 
     #[test]
     fn blocked_nt_matches_reference_ragged() {
-        // deliberately not multiples of MR/NR/KC
+        // deliberately not multiples of the tile/NR/KC; the tile edge is
+        // the active (widest supported) tier's, whatever this host runs
+        let mr = Tier::active().rows();
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (3, 5, 7),
             (17, 300, 33),
-            (MR, KC, NR),
-            (MR + 1, KC + 1, NR + 1),
+            (mr, KC, NR),
+            (mr + 1, KC + 1, NR + 1),
         ] {
             let a = seq(&[m, k], 1);
             let b = seq(&[n, k], 2);

@@ -34,6 +34,8 @@
 //! mark, and no redundant zero-fill either: buffers whose every element is
 //! overwritten are grown with [`microkernel::grow`] instead of re-zeroed.
 
+use std::ops::Range;
+
 use crate::conv::ConvGeometry;
 use crate::matmul::nt_kernel;
 use crate::microkernel::{self, Epilogue, PackedB};
@@ -268,27 +270,39 @@ pub fn im2col_channels_slice(
         )));
     }
     let src = input.data();
-    let pad = geom.padding as isize;
+    let (kh, kw) = (geom.kernel_h, geom.kernel_w);
+    let (stride, pad) = (geom.stride, geom.padding);
+    // Every bound is decided outside the element loop: a kernel row `ky` is
+    // inside the image or not once per output row, and a kernel column `kx`
+    // is inside it for one run `oxs` of output columns. The element loop
+    // then walks `ox` — contiguous source, `patch`-strided destination —
+    // because the contiguous destination runs are only `kw` floats long,
+    // where a `copy_from_slice` per run costs more than it moves.
+    let in_image = |kx: usize| -> Range<usize> {
+        // 0 <= ox·stride + kx - pad < w
+        let lo = pad.saturating_sub(kx).div_ceil(stride).min(geom.out_w);
+        let hi = (w + pad).saturating_sub(kx).div_ceil(stride);
+        lo..hi.clamp(lo, geom.out_w)
+    };
+    let line = geom.out_w * patch;
     for b in 0..n {
         for oy in 0..geom.out_h {
-            for ox in 0..geom.out_w {
-                let row = (b * geom.positions() + oy * geom.out_w + ox) * patch;
-                let iy0 = (oy * geom.stride) as isize - pad;
-                let ix0 = (ox * geom.stride) as isize - pad;
-                let mut col = 0;
-                for &ch in channels {
-                    let base = (b * c + ch) * h * w;
-                    for ky in 0..geom.kernel_h {
-                        let iy = iy0 + ky as isize;
-                        for kx in 0..geom.kernel_w {
-                            let ix = ix0 + kx as isize;
-                            dst[row + col] =
-                                if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                    src[base + iy as usize * w + ix as usize]
-                                } else {
-                                    0.0
-                                };
-                            col += 1;
+            let start = (b * geom.positions() + oy * geom.out_w) * patch;
+            let block = &mut dst[start..start + line];
+            // padding taps stay at the zero written here; in-image taps are
+            // overwritten below
+            block.fill(0.0);
+            for kx in 0..kw {
+                let oxs = in_image(kx);
+                for ky in 0..kh {
+                    let Some(iy) = (oy * stride + ky).checked_sub(pad).filter(|&iy| iy < h) else {
+                        continue;
+                    };
+                    for (ci, &ch) in channels.iter().enumerate() {
+                        let srow = &src[((b * c + ch) * h + iy) * w..][..w];
+                        let col = ci * window + ky * kw + kx;
+                        for ox in oxs.clone() {
+                            block[ox * patch + col] = srow[ox * stride + kx - pad];
                         }
                     }
                 }
@@ -357,24 +371,53 @@ mod tests {
         assert_eq!(out.as_slice(), dense.data());
     }
 
+    /// `im2col_channels_into` must equal the dense unfold restricted to the
+    /// channel list, `==` on every entry, zeros included.
+    fn assert_matches_dense(g: &ConvGeometry, batch: usize, channels: &[usize], seed: u64) {
+        let shape = Shape::of(&[batch, g.in_channels, g.in_h, g.in_w]);
+        let x = init::uniform(shape, -1.0, 1.0, &mut init::rng(seed));
+        let dense = im2col(&x, g).unwrap();
+        // stale contents must all be overwritten
+        let mut packed = vec![f32::NAN; 3];
+        im2col_channels_into(&x, g, channels, &mut packed).unwrap();
+        let window = g.kernel_h * g.kernel_w;
+        let rows = batch * g.positions();
+        assert_eq!(packed.len(), rows * channels.len() * window);
+        for r in 0..rows {
+            for (ci, &ch) in channels.iter().enumerate() {
+                let got = &packed[(r * channels.len() + ci) * window..][..window];
+                let want = &dense.data()[r * g.patch_len() + ch * window..][..window];
+                assert_eq!(got, want, "{g:?} row {r} channel {ch}");
+            }
+        }
+    }
+
     #[test]
     fn im2col_channels_matches_dense_subset() {
         let g = ConvGeometry::new(3, 5, 4, 3, 3, 1, 1).unwrap();
-        let x = init::uniform(Shape::of(&[2, 3, 5, 4]), -1.0, 1.0, &mut init::rng(9));
-        let dense = im2col(&x, &g).unwrap();
-        let mut packed = Vec::new();
-        im2col_channels_into(&x, &g, &[0, 2], &mut packed).unwrap();
-        let window = 9;
-        let rows = 2 * g.positions();
-        for r in 0..rows {
-            for (ci, &ch) in [0usize, 2].iter().enumerate() {
-                for k in 0..window {
-                    assert_eq!(
-                        packed[r * 2 * window + ci * window + k],
-                        dense.data()[r * g.patch_len() + ch * window + k]
-                    );
-                }
-            }
+        assert_matches_dense(&g, 2, &[0, 2], 9);
+    }
+
+    #[test]
+    fn im2col_channels_matches_dense_at_borders() {
+        // (channels, h, w, kh, kw, stride, padding)
+        for (i, &(c, h, w, kh, kw, stride, padding)) in [
+            (2usize, 7usize, 6usize, 3usize, 3usize, 2usize, 1usize), // stride 2
+            (2, 5, 6, 3, 3, 1, 0),                                    // no padding
+            (3, 6, 7, 5, 5, 1, 2),                                    // 5×5 "same"
+            (2, 6, 6, 5, 5, 2, 1),                                    // 5×5, stride 2
+            (2, 1, 1, 3, 3, 1, 1),                                    // 1-pixel image
+            (1, 1, 1, 3, 3, 2, 3), // windows wholly inside the padding
+            (2, 4, 9, 1, 1, 3, 0), // 1×1 kernel, stride wider than it
+            (2, 3, 8, 3, 2, 1, 1), // non-square kernel
+        ]
+        .iter()
+        .enumerate()
+        {
+            let g = ConvGeometry::new(c, h, w, kh, kw, stride, padding).unwrap();
+            let last = c - 1;
+            assert_matches_dense(&g, 2, &[last], 20 + i as u64);
+            assert_matches_dense(&g, 1, &(0..c).collect::<Vec<_>>(), 40 + i as u64);
         }
     }
 

@@ -4,7 +4,10 @@
 use proptest::prelude::*;
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
 use stepping_tensor::matmul::GemmSpec;
-use stepping_tensor::microkernel::{gemm_blocked, gemm_packed, Epilogue, PackedB};
+use stepping_tensor::microkernel::{
+    gemm_blocked, gemm_packed, gemm_packed_tier, Epilogue, PackedB, Tier, KC,
+};
+use stepping_tensor::pack::gemm_nt_slice;
 use stepping_tensor::{matmul, reduce, Shape, Tensor};
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -25,6 +28,136 @@ fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
         }
     }
     out
+}
+
+/// `[rows, cols]` row-major → `[cols, rows]`.
+fn transposed(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; a.len()];
+    for r in 0..rows {
+        for c in 0..cols {
+            t[c * rows + r] = a[r * cols + c];
+        }
+    }
+    t
+}
+
+/// Every instruction tier the host supports, in every tile shape, must be
+/// `==` the reference `nt_kernel` dot-product loop: `m` walks through every
+/// row count a tile shape is chosen from (thin shapes, the full tile, a full
+/// tile plus each ragged tail), `n` leaves ragged lanes and ragged panel
+/// groups (up to and past the eight panels of the widest thin shape), `k`
+/// sits on both sides of the `KC` spill, A comes in both layouts, and all
+/// four epilogues run. One A row is all `-0.0`, whose dot products are
+/// signed zeros.
+#[test]
+fn every_tier_and_tile_shape_is_bit_identical_to_the_reference() {
+    let mut rng = stepping_tensor::init::rng(41);
+    let mut apack = Vec::new();
+    for (n, k) in [
+        (1usize, 1usize),
+        (7, 3),
+        (8, KC),
+        (9, KC + 1),
+        (23, KC - 1),
+        (64, 5),
+        (70, 2 * KC + 3),
+        (75, 9),
+    ] {
+        let b = stepping_tensor::init::uniform(Shape::of(&[n, k]), -2.0, 2.0, &mut rng);
+        let bias = stepping_tensor::init::uniform(Shape::of(&[n]), -1.0, 1.0, &mut rng);
+        let packed = PackedB::pack_nt(b.data(), n, k);
+        for m in 1..=17usize {
+            let mut a = stepping_tensor::init::uniform(Shape::of(&[m, k]), -2.0, 2.0, &mut rng)
+                .data()
+                .to_vec();
+            a[(m / 2) * k..(m / 2 + 1) * k].fill(-0.0);
+            let a_t = transposed(&a, m, k);
+            let mut reference = vec![f32::NAN; m * n];
+            gemm_nt_slice(&a, b.data(), &mut reference, m, k, n);
+            for tier in Tier::supported() {
+                for trans_a in [false, true] {
+                    let operand = if trans_a { &a_t } else { &a };
+                    for which in 0..4 {
+                        let epi = match which {
+                            0 => Epilogue::None,
+                            1 => Epilogue::Bias(bias.data()),
+                            2 => Epilogue::BiasRelu(bias.data()),
+                            _ => Epilogue::BiasTanh(bias.data()),
+                        };
+                        let mut out = vec![f32::NAN; m * n];
+                        gemm_packed_tier(
+                            tier, operand, trans_a, &packed, &mut out, m, &mut apack, epi,
+                        );
+                        for (idx, (&got, &dot)) in out.iter().zip(&reference).enumerate() {
+                            let z = dot + bias.data()[idx % n];
+                            let want = match which {
+                                0 => dot,
+                                1 => z,
+                                2 => z.max(0.0),
+                                _ => z.tanh(),
+                            };
+                            assert_eq!(
+                                got,
+                                want,
+                                "{} tier, {m}x{k}x{n}, trans_a {trans_a}, epilogue {which}, element {idx}",
+                                tier.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// FMA tripwire. With `a = b = 1 + 2⁻¹²` the exact product
+/// `1 + 2⁻¹¹ + 2⁻²⁴` rounds to `1 + 2⁻¹¹`, so multiply-then-add against an
+/// accumulator of `-(1 + 2⁻¹¹)` gives exactly `0`, while a fused
+/// multiply-add keeps the `2⁻²⁴`. Every tier and tile shape must give the
+/// unfused value in every lane.
+#[test]
+fn no_tier_fuses_multiply_and_add() {
+    let a = 1.0f32 + 2f32.powi(-12);
+    let c = -(1.0f32 + 2f32.powi(-11));
+    assert_eq!(a * a + c, 0.0, "operands are not a tripwire");
+    assert_eq!(
+        a.mul_add(a, c),
+        2f32.powi(-24),
+        "operands are not a tripwire"
+    );
+    // depth 2: the first term loads the accumulator with `c` (exact under
+    // either rounding), the second is the tripwire
+    let (n, k) = (70usize, 2usize);
+    let packed = PackedB::pack_nt(&[1.0, a].repeat(n), n, k);
+    let mut apack = Vec::new();
+    for tier in Tier::supported() {
+        for m in 1..=17usize {
+            let lhs = [c, a].repeat(m);
+            let mut reference = vec![f32::NAN; m * n];
+            gemm_nt_slice(&lhs, &[1.0, a].repeat(n), &mut reference, m, k, n);
+            assert!(
+                reference.iter().all(|&v| v == 0.0),
+                "reference kernel fused"
+            );
+            let mut out = vec![f32::NAN; m * n];
+            gemm_packed_tier(
+                tier,
+                &lhs,
+                false,
+                &packed,
+                &mut out,
+                m,
+                &mut apack,
+                Epilogue::None,
+            );
+            assert!(
+                out.iter().all(|&v| v == 0.0),
+                "{} tier fused a multiply-add at m = {m}: {:?}",
+                tier.name(),
+                out.iter().find(|&&v| v != 0.0)
+            );
+        }
+    }
 }
 
 proptest! {
@@ -124,7 +257,8 @@ proptest! {
     /// The blocked, register-tiled microkernel must be bit-identical
     /// (`f32 ==`, not approximate) to the reference streaming kernels for
     /// every transpose variant, including shapes that are ragged against
-    /// the MR/NR register tile and deep enough to force a Kc partial-sum
+    /// the register tile of the active tier (`m` reaches past two of its
+    /// widest, 8-row tiles) and deep enough to force a Kc partial-sum
     /// spill, plus fully degenerate extents.
     #[test]
     fn blocked_gemm_bit_identical_to_reference(

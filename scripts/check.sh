@@ -21,9 +21,9 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-# Static analysis: the six workspace invariants (plan-epoch, shard-safety,
-# determinism zones, panic/lock discipline, telemetry registry). Warnings
-# are errors here, matching the clippy leg.
+# Static analysis: the seven workspace invariants (plan-epoch, shard-safety,
+# determinism zones, panic/lock discipline, telemetry registry, the unsafe
+# zone). Warnings are errors here, matching the clippy leg.
 echo "==> stepping-lint --deny-warnings"
 cargo run -q --release -p stepping-lint -- --deny-warnings --baseline lint-baseline.txt
 
