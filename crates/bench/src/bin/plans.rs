@@ -127,9 +127,10 @@ fn run_model(name: &str, net: &mut SteppingNet, input: &Tensor) -> (Vec<SubnetRe
     let mut ratio_samples = Vec::with_capacity(reps);
     let mut expand_logits = Vec::with_capacity(subnets);
     {
-        let mut direct_net = net.clone();
+        let direct_net = net.clone();
         let mut exec = IncrementalExecutor::new(net, THRESHOLD);
-        // warm-up compiles the plans so timing sees the steady state
+        // warm-up grows the scratch panels so timing sees the steady state
+        // (the model was compiled when the executor was created)
         let _ = exec.begin(input).expect("warm begin");
         for _ in 1..subnets {
             let _ = exec.expand().expect("warm expand");

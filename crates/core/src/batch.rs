@@ -11,8 +11,9 @@
 //!   subnet currently answered, the largest subnet materialised in the
 //!   caches, cumulative MACs). It is plain data: it can be stored in a
 //!   session table, shipped between worker threads, and upgraded later.
-//! * [`BatchExecutor`] — a short-lived borrow of the net that runs **one
-//!   batched stage pass for several requests at once**. A `begin` stacks
+//! * [`BatchExecutor`] — a handle on the net's [`CompiledModel`] plus its
+//!   own scratch that runs **one batched stage pass for several requests
+//!   at once**. A `begin` stacks
 //!   the inputs along the batch dimension, runs every stage once and
 //!   splits each level back into the per-request caches; an `expand` works
 //!   **in place**: each masked stage gathers its step plan's input columns
@@ -26,13 +27,16 @@
 //! to running each request alone — the property the serve crate's tests
 //! assert exhaustively.
 //!
-//! MAC figures come from the net's [`MacTable`], read once when an executor
-//! is created: a step costs a table lookup, not a pass over the weights.
+//! MAC figures come from the model's [`MacTable`](crate::MacTable): a step
+//! costs a table lookup, not a pass over the weights.
 
+use std::sync::Arc;
+
+use stepping_tensor::pack::PackScratch;
 use stepping_tensor::{Shape, Tensor};
 
 use crate::telemetry::{self, Value};
-use crate::{ExpandStep, MacTable, Result, Stage, SteppingError, SteppingNet};
+use crate::{CompiledModel, ExpandStep, Result, SteppingError, SteppingNet};
 
 /// Per-request anytime-inference state, detached from any executor borrow.
 ///
@@ -93,47 +97,46 @@ impl ActivationCache {
 /// intermediate activation (level 0 is `input` itself) and the logits.
 /// Bit-identical (under `f32 ==`) to the masked reference pass — see
 /// [`crate::plan`].
-fn full_pass(net: &mut SteppingNet, input: Tensor, subnet: usize) -> Result<(Vec<Tensor>, Tensor)> {
-    let mut acts = Vec::with_capacity(net.stages().len() + 1);
+fn full_pass(
+    model: &CompiledModel,
+    input: Tensor,
+    subnet: usize,
+    scratch: &mut PackScratch,
+) -> Result<(Vec<Tensor>, Tensor)> {
+    let mut acts = Vec::with_capacity(model.stages.len() + 1);
     acts.push(input);
-    for si in 0..net.stages().len() {
-        let out = net.stages_mut()[si].forward_packed(&acts[si], subnet)?;
-        acts.push(out);
+    for (si, stage) in model.stages.iter().enumerate() {
+        let target = stage.target(&acts[si])?;
+        acts.push(target);
+        stage.run_into((subnet, false), &mut [&mut acts[..]], si, scratch)?;
     }
-    let logits = net.head_forward_packed(&acts[acts.len() - 1], subnet)?;
+    let logits = model.head_rows(acts.last().into_iter(), subnet, scratch)?;
     Ok((acts, logits))
 }
 
 /// Expands the cached activation stacks of one or more requests from subnet
 /// `k - 1` to `k` in place, computing only the newly added neurons plus
 /// subnet `k`'s head: each masked stage runs its step plan once over the
-/// rows of every stack (see `forward_step_packed_into`), each fixed stage
-/// rewrites the next cached level from the updated one. Returns the logits
+/// rows of every stack, each fixed stage rewrites the next cached level
+/// from the updated one (see `CompiledStage::run_into`). Returns the logits
 /// of all rows, stacked in `stacks` order.
-fn expand_pass(net: &mut SteppingNet, stacks: &mut [&mut [Tensor]], k: usize) -> Result<Tensor> {
-    let stages = net.stages().len();
+fn expand_pass(
+    model: &CompiledModel,
+    stacks: &mut [&mut [Tensor]],
+    k: usize,
+    scratch: &mut PackScratch,
+) -> Result<Tensor> {
+    let stages = model.stages.len();
     if stacks.iter().any(|levels| levels.len() != stages + 1) {
         return Err(SteppingError::ExecutorState(format!(
             "activation cache does not hold the {} levels of this network",
             stages + 1
         )));
     }
-    for si in 0..stages {
-        match &mut net.stages_mut()[si] {
-            Stage::Linear(l) => l.forward_step_packed_into(k, stacks, si)?,
-            Stage::Conv(c) => c.forward_step_packed_into(k, stacks, si)?,
-            Stage::Fixed(f) => {
-                // Fixed stages are pure per-channel/per-element maps in
-                // inference mode; recompute on the updated input (no
-                // MACs). Cached channels keep their exact old values.
-                for levels in stacks.iter_mut() {
-                    let (done, rest) = levels.split_at_mut(si + 1);
-                    f.layer_mut().forward_into(&done[si], &mut rest[0])?;
-                }
-            }
-        }
+    for (si, stage) in model.stages.iter().enumerate() {
+        stage.run_into((k, true), stacks, si, scratch)?;
     }
-    net.head_forward_packed_rows(stacks.iter().map(|levels| &levels[stages]), k)
+    model.head_rows(stacks.iter().map(|levels| &levels[stages]), k, scratch)
 }
 
 /// Concatenates tensors along the batch (first) dimension. A single part is
@@ -196,6 +199,12 @@ fn split_rows(t: Tensor, row_counts: &[usize]) -> Result<Vec<Tensor>> {
 /// Executes micro-batches of requests over a [`SteppingNet`], one batched
 /// stage pass per step, maintaining each request's [`ActivationCache`].
 ///
+/// An executor holds the net's [`CompiledModel`] (an `Arc`, read from the
+/// net's slot or compiled on creation) and its own scratch buffers, not the
+/// net: it is `Send`, any number of them run the same model concurrently,
+/// and each serves the **snapshot** it was created from — a net mutated
+/// afterwards needs a new executor to be seen.
+///
 /// All requests in a batch must sit at the **same subnet level** (the serve
 /// scheduler's compatibility rule); the executor validates this and rejects
 /// mixed batches.
@@ -210,7 +219,7 @@ fn split_rows(t: Tensor, row_counts: &[usize]) -> Result<Vec<Tensor>> {
 ///     .linear(6).relu().build(3)?;
 /// net.move_neuron(0, 5, 1)?;
 /// let inputs = vec![Tensor::zeros(Shape::of(&[1, 4])), Tensor::ones(Shape::of(&[1, 4]))];
-/// let mut exec = BatchExecutor::new(&mut net, 0.0);
+/// let mut exec = BatchExecutor::new(&net, 0.0);
 /// let mut started = exec.begin(&inputs, 0)?;
 /// let mut caches: Vec<_> = started.drain(..).map(|(c, _)| c).collect();
 /// let steps = exec.expand(&mut caches)?; // both requests step to subnet 1 in one pass
@@ -218,25 +227,27 @@ fn split_rows(t: Tensor, row_counts: &[usize]) -> Result<Vec<Tensor>> {
 /// # Ok::<(), stepping_core::SteppingError>(())
 /// ```
 #[derive(Debug)]
-pub struct BatchExecutor<'a> {
-    net: &'a mut SteppingNet,
-    /// The net's MAC accounting at the executor's prune threshold. Read
-    /// once: the exclusive borrow keeps weights and assignments — and so
-    /// the table — fixed for the executor's lifetime.
-    costs: MacTable,
+pub struct BatchExecutor {
+    model: Arc<CompiledModel>,
+    /// Gather / GEMM buffers of this executor's passes.
+    scratch: PackScratch,
 }
 
-impl<'a> BatchExecutor<'a> {
-    /// Creates a batch executor over `net`; `prune_threshold` is the
-    /// magnitude threshold used for MAC accounting.
-    pub fn new(net: &'a mut SteppingNet, prune_threshold: f32) -> Self {
-        let costs = net.mac_table(prune_threshold);
-        BatchExecutor { net, costs }
+impl BatchExecutor {
+    /// Creates a batch executor over `net` as it is now
+    /// ([`SteppingNet::compile`]: a slot read when the net was already
+    /// compiled at this threshold); `prune_threshold` is the magnitude
+    /// threshold used for MAC accounting.
+    pub fn new(net: &SteppingNet, prune_threshold: f32) -> Self {
+        BatchExecutor {
+            model: net.compile(prune_threshold),
+            scratch: PackScratch::new(),
+        }
     }
 
-    /// The underlying network.
-    pub fn net(&self) -> &SteppingNet {
-        self.net
+    /// The compiled model this executor serves.
+    pub fn model(&self) -> &CompiledModel {
+        &self.model
     }
 
     /// Runs subnet `subnet` for every input in **one** batched stage pass,
@@ -259,16 +270,17 @@ impl<'a> BatchExecutor<'a> {
                 "cannot begin an empty batch".into(),
             ));
         }
-        if subnet >= self.net.subnet_count() {
+        if subnet >= self.model.subnet_count() {
             return Err(SteppingError::SubnetOutOfRange {
                 subnet,
-                count: self.net.subnet_count(),
+                count: self.model.subnet_count(),
             });
         }
         let span = telemetry::span("inference", "exec.begin");
         let row_counts: Vec<usize> = inputs.iter().map(|t| t.shape().dims()[0]).collect();
-        let (acts, logits) = full_pass(self.net, stack_rows(inputs)?, subnet)?;
-        let step_macs = self.costs.direct()[subnet];
+        let (acts, logits) =
+            full_pass(&self.model, stack_rows(inputs)?, subnet, &mut self.scratch)?;
+        let step_macs = self.model.mac_table().direct()[subnet];
         // Transpose [level][request] slices back into per-request caches.
         let mut per_req: Vec<Vec<Tensor>> = (0..inputs.len())
             .map(|_| Vec::with_capacity(acts.len()))
@@ -328,7 +340,7 @@ impl<'a> BatchExecutor<'a> {
         }
         let cur = Self::common_level(caches, "expand")?;
         let k = cur + 1;
-        if k >= self.net.subnet_count() {
+        if k >= self.model.subnet_count() {
             return Err(SteppingError::ExecutorState(format!(
                 "already at largest subnet {cur}"
             )));
@@ -341,18 +353,18 @@ impl<'a> BatchExecutor<'a> {
         }
         let span = telemetry::span("inference", "exec.expand");
         let (logits, step_macs) = if head_only {
-            (self.head_pass(caches, k)?, self.costs.head()[k])
+            (self.head_pass(caches, k)?, self.model.mac_table().head()[k])
         } else {
             let mut stacks: Vec<&mut [Tensor]> =
                 caches.iter_mut().map(|c| c.acts.as_mut_slice()).collect();
-            let logits = expand_pass(self.net, &mut stacks, k)?;
-            (logits, self.costs.step()[k])
+            let logits = expand_pass(&self.model, &mut stacks, k, &mut self.scratch)?;
+            (logits, self.model.mac_table().step()[k])
         };
         let steps = Self::finish_step(caches, logits, k, step_macs, !head_only)?;
         if span.is_active() {
             // Reuse ratio: fraction of the from-scratch subnet-k cost that
             // cached activations made unnecessary.
-            let scratch = self.costs.direct()[k];
+            let scratch = self.model.mac_table().direct()[k];
             span.end(&[
                 ("batch", Value::U64(caches.len() as u64)),
                 ("subnet", Value::U64(k as u64)),
@@ -386,7 +398,7 @@ impl<'a> BatchExecutor<'a> {
         }
         let span = telemetry::span("inference", "exec.contract");
         let k = cur - 1;
-        let step_macs = self.costs.head()[k];
+        let step_macs = self.model.mac_table().head()[k];
         let logits = self.head_pass(caches, k)?;
         let steps = Self::finish_step(caches, logits, k, step_macs, false)?;
         span.end(&[
@@ -415,8 +427,11 @@ impl<'a> BatchExecutor<'a> {
         for c in caches {
             c.features()?;
         }
-        self.net
-            .head_forward_packed_rows(caches.iter().filter_map(|c| c.acts.last()), k)
+        self.model.head_rows(
+            caches.iter().filter_map(|c| c.acts.last()),
+            k,
+            &mut self.scratch,
+        )
     }
 
     /// Books a finished step into every cache and hands each request its
@@ -500,7 +515,7 @@ mod tests {
     fn batched_begin_and_expand_match_lone_executor_bitwise() {
         let inputs = samples(5, &[6], 20);
         let mut net = mlp();
-        let mut batch = BatchExecutor::new(&mut net, 1e-5);
+        let mut batch = BatchExecutor::new(&net, 1e-5);
         let mut started = batch.begin(&inputs, 0).unwrap();
         let mut caches: Vec<ActivationCache> = Vec::new();
         let mut batch_steps: Vec<Vec<ExpandStep>> = Vec::new();
@@ -523,7 +538,7 @@ mod tests {
         for (i, x) in inputs.iter().enumerate() {
             let mut lone_net = mlp();
             let head2 = lone_net.head_macs(2);
-            let mut lone = IncrementalExecutor::new(&mut lone_net, 1e-5);
+            let mut lone = IncrementalExecutor::new(&lone_net, 1e-5);
             let mut steps = lone.run_to(x, 2).unwrap();
             steps.push(lone.contract().unwrap());
             steps.push(lone.expand().unwrap());
@@ -548,7 +563,7 @@ mod tests {
         }
         let inputs = samples(3, &[2, 8, 8], 30);
         let mut scratch = net.clone();
-        let mut batch = BatchExecutor::new(&mut net, 1e-5);
+        let mut batch = BatchExecutor::new(&net, 1e-5);
         let mut caches: Vec<ActivationCache> = batch
             .begin(&inputs, 0)
             .unwrap()
@@ -568,7 +583,7 @@ mod tests {
         let inputs = samples(2, &[6], 40);
         let mut net = mlp();
         let expected = net.macs(1, 0.0);
-        let mut batch = BatchExecutor::new(&mut net, 0.0);
+        let mut batch = BatchExecutor::new(&net, 0.0);
         let started = batch.begin(&inputs, 1).unwrap();
         for (cache, step) in &started {
             assert_eq!(step.subnet, 1);
@@ -589,7 +604,7 @@ mod tests {
         let mut net = mlp();
         let head1 = net.head_macs(1);
         let head2 = net.head_macs(2);
-        let mut batch = BatchExecutor::new(&mut net, 0.0);
+        let mut batch = BatchExecutor::new(&net, 0.0);
         let mut caches: Vec<ActivationCache> = batch
             .begin(&inputs, 0)
             .unwrap()
@@ -608,7 +623,7 @@ mod tests {
     fn mixed_levels_rejected() {
         let inputs = samples(2, &[6], 60);
         let mut net = mlp();
-        let mut batch = BatchExecutor::new(&mut net, 0.0);
+        let mut batch = BatchExecutor::new(&net, 0.0);
         let mut caches: Vec<ActivationCache> = batch
             .begin(&inputs, 0)
             .unwrap()
@@ -625,7 +640,7 @@ mod tests {
     #[test]
     fn validates_batch_shape_and_bounds() {
         let mut net = mlp();
-        let mut batch = BatchExecutor::new(&mut net, 0.0);
+        let mut batch = BatchExecutor::new(&net, 0.0);
         assert!(batch.begin(&[], 0).is_err());
         let x = Tensor::zeros(Shape::of(&[1, 6]));
         assert!(batch.begin(std::slice::from_ref(&x), 9).is_err());

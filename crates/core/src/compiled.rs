@@ -1,0 +1,560 @@
+//! The immutable compiled form of a [`SteppingNet`]: what packed inference
+//! reads, and nothing training writes.
+//!
+//! [`SteppingNet::compile`] builds one [`CompiledModel`] eagerly — per
+//! masked stage the full and step panels of every subnet, every head panel
+//! with its bias, the fixed stages, the [`MacTable`] — and hands it out in
+//! an `Arc`. Nothing in it changes afterwards: there is no epoch, no lock
+//! and no scratch inside, so any number of executors on any number of
+//! threads run it through `&self`, each with its own [`PackScratch`]. See
+//! the `plan` module docs for bit-identity and `crate::parts` for how the
+//! net forgets a model when it is mutated.
+
+use stepping_tensor::conv::ConvGeometry;
+use stepping_tensor::microkernel::{Epilogue, PackedB};
+use stepping_tensor::pack::{self, PackScratch};
+use stepping_tensor::{Shape, Tensor};
+
+use crate::plan::{self, ConvPlan, HeadPlan, LinearPlan, MacTable};
+use crate::{FixedStage, Result, Stage, SteppingError, SteppingNet};
+
+/// The first `len` elements of a scratch buffer, grown — never shrunk — to
+/// hold them. Every kernel below overwrites what it reads back, so nothing
+/// is re-zeroed when a wide stage follows a narrow one through the same
+/// buffer: a warmed executor's passes neither allocate nor memset here.
+fn span(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// The full and step panels of one masked stage.
+#[derive(Debug)]
+pub(crate) struct Panels<P> {
+    /// `full[s]` covers every neuron active at subnet `s` (a direct pass).
+    full: Vec<P>,
+    /// `step[k - 1]` covers the neurons assigned exactly to subnet `k`
+    /// (an expand); no expand targets subnet 0, so it has no step panel.
+    step: Vec<P>,
+}
+
+impl<P> Panels<P> {
+    /// Compiles both families: `panel(subnet, step)` builds one panel.
+    pub fn compile(subnets: usize, panel: impl Fn(usize, bool) -> P) -> Self {
+        Panels {
+            full: (0..subnets).map(|s| panel(s, false)).collect(),
+            step: (1..subnets).map(|k| panel(k, true)).collect(),
+        }
+    }
+
+    /// The step panel of `subnet` or its full panel.
+    fn get(&self, subnet: usize, step: bool) -> Result<&P> {
+        let panel = if step {
+            subnet.checked_sub(1).and_then(|i| self.step.get(i))
+        } else {
+            self.full.get(subnet)
+        };
+        panel.ok_or(SteppingError::SubnetOutOfRange {
+            subnet,
+            count: self.full.len(),
+        })
+    }
+}
+
+/// A masked linear stage in inference form (see
+/// [`MaskedLinear`](crate::MaskedLinear)).
+#[derive(Debug)]
+pub(crate) struct CompiledLinear {
+    pub in_features: usize,
+    pub out_features: usize,
+    pub panels: Panels<LinearPlan>,
+}
+
+impl CompiledLinear {
+    /// A zeroed `[n, out_features]` level for the rows of `input`.
+    fn target(&self, input: &Tensor) -> Tensor {
+        let n = input.shape().dims().first().copied().unwrap_or(0);
+        Tensor::zeros(Shape::of(&[n, self.out_features]))
+    }
+
+    /// The one packed kernel, batched over per-request activation stacks:
+    /// reads level `si` of every stack (`[n_i, in_features]`), computes
+    /// `plan`'s rows — a step panel's (the neurons assigned exactly to a
+    /// subnet) or a full panel's (every neuron active at it), against every
+    /// input active at the subnet — for all their rows in **one** GEMM —
+    /// rows are independent in every kernel — and scatters each stack's
+    /// rows straight into the matching columns of its level `si + 1`
+    /// (`[n_i, out_features]`: the cached full-width activation, or a
+    /// zeroed [`target`](Self::target)). The stacked panels live in
+    /// `scratch`; untouched columns keep their exact old values, so the
+    /// result equals [`MaskedLinear::forward`](crate::MaskedLinear::forward)
+    /// under `f32 ==` (see the `plan` module docs). Every stack must hold
+    /// levels `si` and `si + 1`.
+    fn run(
+        &self,
+        plan: &LinearPlan,
+        stacks: &mut [&mut [Tensor]],
+        si: usize,
+        scratch: &mut PackScratch,
+    ) -> Result<()> {
+        let (i_n, o_n) = (self.in_features, self.out_features);
+        if plan.out_idx.is_empty() {
+            return Ok(());
+        }
+        let mut total = 0usize;
+        for levels in stacks.iter() {
+            let (input, target) = (&levels[si], &levels[si + 1]);
+            if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "masked linear expects [n, {i_n}], got {}",
+                    input.shape()
+                )));
+            }
+            let n = input.shape().dims()[0];
+            if target.shape().dims() != [n, o_n] {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "step splice target expects [{n}, {o_n}], got {}",
+                    target.shape()
+                )));
+            }
+            total += n;
+        }
+        let (cols_in, cols_out) = (plan.in_idx.len(), plan.out_idx.len());
+        let packed = span(&mut scratch.input, total * cols_in);
+        {
+            let _pack_timer = plan::pack_timer();
+            let mut row = 0;
+            for levels in stacks.iter() {
+                let input = &levels[si];
+                let n = input.shape().dims()[0];
+                pack::gather_columns_slice(
+                    input.data(),
+                    n,
+                    i_n,
+                    &plan.in_idx,
+                    &mut packed[row * cols_in..(row + n) * cols_in],
+                );
+                row += n;
+            }
+        }
+        let out = span(&mut scratch.out, total * cols_out);
+        {
+            let _gemm_timer = plan::gemm_timer();
+            pack::gemm_packed_nt_slice(
+                packed,
+                &plan.weight,
+                out,
+                total,
+                &mut scratch.a_pack,
+                Epilogue::Bias(&plan.bias),
+            );
+        }
+        let mut row = 0;
+        for levels in stacks.iter_mut() {
+            let target = &mut levels[si + 1];
+            let n = target.shape().dims()[0];
+            pack::scatter_columns(
+                &out[row * cols_out..(row + n) * cols_out],
+                n,
+                &plan.out_idx,
+                target.data_mut(),
+                o_n,
+            );
+            row += n;
+        }
+        Ok(())
+    }
+}
+
+/// A masked convolution in inference form (see
+/// [`MaskedConv2d`](crate::MaskedConv2d)).
+#[derive(Debug)]
+pub(crate) struct CompiledConv {
+    pub in_channels: usize,
+    pub out_channels: usize,
+    pub kernel: usize,
+    pub stride: usize,
+    pub padding: usize,
+    pub panels: Panels<ConvPlan>,
+}
+
+impl CompiledConv {
+    fn geometry(&self, in_h: usize, in_w: usize) -> Result<ConvGeometry> {
+        Ok(ConvGeometry::new(
+            self.in_channels,
+            in_h,
+            in_w,
+            self.kernel,
+            self.kernel,
+            self.stride,
+            self.padding,
+        )?)
+    }
+
+    /// A zeroed `[n, out_channels, oh, ow]` level for the images of `input`.
+    fn target(&self, input: &Tensor) -> Result<Tensor> {
+        let &[n, _, h, w] = input.shape().dims() else {
+            return Err(SteppingError::InvalidStructure(format!(
+                "masked conv expects [n, {}, h, w], got {}",
+                self.in_channels,
+                input.shape()
+            )));
+        };
+        let geom = self.geometry(h, w)?;
+        Ok(Tensor::zeros(Shape::of(&[
+            n,
+            self.out_channels,
+            geom.out_h,
+            geom.out_w,
+        ])))
+    }
+
+    /// The one packed kernel, batched over per-request activation stacks:
+    /// reads level `si` of every stack (`[n_i, in_channels, h, w]`),
+    /// unfolds the input channels active at the subnet into one stacked
+    /// patch matrix, computes `plan`'s filters (a step panel's or a full
+    /// panel's, as in [`CompiledLinear::run`]) for all their rows in **one**
+    /// GEMM — rows are independent in every kernel — and scatters each
+    /// stack's rows straight into the matching channels of its level
+    /// `si + 1` (`[n_i, out_channels, oh, ow]`: the cached full-width
+    /// activation, or a zeroed [`target`](Self::target)) — one
+    /// im2col→GEMM→bias→scatter pass over `scratch`. Untouched channels
+    /// keep their exact old values, so the result equals
+    /// [`MaskedConv2d::forward`](crate::MaskedConv2d::forward) under
+    /// `f32 ==`. Every stack must hold levels `si` and `si + 1`.
+    fn run(
+        &self,
+        plan: &ConvPlan,
+        stacks: &mut [&mut [Tensor]],
+        si: usize,
+        scratch: &mut PackScratch,
+    ) -> Result<()> {
+        let (ic_n, oc_n) = (self.in_channels, self.out_channels);
+        if plan.oc_idx.is_empty() {
+            return Ok(());
+        }
+        let Some(first) = stacks.first() else {
+            return Ok(());
+        };
+        let &[_, _, h, w] = first[si].shape().dims() else {
+            return Err(SteppingError::InvalidStructure(format!(
+                "masked conv expects [n, {ic_n}, h, w], got {}",
+                first[si].shape()
+            )));
+        };
+        let geom = self.geometry(h, w)?;
+        let mut images = 0usize;
+        for levels in stacks.iter() {
+            let (input, target) = (&levels[si], &levels[si + 1]);
+            let dims = input.shape().dims();
+            if dims.len() != 4 || dims[1..] != [ic_n, h, w] {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "masked conv expects [n, {ic_n}, {h}, {w}], got {}",
+                    input.shape()
+                )));
+            }
+            if target.shape().dims() != [dims[0], oc_n, geom.out_h, geom.out_w] {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "step splice target expects [{}, {oc_n}, {}, {}], got {}",
+                    dims[0],
+                    geom.out_h,
+                    geom.out_w,
+                    target.shape()
+                )));
+            }
+            images += dims[0];
+        }
+        let positions = geom.positions();
+        let patch = plan.ic_idx.len() * self.kernel * self.kernel;
+        let oc_len = plan.oc_idx.len();
+        let cols = span(&mut scratch.input, images * positions * patch);
+        {
+            let _pack_timer = plan::pack_timer();
+            let mut row = 0;
+            for levels in stacks.iter() {
+                let input = &levels[si];
+                let rows = input.shape().dims()[0] * positions;
+                pack::im2col_channels_slice(
+                    input,
+                    &geom,
+                    &plan.ic_idx,
+                    &mut cols[row * patch..(row + rows) * patch],
+                )?;
+                row += rows;
+            }
+        }
+        let out = span(&mut scratch.out, images * positions * oc_len);
+        {
+            let _gemm_timer = plan::gemm_timer();
+            pack::gemm_packed_nt_slice(
+                cols,
+                &plan.weight,
+                out,
+                images * positions,
+                &mut scratch.a_pack,
+                Epilogue::Bias(&plan.bias),
+            );
+        }
+        let mut row = 0;
+        for levels in stacks.iter_mut() {
+            let target = &mut levels[si + 1];
+            let n = target.shape().dims()[0];
+            pack::scatter_mat_to_nchw(
+                &out[row * oc_len..(row + n * positions) * oc_len],
+                n,
+                positions,
+                &plan.oc_idx,
+                oc_n,
+                target.data_mut(),
+            );
+            row += n * positions;
+        }
+        Ok(())
+    }
+}
+
+/// One stage of a compiled model (a model holds a handful, so the unequal
+/// variant sizes cost nothing worth a `Box`).
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum CompiledStage {
+    Linear(CompiledLinear),
+    Conv(CompiledConv),
+    /// Fixed stages run [`FixedStage::infer_into`], which reads no cache.
+    Fixed(FixedStage),
+}
+
+impl CompiledStage {
+    /// A level for this stage to write the rows of `input` into: zeroed
+    /// and full-width for a masked stage (inactive neurons stay exactly
+    /// zero), empty for a fixed one, which shapes its own output.
+    pub(crate) fn target(&self, input: &Tensor) -> Result<Tensor> {
+        match self {
+            CompiledStage::Linear(l) => Ok(l.target(input)),
+            CompiledStage::Conv(c) => c.target(input),
+            CompiledStage::Fixed(_) => Ok(Tensor::zeros(Shape::of(&[0]))),
+        }
+    }
+
+    /// Runs the stage over every stack in place, reading level `si` and
+    /// writing level `si + 1`: a masked stage computes the neurons assigned
+    /// exactly to `subnet` when `step` (an expand over cached levels) and
+    /// every neuron active at it otherwise (a direct pass into
+    /// [`target`](Self::target)s); a fixed stage — a pure per-element /
+    /// per-channel map in inference mode, no MACs — rewrites the level
+    /// from the updated one, cached channels keeping their exact old
+    /// values. Equal to [`Stage::forward`] with `train == false` under
+    /// `f32 ==`. Every stack must hold levels `si` and `si + 1`.
+    pub(crate) fn run_into(
+        &self,
+        (subnet, step): (usize, bool),
+        stacks: &mut [&mut [Tensor]],
+        si: usize,
+        scratch: &mut PackScratch,
+    ) -> Result<()> {
+        match self {
+            CompiledStage::Linear(l) => l.run(l.panels.get(subnet, step)?, stacks, si, scratch),
+            CompiledStage::Conv(c) => c.run(c.panels.get(subnet, step)?, stacks, si, scratch),
+            CompiledStage::Fixed(f) => {
+                for levels in stacks.iter_mut() {
+                    let (done, rest) = levels.split_at_mut(si + 1);
+                    f.infer_into(&done[si], &mut rest[0])?;
+                }
+                Ok(())
+            }
+        }
+    }
+}
+
+/// A [`SteppingNet`] compiled for inference at one prune threshold:
+/// immutable, `Send + Sync`, shared through an `Arc` by every executor
+/// created from the net until the net is next mutated.
+///
+/// Built by [`SteppingNet::compile`]. It is a *snapshot*: an executor keeps
+/// serving the weights, running statistics and assignments its model was
+/// compiled from, whatever happens to the net afterwards.
+#[derive(Debug)]
+pub struct CompiledModel {
+    pub(crate) stages: Vec<CompiledStage>,
+    heads: Vec<HeadPlan>,
+    costs: MacTable,
+    prune_threshold: f32,
+    input_shape: Shape,
+    classes: usize,
+    features: usize,
+}
+
+// Executors on different threads share one model through `&self`.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<CompiledModel>();
+};
+
+impl CompiledModel {
+    /// Compiles every panel of `net` and counts its MACs at
+    /// `prune_threshold`.
+    pub(crate) fn new(net: &SteppingNet, prune_threshold: f32) -> Self {
+        let _compile_timer = plan::compile_timer();
+        let subnets = net.subnet_count();
+        let mut stage_step = vec![0u64; subnets];
+        let stages = net
+            .stages()
+            .iter()
+            .map(|stage| {
+                for (total, macs) in stage_step
+                    .iter_mut()
+                    .zip(stage.step_macs(prune_threshold).unwrap_or_default())
+                {
+                    *total += macs;
+                }
+                match stage {
+                    Stage::Linear(l) => CompiledStage::Linear(l.compile()),
+                    Stage::Conv(c) => CompiledStage::Conv(c.compile()),
+                    Stage::Fixed(f) => CompiledStage::Fixed(f.clone()),
+                }
+            })
+            .collect();
+        let head_macs = (0..subnets).map(|k| net.head_macs(k)).collect();
+        CompiledModel {
+            stages,
+            heads: (0..subnets).map(|k| compile_head(net, k)).collect(),
+            costs: MacTable::new(&stage_step, head_macs),
+            prune_threshold,
+            input_shape: net.input_shape().clone(),
+            classes: net.classes(),
+            features: net.feature_assign().len(),
+        }
+    }
+
+    /// Number of subnets.
+    pub fn subnet_count(&self) -> usize {
+        self.heads.len()
+    }
+
+    /// Number of output classes.
+    pub fn classes(&self) -> usize {
+        self.classes
+    }
+
+    /// Shape of one input sample (no batch dimension).
+    pub fn input_shape(&self) -> &Shape {
+        &self.input_shape
+    }
+
+    /// The magnitude threshold the [`MacTable`] was counted at.
+    pub fn prune_threshold(&self) -> f32 {
+        self.prune_threshold
+    }
+
+    /// The MAC accounting of every subnet and step — the one table the
+    /// executors, the runtime's cost vectors and the server's cost tables
+    /// read. Its entries equal [`SteppingNet::macs`] and the per-step sums
+    /// of `neuron_macs` at [`prune_threshold`](Self::prune_threshold)
+    /// exactly.
+    pub fn mac_table(&self) -> &MacTable {
+        &self.costs
+    }
+
+    /// Full packed inference pass: every stage and the head run their
+    /// panels — the per-stage kernels
+    /// [`BatchExecutor::begin`](crate::BatchExecutor::begin) runs, over a
+    /// two-level stack that keeps no intermediate level.
+    pub(crate) fn forward(
+        &self,
+        input: &Tensor,
+        subnet: usize,
+        scratch: &mut PackScratch,
+    ) -> Result<Tensor> {
+        let mut levels = [input.clone(), Tensor::zeros(Shape::of(&[0]))];
+        for stage in &self.stages {
+            levels[1] = stage.target(&levels[0])?;
+            stage.run_into((subnet, false), &mut [&mut levels[..]], 0, scratch)?;
+            levels.swap(0, 1);
+        }
+        self.head_rows(std::iter::once(&levels[0]), subnet, scratch)
+    }
+
+    /// The packed head of `subnet` over the feature tensors of several
+    /// requests at once: their active columns are gathered into one stacked
+    /// panel and multiplied against the compiled `[classes, active]` head
+    /// panel in a single GEMM, bias fused into the epilogue — equal to the
+    /// masked [`SteppingNet::head_forward`] under `f32 ==`. Returns the
+    /// logits of all rows, `[Σ n_i, classes]`, in `features` order.
+    pub(crate) fn head_rows<'t>(
+        &self,
+        features: impl Iterator<Item = &'t Tensor> + Clone,
+        subnet: usize,
+        scratch: &mut PackScratch,
+    ) -> Result<Tensor> {
+        let plan = self
+            .heads
+            .get(subnet)
+            .ok_or(SteppingError::SubnetOutOfRange {
+                subnet,
+                count: self.heads.len(),
+            })?;
+        let f = self.features;
+        let mut total = 0usize;
+        for t in features.clone() {
+            if t.shape().rank() != 2 || t.shape().dims()[1] != f {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "head expects [n, {f}], got {}",
+                    t.shape()
+                )));
+            }
+            total += t.shape().dims()[0];
+        }
+        let cols = plan.feat_idx.len();
+        let packed = span(&mut scratch.input, total * cols);
+        {
+            let _pack_timer = plan::pack_timer();
+            let mut row = 0;
+            for t in features {
+                let n = t.shape().dims()[0];
+                pack::gather_columns_slice(
+                    t.data(),
+                    n,
+                    f,
+                    &plan.feat_idx,
+                    &mut packed[row * cols..(row + n) * cols],
+                );
+                row += n;
+            }
+        }
+        let mut out = Tensor::zeros(Shape::of(&[total, self.classes]));
+        let _gemm_timer = plan::gemm_timer();
+        pack::gemm_packed_nt_slice(
+            packed,
+            &plan.weight,
+            out.data_mut(),
+            total,
+            &mut scratch.a_pack,
+            Epilogue::Bias(&plan.bias),
+        );
+        Ok(out)
+    }
+}
+
+/// Compiles the packed head panel of `subnet`: the head's weight restricted
+/// to the features active there.
+fn compile_head(net: &SteppingNet, subnet: usize) -> HeadPlan {
+    let head = &net.heads()[subnet];
+    let (f, classes) = (net.feature_assign().len(), net.classes());
+    let feat_idx = net.feature_assign().active_members(subnet);
+    let wd = head.weight().value.data();
+    let cols = feat_idx.len();
+    let mut weight = vec![0.0f32; classes * cols];
+    for r in 0..classes {
+        let dst = &mut weight[r * cols..(r + 1) * cols];
+        for (d, &i) in dst.iter_mut().zip(feat_idx.iter()) {
+            *d = wd[r * f + i];
+        }
+    }
+    plan::note_compile("head", subnet, classes, cols);
+    HeadPlan {
+        feat_idx,
+        weight: PackedB::pack_nt(&weight, classes, cols),
+        bias: head.bias().value.data().to_vec(),
+    }
+}

@@ -104,9 +104,7 @@ pub mod event {
     // compiled plans
     /// A `(layer, subnet)` plan was compiled.
     pub const PLAN_COMPILE: &str = "plan.compile";
-    /// A compiled plan was served from cache.
-    pub const PLAN_CACHE_HIT: &str = "plan.cache_hit";
-    /// A mutation dropped compiled plans and advanced the epoch.
+    /// A mutation dropped the net's compiled model.
     pub const PLAN_INVALIDATE: &str = "plan.invalidate";
 
     // parallel execution pool
@@ -158,7 +156,6 @@ pub mod event {
         ROUTER_DRAIN,
         ROUTER_BREAKER_TRIP,
         PLAN_COMPILE,
-        PLAN_CACHE_HIT,
         PLAN_INVALIDATE,
         POOL_SPAWN,
         POOL_SHARD,
@@ -244,14 +241,12 @@ pub mod metric {
     /// Whole pool run (dispatch + workers + collect).
     pub const EXEC_POOL_RUN_NS: &str = "exec.pool_run_ns";
 
-    // compiled-plan cache
-    /// Plans compiled.
+    // compiled plans
+    /// Panels compiled.
     pub const PLAN_COMPILE: &str = "plan.compile";
-    /// Plan-compilation latency.
+    /// Latency of compiling one model (every panel).
     pub const PLAN_COMPILE_NS: &str = "plan.compile_ns";
-    /// Plans served from cache.
-    pub const PLAN_CACHE_HIT: &str = "plan.cache_hit";
-    /// Cache invalidations (epoch advances).
+    /// Compiled models dropped by a mutation of their net.
     pub const PLAN_INVALIDATE: &str = "plan.invalidate";
     /// Blocked-GEMM time inside packed plan execution.
     pub const PLAN_GEMM_NS: &str = "plan.gemm_ns";
@@ -289,7 +284,6 @@ pub mod metric {
         EXEC_POOL_RUN_NS,
         PLAN_COMPILE,
         PLAN_COMPILE_NS,
-        PLAN_CACHE_HIT,
         PLAN_INVALIDATE,
         PLAN_GEMM_NS,
         PLAN_PACK_NS,
@@ -339,8 +333,8 @@ mod tests {
     fn lookups() {
         assert!(is_phase(phase::INFERENCE));
         assert!(!is_phase("inferense"));
-        assert!(is_event(event::PLAN_CACHE_HIT));
-        assert!(!is_event("plan.cachehit"));
+        assert!(is_event(event::PLAN_INVALIDATE));
+        assert!(!is_event("plan.cache_hit"), "retired with the plan caches");
         assert!(is_metric(metric::SERVE_QUEUE_DEPTH));
         assert!(!is_metric("serve.queuedepth"));
     }

@@ -14,7 +14,7 @@
 use stepping_tensor::Tensor;
 
 use crate::batch::{ActivationCache, BatchExecutor};
-use crate::{Result, SteppingError, SteppingNet};
+use crate::{CompiledModel, Result, SteppingError, SteppingNet};
 
 /// Outcome of one executor step ([`IncrementalExecutor::begin`] or
 /// [`IncrementalExecutor::expand`]).
@@ -30,7 +30,9 @@ pub struct ExpandStep {
     pub cumulative_macs: u64,
 }
 
-/// Stateful anytime-inference driver over a [`SteppingNet`].
+/// Stateful anytime-inference driver over a [`SteppingNet`] — like
+/// [`BatchExecutor`], a handle on the model compiled from the net when the
+/// executor was created, not a borrow of the net.
 ///
 /// # Example
 ///
@@ -41,16 +43,16 @@ pub struct ExpandStep {
 /// let mut net = SteppingNetBuilder::new(Shape::of(&[4]), 2, 0)
 ///     .linear(6).relu().build(3)?;
 /// net.move_neuron(0, 5, 1)?; // neuron 5 only in subnet 1
-/// let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
+/// let mut exec = IncrementalExecutor::new(&net, 1e-5);
 /// let first = exec.begin(&Tensor::zeros(Shape::of(&[1, 4])))?;
 /// let second = exec.expand()?; // reuses subnet-0 activations
 /// assert!(second.step_macs < first.step_macs + second.step_macs);
 /// # Ok::<(), stepping_core::SteppingError>(())
 /// ```
 #[derive(Debug)]
-pub struct IncrementalExecutor<'a> {
+pub struct IncrementalExecutor {
     /// The state machine: this executor is a batch of one request.
-    exec: BatchExecutor<'a>,
+    exec: BatchExecutor,
     cache: ActivationCache,
 }
 
@@ -61,14 +63,19 @@ fn only<T>(mut batch: Vec<T>) -> Result<T> {
         .ok_or_else(|| SteppingError::ExecutorState("a batch of one produced no step".into()))
 }
 
-impl<'a> IncrementalExecutor<'a> {
-    /// Creates an executor over `net`; `prune_threshold` is the magnitude
-    /// threshold used for MAC accounting.
-    pub fn new(net: &'a mut SteppingNet, prune_threshold: f32) -> Self {
+impl IncrementalExecutor {
+    /// Creates an executor over `net` as it is now; `prune_threshold` is
+    /// the magnitude threshold used for MAC accounting.
+    pub fn new(net: &SteppingNet, prune_threshold: f32) -> Self {
         IncrementalExecutor {
             exec: BatchExecutor::new(net, prune_threshold),
             cache: ActivationCache::new(),
         }
+    }
+
+    /// The compiled model this executor serves.
+    pub fn model(&self) -> &CompiledModel {
+        self.exec.model()
     }
 
     /// The subnet most recently executed, if any.
@@ -149,7 +156,7 @@ impl<'a> IncrementalExecutor<'a> {
     ///
     /// Propagates `begin`/`expand` errors.
     pub fn run_to(&mut self, input: &Tensor, subnet: usize) -> Result<Vec<ExpandStep>> {
-        let count = self.exec.net().subnet_count();
+        let count = self.model().subnet_count();
         if subnet >= count {
             return Err(SteppingError::SubnetOutOfRange { subnet, count });
         }
@@ -206,7 +213,7 @@ mod tests {
         let refs: Vec<Tensor> = (0..3)
             .map(|k| scratch.forward(&x, k, false).unwrap())
             .collect();
-        let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
+        let mut exec = IncrementalExecutor::new(&net, 1e-5);
         let s0 = exec.begin(&x).unwrap();
         assert_eq!(s0.logits, refs[0]);
         let s1 = exec.expand().unwrap();
@@ -228,7 +235,7 @@ mod tests {
         let refs: Vec<Tensor> = (0..3)
             .map(|k| scratch.forward(&x, k, false).unwrap())
             .collect();
-        let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
+        let mut exec = IncrementalExecutor::new(&net, 1e-5);
         let steps = exec.run_to(&x, 2).unwrap();
         for (k, step) in steps.iter().enumerate() {
             assert_eq!(step.logits, refs[k], "subnet {k} logits differ");
@@ -242,7 +249,7 @@ mod tests {
         let head_total: u64 = (0..3).map(|k| net.head_macs(k)).sum();
         let stage_total = from_scratch[2] - net.head_macs(2);
         let x = init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(8));
-        let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
+        let mut exec = IncrementalExecutor::new(&net, 1e-5);
         exec.begin(&x).unwrap();
         let s1 = exec.expand().unwrap();
         assert!(
@@ -261,7 +268,7 @@ mod tests {
     #[test]
     fn executor_state_errors() {
         let mut net = mlp();
-        let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
+        let mut exec = IncrementalExecutor::new(&net, 1e-5);
         assert!(exec.expand().is_err());
         let x = init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(9));
         exec.begin(&x).unwrap();
@@ -278,7 +285,7 @@ mod tests {
     fn begin_resets_state() {
         let mut net = mlp();
         let x = init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(10));
-        let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
+        let mut exec = IncrementalExecutor::new(&net, 1e-5);
         exec.begin(&x).unwrap();
         exec.expand().unwrap();
         let again = exec.begin(&x).unwrap();
@@ -297,7 +304,7 @@ mod tests {
         let refs: Vec<Tensor> = (0..3)
             .map(|k| scratch.forward(&x, k, false).unwrap())
             .collect();
-        let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
+        let mut exec = IncrementalExecutor::new(&net, 1e-5);
         exec.begin(&x).unwrap();
         exec.expand().unwrap();
         exec.expand().unwrap();
@@ -326,7 +333,7 @@ mod tests {
     #[test]
     fn contract_before_begin_errors() {
         let mut net = mlp();
-        let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
+        let mut exec = IncrementalExecutor::new(&net, 1e-5);
         assert!(exec.contract().is_err());
     }
 }

@@ -18,6 +18,9 @@
 //! * [`IncrementalExecutor`] — anytime inference: run the smallest subnet,
 //!   then *expand* on newly available resources, computing only the neurons
 //!   added by the next subnet.
+//! * [`CompiledModel`] — the immutable inference form of a net
+//!   ([`SteppingNet::compile`]): every packed panel and the MAC table,
+//!   shared through an `Arc` by any number of executors and threads.
 //!
 //! ## Example
 //!
@@ -42,6 +45,7 @@
 mod assign;
 pub mod batch;
 pub mod checkpoint;
+mod compiled;
 pub mod construct;
 pub mod distill;
 mod error;
@@ -54,6 +58,7 @@ mod masked_conv;
 mod masked_linear;
 mod net;
 pub mod parallel;
+mod parts;
 mod plan;
 mod stage;
 pub mod telemetry;
@@ -61,6 +66,7 @@ pub mod train;
 
 pub use assign::Assignment;
 pub use batch::{ActivationCache, BatchExecutor};
+pub use compiled::CompiledModel;
 pub use construct::{
     construct, ConstructionOptions, ConstructionReport, IterationLog, SelectionCriterion,
 };

@@ -1,11 +1,11 @@
 use rand::rngs::StdRng;
 use stepping_nn::{Param, ParamLr};
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
-use stepping_tensor::microkernel::{self, Epilogue, PackedB};
-use stepping_tensor::pack::{self, PackScratch};
+use stepping_tensor::microkernel::PackedB;
 use stepping_tensor::{init, matmul, Shape, Tensor};
 
-use crate::plan::{self, ConvPlan, PlanSet};
+use crate::compiled::{CompiledConv, Panels};
+use crate::plan::{self, ConvPlan};
 use crate::{Assignment, Result, SteppingError};
 
 /// A 2-D convolution whose filters (output channels) carry subnet
@@ -32,11 +32,6 @@ pub struct MaskedConv2d {
     /// Accumulated `|∂L_k/∂r_j^k|`, flattened `[subnet][out_channel]`.
     importance: Vec<f64>,
     cached: Option<CachedForward>,
-    /// Compiled packed panels per subnet, dropped whenever weights or
-    /// assignments change (see [`crate::plan`]).
-    plans: PlanSet<ConvPlan>,
-    /// Reusable im2col/GEMM buffers for the packed path.
-    scratch: PackScratch,
 }
 
 #[derive(Debug, Clone)]
@@ -82,8 +77,6 @@ impl MaskedConv2d {
             positions,
             importance: vec![0.0; subnets * out_channels],
             cached: None,
-            plans: PlanSet::default(),
-            scratch: PackScratch::new(),
         }
     }
 
@@ -139,7 +132,6 @@ impl MaskedConv2d {
             )));
         }
         self.in_assign = assign;
-        self.plans.invalidate("conv");
         Ok(())
     }
 
@@ -149,9 +141,7 @@ impl MaskedConv2d {
     ///
     /// Propagates [`Assignment::move_neuron`] errors.
     pub fn move_out_neuron(&mut self, oc: usize, target: usize) -> Result<()> {
-        self.out_assign.move_neuron(oc, target)?;
-        self.plans.invalidate("conv");
-        Ok(())
+        self.out_assign.move_neuron(oc, target)
     }
 
     /// Read access to the weight parameter (`[out, in, k, k]`).
@@ -159,11 +149,8 @@ impl MaskedConv2d {
         &self.weight
     }
 
-    /// Mutable access to the weight parameter. Handing out the borrow
-    /// conservatively invalidates compiled plans — the caller may rewrite
-    /// weight values.
+    /// Mutable access to the weight parameter.
     pub fn weight_mut(&mut self) -> &mut Param {
-        self.plans.invalidate("conv");
         &mut self.weight
     }
 
@@ -267,176 +254,6 @@ impl MaskedConv2d {
         Ok(z)
     }
 
-    /// Packed forward pass for `subnet`: computes the same result as
-    /// [`MaskedConv2d::forward`] (equal under `f32 ==`; see the `plan`
-    /// module docs) but unfolds only the active input channels and runs a
-    /// dense GEMM over only the active filter panel — one
-    /// im2col→GEMM→bias→scatter pass over the plan scratch — compiled on
-    /// demand and cached until the next weight or assignment change.
-    /// Inference-only: the backward cache is not populated.
-    ///
-    /// # Errors
-    ///
-    /// Returns structural errors for a bad subnet index or input shape.
-    pub fn forward_packed(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        self.check_subnet(subnet)?;
-        let dims = input.shape().dims();
-        if dims.len() != 4 || dims[1] != self.in_channels() {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked conv expects [n, {}, h, w], got {}",
-                self.in_channels(),
-                input.shape()
-            )));
-        }
-        let (n, h, w) = (dims[0], dims[2], dims[3]);
-        let geom = self.geometry(h, w)?;
-        let positions = geom.positions();
-        let oc_n = self.out_channels();
-        self.ensure_full_plan(subnet);
-        let plan = self
-            .plans
-            .full(subnet)
-            .ok_or_else(|| plan::missing("conv"))?;
-        {
-            let _pack_timer = plan::pack_timer();
-            pack::im2col_channels_into(input, &geom, &plan.ic_idx, &mut self.scratch.input)?;
-        }
-        {
-            let _gemm_timer = plan::gemm_timer();
-            pack::gemm_packed_nt_into(
-                &self.scratch.input,
-                &plan.weight,
-                &mut self.scratch.out,
-                n * positions,
-                &mut self.scratch.a_pack,
-                Epilogue::Bias(&plan.bias),
-            );
-        }
-        let mut z = Tensor::zeros(Shape::of(&[n, oc_n, geom.out_h, geom.out_w]));
-        pack::scatter_mat_to_nchw(
-            &self.scratch.out,
-            n,
-            positions,
-            &plan.oc_idx,
-            oc_n,
-            z.data_mut(),
-        );
-        Ok(z)
-    }
-
-    /// Fused, batched expand step over per-request activation stacks: reads
-    /// level `si` of every stack (`[n_i, in_channels, h, w]`), unfolds them
-    /// into one stacked patch matrix, computes the subnet-`k` step channels
-    /// (the filters assigned exactly to `k`, against every input channel
-    /// active at `k`) for all their rows in **one** GEMM — rows are
-    /// independent in every kernel — and scatters each stack's rows straight
-    /// into the matching channels of its level `si + 1`
-    /// (`[n_i, out_channels, oh, ow]`, the cached full-width activation).
-    /// Untouched channels keep their exact old values.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a subnet index out of range, a stack that does
-    /// not hold levels `si` and `si + 1`, or a level of the wrong shape.
-    pub fn forward_step_packed_into(
-        &mut self,
-        k: usize,
-        stacks: &mut [&mut [Tensor]],
-        si: usize,
-    ) -> Result<()> {
-        self.check_subnet(k)?;
-        plan::check_levels(stacks, si)?;
-        let (ic_n, oc_n) = (self.in_channels(), self.out_channels());
-        self.ensure_step_plan(k);
-        let plan = self.plans.step(k).ok_or_else(|| plan::missing("conv"))?;
-        if plan.oc_idx.is_empty() {
-            return Ok(());
-        }
-        let Some(first) = stacks.first() else {
-            return Ok(());
-        };
-        let &[_, _, h, w] = first[si].shape().dims() else {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked conv expects [n, {ic_n}, h, w], got {}",
-                first[si].shape()
-            )));
-        };
-        let geom = self.geometry(h, w)?;
-        let mut images = 0usize;
-        for levels in stacks.iter() {
-            let (input, target) = (&levels[si], &levels[si + 1]);
-            let dims = input.shape().dims();
-            if dims.len() != 4 || dims[1..] != [ic_n, h, w] {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "masked conv expects [n, {ic_n}, {h}, {w}], got {}",
-                    input.shape()
-                )));
-            }
-            if target.shape().dims() != [dims[0], oc_n, geom.out_h, geom.out_w] {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "step splice target expects [{}, {oc_n}, {}, {}], got {}",
-                    dims[0],
-                    geom.out_h,
-                    geom.out_w,
-                    target.shape()
-                )));
-            }
-            images += dims[0];
-        }
-        let positions = geom.positions();
-        let patch = plan.ic_idx.len() * self.kernel * self.kernel;
-        let oc_len = plan.oc_idx.len();
-        {
-            let _pack_timer = plan::pack_timer();
-            // every element is overwritten by the unfolds below
-            microkernel::grow(&mut self.scratch.input, images * positions * patch);
-            let mut row = 0;
-            for levels in stacks.iter() {
-                let input = &levels[si];
-                let rows = input.shape().dims()[0] * positions;
-                pack::im2col_channels_slice(
-                    input,
-                    &geom,
-                    &plan.ic_idx,
-                    &mut self.scratch.input[row * patch..(row + rows) * patch],
-                )?;
-                row += rows;
-            }
-        }
-        {
-            let _gemm_timer = plan::gemm_timer();
-            pack::gemm_packed_nt_into(
-                &self.scratch.input,
-                &plan.weight,
-                &mut self.scratch.out,
-                images * positions,
-                &mut self.scratch.a_pack,
-                Epilogue::Bias(&plan.bias),
-            );
-        }
-        let mut row = 0;
-        for levels in stacks.iter_mut() {
-            let target = &mut levels[si + 1];
-            let n = target.shape().dims()[0];
-            pack::scatter_mat_to_nchw(
-                &self.scratch.out[row * oc_len..(row + n * positions) * oc_len],
-                n,
-                positions,
-                &plan.oc_idx,
-                oc_n,
-                target.data_mut(),
-            );
-            row += n * positions;
-        }
-        Ok(())
-    }
-
-    /// Current plan-cache epoch; advances on every weight or assignment
-    /// mutation. Exposed for invalidation tests and diagnostics.
-    pub fn plan_epoch(&self) -> u64 {
-        self.plans.epoch()
-    }
-
     /// MAC operations the packed path actually executes for `subnet`: the
     /// dense panel extent `active_oc × active_ic × k² × positions`
     /// (pruned-but-legal entries still occupy panel slots).
@@ -448,41 +265,28 @@ impl MaskedConv2d {
             * self.positions) as u64
     }
 
-    /// Compiles (or confirms) the full plan for `subnet`.
-    fn ensure_full_plan(&mut self, subnet: usize) {
-        if self.plans.full(subnet).is_some() {
-            plan::note_hit("conv", subnet);
-            return;
+    /// Compiles the layer's full and step panels for every subnet.
+    pub(crate) fn compile(&self) -> CompiledConv {
+        CompiledConv {
+            in_channels: self.in_channels(),
+            out_channels: self.out_channels(),
+            kernel: self.kernel,
+            stride: self.stride,
+            padding: self.padding,
+            panels: Panels::compile(self.subnet_count(), |subnet, step| self.panel(subnet, step)),
         }
-        let _compile_timer = plan::compile_timer();
-        let plan = self.compile(
-            self.out_assign.active_members(subnet),
-            self.in_assign.active_members(subnet),
-            true,
-        );
-        plan::note_compile("conv", subnet, plan.oc_idx.len(), plan.ic_idx.len());
-        self.plans.put_full(subnet, plan);
     }
 
-    /// Compiles (or confirms) the step plan for subnet `k` (filters
-    /// assigned exactly to `k`; every active input channel at `k` is legal
-    /// for them).
-    fn ensure_step_plan(&mut self, k: usize) {
-        if self.plans.step(k).is_some() {
-            plan::note_hit("conv", k);
-            return;
-        }
-        let _compile_timer = plan::compile_timer();
-        let plan = self.compile(
-            self.out_assign.members(k),
-            self.in_assign.active_members(k),
-            false,
-        );
-        plan::note_compile("conv", k, plan.oc_idx.len(), plan.ic_idx.len());
-        self.plans.put_step(k, plan);
-    }
-
-    fn compile(&self, oc_idx: Vec<usize>, ic_idx: Vec<usize>, mask_rows: bool) -> ConvPlan {
+    /// One packed panel at `subnet`: the filters assigned exactly to it (a
+    /// step panel) or every filter active there (a full panel), against
+    /// every input channel active at `subnet`.
+    fn panel(&self, subnet: usize, step: bool) -> ConvPlan {
+        let oc_idx = if step {
+            self.out_assign.members(subnet)
+        } else {
+            self.out_assign.active_members(subnet)
+        };
+        let ic_idx = self.in_assign.active_members(subnet);
         let kk = self.kernel * self.kernel;
         let patch = self.patch_len();
         let wd = self.weight.value.data();
@@ -491,9 +295,9 @@ impl MaskedConv2d {
             let oa = self.out_assign.subnet_of(oc);
             for (ci, &ic) in ic_idx.iter().enumerate() {
                 // Mirror `effective_weight_flat`: channel blocks from inputs
-                // of a larger subnet than this row's owner stay zero. Step
-                // plans never need this (all rows own subnet `k` exactly).
-                if mask_rows && self.in_assign.subnet_of(ic) > oa {
+                // of a larger subnet than this row's owner stay zero (never
+                // the case in a step panel, whose rows all own `subnet`).
+                if self.in_assign.subnet_of(ic) > oa {
                     continue;
                 }
                 let src = &wd[oc * patch + ic * kk..oc * patch + (ic + 1) * kk];
@@ -506,6 +310,7 @@ impl MaskedConv2d {
             .iter()
             .map(|&oc| self.bias.value.data()[oc])
             .collect();
+        plan::note_compile("conv", subnet, oc_idx.len(), ic_idx.len());
         ConvPlan {
             oc_idx,
             ic_idx,
@@ -584,11 +389,8 @@ impl MaskedConv2d {
         Ok(col2im(&dcols, n, &geom)?)
     }
 
-    /// Trainable parameters (weight then bias). Handing out the borrows
-    /// invalidates compiled plans — an optimizer step will rewrite the
-    /// values.
+    /// Trainable parameters (weight then bias).
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.plans.invalidate("conv");
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -601,9 +403,6 @@ impl MaskedConv2d {
                 *w = 0.0;
                 pruned += 1;
             }
-        }
-        if pruned > 0 {
-            self.plans.invalidate("conv");
         }
         pruned
     }
@@ -675,16 +474,6 @@ impl MaskedConv2d {
             }
         }
         count * self.positions as u64
-    }
-
-    /// MACs each step adds at this layer: entry `k` is the sum of
-    /// [`neuron_macs`](Self::neuron_macs) over the filters assigned exactly
-    /// to subnet `k` (see
-    /// [`MaskedLinear::step_macs`](crate::MaskedLinear::step_macs)).
-    pub(crate) fn step_macs(&self, threshold: f32) -> std::sync::Arc<[u64]> {
-        self.plans.step_macs(threshold, &self.out_assign, |oc| {
-            self.neuron_macs(oc, threshold)
-        })
     }
 
     /// Accumulated importance of filter `oc` w.r.t. `subnet`.

@@ -1,10 +1,10 @@
 use rand::rngs::StdRng;
 use stepping_nn::{Param, ParamLr};
-use stepping_tensor::microkernel::{self, Epilogue, PackedB};
-use stepping_tensor::pack::{self, PackScratch};
+use stepping_tensor::microkernel::PackedB;
 use stepping_tensor::{init, reduce, Shape, Tensor};
 
-use crate::plan::{self, LinearPlan, PlanSet};
+use crate::compiled::{CompiledLinear, Panels};
+use crate::plan::{self, LinearPlan};
 use crate::{Assignment, Result, SteppingError};
 
 /// A fully-connected layer whose output neurons carry subnet assignments —
@@ -35,11 +35,6 @@ pub struct MaskedLinear {
     /// Accumulated `|∂L_k/∂r_j^k|`, flattened `[subnet][out]`.
     importance: Vec<f64>,
     cached: Option<CachedForward>,
-    /// Compiled packed panels per subnet, dropped whenever weights or
-    /// assignments change (see [`crate::plan`]).
-    plans: PlanSet<LinearPlan>,
-    /// Reusable gather/GEMM buffers for the packed path.
-    scratch: PackScratch,
 }
 
 #[derive(Debug, Clone)]
@@ -67,8 +62,6 @@ impl MaskedLinear {
             out_assign: Assignment::new(out_features, subnets),
             importance: vec![0.0; subnets * out_features],
             cached: None,
-            plans: PlanSet::default(),
-            scratch: PackScratch::new(),
         }
     }
 
@@ -115,7 +108,6 @@ impl MaskedLinear {
             )));
         }
         self.in_assign = assign;
-        self.plans.invalidate("linear");
         Ok(())
     }
 
@@ -125,9 +117,7 @@ impl MaskedLinear {
     ///
     /// Propagates [`Assignment::move_neuron`] errors.
     pub fn move_out_neuron(&mut self, o: usize, target: usize) -> Result<()> {
-        self.out_assign.move_neuron(o, target)?;
-        self.plans.invalidate("linear");
-        Ok(())
+        self.out_assign.move_neuron(o, target)
     }
 
     /// Read access to the weight parameter (`[out, in]`).
@@ -135,11 +125,8 @@ impl MaskedLinear {
         &self.weight
     }
 
-    /// Mutable access to the weight parameter. Handing out the borrow
-    /// conservatively invalidates compiled plans — the caller may rewrite
-    /// weight values.
+    /// Mutable access to the weight parameter.
     pub fn weight_mut(&mut self) -> &mut Param {
-        self.plans.invalidate("linear");
         &mut self.weight
     }
 
@@ -220,149 +207,6 @@ impl MaskedLinear {
         Ok(z)
     }
 
-    /// Packed forward pass for `subnet`: computes the same result as
-    /// [`MaskedLinear::forward`] (equal under `f32 ==`; see the `plan`
-    /// module docs) but runs a dense GEMM over only the active panel,
-    /// compiled on demand and cached until the next weight or assignment
-    /// change. Inference-only: the backward cache is not populated.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a subnet index out of range or an input of the
-    /// wrong width.
-    pub fn forward_packed(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        self.check_subnet(subnet)?;
-        let (i_n, o_n) = (self.in_features(), self.out_features());
-        if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked linear expects [n, {i_n}], got {}",
-                input.shape()
-            )));
-        }
-        let n = input.shape().dims()[0];
-        self.ensure_full_plan(subnet);
-        let plan = self
-            .plans
-            .full(subnet)
-            .ok_or_else(|| plan::missing("linear"))?;
-        {
-            let _pack_timer = plan::pack_timer();
-            pack::gather_columns(input.data(), n, i_n, &plan.in_idx, &mut self.scratch.input);
-        }
-        {
-            let _gemm_timer = plan::gemm_timer();
-            pack::gemm_packed_nt_into(
-                &self.scratch.input,
-                &plan.weight,
-                &mut self.scratch.out,
-                n,
-                &mut self.scratch.a_pack,
-                Epilogue::Bias(&plan.bias),
-            );
-        }
-        let mut z = Tensor::zeros(Shape::of(&[n, o_n]));
-        pack::scatter_columns(&self.scratch.out, n, &plan.out_idx, z.data_mut(), o_n);
-        Ok(z)
-    }
-
-    /// Fused, batched expand step over per-request activation stacks: reads
-    /// level `si` of every stack (`[n_i, in_features]`), computes the
-    /// subnet-`k` step panel (the rows assigned exactly to `k`, against
-    /// every input active at `k`) for all their rows in **one** GEMM — rows
-    /// are independent in every kernel — and scatters each stack's rows straight
-    /// into the matching columns of its level `si + 1`
-    /// (`[n_i, out_features]`, the cached full-width activation). The
-    /// stacked panels live in the layer's scratch; untouched columns keep
-    /// their exact old values.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for a subnet index out of range, a stack that does
-    /// not hold levels `si` and `si + 1`, or a level of the wrong shape.
-    pub fn forward_step_packed_into(
-        &mut self,
-        k: usize,
-        stacks: &mut [&mut [Tensor]],
-        si: usize,
-    ) -> Result<()> {
-        self.check_subnet(k)?;
-        plan::check_levels(stacks, si)?;
-        let (i_n, o_n) = (self.in_features(), self.out_features());
-        self.ensure_step_plan(k);
-        let plan = self.plans.step(k).ok_or_else(|| plan::missing("linear"))?;
-        if plan.out_idx.is_empty() {
-            return Ok(());
-        }
-        let mut total = 0usize;
-        for levels in stacks.iter() {
-            let (input, target) = (&levels[si], &levels[si + 1]);
-            if input.shape().rank() != 2 || input.shape().dims()[1] != i_n {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "masked linear expects [n, {i_n}], got {}",
-                    input.shape()
-                )));
-            }
-            let n = input.shape().dims()[0];
-            if target.shape().dims() != [n, o_n] {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "step splice target expects [{n}, {o_n}], got {}",
-                    target.shape()
-                )));
-            }
-            total += n;
-        }
-        let (cols_in, cols_out) = (plan.in_idx.len(), plan.out_idx.len());
-        {
-            let _pack_timer = plan::pack_timer();
-            // every element is overwritten by the gathers below
-            microkernel::grow(&mut self.scratch.input, total * cols_in);
-            let mut row = 0;
-            for levels in stacks.iter() {
-                let input = &levels[si];
-                let n = input.shape().dims()[0];
-                pack::gather_columns_slice(
-                    input.data(),
-                    n,
-                    i_n,
-                    &plan.in_idx,
-                    &mut self.scratch.input[row * cols_in..(row + n) * cols_in],
-                );
-                row += n;
-            }
-        }
-        {
-            let _gemm_timer = plan::gemm_timer();
-            pack::gemm_packed_nt_into(
-                &self.scratch.input,
-                &plan.weight,
-                &mut self.scratch.out,
-                total,
-                &mut self.scratch.a_pack,
-                Epilogue::Bias(&plan.bias),
-            );
-        }
-        let mut row = 0;
-        for levels in stacks.iter_mut() {
-            let target = &mut levels[si + 1];
-            let n = target.shape().dims()[0];
-            pack::scatter_columns(
-                &self.scratch.out[row * cols_out..(row + n) * cols_out],
-                n,
-                &plan.out_idx,
-                target.data_mut(),
-                o_n,
-            );
-            row += n;
-        }
-        Ok(())
-    }
-
-    /// Current plan-cache epoch; advances on every weight or assignment
-    /// mutation. Exposed for invalidation tests and diagnostics.
-    pub fn plan_epoch(&self) -> u64 {
-        self.plans.epoch()
-    }
-
     /// MAC operations the packed path actually executes for `subnet`: the
     /// dense panel extent `active_out × active_in` (pruned-but-legal
     /// entries still occupy panel slots).
@@ -370,15 +214,25 @@ impl MaskedLinear {
         (self.out_assign.active_count(subnet) * self.in_assign.active_count(subnet)) as u64
     }
 
-    /// Compiles (or confirms) the full plan for `subnet`.
-    fn ensure_full_plan(&mut self, subnet: usize) {
-        if self.plans.full(subnet).is_some() {
-            plan::note_hit("linear", subnet);
-            return;
+    /// Compiles the layer's full and step panels for every subnet.
+    pub(crate) fn compile(&self) -> CompiledLinear {
+        CompiledLinear {
+            in_features: self.in_features(),
+            out_features: self.out_features(),
+            panels: Panels::compile(self.subnet_count(), |subnet, step| self.panel(subnet, step)),
         }
-        let _compile_timer = plan::compile_timer();
+    }
+
+    /// One packed panel at `subnet`: the rows assigned exactly to it (a
+    /// step panel) or every row active there (a full panel), against every
+    /// input active at `subnet`.
+    fn panel(&self, subnet: usize, step: bool) -> LinearPlan {
         let i_n = self.in_features();
-        let out_idx = self.out_assign.active_members(subnet);
+        let out_idx = if step {
+            self.out_assign.members(subnet)
+        } else {
+            self.out_assign.active_members(subnet)
+        };
         let in_idx = self.in_assign.active_members(subnet);
         let wd = self.weight.value.data();
         let mut weight = vec![0.0f32; out_idx.len() * in_idx.len()];
@@ -387,7 +241,8 @@ impl MaskedLinear {
             let dst = &mut weight[r * in_idx.len()..(r + 1) * in_idx.len()];
             for (d, &i) in dst.iter_mut().zip(in_idx.iter()) {
                 // Mirror `effective_weight`: entries from inputs of a larger
-                // subnet than this row's owner stay zero.
+                // subnet than this row's owner stay zero (never the case in
+                // a step panel, whose rows all own `subnet`).
                 if self.in_assign.subnet_of(i) <= oa {
                     *d = wd[o * i_n + i];
                 }
@@ -396,48 +251,12 @@ impl MaskedLinear {
         let weight = PackedB::pack_nt(&weight, out_idx.len(), in_idx.len());
         let bias: Vec<f32> = out_idx.iter().map(|&o| self.bias.value.data()[o]).collect();
         plan::note_compile("linear", subnet, out_idx.len(), in_idx.len());
-        self.plans.put_full(
-            subnet,
-            LinearPlan {
-                out_idx,
-                in_idx,
-                weight,
-                bias,
-            },
-        );
-    }
-
-    /// Compiles (or confirms) the step plan for subnet `k` (rows assigned
-    /// exactly to `k`; every active input at `k` is legal for them).
-    fn ensure_step_plan(&mut self, k: usize) {
-        if self.plans.step(k).is_some() {
-            plan::note_hit("linear", k);
-            return;
+        LinearPlan {
+            out_idx,
+            in_idx,
+            weight,
+            bias,
         }
-        let _compile_timer = plan::compile_timer();
-        let i_n = self.in_features();
-        let out_idx = self.out_assign.members(k);
-        let in_idx = self.in_assign.active_members(k);
-        let wd = self.weight.value.data();
-        let mut weight = vec![0.0f32; out_idx.len() * in_idx.len()];
-        for (r, &o) in out_idx.iter().enumerate() {
-            let dst = &mut weight[r * in_idx.len()..(r + 1) * in_idx.len()];
-            for (d, &i) in dst.iter_mut().zip(in_idx.iter()) {
-                *d = wd[o * i_n + i];
-            }
-        }
-        let weight = PackedB::pack_nt(&weight, out_idx.len(), in_idx.len());
-        let bias: Vec<f32> = out_idx.iter().map(|&o| self.bias.value.data()[o]).collect();
-        plan::note_compile("linear", k, out_idx.len(), in_idx.len());
-        self.plans.put_step(
-            k,
-            LinearPlan {
-                out_idx,
-                in_idx,
-                weight,
-                bias,
-            },
-        );
     }
 
     /// Backward pass for the subnet used in the last forward: accumulates
@@ -503,11 +322,8 @@ impl MaskedLinear {
         Ok(stepping_tensor::matmul::matmul(grad_out, &w_eff)?)
     }
 
-    /// Trainable parameters (weight then bias), for the optimizer. Handing
-    /// out the borrows invalidates compiled plans — an optimizer step will
-    /// rewrite the values.
+    /// Trainable parameters (weight then bias), for the optimizer.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.plans.invalidate("linear");
         vec![&mut self.weight, &mut self.bias]
     }
 
@@ -521,9 +337,6 @@ impl MaskedLinear {
                 *w = 0.0;
                 pruned += 1;
             }
-        }
-        if pruned > 0 {
-            self.plans.invalidate("linear");
         }
         pruned
     }
@@ -584,17 +397,6 @@ impl MaskedLinear {
             }
         }
         count
-    }
-
-    /// MACs each step adds at this layer: entry `k` is the sum of
-    /// [`neuron_macs`](Self::neuron_macs) over the neurons assigned exactly
-    /// to subnet `k`, so [`macs`](Self::macs)`(s, threshold)` is the sum of
-    /// entries `0..=s`. Counted once per weight/assignment epoch and
-    /// threshold, then served from the plan cache (see [`crate::plan`]).
-    pub(crate) fn step_macs(&self, threshold: f32) -> std::sync::Arc<[u64]> {
-        self.plans.step_macs(threshold, &self.out_assign, |o| {
-            self.neuron_macs(o, threshold)
-        })
     }
 
     /// Accumulated importance of output neuron `o` w.r.t. `subnet`

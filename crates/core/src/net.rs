@@ -1,15 +1,19 @@
 use rand::rngs::StdRng;
+use std::sync::Arc;
 use stepping_nn::{
     AvgPool2d, BatchNorm1d, BatchNorm2d, Dropout, Flatten, Layer, Linear, MaxPool2d, Param, Relu,
     Sigmoid, Tanh,
 };
+
 use stepping_tensor::conv::ConvGeometry;
-use stepping_tensor::microkernel::{self, Epilogue, PackedB};
-use stepping_tensor::pack::{self, PackScratch};
+use stepping_tensor::pack::PackScratch;
 use stepping_tensor::{init, GradStore, Shape, Tensor};
 
-use crate::plan::{self, HeadPlan, MacTable, PlanSet};
-use crate::{Assignment, FixedStage, MaskedConv2d, MaskedLinear, Result, Stage, SteppingError};
+use crate::parts::{Guarded, Parts};
+use crate::plan::MacTable;
+use crate::{
+    Assignment, CompiledModel, FixedStage, MaskedConv2d, MaskedLinear, Result, Stage, SteppingError,
+};
 
 /// A stepping neural network: a stack of [`Stage`]s plus one lightweight
 /// classifier head per subnet.
@@ -32,18 +36,14 @@ use crate::{Assignment, FixedStage, MaskedConv2d, MaskedLinear, Result, Stage, S
 /// Use [`SteppingNetBuilder`] to construct instances.
 #[derive(Debug, Clone)]
 pub struct SteppingNet {
-    stages: Vec<Stage>,
-    heads: Vec<Linear>,
+    /// Stages, heads and feature assignment, with the slot remembering the
+    /// last [`CompiledModel`]: every `&mut` access empties it (see
+    /// [`crate::parts`]).
+    parts: Guarded,
     subnets: usize,
     classes: usize,
     input_shape: Shape,
-    feature_assign: Assignment,
     last_subnet: Option<usize>,
-    /// Compiled packed head panels per subnet, dropped whenever head
-    /// weights or the feature assignment change (see [`crate::plan`]).
-    head_plans: PlanSet<HeadPlan>,
-    /// Reusable gather buffer for the packed head path.
-    head_scratch: PackScratch,
 }
 
 impl SteppingNet {
@@ -64,18 +64,20 @@ impl SteppingNet {
 
     /// The stage stack.
     pub fn stages(&self) -> &[Stage] {
-        &self.stages
+        &self.parts.read().stages
     }
 
     /// Mutable access to the stage stack (keep invariants in mind; call
-    /// [`SteppingNet::sync_assignments`] after structural edits).
+    /// [`SteppingNet::sync_assignments`] after structural edits). Like
+    /// every `&mut` access to stages or heads, handing out the borrow
+    /// forgets the compiled model (see [`SteppingNet::compile`]).
     pub fn stages_mut(&mut self) -> &mut [Stage] {
-        &mut self.stages
+        &mut self.parts.write().stages
     }
 
     /// Indices of masked (steppable) stages.
     pub fn masked_stage_indices(&self) -> Vec<usize> {
-        self.stages
+        self.stages()
             .iter()
             .enumerate()
             .filter(|(_, s)| s.is_masked())
@@ -85,7 +87,7 @@ impl SteppingNet {
 
     /// Assignment of the flattened features that feed the heads.
     pub fn feature_assign(&self) -> &Assignment {
-        &self.feature_assign
+        &self.parts.read().feature_assign
     }
 
     /// Head of `subnet`.
@@ -94,7 +96,7 @@ impl SteppingNet {
     ///
     /// Returns [`SteppingError::SubnetOutOfRange`].
     pub fn head(&self, subnet: usize) -> Result<&Linear> {
-        self.heads
+        self.heads()
             .get(subnet)
             .ok_or(SteppingError::SubnetOutOfRange {
                 subnet,
@@ -102,12 +104,15 @@ impl SteppingNet {
             })
     }
 
+    /// Every head, indexed by subnet.
+    pub(crate) fn heads(&self) -> &[Linear] {
+        &self.parts.read().heads
+    }
+
     /// Mutable access to all heads (checkpoint restore; keep geometry
-    /// intact). Handing out the borrow conservatively invalidates compiled
-    /// head plans.
+    /// intact).
     pub fn heads_mut(&mut self) -> &mut [Linear] {
-        self.head_plans.invalidate("head");
-        &mut self.heads
+        &mut self.parts.write().heads
     }
 
     /// Re-derives every masked stage's input assignment (and the feature
@@ -121,7 +126,8 @@ impl SteppingNet {
     pub fn sync_assignments(&mut self) -> Result<()> {
         let input_width = self.input_shape.dims()[0];
         let mut cur = Assignment::new(input_width, self.subnets);
-        for stage in &mut self.stages {
+        let parts = self.parts.write();
+        for stage in &mut parts.stages {
             match stage {
                 Stage::Linear(l) => {
                     l.set_in_assign(cur.clone())?;
@@ -142,15 +148,14 @@ impl SteppingNet {
                 Stage::Fixed(_) => {}
             }
         }
-        if cur.len() != self.heads[0].in_features() {
+        if cur.len() != parts.heads[0].in_features() {
             return Err(SteppingError::InvalidStructure(format!(
                 "feature assignment of {} does not match head input {}",
                 cur.len(),
-                self.heads[0].in_features()
+                parts.heads[0].in_features()
             )));
         }
-        self.feature_assign = cur;
-        self.head_plans.invalidate("head");
+        parts.feature_assign = cur;
         Ok(())
     }
 
@@ -163,7 +168,7 @@ impl SteppingNet {
     pub fn check_invariants(&self) -> Result<()> {
         let input_width = self.input_shape.dims()[0];
         let mut cur = Assignment::new(input_width, self.subnets);
-        for (i, stage) in self.stages.iter().enumerate() {
+        for (i, stage) in self.stages().iter().enumerate() {
             match stage {
                 Stage::Linear(l) => {
                     if l.in_assign() != &cur {
@@ -195,7 +200,7 @@ impl SteppingNet {
                 Stage::Fixed(_) => {}
             }
         }
-        if cur != self.feature_assign {
+        if &cur != self.feature_assign() {
             return Err(SteppingError::InvalidStructure(
                 "stale feature assignment".into(),
             ));
@@ -222,7 +227,7 @@ impl SteppingNet {
     pub fn move_neurons(&mut self, moves: &[(usize, usize, usize)]) -> Result<()> {
         let mut first_err = None;
         for &(stage, neuron, target) in moves {
-            let r = match self.stages.get_mut(stage) {
+            let r = match self.stages_mut().get_mut(stage) {
                 Some(s) => s.move_out_neuron(neuron, target),
                 None => Err(SteppingError::InvalidStructure(format!(
                     "stage {stage} out of range"
@@ -241,9 +246,10 @@ impl SteppingNet {
 
     /// 0/1 mask of features active in `subnet`, shaped `[features]`.
     pub fn feature_mask(&self, subnet: usize) -> Tensor {
-        let mut m = Tensor::zeros(Shape::of(&[self.feature_assign.len()]));
+        let assign = self.feature_assign();
+        let mut m = Tensor::zeros(Shape::of(&[assign.len()]));
         for (i, v) in m.data_mut().iter_mut().enumerate() {
-            if self.feature_assign.is_active(i, subnet) {
+            if assign.is_active(i, subnet) {
                 *v = 1.0;
             }
         }
@@ -264,14 +270,14 @@ impl SteppingNet {
             });
         }
         let mut x = input.clone();
-        for stage in &mut self.stages {
+        for stage in self.stages_mut() {
             x = stage.forward(&x, subnet, train)?;
         }
-        if x.shape().rank() != 2 || x.shape().dims()[1] != self.feature_assign.len() {
+        let features = self.feature_assign().len();
+        if x.shape().rank() != 2 || x.shape().dims()[1] != features {
             return Err(SteppingError::InvalidStructure(format!(
-                "feature extractor produced {}, expected [n, {}]",
-                x.shape(),
-                self.feature_assign.len()
+                "feature extractor produced {}, expected [n, {features}]",
+                x.shape()
             )));
         }
         Ok(x)
@@ -316,87 +322,38 @@ impl SteppingNet {
                 masked.data_mut()[b * f + i] *= mask.data()[i];
             }
         }
-        Ok(self.heads[subnet].forward(&masked, train)?)
+        Ok(self.heads_mut()[subnet].forward(&masked, train)?)
     }
 
-    /// Packed equivalent of [`SteppingNet::head_forward`] (inference only):
-    /// gathers the features active at `subnet` and multiplies against a
-    /// compiled `[classes, active]` head panel instead of masking the full
-    /// feature vector, with the head bias fused into the GEMM epilogue.
-    /// Results equal the masked path under `f32 ==` (see the `plan` module
-    /// docs).
+    /// Compiles the net for inference: every packed panel of every masked
+    /// stage and head, the fixed stages, and the [`MacTable`] counted at
+    /// `prune_threshold`, built eagerly into one immutable, `Send + Sync`
+    /// [`CompiledModel`] that executors share through the `Arc`.
     ///
-    /// # Errors
-    ///
-    /// Propagates head errors and subnet-range errors.
-    pub fn head_forward_packed(&mut self, features: &Tensor, subnet: usize) -> Result<Tensor> {
-        self.head_forward_packed_rows(std::iter::once(features), subnet)
+    /// The net remembers the last model it compiled in a single slot: a
+    /// repeated call at the same threshold is a slot read, a call at
+    /// another threshold recompiles and takes the slot. Every `&mut` access
+    /// to stages, heads or assignments — moves, pruning, optimizer steps,
+    /// checkpoint loads, even a masked [`forward`](Self::forward), whose
+    /// batch norms may move running statistics — empties the slot, so the
+    /// next call recompiles from the mutated net. A model handed out
+    /// earlier is unaffected: it is a snapshot, and executors created from
+    /// it keep serving it.
+    pub fn compile(&self, prune_threshold: f32) -> Arc<CompiledModel> {
+        self.compiled(Some(prune_threshold))
     }
 
-    /// [`SteppingNet::head_forward_packed`] over the feature tensors of
-    /// several requests at once: their active columns are gathered into one
-    /// stacked panel and multiplied in a single GEMM. Returns the logits of
-    /// all rows, `[Σ n_i, classes]`, in `features` order.
-    pub(crate) fn head_forward_packed_rows<'t>(
-        &mut self,
-        features: impl Iterator<Item = &'t Tensor> + Clone,
-        subnet: usize,
-    ) -> Result<Tensor> {
-        if subnet >= self.subnets {
-            return Err(SteppingError::SubnetOutOfRange {
-                subnet,
-                count: self.subnets,
-            });
-        }
-        let f = self.feature_assign.len();
-        let mut total = 0usize;
-        for t in features.clone() {
-            if t.shape().rank() != 2 || t.shape().dims()[1] != f {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "head expects [n, {f}], got {}",
-                    t.shape()
-                )));
-            }
-            total += t.shape().dims()[0];
-        }
-        self.ensure_head_plan(subnet);
-        let plan = self
-            .head_plans
-            .full(subnet)
-            .ok_or_else(|| plan::missing("head"))?;
-        {
-            let cols = plan.feat_idx.len();
-            let _pack_timer = plan::pack_timer();
-            // every element is overwritten by the gathers below
-            microkernel::grow(&mut self.head_scratch.input, total * cols);
-            let mut row = 0;
-            for t in features {
-                let n = t.shape().dims()[0];
-                pack::gather_columns_slice(
-                    t.data(),
-                    n,
-                    f,
-                    &plan.feat_idx,
-                    &mut self.head_scratch.input[row * cols..(row + n) * cols],
-                );
-                row += n;
-            }
-        }
-        let mut out = Tensor::zeros(Shape::of(&[total, self.classes]));
-        let _gemm_timer = plan::gemm_timer();
-        pack::gemm_packed_nt_slice(
-            &self.head_scratch.input,
-            &plan.weight,
-            out.data_mut(),
-            total,
-            &mut self.head_scratch.a_pack,
-            Epilogue::Bias(self.heads[subnet].bias().value.data()),
-        );
-        Ok(out)
+    /// The slot's model if it fits `threshold` (any model fits `None`),
+    /// else one compiled now, which takes the slot.
+    fn compiled(&self, threshold: Option<f32>) -> Arc<CompiledModel> {
+        self.parts
+            .compiled(threshold, |threshold| CompiledModel::new(self, threshold))
     }
 
-    /// Full packed inference pass: every stage and the head run their
-    /// compiled plans — the per-stage kernels
+    /// Full packed inference pass through the compiled model — the
+    /// remembered one whatever its threshold (panels do not depend on it),
+    /// else one compiled now: every stage and the head run their panels —
+    /// the per-stage kernels
     /// [`BatchExecutor::begin`](crate::BatchExecutor::begin) runs, without
     /// keeping the intermediate levels. Equal to
     /// `forward(input, subnet, false)` under `f32 ==`; does not populate
@@ -405,18 +362,9 @@ impl SteppingNet {
     /// # Errors
     ///
     /// Propagates stage/head errors.
-    pub fn forward_packed(&mut self, input: &Tensor, subnet: usize) -> Result<Tensor> {
-        if subnet >= self.subnets {
-            return Err(SteppingError::SubnetOutOfRange {
-                subnet,
-                count: self.subnets,
-            });
-        }
-        let mut x: Option<Tensor> = None;
-        for stage in &mut self.stages {
-            x = Some(stage.forward_packed(x.as_ref().unwrap_or(input), subnet)?);
-        }
-        self.head_forward_packed(x.as_ref().unwrap_or(input), subnet)
+    pub fn forward_packed(&self, input: &Tensor, subnet: usize) -> Result<Tensor> {
+        self.compiled(None)
+            .forward(input, subnet, &mut PackScratch::new())
     }
 
     /// MAC operations the packed path actually executes for `subnet`: dense
@@ -424,32 +372,8 @@ impl SteppingNet {
     /// [`SteppingNet::macs`] (the paper's budget accounting) to see how
     /// tightly execution tracks the `P_i` budgets.
     pub fn packed_macs(&self, subnet: usize) -> u64 {
-        let stage_macs: u64 = self.stages.iter().map(|s| s.packed_macs(subnet)).sum();
+        let stage_macs: u64 = self.stages().iter().map(|s| s.packed_macs(subnet)).sum();
         stage_macs + self.head_macs(subnet)
-    }
-
-    /// Compiles (or confirms) the packed head panel for `subnet`.
-    fn ensure_head_plan(&mut self, subnet: usize) {
-        if self.head_plans.full(subnet).is_some() {
-            plan::note_hit("head", subnet);
-            return;
-        }
-        let _compile_timer = plan::compile_timer();
-        let f = self.feature_assign.len();
-        let feat_idx = self.feature_assign.active_members(subnet);
-        let wd = self.heads[subnet].weight().value.data();
-        let cols = feat_idx.len();
-        let mut weight = vec![0.0f32; self.classes * cols];
-        for r in 0..self.classes {
-            let dst = &mut weight[r * cols..(r + 1) * cols];
-            for (d, &i) in dst.iter_mut().zip(feat_idx.iter()) {
-                *d = wd[r * f + i];
-            }
-        }
-        let weight = PackedB::pack_nt(&weight, self.classes, cols);
-        plan::note_compile("head", subnet, self.classes, cols);
-        self.head_plans
-            .put_full(subnet, HeadPlan { feat_idx, weight });
     }
 
     /// Back-propagates a logits gradient through the head used by the last
@@ -464,7 +388,7 @@ impl SteppingNet {
         let subnet = self
             .last_subnet
             .ok_or_else(|| SteppingError::ExecutorState("backward called before forward".into()))?;
-        let mut dfeat = self.heads[subnet].backward(dlogits)?;
+        let mut dfeat = self.heads_mut()[subnet].backward(dlogits)?;
         let mask = self.feature_mask(subnet);
         let f = mask.len();
         let n = dfeat.shape().dims()[0];
@@ -474,7 +398,7 @@ impl SteppingNet {
             }
         }
         let mut g = dfeat;
-        for stage in self.stages.iter_mut().rev() {
+        for stage in self.stages_mut().iter_mut().rev() {
             g = stage.backward(&g)?;
         }
         Ok(())
@@ -493,13 +417,13 @@ impl SteppingNet {
                 count: self.subnets,
             });
         }
-        self.head_plans.invalidate("head");
-        let mut params: Vec<&mut Param> = self
+        let parts = self.parts.write();
+        let mut params: Vec<&mut Param> = parts
             .stages
             .iter_mut()
             .flat_map(|s| s.params_mut())
             .collect();
-        params.extend(self.heads[subnet].params_mut());
+        params.extend(parts.heads[subnet].params_mut());
         Ok(params)
     }
 
@@ -511,8 +435,7 @@ impl SteppingNet {
     /// pretrained head gives every subnet a sensible classifier to refine —
     /// the paper's single-output-layer formulation gets this for free.
     pub fn warm_start_heads(&mut self) {
-        self.head_plans.invalidate("head");
-        let Some((first, rest)) = self.heads.split_first_mut() else {
+        let Some((first, rest)) = self.heads_mut().split_first_mut() else {
             return; // a built network always has >= 1 head
         };
         let w = first.weight().value.clone();
@@ -525,12 +448,13 @@ impl SteppingNet {
 
     /// Zeroes every gradient (stages and all heads).
     pub fn zero_grad(&mut self) {
-        for s in &mut self.stages {
+        let parts = self.parts.write();
+        for s in &mut parts.stages {
             for p in s.params_mut() {
                 p.zero_grad();
             }
         }
-        for h in &mut self.heads {
+        for h in &mut parts.heads {
             for p in h.params_mut() {
                 p.zero_grad();
             }
@@ -588,7 +512,7 @@ impl SteppingNet {
     /// Snapshots the accumulated per-neuron importance of every masked
     /// stage, index-aligned with [`SteppingNet::masked_stage_indices`].
     pub fn export_importance(&self) -> Vec<Vec<f64>> {
-        self.stages
+        self.stages()
             .iter()
             .filter_map(|s| s.importance_values().map(<[f64]>::to_vec))
             .collect()
@@ -611,7 +535,7 @@ impl SteppingNet {
             )));
         }
         for (idx, d) in masked.into_iter().zip(delta.iter()) {
-            self.stages[idx].add_importance_values(d)?;
+            self.stages_mut()[idx].add_importance_values(d)?;
         }
         Ok(())
     }
@@ -621,44 +545,38 @@ impl SteppingNet {
     /// per-batch RNG stream (dropout). When false, the stepping-exec engine
     /// falls back to a single shard regardless of configuration.
     pub fn train_parallel_safe(&self) -> bool {
-        self.stages.iter().all(Stage::shard_safe)
+        self.stages().iter().all(Stage::shard_safe)
     }
 
     /// MAC operations executed by subnet `subnet` (stages + its head).
     pub fn macs(&self, subnet: usize, threshold: f32) -> u64 {
-        let stage_macs: u64 = self.stages.iter().map(|s| s.macs(subnet, threshold)).sum();
+        let stage_macs: u64 = self
+            .stages()
+            .iter()
+            .map(|s| s.macs(subnet, threshold))
+            .sum();
         stage_macs + self.head_macs(subnet)
     }
 
-    /// The MAC accounting of every subnet and step at `threshold` — the one
-    /// table the executors, the runtime's cost vectors and the server's
-    /// cost tables read. Its entries equal [`SteppingNet::macs`] and the
-    /// per-step sums of `neuron_macs` exactly; the weight scans behind them
-    /// run once per layer, weight/assignment epoch and threshold, and are
-    /// served from the layers' plan caches afterwards — dropped, like the
-    /// compiled panels, by every weight or assignment mutation — so a warm
-    /// call costs no pass over the weights.
+    /// The MAC accounting of every subnet and step at `threshold`: the
+    /// [`MacTable`] of [`compile`](Self::compile)`(threshold)`, so a call on
+    /// an unmutated net at the threshold last compiled costs a slot read.
+    /// Its entries equal [`SteppingNet::macs`] and the per-step sums of
+    /// `neuron_macs` exactly.
     pub fn mac_table(&self, threshold: f32) -> MacTable {
-        let mut stage_step = vec![0u64; self.subnets];
-        for layer in self.stages.iter().filter_map(|s| s.step_macs(threshold)) {
-            for (total, &macs) in stage_step.iter_mut().zip(layer.iter()) {
-                *total += macs;
-            }
-        }
-        let head = (0..self.subnets).map(|k| self.head_macs(k)).collect();
-        MacTable::new(&stage_step, head)
+        self.compile(threshold).mac_table().clone()
     }
 
     /// MAC operations of `subnet`'s head (active features × classes).
     pub fn head_macs(&self, subnet: usize) -> u64 {
-        (self.feature_assign.active_count(subnet) * self.classes) as u64
+        (self.feature_assign().active_count(subnet) * self.classes) as u64
     }
 
     /// Architectural MAC capacity: every weight legal and unpruned, one head
     /// reading all features — the `P_t` of the construction flow.
     pub fn full_macs(&self) -> u64 {
         let mut total = 0u64;
-        for s in &self.stages {
+        for s in self.stages() {
             total += match s {
                 Stage::Linear(l) => (l.out_features() * l.in_features()) as u64,
                 Stage::Conv(c) => {
@@ -668,19 +586,22 @@ impl SteppingNet {
                 Stage::Fixed(_) => 0,
             };
         }
-        total + (self.feature_assign.len() * self.classes) as u64
+        total + (self.feature_assign().len() * self.classes) as u64
     }
 
     /// Applies non-permanent pruning to every masked stage; returns the
     /// number of zeroed weights.
     pub fn prune(&mut self, threshold: f32) -> usize {
-        self.stages.iter_mut().map(|s| s.prune(threshold)).sum()
+        self.stages_mut()
+            .iter_mut()
+            .map(|s| s.prune(threshold))
+            .sum()
     }
 
     /// Per-stage snapshots of which weights are currently zero, for revival
     /// tracking across a training round (fixed stages yield empty masks).
     pub fn zeroed_weight_masks(&self) -> Vec<Vec<bool>> {
-        self.stages.iter().map(|s| s.zeroed_weights()).collect()
+        self.stages().iter().map(|s| s.zeroed_weights()).collect()
     }
 
     /// Counts synapses that were zero in `before` (a
@@ -688,7 +609,7 @@ impl SteppingNet {
     /// carry magnitude `>= threshold` — weights revived after non-permanent
     /// pruning.
     pub fn count_revived(&self, before: &[Vec<bool>], threshold: f32) -> usize {
-        self.stages
+        self.stages()
             .iter()
             .zip(before.iter())
             .map(|(s, b)| s.count_revived(b, threshold))
@@ -697,7 +618,7 @@ impl SteppingNet {
 
     /// Clears accumulated importance on every masked stage.
     pub fn reset_importance(&mut self) {
-        for s in &mut self.stages {
+        for s in self.stages_mut() {
             s.reset_importance();
         }
     }
@@ -705,14 +626,14 @@ impl SteppingNet {
     /// Installs weight-update suppression (`β^(subnet − assign)`) on every
     /// masked stage for training `subnet`.
     pub fn apply_lr_suppression(&mut self, subnet: usize, beta: f32) {
-        for s in &mut self.stages {
+        for s in self.stages_mut() {
             s.apply_lr_suppression(subnet, beta);
         }
     }
 
     /// Removes weight-update suppression everywhere.
     pub fn clear_lr_suppression(&mut self) {
-        for s in &mut self.stages {
+        for s in self.stages_mut() {
             s.clear_lr_suppression();
         }
     }
@@ -730,7 +651,7 @@ impl SteppingNet {
             self.classes,
             self.full_macs()
         );
-        for (i, s) in self.stages.iter().enumerate() {
+        for (i, s) in self.stages().iter().enumerate() {
             let extra = match s.neuron_count() {
                 Some(n) => format!(" ({n} neurons)"),
                 None => String::new(),
@@ -1046,15 +967,15 @@ impl SteppingNetBuilder {
             .map(|_| Linear::new(features, classes, &mut self.rng))
             .collect();
         let mut net = SteppingNet {
-            stages: self.stages,
-            heads,
+            parts: Guarded::new(Parts {
+                stages: self.stages,
+                heads,
+                feature_assign: Assignment::new(features, self.subnets),
+            }),
             subnets: self.subnets,
             classes,
             input_shape: self.input_shape,
-            feature_assign: Assignment::new(features, self.subnets),
             last_subnet: None,
-            head_plans: PlanSet::default(),
-            head_scratch: PackScratch::new(),
         };
         net.sync_assignments()?;
         Ok(net)
@@ -1219,12 +1140,12 @@ mod tests {
         let y = net.forward(&x, 1, true).unwrap();
         net.backward(&Tensor::ones(y.shape().clone())).unwrap();
         // head 1 has gradient, head 0 does not
-        let g1: f32 = net.heads[1].weight().grad.norm_sq();
-        let g0: f32 = net.heads[0].weight().grad.norm_sq();
+        let g1: f32 = net.heads()[1].weight().grad.norm_sq();
+        let g0: f32 = net.heads()[0].weight().grad.norm_sq();
         assert!(g1 > 0.0);
         assert_eq!(g0, 0.0);
         net.zero_grad();
-        assert_eq!(net.heads[1].weight().grad.norm_sq(), 0.0);
+        assert_eq!(net.heads()[1].weight().grad.norm_sq(), 0.0);
     }
 
     #[test]

@@ -68,6 +68,30 @@ impl FixedStage {
         }
     }
 
+    /// Inference forward through `&self`: `forward(x, false)` of the wrapped
+    /// layer written into `out` — the same per-element arithmetic in the
+    /// same order — reading and writing no backward cache. `out`'s buffer
+    /// is reused when its shape already matches (an executor's cached
+    /// level), so a warmed expand allocates nothing here.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the layer's input-shape errors.
+    pub fn infer_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+        match self {
+            FixedStage::Relu(l) => l.infer_into(x, out),
+            FixedStage::Tanh(l) => l.infer_into(x, out),
+            FixedStage::Sigmoid(l) => l.infer_into(x, out),
+            FixedStage::MaxPool(l) => l.infer_into(x, out)?,
+            FixedStage::AvgPool(l) => l.infer_into(x, out)?,
+            FixedStage::BatchNorm1d { layer, .. } => layer.infer_into(x, out)?,
+            FixedStage::BatchNorm2d { layer, .. } => layer.infer_into(x, out)?,
+            FixedStage::Flatten { layer, .. } => layer.infer_into(x, out)?,
+            FixedStage::Dropout(l) => l.infer_into(x, out),
+        }
+        Ok(())
+    }
+
     /// Human-readable kind.
     pub fn name(&self) -> &'static str {
         match self {
@@ -131,24 +155,6 @@ impl Stage {
                 }
                 Ok(f.layer_mut().forward(x, train)?)
             }
-        }
-    }
-
-    /// Runs the stage forward for `subnet` on the packed inference path:
-    /// masked stages execute their compiled plan
-    /// ([`MaskedLinear::forward_packed`] /
-    /// [`MaskedConv2d::forward_packed`]), fixed stages run a plain
-    /// inference forward. Results equal [`Stage::forward`] with
-    /// `train == false` under `f32 ==` (see the `plan` module docs).
-    ///
-    /// # Errors
-    ///
-    /// Propagates layer errors.
-    pub fn forward_packed(&mut self, x: &Tensor, subnet: usize) -> Result<Tensor> {
-        match self {
-            Stage::Linear(l) => l.forward_packed(x, subnet),
-            Stage::Conv(c) => c.forward_packed(x, subnet),
-            Stage::Fixed(f) => Ok(f.layer_mut().forward(x, false)?),
         }
     }
 
@@ -244,14 +250,20 @@ impl Stage {
         }
     }
 
-    /// Per-step MACs of a masked stage (see
-    /// [`MaskedLinear::step_macs`]); `None` for fixed stages.
-    pub(crate) fn step_macs(&self, threshold: f32) -> Option<std::sync::Arc<[u64]>> {
-        match self {
-            Stage::Linear(l) => Some(l.step_macs(threshold)),
-            Stage::Conv(c) => Some(c.step_macs(threshold)),
-            Stage::Fixed(_) => None,
+    /// MACs each step adds at a masked stage: entry `k` is the sum of
+    /// [`neuron_macs`](Self::neuron_macs) over the neurons assigned exactly
+    /// to subnet `k` (the unused pool counts nowhere), so
+    /// [`macs`](Self::macs)`(s, threshold)` is the sum of entries `0..=s`.
+    /// `None` for fixed stages.
+    pub(crate) fn step_macs(&self, threshold: f32) -> Option<Vec<u64>> {
+        let assign = self.out_assign()?;
+        let mut counts = vec![0u64; assign.subnet_count()];
+        for o in 0..assign.len() {
+            if let Some(c) = counts.get_mut(assign.subnet_of(o)) {
+                *c += self.neuron_macs(o, threshold)?;
+            }
         }
+        Some(counts)
     }
 
     /// MAC contribution of output neuron `o` for masked stages.

@@ -5,11 +5,13 @@
 //! logits handed back per request plus a few bookkeeping vectors. Stacking
 //! the cached levels of the batch into one tensor per level and splitting
 //! them back (what the path did before) costs one allocation per level and
-//! request and as many bytes as the caches hold — this test fails long
-//! before that.
+//! request and as many bytes as the caches hold — these tests fail long
+//! before that. So does a fixed stage that replaces its cached level with
+//! a fresh tensor in place of overwriting it (what pools and flatten did
+//! before `FixedStage::infer_into`).
 //!
-//! The file holds a single test: the counting allocator is process-wide,
-//! and the count is kept per thread so the harness cannot disturb it.
+//! The counting allocator is process-wide, but the count is kept per
+//! thread, so the harness and the other test cannot disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -85,9 +87,33 @@ fn mlp() -> SteppingNet {
     net
 }
 
+/// Conv → relu → max-pool → flatten → linear: every kind of fixed stage
+/// that changes the cached level's shape, between two masked stages.
+fn conv_net() -> SteppingNet {
+    let mut net = SteppingNetBuilder::new(Shape::of(&[3, 16, 16]), SUBNETS, 9)
+        .conv(24, 3, 1, 1)
+        .relu()
+        .max_pool(2, 2)
+        .flatten()
+        .linear(96)
+        .relu()
+        .build(CLASSES)
+        .unwrap();
+    let mut moves = Vec::new();
+    for (stage, width) in [(0, 24), (4, 96)] {
+        for o in 0..width {
+            moves.push((stage, o, o * SUBNETS / width));
+        }
+    }
+    net.move_neurons(&moves).unwrap();
+    net
+}
+
 fn begin(exec: &mut BatchExecutor, requests: usize) -> Vec<ActivationCache> {
+    let mut dims = vec![1];
+    dims.extend_from_slice(exec.model().input_shape().dims());
     let inputs: Vec<Tensor> = (0..requests)
-        .map(|i| init::uniform(Shape::of(&[1, 256]), -1.0, 1.0, &mut init::rng(i as u64)))
+        .map(|i| init::uniform(Shape::of(&dims), -1.0, 1.0, &mut init::rng(i as u64)))
         .collect();
     exec.begin(&inputs, 0)
         .unwrap()
@@ -96,12 +122,14 @@ fn begin(exec: &mut BatchExecutor, requests: usize) -> Vec<ActivationCache> {
         .collect()
 }
 
-#[test]
-fn warmed_batched_expand_allocates_only_the_logits() {
+/// Warms an executor over `net`, then requires of every expand of a fresh
+/// batch no more allocations than the logits handed back plus bookkeeping
+/// that does not grow with the cached levels, and far fewer bytes than one
+/// cached level of the batch (`level_floats` values per request) holds.
+fn assert_warmed_expand_allocates_only_the_logits(net: &SteppingNet, level_floats: usize) {
     const REQUESTS: usize = 8;
-    let mut net = mlp();
-    let mut exec = BatchExecutor::new(&mut net, 0.0);
-    // warm-up: compile every step plan and grow the scratch panels
+    let mut exec = BatchExecutor::new(net, 0.0);
+    // warm-up: grow the scratch panels
     let mut warm = begin(&mut exec, REQUESTS);
     for _ in 1..SUBNETS {
         exec.expand(&mut warm).unwrap();
@@ -113,7 +141,7 @@ fn warmed_batched_expand_allocates_only_the_logits() {
     // bookkeeping that does not grow with the cached levels: the stack and
     // result vectors, the batch's stacked logits
     const CONSTANT_ALLOCS: usize = 12;
-    let cache_level_bytes = REQUESTS * 512 * std::mem::size_of::<f32>();
+    let cache_level_bytes = REQUESTS * level_floats * std::mem::size_of::<f32>();
 
     let mut caches = begin(&mut exec, REQUESTS);
     for k in 1..SUBNETS {
@@ -130,4 +158,18 @@ fn warmed_batched_expand_allocates_only_the_logits() {
              holds {cache_level_bytes}"
         );
     }
+}
+
+#[test]
+fn warmed_batched_expand_allocates_only_the_logits() {
+    assert_warmed_expand_allocates_only_the_logits(&mlp(), 512);
+}
+
+/// The fixed stages between the conv and the linear layer — relu, max-pool,
+/// flatten — overwrite the next cached level in place: no tensor is
+/// allocated for them (the smallest cached level they write, the pooled
+/// one, holds 24 × 8 × 8 values per request).
+#[test]
+fn warmed_conv_expand_allocates_no_tensor_in_its_fixed_stages() {
+    assert_warmed_expand_allocates_only_the_logits(&conv_net(), 24 * 8 * 8);
 }

@@ -1,20 +1,24 @@
-//! Packed execution plans: bit-identity with the masked reference path and
-//! cache-invalidation guarantees, exercised at the layer level.
+//! Packed execution through the compiled model: bit-identity with the masked
+//! reference path, staleness and snapshot semantics, exercised at net level.
 //!
-//! * `forward_packed` must equal the masked `forward`, and the step panel
-//!   `forward_step_packed_into` writes must equal the masked `forward`'s
-//!   columns / channels `out_assign().members(k)`, under `f32 ==` for
-//!   arbitrary assignments, subnet indices, and batch sizes — including
-//!   right after a weight update invalidated the cached plans.
-//! * Every structural or weight mutator must advance the plan epoch, so a
-//!   stale plan is never served.
-//! * The MAC table compiled beside the plans must equal the brute-force
-//!   `macs()` / `neuron_macs()` scans for arbitrary assignments and prune
-//!   thresholds, and every mutator must drop it with the plans.
+//! * Every packed path — `forward_packed`, `BatchExecutor::begin` at every
+//!   subnet (full panels), the begin → expand chain (step panels), the
+//!   contractions back down (a step leaves every smaller subnet's cached
+//!   neuron untouched) and the head-only re-expand — must equal the masked
+//!   `forward` under `f32 ==` for arbitrary assignments, subnet indices and
+//!   batch sizes, on one-stage nets that isolate a linear or a conv layer.
+//! * A net is never served stale: after every kind of mutation the packed
+//!   paths equal the masked reference again and `compile(thr)`'s `MacTable`
+//!   equals the brute-force `macs()` / `neuron_macs()` scans.
+//! * An executor is a snapshot: one created before a mutation keeps
+//!   answering the pre-mutation logits.
+//! * One compiled model is shared: executors on two threads run it at once.
+
+use std::sync::Barrier;
 
 use proptest::prelude::*;
 use stepping_core::{
-    checkpoint, Assignment, IncrementalExecutor, MaskedConv2d, MaskedLinear, Stage, SteppingNet,
+    checkpoint, Assignment, BatchExecutor, CompiledModel, IncrementalExecutor, Stage, SteppingNet,
     SteppingNetBuilder,
 };
 use stepping_nn::optim::Sgd;
@@ -24,80 +28,122 @@ const SUBNETS: usize = 3;
 const IN_F: usize = 10;
 const OUT_F: usize = 12;
 
-/// Linear layer with arbitrary out/in assignments (targets may hit the
-/// unused pool; legality is the masking rule, not a constructor invariant).
-fn random_linear(seed: u64, out_moves: &[(u8, u8)], in_moves: &[(u8, u8)]) -> MaskedLinear {
-    let mut l = MaskedLinear::new(IN_F, OUT_F, SUBNETS, &mut init::rng(seed));
-    for &(n, t) in out_moves {
-        l.move_out_neuron(n as usize % OUT_F, t as usize % (SUBNETS + 1))
-            .unwrap();
-    }
-    let mut ia = Assignment::new(IN_F, SUBNETS);
+/// Replaces stage 0's input assignment behind the net's back: legality
+/// (`assign(in) ≤ assign(out)`) is the masking rule, not an invariant the
+/// packed path may assume of its inputs.
+fn assign_inputs(net: &mut SteppingNet, width: usize, in_moves: &[(u8, u8)]) {
+    let mut ia = Assignment::new(width, SUBNETS);
     for &(n, t) in in_moves {
-        ia.move_neuron(n as usize % IN_F, t as usize % (SUBNETS + 1))
+        ia.move_neuron(n as usize % width, t as usize % (SUBNETS + 1))
             .unwrap();
     }
-    l.set_in_assign(ia).unwrap();
-    l
+    net.stages_mut()[0].set_in_assign(ia).unwrap();
+}
+
+/// One masked linear layer under the heads, with arbitrary out/in
+/// assignments (targets may hit the unused pool).
+fn linear_net(seed: u64, out_moves: &[(u8, u8)], in_moves: &[(u8, u8)]) -> SteppingNet {
+    let mut net = SteppingNetBuilder::new(Shape::of(&[IN_F]), SUBNETS, seed)
+        .linear(OUT_F)
+        .build(4)
+        .unwrap();
+    let moves: Vec<_> = out_moves
+        .iter()
+        .map(|&(n, t)| (0, n as usize % OUT_F, t as usize % (SUBNETS + 1)))
+        .collect();
+    net.move_neurons(&moves).unwrap();
+    assign_inputs(&mut net, IN_F, in_moves);
+    net
 }
 
 const IN_C: usize = 3;
 const OUT_C: usize = 6;
 const EXTENT: usize = 6; // 3x3 kernel, stride 1, padding 1 -> 6x6 out
 
-fn random_conv(seed: u64, out_moves: &[(u8, u8)], in_moves: &[(u8, u8)]) -> MaskedConv2d {
-    let mut c = MaskedConv2d::new(
-        IN_C,
-        OUT_C,
-        3,
-        1,
-        1,
-        EXTENT * EXTENT,
-        SUBNETS,
-        &mut init::rng(seed),
-    );
-    for &(n, t) in out_moves {
-        c.move_out_neuron(n as usize % OUT_C, t as usize % (SUBNETS + 1))
-            .unwrap();
-    }
-    let mut ia = Assignment::new(IN_C, SUBNETS);
-    for &(n, t) in in_moves {
-        ia.move_neuron(n as usize % IN_C, t as usize % (SUBNETS + 1))
-            .unwrap();
-    }
-    c.set_in_assign(ia).unwrap();
-    c
+/// One masked conv layer (flattened) under the heads.
+fn conv_net(seed: u64, out_moves: &[(u8, u8)], in_moves: &[(u8, u8)]) -> SteppingNet {
+    let mut net = SteppingNetBuilder::new(Shape::of(&[IN_C, EXTENT, EXTENT]), SUBNETS, seed)
+        .conv(OUT_C, 3, 1, 1)
+        .flatten()
+        .build(4)
+        .unwrap();
+    let moves: Vec<_> = out_moves
+        .iter()
+        .map(|&(n, t)| (0, n as usize % OUT_C, t as usize % (SUBNETS + 1)))
+        .collect();
+    net.move_neurons(&moves).unwrap();
+    assign_inputs(&mut net, IN_C, in_moves);
+    net
 }
 
-/// Runs the layer's subnet-`k` step over the one-stack slice `[x, zeros]`
-/// and checks the written level against the masked `reference`
-/// (`forward(x, k, false)`): neurons `members` carry the reference's values,
-/// every other neuron is untouched. `inner` is the number of values per
-/// neuron and sample (1 for a linear layer, `h * w` for a conv).
-fn assert_step_matches(
-    step: impl FnOnce(&mut [&mut [Tensor]]),
-    x: &Tensor,
-    reference: &Tensor,
-    members: &[usize],
-    inner: usize,
+/// Masked reference logits of every input at every subnet,
+/// `[subnet][input]`, computed on a clone so `net` is not touched.
+fn masked(net: &SteppingNet, inputs: &[Tensor]) -> Vec<Vec<Tensor>> {
+    let mut reference = net.clone();
+    (0..net.subnet_count())
+        .map(|s| {
+            inputs
+                .iter()
+                .map(|x| reference.forward(x, s, false).unwrap())
+                .collect()
+        })
+        .collect()
+}
+
+/// Drives `exec` through every transition over `inputs` as one batch and
+/// requires the logits `want[subnet][input]` of each.
+fn assert_executor_answers(
+    exec: &mut BatchExecutor,
+    inputs: &[Tensor],
+    want: &[Vec<Tensor>],
+    what: &str,
 ) {
-    let mut levels = [x.clone(), Tensor::zeros(reference.shape().clone())];
-    step(&mut [&mut levels[..]]);
-    let width = reference.shape().dims()[1];
-    for (i, (&got, &want)) in levels[1].data().iter().zip(reference.data()).enumerate() {
-        let neuron = i / inner % width;
-        if members.contains(&neuron) {
-            assert_eq!(got, want, "step neuron {neuron} differs at {i}");
-        } else {
-            assert_eq!(got, 0.0, "step wrote neuron {neuron} outside its plan");
+    let subnets = want.len();
+    let logits = |steps: Vec<stepping_core::ExpandStep>| -> Vec<Tensor> {
+        steps.into_iter().map(|s| s.logits).collect()
+    };
+    // full panels: a direct pass at every subnet
+    for (s, want) in want.iter().enumerate() {
+        let (_, steps): (Vec<_>, Vec<_>) = exec.begin(inputs, s).unwrap().into_iter().unzip();
+        assert_eq!(&logits(steps), want, "{what}: begin at subnet {s}");
+    }
+    // step panels: begin at 0, expand to the top ...
+    let (mut caches, steps): (Vec<_>, Vec<_>) = exec.begin(inputs, 0).unwrap().into_iter().unzip();
+    assert_eq!(logits(steps), want[0], "{what}: chain begin");
+    for (k, want) in want.iter().enumerate().skip(1) {
+        let steps = exec.expand(&mut caches).unwrap();
+        assert_eq!(&logits(steps), want, "{what}: expand to subnet {k}");
+    }
+    // ... every step left the smaller subnets' cached neurons untouched ...
+    for k in (0..subnets - 1).rev() {
+        let steps = exec.contract(&mut caches).unwrap();
+        assert_eq!(logits(steps), want[k], "{what}: contract to subnet {k}");
+    }
+    // ... and the larger ones' where it wrote them
+    for (k, want) in want.iter().enumerate().skip(1) {
+        let steps = exec.expand(&mut caches).unwrap();
+        assert_eq!(&logits(steps), want, "{what}: re-expand to subnet {k}");
+    }
+}
+
+/// Every packed path of `net` against its masked reference.
+fn assert_packed_matches(net: &SteppingNet, inputs: &[Tensor], what: &str) {
+    let want = masked(net, inputs);
+    for (s, want) in want.iter().enumerate() {
+        for (x, want) in inputs.iter().zip(want) {
+            let packed = net.forward_packed(x, s).unwrap();
+            assert_eq!(&packed, want, "{what}: forward_packed at subnet {s}");
         }
     }
+    assert_executor_answers(&mut BatchExecutor::new(net, 0.0), inputs, &want, what);
 }
 
-/// Conv + linear net whose masked stages sit at indices 0 and 4.
+/// Conv + batch norm + linear net whose masked stages sit at indices 0
+/// and 5.
 fn table_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
     let mut net = SteppingNetBuilder::new(Shape::of(&[2, 6, 6]), SUBNETS, seed)
         .conv(5, 3, 1, 1)
+        .batch_norm()
         .relu()
         .max_pool(2, 2)
         .flatten()
@@ -108,7 +154,7 @@ fn table_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
     let moves: Vec<(usize, usize, usize)> = moves
         .iter()
         .map(|&(stage, neuron, target)| {
-            let (stage, width) = if stage % 2 == 0 { (0, 5) } else { (4, 9) };
+            let (stage, width) = if stage % 2 == 0 { (0, 5) } else { (5, 9) };
             (
                 stage,
                 neuron as usize % width,
@@ -120,9 +166,11 @@ fn table_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
     net
 }
 
-/// The table served for `thr` against the brute-force weight scans.
+/// The table compiled for `thr` against the brute-force weight scans.
 fn assert_table_matches_scans(net: &SteppingNet, thr: f32, what: &str) {
-    let table = net.mac_table(thr);
+    let model = net.compile(thr);
+    let table = model.mac_table();
+    assert_eq!(model.prune_threshold(), thr);
     assert_eq!(table.direct().len(), SUBNETS);
     for k in 0..SUBNETS {
         assert_eq!(
@@ -141,13 +189,22 @@ fn assert_table_matches_scans(net: &SteppingNet, thr: f32, what: &str) {
         assert_eq!(table.step()[k], step, "{what}: step[{k}] at {thr}");
         assert_eq!(table.head()[k], net.head_macs(k), "{what}: head[{k}]");
     }
+    assert_eq!(
+        &net.mac_table(thr),
+        table,
+        "{what}: mac_table reads compile"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
+    /// After each kind of mutation the net is served fresh — packed equals
+    /// masked on every subnet, the compiled MAC table equals the scans (the
+    /// slot is read at the same threshold, at another, and back) — while an
+    /// executor created before the mutation keeps its snapshot.
     #[test]
-    fn mac_table_equals_scans_and_is_never_stale(
+    fn compiled_model_is_never_stale_and_executors_keep_their_snapshot(
         moves in proptest::collection::vec((0u8..8, 0u8..64, 0u8..8), 0..16),
         later in (0u8..8, 0u8..64, 0u8..8),
         seed in 0u64..1000,
@@ -155,56 +212,80 @@ proptest! {
         scale in 0.1f32..3.0,
     ) {
         let mut net = table_net(seed, &moves);
-        // every check reads the table twice: the scan, then the memo
-        let check = |net: &SteppingNet, what: &str| {
+        let x = init::uniform(Shape::of(&[2, 2, 6, 6]), -1.0, 1.0, &mut init::rng(seed ^ 5));
+        let inputs = [x.clone()];
+        let fresh = |net: &SteppingNet, what: &str| {
+            assert_packed_matches(net, &inputs, what);
             for t in [thr, 0.0, thr] {
                 assert_table_matches_scans(net, t, what);
             }
         };
-        check(&net, "fresh");
+        fresh(&net, "fresh");
+        // mutates the net between the birth of an executor and its use
+        let mutated = |net: &mut SteppingNet, what: &str, mutate: &dyn Fn(&mut SteppingNet)| {
+            let before = masked(net, &inputs);
+            let mut snapshot = BatchExecutor::new(net, thr);
+            mutate(net);
+            fresh(net, what);
+            assert_executor_answers(&mut snapshot, &inputs, &before, &format!("snapshot, {what}"));
+        };
+        let (stage, width) = if later.0 % 2 == 0 { (0, 5) } else { (5, 9) };
+        let (neuron, target) = (later.1 as usize % width, later.2 as usize % (SUBNETS + 1));
 
-        let (stage, width) = if later.0 % 2 == 0 { (0, 5) } else { (4, 9) };
-        net.move_neuron(stage, later.1 as usize % width, later.2 as usize % (SUBNETS + 1))
-            .unwrap();
-        check(&net, "after move_neuron");
-
-        net.prune(thr.max(0.05));
-        check(&net, "after prune");
-
-        for si in [0, 4] {
-            let weight = match &mut net.stages_mut()[si] {
-                Stage::Linear(l) => l.weight_mut(),
-                Stage::Conv(c) => c.weight_mut(),
-                Stage::Fixed(_) => unreachable!("stages 0 and 4 are masked"),
-            };
-            for w in weight.value.data_mut() {
-                *w *= scale;
+        mutated(&mut net, "after move_neuron", &|net| {
+            net.move_neuron(stage, neuron, target).unwrap();
+        });
+        mutated(&mut net, "after move_neurons", &|net| {
+            net.move_neurons(&[(0, (neuron + 1) % 5, 1), (5, (neuron + 2) % 9, 2)]).unwrap();
+        });
+        mutated(&mut net, "after prune", &|net| {
+            net.prune(thr.max(0.05));
+        });
+        mutated(&mut net, "after weight_mut", &|net| {
+            for si in [0, 5] {
+                let weight = match &mut net.stages_mut()[si] {
+                    Stage::Linear(l) => l.weight_mut(),
+                    Stage::Conv(c) => c.weight_mut(),
+                    Stage::Fixed(_) => unreachable!("stages 0 and 5 are masked"),
+                };
+                for w in weight.value.data_mut() {
+                    *w *= scale;
+                }
             }
-        }
-        check(&net, "after weight_mut");
-
-        // an optimizer step through params_for
-        let x = init::uniform(Shape::of(&[2, 2, 6, 6]), -1.0, 1.0, &mut init::rng(seed ^ 5));
-        net.zero_grad();
-        let y = net.forward(&x, SUBNETS - 1, true).unwrap();
-        net.backward(&y).unwrap();
-        Sgd::new(0.5).unwrap().step(&mut net.params_for(SUBNETS - 1).unwrap()).unwrap();
-        check(&net, "after optimizer step");
-
-        // a layer's input assignment replaced behind the net's back
-        let mut ia = Assignment::new(5 * 3 * 3, SUBNETS);
-        ia.move_neuron(later.1 as usize % 45, later.2 as usize % (SUBNETS + 1)).unwrap();
-        net.stages_mut()[4].set_in_assign(ia).unwrap();
-        check(&net, "after set_in_assign");
-        net.sync_assignments().unwrap();
-        check(&net, "after sync_assignments");
-
+        });
+        mutated(&mut net, "after optimizer step", &|net| {
+            net.zero_grad();
+            let y = net.forward(&x, SUBNETS - 1, true).unwrap();
+            net.backward(&y).unwrap();
+            Sgd::new(0.5).unwrap().step(&mut net.params_for(SUBNETS - 1).unwrap()).unwrap();
+        });
+        mutated(&mut net, "after a training forward through batch norm", &|net| {
+            // running statistics move; no weight does
+            net.forward(&x.map(|v| 3.0 * v + 1.0), SUBNETS - 1, true).unwrap();
+        });
+        mutated(&mut net, "after set_in_assign", &|net| {
+            // a layer's input assignment replaced behind the net's back
+            // (the first layer's: the raw input is whole in every subnet,
+            // so stepping stays valid)
+            assign_inputs(net, 2, &[(later.1, later.2)]);
+        });
+        mutated(&mut net, "after sync_assignments", &|net| {
+            net.sync_assignments().unwrap();
+        });
+        mutated(&mut net, "after heads_mut", &|net| {
+            for head in net.heads_mut() {
+                for w in head.weight_mut().value.data_mut() {
+                    *w *= scale;
+                }
+            }
+        });
+        mutated(&mut net, "after warm_start_heads", &|net| net.warm_start_heads());
         // a checkpoint of a differently assigned, differently weighted net
         let mut other = table_net(seed ^ 0x5a, &[(later.0, later.1, later.2)]);
         let state = checkpoint::save_state(&mut other);
-        check(&other, "checkpointed net");
-        checkpoint::load_state(&mut net, state).unwrap();
-        check(&net, "after load_state");
+        mutated(&mut net, "after load_state", &|net| {
+            checkpoint::load_state(net, state.clone()).unwrap();
+        });
         prop_assert_eq!(net.mac_table(thr), other.mac_table(thr));
     }
 
@@ -215,24 +296,15 @@ proptest! {
         seed in 0u64..1000,
         batch in 1usize..5,
     ) {
-        let mut l = random_linear(seed, &out_moves, &in_moves);
-        let x = init::uniform(
-            Shape::of(&[batch, IN_F]), -2.0, 2.0, &mut init::rng(seed ^ 1),
-        );
-        for s in 0..SUBNETS {
-            let masked = l.forward(&x, s, false).unwrap();
-            let packed = l.forward_packed(&x, s).unwrap();
-            prop_assert_eq!(&packed, &masked, "subnet {} full plan differs", s);
-            // second call serves the cached plan — must still match
-            let cached = l.forward_packed(&x, s).unwrap();
-            prop_assert_eq!(&cached, &masked, "subnet {} cached plan differs", s);
-
-            let rows = l.out_assign().members(s);
-            assert_step_matches(
-                |stack| l.forward_step_packed_into(s, stack, 0).unwrap(),
-                &x, &masked, &rows, 1,
-            );
-        }
+        let net = linear_net(seed, &out_moves, &in_moves);
+        let mut rng = init::rng(seed ^ 1);
+        let inputs = [
+            init::uniform(Shape::of(&[batch, IN_F]), -2.0, 2.0, &mut rng),
+            init::uniform(Shape::of(&[1, IN_F]), -2.0, 2.0, &mut rng),
+        ];
+        assert_packed_matches(&net, &inputs, "cold");
+        // a second executor serves the remembered model — must still match
+        assert_packed_matches(&net, &inputs, "warm");
     }
 
     #[test]
@@ -241,30 +313,18 @@ proptest! {
         seed in 0u64..1000,
         delta in -1.0f32..1.0,
     ) {
-        let mut l = random_linear(seed, &out_moves, &[]);
-        let x = init::uniform(Shape::of(&[3, IN_F]), -1.0, 1.0, &mut init::rng(seed ^ 2));
-        // compile and serve plans for every subnet
-        for s in 0..SUBNETS {
-            let _ = l.forward_packed(&x, s).unwrap();
-            let mut levels = [x.clone(), Tensor::zeros(Shape::of(&[3, OUT_F]))];
-            l.forward_step_packed_into(s, &mut [&mut levels[..]], 0).unwrap();
-        }
-        let before = l.plan_epoch();
+        let mut net = linear_net(seed, &out_moves, &[]);
+        let inputs = [init::uniform(Shape::of(&[3, IN_F]), -1.0, 1.0, &mut init::rng(seed ^ 2))];
+        // compile and serve every panel
+        assert_packed_matches(&net, &inputs, "before the update");
+        let Stage::Linear(l) = &mut net.stages_mut()[0] else {
+            unreachable!("stage 0 is the masked linear");
+        };
         for w in l.weight_mut().value.data_mut() {
             *w += delta;
         }
-        prop_assert!(l.plan_epoch() != before, "weight_mut must advance the epoch");
-        for s in 0..SUBNETS {
-            let masked = l.forward(&x, s, false).unwrap();
-            let packed = l.forward_packed(&x, s).unwrap();
-            prop_assert_eq!(&packed, &masked, "stale full plan served for subnet {}", s);
-            // a stale step plan would write the old weights' values
-            let rows = l.out_assign().members(s);
-            assert_step_matches(
-                |stack| l.forward_step_packed_into(s, stack, 0).unwrap(),
-                &x, &masked, &rows, 1,
-            );
-        }
+        // a stale full or step panel would write the old weights' values
+        assert_packed_matches(&net, &inputs, "after the update");
     }
 
     #[test]
@@ -274,21 +334,13 @@ proptest! {
         seed in 0u64..1000,
         batch in 1usize..4,
     ) {
-        let mut c = random_conv(seed, &out_moves, &in_moves);
-        let x = init::uniform(
-            Shape::of(&[batch, IN_C, EXTENT, EXTENT]), -2.0, 2.0, &mut init::rng(seed ^ 3),
-        );
-        for s in 0..SUBNETS {
-            let masked = c.forward(&x, s, false).unwrap();
-            let packed = c.forward_packed(&x, s).unwrap();
-            prop_assert_eq!(&packed, &masked, "subnet {} full plan differs", s);
-
-            let chans = c.out_assign().members(s);
-            assert_step_matches(
-                |stack| c.forward_step_packed_into(s, stack, 0).unwrap(),
-                &x, &masked, &chans, EXTENT * EXTENT,
-            );
-        }
+        let net = conv_net(seed, &out_moves, &in_moves);
+        let mut rng = init::rng(seed ^ 3);
+        let inputs = [
+            init::uniform(Shape::of(&[batch, IN_C, EXTENT, EXTENT]), -2.0, 2.0, &mut rng),
+            init::uniform(Shape::of(&[1, IN_C, EXTENT, EXTENT]), -2.0, 2.0, &mut rng),
+        ];
+        assert_packed_matches(&net, &inputs, "cold");
     }
 
     #[test]
@@ -297,88 +349,64 @@ proptest! {
         seed in 0u64..1000,
         delta in -1.0f32..1.0,
     ) {
-        let mut c = random_conv(seed, &out_moves, &[]);
-        let x = init::uniform(
+        let mut net = conv_net(seed, &out_moves, &[]);
+        let inputs = [init::uniform(
             Shape::of(&[2, IN_C, EXTENT, EXTENT]), -1.0, 1.0, &mut init::rng(seed ^ 4),
-        );
-        for s in 0..SUBNETS {
-            let _ = c.forward_packed(&x, s).unwrap();
-        }
-        let before = c.plan_epoch();
+        )];
+        assert_packed_matches(&net, &inputs, "before the update");
+        let Stage::Conv(c) = &mut net.stages_mut()[0] else {
+            unreachable!("stage 0 is the masked conv");
+        };
         for w in c.weight_mut().value.data_mut() {
             *w += delta;
         }
-        prop_assert!(c.plan_epoch() != before, "weight_mut must advance the epoch");
-        for s in 0..SUBNETS {
-            let masked = c.forward(&x, s, false).unwrap();
-            let packed = c.forward_packed(&x, s).unwrap();
-            prop_assert_eq!(&packed, &masked, "stale full plan served for subnet {}", s);
-        }
+        assert_packed_matches(&net, &inputs, "after the update");
     }
 }
 
+/// Executors created from one unmutated net hold the same `Arc`; two of
+/// them run begin → expand chains over it at the same time, each equal to
+/// the masked reference.
 #[test]
-fn every_linear_mutator_advances_the_plan_epoch() {
-    let mut l = random_linear(7, &[(3, 1), (5, 2)], &[(1, 1)]);
-    let x = init::uniform(Shape::of(&[2, IN_F]), -1.0, 1.0, &mut init::rng(8));
-    let _ = l.forward_packed(&x, 1).unwrap();
+fn two_threads_share_one_compiled_model() {
+    fn shared<T: Send + Sync>() {}
+    shared::<CompiledModel>();
 
-    let e0 = l.plan_epoch();
-    l.weight_mut();
-    let e1 = l.plan_epoch();
-    assert_ne!(e0, e1, "weight_mut");
-
-    l.params_mut();
-    let e2 = l.plan_epoch();
-    assert_ne!(e1, e2, "params_mut");
-
-    l.move_out_neuron(0, 2).unwrap();
-    let e3 = l.plan_epoch();
-    assert_ne!(e2, e3, "move_out_neuron");
-
-    l.set_in_assign(Assignment::new(IN_F, SUBNETS)).unwrap();
-    let e4 = l.plan_epoch();
-    assert_ne!(e3, e4, "set_in_assign");
-
-    // prune with an enormous threshold zeroes weights -> must invalidate
-    let pruned = l.prune(f32::INFINITY);
-    assert!(pruned > 0, "test needs at least one pruned weight");
-    let e5 = l.plan_epoch();
-    assert_ne!(e4, e5, "prune");
-}
-
-#[test]
-fn every_conv_mutator_advances_the_plan_epoch() {
-    let mut c = random_conv(9, &[(2, 1)], &[]);
-    let x = init::uniform(
-        Shape::of(&[1, IN_C, EXTENT, EXTENT]),
-        -1.0,
-        1.0,
-        &mut init::rng(10),
+    let net = table_net(3, &[(0, 1, 1), (0, 3, 2), (1, 2, 1), (1, 7, 2), (1, 4, 3)]);
+    let mut execs = [BatchExecutor::new(&net, 0.0), BatchExecutor::new(&net, 0.0)];
+    assert!(
+        std::ptr::eq(execs[0].model(), execs[1].model()),
+        "the second executor recompiled instead of reading the slot"
     );
-    let _ = c.forward_packed(&x, 1).unwrap();
-
-    let e0 = c.plan_epoch();
-    c.weight_mut();
-    let e1 = c.plan_epoch();
-    assert_ne!(e0, e1, "weight_mut");
-
-    c.params_mut();
-    let e2 = c.plan_epoch();
-    assert_ne!(e1, e2, "params_mut");
-
-    c.move_out_neuron(0, 2).unwrap();
-    let e3 = c.plan_epoch();
-    assert_ne!(e2, e3, "move_out_neuron");
-
-    c.set_in_assign(Assignment::new(IN_C, SUBNETS)).unwrap();
-    let e4 = c.plan_epoch();
-    assert_ne!(e3, e4, "set_in_assign");
-
-    let pruned = c.prune(f32::INFINITY);
-    assert!(pruned > 0, "test needs at least one pruned weight");
-    let e5 = c.plan_epoch();
-    assert_ne!(e4, e5, "prune");
+    let start = Barrier::new(execs.len());
+    std::thread::scope(|scope| {
+        for (t, exec) in execs.iter_mut().enumerate() {
+            let (net, start) = (&net, &start);
+            scope.spawn(move || {
+                let inputs: Vec<Tensor> = (0..3)
+                    .map(|i| {
+                        let mut rng = init::rng(100 * t as u64 + i);
+                        init::uniform(
+                            Shape::of(&[1 + i as usize % 2, 2, 6, 6]),
+                            -1.0,
+                            1.0,
+                            &mut rng,
+                        )
+                    })
+                    .collect();
+                let want = masked(net, &inputs);
+                start.wait();
+                for round in 0..20 {
+                    assert_executor_answers(
+                        exec,
+                        &inputs,
+                        &want,
+                        &format!("thread {t} round {round}"),
+                    );
+                }
+            });
+        }
+    });
 }
 
 #[test]
@@ -397,13 +425,13 @@ fn net_packed_forward_tracks_sgd_updates() {
 
     let mut sgd = Sgd::new(0.05).unwrap();
     for step in 0..3 {
-        // packed inference on warm plans for both subnets
+        // packed inference on one compiled model for both subnets
         for s in 0..2 {
             let masked = net.clone().forward(&x, s, false).unwrap();
             let packed = net.forward_packed(&x, s).unwrap();
             assert_eq!(packed, masked, "step {step} subnet {s}");
         }
-        // SGD update through params_for must invalidate stage + head plans
+        // an SGD update through params_for must drop the compiled model
         net.zero_grad();
         let _ = net.forward(&x, 1, true).unwrap();
         net.backward(&dy).unwrap();
@@ -445,7 +473,7 @@ fn fused_mlp_pipeline_tracks_sgd_updates() {
             assert_eq!(packed, masked[s], "step {step} subnet {s}: direct path");
         }
         {
-            let mut exec = IncrementalExecutor::new(&mut net, 0.0);
+            let mut exec = IncrementalExecutor::new(&net, 0.0);
             let first = exec.begin(&x).unwrap();
             assert_eq!(first.logits, masked[0], "step {step}: expand subnet 0");
             for (s, want) in masked.iter().enumerate().skip(1) {
@@ -490,7 +518,7 @@ fn fused_conv_pipeline_tracks_sgd_updates() {
             assert_eq!(packed, masked[s], "step {step} subnet {s}: direct path");
         }
         {
-            let mut exec = IncrementalExecutor::new(&mut net, 0.0);
+            let mut exec = IncrementalExecutor::new(&net, 0.0);
             let first = exec.begin(&x).unwrap();
             assert_eq!(first.logits, masked[0], "step {step}: expand subnet 0");
             for (s, want) in masked.iter().enumerate().skip(1) {

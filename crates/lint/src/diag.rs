@@ -22,7 +22,7 @@ impl Severity {
 /// One finding, anchored to a file position.
 #[derive(Debug, Clone)]
 pub struct Diagnostic {
-    /// Rule id, e.g. `"L1"`.
+    /// Rule id, e.g. `"L2"`.
     pub rule: &'static str,
     pub severity: Severity,
     pub file: String,
@@ -50,11 +50,11 @@ impl Diagnostic {
     /// Renders the diagnostic rustc-style:
     ///
     /// ```text
-    /// error[L1]: mutator `weight_mut` never invalidates compiled plans
-    ///   --> crates/core/src/masked_linear.rs:140:5
-    ///    |
-    /// 140 |     pub fn weight_mut(&mut self) -> &mut Param {
-    ///     |     ^^^
+    /// error[L2]: `matches!` in `shard_safe` hides variants from the exhaustiveness check
+    ///   --> crates/core/src/stage.rs:160:9
+    ///     |
+    /// 160 |         matches!(self, Stage::Linear(_) | Stage::Conv(_))
+    ///     |         ^
     ///    = note: ...
     /// ```
     pub fn render_text(&self) -> String {

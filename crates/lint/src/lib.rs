@@ -1,14 +1,16 @@
 //! stepping-lint: a project-specific static analyzer for this workspace.
 //!
-//! PRs 4 and 5 introduced invariants that rustc cannot check — plan-epoch
-//! invalidation, shard-safety classification, determinism zones, panic and
-//! lock discipline in the serving/exec hot paths, a central telemetry
-//! name registry, and (PR 14) the one file allowed to contain `unsafe`. Each was maintained by hand (doc comments, review
-//! checklists, property tests that only fire on lucky inputs). This crate
-//! mechanizes them: it lexes and scans the workspace's own sources with a
-//! hand-rolled lexer (the vendored deps are offline API stubs, so there is
-//! no `syn`), runs seven rules, and reports findings with rustc-style
-//! diagnostics or JSON.
+//! PRs 4 and 5 introduced invariants that rustc cannot check —
+//! shard-safety classification, determinism zones, panic and lock
+//! discipline in the serving/exec hot paths, a central telemetry name
+//! registry, and (PR 14) the one file allowed to contain `unsafe`. Each was
+//! maintained by hand (doc comments, review checklists, property tests that
+//! only fire on lucky inputs). This crate mechanizes them: it lexes and
+//! scans the workspace's own sources with a hand-rolled lexer (the vendored
+//! deps are offline API stubs, so there is no `syn`), runs six rules, and
+//! reports findings with rustc-style diagnostics or JSON. (A seventh, L1
+//! plan-epoch invalidation, was retired once the compiled model made that
+//! invariant one rustc does check.)
 //!
 //! Run via `cargo run -q --release -p stepping-lint -- --deny-warnings`
 //! (what `scripts/check.sh` does) or see `stepping-lint --help`.

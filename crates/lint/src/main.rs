@@ -23,7 +23,6 @@ OPTIONS:
     -h, --help         Show this help
 
 RULES:
-    L1 plan-epoch      mutators of planned layers must invalidate compiled plans
     L2 shard-safety    shard_safe must classify every stage variant explicitly
     L3 determinism     no unordered/timing/thread-count constructs in shard zones
     L4 panic           no unwrap/expect/panic! in core/serve/exec library code

@@ -1,9 +1,10 @@
-//! The seven workspace rules. Each rule is a pure function from the scanned
-//! workspace to diagnostics; `run_all` concatenates them.
+//! The six workspace rules. Each rule is a pure function from the scanned
+//! workspace to diagnostics; `run_all` concatenates them. (L1, plan-epoch,
+//! was retired with the per-layer plan caches it policed; the numbers
+//! L2–L7 are kept.)
 //!
 //! | rule | invariant | origin |
 //! |------|-----------|--------|
-//! | L1   | plan-epoch: mutators invalidate compiled plans | PR 4 |
 //! | L2   | shard-safety: `shard_safe` classifies every stage variant | PR 5 |
 //! | L3   | determinism hygiene in shard/reduce zones | PR 5 |
 //! | L4   | panic discipline in library hot paths | PRs 3–5 |
@@ -11,7 +12,6 @@
 //! | L6   | telemetry names come from the central registry | PR 5 |
 //! | L7   | unsafe-zone: `unsafe` only in the GEMM microkernel, every use justified | PR 14 |
 
-pub mod l1_plan_epoch;
 pub mod l2_shard_safety;
 pub mod l3_determinism;
 pub mod l4_panic;
@@ -20,7 +20,7 @@ pub mod l6_telemetry;
 pub mod l7_unsafe_zone;
 
 use crate::diag::{Diagnostic, Severity};
-use crate::lexer::{TokKind, Token};
+use crate::lexer::Token;
 use crate::scan::FileModel;
 
 /// The scanned workspace handed to every rule.
@@ -38,7 +38,6 @@ impl Workspace {
 /// Runs every rule over the workspace.
 pub fn run_all(ws: &Workspace) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    diags.extend(l1_plan_epoch::run(ws));
     diags.extend(l2_shard_safety::run(ws));
     diags.extend(l3_determinism::run(ws));
     diags.extend(l4_panic::run(ws));
@@ -109,31 +108,6 @@ pub(crate) fn is_method_call(toks: &[Token], i: usize, ident: &str) -> bool {
 /// Is `toks[i]` a call to the macro `ident` — i.e. `ident!(`/`ident![`?
 pub(crate) fn is_macro_call(toks: &[Token], i: usize, ident: &str) -> bool {
     toks[i].is_ident(ident) && toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-}
-
-/// Is `toks[i]` a *plain assignment* `=` (not `==`, `=>`, `<=`, `+=`, ...)?
-pub(crate) fn is_plain_assign(toks: &[Token], i: usize) -> bool {
-    if !toks[i].is_punct('=') {
-        return false;
-    }
-    if toks
-        .get(i + 1)
-        .is_some_and(|t| t.is_punct('=') || t.is_punct('>'))
-    {
-        return false;
-    }
-    if i > 0 {
-        let p = &toks[i - 1];
-        if p.kind == TokKind::Punct
-            && matches!(
-                p.text.as_str(),
-                "=" | "!" | "<" | ">" | "+" | "-" | "*" | "/" | "%" | "&" | "|" | "^"
-            )
-        {
-            return false;
-        }
-    }
-    true
 }
 
 /// Returns one past the matching closer for the opener at `toks[i]`.

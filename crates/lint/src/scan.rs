@@ -1,5 +1,5 @@
 //! Structural scanner: turns a token stream into the shallow item model
-//! the rules need — functions (with receiver kind and impl context), enums
+//! the rules need — functions (with their impl context), enums
 //! (with variant lists), and which token ranges are test-only code.
 //!
 //! This is *not* a parser. It walks the token stream once, tracking item
@@ -10,24 +10,10 @@
 
 use crate::lexer::{lex, LineComment, Suppression, Token};
 
-/// How a function takes `self`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Receiver {
-    /// Free function or associated function without `self`.
-    None,
-    /// `&self`.
-    Ref,
-    /// `&mut self`.
-    RefMut,
-    /// `self` or `mut self` by value (builder-style).
-    Owned,
-}
-
 /// One scanned function item.
 #[derive(Debug, Clone)]
 pub struct FnInfo {
     pub name: String,
-    pub receiver: Receiver,
     /// Inside `#[cfg(test)]` scope or marked `#[test]`.
     pub is_test: bool,
     /// `Some("Foo")` when declared in `impl Foo` or `impl Trait for Foo`.
@@ -373,7 +359,6 @@ impl Scanner<'_> {
             return i + 1;
         }
         let params_end = self.skip_balanced(j, end, "(", ")");
-        let receiver = detect_receiver(&self.model.tokens[j + 1..params_end - 1]);
         // body opens at the first `{` before any `;` (bodyless decl)
         let mut k = params_end;
         let mut body = None;
@@ -403,7 +388,6 @@ impl Scanner<'_> {
         }
         self.model.fns.push(FnInfo {
             name,
-            receiver,
             is_test,
             impl_type: ctx.impl_type.clone(),
             impl_trait: ctx.impl_trait.clone(),
@@ -480,35 +464,6 @@ fn attrs_mark_test(attrs: &[String]) -> bool {
     })
 }
 
-/// Receiver kind from the raw parameter-list tokens.
-fn detect_receiver(params: &[Token]) -> Receiver {
-    // Look only at tokens before the first `,` or `:` — a receiver is never
-    // type-annotated in this workspace.
-    let mut saw_amp = false;
-    let mut saw_mut = false;
-    for t in params {
-        if t.is_punct(',') || t.is_punct(':') {
-            break;
-        }
-        if t.is_punct('&') {
-            saw_amp = true;
-        } else if t.is_ident("mut") {
-            saw_mut = true;
-        } else if t.is_ident("self") {
-            return match (saw_amp, saw_mut) {
-                (true, true) => Receiver::RefMut,
-                (true, false) => Receiver::Ref,
-                (false, _) => Receiver::Owned,
-            };
-        } else if t.kind == crate::lexer::TokKind::Lifetime {
-            continue;
-        } else {
-            break;
-        }
-    }
-    Receiver::None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -540,11 +495,9 @@ mod tests {
     fn finds_fns_with_context() {
         let m = FileModel::build("x.rs", SRC);
         let wm = m.fns.iter().find(|f| f.name == "weight_mut").unwrap();
-        assert_eq!(wm.receiver, Receiver::RefMut);
         assert_eq!(wm.impl_type.as_deref(), Some("Foo"));
         assert!(!wm.is_test);
-        let rd = m.fns.iter().find(|f| f.name == "read").unwrap();
-        assert_eq!(rd.receiver, Receiver::Ref);
+        assert!(m.fns.iter().any(|f| f.name == "read"));
         let ss = m.fns.iter().find(|f| f.name == "shard_safe").unwrap();
         assert_eq!(ss.impl_type.as_deref(), Some("Bar"));
         assert_eq!(ss.impl_trait.as_deref(), Some("Stage"));

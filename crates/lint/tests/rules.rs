@@ -1,7 +1,5 @@
 //! Per-rule fixture tests: every rule must fire on its `bad` fixture and
-//! stay silent on its `good` one. The `l1/bad.rs` fixture is the PR 4
-//! regression this crate exists for — a listed mutator with its
-//! epoch-invalidation call deleted.
+//! stay silent on its `good` one.
 
 use std::path::PathBuf;
 
@@ -28,24 +26,6 @@ fn messages(diags: &[Diagnostic]) -> String {
         .map(|d| d.message.as_str())
         .collect::<Vec<_>>()
         .join("\n")
-}
-
-#[test]
-fn l1_fires_on_deleted_invalidation_and_unknown_mutator() {
-    let diags = lint("l1/bad.rs");
-    assert_eq!(diags.len(), 2, "{}", messages(&diags));
-    assert!(diags
-        .iter()
-        .all(|d| d.rule == "L1" && d.severity == Severity::Error));
-    let msgs = messages(&diags);
-    assert!(msgs.contains("`MaskedLinear::weight_mut` never invalidates"));
-    assert!(msgs.contains("`MaskedLinear::overwrite` mutates planned state"));
-}
-
-#[test]
-fn l1_silent_when_mutators_invalidate_or_delegate() {
-    let diags = lint("l1/good.rs");
-    assert!(diags.is_empty(), "{}", messages(&diags));
 }
 
 #[test]

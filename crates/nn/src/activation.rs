@@ -1,5 +1,6 @@
 use stepping_tensor::{Shape, Tensor};
 
+use crate::layer::shaped;
 use crate::{Layer, NnError, Result};
 
 macro_rules! check_backward_shape {
@@ -21,12 +22,11 @@ macro_rules! check_backward_shape {
 /// Writes `f(input)` into `out`, reusing `out`'s buffer when the shapes
 /// already agree (the cached-activation case) and replacing it otherwise.
 fn map_into(input: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
-    if out.shape() == input.shape() {
-        for (o, &x) in out.data_mut().iter_mut().zip(input.data()) {
-            *o = f(x);
-        }
-    } else {
-        *out = input.map(f);
+    for (o, &x) in shaped(out, input.shape().dims())
+        .iter_mut()
+        .zip(input.data())
+    {
+        *o = f(x);
     }
 }
 
@@ -61,6 +61,12 @@ impl Relu {
     pub fn new() -> Self {
         Relu { cached_input: None }
     }
+
+    /// Inference forward through `&self`: `forward(input, false)` written
+    /// into `out`, whose buffer is reused when its shape already matches.
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+        map_into(input, out, relu);
+    }
 }
 
 impl Layer for Relu {
@@ -73,12 +79,6 @@ impl Layer for Relu {
         // cache so a later `backward` fails loudly.
         self.cached_input = train.then(|| input.clone());
         Ok(input.map(relu))
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.cached_input = None;
-        map_into(input, out, relu);
-        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -104,6 +104,11 @@ impl Tanh {
             cached_output: None,
         }
     }
+
+    /// Inference forward through `&self` (see [`Relu::infer_into`]).
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+        map_into(input, out, f32::tanh);
+    }
 }
 
 impl Layer for Tanh {
@@ -115,12 +120,6 @@ impl Layer for Tanh {
         let out = input.map(f32::tanh);
         self.cached_output = train.then(|| out.clone());
         Ok(out)
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.cached_output = None;
-        map_into(input, out, f32::tanh);
-        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -146,6 +145,11 @@ impl Sigmoid {
             cached_output: None,
         }
     }
+
+    /// Inference forward through `&self` (see [`Relu::infer_into`]).
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+        map_into(input, out, sigmoid);
+    }
 }
 
 impl Layer for Sigmoid {
@@ -157,12 +161,6 @@ impl Layer for Sigmoid {
         let out = input.map(sigmoid);
         self.cached_output = train.then(|| out.clone());
         Ok(out)
-    }
-
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
-        self.cached_output = None;
-        map_into(input, out, sigmoid);
-        Ok(())
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
@@ -249,15 +247,15 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_matches_forward_and_reuses_the_buffer() {
+    fn infer_into_matches_forward_and_reuses_the_buffer() {
         let input = x();
         let mut out = Tensor::zeros(Shape::of(&[1, 4]));
         let buffer = out.data().as_ptr();
-        Relu::new().forward_into(&input, &mut out).unwrap();
+        Relu::new().infer_into(&input, &mut out);
         assert_eq!(out, Relu::new().forward(&input, false).unwrap());
-        Tanh::new().forward_into(&input, &mut out).unwrap();
+        Tanh::new().infer_into(&input, &mut out);
         assert_eq!(out, Tanh::new().forward(&input, false).unwrap());
-        Sigmoid::new().forward_into(&input, &mut out).unwrap();
+        Sigmoid::new().infer_into(&input, &mut out);
         assert_eq!(out, Sigmoid::new().forward(&input, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
@@ -266,7 +264,7 @@ mod tests {
         );
         // a mismatched target is replaced, not written out of bounds
         let mut other = Tensor::zeros(Shape::of(&[2]));
-        Relu::new().forward_into(&input, &mut other).unwrap();
+        Relu::new().infer_into(&input, &mut other);
         assert_eq!(other, Relu::new().forward(&input, false).unwrap());
     }
 

@@ -2,6 +2,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use stepping_tensor::{init, Shape, Tensor};
 
+use crate::layer::shaped;
 use crate::{Layer, NnError, Result};
 
 /// Inverted dropout: during training each element is zeroed with probability
@@ -36,6 +37,13 @@ impl Dropout {
     /// The drop probability.
     pub fn p(&self) -> f32 {
         self.p
+    }
+
+    /// Inference forward through `&self`: dropout is the identity at
+    /// inference, so `input` is copied into `out` (buffer reused when its
+    /// shape already matches).
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
+        shaped(out, input.shape().dims()).copy_from_slice(input.data());
     }
 }
 
@@ -85,6 +93,9 @@ mod tests {
         let mut d = Dropout::new(0.5, 0);
         let x = Tensor::ones(Shape::of(&[4, 4]));
         assert_eq!(d.forward(&x, false).unwrap(), x);
+        let mut out = Tensor::zeros(Shape::of(&[1]));
+        d.infer_into(&x, &mut out);
+        assert_eq!(out, x);
     }
 
     #[test]

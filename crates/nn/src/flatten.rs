@@ -1,5 +1,6 @@
 use stepping_tensor::{Shape, Tensor};
 
+use crate::layer::shaped;
 use crate::{Layer, NnError, Result};
 
 /// Flattens `[n, …]` activations to `[n, prod(…)]` (the conv→fc bridge).
@@ -27,6 +28,30 @@ impl Flatten {
             cached_in_shape: None,
         }
     }
+
+    /// Inference forward through `&self`: the `[n, rest]` view of `input`
+    /// copied into `out`, whose buffer is reused when its shape already
+    /// matches.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward`].
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+        let n = flat_rows(input)?;
+        shaped(out, &[n, input.len() / n.max(1)]).copy_from_slice(input.data());
+        Ok(())
+    }
+}
+
+/// The batch rows of a flattenable input.
+fn flat_rows(input: &Tensor) -> Result<usize> {
+    if input.shape().rank() < 2 {
+        return Err(NnError::BadInput(format!(
+            "flatten expects rank >= 2, got {}",
+            input.shape()
+        )));
+    }
+    Ok(input.shape().dims()[0])
 }
 
 impl Layer for Flatten {
@@ -35,13 +60,7 @@ impl Layer for Flatten {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        if input.shape().rank() < 2 {
-            return Err(NnError::BadInput(format!(
-                "flatten expects rank >= 2, got {}",
-                input.shape()
-            )));
-        }
-        let n = input.shape().dims()[0];
+        let n = flat_rows(input)?;
         let rest = input.len() / n.max(1);
         self.cached_in_shape = Some(input.shape().clone());
         Ok(input.reshape(Shape::of(&[n, rest]))?)
@@ -77,6 +96,23 @@ mod tests {
         let g = f.backward(&y).unwrap();
         assert_eq!(g.shape(), x.shape());
         assert_eq!(g.data(), x.data());
+    }
+
+    #[test]
+    fn infer_into_matches_forward_and_reuses_the_buffer() {
+        let f = Flatten::new();
+        let x = Tensor::from_vec(Shape::of(&[2, 1, 1, 2]), vec![1., 2., 3., 4.]).unwrap();
+        let mut out = Tensor::zeros(Shape::of(&[2, 2]));
+        let buffer = out.data().as_ptr();
+        f.infer_into(&x, &mut out).unwrap();
+        assert_eq!(out, Flatten::new().forward(&x, false).unwrap());
+        assert_eq!(out.data().as_ptr(), buffer);
+        let mut other = Tensor::zeros(Shape::of(&[1]));
+        f.infer_into(&x, &mut other).unwrap();
+        assert_eq!(other, out);
+        assert!(f
+            .infer_into(&Tensor::zeros(Shape::of(&[4])), &mut other)
+            .is_err());
     }
 
     #[test]

@@ -83,6 +83,17 @@ impl Param {
     }
 }
 
+/// The buffer of `out` once it holds `dims`: kept when the shape already
+/// agrees (a caller's cached activation), replaced by zeros otherwise. The
+/// `infer_into` methods of the stateless and batch-norm layers write their
+/// result through it, so a warmed cache pays no allocation.
+pub(crate) fn shaped<'a>(out: &'a mut Tensor, dims: &[usize]) -> &'a mut [f32] {
+    if out.shape().dims() != dims {
+        *out = Tensor::zeros(Shape::of(dims));
+    }
+    out.data_mut()
+}
+
 /// A differentiable network layer with explicit forward/backward passes.
 ///
 /// The trait is object-safe; heterogeneous stacks compose through
@@ -109,19 +120,6 @@ pub trait Layer: std::fmt::Debug + Send {
     ///
     /// Returns [`NnError`](crate::NnError) when the input shape is invalid.
     fn forward(&mut self, input: &Tensor, train: bool) -> Result<Tensor>;
-
-    /// Inference-mode forward (`train == false`) that leaves the result in
-    /// `out`. Element-wise layers overwrite `out`'s buffer when its shape
-    /// already matches, so a caller holding a cached activation pays no
-    /// allocation; the default replaces `out` with a fresh tensor.
-    ///
-    /// # Errors
-    ///
-    /// As [`Layer::forward`].
-    fn forward_into(&mut self, input: &Tensor, out: &mut Tensor) -> Result<()> {
-        *out = self.forward(input, false)?;
-        Ok(())
-    }
 
     /// Back-propagates `grad_out`, accumulating parameter gradients, and
     /// returns the gradient with respect to the layer's input.

@@ -1,5 +1,6 @@
 use stepping_tensor::{reduce, Shape, Tensor};
 
+use crate::layer::shaped;
 use crate::{Layer, NnError, Param, Result};
 
 /// Shared batch-normalisation math over a `[m, c]` matrix view
@@ -48,12 +49,7 @@ impl BatchNormCore {
 
     fn forward_mat(&mut self, x: &Tensor, train: bool) -> Result<Tensor> {
         let (m, c) = (x.shape().dims()[0], x.shape().dims()[1]);
-        if c != self.features {
-            return Err(NnError::BadInput(format!(
-                "batch norm expects {} features, got {c}",
-                self.features
-            )));
-        }
+        self.check_features(c)?;
         if train && m < 2 {
             return Err(NnError::BadInput(
                 "batch norm training requires at least 2 samples".into(),
@@ -106,6 +102,39 @@ impl BatchNormCore {
             train,
         });
         Ok(out)
+    }
+
+    /// Inference-mode normalisation of `src`, laid out
+    /// `[outer, features, inner]`, into `dst` with the running statistics:
+    /// per element the arithmetic of `forward_mat(.., false)` in the same
+    /// order — `x̂ = (x − mean) · inv_std`, then `x̂ · γ + β` — with no
+    /// cache and no temporary tensor.
+    fn infer(&self, src: &[f32], dst: &mut [f32], inner: usize) {
+        let block = self.features * inner;
+        if block == 0 {
+            return;
+        }
+        let (mean, var) = (self.running_mean.data(), self.running_var.data());
+        let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
+        for (src, dst) in src.chunks(block).zip(dst.chunks_mut(block)) {
+            for j in 0..self.features {
+                let inv_std = 1.0 / (var[j] + self.eps).sqrt();
+                let span = j * inner..(j + 1) * inner;
+                for (d, &x) in dst[span.clone()].iter_mut().zip(&src[span]) {
+                    *d = (x - mean[j]) * inv_std * gamma[j] + beta[j];
+                }
+            }
+        }
+    }
+
+    fn check_features(&self, c: usize) -> Result<()> {
+        if c != self.features {
+            return Err(NnError::BadInput(format!(
+                "batch norm expects {} features, got {c}",
+                self.features
+            )));
+        }
+        Ok(())
     }
 
     fn backward_mat(&mut self, dy: &Tensor, layer: &'static str) -> Result<Tensor> {
@@ -217,6 +246,26 @@ impl BatchNorm1d {
         self.core.stat_mask = mask;
     }
 
+    /// Inference forward through `&self`: `forward(input, false)` written
+    /// into `out` (buffer reused when its shape already matches), the same
+    /// per-element arithmetic in the same order, keeping no backward cache.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward`].
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+        let &[_, c] = input.shape().dims() else {
+            return Err(NnError::BadInput(format!(
+                "batch norm 1d expects [n, c], got {}",
+                input.shape()
+            )));
+        };
+        self.core.check_features(c)?;
+        self.core
+            .infer(input.data(), shaped(out, input.shape().dims()), 1);
+        Ok(())
+    }
+
     /// Copies γ/β and running statistics from another instance.
     ///
     /// # Panics
@@ -320,6 +369,26 @@ impl BatchNorm2d {
             assert_eq!(m.len(), self.core.features, "stat mask length mismatch");
         }
         self.core.stat_mask = mask;
+    }
+
+    /// Inference forward through `&self` (see
+    /// [`BatchNorm1d::infer_into`]), normalising NCHW in place of the
+    /// `[n·h·w, c]` round trip `forward` makes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward`].
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+        let &[_, c, h, w] = input.shape().dims() else {
+            return Err(NnError::BadInput(format!(
+                "batch norm 2d expects [n, c, h, w], got {}",
+                input.shape()
+            )));
+        };
+        self.core.check_features(c)?;
+        self.core
+            .infer(input.data(), shaped(out, input.shape().dims()), h * w);
+        Ok(())
     }
 }
 
@@ -482,6 +551,37 @@ mod tests {
         let flat = nchw_to_flat(&y, [4, 2, 3, 3]);
         let mu = reduce::mean_rows(&flat).unwrap();
         assert!(mu.data().iter().all(|m| m.abs() < 1e-4));
+    }
+
+    #[test]
+    fn infer_into_matches_eval_forward_bitwise() {
+        let mut bn1 = BatchNorm1d::new(3);
+        let mut bn2 = BatchNorm2d::new(3);
+        let x1 = uniform(Shape::of(&[6, 3]), -3.0, 5.0, &mut rng(11));
+        let x2 = uniform(Shape::of(&[4, 3, 2, 5]), -3.0, 5.0, &mut rng(12));
+        // non-trivial running statistics, scale and shift
+        for _ in 0..3 {
+            bn1.forward(&x1, true).unwrap();
+            bn2.forward(&x2, true).unwrap();
+        }
+        for p in bn1.params_mut().into_iter().chain(bn2.params_mut()) {
+            p.value = uniform(p.value.shape().clone(), 0.5, 1.5, &mut rng(13));
+        }
+        let mut out = Tensor::zeros(Shape::of(&[6, 3]));
+        let buffer = out.data().as_ptr();
+        bn1.infer_into(&x1, &mut out).unwrap();
+        assert_eq!(out, bn1.forward(&x1, false).unwrap());
+        assert_eq!(
+            out.data().as_ptr(),
+            buffer,
+            "matching shape writes in place"
+        );
+        bn2.infer_into(&x2, &mut out).unwrap();
+        assert_eq!(out, bn2.forward(&x2, false).unwrap());
+        assert!(bn1.infer_into(&x2, &mut out).is_err());
+        assert!(bn2.infer_into(&x1, &mut out).is_err());
+        let wide = Tensor::zeros(Shape::of(&[2, 4]));
+        assert!(bn1.infer_into(&wide, &mut out).is_err());
     }
 
     #[test]

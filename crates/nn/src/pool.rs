@@ -1,6 +1,7 @@
 use stepping_tensor::conv::ConvGeometry;
 use stepping_tensor::{Shape, Tensor};
 
+use crate::layer::shaped;
 use crate::{Layer, NnError, Result};
 
 fn pool_geometry(
@@ -16,6 +17,43 @@ fn pool_geometry(
     }
     let geom = ConvGeometry::new(dims[1], dims[2], dims[3], kernel, kernel, stride, 0)?;
     Ok((dims[0], dims[1], geom))
+}
+
+/// Writes the maximum of every `kernel × kernel` window of `src`
+/// (`[n, c, in_h, in_w]`) to `dst` (`[n, c, out_h, out_w]`), telling
+/// `picked` the output index and the flat input index that won it.
+fn max_pool(
+    src: &[f32],
+    dst: &mut [f32],
+    (n, c, geom): (usize, usize, ConvGeometry),
+    (kernel, stride): (usize, usize),
+    mut picked: impl FnMut(usize, usize),
+) {
+    let (h, w) = (geom.in_h, geom.in_w);
+    let mut o = 0;
+    for b in 0..n {
+        for ch in 0..c {
+            let base = (b * c + ch) * h * w;
+            for oy in 0..geom.out_h {
+                for ox in 0..geom.out_w {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0;
+                    for ky in 0..kernel {
+                        for kx in 0..kernel {
+                            let idx = base + (oy * stride + ky) * w + ox * stride + kx;
+                            if src[idx] > best {
+                                best = src[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    dst[o] = best;
+                    picked(o, best_idx);
+                    o += 1;
+                }
+            }
+        }
+    }
 }
 
 /// Max pooling over square windows (NCHW).
@@ -48,6 +86,27 @@ impl MaxPool2d {
             cached_argmax: None,
         }
     }
+
+    /// Inference forward through `&self`: `forward(input, false)` written
+    /// into `out` (buffer reused when its shape already matches), keeping
+    /// no argmax.
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward`].
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+        let pooled = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
+        let (n, c, geom) = pooled;
+        let dst = shaped(out, &[n, c, geom.out_h, geom.out_w]);
+        max_pool(
+            input.data(),
+            dst,
+            pooled,
+            (self.kernel, self.stride),
+            |_, _| {},
+        );
+        Ok(())
+    }
 }
 
 impl Layer for MaxPool2d {
@@ -56,38 +115,17 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
-        let (h, w) = (geom.in_h, geom.in_w);
+        let pooled = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
+        let (n, c, geom) = pooled;
         let mut out = Tensor::zeros(Shape::of(&[n, c, geom.out_h, geom.out_w]));
         let mut argmax = vec![0usize; out.len()];
-        let src = input.data();
-        let dst = out.data_mut();
-        let mut o = 0;
-        for b in 0..n {
-            for ch in 0..c {
-                let base = (b * c + ch) * h * w;
-                for oy in 0..geom.out_h {
-                    for ox in 0..geom.out_w {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                let idx = base + iy * w + ix;
-                                if src[idx] > best {
-                                    best = src[idx];
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        dst[o] = best;
-                        argmax[o] = best_idx;
-                        o += 1;
-                    }
-                }
-            }
-        }
+        max_pool(
+            input.data(),
+            out.data_mut(),
+            pooled,
+            (self.kernel, self.stride),
+            |o, idx| argmax[o] = idx,
+        );
         self.cached_argmax = Some((argmax, input.shape().clone()));
         Ok(out)
     }
@@ -135,20 +173,18 @@ impl AvgPool2d {
             cached_in_shape: None,
         }
     }
-}
 
-impl Layer for AvgPool2d {
-    fn name(&self) -> &'static str {
-        "AvgPool2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+    /// Inference forward through `&self` (see [`MaxPool2d::infer_into`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`Layer::forward`].
+    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
         let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
         let (h, w) = (geom.in_h, geom.in_w);
         let inv = 1.0 / (self.kernel * self.kernel) as f32;
-        let mut out = Tensor::zeros(Shape::of(&[n, c, geom.out_h, geom.out_w]));
         let src = input.data();
-        let dst = out.data_mut();
+        let dst = shaped(out, &[n, c, geom.out_h, geom.out_w]);
         let mut o = 0;
         for b in 0..n {
             for ch in 0..c {
@@ -169,6 +205,18 @@ impl Layer for AvgPool2d {
                 }
             }
         }
+        Ok(())
+    }
+}
+
+impl Layer for AvgPool2d {
+    fn name(&self) -> &'static str {
+        "AvgPool2d"
+    }
+
+    fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
+        let mut out = Tensor::zeros(Shape::of(&[0]));
+        self.infer_into(input, &mut out)?;
         self.cached_in_shape = Some(input.shape().clone());
         Ok(out)
     }
@@ -287,6 +335,32 @@ mod tests {
         assert!(a
             .backward(&Tensor::zeros(Shape::of(&[1, 1, 1, 1])))
             .is_err());
+    }
+
+    #[test]
+    fn infer_into_matches_forward_and_reuses_the_buffer() {
+        let x = Tensor::from_vec(
+            Shape::of(&[1, 2, 2, 4]),
+            (0..16).map(|v| ((v * 7) % 11) as f32 - 5.0).collect(),
+        )
+        .unwrap();
+        let mut out = Tensor::zeros(Shape::of(&[1, 2, 1, 2]));
+        let buffer = out.data().as_ptr();
+        MaxPool2d::new(2, 2).infer_into(&x, &mut out).unwrap();
+        assert_eq!(out, MaxPool2d::new(2, 2).forward(&x, false).unwrap());
+        AvgPool2d::new(2, 2).infer_into(&x, &mut out).unwrap();
+        assert_eq!(out, AvgPool2d::new(2, 2).forward(&x, false).unwrap());
+        assert_eq!(
+            out.data().as_ptr(),
+            buffer,
+            "matching shape writes in place"
+        );
+        // a mismatched target is replaced; a bad input is an error
+        let mut other = Tensor::zeros(Shape::of(&[3]));
+        MaxPool2d::new(2, 2).infer_into(&x, &mut other).unwrap();
+        assert_eq!(other, MaxPool2d::new(2, 2).forward(&x, false).unwrap());
+        let flat = Tensor::zeros(Shape::of(&[2, 2]));
+        assert!(AvgPool2d::new(2, 2).infer_into(&flat, &mut other).is_err());
     }
 
     #[test]

@@ -151,7 +151,10 @@ impl Router {
 
     /// Builds [`config.get_replicas()`](RouterConfig::get_replicas)
     /// independent [`Server`]s over `net` (each with its own worker pool
-    /// and session table) and routes across them.
+    /// and session table) and routes across them. The first replica
+    /// compiles `net`; the others read the same
+    /// [`CompiledModel`](stepping_core::CompiledModel) from the net's slot,
+    /// so the whole fleet shares one `Arc`.
     ///
     /// # Errors
     ///

@@ -51,14 +51,14 @@ mod tests {
         init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(3))
     }
 
-    fn confident(n: &mut SteppingNet, input: &Tensor, threshold: f32) -> Result<ConfidentOutcome> {
+    fn confident(n: &SteppingNet, input: &Tensor, threshold: f32) -> Result<ConfidentOutcome> {
         Session::new(n, SessionConfig::new().confidence(threshold)).run_until_confident(input)
     }
 
     #[test]
     fn tiny_threshold_exits_at_first_subnet() {
-        let mut n = net();
-        let out = confident(&mut n, &x(), 1e-6).unwrap();
+        let n = net();
+        let out = confident(&n, &x(), 1e-6).unwrap();
         assert_eq!(out.subnet, 0);
         assert!(out.early_exit);
         assert_eq!(out.total_macs, n.macs(0, 0.0));
@@ -66,8 +66,8 @@ mod tests {
 
     #[test]
     fn impossible_threshold_runs_to_largest() {
-        let mut n = net();
-        let out = confident(&mut n, &x(), 1.0).unwrap();
+        let n = net();
+        let out = confident(&n, &x(), 1.0).unwrap();
         assert_eq!(out.subnet, 2);
         assert!(!out.early_exit || out.confidence >= 1.0);
         // reuse means total < sum of from-scratch costs
@@ -77,18 +77,18 @@ mod tests {
 
     #[test]
     fn confidence_is_a_probability() {
-        let mut n = net();
-        let out = confident(&mut n, &x(), 0.5).unwrap();
+        let n = net();
+        let out = confident(&n, &x(), 0.5).unwrap();
         assert!((0.0..=1.0).contains(&out.confidence));
         assert!(out.prediction < 3);
     }
 
     #[test]
     fn validates_inputs() {
-        let mut n = net();
-        assert!(confident(&mut n, &x(), 0.0).is_err());
-        assert!(confident(&mut n, &x(), 1.5).is_err());
+        let n = net();
+        assert!(confident(&n, &x(), 0.0).is_err());
+        assert!(confident(&n, &x(), 1.5).is_err());
         let batch = init::uniform(Shape::of(&[2, 6]), -1.0, 1.0, &mut init::rng(4));
-        assert!(confident(&mut n, &batch, 0.5).is_err());
+        assert!(confident(&n, &batch, 0.5).is_err());
     }
 }

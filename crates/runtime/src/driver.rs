@@ -66,8 +66,9 @@ pub struct DriveOutcome {
 }
 
 /// MACs required to expand from `subnet` to `subnet + 1` with reuse
-/// (new neurons + next head), read from the net's
-/// [`MacTable`](stepping_core::MacTable).
+/// (new neurons + next head), read from the
+/// [`MacTable`](stepping_core::MacTable) of the net's compiled model
+/// ([`SteppingNet::compile`]).
 ///
 /// # Errors
 ///
@@ -75,7 +76,8 @@ pub struct DriveOutcome {
 /// `subnet + 1`.
 pub fn expand_macs(net: &SteppingNet, subnet: usize, prune_threshold: f32) -> Result<u64> {
     let next = subnet + 1;
-    net.mac_table(prune_threshold)
+    net.compile(prune_threshold)
+        .mac_table()
         .step()
         .get(next)
         .copied()
@@ -130,7 +132,7 @@ mod tests {
         let full = n.macs(2, 0.0);
         let trace = ResourceTrace::constant(full, 4);
         let cfg = session_cfg(trace, UpgradePolicy::Incremental);
-        let out = Session::new(&mut n, cfg).run(&x()).unwrap();
+        let out = Session::new(&n, cfg).run(&x()).unwrap();
         assert_eq!(out.final_subnet, Some(2));
         assert_eq!(out.first_prediction_slice, Some(0));
         assert!(out.final_logits.is_some());
@@ -144,7 +146,7 @@ mod tests {
         let per_slice = small / 4 + 1;
         let trace = ResourceTrace::constant(per_slice, 5);
         let cfg = session_cfg(trace, UpgradePolicy::Incremental);
-        let out = Session::new(&mut n, cfg).run(&x()).unwrap();
+        let out = Session::new(&n, cfg).run(&x()).unwrap();
         assert_eq!(out.final_subnet, Some(0));
         assert!(out.first_prediction_slice.unwrap() > 0);
     }
@@ -154,13 +156,10 @@ mod tests {
         let mut n = net();
         let budget = n.macs(0, 0.0) + expand_macs(&n, 0, 0.0).unwrap();
         let trace = ResourceTrace::constant(budget, 1);
-        let inc = Session::new(
-            &mut n,
-            session_cfg(trace.clone(), UpgradePolicy::Incremental),
-        )
-        .run(&x())
-        .unwrap();
-        let rec = Session::new(&mut n, session_cfg(trace, UpgradePolicy::Recompute))
+        let inc = Session::new(&n, session_cfg(trace.clone(), UpgradePolicy::Incremental))
+            .run(&x())
+            .unwrap();
+        let rec = Session::new(&n, session_cfg(trace, UpgradePolicy::Recompute))
             .run(&x())
             .unwrap();
         assert_eq!(inc.final_subnet, Some(1));
@@ -176,13 +175,10 @@ mod tests {
         let mut n = net();
         let full = n.macs(2, 0.0);
         let trace = ResourceTrace::constant(full, 6);
-        let inc = Session::new(
-            &mut n,
-            session_cfg(trace.clone(), UpgradePolicy::Incremental),
-        )
-        .run(&x())
-        .unwrap();
-        let rec = Session::new(&mut n, session_cfg(trace, UpgradePolicy::Recompute))
+        let inc = Session::new(&n, session_cfg(trace.clone(), UpgradePolicy::Incremental))
+            .run(&x())
+            .unwrap();
+        let rec = Session::new(&n, session_cfg(trace, UpgradePolicy::Recompute))
             .run(&x())
             .unwrap();
         assert_eq!(inc.final_subnet, rec.final_subnet);
@@ -200,19 +196,17 @@ mod tests {
         let full = n.macs(2, 0.0);
         let trace = ResourceTrace::constant(full / 3, 9);
         let cfg = session_cfg(trace, UpgradePolicy::Incremental);
-        let early = Session::new(&mut n, cfg.clone())
+        let early = Session::new(&n, cfg.clone())
             .run_until_deadline(&x(), 1)
             .unwrap();
-        let late = Session::new(&mut n, cfg.clone())
+        let late = Session::new(&n, cfg.clone())
             .run_until_deadline(&x(), 9)
             .unwrap();
         assert!(early.final_subnet <= late.final_subnet);
-        assert!(Session::new(&mut n, cfg.clone())
+        assert!(Session::new(&n, cfg.clone())
             .run_until_deadline(&x(), 0)
             .is_err());
-        assert!(Session::new(&mut n, cfg)
-            .run_until_deadline(&x(), 10)
-            .is_err());
+        assert!(Session::new(&n, cfg).run_until_deadline(&x(), 10).is_err());
     }
 
     #[test]
@@ -220,6 +214,6 @@ mod tests {
         let mut n = net();
         let trace = ResourceTrace::from_budgets(vec![]);
         let cfg = session_cfg(trace, UpgradePolicy::Incremental);
-        assert!(Session::new(&mut n, cfg).run(&x()).is_err());
+        assert!(Session::new(&n, cfg).run(&x()).is_err());
     }
 }

@@ -40,7 +40,7 @@
 //! net.move_neuron(0, 5, 1)?;
 //! let config = SessionConfig::new()
 //!     .trace(ResourceTrace::constant(net.macs(1, 0.0), 3));
-//! let out = Session::new(&mut net, config)
+//! let out = Session::new(&net, config)
 //!     .run(&Tensor::zeros(Shape::of(&[1, 4])))?;
 //! assert_eq!(out.final_subnet, Some(1));
 //! # Ok::<(), stepping_core::SteppingError>(())

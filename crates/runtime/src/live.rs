@@ -67,11 +67,11 @@ mod tests {
         let latest = LatestPrediction::new();
         let cfg = SessionConfig::new().trace(trace);
         let mut n1 = net();
-        let live = Session::new(&mut n1, cfg.clone())
+        let live = Session::new(&n1, cfg.clone())
             .run_live(&x, &latest)
             .unwrap();
         let mut n2 = net();
-        let offline = Session::new(&mut n2, cfg).run(&x).unwrap();
+        let offline = Session::new(&n2, cfg).run(&x).unwrap();
         assert_eq!(live.final_subnet, offline.final_subnet);
         assert_eq!(live.total_macs, offline.total_macs);
         assert_eq!(live.timeline, offline.timeline);
@@ -101,7 +101,7 @@ mod tests {
         let cfg = SessionConfig::new()
             .trace(trace)
             .tick(Duration::from_micros(100));
-        Session::new(&mut n, cfg).run_live(&x, &latest).unwrap();
+        Session::new(&n, cfg).run_live(&x, &latest).unwrap();
         assert!(observer.join().unwrap(), "observer never saw a prediction");
     }
 }

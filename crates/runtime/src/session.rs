@@ -1,9 +1,9 @@
 //! The unified inference API: a [`SessionConfig`] builder plus a
 //! [`Session`] exposing every anytime-inference mode as a method.
 //!
-//! A [`Session`] holds the network and one validated configuration, so
-//! callers (including the `stepping-serve` engine and the benchmark
-//! harness) consume **one** type:
+//! A [`Session`] holds the network's compiled model and one validated
+//! configuration, so callers (including the `stepping-serve` engine and
+//! the benchmark harness) consume **one** type:
 //!
 //! ```
 //! use stepping_core::SteppingNetBuilder;
@@ -15,7 +15,7 @@
 //! net.move_neuron(0, 5, 1)?;
 //! let config = SessionConfig::new()
 //!     .trace(ResourceTrace::constant(net.macs(1, 0.0), 3));
-//! let out = Session::new(&mut net, config)
+//! let out = Session::new(&net, config)
 //!     .run(&Tensor::zeros(Shape::of(&[1, 4])))?;
 //! assert_eq!(out.final_subnet, Some(1));
 //! # Ok::<(), stepping_core::SteppingError>(())
@@ -155,16 +155,27 @@ impl SessionConfig {
 
 /// An anytime-inference session over one network: every run mode of this
 /// crate as a method, configured once via [`SessionConfig`].
+///
+/// The session does not borrow the net: it holds the executor created from
+/// it — the `Arc` of the net's
+/// [`CompiledModel`](stepping_core::CompiledModel) at the configured prune
+/// threshold plus scratch buffers of its own — so every run serves the net
+/// as it was when the session was created.
 #[derive(Debug)]
-pub struct Session<'a> {
-    net: &'a mut SteppingNet,
+pub struct Session {
+    exec: IncrementalExecutor,
     config: SessionConfig,
 }
 
-impl<'a> Session<'a> {
-    /// Binds `config` to `net`.
-    pub fn new(net: &'a mut SteppingNet, config: SessionConfig) -> Self {
-        Session { net, config }
+impl Session {
+    /// Binds `config` to `net` as it is now
+    /// ([`SteppingNet::compile`]: a slot read when the net was already
+    /// compiled at the configured threshold).
+    pub fn new(net: &SteppingNet, config: SessionConfig) -> Self {
+        Session {
+            exec: IncrementalExecutor::new(net, config.prune_threshold),
+            config,
+        }
     }
 
     /// The session's configuration.
@@ -172,24 +183,19 @@ impl<'a> Session<'a> {
         &self.config
     }
 
-    /// The underlying network.
-    pub fn net(&self) -> &SteppingNet {
-        self.net
-    }
-
     /// Per-step costs under the configured policy: entry 0 is the cost of
     /// producing the first (start-subnet) prediction, entry `j` the cost of
     /// stepping on to subnet `start_subnet + j`.
     fn step_costs(&self) -> Result<Vec<u64>> {
         let start = self.config.start_subnet;
-        let subnets = self.net.subnet_count();
+        let subnets = self.exec.model().subnet_count();
         if start >= subnets {
             return Err(SteppingError::SubnetOutOfRange {
                 subnet: start,
                 count: subnets,
             });
         }
-        let table = self.net.mac_table(self.config.prune_threshold);
+        let table = self.exec.model().mac_table();
         let upgrades = match self.config.policy {
             UpgradePolicy::Incremental => table.step(),
             UpgradePolicy::Recompute => table.direct(),
@@ -268,7 +274,7 @@ impl<'a> Session<'a> {
         let step_cost = self.step_costs()?;
         let policy = self.config.policy;
         let run_span = telemetry::span("inference", "drive.run");
-        let mut exec = IncrementalExecutor::new(self.net, self.config.prune_threshold);
+        let exec = &mut self.exec;
         let mut timeline = Vec::with_capacity(trace.len());
         let mut bank = 0u64;
         let mut next_step = 0usize; // 0 = begin at start subnet, j>0 = expand
@@ -380,7 +386,7 @@ impl<'a> Session<'a> {
             }
         });
 
-        let mut exec = IncrementalExecutor::new(self.net, self.config.prune_threshold);
+        let exec = &mut self.exec;
         let mut timeline = Vec::with_capacity(trace.len());
         let mut bank = 0u64;
         let mut next_step = 0usize;
@@ -468,9 +474,9 @@ impl<'a> Session<'a> {
                 "confidence-gated inference expects a single sample (batch 1)".into(),
             ));
         }
-        let subnets = self.net.subnet_count();
+        let subnets = self.exec.model().subnet_count();
         let start = self.config.start_subnet;
-        let mut exec = IncrementalExecutor::new(self.net, self.config.prune_threshold);
+        let exec = &mut self.exec;
         let mut step = exec.begin_at(input, start)?;
         loop {
             let probs = reduce::softmax_rows(&step.logits)?;
@@ -517,7 +523,7 @@ mod tests {
     #[test]
     fn missing_trace_and_confidence_rejected() {
         let mut n = net();
-        let mut s = Session::new(&mut n, SessionConfig::new());
+        let mut s = Session::new(&n, SessionConfig::new());
         assert!(s.run(&x()).is_err());
         assert!(s.run_until_deadline(&x(), 1).is_err());
         assert!(s.run_until_confident(&x()).is_err());
@@ -531,7 +537,7 @@ mod tests {
         let full = n.macs(2, 0.0);
         let trace = ResourceTrace::constant(full, 4);
         let cfg = SessionConfig::new().trace(trace).start_subnet(1);
-        let out = Session::new(&mut n, cfg).run(&x()).unwrap();
+        let out = Session::new(&n, cfg).run(&x()).unwrap();
         assert_eq!(out.final_subnet, Some(2));
         // subnet 0 never appears in the timeline
         assert!(out
@@ -546,7 +552,7 @@ mod tests {
         let cfg = SessionConfig::new()
             .trace(ResourceTrace::constant(10, 2))
             .start_subnet(7);
-        assert!(Session::new(&mut n, cfg).run(&x()).is_err());
+        assert!(Session::new(&n, cfg).run(&x()).is_err());
     }
 
     #[test]
@@ -554,7 +560,7 @@ mod tests {
         let mut n = net();
         let direct = n.macs(1, 0.0);
         let cfg = SessionConfig::new().confidence(1e-6).start_subnet(1);
-        let out = Session::new(&mut n, cfg).run_until_confident(&x()).unwrap();
+        let out = Session::new(&n, cfg).run_until_confident(&x()).unwrap();
         assert_eq!(out.subnet, 1);
         assert!(out.early_exit);
         assert_eq!(out.total_macs, direct);

@@ -83,7 +83,8 @@ pub struct ServeConfigBuilder {
 }
 
 impl ServeConfigBuilder {
-    /// Number of worker threads, each owning a replica of the network.
+    /// Number of worker threads (they share one compiled model of the
+    /// network).
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self

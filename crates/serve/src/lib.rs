@@ -4,8 +4,11 @@
 //! (DATE 2023) reproduction — the deployment story the paper motivates,
 //! turned into a server:
 //!
-//! * **Concurrency** — a [`Server`] owns a pool of worker threads, each
-//!   holding a replica of the [`SteppingNet`](stepping_core::SteppingNet);
+//! * **Concurrency** — a [`Server`] owns a pool of worker threads that
+//!   share one immutable
+//!   [`CompiledModel`](stepping_core::CompiledModel) of the
+//!   [`SteppingNet`](stepping_core::SteppingNet), each through an executor
+//!   and scratch buffers of its own;
 //!   clients [`submit`](Server::submit) from any number of threads and
 //!   block only on their own [`Ticket`].
 //! * **Sharded batch lanes** — every batch key (one target subnet, or one

@@ -9,10 +9,10 @@ use std::time::{Duration, Instant};
 
 use stepping_core::batch::{ActivationCache, BatchExecutor};
 use stepping_core::telemetry::{self, Value};
-use stepping_core::{MacTable, Result, SteppingError, SteppingNet};
+use stepping_core::{CompiledModel, MacTable, Result, SteppingError, SteppingNet};
 use stepping_metrics::{elapsed_ns, start_timer, MetricsRegistry, SnapshotWriter};
 use stepping_runtime::DeviceModel;
-use stepping_tensor::{Shape, Tensor};
+use stepping_tensor::Tensor;
 
 use crate::admission::{AdmissionError, ServeError};
 use crate::config::{ServeConfig, ShedPolicy};
@@ -44,19 +44,16 @@ enum Slot {
 struct Shared {
     lanes: LaneSet,
     device: DeviceModel,
-    prune_threshold: f32,
     start_subnet: usize,
     shed_policy: ShedPolicy,
-    /// The net's MAC table at `prune_threshold`, per sample:
-    /// `costs.direct()[k]` is what an initial run of subnet `k` pays,
-    /// `costs.step()[k]` what an upgrade pays for the level `k - 1 → k`
-    /// over cached activations. The workers' executors charge from the
-    /// same table, so admission and accounting cannot disagree.
-    costs: MacTable,
-    /// Shape of one input sample (no batch dimension); requests of any
-    /// other trailing shape are refused at `submit`, before they can share
-    /// a batch with well-formed ones.
-    input_shape: Shape,
+    /// The compiled model every worker's executor serves. Admission reads
+    /// its MAC table — per sample, `direct()[k]` is what an initial run of
+    /// subnet `k` pays, `step()[k]` what an upgrade pays for the level
+    /// `k - 1 → k` over cached activations — and the executors charge from
+    /// the same table, so admission and accounting cannot disagree. Its
+    /// input shape (one sample, no batch dimension) is what `submit` holds
+    /// requests to, before they can share a batch with well-formed ones.
+    model: Arc<CompiledModel>,
     sessions: Mutex<HashMap<u64, Slot>>,
     next_id: AtomicU64,
     next_session: AtomicU64,
@@ -72,8 +69,12 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
 }
 
 impl Shared {
+    fn costs(&self) -> &MacTable {
+        self.model.mac_table()
+    }
+
     fn subnet_count(&self) -> usize {
-        self.costs.direct().len()
+        self.model.subnet_count()
     }
 
     /// Largest subnet (≥ the configured start subnet) whose direct cost
@@ -81,7 +82,7 @@ impl Shared {
     fn largest_direct_within(&self, mac_budget: u64) -> usize {
         let mut best = self.start_subnet;
         for k in self.start_subnet..self.subnet_count() {
-            if self.costs.direct()[k] <= mac_budget {
+            if self.costs().direct()[k] <= mac_budget {
                 best = k;
             }
         }
@@ -94,7 +95,7 @@ impl Shared {
         let mut best = cur;
         let mut spent = 0u64;
         for k in cur + 1..self.subnet_count() {
-            spent += self.costs.step()[k];
+            spent += self.costs().step()[k];
             if spent <= mac_budget {
                 best = k;
             } else {
@@ -135,8 +136,9 @@ impl Shared {
 
 /// A concurrent, deadline-aware inference server over one [`SteppingNet`].
 ///
-/// `workers` threads each own a replica of the network and claim
-/// micro-batches of *compatible* requests (same target subnet, or same
+/// `workers` threads share one immutable
+/// [`CompiledModel`](stepping_core::CompiledModel) of the network — each
+/// through its own executor and scratch buffers — and claim micro-batches of *compatible* requests (same target subnet, or same
 /// upgrade step) from sharded per-key batch lanes, running one batched
 /// pass per claim. Lane selection is earliest-deadline-first, so
 /// budget-carrying requests are serviced before their deadlines expire
@@ -188,10 +190,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Reads the net's MAC table — which also warms the per-layer MAC
-    /// memos inside `net`, so the worker replicas cloned next never scan a
-    /// weight — spawns the worker pool (each worker clones `net`), and
-    /// starts accepting requests.
+    /// Compiles `net` once at the session's prune threshold
+    /// ([`SteppingNet::compile`]; a slot read when `net` was already
+    /// compiled, as for every replica of a `Router::launch` after the
+    /// first), spawns the worker pool — each worker gets an executor
+    /// holding the same `Arc` of the model, nothing is cloned — and starts
+    /// accepting requests. The server serves `net` as it is now; later
+    /// mutations of it are not seen.
     ///
     /// # Errors
     ///
@@ -224,7 +229,6 @@ impl Server {
                 count: subnets,
             });
         }
-        let costs = net.mac_table(thr);
         let registry = MetricsRegistry::global();
         let metrics = Arc::new(crate::metrics::ServeMetrics::new(
             &registry,
@@ -253,11 +257,9 @@ impl Server {
                 Arc::clone(&metrics),
             ),
             device,
-            prune_threshold: thr,
             start_subnet: start,
             shed_policy: config.get_shed_policy(),
-            costs,
-            input_shape: net.input_shape().clone(),
+            model: net.compile(thr),
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
@@ -268,8 +270,9 @@ impl Server {
         let workers = (0..config.get_workers())
             .map(|worker| {
                 let shared = Arc::clone(&shared);
-                let replica = net.clone();
-                std::thread::spawn(move || worker_loop(shared, replica, worker))
+                // a slot read: the model `shared` holds
+                let exec = BatchExecutor::new(net, thr);
+                std::thread::spawn(move || worker_loop(shared, exec, worker))
             })
             .collect();
         Ok(Server {
@@ -297,8 +300,9 @@ impl Server {
     /// load, and for everything under [`ShedPolicy::Reject`]) or
     /// [`AdmissionError::ShuttingDown`] after
     /// [`shutdown`](Server::shutdown); [`ServeError::Invalid`] for an
-    /// out-of-range subnet, a non-positive budget, or an input without
-    /// batch rows.
+    /// out-of-range subnet, a non-positive budget, an input without batch
+    /// rows or of the wrong sample shape, or one holding a NaN or infinite
+    /// value.
     pub fn submit(&self, request: Request) -> std::result::Result<Ticket, ServeError> {
         // admission phase = resolve target + enqueue; rejected requests are
         // not recorded (cancel), so the series measures accepted work only
@@ -327,12 +331,20 @@ impl Server {
             )
             .into());
         }
-        if dims[1..] != *self.shared.input_shape.dims() {
+        if dims[1..] != *self.shared.model.input_shape().dims() {
             return Err(SteppingError::InvalidStructure(format!(
                 "request input {} does not hold samples of shape {}",
                 request.input.shape(),
-                self.shared.input_shape
+                self.shared.model.input_shape()
             ))
+            .into());
+        }
+        // a NaN or infinite row would get a session, cache poisoned
+        // activations, and charge every later upgrade MACs for garbage
+        if !request.input.is_finite() {
+            return Err(SteppingError::InvalidStructure(
+                "request input holds a non-finite value (NaN or infinity)".into(),
+            )
             .into());
         }
         // only elastic targets may be downgraded; a pinned subnet is a
@@ -644,7 +656,7 @@ impl Server {
 
     /// Per-sample direct MAC cost of each subnet (index = subnet).
     pub fn subnet_costs(&self) -> &[u64] {
-        self.shared.costs.direct()
+        self.shared.costs().direct()
     }
 
     /// Aggregate serving statistics so far.
@@ -703,10 +715,9 @@ impl Drop for Server {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, mut net: SteppingNet, worker: usize) {
-    // one executor for the worker's lifetime: the replica never changes, so
-    // its MAC table is read once, not per batch
-    let mut exec = BatchExecutor::new(&mut net, shared.prune_threshold);
+/// Serves batches with `exec` — this worker's handle on the shared compiled
+/// model and its private scratch — until the lanes shut down.
+fn worker_loop(shared: Arc<Shared>, mut exec: BatchExecutor, worker: usize) {
     let mut lane_views = Vec::new();
     while let Some((key, batch)) = shared.lanes.take_batch(worker, &mut lane_views) {
         let busy_start = stepping_metrics::enabled().then(Instant::now);

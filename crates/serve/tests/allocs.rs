@@ -7,16 +7,22 @@
 //! moved, so a scan that claims nothing allocates nothing, and a begin
 //! batch allocates less than it did by the size of its inputs.
 //!
-//! The file holds a single test: the counting allocator is process-wide.
-//! Allocations are attributed by thread — the test's own thread (the
-//! client: tickets, channels, jobs) is exempt, everything else is a worker.
+//! And one thing a launch used to allocate per worker: a deep clone of the
+//! net. Workers now share one compiled model, so what `Server::new`
+//! allocates does not grow with the worker count.
+//!
+//! The counting allocator is process-wide, so the tests take turns
+//! (`SERIAL`). Allocations are attributed by thread — a test's own thread
+//! (the client: tickets, channels, jobs) is exempt, everything else is a
+//! worker.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use stepping_core::SteppingNetBuilder;
+use stepping_core::{SteppingNet, SteppingNetBuilder};
 use stepping_runtime::{DeviceModel, SessionConfig};
 use stepping_serve::{Request, ServeConfig, Server};
 use stepping_tensor::{Shape, Tensor};
@@ -62,19 +68,73 @@ fn worker_counts() -> (usize, usize) {
     )
 }
 
+/// One test at a time: the counters are shared.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+/// This test's turn, with its own thread exempt from the counts.
+fn take_turn() -> MutexGuard<'static, ()> {
+    let turn = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    EXEMPT.with(|e| e.set(true));
+    turn
+}
+
 /// Inputs wide enough that one copy of a request dwarfs everything else a
-/// batch allocates.
+/// batch allocates — and one copy of the net's weights (64 K values)
+/// everything else a launch does.
 const WIDTH: usize = 16 * 1024;
 const BATCH: usize = 8;
 
-#[test]
-fn worker_scans_allocate_nothing_and_inputs_are_moved() {
-    EXEMPT.with(|e| e.set(true));
-    let net = SteppingNetBuilder::new(Shape::of(&[WIDTH]), 1, 3)
+fn wide_net() -> SteppingNet {
+    SteppingNetBuilder::new(Shape::of(&[WIDTH]), 1, 3)
         .linear(4)
         .relu()
         .build(2)
-        .unwrap();
+        .unwrap()
+}
+
+/// Three more workers cost three more executors — an `Arc` and an empty
+/// scratch each — not three more copies of the net.
+#[test]
+fn launch_allocation_does_not_grow_with_workers() {
+    let _turn = take_turn();
+    // bytes `Server::new` allocates, on this thread and its new workers'
+    let launch_bytes = |workers: usize| {
+        let net = wide_net();
+        let config = ServeConfig::builder()
+            .workers(workers)
+            .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
+            .build();
+        let (_, before) = worker_counts();
+        EXEMPT.with(|e| e.set(false));
+        let server = Server::new(&net, config);
+        EXEMPT.with(|e| e.set(true));
+        let server = server.unwrap();
+        // a round trip: every worker is up and has scanned the lanes
+        server
+            .submit(Request::full(Tensor::ones(Shape::of(&[1, WIDTH]))))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let (_, after) = worker_counts();
+        server.shutdown();
+        after - before
+    };
+    let (one, four) = (launch_bytes(1), launch_bytes(4));
+    let weights_bytes = WIDTH * 4 * std::mem::size_of::<f32>();
+    assert!(
+        one > weights_bytes,
+        "a launch compiles the net: {one} B for {weights_bytes} B of weights"
+    );
+    assert!(
+        four <= one + 64 * 1024,
+        "4 workers launched with {four} B, 1 worker with {one} B"
+    );
+}
+
+#[test]
+fn worker_scans_allocate_nothing_and_inputs_are_moved() {
+    let _turn = take_turn();
+    let net = wide_net();
     // a flush window far longer than the test: a batch runs when it is
     // full, and until then its requests stay queued
     let config = ServeConfig::builder()
@@ -90,8 +150,8 @@ fn worker_scans_allocate_nothing_and_inputs_are_moved() {
             .unwrap()
     };
 
-    // warm-up: one full batch compiles the plan and grows every buffer the
-    // worker keeps (pack scratch, lane snapshots)
+    // warm-up: one full batch grows every buffer the worker keeps (pack
+    // scratch, lane snapshots)
     let warm: Vec<_> = (0..BATCH).map(|_| submit()).collect();
     for t in warm {
         assert_eq!(t.wait().unwrap().batch_size, BATCH);

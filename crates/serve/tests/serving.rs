@@ -252,6 +252,33 @@ fn malformed_request_is_refused_and_spares_its_batch() {
     assert_eq!(srv.stats().requests, 3);
 }
 
+/// A NaN or infinite input would be given a session, cache non-finite
+/// activations and charge every later upgrade for garbage; it must be
+/// refused at `submit`, before admission is counted, and must not disturb
+/// the well-formed request submitted alongside it.
+#[test]
+fn non_finite_request_is_refused_at_admission() {
+    let srv = server(1, 4, Duration::from_millis(20));
+    let good = sample(400);
+    let ticket = srv.submit(Request::at_subnet(good.clone(), 1)).unwrap();
+    let admitted = srv.stats().admitted;
+    for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let mut bad = sample(401);
+        bad.data_mut()[3] = poison;
+        let err = srv.submit(Request::at_subnet(bad, 1)).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Invalid(SteppingError::InvalidStructure(_))),
+            "{poison}: {err:?}"
+        );
+    }
+    assert_eq!(srv.stats().admitted, admitted, "a refusal was admitted");
+    let resp = ticket.wait().expect("the well-formed request failed");
+    assert_eq!(resp.logits, net().forward(&good, 1, false).unwrap());
+    srv.shutdown();
+    assert_eq!(srv.stats().requests, 1);
+    assert_eq!(srv.session_count(), 1, "a refused input got a session");
+}
+
 #[test]
 fn shutdown_drains_queued_requests() {
     let srv = server(1, 4, Duration::from_millis(50));

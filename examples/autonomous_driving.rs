@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .device(device)
         .prune_threshold(opts.prune_threshold);
     for deadline in [1usize, 2, 4, 8, 16, 32, 64] {
-        let out = Session::new(&mut net, cfg.clone()).run_until_deadline(&x, deadline)?;
+        let out = Session::new(&net, cfg.clone()).run_until_deadline(&x, deadline)?;
         match (out.final_subnet, &out.final_logits) {
             (Some(k), Some(logits)) => println!(
                 "  deadline {deadline:>2} slices → subnet {k} ready, predicts class {} \

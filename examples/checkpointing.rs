@@ -79,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // the restored network serves anytime inference immediately
     let (x, label) = data.batch(Split::Test, &[7])?;
-    let mut exec = IncrementalExecutor::new(&mut device_net, 1e-5);
+    let mut exec = IncrementalExecutor::new(&device_net, 1e-5);
     let mut step = exec.begin(&x)?;
     println!(
         "device: anytime inference on one sample (true class {}):",

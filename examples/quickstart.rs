@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Anytime inference: classify one sample incrementally.
     let (x, label) = data.batch(Split::Test, &[0])?;
-    let mut exec = IncrementalExecutor::new(&mut net, opts.prune_threshold);
+    let mut exec = IncrementalExecutor::new(&net, opts.prune_threshold);
     let mut step = exec.begin(&x)?;
     println!(
         "\nanytime inference on one sample (true class {}):",

@@ -44,8 +44,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let inc_cfg = SessionConfig::new().trace(trace.clone());
     let rec_cfg = inc_cfg.clone().policy(UpgradePolicy::Recompute);
-    let inc = Session::new(&mut net, inc_cfg.clone()).run(&x)?;
-    let rec = Session::new(&mut net, rec_cfg).run(&x)?;
+    let inc = Session::new(&net, inc_cfg.clone()).run(&x)?;
+    let rec = Session::new(&net, rec_cfg).run(&x)?;
     println!("\npolicy comparison over the same bursty trace:");
     println!(
         "  incremental: reached subnet {:?} spending {} MACs (first prediction at slice {:?})",
@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seen
     });
     let live_cfg = inc_cfg.tick(Duration::from_millis(1));
-    Session::new(&mut net, live_cfg).run_live(&x, &latest)?;
+    Session::new(&net, live_cfg).run_live(&x, &latest)?;
     let seen = observer.join().expect("observer panicked");
     println!("observer saw refinement sequence: {seen:?}");
     Ok(())

@@ -54,7 +54,7 @@ proptest! {
         batch in 1usize..4,
     ) {
         let subnets = 3;
-        let mut net = build_with_moves(subnets, 11, 7, &moves, seed);
+        let net = build_with_moves(subnets, 11, 7, &moves, seed);
         let x = init::uniform(Shape::of(&[batch, 6]), -2.0, 2.0, &mut init::rng(seed ^ 1));
         for k in 0..subnets {
             let masked = net.clone().forward(&x, k, false).unwrap();
