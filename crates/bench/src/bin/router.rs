@@ -26,7 +26,7 @@
 
 use std::fs;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::Rng;
 use stepping_baselines::regular_assign;
@@ -73,7 +73,6 @@ fn serve_config() -> ServeConfig {
     ServeConfig::builder()
         .workers(2)
         .max_batch(4)
-        .max_wait(Duration::from_micros(150))
         .session(SessionConfig::new().device(DeviceModel::embedded()))
         .build()
 }

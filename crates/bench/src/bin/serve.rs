@@ -12,8 +12,8 @@
 //!    the regression the sharded lanes exist to prevent,
 //! 2. **single-hot-lane sweep** — the same 1 → 4 monotonic-throughput gate
 //!    with every client funneled into ONE lane at `max_batch = 4`, keeping
-//!    the lane at ≥ 2× `max_batch` depth: the lane work-stealing regime,
-//!    where a second worker claims the backlog tail instead of sleeping,
+//!    the lane deeper than one claim can empty: a claim that leaves jobs
+//!    behind rings a second worker, which takes the tail at once,
 //! 3. **batch vs sequential** — micro-batching (`max_batch = 8`) against a
 //!    degenerate one-job-per-batch server (`max_batch = 1`) at the same
 //!    worker count, reporting throughput and client-observed latency
@@ -137,7 +137,6 @@ fn run_config(
     let mut builder = ServeConfig::builder()
         .workers(workers)
         .max_batch(max_batch)
-        .max_wait(Duration::from_micros(150))
         .session(SessionConfig::new().device(DeviceModel::embedded()));
     if let Some(path) = snapshot_path {
         builder = builder
@@ -344,11 +343,10 @@ fn main() {
 
     // Single-hot-lane sweep: every client asks for the full subnet, so all
     // traffic funnels through ONE lane, and max_batch 4 with 8 clients
-    // keeps the lane's depth at or above 2x max_batch — the regime where
-    // lane work-stealing lets a second worker claim the backlog tail
-    // instead of sleeping out the flush timer. Before work stealing this
-    // workload capped the sweep at one effective worker.
-    report_text("\nSERVE: single-hot-lane worker sweep (work stealing)");
+    // keeps the lane deeper than one claim can empty: the claim that
+    // leaves a tail behind rings a second worker, which takes it at once.
+    // A hot lane must not cap the sweep at one effective worker.
+    report_text("\nSERVE: single-hot-lane worker sweep");
     let hot_sweep: Vec<RunResult> = worker_counts
         .iter()
         .map(|&w| run_config(&net, w, 4, false, None))

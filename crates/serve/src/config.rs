@@ -1,4 +1,4 @@
-//! Server configuration: serving knobs (workers, batching window, admission
+//! Server configuration: serving knobs (workers, batching, admission
 //! control) on top of the runtime's [`SessionConfig`], built with
 //! [`ServeConfig::builder`].
 
@@ -28,9 +28,9 @@ pub enum ShedPolicy {
 ///
 /// Embeds a [`SessionConfig`] for the inference-side knobs (prune
 /// threshold, device model, start subnet) and adds the serving-side ones:
-/// worker threads, micro-batch limit, batching window, and the admission
-/// bound + shed policy of the per-key batch lanes. Construct it with
-/// [`builder`](ServeConfig::builder):
+/// worker threads, micro-batch limit, the opt-in batching linger, and the
+/// admission bound + shed policy of the per-key batch lanes. Construct it
+/// with [`builder`](ServeConfig::builder):
 ///
 /// ```
 /// use std::time::Duration;
@@ -39,15 +39,16 @@ pub enum ShedPolicy {
 /// let config = ServeConfig::builder()
 ///     .workers(4)
 ///     .max_batch(8)
-///     .max_wait(Duration::from_micros(200))
 ///     .lane_capacity(64)
 ///     .shed_policy(ShedPolicy::Downgrade)
 ///     .build();
 /// assert_eq!(config.get_workers(), 4);
+/// assert_eq!(config.get_max_wait(), Duration::ZERO); // work-conserving
 /// ```
 ///
-/// Defaults: 2 workers, `max_batch` 8, `max_wait` 200 µs, `lane_capacity`
-/// 64, [`ShedPolicy::Downgrade`], default [`SessionConfig`].
+/// Defaults: 2 workers, `max_batch` 8, `max_wait` zero (no linger),
+/// `lane_capacity` 64, [`ShedPolicy::Downgrade`], default
+/// [`SessionConfig`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     workers: usize,
@@ -65,7 +66,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             max_batch: 8,
-            max_wait: Duration::from_micros(200),
+            max_wait: Duration::ZERO,
             lane_capacity: 64,
             shed_policy: ShedPolicy::default(),
             session: SessionConfig::new(),
@@ -84,7 +85,9 @@ pub struct ServeConfigBuilder {
 
 impl ServeConfigBuilder {
     /// Number of worker threads (they share one compiled model of the
-    /// network).
+    /// network). A push wakes one parked worker, not all of them, but
+    /// nothing keeps more workers than the host has cores from being awake
+    /// at once: size the pool to the cores.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self
@@ -97,8 +100,20 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Longest time a lane holds an incomplete batch open waiting for
-    /// compatible requests before flushing it.
+    /// An opt-in *linger*: how long a lane below `max_batch` is held back
+    /// from an idle worker, waiting for compatible requests, before it may
+    /// be claimed (an expired deadline or shutdown releases it sooner).
+    ///
+    /// The default is [`Duration::ZERO`]: dispatch is work-conserving — a
+    /// free worker claims the most urgent non-empty lane at once and a
+    /// batch is whatever queued while the workers were busy, so batches
+    /// grow with load by themselves. A linger adds itself (plus the host's
+    /// timer slack, ~70 µs on the reference machine) to the latency of
+    /// every request that arrives at an idle server; it can pay only where
+    /// one pass over `n` rows costs far less than `n` passes over one and
+    /// arrivals are too sparse to queue behind a busy worker — neither
+    /// holds for the models benchmarked here (`docs/PERFORMANCE.md`
+    /// § Work-conserving dispatch). Tests also use it to hold a lane still.
     pub fn max_wait(mut self, max_wait: Duration) -> Self {
         self.config.max_wait = max_wait;
         self
@@ -167,7 +182,7 @@ impl ServeConfig {
         self.max_batch
     }
 
-    /// Configured batching window.
+    /// Configured batching linger (zero: none).
     pub fn get_max_wait(&self) -> Duration {
         self.max_wait
     }
@@ -221,7 +236,8 @@ mod tests {
         let defaults = ServeConfig::builder().build();
         assert_eq!(defaults.get_workers(), 2);
         assert_eq!(defaults.get_max_batch(), 8);
-        assert_eq!(defaults.get_max_wait(), Duration::from_micros(200));
+        assert_eq!(defaults.get_max_wait(), Duration::ZERO);
+        assert_eq!(ServeConfig::default().get_max_wait(), Duration::ZERO);
         assert_eq!(defaults.get_lane_capacity(), 64);
         assert_eq!(defaults.get_shed_policy(), ShedPolicy::Downgrade);
     }

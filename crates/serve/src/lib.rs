@@ -12,13 +12,16 @@
 //!   clients [`submit`](Server::submit) from any number of threads and
 //!   block only on their own [`Ticket`].
 //! * **Sharded batch lanes** — every batch key (one target subnet, or one
-//!   upgrade step) owns its own bounded lane with its own lock and flush
-//!   timer; workers scan lock-free scheduling hints and claim whole lanes,
-//!   so pushes and claims on different keys never contend.
+//!   upgrade step) owns its own bounded lane with its own lock; workers
+//!   scan lock-free scheduling hints and claim whole lanes, so pushes and
+//!   claims on different keys never contend.
+//! * **Work-conserving dispatch** — a free worker claims the most urgent
+//!   non-empty lane at once; a batch is whatever queued while the workers
+//!   were busy. One push wakes one parked worker; the others stay parked.
 //! * **EDF scheduling** — a [`Request::with_budget`] carries a microsecond
 //!   budget; the scheduler converts it to a MAC budget via the configured
 //!   [`DeviceModel`](stepping_runtime::DeviceModel), picks the largest
-//!   subnet that fits, and orders ready lanes earliest-deadline-first so
+//!   subnet that fits, and orders the lanes earliest-deadline-first so
 //!   expiring requests are served ahead of later-deadline batches.
 //! * **Admission control** — lanes are bounded
 //!   ([`lane_capacity`](ServeConfigBuilder::lane_capacity)); under load the
@@ -48,9 +51,10 @@
 //! Configuration is two-layered: the runtime's
 //! [`SessionConfig`](stepping_runtime::SessionConfig) supplies the
 //! inference-side knobs; [`ServeConfig::builder`] adds workers,
-//! `max_batch`, the `max_wait` batching window, and the admission bound +
-//! shed policy. See `docs/SERVING.md` for the lane architecture, the
-//! deadline math, and the migration guide from the pre-0.7 API.
+//! `max_batch`, the opt-in `max_wait` linger (default zero: dispatch is
+//! work-conserving), and the admission bound + shed policy. See
+//! `docs/SERVING.md` for the lane architecture, the deadline math, and the
+//! migration guide from the pre-0.7 API.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -57,7 +57,8 @@ pub(crate) struct ServeMetrics {
     pub queue_depth_sampled: Arc<LogHistogram>,
     /// Per-job enqueue → extraction wait.
     pub queue_wait_ns: Arc<LogHistogram>,
-    /// Oldest job's age when its batch flushed (batch-formation time).
+    /// Oldest job's age when a worker claimed its batch (batch-formation
+    /// time).
     pub batch_form_ns: Arc<LogHistogram>,
     /// Packed forward pass per batch.
     pub forward_ns: Arc<LogHistogram>,

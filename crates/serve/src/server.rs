@@ -68,6 +68,19 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Ends `session`'s in-flight upgrade: puts `entry` back in the table, or
+/// drops it when the session was released while the job ran.
+fn settle(sessions: &mut HashMap<u64, Slot>, session: u64, entry: SessionEntry) {
+    if matches!(
+        sessions.get(&session),
+        Some(Slot::InFlight { released: true })
+    ) {
+        sessions.remove(&session);
+    } else {
+        sessions.insert(session, Slot::Resident(entry));
+    }
+}
+
 impl Shared {
     fn costs(&self) -> &MacTable {
         self.model.mac_table()
@@ -103,20 +116,6 @@ impl Shared {
             }
         }
         best
-    }
-
-    /// Ends `session`'s in-flight upgrade: puts `entry` back in the table,
-    /// or drops it when the session was released while the job ran.
-    fn settle(&self, session: u64, entry: SessionEntry) {
-        let mut sessions = lock(&self.sessions);
-        if matches!(
-            sessions.get(&session),
-            Some(Slot::InFlight { released: true })
-        ) {
-            sessions.remove(&session);
-        } else {
-            sessions.insert(session, Slot::Resident(entry));
-        }
     }
 
     /// Ends `session`'s in-flight upgrade when its cache was lost with a
@@ -487,7 +486,7 @@ impl Server {
                     ("subnet", Value::U64(cur as u64)),
                 ],
             );
-            self.shared.settle(session, entry);
+            settle(&mut lock(&self.shared.sessions), session, entry);
             let _ = tx.send(Ok(response));
             return Ok(Ticket { rx });
         }
@@ -585,7 +584,8 @@ impl Server {
     /// the session survives the refusal (unless it was released meanwhile).
     fn reinstall(&self, session: u64, job: Job, last_logits: &Tensor, last_subnet: usize) {
         if let Work::Upgrade { cache, .. } = job.work {
-            self.shared.settle(
+            settle(
+                &mut lock(&self.shared.sessions),
                 session,
                 SessionEntry {
                     cache,
@@ -719,15 +719,16 @@ impl Drop for Server {
 /// model and its private scratch — until the lanes shut down.
 fn worker_loop(shared: Arc<Shared>, mut exec: BatchExecutor, worker: usize) {
     let mut lane_views = Vec::new();
-    while let Some((key, batch)) = shared.lanes.take_batch(worker, &mut lane_views) {
+    let mut batch = Vec::new();
+    while let Some(key) = shared.lanes.take_batch(worker, &mut lane_views, &mut batch) {
         let busy_start = stepping_metrics::enabled().then(Instant::now);
         if let Some(occupancy) = shared.metrics.occupancy(key) {
             occupancy.record(batch.len() as u64);
         }
         match key {
-            BatchKey::Begin { subnet } => run_begin_batch(&shared, &mut exec, batch, subnet),
+            BatchKey::Begin { subnet } => run_begin_batch(&shared, &mut exec, &mut batch, subnet),
             BatchKey::Upgrade { from, to } => {
-                run_upgrade_batch(&shared, &mut exec, batch, from, to)
+                run_upgrade_batch(&shared, &mut exec, &mut batch, from, to)
             }
         }
         if let Some(start) = busy_start {
@@ -769,11 +770,12 @@ fn outcome_of(
     }
 }
 
-fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: Vec<Job>, subnet: usize) {
+/// Runs one claimed begin batch and answers it; `jobs` is left empty.
+fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job>, subnet: usize) {
     let span = telemetry::span("serving", "serve.batch");
     let mut inputs = Vec::with_capacity(jobs.len());
     let mut waiting = Vec::with_capacity(jobs.len());
-    for job in jobs {
+    for job in jobs.drain(..) {
         let Job {
             id,
             work,
@@ -824,7 +826,7 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: Vec<Job>, su
     // stats and session entries must be visible before any reply is sent,
     // so sends are buffered until all bookkeeping is done
     let mut outbox = Vec::with_capacity(batch_size);
-    for (job, (cache, step)) in waiting.into_iter().zip(results) {
+    for (job, (_, step)) in waiting.into_iter().zip(&results) {
         let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
         let modeled = shared.device.latency_us(step.step_macs);
         let (outcome, miss) = outcome_of(job.requested, step.subnet, job.budget_us, modeled);
@@ -848,16 +850,21 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: Vec<Job>, su
             batch_size,
             cache_reuse: 0.0,
         };
-        lock(&shared.sessions).insert(
-            session,
+        outbox.push((job.reply, response));
+    }
+    // one table lock for the batch, held for the inserts alone
+    let mut sessions = lock(&shared.sessions);
+    for ((_, response), (cache, step)) in outbox.iter().zip(results) {
+        sessions.insert(
+            response.session,
             Slot::Resident(SessionEntry {
                 cache,
                 last_subnet: step.subnet,
                 last_logits: step.logits,
             }),
         );
-        outbox.push((job.reply, response));
     }
+    drop(sessions);
     shared
         .stats
         .record_batch(batch_size as u64, batch_macs, misses, degraded);
@@ -877,10 +884,11 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: Vec<Job>, su
     ]);
 }
 
+/// Runs one claimed upgrade batch and answers it; `jobs` is left empty.
 fn run_upgrade_batch(
     shared: &Shared,
     exec: &mut BatchExecutor,
-    jobs: Vec<Job>,
+    jobs: &mut Vec<Job>,
     from: usize,
     to: usize,
 ) {
@@ -888,7 +896,7 @@ fn run_upgrade_batch(
     let mut sessions_meta = Vec::with_capacity(jobs.len());
     let mut caches = Vec::with_capacity(jobs.len());
     let mut replies = Vec::with_capacity(jobs.len());
-    for job in jobs {
+    for job in jobs.drain(..) {
         match job.work {
             Work::Upgrade { session, cache, .. } => {
                 sessions_meta.push(session);
@@ -945,11 +953,8 @@ fn run_upgrade_batch(
     let mut misses = 0u64;
     let mut degraded = 0u64;
     let mut outbox = Vec::with_capacity(batch_size);
-    for (((session, cache), step), job) in sessions_meta
-        .into_iter()
-        .zip(caches)
-        .zip(steps)
-        .zip(replies)
+    for (((&session, cache), step), job) in
+        sessions_meta.iter().zip(&caches).zip(&steps).zip(replies)
     {
         let modeled = shared.device.latency_us(new_macs);
         let (outcome, miss) = outcome_of(job.requested, step.subnet, job.budget_us, modeled);
@@ -977,8 +982,14 @@ fn run_upgrade_batch(
                 1.0 - new_macs as f64 / total as f64
             },
         };
-        // back into the table — or dropped, if released while in flight
-        shared.settle(
+        outbox.push((job.reply, response));
+    }
+    // one table lock for the batch, held for the table updates alone:
+    // back into the table — or dropped, if released while in flight
+    let mut sessions = lock(&shared.sessions);
+    for ((session, cache), step) in sessions_meta.into_iter().zip(caches).zip(steps) {
+        settle(
+            &mut sessions,
             session,
             SessionEntry {
                 cache,
@@ -986,8 +997,8 @@ fn run_upgrade_batch(
                 last_logits: step.logits,
             },
         );
-        outbox.push((job.reply, response));
     }
+    drop(sessions);
     shared.stats.record_batch(
         batch_size as u64,
         new_macs * batch_size as u64,

@@ -11,6 +11,10 @@
 //! net. Workers now share one compiled model, so what `Server::new`
 //! allocates does not grow with the worker count.
 //!
+//! And one thing a worker used to allocate per batch: the vector the claim
+//! collected the lane's jobs into. The claim now fills a buffer the worker
+//! owns.
+//!
 //! The counting allocator is process-wide, so the tests take turns
 //! (`SERIAL`). Allocations are attributed by thread — a test's own thread
 //! (the client: tickets, channels, jobs) is exempt, everything else is a
@@ -188,5 +192,53 @@ fn worker_scans_allocate_nothing_and_inputs_are_moved() {
         batch_bytes < 2 * inputs_bytes + inputs_bytes / 2,
         "the begin batch allocated {batch_bytes} B for {inputs_bytes} B of inputs"
     );
+    server.shutdown();
+}
+
+/// Allocations a warmed worker makes to serve one request in a batch of its
+/// own, everything counted: the pass (stacked rows, the session's cached
+/// levels, logits), the reply (its logits, its channel block) and the
+/// batch's three bookkeeping vectors. Claiming the batch is not among them:
+/// the claim drains the lane into a buffer the worker keeps, where it used
+/// to collect a fresh vector per batch (25 here) — with one-job batches,
+/// the common case once nothing lingers, one more allocation per request.
+const ONE_JOB_BATCH_ALLOCS: usize = 24;
+
+#[test]
+fn warmed_one_job_claim_allocates_nothing() {
+    let _turn = take_turn();
+    let net = wide_net();
+    let config = ServeConfig::builder()
+        .workers(1)
+        .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
+        .build();
+    let server = Server::new(&net, config).unwrap();
+    let round_trip = || {
+        let response = server
+            .submit(Request::full(Tensor::ones(Shape::of(&[1, WIDTH]))))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(response.batch_size, 1);
+        // the session table stays at one entry and never regrows
+        server.release(response.session);
+        // the reply is sent before the worker is done with the batch
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    // warm-up: grows the pack scratch, the lane snapshots, the claim buffer
+    // and the session table
+    for _ in 0..4 {
+        round_trip();
+    }
+    for _ in 0..4 {
+        let (before, _) = worker_counts();
+        round_trip();
+        let (after, _) = worker_counts();
+        assert!(
+            after - before <= ONE_JOB_BATCH_ALLOCS,
+            "a one-job batch cost the worker {} allocations, {ONE_JOB_BATCH_ALLOCS} budgeted",
+            after - before
+        );
+    }
     server.shutdown();
 }

@@ -1,12 +1,17 @@
 //! Soak test: 10 000 sessions of submit / upgrade / release churn across
 //! producer threads. Asserts zero lost tickets (every accepted request is
-//! answered exactly once), a sane p99 latency, and a coherent final stats
-//! tuple — the lane scheduler's liveness under sustained mixed load.
+//! answered exactly once), every reply `==` the masked forward, a sane p99
+//! latency, and a coherent final stats tuple — the lane scheduler's
+//! liveness under sustained mixed load, with a linger and with the default
+//! work-conserving dispatch.
+
+mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::watchdog;
 use stepping_baselines::regular_assign;
 use stepping_core::{SteppingNet, SteppingNetBuilder};
 use stepping_runtime::{DeviceModel, SessionConfig};
@@ -31,14 +36,28 @@ fn net() -> SteppingNet {
 
 #[test]
 fn ten_thousand_sessions_of_churn_lose_nothing() {
+    churn(Some(Duration::from_micros(200)));
+}
+
+/// The same churn under the default configuration's dispatch: no linger, a
+/// free worker claims at once, one push wakes one worker.
+#[test]
+fn ten_thousand_sessions_of_churn_lose_nothing_without_a_linger() {
+    watchdog(|| churn(None));
+}
+
+fn churn(linger: Option<Duration>) {
     let device = DeviceModel::new(1000.0);
-    let config = ServeConfig::builder()
+    let mut config = ServeConfig::builder()
         .workers(4)
         .max_batch(8)
-        .max_wait(Duration::from_micros(200))
         .lane_capacity(512) // far above peak in-flight: no shedding today
-        .session(SessionConfig::new().device(device))
-        .build();
+        .session(SessionConfig::new().device(device));
+    if let Some(linger) = linger {
+        config = config.max_wait(linger);
+    }
+    let config = config.build();
+    assert_eq!(config.get_max_wait(), linger.unwrap_or(Duration::ZERO));
     let srv = Arc::new(Server::new(&net(), config).unwrap());
     let answered = Arc::new(AtomicU64::new(0));
     let upgraded = Arc::new(AtomicU64::new(0));
@@ -53,6 +72,7 @@ fn ten_thousand_sessions_of_churn_lose_nothing() {
             let released = Arc::clone(&released);
             let costs = costs.clone();
             std::thread::spawn(move || {
+                let mut scratch = net();
                 let mut latencies = Vec::with_capacity(SESSIONS_PER_PRODUCER);
                 for chunk in 0..SESSIONS_PER_PRODUCER / CHUNK {
                     // submit a wave without waiting, so batches can form
@@ -61,22 +81,28 @@ fn ten_thousand_sessions_of_churn_lose_nothing() {
                             let i = (p * SESSIONS_PER_PRODUCER + chunk * CHUNK + j) as u64;
                             let x = init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(i));
                             let request = match j % 3 {
-                                0 => Request::at_subnet(x, j % costs.len()),
+                                0 => Request::at_subnet(x.clone(), j % costs.len()),
                                 1 => Request::with_budget(
-                                    x,
+                                    x.clone(),
                                     (costs[j % costs.len()] as f64 + 0.5)
                                         / DeviceModel::new(1000.0).macs_per_us(),
                                 ),
-                                _ => Request::full(x),
+                                _ => Request::full(x.clone()),
                             };
-                            srv.submit(request).expect("admission refused under soak")
+                            let ticket = srv.submit(request).expect("admission refused under soak");
+                            (x, ticket)
                         })
                         .collect();
                     // drain the wave; churn sessions as answers arrive
-                    for (j, t) in tickets.into_iter().enumerate() {
+                    for (j, (x, t)) in tickets.into_iter().enumerate() {
                         let resp = t.wait().expect("ticket lost");
                         answered.fetch_add(1, Ordering::Relaxed);
                         latencies.push(resp.latency_us);
+                        assert_eq!(
+                            resp.logits,
+                            scratch.forward(&x, resp.subnet, false).unwrap(),
+                            "producer {p} chunk {chunk} request {j} logits differ"
+                        );
                         if j % 3 == 0 {
                             let up = srv
                                 .upgrade(resp.session, None)
@@ -84,6 +110,11 @@ fn ten_thousand_sessions_of_churn_lose_nothing() {
                                 .wait()
                                 .expect("upgrade ticket lost");
                             assert!(up.subnet >= resp.subnet);
+                            assert_eq!(
+                                up.logits,
+                                scratch.forward(&x, up.subnet, false).unwrap(),
+                                "producer {p} chunk {chunk} upgrade {j} logits differ"
+                            );
                             answered.fetch_add(1, Ordering::Relaxed);
                             upgraded.fetch_add(1, Ordering::Relaxed);
                             latencies.push(up.latency_us);

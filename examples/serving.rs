@@ -2,7 +2,7 @@
 //! batched, deadline-aware `stepping-serve` engine.
 //!
 //! 1. build a stepping network and spread its neurons over three subnets,
-//! 2. start a [`Server`] with a worker pool and a micro-batching window,
+//! 2. start a [`Server`] with a worker pool that micro-batches what queues,
 //! 3. fire requests from several client threads — some pinned to a subnet,
 //!    some deadline-driven (the server picks the largest affordable subnet),
 //! 4. upgrade one session incrementally: only the newly added neurons are
@@ -11,7 +11,6 @@
 //! Run with `cargo run --release --example serving`.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use steppingnet::prelude::*;
 
@@ -28,7 +27,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServeConfig::builder()
         .workers(4)
         .max_batch(8)
-        .max_wait(Duration::from_micros(200))
         .session(SessionConfig::new().device(device))
         .build();
     let server = Arc::new(Server::new(&net, config)?);

@@ -75,17 +75,19 @@ cargo test -q -p stepping-metrics
 echo "==> stepping-obs crate tests"
 cargo test -q -p stepping-obs
 
-# Serving engine: functional + property suite, then the multi-threaded
-# stress test under --release where thread interleavings are most hostile.
+# Serving engine: functional + property suite, then under --release, where
+# thread interleavings are most hostile, the lane-level doorbell tests
+# (wake-one, hand-offs, dead worker) and the multi-threaded stress test
+# with its default-config (no linger) variants.
 echo "==> stepping-serve crate tests"
 cargo test -q -p stepping-serve
 
-echo "==> stepping-serve release stress"
-cargo test -q --release -p stepping-serve --test stress
+echo "==> stepping-serve release lane + stress"
+cargo test -q --release -p stepping-serve --lib --test stress
 
 # Admission control + lane scheduler under --release: the deterministic
 # shed-policy matrix and the 10k-session soak (zero lost tickets, p99
-# bound) where interleavings are most hostile.
+# bound), with and without a linger, where interleavings are most hostile.
 echo "==> stepping-serve release admission + soak"
 cargo test -q --release -p stepping-serve --test admission --test soak
 
