@@ -19,10 +19,12 @@
 //!   **in place**: each masked stage gathers its step plan's input columns
 //!   straight from the requests' cached rows into one panel, runs one GEMM
 //!   for the batch, and scatters every request's rows straight back into
-//!   its cached activation.
+//!   its cached activation (a conv stage writes its new filters' planes
+//!   straight into each cached level); each fixed stage then recomputes
+//!   only the channels the step changed.
 //!
 //! Because every kernel in this workspace computes each batch row
-//! independently (row-major loops, per-sample `im2col`, inference-mode
+//! independently (row-major loops, per-image convolution, inference-mode
 //! batch norm via running statistics), batched execution is **bit-identical**
 //! to running each request alone — the property the serve crate's tests
 //! assert exhaustively.
@@ -117,8 +119,9 @@ fn full_pass(
 /// Expands the cached activation stacks of one or more requests from subnet
 /// `k - 1` to `k` in place, computing only the newly added neurons plus
 /// subnet `k`'s head: each masked stage runs its step plan once over the
-/// rows of every stack, each fixed stage rewrites the next cached level
-/// from the updated one (see `CompiledStage::run_into`). Returns the logits
+/// rows of every stack, each fixed stage rewrites the channels of the next
+/// cached level that the step changed (see `CompiledStage::run_into`).
+/// Returns the logits
 /// of all rows, stacked in `stacks` order.
 fn expand_pass(
     model: &CompiledModel,

@@ -3,31 +3,23 @@
 //!
 //! [`SteppingNet::compile`] builds one [`CompiledModel`] eagerly — per
 //! masked stage the full and step panels of every subnet, every head panel
-//! with its bias, the fixed stages, the [`MacTable`] — and hands it out in
-//! an `Arc`. Nothing in it changes afterwards: there is no epoch, no lock
-//! and no scratch inside, so any number of executors on any number of
-//! threads run it through `&self`, each with its own [`PackScratch`]. See
-//! the `plan` module docs for bit-identity and `crate::parts` for how the
-//! net forgets a model when it is mutated.
+//! with its bias, the fixed stages with the channel runs each step changes
+//! in their input, the [`MacTable`] — and hands it out in an `Arc`.
+//! Nothing in it changes afterwards: there is no epoch, no lock and no
+//! scratch inside, so any number of executors on any number of threads run
+//! it through `&self`, each with its own [`PackScratch`]. See the `plan`
+//! module docs for bit-identity and `crate::parts` for how the net forgets
+//! a model when it is mutated.
+
+use std::ops::Range;
 
 use stepping_tensor::conv::ConvGeometry;
-use stepping_tensor::microkernel::{Epilogue, PackedB};
-use stepping_tensor::pack::{self, PackScratch};
+use stepping_tensor::microkernel::{self, Epilogue, PackedB};
+use stepping_tensor::pack::{self, span, PackScratch};
 use stepping_tensor::{Shape, Tensor};
 
 use crate::plan::{self, ConvPlan, HeadPlan, LinearPlan, MacTable};
 use crate::{FixedStage, Result, Stage, SteppingError, SteppingNet};
-
-/// The first `len` elements of a scratch buffer, grown — never shrunk — to
-/// hold them. Every kernel below overwrites what it reads back, so nothing
-/// is re-zeroed when a wide stage follows a narrow one through the same
-/// buffer: a warmed executor's passes neither allocate nor memset here.
-fn span(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
-    if buf.len() < len {
-        buf.resize(len, 0.0);
-    }
-    &mut buf[..len]
-}
 
 /// The full and step panels of one masked stage.
 #[derive(Debug)]
@@ -210,17 +202,16 @@ impl CompiledConv {
         ])))
     }
 
-    /// The one packed kernel, batched over per-request activation stacks:
-    /// reads level `si` of every stack (`[n_i, in_channels, h, w]`),
-    /// unfolds the input channels active at the subnet into one stacked
-    /// patch matrix, computes `plan`'s filters (a step panel's or a full
-    /// panel's, as in [`CompiledLinear::run`]) for all their rows in **one**
-    /// GEMM — rows are independent in every kernel — and scatters each
-    /// stack's rows straight into the matching channels of its level
-    /// `si + 1` (`[n_i, out_channels, oh, ow]`: the cached full-width
-    /// activation, or a zeroed [`target`](Self::target)) — one
-    /// im2col→GEMM→bias→scatter pass over `scratch`. Untouched channels
-    /// keep their exact old values, so the result equals
+    /// The one packed kernel, over per-request activation stacks: for each
+    /// stack, reads level `si` (`[n_i, in_channels, h, w]`) and writes
+    /// `plan`'s filters — a step panel's (the filters assigned exactly to a
+    /// subnet) or a full panel's (every filter active at it), over every
+    /// input channel active at the subnet — straight into their channels of
+    /// level `si + 1` (`[n_i, out_channels, oh, ow]`: the cached full-width
+    /// activation, or a zeroed [`target`](Self::target)) through
+    /// [`microkernel::conv_packed`], which packs its operand from the image
+    /// and keeps its buffers in `scratch`. Untouched channels keep their
+    /// exact old values, so the result equals
     /// [`MaskedConv2d::forward`](crate::MaskedConv2d::forward) under
     /// `f32 ==`. Every stack must hold levels `si` and `si + 1`.
     fn run(
@@ -234,81 +225,34 @@ impl CompiledConv {
         if plan.oc_idx.is_empty() {
             return Ok(());
         }
-        let Some(first) = stacks.first() else {
-            return Ok(());
-        };
-        let &[_, _, h, w] = first[si].shape().dims() else {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked conv expects [n, {ic_n}, h, w], got {}",
-                first[si].shape()
-            )));
-        };
-        let geom = self.geometry(h, w)?;
-        let mut images = 0usize;
+        // every stack is checked before any is written
         for levels in stacks.iter() {
             let (input, target) = (&levels[si], &levels[si + 1]);
-            let dims = input.shape().dims();
-            if dims.len() != 4 || dims[1..] != [ic_n, h, w] {
+            let (n, h, w) = match *input.shape().dims() {
+                [n, c, h, w] if c == ic_n => (n, h, w),
+                _ => {
+                    return Err(SteppingError::InvalidStructure(format!(
+                        "masked conv expects [n, {ic_n}, h, w], got {}",
+                        input.shape()
+                    )))
+                }
+            };
+            let geom = self.geometry(h, w)?;
+            if target.shape().dims() != [n, oc_n, geom.out_h, geom.out_w] {
                 return Err(SteppingError::InvalidStructure(format!(
-                    "masked conv expects [n, {ic_n}, {h}, {w}], got {}",
-                    input.shape()
-                )));
-            }
-            if target.shape().dims() != [dims[0], oc_n, geom.out_h, geom.out_w] {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "step splice target expects [{}, {oc_n}, {}, {}], got {}",
-                    dims[0],
+                    "step splice target expects [{n}, {oc_n}, {}, {}], got {}",
                     geom.out_h,
                     geom.out_w,
                     target.shape()
                 )));
             }
-            images += dims[0];
         }
-        let positions = geom.positions();
-        let patch = plan.ic_idx.len() * self.kernel * self.kernel;
-        let oc_len = plan.oc_idx.len();
-        let cols = span(&mut scratch.input, images * positions * patch);
-        {
-            let _pack_timer = plan::pack_timer();
-            let mut row = 0;
-            for levels in stacks.iter() {
-                let input = &levels[si];
-                let rows = input.shape().dims()[0] * positions;
-                pack::im2col_channels_slice(
-                    input,
-                    &geom,
-                    &plan.ic_idx,
-                    &mut cols[row * patch..(row + rows) * patch],
-                )?;
-                row += rows;
-            }
-        }
-        let out = span(&mut scratch.out, images * positions * oc_len);
-        {
-            let _gemm_timer = plan::gemm_timer();
-            pack::gemm_packed_nt_slice(
-                cols,
-                &plan.weight,
-                out,
-                images * positions,
-                &mut scratch.a_pack,
-                Epilogue::Bias(&plan.bias),
-            );
-        }
-        let mut row = 0;
+        let _gemm_timer = plan::gemm_timer();
         for levels in stacks.iter_mut() {
-            let target = &mut levels[si + 1];
-            let n = target.shape().dims()[0];
-            pack::scatter_mat_to_nchw(
-                &out[row * oc_len..(row + n * positions) * oc_len],
-                n,
-                positions,
-                &plan.oc_idx,
-                oc_n,
-                target.data_mut(),
-            );
-            row += n * positions;
+            let (done, rest) = levels.split_at_mut(si + 1);
+            let dims = done[si].shape().dims();
+            let geom = self.geometry(dims[2], dims[3])?;
+            microkernel::conv_packed(&done[si], &geom, plan.filters(), &mut rest[0], scratch);
         }
         Ok(())
     }
@@ -321,19 +265,27 @@ impl CompiledConv {
 pub(crate) enum CompiledStage {
     Linear(CompiledLinear),
     Conv(CompiledConv),
-    /// Fixed stages run [`FixedStage::infer_into`], which reads no cache.
-    Fixed(FixedStage),
+    /// A fixed stage, run through [`FixedStage::infer_into`] (which reads
+    /// no cache), and per expand target `k` (entry `k - 1`) the channel
+    /// runs of its input that the step to `k` changes.
+    Fixed {
+        stage: FixedStage,
+        step_runs: Vec<Vec<Range<usize>>>,
+    },
 }
 
 impl CompiledStage {
-    /// A level for this stage to write the rows of `input` into: zeroed
-    /// and full-width for a masked stage (inactive neurons stay exactly
-    /// zero), empty for a fixed one, which shapes its own output.
+    /// A zeroed level for this stage to write the rows of `input` into:
+    /// full-width for a masked stage (inactive neurons stay exactly zero),
+    /// the stage's output shape for a fixed one (empty for an input it
+    /// cannot take, whose run then reports why).
     pub(crate) fn target(&self, input: &Tensor) -> Result<Tensor> {
         match self {
             CompiledStage::Linear(l) => Ok(l.target(input)),
             CompiledStage::Conv(c) => c.target(input),
-            CompiledStage::Fixed(_) => Ok(Tensor::zeros(Shape::of(&[0]))),
+            CompiledStage::Fixed { stage, .. } => Ok(stage
+                .output_shape(input.shape())
+                .map_or_else(|| Tensor::zeros(Shape::of(&[0])), Tensor::zeros)),
         }
     }
 
@@ -342,10 +294,11 @@ impl CompiledStage {
     /// exactly to `subnet` when `step` (an expand over cached levels) and
     /// every neuron active at it otherwise (a direct pass into
     /// [`target`](Self::target)s); a fixed stage — a pure per-element /
-    /// per-channel map in inference mode, no MACs — rewrites the level
-    /// from the updated one, cached channels keeping their exact old
-    /// values. Equal to [`Stage::forward`] with `train == false` under
-    /// `f32 ==`. Every stack must hold levels `si` and `si + 1`.
+    /// per-channel map in inference mode, no MACs — recomputes the channel
+    /// runs the step to `subnet` changed when `step` (every other cached
+    /// channel keeps its exact old value) and the whole level, the run
+    /// `0..c`, otherwise. Equal to [`Stage::forward`] with `train == false`
+    /// under `f32 ==`. Every stack must hold levels `si` and `si + 1`.
     pub(crate) fn run_into(
         &self,
         (subnet, step): (usize, bool),
@@ -356,15 +309,39 @@ impl CompiledStage {
         match self {
             CompiledStage::Linear(l) => l.run(l.panels.get(subnet, step)?, stacks, si, scratch),
             CompiledStage::Conv(c) => c.run(c.panels.get(subnet, step)?, stacks, si, scratch),
-            CompiledStage::Fixed(f) => {
+            CompiledStage::Fixed { stage, step_runs } => {
+                let changed = if step {
+                    let runs = subnet.checked_sub(1).and_then(|i| step_runs.get(i));
+                    Some(runs.ok_or(SteppingError::SubnetOutOfRange {
+                        subnet,
+                        count: step_runs.len() + 1,
+                    })?)
+                } else {
+                    None
+                };
                 for levels in stacks.iter_mut() {
                     let (done, rest) = levels.split_at_mut(si + 1);
-                    f.infer_into(&done[si], &mut rest[0])?;
+                    let whole = 0..done[si].shape().dims().get(1).copied().unwrap_or(0);
+                    let runs = changed.map_or(std::slice::from_ref(&whole), Vec::as_slice);
+                    stage.infer_into(&done[si], &mut rest[0], runs)?;
                 }
                 Ok(())
             }
         }
     }
+}
+
+/// The ascending indices `idx` as maximal runs of consecutive values:
+/// `[1, 2, 3, 7, 9, 10]` → `[1..4, 7..8, 9..11]`.
+fn index_runs(idx: &[usize]) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for &i in idx {
+        match runs.last_mut() {
+            Some(run) if run.end == i => run.end += 1,
+            _ => runs.push(i..i + 1),
+        }
+    }
+    runs
 }
 
 /// A [`SteppingNet`] compiled for inference at one prune threshold:
@@ -398,6 +375,12 @@ impl CompiledModel {
         let _compile_timer = plan::compile_timer();
         let subnets = net.subnet_count();
         let mut stage_step = vec![0u64; subnets];
+        // per expand target, the channel runs of the level the stages so far
+        // changed: those of the last masked stage's step panel, mapped
+        // through the fixed stages after it (all channel-local; a flatten
+        // turns channel `c` into features `c·h·w .. (c + 1)·h·w`); nothing
+        // before the first masked stage
+        let mut changed: Vec<Vec<Range<usize>>> = vec![Vec::new(); subnets.saturating_sub(1)];
         let stages = net
             .stages()
             .iter()
@@ -409,9 +392,38 @@ impl CompiledModel {
                     *total += macs;
                 }
                 match stage {
-                    Stage::Linear(l) => CompiledStage::Linear(l.compile()),
-                    Stage::Conv(c) => CompiledStage::Conv(c.compile()),
-                    Stage::Fixed(f) => CompiledStage::Fixed(f.clone()),
+                    Stage::Linear(l) => {
+                        let l = l.compile();
+                        changed = l
+                            .panels
+                            .step
+                            .iter()
+                            .map(|p| index_runs(&p.out_idx))
+                            .collect();
+                        CompiledStage::Linear(l)
+                    }
+                    Stage::Conv(c) => {
+                        let c = c.compile();
+                        changed = c
+                            .panels
+                            .step
+                            .iter()
+                            .map(|p| index_runs(&p.oc_idx))
+                            .collect();
+                        CompiledStage::Conv(c)
+                    }
+                    Stage::Fixed(f) => {
+                        let step_runs = changed.clone();
+                        if let FixedStage::Flatten { factor, .. } = f {
+                            for run in changed.iter_mut().flatten() {
+                                *run = run.start * factor..run.end * factor;
+                            }
+                        }
+                        CompiledStage::Fixed {
+                            stage: f.clone(),
+                            step_runs,
+                        }
+                    }
                 }
             })
             .collect();
@@ -556,5 +568,52 @@ fn compile_head(net: &SteppingNet, subnet: usize) -> HeadPlan {
         feat_idx,
         weight: PackedB::pack_nt(&weight, classes, cols),
         bias: head.bias().value.data().to_vec(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SteppingNetBuilder;
+
+    #[test]
+    fn index_runs_merge_consecutive_indices() {
+        assert_eq!(index_runs(&[1, 2, 3, 7, 9, 10]), [1..4, 7..8, 9..11]);
+        assert_eq!(index_runs(&[4]), [4..5]);
+        assert!(index_runs(&[]).is_empty());
+    }
+
+    /// Each fixed stage records, per step, the runs of the last masked
+    /// stage's step panel — one contiguous span per run, none before the
+    /// first masked stage — and a flatten widens each channel run to its
+    /// features.
+    #[test]
+    fn fixed_stages_record_the_runs_each_step_changes() {
+        let mut net = SteppingNetBuilder::new(Shape::of(&[2, 4, 4]), 3, 1)
+            .relu()
+            .conv(4, 3, 1, 1)
+            .max_pool(2, 2)
+            .flatten()
+            .linear(5)
+            .tanh()
+            .build(2)
+            .unwrap();
+        // conv filters 1 and 3 to subnet 1, filter 2 to 2; linear 0..2 to 2
+        net.move_neurons(&[(1, 1, 1), (1, 3, 1), (1, 2, 2), (4, 0, 2), (4, 1, 2)])
+            .unwrap();
+        let model = net.compile(0.0);
+        let runs: Vec<&Vec<Vec<Range<usize>>>> = model
+            .stages
+            .iter()
+            .filter_map(|s| match s {
+                CompiledStage::Fixed { step_runs, .. } => Some(step_runs),
+                _ => None,
+            })
+            .collect();
+        let none: Vec<Vec<Range<usize>>> = vec![vec![], vec![]];
+        assert_eq!(runs[0], &none, "before any masked stage");
+        assert_eq!(runs[1], &vec![vec![1..2, 3..4], vec![2..3]], "max-pool");
+        assert_eq!(runs[2], &vec![vec![1..2, 3..4], vec![2..3]], "flatten");
+        assert_eq!(runs[3], &vec![vec![], vec![0..2]], "tanh after linear");
     }
 }

@@ -248,9 +248,11 @@ pub mod metric {
     pub const PLAN_COMPILE_NS: &str = "plan.compile_ns";
     /// Compiled models dropped by a mutation of their net.
     pub const PLAN_INVALIDATE: &str = "plan.invalidate";
-    /// Blocked-GEMM time inside packed plan execution.
+    /// Blocked-GEMM time inside packed plan execution (for a convolution,
+    /// its whole kernel).
     pub const PLAN_GEMM_NS: &str = "plan.gemm_ns";
-    /// Panel gather / im2col packing time inside packed plan execution.
+    /// Panel gather packing time inside packed linear and head execution
+    /// (a convolution packs inside its kernel, timed as `plan.gemm_ns`).
     pub const PLAN_PACK_NS: &str = "plan.pack_ns";
 
     /// Every registered metric name.

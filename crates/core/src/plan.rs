@@ -50,7 +50,7 @@
 use std::sync::{Arc, OnceLock};
 
 use stepping_metrics::{start_timer, LogHistogram, MetricsRegistry, PhaseTimer, ShardedCounter};
-use stepping_tensor::microkernel::PackedB;
+use stepping_tensor::microkernel::{ConvFilters, PackedB};
 
 use crate::telemetry::{self, Value};
 
@@ -91,13 +91,14 @@ pub(crate) fn compile_timer() -> PhaseTimer {
 }
 
 /// Starts the `plan.gemm_ns` phase timer; bind it across the blocked GEMM
-/// of one packed pass.
+/// of one packed pass (for a convolution, its whole kernel, which packs as
+/// it multiplies).
 pub(crate) fn gemm_timer() -> PhaseTimer {
     start_timer(&plan_metrics().gemm_ns)
 }
 
-/// Starts the `plan.pack_ns` phase timer; bind it across the gather/im2col
-/// packing of one packed pass.
+/// Starts the `plan.pack_ns` phase timer; bind it across the gather
+/// packing of one packed linear or head pass.
 pub(crate) fn pack_timer() -> PhaseTimer {
     start_timer(&plan_metrics().pack_ns)
 }
@@ -134,6 +135,20 @@ pub(crate) struct ConvPlan {
     pub weight: PackedB,
     /// Bias gathered over `oc_idx`.
     pub bias: Vec<f32>,
+}
+
+impl ConvPlan {
+    /// The panel as [`conv_packed`](stepping_tensor::microkernel::conv_packed)
+    /// reads it: filter `r` over the channels `ic_idx`, stored into plane
+    /// `oc_idx[r]`.
+    pub fn filters(&self) -> ConvFilters<'_> {
+        ConvFilters {
+            weight: &self.weight,
+            bias: &self.bias,
+            in_channels: &self.ic_idx,
+            out_planes: &self.oc_idx,
+        }
+    }
 }
 
 /// Packed head panel: the classifier head of one subnet restricted to the

@@ -1,8 +1,10 @@
+use std::ops::Range;
+
 use stepping_nn::{
     AvgPool2d, BatchNorm1d, BatchNorm2d, Dropout, Flatten, Layer, MaxPool2d, Param, Relu, Sigmoid,
     Tanh,
 };
-use stepping_tensor::Tensor;
+use stepping_tensor::{Shape, Tensor};
 
 use crate::{Assignment, MaskedConv2d, MaskedLinear, Result};
 
@@ -68,26 +70,51 @@ impl FixedStage {
         }
     }
 
+    fn layer(&self) -> &dyn Layer {
+        match self {
+            FixedStage::Relu(l) => l,
+            FixedStage::Tanh(l) => l,
+            FixedStage::Sigmoid(l) => l,
+            FixedStage::MaxPool(l) => l,
+            FixedStage::AvgPool(l) => l,
+            FixedStage::BatchNorm1d { layer, .. } => layer,
+            FixedStage::BatchNorm2d { layer, .. } => layer,
+            FixedStage::Flatten { layer, .. } => layer,
+            FixedStage::Dropout(l) => l,
+        }
+    }
+
+    /// The shape this stage writes for an input of shape `input`, `None`
+    /// when the input does not fit it.
+    pub(crate) fn output_shape(&self, input: &Shape) -> Option<Shape> {
+        self.layer().output_shape(input)
+    }
+
     /// Inference forward through `&self`: `forward(x, false)` of the wrapped
-    /// layer written into `out` — the same per-element arithmetic in the
-    /// same order — reading and writing no backward cache. `out`'s buffer
-    /// is reused when its shape already matches (an executor's cached
-    /// level), so a warmed expand allocates nothing here.
+    /// layer written into the channel (or feature) `runs` of `out` — the
+    /// same per-element arithmetic in the same order — reading and writing
+    /// no backward cache. Every fixed stage is channel-local, so `runs` may
+    /// name any channels of `x` (`[n, c, ..]`): `&[0..c]` is the whole
+    /// level, and channels outside the runs keep what `out` held (a
+    /// flatten's run of channel `j` is its features `j·h·w .. (j + 1)·h·w`).
+    /// `out`'s buffer is reused when its shape already matches (an
+    /// executor's level), so a warmed pass allocates nothing here.
     ///
     /// # Errors
     ///
-    /// Propagates the layer's input-shape errors.
-    pub fn infer_into(&self, x: &Tensor, out: &mut Tensor) -> Result<()> {
+    /// Propagates the layer's input-shape errors and rejects a run beyond
+    /// the channels of `x`.
+    pub fn infer_into(&self, x: &Tensor, out: &mut Tensor, runs: &[Range<usize>]) -> Result<()> {
         match self {
-            FixedStage::Relu(l) => l.infer_into(x, out),
-            FixedStage::Tanh(l) => l.infer_into(x, out),
-            FixedStage::Sigmoid(l) => l.infer_into(x, out),
-            FixedStage::MaxPool(l) => l.infer_into(x, out)?,
-            FixedStage::AvgPool(l) => l.infer_into(x, out)?,
-            FixedStage::BatchNorm1d { layer, .. } => layer.infer_into(x, out)?,
-            FixedStage::BatchNorm2d { layer, .. } => layer.infer_into(x, out)?,
-            FixedStage::Flatten { layer, .. } => layer.infer_into(x, out)?,
-            FixedStage::Dropout(l) => l.infer_into(x, out),
+            FixedStage::Relu(l) => l.infer_into(x, out, runs)?,
+            FixedStage::Tanh(l) => l.infer_into(x, out, runs)?,
+            FixedStage::Sigmoid(l) => l.infer_into(x, out, runs)?,
+            FixedStage::MaxPool(l) => l.infer_into(x, out, runs)?,
+            FixedStage::AvgPool(l) => l.infer_into(x, out, runs)?,
+            FixedStage::BatchNorm1d { layer, .. } => layer.infer_into(x, out, runs)?,
+            FixedStage::BatchNorm2d { layer, .. } => layer.infer_into(x, out, runs)?,
+            FixedStage::Flatten { layer, .. } => layer.infer_into(x, out, runs)?,
+            FixedStage::Dropout(l) => l.infer_into(x, out, runs)?,
         }
         Ok(())
     }

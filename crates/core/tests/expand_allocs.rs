@@ -10,8 +10,13 @@
 //! a fresh tensor in place of overwriting it (what pools and flatten did
 //! before `FixedStage::infer_into`).
 //!
+//! A warmed convolution — begin or expand — allocates nothing either: its
+//! kernel packs into the executor's scratch, which only grows, and every
+//! fixed stage writes into a level shaped for it before it runs. Those
+//! counts are exact, so one allocation per conv call fails them.
+//!
 //! The counting allocator is process-wide, but the count is kept per
-//! thread, so the harness and the other test cannot disturb it.
+//! thread, so the harness and the other tests cannot disturb it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -109,12 +114,44 @@ fn conv_net() -> SteppingNet {
     net
 }
 
-fn begin(exec: &mut BatchExecutor, requests: usize) -> Vec<ActivationCache> {
+/// The serving benchmark's conv net (3×16×16 → conv 24 → relu → max-pool →
+/// conv 48 → relu → max-pool → flatten → linear 96 → relu), a quarter of
+/// every layer's neurons per subnet: two convs whose scratch sizes
+/// alternate through one executor.
+fn serving_conv_net() -> SteppingNet {
+    let mut net = SteppingNetBuilder::new(Shape::of(&[3, 16, 16]), SUBNETS, 9)
+        .conv(24, 3, 1, 1)
+        .relu()
+        .max_pool(2, 2)
+        .conv(48, 3, 1, 1)
+        .relu()
+        .max_pool(2, 2)
+        .flatten()
+        .linear(96)
+        .relu()
+        .build(CLASSES)
+        .unwrap();
+    let mut moves = Vec::new();
+    for (stage, width) in [(0, 24), (3, 48), (7, 96)] {
+        for o in 0..width {
+            moves.push((stage, o, o * SUBNETS / width));
+        }
+    }
+    net.move_neurons(&moves).unwrap();
+    net
+}
+
+/// `requests` single-row inputs for `exec`'s model.
+fn inputs(exec: &BatchExecutor, requests: usize) -> Vec<Tensor> {
     let mut dims = vec![1];
     dims.extend_from_slice(exec.model().input_shape().dims());
-    let inputs: Vec<Tensor> = (0..requests)
+    (0..requests)
         .map(|i| init::uniform(Shape::of(&dims), -1.0, 1.0, &mut init::rng(i as u64)))
-        .collect();
+        .collect()
+}
+
+fn begin(exec: &mut BatchExecutor, requests: usize) -> Vec<ActivationCache> {
+    let inputs = inputs(exec, requests);
     exec.begin(&inputs, 0)
         .unwrap()
         .into_iter()
@@ -172,4 +209,57 @@ fn warmed_batched_expand_allocates_only_the_logits() {
 #[test]
 fn warmed_conv_expand_allocates_no_tensor_in_its_fixed_stages() {
     assert_warmed_expand_allocates_only_the_logits(&conv_net(), 24 * 8 * 8);
+}
+
+/// A warmed conv begin at every subnet, and every warmed expand after one,
+/// allocates exactly what it hands back and the lists that carry it —
+/// nothing inside the conv kernel (padded planes and position groups live
+/// in the executor's scratch, grown and never shrunk while conv1's and
+/// conv2's sizes alternate) or a fixed stage (each writes into a level
+/// already shaped for it).
+#[test]
+fn warmed_conv_begin_and_expand_allocate_nothing_in_a_kernel_or_a_fixed_stage() {
+    const REQUESTS: usize = 8;
+    let net = serving_conv_net();
+    let stages = net.stages().len();
+    let mut exec = BatchExecutor::new(&net, 0.0);
+    let inputs = inputs(&exec, REQUESTS);
+    // warm-up: every full and step panel through the one scratch
+    for subnet in 0..SUBNETS {
+        exec.begin(&inputs, subnet).unwrap();
+    }
+    let mut warm = begin(&mut exec, REQUESTS);
+    for _ in 1..SUBNETS {
+        exec.expand(&mut warm).unwrap();
+    }
+
+    // one tensor: its shape and its data
+    let (_, tensor, _) = count_allocs(|| Tensor::zeros(Shape::of(&[REQUESTS, CLASSES])));
+    for subnet in 0..SUBNETS {
+        let (_, allocs, _) = count_allocs(|| exec.begin(&inputs, subnet).unwrap());
+        // the stacked input, one level per stage and the stacked logits, each
+        // also split into one tensor per request; a list per split level and
+        // per request; the row counts, the level stack, the request list and
+        // the result
+        let tensors = (stages + 2) * (REQUESTS + 1);
+        let lists = (stages + 2) + REQUESTS + 4;
+        assert!(
+            allocs <= tensors * tensor + lists,
+            "a warmed begin at subnet {subnet} made {allocs} allocations; its {tensors} \
+             tensors and {lists} lists make {}",
+            tensors * tensor + lists
+        );
+    }
+    let mut caches = begin(&mut exec, REQUESTS);
+    for k in 1..SUBNETS {
+        let (_, allocs, _) = count_allocs(|| exec.expand(&mut caches).unwrap());
+        // the stacked logits and each request's share; the stack list, the
+        // row counts, the split list and the result
+        let expected = (REQUESTS + 1) * tensor + 4;
+        assert!(
+            allocs <= expected,
+            "a warmed expand to subnet {k} made {allocs} allocations, its logits and \
+             bookkeeping {expected}"
+        );
+    }
 }

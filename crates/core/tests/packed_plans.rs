@@ -6,7 +6,9 @@
 //!   contractions back down (a step leaves every smaller subnet's cached
 //!   neuron untouched) and the head-only re-expand — must equal the masked
 //!   `forward` under `f32 ==` for arbitrary assignments, subnet indices and
-//!   batch sizes, on one-stage nets that isolate a linear or a conv layer.
+//!   batch sizes, on one-stage nets that isolate a linear or a conv layer,
+//!   and on a net with every kind of fixed stage between masked ones (a
+//!   step recomputes only the channels it changed in each).
 //! * A net is never served stale: after every kind of mutation the packed
 //!   paths equal the masked reference again and `compile(thr)`'s `MacTable`
 //!   equals the brute-force `macs()` / `neuron_macs()` scans.
@@ -163,6 +165,70 @@ fn table_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
         })
         .collect();
     net.move_neurons(&moves).unwrap();
+    net
+}
+
+/// The masked stages of [`every_fixed_kind_net`] and their widths.
+const EVERY_KIND_MASKED: [(usize, usize); 4] = [(1, 6), (5, 5), (10, 9), (14, 7)];
+
+/// Every kind of fixed stage between masked conv and linear stages — a
+/// leading one before any masked stage, batch norm 2-d, tanh, max-pool,
+/// sigmoid, avg-pool, dropout, flatten, batch norm 1-d, relu — with
+/// `moves` scattered over the four masked stages (non-contiguous, some to
+/// the unused pool), then trained for a few passes at the top subnet so
+/// the batch norms' running statistics and affine parameters are not the
+/// identity.
+fn every_fixed_kind_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
+    let mut net = SteppingNetBuilder::new(Shape::of(&[2, 8, 8]), SUBNETS, seed)
+        .relu()
+        .conv(6, 3, 1, 1)
+        .batch_norm()
+        .tanh()
+        .max_pool(2, 2)
+        .conv(5, 3, 1, 1)
+        .sigmoid()
+        .avg_pool(2, 2)
+        .dropout(0.25)
+        .flatten()
+        .linear(9)
+        .batch_norm()
+        .relu()
+        .dropout(0.5)
+        .linear(7)
+        .tanh()
+        .build(4)
+        .unwrap();
+    for (stage, width) in EVERY_KIND_MASKED {
+        assert!(
+            net.stages()[stage].is_masked() && net.stages()[stage].neuron_count() == Some(width)
+        );
+    }
+    let moves: Vec<(usize, usize, usize)> = moves
+        .iter()
+        .map(|&(stage, neuron, target)| {
+            let (stage, width) = EVERY_KIND_MASKED[stage as usize % EVERY_KIND_MASKED.len()];
+            (
+                stage,
+                neuron as usize % width,
+                target as usize % (SUBNETS + 1),
+            )
+        })
+        .collect();
+    net.move_neurons(&moves).unwrap();
+    let x = init::uniform(
+        Shape::of(&[4, 2, 8, 8]),
+        -1.0,
+        2.0,
+        &mut init::rng(seed ^ 9),
+    );
+    let dy = init::uniform(Shape::of(&[4, 4]), -1.0, 1.0, &mut init::rng(seed ^ 10));
+    let mut sgd = Sgd::new(0.1).unwrap();
+    for _ in 0..3 {
+        net.zero_grad();
+        net.forward(&x, SUBNETS - 1, true).unwrap();
+        net.backward(&dy).unwrap();
+        sgd.step(&mut net.params_for(SUBNETS - 1).unwrap()).unwrap();
+    }
     net
 }
 
@@ -341,6 +407,26 @@ proptest! {
             init::uniform(Shape::of(&[1, IN_C, EXTENT, EXTENT]), -2.0, 2.0, &mut rng),
         ];
         assert_packed_matches(&net, &inputs, "cold");
+    }
+
+    /// A step recomputes only the channel runs its masked stage changed in
+    /// every fixed stage after it: every kind of fixed stage, under random
+    /// non-contiguous assignments, stays `==` the masked forward on every
+    /// path — `forward_packed` and begin at every subnet, the whole expand
+    /// chain, the contractions and the head-only re-expands.
+    #[test]
+    fn every_fixed_kind_recomputes_only_what_a_step_changed(
+        moves in proptest::collection::vec((0u8..4, 0u8..64, 0u8..8), 0..20),
+        seed in 0u64..1000,
+        batch in 1usize..4,
+    ) {
+        let net = every_fixed_kind_net(seed, &moves);
+        let mut rng = init::rng(seed ^ 11);
+        let inputs = [
+            init::uniform(Shape::of(&[batch, 2, 8, 8]), -2.0, 2.0, &mut rng),
+            init::uniform(Shape::of(&[1, 2, 8, 8]), -2.0, 2.0, &mut rng),
+        ];
+        assert_packed_matches(&net, &inputs, "every fixed kind");
     }
 
     #[test]

@@ -1,6 +1,8 @@
+use std::ops::Range;
+
 use stepping_tensor::{Shape, Tensor};
 
-use crate::layer::shaped;
+use crate::layer::{shaped, Runs};
 use crate::{Layer, NnError, Result};
 
 macro_rules! check_backward_shape {
@@ -19,15 +21,24 @@ macro_rules! check_backward_shape {
     }};
 }
 
-/// Writes `f(input)` into `out`, reusing `out`'s buffer when the shapes
-/// already agree (the cached-activation case) and replacing it otherwise.
-fn map_into(input: &Tensor, out: &mut Tensor, f: impl Fn(f32) -> f32) {
-    for (o, &x) in shaped(out, input.shape().dims())
-        .iter_mut()
-        .zip(input.data())
-    {
-        *o = f(x);
+/// Writes `f(input)` into the channel `runs` of `out` — one contiguous
+/// span per run and image, so a whole level is one span per image —
+/// reusing `out`'s buffer when the shapes already agree (the
+/// cached-activation case) and replacing it otherwise.
+fn map_into(
+    input: &Tensor,
+    out: &mut Tensor,
+    runs: &[Range<usize>],
+    f: impl Fn(f32) -> f32,
+) -> Result<()> {
+    let runs = Runs::new(input.shape().dims(), runs)?;
+    let dst = shaped(out, input.shape().dims());
+    for span in runs.spans() {
+        for (o, &x) in dst[span.clone()].iter_mut().zip(&input.data()[span]) {
+            *o = f(x);
+        }
     }
+    Ok(())
 }
 
 fn relu(x: f32) -> f32 {
@@ -63,9 +74,20 @@ impl Relu {
     }
 
     /// Inference forward through `&self`: `forward(input, false)` written
-    /// into `out`, whose buffer is reused when its shape already matches.
-    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        map_into(input, out, relu);
+    /// into the channel `runs` of `out` (`[n, c, ..]`; `&[0..c]` is the
+    /// whole level), whose buffer is reused when its shape already matches.
+    /// Channels outside the runs keep what `out` held.
+    ///
+    /// # Errors
+    ///
+    /// Rejects an input of rank below 2 and a run beyond its channels.
+    pub fn infer_into(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        runs: &[Range<usize>],
+    ) -> Result<()> {
+        map_into(input, out, runs, relu)
     }
 }
 
@@ -106,8 +128,17 @@ impl Tanh {
     }
 
     /// Inference forward through `&self` (see [`Relu::infer_into`]).
-    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        map_into(input, out, f32::tanh);
+    ///
+    /// # Errors
+    ///
+    /// As [`Relu::infer_into`].
+    pub fn infer_into(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        runs: &[Range<usize>],
+    ) -> Result<()> {
+        map_into(input, out, runs, f32::tanh)
     }
 }
 
@@ -147,8 +178,17 @@ impl Sigmoid {
     }
 
     /// Inference forward through `&self` (see [`Relu::infer_into`]).
-    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) {
-        map_into(input, out, sigmoid);
+    ///
+    /// # Errors
+    ///
+    /// As [`Relu::infer_into`].
+    pub fn infer_into(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        runs: &[Range<usize>],
+    ) -> Result<()> {
+        map_into(input, out, runs, sigmoid)
     }
 }
 
@@ -249,13 +289,14 @@ mod tests {
     #[test]
     fn infer_into_matches_forward_and_reuses_the_buffer() {
         let input = x();
+        let whole = [0..4];
         let mut out = Tensor::zeros(Shape::of(&[1, 4]));
         let buffer = out.data().as_ptr();
-        Relu::new().infer_into(&input, &mut out);
+        Relu::new().infer_into(&input, &mut out, &whole).unwrap();
         assert_eq!(out, Relu::new().forward(&input, false).unwrap());
-        Tanh::new().infer_into(&input, &mut out);
+        Tanh::new().infer_into(&input, &mut out, &whole).unwrap();
         assert_eq!(out, Tanh::new().forward(&input, false).unwrap());
-        Sigmoid::new().infer_into(&input, &mut out);
+        Sigmoid::new().infer_into(&input, &mut out, &whole).unwrap();
         assert_eq!(out, Sigmoid::new().forward(&input, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
@@ -264,8 +305,31 @@ mod tests {
         );
         // a mismatched target is replaced, not written out of bounds
         let mut other = Tensor::zeros(Shape::of(&[2]));
-        Relu::new().infer_into(&input, &mut other);
+        Relu::new().infer_into(&input, &mut other, &whole).unwrap();
         assert_eq!(other, Relu::new().forward(&input, false).unwrap());
+    }
+
+    #[test]
+    fn infer_into_recomputes_only_its_runs() {
+        // two images of three channels of two elements each
+        let input = Tensor::from_vec(
+            Shape::of(&[2, 3, 2]),
+            (0..12).map(|v| v as f32 - 6.0).collect(),
+        )
+        .unwrap();
+        let mut out = Tensor::full(Shape::of(&[2, 3, 2]), 9.0);
+        Relu::new()
+            .infer_into(&input, &mut out, &[0..1, 2..3])
+            .unwrap();
+        let relu = Relu::new().forward(&input, false).unwrap();
+        for (i, (&got, &want)) in out.data().iter().zip(relu.data()).enumerate() {
+            let channel = i / 2 % 3;
+            let expect = if channel == 1 { 9.0 } else { want };
+            assert_eq!(got, expect, "element {i}");
+        }
+        assert!(Relu::new().infer_into(&input, &mut out, &[2..4]).is_err());
+        let flat = Tensor::zeros(Shape::of(&[4]));
+        assert!(Relu::new().infer_into(&flat, &mut out, &[]).is_err());
     }
 
     #[test]

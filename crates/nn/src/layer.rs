@@ -1,6 +1,8 @@
+use std::ops::Range;
+
 use stepping_tensor::{Shape, Tensor};
 
-use crate::Result;
+use crate::{NnError, Result};
 
 /// Per-element learning-rate scaling for a parameter.
 ///
@@ -92,6 +94,67 @@ pub(crate) fn shaped<'a>(out: &'a mut Tensor, dims: &[usize]) -> &'a mut [f32] {
         *out = Tensor::zeros(Shape::of(dims));
     }
     out.data_mut()
+}
+
+/// The channel runs an `infer_into` call recomputes, checked against its
+/// input `[n, c, inner…]` (`inner` = 1 for `[n, c]` features). Every
+/// stateless and batch-norm layer is *channel-local* — output channel `j`
+/// of an image reads input channel `j` of that image and nothing else — so
+/// any set of channel runs can be recomputed alone.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Runs<'r> {
+    /// Images (the batch dimension).
+    n: usize,
+    /// Channels (or features) per image.
+    pub c: usize,
+    /// Elements per channel.
+    pub inner: usize,
+    runs: &'r [Range<usize>],
+}
+
+impl<'r> Runs<'r> {
+    /// Checks `runs` against an input of shape `dims`.
+    pub fn new(dims: &[usize], runs: &'r [Range<usize>]) -> Result<Self> {
+        let (&n, &c) = match dims {
+            [n, c, ..] => (n, c),
+            _ => {
+                return Err(NnError::BadInput(format!(
+                    "channel runs need a [n, c, ..] input, got rank {}",
+                    dims.len()
+                )))
+            }
+        };
+        if let Some(bad) = runs.iter().find(|r| r.start > r.end || r.end > c) {
+            return Err(NnError::BadInput(format!(
+                "channel run {bad:?} out of range for {c} channels"
+            )));
+        }
+        Ok(Runs {
+            n,
+            c,
+            inner: dims[2..].iter().product(),
+            runs,
+        })
+    }
+
+    /// Each run of each image as one contiguous element span.
+    pub fn spans(self) -> impl Iterator<Item = Range<usize>> + 'r {
+        let Runs { n, c, inner, runs } = self;
+        (0..n).flat_map(move |b| {
+            runs.iter()
+                .map(move |r| (b * c + r.start) * inner..(b * c + r.end) * inner)
+        })
+    }
+
+    /// Every channel the runs cover, image by image, as its index `b·c + j`
+    /// among the `n·c` planes of the input.
+    pub fn planes(self) -> impl Iterator<Item = usize> + 'r {
+        let Runs { n, c, runs, .. } = self;
+        (0..n).flat_map(move |b| {
+            runs.iter()
+                .flat_map(move |r| r.clone().map(move |j| b * c + j))
+        })
+    }
 }
 
 /// A differentiable network layer with explicit forward/backward passes.

@@ -1,6 +1,8 @@
+use std::ops::Range;
+
 use stepping_tensor::{reduce, Shape, Tensor};
 
-use crate::layer::shaped;
+use crate::layer::{shaped, Runs};
 use crate::{Layer, NnError, Param, Result};
 
 /// Shared batch-normalisation math over a `[m, c]` matrix view
@@ -104,27 +106,28 @@ impl BatchNormCore {
         Ok(out)
     }
 
-    /// Inference-mode normalisation of `src`, laid out
-    /// `[outer, features, inner]`, into `dst` with the running statistics:
+    /// Inference-mode normalisation of the channel `runs` of `input`
+    /// (`[n, features, inner…]`) into `out` with the running statistics:
     /// per element the arithmetic of `forward_mat(.., false)` in the same
     /// order — `x̂ = (x − mean) · inv_std`, then `x̂ · γ + β` — with no
-    /// cache and no temporary tensor.
-    fn infer(&self, src: &[f32], dst: &mut [f32], inner: usize) {
-        let block = self.features * inner;
-        if block == 0 {
-            return;
-        }
+    /// cache and no temporary tensor. Channels outside the runs keep what
+    /// `out` held.
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, runs: &[Range<usize>]) -> Result<()> {
+        let runs = Runs::new(input.shape().dims(), runs)?;
+        self.check_features(runs.c)?;
         let (mean, var) = (self.running_mean.data(), self.running_var.data());
         let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
-        for (src, dst) in src.chunks(block).zip(dst.chunks_mut(block)) {
-            for j in 0..self.features {
-                let inv_std = 1.0 / (var[j] + self.eps).sqrt();
-                let span = j * inner..(j + 1) * inner;
-                for (d, &x) in dst[span.clone()].iter_mut().zip(&src[span]) {
-                    *d = (x - mean[j]) * inv_std * gamma[j] + beta[j];
-                }
+        let (src, inner) = (input.data(), runs.inner);
+        let dst = shaped(out, input.shape().dims());
+        for plane in runs.planes() {
+            let j = plane % self.features;
+            let inv_std = 1.0 / (var[j] + self.eps).sqrt();
+            let span = plane * inner..(plane + 1) * inner;
+            for (d, &x) in dst[span.clone()].iter_mut().zip(&src[span]) {
+                *d = (x - mean[j]) * inv_std * gamma[j] + beta[j];
             }
         }
+        Ok(())
     }
 
     fn check_features(&self, c: usize) -> Result<()> {
@@ -247,23 +250,27 @@ impl BatchNorm1d {
     }
 
     /// Inference forward through `&self`: `forward(input, false)` written
-    /// into `out` (buffer reused when its shape already matches), the same
-    /// per-element arithmetic in the same order, keeping no backward cache.
+    /// into the feature `runs` of `out` (`&[0..c]` is the whole level;
+    /// buffer reused when its shape already matches), the same per-element
+    /// arithmetic in the same order, keeping no backward cache. Features
+    /// outside the runs keep what `out` held.
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`].
-    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
-        let &[_, c] = input.shape().dims() else {
+    /// As [`Layer::forward`], and for a run beyond the input's features.
+    pub fn infer_into(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        runs: &[Range<usize>],
+    ) -> Result<()> {
+        if input.shape().rank() != 2 {
             return Err(NnError::BadInput(format!(
                 "batch norm 1d expects [n, c], got {}",
                 input.shape()
             )));
-        };
-        self.core.check_features(c)?;
-        self.core
-            .infer(input.data(), shaped(out, input.shape().dims()), 1);
-        Ok(())
+        }
+        self.core.infer_into(input, out, runs)
     }
 
     /// Copies γ/β and running statistics from another instance.
@@ -372,23 +379,25 @@ impl BatchNorm2d {
     }
 
     /// Inference forward through `&self` (see
-    /// [`BatchNorm1d::infer_into`]), normalising NCHW in place of the
-    /// `[n·h·w, c]` round trip `forward` makes.
+    /// [`BatchNorm1d::infer_into`]) over channel `runs`, normalising NCHW in
+    /// place of the `[n·h·w, c]` round trip `forward` makes.
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`].
-    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
-        let &[_, c, h, w] = input.shape().dims() else {
+    /// As [`Layer::forward`], and for a run beyond the input's channels.
+    pub fn infer_into(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        runs: &[Range<usize>],
+    ) -> Result<()> {
+        if input.shape().rank() != 4 {
             return Err(NnError::BadInput(format!(
                 "batch norm 2d expects [n, c, h, w], got {}",
                 input.shape()
             )));
-        };
-        self.core.check_features(c)?;
-        self.core
-            .infer(input.data(), shaped(out, input.shape().dims()), h * w);
-        Ok(())
+        }
+        self.core.infer_into(input, out, runs)
     }
 }
 
@@ -567,21 +576,30 @@ mod tests {
         for p in bn1.params_mut().into_iter().chain(bn2.params_mut()) {
             p.value = uniform(p.value.shape().clone(), 0.5, 1.5, &mut rng(13));
         }
+        let whole = [0..3];
         let mut out = Tensor::zeros(Shape::of(&[6, 3]));
         let buffer = out.data().as_ptr();
-        bn1.infer_into(&x1, &mut out).unwrap();
+        bn1.infer_into(&x1, &mut out, &whole).unwrap();
         assert_eq!(out, bn1.forward(&x1, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
             buffer,
             "matching shape writes in place"
         );
-        bn2.infer_into(&x2, &mut out).unwrap();
+        bn2.infer_into(&x2, &mut out, &whole).unwrap();
         assert_eq!(out, bn2.forward(&x2, false).unwrap());
-        assert!(bn1.infer_into(&x2, &mut out).is_err());
-        assert!(bn2.infer_into(&x1, &mut out).is_err());
+        assert!(bn1.infer_into(&x2, &mut out, &whole).is_err());
+        assert!(bn2.infer_into(&x1, &mut out, &whole).is_err());
         let wide = Tensor::zeros(Shape::of(&[2, 4]));
-        assert!(bn1.infer_into(&wide, &mut out).is_err());
+        assert!(bn1.infer_into(&wide, &mut out, &[0..4]).is_err());
+        assert!(bn1.infer_into(&x1, &mut out, &[0..4]).is_err());
+        // one channel alone: the others keep what the target held
+        let mut part = Tensor::full(Shape::of(&[4, 3, 2, 5]), 7.0);
+        bn2.infer_into(&x2, &mut part, &[1..2]).unwrap();
+        for (i, (&got, &want)) in part.data().iter().zip(out.data()).enumerate() {
+            let expect = if i / 10 % 3 == 1 { want } else { 7.0 };
+            assert_eq!(got, expect, "element {i}");
+        }
     }
 
     #[test]

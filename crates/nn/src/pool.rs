@@ -1,7 +1,9 @@
+use std::ops::Range;
+
 use stepping_tensor::conv::ConvGeometry;
 use stepping_tensor::{Shape, Tensor};
 
-use crate::layer::shaped;
+use crate::layer::{shaped, Runs};
 use crate::{Layer, NnError, Result};
 
 fn pool_geometry(
@@ -19,38 +21,39 @@ fn pool_geometry(
     Ok((dims[0], dims[1], geom))
 }
 
-/// Writes the maximum of every `kernel × kernel` window of `src`
-/// (`[n, c, in_h, in_w]`) to `dst` (`[n, c, out_h, out_w]`), telling
-/// `picked` the output index and the flat input index that won it.
+/// Writes the maximum of every `kernel × kernel` window of the listed
+/// `planes` (indices `b·c + j` among the `n·c` planes) of `src`
+/// (`[n, c, in_h, in_w]`) to the same planes of `dst`
+/// (`[n, c, out_h, out_w]`), telling `picked` the output index and the flat
+/// input index that won it.
 fn max_pool(
     src: &[f32],
     dst: &mut [f32],
-    (n, c, geom): (usize, usize, ConvGeometry),
+    geom: ConvGeometry,
     (kernel, stride): (usize, usize),
+    planes: impl Iterator<Item = usize>,
     mut picked: impl FnMut(usize, usize),
 ) {
     let (h, w) = (geom.in_h, geom.in_w);
-    let mut o = 0;
-    for b in 0..n {
-        for ch in 0..c {
-            let base = (b * c + ch) * h * w;
-            for oy in 0..geom.out_h {
-                for ox in 0..geom.out_w {
-                    let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0;
-                    for ky in 0..kernel {
-                        for kx in 0..kernel {
-                            let idx = base + (oy * stride + ky) * w + ox * stride + kx;
-                            if src[idx] > best {
-                                best = src[idx];
-                                best_idx = idx;
-                            }
+    for plane in planes {
+        let base = plane * h * w;
+        let mut o = plane * geom.positions();
+        for oy in 0..geom.out_h {
+            for ox in 0..geom.out_w {
+                let mut best = f32::NEG_INFINITY;
+                let mut best_idx = 0;
+                for ky in 0..kernel {
+                    for kx in 0..kernel {
+                        let idx = base + (oy * stride + ky) * w + ox * stride + kx;
+                        if src[idx] > best {
+                            best = src[idx];
+                            best_idx = idx;
                         }
                     }
-                    dst[o] = best;
-                    picked(o, best_idx);
-                    o += 1;
                 }
+                dst[o] = best;
+                picked(o, best_idx);
+                o += 1;
             }
         }
     }
@@ -88,21 +91,28 @@ impl MaxPool2d {
     }
 
     /// Inference forward through `&self`: `forward(input, false)` written
-    /// into `out` (buffer reused when its shape already matches), keeping
-    /// no argmax.
+    /// into the channel `runs` of `out` (`&[0..c]` is the whole level;
+    /// buffer reused when its shape already matches), keeping no argmax.
+    /// Channels outside the runs keep what `out` held.
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`].
-    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
-        let pooled = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
-        let (n, c, geom) = pooled;
+    /// As [`Layer::forward`], and for a run beyond the input's channels.
+    pub fn infer_into(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        runs: &[Range<usize>],
+    ) -> Result<()> {
+        let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
+        let runs = Runs::new(input.shape().dims(), runs)?;
         let dst = shaped(out, &[n, c, geom.out_h, geom.out_w]);
         max_pool(
             input.data(),
             dst,
-            pooled,
+            geom,
             (self.kernel, self.stride),
+            runs.planes(),
             |_, _| {},
         );
         Ok(())
@@ -115,15 +125,15 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let pooled = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
-        let (n, c, geom) = pooled;
+        let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
         let mut out = Tensor::zeros(Shape::of(&[n, c, geom.out_h, geom.out_w]));
         let mut argmax = vec![0usize; out.len()];
         max_pool(
             input.data(),
             out.data_mut(),
-            pooled,
+            geom,
             (self.kernel, self.stride),
+            0..n * c,
             |o, idx| argmax[o] = idx,
         );
         self.cached_argmax = Some((argmax, input.shape().clone()));
@@ -178,30 +188,34 @@ impl AvgPool2d {
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`].
-    pub fn infer_into(&self, input: &Tensor, out: &mut Tensor) -> Result<()> {
+    /// As [`MaxPool2d::infer_into`].
+    pub fn infer_into(
+        &self,
+        input: &Tensor,
+        out: &mut Tensor,
+        runs: &[Range<usize>],
+    ) -> Result<()> {
         let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
+        let runs = Runs::new(input.shape().dims(), runs)?;
         let (h, w) = (geom.in_h, geom.in_w);
         let inv = 1.0 / (self.kernel * self.kernel) as f32;
         let src = input.data();
         let dst = shaped(out, &[n, c, geom.out_h, geom.out_w]);
-        let mut o = 0;
-        for b in 0..n {
-            for ch in 0..c {
-                let base = (b * c + ch) * h * w;
-                for oy in 0..geom.out_h {
-                    for ox in 0..geom.out_w {
-                        let mut acc = 0.0;
-                        for ky in 0..self.kernel {
-                            for kx in 0..self.kernel {
-                                let iy = oy * self.stride + ky;
-                                let ix = ox * self.stride + kx;
-                                acc += src[base + iy * w + ix];
-                            }
+        for plane in runs.planes() {
+            let base = plane * h * w;
+            let mut o = plane * geom.positions();
+            for oy in 0..geom.out_h {
+                for ox in 0..geom.out_w {
+                    let mut acc = 0.0;
+                    for ky in 0..self.kernel {
+                        for kx in 0..self.kernel {
+                            let iy = oy * self.stride + ky;
+                            let ix = ox * self.stride + kx;
+                            acc += src[base + iy * w + ix];
                         }
-                        dst[o] = acc * inv;
-                        o += 1;
                     }
+                    dst[o] = acc * inv;
+                    o += 1;
                 }
             }
         }
@@ -216,7 +230,8 @@ impl Layer for AvgPool2d {
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let mut out = Tensor::zeros(Shape::of(&[0]));
-        self.infer_into(input, &mut out)?;
+        let channels = input.shape().dims().get(1).copied().unwrap_or(0);
+        self.infer_into(input, &mut out, std::slice::from_ref(&(0..channels)))?;
         self.cached_in_shape = Some(input.shape().clone());
         Ok(out)
     }
@@ -344,11 +359,16 @@ mod tests {
             (0..16).map(|v| ((v * 7) % 11) as f32 - 5.0).collect(),
         )
         .unwrap();
+        let whole = [0..2];
         let mut out = Tensor::zeros(Shape::of(&[1, 2, 1, 2]));
         let buffer = out.data().as_ptr();
-        MaxPool2d::new(2, 2).infer_into(&x, &mut out).unwrap();
+        MaxPool2d::new(2, 2)
+            .infer_into(&x, &mut out, &whole)
+            .unwrap();
         assert_eq!(out, MaxPool2d::new(2, 2).forward(&x, false).unwrap());
-        AvgPool2d::new(2, 2).infer_into(&x, &mut out).unwrap();
+        AvgPool2d::new(2, 2)
+            .infer_into(&x, &mut out, &whole)
+            .unwrap();
         assert_eq!(out, AvgPool2d::new(2, 2).forward(&x, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
@@ -357,10 +377,46 @@ mod tests {
         );
         // a mismatched target is replaced; a bad input is an error
         let mut other = Tensor::zeros(Shape::of(&[3]));
-        MaxPool2d::new(2, 2).infer_into(&x, &mut other).unwrap();
+        MaxPool2d::new(2, 2)
+            .infer_into(&x, &mut other, &whole)
+            .unwrap();
         assert_eq!(other, MaxPool2d::new(2, 2).forward(&x, false).unwrap());
         let flat = Tensor::zeros(Shape::of(&[2, 2]));
-        assert!(AvgPool2d::new(2, 2).infer_into(&flat, &mut other).is_err());
+        assert!(AvgPool2d::new(2, 2)
+            .infer_into(&flat, &mut other, &whole)
+            .is_err());
+    }
+
+    #[test]
+    fn infer_into_recomputes_only_its_runs() {
+        let x = Tensor::from_vec(
+            Shape::of(&[2, 3, 2, 2]),
+            (0..24).map(|v| ((v * 5) % 13) as f32 - 6.0).collect(),
+        )
+        .unwrap();
+        for (pool, whole) in [
+            (MaxPool2d::new(2, 2).forward(&x, false).unwrap(), false),
+            (AvgPool2d::new(2, 2).forward(&x, false).unwrap(), true),
+        ] {
+            let mut out = Tensor::full(Shape::of(&[2, 3, 1, 1]), 99.0);
+            if whole {
+                AvgPool2d::new(2, 2)
+                    .infer_into(&x, &mut out, &[1..3])
+                    .unwrap();
+            } else {
+                MaxPool2d::new(2, 2)
+                    .infer_into(&x, &mut out, &[1..3])
+                    .unwrap();
+            }
+            for (plane, (&got, &want)) in out.data().iter().zip(pool.data()).enumerate() {
+                let expect = if plane % 3 == 0 { 99.0 } else { want };
+                assert_eq!(got, expect, "plane {plane}");
+            }
+        }
+        let mut out = Tensor::zeros(Shape::of(&[2, 3, 1, 1]));
+        assert!(MaxPool2d::new(2, 2)
+            .infer_into(&x, &mut out, &[0..4])
+            .is_err());
     }
 
     #[test]

@@ -23,6 +23,14 @@
 //!   blocking around `rows_pass`, the one tile body (pack A, then per tile:
 //!   resume, multiply, store), with an optional fused [`Epilogue`] (bias
 //!   add, bias+activation) applied to each tile while it is still hot.
+//! * [`conv_packed`] — the convolution driver, with output *positions* in
+//!   the vector lanes: a plan's [`PackedB`] filter panel is the `8`-row
+//!   left-hand operand as packed (its micro-panels interleave `NR` filters
+//!   per tap), and the right-hand operand is packed per call, `NR` output
+//!   positions at a time, from zero-padded copies of the image's active
+//!   channel planes. Each finished tile row gets its filter's bias and is
+//!   stored straight into that filter's output plane — no patch matrix, no
+//!   A repack, no transpose. It reuses the `8 × 1` multiply of each tier.
 //!
 //! ## Tiers and tile shapes
 //!
@@ -33,14 +41,16 @@
 //!
 //! * **portable** — plain Rust the compiler vectorises for the build's
 //!   baseline target (SSE2 on x86-64): a `4 rows × 1 panel` tile, 8
-//!   four-wide accumulator vectors inside 16 XMM registers.
+//!   four-wide accumulator vectors inside 16 XMM registers; the conv
+//!   driver's `8`-row operand runs through it four rows per depth sweep.
 //! * **avx2** (x86-64 with AVX2 detected) — the tile body inlined into a
 //!   `#[target_feature(enable = "avx2")]` function, so its pack and store
 //!   loops are compiled 8 lanes wide too, around a multiply of explicit
 //!   `std::arch` intrinsics, one vector per `NR = 8` panel row. A
 //!   tile is `rows × panels` with `rows · panels = 8`, so every shape keeps
 //!   eight independent accumulator vectors: `8 × 1` for full tiles (full
-//!   batches, conv's `batch × positions`), and `4 × 2`, `2 × 4`, `1 × 8`
+//!   batches; the conv driver's eight filters × eight positions), and
+//!   `4 × 2`, `2 × 4`, `1 × 8`
 //!   for a thin batch or the ragged tail of a tall one, so a lone request
 //!   row multiplies against eight weight panels at once instead of
 //!   dragging seven rows of zero padding through the tile.
@@ -94,14 +104,17 @@
 //!
 //! This is the one file of the workspace allowed to contain `unsafe`
 //! (`stepping-lint` rule L7): the pointer loads of the AVX2 multiply and
-//! the call into the AVX2 instantiation. A [`Tier`] can only be obtained
-//! from [`Tier::active`] / [`Tier::supported`], which run the CPUID check,
-//! so holding the AVX2 tier is the proof the call site needs.
+//! the calls into the AVX2 instantiations of the GEMM and conv bodies. A
+//! [`Tier`] can only be obtained from [`Tier::active`] /
+//! [`Tier::supported`], which run the CPUID check, so holding the AVX2 tier
+//! is the proof the call site needs.
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
+use crate::conv::ConvGeometry;
 use crate::matmul::GemmSpec;
+use crate::pack::{span, PackScratch};
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Register-tile columns: accumulator lanes per row — one micro-panel of
@@ -339,29 +352,32 @@ impl PackedB {
     }
 }
 
-/// The portable tier's multiply: accumulates a `4 × 1` tile over the depth
-/// of `apanel` (groups of 4 interleaved A values) against `bpanel` (groups
-/// of `NR` interleaved B values); per element the depth order is strictly
-/// ascending, matching the reference dot product.
+/// The portable tier's multiply: accumulates an `R × 1` tile over the depth
+/// of `apanel` (groups of `R` interleaved A values) against `bpanel` (groups
+/// of `NR` interleaved B values), four rows per sweep of the depth — as
+/// many as the baseline's registers hold; per element the depth order is
+/// strictly ascending, matching the reference dot product.
 #[inline(always)]
-fn microtile_portable(apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
-    const R: usize = PORTABLE_ROWS;
-    // Work on a by-value copy so the accumulators are locals LLVM can hold
-    // in vector registers across the depth loop, instead of memory the
-    // caller's `&mut` points at.
-    let mut local: [[f32; NR]; R] = [acc[0], acc[1], acc[2], acc[3]];
-    for (av, bv) in apanel.chunks_exact(R).zip(bpanel.chunks_exact(NR)) {
-        let av: &[f32; R] = av.try_into().expect("row chunk");
-        let bv: &[f32; NR] = bv.try_into().expect("NR chunk");
-        for j in 0..NR {
-            let b = bv[j];
-            local[0][j] += av[0] * b;
-            local[1][j] += av[1] * b;
-            local[2][j] += av[2] * b;
-            local[3][j] += av[3] * b;
+fn microtile_portable<const R: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
+    const H: usize = PORTABLE_ROWS;
+    for row0 in (0..R).step_by(H) {
+        // Work on a by-value copy so the accumulators are locals LLVM can
+        // hold in vector registers across the depth loop, instead of memory
+        // the caller's `&mut` points at.
+        let mut local: [[f32; NR]; H] = std::array::from_fn(|i| acc[row0 + i]);
+        for (av, bv) in apanel.chunks_exact(R).zip(bpanel.chunks_exact(NR)) {
+            let av: &[f32; H] = av[row0..row0 + H].try_into().expect("row chunk");
+            let bv: &[f32; NR] = bv.try_into().expect("NR chunk");
+            for j in 0..NR {
+                let b = bv[j];
+                local[0][j] += av[0] * b;
+                local[1][j] += av[1] * b;
+                local[2][j] += av[2] * b;
+                local[3][j] += av[3] * b;
+            }
         }
+        acc[row0..row0 + H].copy_from_slice(&local);
     }
-    acc[..R].copy_from_slice(&local);
 }
 
 /// The AVX2 tier's multiply: accumulates an `R × P` tile (`R · P = 8`
@@ -671,7 +687,7 @@ pub fn gemm_packed_tier(
                             apack,
                             out,
                             |apanel, (bpanel, _, _), acc| {
-                                microtile_portable(apanel, &bpanel[..kc * NR], acc)
+                                microtile_portable::<PORTABLE_ROWS>(apanel, &bpanel[..kc * NR], acc)
                             },
                         );
                     }
@@ -682,6 +698,222 @@ pub fn gemm_packed_tier(
                         // `is_x86_feature_detected!("avx2")` returned true,
                         // so avx2 code may run on this CPU.
                         unsafe { rows_pass_avx2(shape, &blk, rows, apack, out) }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The filter side of a packed convolution, as a layer plan compiles it.
+///
+/// `weight` is a `[filters, in_channels.len() · kh · kw]` operand packed by
+/// [`PackedB::pack_nt`]: row `f` holds filter `f`'s taps over the listed
+/// input channels in `(channel, ky, kx)` order. Its micro-panels hold `NR`
+/// filters interleaved per tap — exactly the row-interleaved left-hand
+/// operand an `8 × 1` register tile reads — so [`conv_packed`] multiplies
+/// the panel a plan packed for the GEMM without repacking it.
+#[derive(Debug, Clone, Copy)]
+pub struct ConvFilters<'a> {
+    /// The packed `[filters, taps]` weight panel.
+    pub weight: &'a PackedB,
+    /// One bias per filter, added once to the filter's finished sum.
+    pub bias: &'a [f32],
+    /// The input channels the taps read, in tap order.
+    pub in_channels: &'a [usize],
+    /// The output plane each filter is stored into, one per filter.
+    pub out_planes: &'a [usize],
+}
+
+/// A validated [`conv_packed`] call: `n` images of `src` under `geom`,
+/// written into `out_channels`-plane outputs.
+#[derive(Clone, Copy)]
+struct ConvJob<'a> {
+    src: &'a [f32],
+    n: usize,
+    geom: &'a ConvGeometry,
+    filters: ConvFilters<'a>,
+    out_channels: usize,
+}
+
+/// Direct convolution with output positions in the vector lanes, in the
+/// host's [`Tier::active`] tier: writes `filters.out_planes[f]` of every
+/// image of `out` (`[n, out_channels, out_h, out_w]`) with filter `f` over
+/// the listed channels of `input` (`[n, in_channels, in_h, in_w]`, as
+/// `geom` describes), bias added, and leaves every other plane of `out`
+/// untouched.
+///
+/// Per image, the active channel planes are copied zero-padded into
+/// `scratch.planes`; per group of `NR` output positions, every tap's `NR`
+/// window values are packed `[k][NR]` into `scratch.groups` (one fixed-width
+/// copy per tap where the group is a stride-1 run inside one output row,
+/// one gather per lane for any other geometry); the filter panel then
+/// multiplies the group `8` filters at a time and each finished tile row is
+/// stored straight into its filter's plane. There is no patch matrix, no
+/// A repack and no transpose, and the scratch buffers only grow, so a
+/// warmed call allocates nothing.
+///
+/// Every output is bit-identical to `im2col` over the listed channels →
+/// the reference `nt_kernel` → `+ bias`: its k-chain runs in ascending
+/// `(channel, ky, kx)` order from `+0.0`, one rounded multiply then one
+/// rounded add per tap, a padding tap contributing `w · 0.0` exactly as the
+/// unfold's zero does, and the bias is added once after the chain.
+///
+/// # Panics
+///
+/// Panics if `input` or `out` does not match `geom`, if the panel's depth is
+/// not `in_channels.len() · kh · kw`, or if a channel or plane index, the
+/// bias or the plane list does not fit.
+pub fn conv_packed(
+    input: &Tensor,
+    geom: &ConvGeometry,
+    filters: ConvFilters,
+    out: &mut Tensor,
+    scratch: &mut PackScratch,
+) {
+    conv_packed_tier(Tier::active(), input, geom, filters, out, scratch);
+}
+
+/// [`conv_packed`] in a named tier — the entry point the tier-parity tests
+/// use to hold every supported tier against the reference.
+#[doc(hidden)]
+pub fn conv_packed_tier(
+    tier: Tier,
+    input: &Tensor,
+    geom: &ConvGeometry,
+    filters: ConvFilters,
+    out: &mut Tensor,
+    scratch: &mut PackScratch,
+) {
+    let g = geom;
+    let n = input.shape().dims().first().copied().unwrap_or(0);
+    assert_eq!(
+        input.shape().dims(),
+        [n, g.in_channels, g.in_h, g.in_w],
+        "conv input does not match its geometry"
+    );
+    let out_channels = out.shape().dims().get(1).copied().unwrap_or(0);
+    assert_eq!(
+        out.shape().dims(),
+        [n, out_channels, g.out_h, g.out_w],
+        "conv output does not match its geometry"
+    );
+    let w = filters.weight;
+    assert_eq!(
+        w.k,
+        filters.in_channels.len() * g.kernel_h * g.kernel_w,
+        "conv panel depth is not channels × kernel taps"
+    );
+    assert!(
+        filters.bias.len() >= w.n && filters.out_planes.len() == w.n,
+        "conv bias or plane list does not cover the panel's filters"
+    );
+    assert!(
+        filters.in_channels.iter().all(|&c| c < g.in_channels)
+            && filters.out_planes.iter().all(|&p| p < out_channels),
+        "conv channel or plane index out of range"
+    );
+    let job = ConvJob {
+        src: input.data(),
+        n,
+        geom,
+        filters,
+        out_channels,
+    };
+    let bufs = (&mut scratch.planes, &mut scratch.groups);
+    match tier.0 {
+        Isa::Portable => conv_body(&job, out.data_mut(), bufs, |a, b, acc| {
+            microtile_portable::<NR>(a, b, acc)
+        }),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `Tier` holding `Isa::Avx2` is only built by
+        // `Tier::supported` after `is_x86_feature_detected!("avx2")`
+        // returned true, so avx2 code may run on this CPU.
+        Isa::Avx2 => unsafe { conv_avx2(&job, out.data_mut(), bufs) },
+    }
+}
+
+/// [`conv_body`] with the AVX2 `8 × 1` multiply: the pack and store loops
+/// inlined into this function are compiled with `avx2` enabled too.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn conv_avx2(job: &ConvJob, out: &mut [f32], bufs: (&mut Vec<f32>, &mut Vec<f32>)) {
+    conv_body(job, out, bufs, |a, b, acc| {
+        microtile_avx2::<8, 1>(a, (b, 0, 1), acc)
+    })
+}
+
+/// The one conv body, generic over the `8 × 1` multiply (see
+/// [`conv_packed`] for what it does and why it is exact).
+#[inline(always)]
+fn conv_body(
+    job: &ConvJob,
+    out: &mut [f32],
+    (planes, groups): (&mut Vec<f32>, &mut Vec<f32>),
+    mul: impl Fn(&[f32], &[f32], &mut Acc),
+) {
+    let ConvJob {
+        src,
+        n,
+        geom: g,
+        filters,
+        out_channels,
+    } = *job;
+    let (c, h, w, pad, stride) = (g.in_channels, g.in_h, g.in_w, g.padding, g.stride);
+    let pw = w + 2 * pad;
+    let plane = (h + 2 * pad) * pw;
+    let (k, nf) = (filters.weight.k, filters.weight.n);
+    let positions = g.positions();
+    let planes = span(planes, filters.in_channels.len() * plane);
+    let group = span(groups, k * NR);
+    for b in 0..n {
+        // zero-padded copies of the active planes, every element written
+        for (dst, &ch) in planes.chunks_exact_mut(plane).zip(filters.in_channels) {
+            let image = &src[(b * c + ch) * h * w..][..h * w];
+            dst[..pad * pw].fill(0.0);
+            dst[(pad + h) * pw..].fill(0.0);
+            for y in 0..h {
+                let row = &mut dst[(pad + y) * pw..][..pw];
+                row[..pad].fill(0.0);
+                row[pad..pad + w].copy_from_slice(&image[y * w..][..w]);
+                row[pad + w..].fill(0.0);
+            }
+        }
+        for p0 in (0..positions).step_by(NR) {
+            let lanes = NR.min(positions - p0);
+            // where each lane's window starts in a padded plane; a ragged
+            // group's missing lanes repeat its last position, and their
+            // accumulators are never stored
+            let origin: [usize; NR] = std::array::from_fn(|l| {
+                let p = p0 + l.min(lanes - 1);
+                (p / g.out_w) * stride * pw + (p % g.out_w) * stride
+            });
+            let contiguous = (1..NR).all(|l| origin[l] == origin[0] + l);
+            let mut taps = group.chunks_exact_mut(NR);
+            for pl in planes.chunks_exact(plane) {
+                for ky in 0..g.kernel_h {
+                    for kx in 0..g.kernel_w {
+                        let tap = ky * pw + kx;
+                        let dst = taps.next().expect("a group holds every tap");
+                        if contiguous {
+                            dst.copy_from_slice(&pl[origin[0] + tap..][..NR]);
+                        } else {
+                            for (d, &o) in dst.iter_mut().zip(&origin) {
+                                *d = pl[o + tap];
+                            }
+                        }
+                    }
+                }
+            }
+            for f0 in (0..nf).step_by(NR) {
+                let apanel = &filters.weight.data[f0 * k..(f0 + NR) * k];
+                let mut acc: Acc = [[0.0; NR]; ACCS];
+                mul(apanel, group, &mut acc);
+                for (f, row) in (f0..nf.min(f0 + NR)).zip(&acc) {
+                    let bias = filters.bias[f];
+                    let at = (b * out_channels + filters.out_planes[f]) * positions + p0;
+                    for (o, &v) in out[at..at + lanes].iter_mut().zip(row) {
+                        *o = v + bias;
                     }
                 }
             }

@@ -4,7 +4,9 @@
 //! the masked reference path multiplies full-width matrices whose inactive
 //! entries are zero. The helpers here let callers *gather* the surviving
 //! rows/columns into small contiguous panels, run a dense NT GEMM on them,
-//! and *scatter* the result back to full-width buffers.
+//! and *scatter* the result back to full-width buffers. (Convolutions need
+//! none of this: [`microkernel::conv_packed`] packs its operand straight from
+//! the image and stores straight into the output planes.)
 //!
 //! Two GEMM entry points exist: [`gemm_nt_into`]/[`gemm_nt_slice`] run the
 //! exact reference dot-product loop behind
@@ -45,18 +47,36 @@ use crate::{Result, Shape, Tensor, TensorError};
 ///
 /// One `PackScratch` per layer (or per executor) amortises the gather /
 /// GEMM-output allocations: buffers are grown without re-zeroing retained
-/// capacity ([`microkernel::grow`]) and only reallocate when a call needs
-/// more capacity than any previous call — steady-state inference does zero
-/// heap allocation *and* zero redundant memset per forward.
+/// capacity ([`microkernel::grow`], [`span`]) and only reallocate when a
+/// call needs more capacity than any previous call — steady-state inference
+/// does zero heap allocation *and* zero redundant memset per forward.
 #[derive(Debug, Clone, Default)]
 pub struct PackScratch {
-    /// Gathered input panel (`[rows, packed_in]`), also used as the im2col
-    /// patch matrix for packed convolutions.
+    /// Gathered input panel (`[rows, packed_in]`).
     pub input: Vec<f32>,
     /// Packed GEMM output (`[rows, packed_out]`).
     pub out: Vec<f32>,
     /// A-panel packing scratch for the blocked microkernel.
     pub a_pack: Vec<f32>,
+    /// Zero-padded copies of one image's active channel planes
+    /// ([`microkernel::conv_packed`]).
+    pub planes: Vec<f32>,
+    /// One group of `NR` output positions' taps, `[k][NR]`
+    /// ([`microkernel::conv_packed`]).
+    pub groups: Vec<f32>,
+}
+
+/// The first `len` elements of a scratch buffer, grown — never shrunk — to
+/// hold them. Every kernel that uses it overwrites what it reads back, so
+/// nothing is re-zeroed when a wide call follows a narrow one through the
+/// same buffer, and two callers whose sizes alternate neither allocate nor
+/// memset once the larger has run (where [`microkernel::grow`] truncates
+/// and zero-fills the regrown tail).
+pub fn span(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 impl PackScratch {
@@ -219,27 +239,6 @@ pub fn im2col_channels_into(
     channels: &[usize],
     dst: &mut Vec<f32>,
 ) -> Result<()> {
-    let rows = input.shape().dims().first().copied().unwrap_or(0) * geom.positions();
-    // the unfold writes every entry (padding positions explicitly), so
-    // retained capacity is not re-zeroed
-    microkernel::grow(dst, rows * channels.len() * geom.kernel_h * geom.kernel_w);
-    im2col_channels_slice(input, geom, channels, dst)
-}
-
-/// [`im2col_channels_into`] writing into a caller-sized slice
-/// (`dst.len() >= batch * positions * channels.len() * kh * kw`) — used to
-/// stack the patch rows of several inputs into one matrix.
-///
-/// # Errors
-///
-/// As [`im2col_channels_into`], plus a geometry error when `dst` is too
-/// short.
-pub fn im2col_channels_slice(
-    input: &Tensor,
-    geom: &ConvGeometry,
-    channels: &[usize],
-    dst: &mut [f32],
-) -> Result<()> {
     let dims = input.shape().dims();
     if dims.len() != 4 {
         return Err(TensorError::RankMismatch {
@@ -261,14 +260,9 @@ pub fn im2col_channels_slice(
     }
     let window = geom.kernel_h * geom.kernel_w;
     let patch = channels.len() * window;
-    let rows = n * geom.positions();
-    if dst.len() < rows * patch {
-        return Err(TensorError::InvalidGeometry(format!(
-            "im2col destination holds {} values, {} needed",
-            dst.len(),
-            rows * patch
-        )));
-    }
+    // the unfold writes every entry (padding positions explicitly), so
+    // retained capacity is not re-zeroed
+    microkernel::grow(dst, n * geom.positions() * patch);
     let src = input.data();
     let (kh, kw) = (geom.kernel_h, geom.kernel_w);
     let (stride, pad) = (geom.stride, geom.padding);
@@ -310,37 +304,6 @@ pub fn im2col_channels_slice(
         }
     }
     Ok(())
-}
-
-/// Scatters a packed position-major matrix `[batch * positions,
-/// channels.len()]` into the listed channels of a zero-initialised NCHW
-/// buffer `[batch, c_full, out_h, out_w]` (`positions = out_h * out_w`).
-///
-/// This is the packed analogue of the dense position-major → NCHW
-/// transpose: `dst[(b * c_full + ch) * positions + p] = src[(b * positions
-/// + p) * channels.len() + ci]`.
-///
-/// # Panics
-///
-/// Panics if the slices are shorter than implied or any channel index is
-/// `>= c_full`.
-pub fn scatter_mat_to_nchw(
-    src: &[f32],
-    batch: usize,
-    positions: usize,
-    channels: &[usize],
-    c_full: usize,
-    dst: &mut [f32],
-) {
-    let k = channels.len();
-    for b in 0..batch {
-        for p in 0..positions {
-            let srow = &src[(b * positions + p) * k..(b * positions + p + 1) * k];
-            for (ci, &ch) in channels.iter().enumerate() {
-                dst[(b * c_full + ch) * positions + p] = srow[ci];
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -429,14 +392,5 @@ mod tests {
         assert!(im2col_channels_into(&x, &g, &[2], &mut dst).is_err());
         let wrong = Tensor::zeros(Shape::of(&[1, 3, 4, 4]));
         assert!(im2col_channels_into(&wrong, &g, &[0], &mut dst).is_err());
-    }
-
-    #[test]
-    fn scatter_nchw_places_channels() {
-        // 1 batch, 2 positions, scatter channels [1] of 3 total.
-        let src = [7.0, 8.0];
-        let mut dst = vec![0.0; 6];
-        scatter_mat_to_nchw(&src, 1, 2, &[1], 3, &mut dst);
-        assert_eq!(dst, vec![0.0, 0.0, 7.0, 8.0, 0.0, 0.0]);
     }
 }

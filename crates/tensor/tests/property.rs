@@ -5,9 +5,10 @@ use proptest::prelude::*;
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
 use stepping_tensor::matmul::GemmSpec;
 use stepping_tensor::microkernel::{
-    gemm_blocked, gemm_packed, gemm_packed_tier, Epilogue, PackedB, Tier, KC,
+    conv_packed_tier, gemm_blocked, gemm_packed, gemm_packed_tier, ConvFilters, Epilogue, PackedB,
+    Tier, KC,
 };
-use stepping_tensor::pack::gemm_nt_slice;
+use stepping_tensor::pack::{gemm_nt_slice, im2col_channels_into, PackScratch};
 use stepping_tensor::{matmul, reduce, Shape, Tensor};
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -157,6 +158,199 @@ fn no_tier_fuses_multiply_and_add() {
                 out.iter().find(|&&v| v != 0.0)
             );
         }
+    }
+}
+
+/// A value no kernel computes: planes of the target it must leave alone
+/// keep these bits.
+const UNTOUCHED: f32 = f32::from_bits(0x7fc0_5a5a);
+
+/// One convolution case for [`conv_packed_tier`]: `images` NCHW inputs
+/// under `geom`, `filters` filters over the input `channels` (any subset,
+/// in ascending order) written to the ascending `planes` of an
+/// `out_channels`-plane target.
+struct ConvCase {
+    geom: ConvGeometry,
+    images: usize,
+    channels: Vec<usize>,
+    planes: Vec<usize>,
+    out_channels: usize,
+}
+
+impl ConvCase {
+    /// Runs the case in every supported tier through `scratch` and holds
+    /// every output `to_bits()`-equal to the unfold over `channels` → the
+    /// reference `nt_kernel` → `+ bias`, and every plane not in `planes`
+    /// untouched.
+    fn check(&self, seed: u64, scratch: &mut PackScratch) {
+        let g = &self.geom;
+        let mut rng = stepping_tensor::init::rng(seed);
+        let input = stepping_tensor::init::uniform(
+            Shape::of(&[self.images, g.in_channels, g.in_h, g.in_w]),
+            -2.0,
+            2.0,
+            &mut rng,
+        );
+        let f = self.planes.len();
+        let k = self.channels.len() * g.kernel_h * g.kernel_w;
+        let weight = stepping_tensor::init::uniform(Shape::of(&[f, k]), -2.0, 2.0, &mut rng);
+        let bias = stepping_tensor::init::uniform(Shape::of(&[f]), -1.0, 1.0, &mut rng);
+        let packed = PackedB::pack_nt(weight.data(), f, k);
+
+        let rows = self.images * g.positions();
+        let mut cols = Vec::new();
+        im2col_channels_into(&input, g, &self.channels, &mut cols).unwrap();
+        let mut dots = vec![f32::NAN; rows * f];
+        gemm_nt_slice(&cols, weight.data(), &mut dots, rows, k, f);
+
+        let filters = ConvFilters {
+            weight: &packed,
+            bias: bias.data(),
+            in_channels: &self.channels,
+            out_planes: &self.planes,
+        };
+        for tier in Tier::supported() {
+            let mut out = Tensor::full(
+                Shape::of(&[self.images, self.out_channels, g.out_h, g.out_w]),
+                UNTOUCHED,
+            );
+            conv_packed_tier(tier, &input, g, filters, &mut out, scratch);
+            for b in 0..self.images {
+                for plane in 0..self.out_channels {
+                    let at = (b * self.out_channels + plane) * g.positions();
+                    let got = &out.data()[at..at + g.positions()];
+                    let Some(fi) = self.planes.iter().position(|&p| p == plane) else {
+                        assert!(
+                            got.iter().all(|v| v.to_bits() == UNTOUCHED.to_bits()),
+                            "{} tier wrote plane {plane}, which no filter owns: {g:?}",
+                            tier.name()
+                        );
+                        continue;
+                    };
+                    for (p, v) in got.iter().enumerate() {
+                        let want = dots[(b * g.positions() + p) * f + fi] + bias.data()[fi];
+                        assert_eq!(
+                            v.to_bits(),
+                            want.to_bits(),
+                            "{} tier, {g:?}, channels {:?}, image {b}, filter {fi}, position {p}",
+                            tier.name(),
+                            self.channels
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The conv driver on hand-picked geometries: `out_w` a multiple of the
+/// lane count (whole groups, fixed-width copies) and not, stride 2 and 3,
+/// windows lying wholly in the padding, a 1×1 and a 5×5 kernel, a
+/// one-channel subset and no channel at all — each run twice through one
+/// scratch that also held the other geometries' (larger and smaller)
+/// planes and groups.
+#[test]
+fn conv_driver_matches_the_unfold_on_fixed_geometries() {
+    let mut scratch = PackScratch::new();
+    // (channels, h, w, kernel, stride, padding, subset, filters)
+    let cases: [(usize, usize, usize, usize, usize, usize, &[usize], usize); 8] = [
+        (3, 16, 16, 3, 1, 1, &[0, 1, 2], 6), // conv1 of the serving net
+        (24, 8, 8, 3, 1, 1, &[0, 5, 6, 23], 12), // conv2, non-contiguous
+        (2, 5, 13, 3, 1, 0, &[1], 17),       // out_w 11: ragged groups
+        (3, 7, 9, 5, 2, 2, &[0, 2], 9),      // 5×5, stride 2
+        (2, 4, 6, 1, 3, 2, &[0, 1], 3),      // 1×1: corners wholly padding
+        (1, 1, 1, 3, 2, 2, &[0], 8),         // every window mostly padding
+        (2, 3, 9, 3, 1, 1, &[], 5),          // no input channel: bias only
+        (4, 6, 17, 3, 1, 1, &[3], 1),        // out_w 17, one filter
+    ];
+    for round in 0..2 {
+        for (i, &(c, h, w, k, stride, pad, subset, filters)) in cases.iter().enumerate() {
+            let geom = ConvGeometry::new(c, h, w, k, k, stride, pad).unwrap();
+            let out_channels = filters + 2;
+            ConvCase {
+                geom,
+                images: 1 + i % 3,
+                channels: subset.to_vec(),
+                planes: (1..=filters).collect(),
+                out_channels,
+            }
+            .check(100 * round + i as u64, &mut scratch);
+        }
+    }
+}
+
+/// The FMA tripwire of [`no_tier_fuses_multiply_and_add`] through the conv
+/// driver: two input channels read by a 1×1 kernel are the depth-2 chain
+/// `c·1 + a·a`, which is exactly `0` unfused, over ragged and whole
+/// position groups and 1–17 filters.
+#[test]
+fn no_tier_fuses_multiply_and_add_in_the_conv_driver() {
+    let a = 1.0f32 + 2f32.powi(-12);
+    let c = -(1.0f32 + 2f32.powi(-11));
+    let mut scratch = PackScratch::new();
+    for (h, w) in [(2usize, 8usize), (3, 5)] {
+        let geom = ConvGeometry::new(2, h, w, 1, 1, 1, 0).unwrap();
+        let mut image = vec![c; h * w];
+        image.extend(std::iter::repeat_n(a, h * w));
+        let input = Tensor::from_vec(Shape::of(&[1, 2, h, w]), image).unwrap();
+        for f in 1..=17usize {
+            let packed = PackedB::pack_nt(&[1.0, a].repeat(f), f, 2);
+            let bias = vec![0.0f32; f];
+            let planes: Vec<usize> = (0..f).collect();
+            let filters = ConvFilters {
+                weight: &packed,
+                bias: &bias,
+                in_channels: &[0, 1],
+                out_planes: &planes,
+            };
+            for tier in Tier::supported() {
+                let mut out = Tensor::full(Shape::of(&[1, f, h, w]), f32::NAN);
+                conv_packed_tier(tier, &input, &geom, filters, &mut out, &mut scratch);
+                assert!(
+                    out.data().iter().all(|&v| v == 0.0),
+                    "{} tier fused a multiply-add in the conv driver at {f} filters, {h}x{w}: {:?}",
+                    tier.name(),
+                    out.data().iter().find(|&&v| v != 0.0)
+                );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// The conv driver against the unfold → reference `nt_kernel` → bias,
+    /// `to_bits()`-equal in every tier, over random geometries (kernel
+    /// 1/3/5, non-square images, stride 1–3, padding 0–2), 1–3 images,
+    /// random — often non-contiguous — channel subsets and 1–17 filters
+    /// scattered over a wider target.
+    #[test]
+    fn conv_driver_is_bit_identical_to_the_unfold_in_every_tier(
+        kernel in 0usize..3,
+        h in 1usize..11,
+        w in 1usize..21,
+        stride in 1usize..4,
+        padding in 0usize..3,
+        images in 1usize..4,
+        channel_mask in 0u8..32,
+        filters in 1usize..18,
+        spare in 0usize..4,
+        seed in 0u64..10_000,
+    ) {
+        let kernel = [1, 3, 5][kernel];
+        prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
+        let in_channels = 5;
+        let geom = ConvGeometry::new(in_channels, h, w, kernel, kernel, stride, padding).unwrap();
+        let channels: Vec<usize> = (0..in_channels).filter(|c| channel_mask >> c & 1 == 1).collect();
+        // the filters land on all planes of the target but `spare` of them
+        let out_channels = filters + spare;
+        let mut planes: Vec<usize> = (0..out_channels).collect();
+        for i in 0..spare {
+            planes.remove((seed as usize + 7 * i) % planes.len());
+        }
+        ConvCase { geom, images, channels, planes, out_channels }
+            .check(seed, &mut PackScratch::new());
     }
 }
 

@@ -37,6 +37,14 @@ cargo test -q -p stepping-tensor -p stepping-nn -p stepping-core -p stepping-run
     -p stepping-exec -p stepping-lint -p stepping-verify -p stepping-models \
     -p stepping-data -p stepping-baselines
 
+# The two proptest-heavy suites once more under --release, the build the
+# kernels ship in: tensor's conv-driver and GEMM tier properties, and core's
+# packed-plan properties (every fixed stage kind recomputing only the
+# channels a step changed).
+echo "==> release properties: tensor property, core packed_plans"
+cargo test -q --release -p stepping-tensor --test property
+cargo test -q --release -p stepping-core --test packed_plans
+
 # Static analysis: the six workspace invariants (shard-safety, determinism
 # zones, panic/lock discipline, telemetry registry, the unsafe zone).
 # Warnings are errors here, matching the clippy leg.
@@ -96,8 +104,10 @@ cargo test -q --release -p stepping-serve --test admission --test soak
 echo "==> stepping-router crate tests"
 cargo test -q -p stepping-router --features metrics
 
-# Packed-plan smoke run: asserts packed/masked logits bit-identity and the
-# >=2x subnet-0 speedup on the bench MLP, and refreshes BENCH_plans.json.
+# Packed-plan smoke run: asserts packed/masked logits bit-identity, the
+# >=2x subnet-0 speedup on the bench MLP, and the chain gates (stepping
+# 0 -> top at most 1.15x a direct pass on the MLP, 1.6x on the conv net),
+# and refreshes BENCH_plans.json.
 echo "==> packed-plan bench smoke (plans)"
 STEPPING_PLANS_REPS=5 cargo run -q --release -p stepping-bench --bin plans
 
