@@ -6,8 +6,6 @@
 //! answered, and every upgrade is served by the replica that holds the
 //! session's activation cache.
 
-use std::time::Duration;
-
 use stepping_baselines::regular_assign;
 use stepping_core::{SteppingNet, SteppingNetBuilder};
 use stepping_router::{decode_session, BreakerState, Router, RouterConfig};
@@ -35,7 +33,6 @@ fn serve_config(workers: usize) -> ServeConfig {
     ServeConfig::builder()
         .workers(workers)
         .max_batch(4)
-        .max_wait(Duration::from_micros(100))
         .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
         .build()
 }

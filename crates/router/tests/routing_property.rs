@@ -164,7 +164,7 @@ proptest! {
                     }
                 }
                 // upgrade a random live session
-                1 | 2 | 3 if !live.is_empty() => {
+                1..=3 if !live.is_empty() => {
                     let session = live[(key as usize) % live.len()];
                     let (replica, local) = decode_session(session);
                     let before = mocks[replica].upgrades.load(Ordering::SeqCst);

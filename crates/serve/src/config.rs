@@ -28,12 +28,11 @@ pub enum ShedPolicy {
 ///
 /// Embeds a [`SessionConfig`] for the inference-side knobs (prune
 /// threshold, device model, start subnet) and adds the serving-side ones:
-/// worker threads, micro-batch limit, the opt-in batching linger, and the
-/// admission bound + shed policy of the per-key batch lanes. Construct it
-/// with [`builder`](ServeConfig::builder):
+/// worker threads, micro-batch limit, and the admission bound + shed
+/// policy of the per-key batch lanes. Construct it with
+/// [`builder`](ServeConfig::builder):
 ///
 /// ```
-/// use std::time::Duration;
 /// use stepping_serve::{ServeConfig, ShedPolicy};
 ///
 /// let config = ServeConfig::builder()
@@ -43,17 +42,14 @@ pub enum ShedPolicy {
 ///     .shed_policy(ShedPolicy::Downgrade)
 ///     .build();
 /// assert_eq!(config.get_workers(), 4);
-/// assert_eq!(config.get_max_wait(), Duration::ZERO); // work-conserving
 /// ```
 ///
-/// Defaults: 2 workers, `max_batch` 8, `max_wait` zero (no linger),
-/// `lane_capacity` 64, [`ShedPolicy::Downgrade`], default
-/// [`SessionConfig`].
+/// Defaults: 2 workers, `max_batch` 8, `lane_capacity` 64,
+/// [`ShedPolicy::Downgrade`], default [`SessionConfig`].
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     workers: usize,
     max_batch: usize,
-    max_wait: Duration,
     lane_capacity: usize,
     shed_policy: ShedPolicy,
     session: SessionConfig,
@@ -66,7 +62,6 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 2,
             max_batch: 8,
-            max_wait: Duration::ZERO,
             lane_capacity: 64,
             shed_policy: ShedPolicy::default(),
             session: SessionConfig::new(),
@@ -94,28 +89,12 @@ impl ServeConfigBuilder {
     }
 
     /// Largest number of requests fused into one batched pass. `1` disables
-    /// micro-batching (every request runs alone).
+    /// micro-batching (every request runs alone). Dispatch is
+    /// work-conserving: a free worker claims the most urgent non-empty lane
+    /// at once, and a batch is whatever queued while the workers were busy,
+    /// so batches grow with load by themselves.
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.config.max_batch = max_batch;
-        self
-    }
-
-    /// An opt-in *linger*: how long a lane below `max_batch` is held back
-    /// from an idle worker, waiting for compatible requests, before it may
-    /// be claimed (an expired deadline or shutdown releases it sooner).
-    ///
-    /// The default is [`Duration::ZERO`]: dispatch is work-conserving — a
-    /// free worker claims the most urgent non-empty lane at once and a
-    /// batch is whatever queued while the workers were busy, so batches
-    /// grow with load by themselves. A linger adds itself (plus the host's
-    /// timer slack, ~70 µs on the reference machine) to the latency of
-    /// every request that arrives at an idle server; it can pay only where
-    /// one pass over `n` rows costs far less than `n` passes over one and
-    /// arrivals are too sparse to queue behind a busy worker — neither
-    /// holds for the models benchmarked here (`docs/PERFORMANCE.md`
-    /// § Work-conserving dispatch). Tests also use it to hold a lane still.
-    pub fn max_wait(mut self, max_wait: Duration) -> Self {
-        self.config.max_wait = max_wait;
         self
     }
 
@@ -182,11 +161,6 @@ impl ServeConfig {
         self.max_batch
     }
 
-    /// Configured batching linger (zero: none).
-    pub fn get_max_wait(&self) -> Duration {
-        self.max_wait
-    }
-
     /// Configured per-lane admission bound.
     pub fn get_lane_capacity(&self) -> usize {
         self.lane_capacity
@@ -222,13 +196,11 @@ mod tests {
         let built = ServeConfig::builder()
             .workers(4)
             .max_batch(16)
-            .max_wait(Duration::from_micros(50))
             .lane_capacity(32)
             .shed_policy(ShedPolicy::Reject)
             .build();
         assert_eq!(built.get_workers(), 4);
         assert_eq!(built.get_max_batch(), 16);
-        assert_eq!(built.get_max_wait(), Duration::from_micros(50));
         assert_eq!(built.get_lane_capacity(), 32);
         assert_eq!(built.get_shed_policy(), ShedPolicy::Reject);
 
@@ -236,8 +208,6 @@ mod tests {
         let defaults = ServeConfig::builder().build();
         assert_eq!(defaults.get_workers(), 2);
         assert_eq!(defaults.get_max_batch(), 8);
-        assert_eq!(defaults.get_max_wait(), Duration::ZERO);
-        assert_eq!(ServeConfig::default().get_max_wait(), Duration::ZERO);
         assert_eq!(defaults.get_lane_capacity(), 64);
         assert_eq!(defaults.get_shed_policy(), ShedPolicy::Downgrade);
     }

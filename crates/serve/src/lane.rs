@@ -15,13 +15,8 @@
 //! **Readiness** is work-conserving: a lane is ready as soon as it is
 //! non-empty, so a free worker takes the most urgent one *now* and a batch
 //! is whatever queued while the workers were busy (capped at `max_batch`) —
-//! batches grow with load and vanish when idle. With the default zero
-//! `max_wait` the scan reads no clock and no worker ever takes a timed
-//! sleep. `max_wait` is an opt-in *linger*: when set, a lane below
-//! `max_batch` is held until its oldest job has waited that long or its
-//! earliest deadline passes (or the set drains for shutdown), and only
-//! then do the timer arithmetic ([`LaneView::due_ns`]), the timed sleep
-//! and the mega-lane split below run. **Urgency** among ready lanes is
+//! batches grow with load and vanish when idle. The scan reads no clock
+//! and no worker ever takes a timed sleep. **Urgency** among ready lanes is
 //! earliest-deadline-first: lanes are ordered by
 //! `(earliest_deadline, oldest_enqueue, index)`, so a budget-carrying
 //! request whose deadline has expired is always served before any
@@ -29,13 +24,10 @@
 //! exactly that). Deadline-less lanes sort last and fall back to
 //! oldest-first among themselves.
 //!
-//! **Work stealing** (linger only) keeps a single hot lane from
-//! serializing the pool under skewed traffic: when the scan finds exactly
-//! one ready lane and it is a *mega-lane* (depth ≥ `2 * max_batch`, so one
-//! claim cannot empty it — [`splittable`]), a worker that loses the claim
-//! race takes the remaining tail as a partial batch instead of sleeping on
-//! the linger timer. Without a linger every non-empty tail is claimable
-//! anyway and the question is never asked.
+//! **Pausing** holds every lane still so that tests can queue jobs
+//! deterministically: while the set is paused (and not draining) a scan
+//! claims nothing and the worker parks; [`LaneSet::resume`] wakes them all.
+//! It is a test hold, not a scheduling policy, and shutdown overrides it.
 //!
 //! **Sleeping** uses an eventcount-style [`Doorbell`]: a version word
 //! bumped on every push plus a count of parked workers, so an idle worker
@@ -225,98 +217,28 @@ pub(crate) struct LaneView {
 }
 
 impl LaneView {
-    /// The instant a lingering lane becomes ready by time alone: its
-    /// linger timer (`oldest + max_wait`) or its earliest deadline,
-    /// whichever first.
-    fn due_ns(&self, max_wait_ns: u64) -> u64 {
-        self.oldest_ns
-            .saturating_add(max_wait_ns)
-            .min(self.earliest_deadline_ns)
-    }
-
-    /// Whether a worker may claim this lane now. Without a linger
-    /// (`max_wait_ns == 0`) any non-empty lane is, and neither `now_ns`
-    /// nor the timer is looked at; with one, the lane must be full, due,
-    /// or draining.
-    fn ready(&self, now_ns: u64, max_batch: usize, max_wait_ns: u64, draining: bool) -> bool {
+    /// Whether a worker may claim this lane now: any non-empty lane is.
+    fn ready(&self) -> bool {
         self.depth > 0
-            && (max_wait_ns == 0
-                || draining
-                || self.depth >= max_batch
-                || now_ns >= self.due_ns(max_wait_ns))
     }
 }
 
-/// Whether the chosen lane is a splittable *mega-lane*: it is the only
-/// ready lane in the scan and holds at least `2 * max_batch` jobs, so one
-/// claim cannot empty it. A worker that loses the claim race on such a
-/// lane may take the remaining tail as a partial batch instead of going
-/// back to sleep on the linger timer — under skewed traffic a single hot
-/// batch key would otherwise serialize the replica: the tail below
-/// `max_batch` sits out `max_wait` while every other worker idles. Only a
-/// linger makes the question meaningful (without one the tail is ready by
-/// itself), so [`LaneSet::take_batch`] asks it only then. Pure, like
-/// [`select_lane`], so tests can drive it directly.
-pub(crate) fn splittable(
-    views: &[LaneView],
-    chosen: usize,
-    now_ns: u64,
-    max_batch: usize,
-    max_wait_ns: u64,
-    draining: bool,
-) -> bool {
-    views[chosen].depth >= max_batch.saturating_mul(2)
-        && views.iter().enumerate().all(|(index, view)| {
-            index == chosen || !view.ready(now_ns, max_batch, max_wait_ns, draining)
-        })
-}
-
-/// The scheduling decision over a hint scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Pick {
-    /// Index of the most urgent ready lane, if any lane is ready.
-    pub lane: Option<usize>,
-    /// When no lane is ready: the earliest future instant (ns since epoch)
-    /// at which a lingering lane's timer or deadline fires; [`NONE_NS`] if
-    /// every lane is empty — without a linger, whenever no lane is ready.
-    pub next_due_ns: u64,
-}
-
-/// Pure EDF lane selection over a snapshot of lane hints.
+/// Pure EDF lane selection over a snapshot of lane hints: the most urgent
+/// ready lane, `None` when every lane is empty.
 ///
-/// A lane is **ready** when it is non-empty and — only if a linger is set
-/// (`max_wait_ns > 0`) — also full (`depth >= max_batch`), past its linger
-/// timer or earliest deadline, or the set is `draining`
-/// ([`LaneView::ready`]). Among ready lanes the most urgent is the
-/// smallest `(earliest_deadline_ns, oldest_ns, index)` — strict EDF with
+/// The most urgent lane is the smallest
+/// `(earliest_deadline_ns, oldest_ns, index)` — strict EDF with
 /// oldest-first tiebreak, so an expired earlier deadline is always served
 /// before any later-deadline batch, and deadline-less lanes (deadline =
 /// [`NONE_NS`]) are served oldest-first after every deadline-carrying
-/// lane. Without a linger `now_ns` is not looked at and `next_due_ns` is
-/// always [`NONE_NS`]. Pure so the property test can drive it directly.
-pub(crate) fn select_lane(
-    views: &[LaneView],
-    now_ns: u64,
-    max_batch: usize,
-    max_wait_ns: u64,
-    draining: bool,
-) -> Pick {
-    let mut best: Option<(u64, u64, usize)> = None;
-    let mut next_due_ns = NONE_NS;
-    for (index, view) in views.iter().enumerate() {
-        if view.ready(now_ns, max_batch, max_wait_ns, draining) {
-            let candidate = (view.earliest_deadline_ns, view.oldest_ns, index);
-            if best.is_none_or(|b| candidate < b) {
-                best = Some(candidate);
-            }
-        } else if view.depth > 0 {
-            next_due_ns = next_due_ns.min(view.due_ns(max_wait_ns));
-        }
-    }
-    Pick {
-        lane: best.map(|(_, _, index)| index),
-        next_due_ns,
-    }
+/// lane. Pure so the property test can drive it directly.
+pub(crate) fn select_lane(views: &[LaneView]) -> Option<usize> {
+    views
+        .iter()
+        .enumerate()
+        .filter(|(_, view)| view.ready())
+        .min_by_key(|(index, view)| (view.earliest_deadline_ns, view.oldest_ns, *index))
+        .map(|(index, _)| index)
 }
 
 /// Eventcount-style doorbell: parks idle workers and wakes them without a
@@ -341,11 +263,8 @@ struct Doorbell {
     sleepers: AtomicUsize,
     mutex: Mutex<()>,
     bell: Condvar,
-    /// Calls of `sleep` with a timeout: none without a linger.
-    #[cfg(test)]
-    timed_sleeps: AtomicUsize,
-    /// Untimed waits that ended, counted once the worker is off
-    /// `sleepers`: one per ring that found somebody waiting.
+    /// Waits that ended, counted once the worker is off `sleepers`: one
+    /// per ring that found somebody waiting.
     #[cfg(test)]
     wakeups: AtomicUsize,
 }
@@ -373,36 +292,21 @@ impl Doorbell {
         self.bell.notify_all();
     }
 
-    /// Sleeps until a ring wakes this worker or `timeout` elapses (forever
-    /// on `None`; the linger path passes one). Returns immediately if the
+    /// Sleeps until a ring wakes this worker. Returns immediately if the
     /// version already moved past `seen`.
-    fn sleep(&self, seen: u64, timeout: Option<Duration>) {
-        #[cfg(test)]
-        if timeout.is_some() {
-            self.timed_sleeps.fetch_add(1, Ordering::SeqCst);
-        }
+    fn sleep(&self, seen: u64) {
         let guard = lock(&self.mutex);
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         let waits = self.version.load(Ordering::SeqCst) == seen;
         if waits {
-            match timeout {
-                Some(t) => {
-                    let _guard = self
-                        .bell
-                        .wait_timeout(guard, t)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-                None => {
-                    let _guard = self
-                        .bell
-                        .wait(guard)
-                        .unwrap_or_else(PoisonError::into_inner);
-                }
-            }
+            let _guard = self
+                .bell
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
         #[cfg(test)]
-        if waits && timeout.is_none() {
+        if waits {
             self.wakeups.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -425,30 +329,26 @@ pub(crate) struct LaneSet {
     lanes: Vec<Lane>,
     subnets: usize,
     max_batch: usize,
-    /// The opt-in linger (`max_wait`) in ns; 0, the default, takes the
-    /// clock, the timer and the mega-lane split out of dispatch.
-    max_wait_ns: u64,
     /// Admission-control bound on each lane's depth.
     capacity: usize,
     /// All lane hints are ns offsets from this instant.
     epoch: Instant,
-    /// Phase 1 of shutdown: admissions refuse, timers are overridden.
+    /// The test hold ([`Self::pause`]): nothing is claimed while it is set,
+    /// unless the set is shutting down.
+    paused: AtomicBool,
+    /// Phase 1 of shutdown: admissions refuse, a pause is overridden.
     shutting_down: AtomicBool,
     /// Phase 2: every in-flight push has completed; workers may exit on an
     /// all-empty scan.
     sealed: AtomicBool,
     doorbell: Doorbell,
     metrics: Arc<ServeMetrics>,
-    /// Reads of the scheduling clock: none without a linger.
-    #[cfg(test)]
-    clock_reads: AtomicUsize,
 }
 
 impl LaneSet {
     pub fn new(
         subnets: usize,
         max_batch: usize,
-        max_wait: Duration,
         capacity: usize,
         metrics: Arc<ServeMetrics>,
     ) -> Self {
@@ -465,15 +365,13 @@ impl LaneSet {
             lanes,
             subnets,
             max_batch,
-            max_wait_ns: dur_ns(max_wait),
             capacity: capacity.max(1),
             epoch: Instant::now(),
+            paused: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
             doorbell: Doorbell::default(),
             metrics,
-            #[cfg(test)]
-            clock_reads: AtomicUsize::new(0),
         }
     }
 
@@ -497,19 +395,6 @@ impl LaneSet {
                 n + from * (2 * n - from - 1) / 2 + (to - from - 1)
             }
         }
-    }
-
-    /// The scheduling clock, ns since the epoch — what a lingering lane's
-    /// timer and deadline are compared with. Without a linger readiness
-    /// does not depend on the time, so the clock is not read and 0 stands
-    /// in.
-    fn now_ns(&self) -> u64 {
-        if self.max_wait_ns == 0 {
-            return 0;
-        }
-        #[cfg(test)]
-        self.clock_reads.fetch_add(1, Ordering::SeqCst);
-        self.instant_ns(Instant::now())
     }
 
     fn instant_ns(&self, at: Instant) -> u64 {
@@ -583,63 +468,39 @@ impl LaneSet {
     ) -> Option<BatchKey> {
         loop {
             let version = self.doorbell.version();
-            let draining = self.shutting_down.load(Ordering::SeqCst);
-            let now_ns = self.now_ns();
+            // read before the scan: once sealed, every accepted push is
+            // already in its lane, so an empty scan is final
+            let sealed = self.sealed.load(Ordering::SeqCst);
+            let held = self.held();
             views.clear();
             views.extend(self.lanes.iter().map(Lane::view));
-            let pick = select_lane(views, now_ns, self.max_batch, self.max_wait_ns, draining);
-            if let Some(index) = pick.lane {
-                // Work stealing under a linger: when the pick is the only
-                // ready lane and a mega-lane (depth >= 2 * max_batch), a
-                // worker that loses the claim race may take whatever tail
-                // is left as a partial batch rather than sleeping — one hot
-                // batch key must not serialize the whole worker pool.
-                let split = self.max_wait_ns != 0
-                    && splittable(
-                        views,
-                        index,
-                        now_ns,
-                        self.max_batch,
-                        self.max_wait_ns,
-                        draining,
-                    );
-                if let Some(key) = self.claim(index, worker, split, batch) {
-                    return Some(key);
+            match select_lane(views) {
+                Some(index) if !held => {
+                    if let Some(key) = self.claim(index, worker, batch) {
+                        return Some(key);
+                    }
+                    // lost the race for that lane (or a pause came in
+                    // between) — rescan immediately
                 }
-                // lost the race for that lane — rescan immediately
-                continue;
-            }
-            if pick.next_due_ns == NONE_NS {
-                // all lanes empty: exit if sealed, else park for a push
-                if self.sealed.load(Ordering::SeqCst) {
-                    return None;
-                }
-                self.doorbell.sleep(version, None);
-            } else {
-                // a lingering lane is not ready yet: sleep until its timer
-                // fires (floor keeps a clamped now/due race from
-                // busy-spinning)
-                let wait = pick.next_due_ns.saturating_sub(now_ns).max(1_000);
-                self.doorbell
-                    .sleep(version, Some(Duration::from_nanos(wait)));
+                None if sealed => return None,
+                // nothing to claim: park for a push, a resume or shutdown
+                _ => self.doorbell.sleep(version),
             }
         }
     }
 
+    /// Whether the test hold is in force: paused, and not shutting down.
+    fn held(&self) -> bool {
+        self.paused.load(Ordering::SeqCst) && !self.shutting_down.load(Ordering::SeqCst)
+    }
+
     /// Moves up to `max_batch` jobs from lane `index` into `batch`,
-    /// re-validating readiness under the lane lock (the hint scan raced
-    /// other workers); `None`, with `batch` untouched, when the lane is not
-    /// ready after all. With `allow_partial` — the scan saw a splittable
-    /// mega-lane — a lane whose remaining tail fell below readiness is
-    /// still claimed rather than left to wait out its linger timer next to
-    /// an idle worker.
-    fn claim(
-        &self,
-        index: usize,
-        worker: usize,
-        allow_partial: bool,
-        batch: &mut Vec<Job>,
-    ) -> Option<BatchKey> {
+    /// re-validating under the lane lock (the hint scan raced other
+    /// workers); `None`, with `batch` untouched, when the lane is empty
+    /// after all or the set is held. Checking the hold here, under the lock
+    /// a push takes, means no job pushed after [`Self::pause`] returned is
+    /// claimed by a scan that began before it.
+    fn claim(&self, index: usize, worker: usize, batch: &mut Vec<Job>) -> Option<BatchKey> {
         let lane = &self.lanes[index];
         // Lock wait is the contended lane-mutex acquisition only; doorbell
         // sleeps are idle time, not contention.
@@ -649,11 +510,7 @@ impl LaneSet {
         // exact: the hints only change under this lock
         let view = lane.view();
         debug_assert_eq!(view, self.recompute(&queue), "folded hints drifted");
-        let draining = self.shutting_down.load(Ordering::SeqCst);
-        let ready = view.depth > 0
-            && (allow_partial
-                || view.ready(self.now_ns(), self.max_batch, self.max_wait_ns, draining));
-        if !ready {
+        if !view.ready() || self.held() {
             return None;
         }
         if stepping_metrics::enabled() {
@@ -701,6 +558,21 @@ impl LaneSet {
         self.sealed.store(true, Ordering::SeqCst);
         self.doorbell.ring_all();
     }
+
+    /// Holds every lane: pushes are still accepted, but nothing is claimed
+    /// until [`resume`](Self::resume) or [`shutdown`](Self::shutdown). A
+    /// woken worker still scans, finds nothing to claim and parks. The
+    /// deterministic way for tests to keep jobs queued.
+    pub fn pause(&self) {
+        self.paused.store(true, Ordering::SeqCst);
+    }
+
+    /// Lifts [`pause`](Self::pause) and wakes every worker to claim what
+    /// queued meanwhile.
+    pub fn resume(&self) {
+        self.paused.store(false, Ordering::SeqCst);
+        self.doorbell.ring_all();
+    }
 }
 
 #[cfg(test)]
@@ -711,10 +583,10 @@ mod tests {
     use stepping_metrics::MetricsRegistry;
     use stepping_tensor::{Shape, Tensor};
 
-    fn test_set(subnets: usize, max_batch: usize, max_wait: Duration, capacity: usize) -> LaneSet {
+    fn test_set(subnets: usize, max_batch: usize, capacity: usize) -> LaneSet {
         let registry = MetricsRegistry::new();
         let metrics = Arc::new(ServeMetrics::new(&registry, 1, subnets));
-        LaneSet::new(subnets, max_batch, max_wait, capacity, metrics)
+        LaneSet::new(subnets, max_batch, capacity, metrics)
     }
 
     /// Runs a blocking test body on a thread of its own and fails the test
@@ -806,7 +678,7 @@ mod tests {
     #[test]
     fn lane_indexing_is_a_bijection_over_keys() {
         for n in 1..=6usize {
-            let set = test_set(n, 8, Duration::from_micros(100), 64);
+            let set = test_set(n, 8, 64);
             assert_eq!(set.lane_count(), n + n * (n - 1) / 2);
             let mut seen = vec![false; set.lane_count()];
             let mut keys = Vec::new();
@@ -830,7 +702,7 @@ mod tests {
 
     #[test]
     fn push_respects_capacity_and_draining() {
-        let set = test_set(2, 8, Duration::from_secs(10), 2);
+        let set = test_set(2, 8, 2);
         let mut rxs = Vec::new();
         for id in 0..2 {
             let (job, rx) = begin_job(id, 0, None);
@@ -859,7 +731,7 @@ mod tests {
 
     #[test]
     fn take_batch_drains_ready_lane_and_exits_after_shutdown() {
-        let set = test_set(2, 4, Duration::ZERO, 64); // max_wait 0: always ready
+        let set = test_set(2, 4, 64);
         let mut rxs = Vec::new();
         for id in 0..3 {
             let (job, rx) = begin_job(id, 1, None);
@@ -886,7 +758,7 @@ mod tests {
 
     #[test]
     fn claim_prefers_expired_deadline_over_older_deadline_free_lane() {
-        let set = test_set(2, 8, Duration::from_secs(30), 64);
+        let set = test_set(2, 8, 64);
         // lane 0: older, deadline-free; lane 1: younger but expired deadline
         let (mut old, _rx0) = begin_job(0, 0, None);
         old.submitted = Instant::now() - Duration::from_millis(5);
@@ -906,50 +778,55 @@ mod tests {
     }
 
     #[test]
-    fn shutdown_flushes_unready_jobs_immediately() {
-        let set = test_set(1, 8, Duration::from_secs(3600), 64);
-        let (job, _rx) = begin_job(0, 0, None);
-        set.push(job).map_err(|_| "push").unwrap();
-        set.shutdown();
-        // the huge max_wait no longer matters: draining flushes at once
-        let mut batch = Vec::new();
-        set.take_batch(0, &mut Vec::new(), &mut batch)
-            .expect("draining flushes the lane");
-        assert_eq!(batch.len(), 1);
-        assert!(set
-            .take_batch(0, &mut Vec::new(), &mut Vec::new())
-            .is_none());
-    }
+    fn paused_set_claims_nothing_until_resumed_and_shutdown_overrides_a_pause() {
+        watchdog(|| {
+            let set = Arc::new(test_set(2, 8, 64));
+            let (claimed, claims) = mpsc::channel();
+            let workers = spawn_workers(&set, 1, move |_, jobs: Vec<Job>| {
+                for job in jobs {
+                    claimed.send(job.id).unwrap();
+                }
+            });
+            let wakeups = || set.doorbell.wakeups.load(Ordering::SeqCst);
+            // pushes to the parked worker: each one wakes it, it rescans,
+            // claims nothing and parks again
+            let mut replies = Vec::new();
+            let mut push_held = |id, subnet, deadline| {
+                let before = wakeups();
+                let (job, reply) = begin_job(id, subnet, deadline);
+                set.push(job).map_err(|_| "push").unwrap();
+                replies.push(reply);
+                while wakeups() == before {
+                    std::thread::yield_now();
+                }
+                await_parked(&set, 1);
+            };
+            await_parked(&set, 1);
+            set.pause();
+            // lane 0 older and deadline-free, lane 1 with a deadline
+            push_held(0, 0, None);
+            push_held(1, 1, Some(Instant::now() + Duration::from_secs(3600)));
+            assert!(claims.try_recv().is_err(), "a paused set claims nothing");
 
-    #[test]
-    fn partial_claim_steals_mega_lane_tail() {
-        // max_wait far in the future: the tail would normally sit until the
-        // flush timer. A partial claim (the work-stealing path) takes it
-        // immediately.
-        let set = test_set(1, 4, Duration::from_secs(3600), 64);
-        let mut rxs = Vec::new();
-        for id in 0..3 {
-            let (job, rx) = begin_job(id, 0, None);
-            set.push(job).map_err(|_| "push").unwrap();
-            rxs.push(rx);
-        }
-        let mut batch = Vec::new();
-        assert!(
-            set.claim(0, 0, false, &mut batch).is_none(),
-            "3 < max_batch and the timer has not fired: not ready"
-        );
-        let key = set.claim(0, 0, true, &mut batch).expect("partial claim");
-        assert_eq!(key, BatchKey::Begin { subnet: 0 });
-        assert_eq!(batch.len(), 3, "the whole tail is stolen");
-        assert!(
-            set.claim(0, 0, true, &mut Vec::new()).is_none(),
-            "empty lane never claims"
-        );
+            set.resume();
+            assert_eq!(claims.recv().unwrap(), 1, "EDF: the deadline first");
+            assert_eq!(claims.recv().unwrap(), 0);
+
+            await_parked(&set, 1);
+            set.pause();
+            push_held(2, 0, None);
+            assert!(claims.try_recv().is_err(), "paused again");
+            set.shutdown();
+            assert_eq!(claims.recv().unwrap(), 2, "shutdown overrides the pause");
+            for worker in workers {
+                worker.join().unwrap();
+            }
+        });
     }
 
     #[test]
     fn pushed_hints_equal_recomputed_hints() {
-        let set = test_set(1, 4, Duration::ZERO, 64);
+        let set = test_set(1, 4, 64);
         let start = Instant::now();
         // deadlines arrive out of order, and some jobs carry none
         let deadlines_ms = [None, Some(50), Some(20), None, Some(30), Some(5), Some(40)];
@@ -976,7 +853,7 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_in_the_very_next_claim_under_backlog() {
-        let set = test_set(3, 4, Duration::ZERO, 64);
+        let set = test_set(3, 4, 64);
         let mut rxs = Vec::new();
         let mut push = |id, subnet, deadline| {
             let (job, rx) = begin_job(id, subnet, deadline);
@@ -1018,7 +895,7 @@ mod tests {
         watchdog(|| {
             const WORKERS: usize = 4;
             const ROUNDS: usize = 3;
-            let set = Arc::new(test_set(2, 8, Duration::ZERO, 64));
+            let set = Arc::new(test_set(2, 8, 64));
             let (claimed, claims) = mpsc::channel();
             let workers = spawn_workers(&set, WORKERS, move |_, jobs| {
                 claimed.send(jobs.len()).unwrap();
@@ -1067,7 +944,7 @@ mod tests {
         const HAND_OFFS: u64 = 100_000;
         for workers in [1, 2, 8] {
             watchdog(move || {
-                let set = Arc::new(test_set(2, 8, Duration::ZERO, 64));
+                let set = Arc::new(test_set(2, 8, 64));
                 let pool = spawn_workers(&set, workers, |_, jobs| drop(jobs));
                 for id in 0..HAND_OFFS {
                     hand_off(&set, id);
@@ -1083,7 +960,7 @@ mod tests {
     #[test]
     fn dead_worker_does_not_strand_later_pushes() {
         watchdog(|| {
-            let set = Arc::new(test_set(2, 8, Duration::ZERO, 64));
+            let set = Arc::new(test_set(2, 8, 64));
             let died = Arc::new(AtomicBool::new(false));
             let pool = spawn_workers(&set, 3, move |_, jobs| {
                 if !died.swap(true, Ordering::SeqCst) {
@@ -1109,146 +986,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn no_clock_and_no_timed_sleep_without_a_linger() {
-        watchdog(|| {
-            let set = Arc::new(test_set(2, 8, Duration::ZERO, 64));
-            let pool = spawn_workers(&set, 1, |_, jobs| drop(jobs));
-            for id in 0..3 {
-                // parked first, so every hand-off goes through a sleep
-                await_parked(&set, 1);
-                hand_off(&set, id);
-            }
-            set.shutdown();
-            for worker in pool {
-                worker.join().unwrap();
-            }
-            assert_eq!(set.clock_reads.load(Ordering::SeqCst), 0);
-            assert_eq!(set.doorbell.timed_sleeps.load(Ordering::SeqCst), 0);
-
-            // the counters are live: a linger brings both back
-            let set = test_set(1, 8, Duration::from_millis(2), 64);
-            let (job, _reply) = begin_job(0, 0, None);
-            set.push(job).map_err(|_| "push").unwrap();
-            let mut batch = Vec::new();
-            set.take_batch(0, &mut Vec::new(), &mut batch).unwrap();
-            assert_eq!(batch.len(), 1, "claimed when the linger ran out");
-            assert!(set.clock_reads.load(Ordering::SeqCst) > 0);
-            assert!(set.doorbell.timed_sleeps.load(Ordering::SeqCst) > 0);
-        });
-    }
-
-    #[test]
-    fn splittable_requires_single_ready_mega_lane() {
-        let mega = LaneView {
-            depth: 16,
-            oldest_ns: 1_000,
-            earliest_deadline_ns: NONE_NS,
-        };
-        let empty = LaneView {
-            depth: 0,
-            oldest_ns: NONE_NS,
-            earliest_deadline_ns: NONE_NS,
-        };
-        let pending = LaneView {
-            depth: 2,
-            oldest_ns: 5_000,
-            earliest_deadline_ns: NONE_NS,
-        };
-        let ready = LaneView {
-            depth: 8,
-            oldest_ns: 5_000,
-            earliest_deadline_ns: NONE_NS,
-        };
-        let max_batch = 8;
-        let max_wait = 100_000;
-        // a lone mega-lane splits; empty and unready lanes don't block it
-        assert!(splittable(
-            &[mega, empty, pending],
-            0,
-            0,
-            max_batch,
-            max_wait,
-            false
-        ));
-        // a second *ready* lane means the loser has other work to claim
-        assert!(!splittable(
-            &[mega, ready],
-            0,
-            0,
-            max_batch,
-            max_wait,
-            false
-        ));
-        // depth below 2 * max_batch: one claim empties it, nothing to split
-        assert!(!splittable(
-            &[ready, empty],
-            0,
-            0,
-            max_batch,
-            max_wait,
-            false
-        ));
-        // draining makes every pending lane ready, so nothing splits
-        assert!(!splittable(
-            &[mega, pending],
-            0,
-            0,
-            max_batch,
-            max_wait,
-            true
-        ));
-        // the pending lane's own timer firing makes it ready too
-        assert!(!splittable(
-            &[mega, pending],
-            0,
-            200_000,
-            max_batch,
-            max_wait,
-            false
-        ));
-    }
-
-    #[test]
-    fn select_lane_reports_next_due_when_nothing_ready() {
-        let views = [
-            LaneView {
-                depth: 0,
-                oldest_ns: NONE_NS,
-                earliest_deadline_ns: NONE_NS,
-            },
-            LaneView {
-                depth: 2,
-                oldest_ns: 1_000,
-                earliest_deadline_ns: 50_000,
-            },
-            LaneView {
-                depth: 1,
-                oldest_ns: 2_000,
-                earliest_deadline_ns: NONE_NS,
-            },
-        ];
-        // max_wait 100µs, now 3µs: lane 1 due at min(101_000, 50_000),
-        // lane 2 due at 102_000 — nothing ready, next wake 50µs
-        let pick = select_lane(&views, 3_000, 8, 100_000, false);
-        assert_eq!(
-            pick,
-            Pick {
-                lane: None,
-                next_due_ns: 50_000
-            }
-        );
-        // at 50µs lane 1's deadline fires
-        let pick = select_lane(&views, 50_000, 8, 100_000, false);
-        assert_eq!(pick.lane, Some(1));
-        // a full lane is ready regardless of time
-        let pick = select_lane(&views, 0, 2, 100_000, false);
-        assert_eq!(pick.lane, Some(1));
-        // draining makes everything ready; EDF still orders the two
-        let pick = select_lane(&views, 0, 8, 100_000, true);
-        assert_eq!(pick.lane, Some(1), "lane 1 carries the only deadline");
-    }
-
     mod edf_property {
         use super::super::{select_lane, LaneView, NONE_NS};
         use proptest::collection;
@@ -1257,79 +994,17 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
 
-            /// The EDF satellite property, driven directly on the pure
-            /// selector: whenever two lanes are both ready and one's
-            /// deadline has expired while the other's lies strictly later,
-            /// the expired lane wins — a later-deadline batch is never
-            /// served before an expired earlier one.
+            /// Dispatch is work-conserving and EDF, driven directly on the
+            /// pure selector: a lane is picked iff some lane is non-empty,
+            /// the pick is the `(deadline, oldest, index)` minimum over the
+            /// non-empty lanes, and so no non-empty lane whose deadline has
+            /// expired loses to one whose deadline lies strictly later.
             #[test]
-            fn edf_never_serves_later_deadline_before_expired_earlier(
-                max_batch in 1usize..=8,
-                max_wait_ns in 0u64..=200_000,
+            fn select_lane_picks_the_edf_minimum_of_the_non_empty_lanes(
                 now_ns in 100_000u64..=10_000_000,
-                draining_bit in 0u8..=1,
                 // (depth, oldest_ns, deadline tag, deadline): tag 0 means
                 // deadline-free; deadlines range from long expired to far
                 // past `now`
-                raw in collection::vec(
-                    (0usize..=12, 0u64..=10_000_000, 0u8..=3, 0u64..=20_000_000),
-                    2..=12,
-                ),
-            ) {
-                let draining = draining_bit == 1;
-                let views: Vec<LaneView> = raw
-                    .iter()
-                    .map(|&(depth, oldest_ns, tag, dl)| LaneView {
-                        depth,
-                        oldest_ns,
-                        earliest_deadline_ns: if tag == 0 { NONE_NS } else { dl },
-                    })
-                    .collect();
-                let pick = select_lane(&views, now_ns, max_batch, max_wait_ns, draining);
-                let ready = |v: &LaneView| {
-                    v.depth > 0
-                        && (max_wait_ns == 0
-                            || draining
-                            || v.depth >= max_batch
-                            || now_ns >= v.due_ns(max_wait_ns))
-                };
-                match pick.lane {
-                    Some(chosen) => {
-                        let c = &views[chosen];
-                        prop_assert!(ready(c), "chosen lane must be ready: {c:?}");
-                        for (i, v) in views.iter().enumerate() {
-                            if i == chosen || !ready(v) {
-                                continue;
-                            }
-                            // an expired earlier deadline beats every
-                            // strictly later deadline among ready lanes
-                            prop_assert!(
-                                !(v.earliest_deadline_ns <= now_ns
-                                    && v.earliest_deadline_ns < c.earliest_deadline_ns),
-                                "lane {} ({:?}) has an expired earlier deadline than \
-                                 chosen lane {} ({:?}) at now={}",
-                                i, v, chosen, c, now_ns
-                            );
-                        }
-                    }
-                    None => {
-                        for v in &views {
-                            prop_assert!(!ready(v), "no pick but lane ready: {v:?}");
-                        }
-                    }
-                }
-            }
-
-            /// Without a linger dispatch is work-conserving: a lane is
-            /// picked iff any lane is non-empty — whatever the clock, the
-            /// batch limit or the drain flag say — and the pick is the
-            /// `(deadline, oldest, index)` minimum over the non-empty
-            /// lanes, with no timer left to wait for.
-            #[test]
-            fn zero_linger_picks_the_edf_minimum_of_the_non_empty_lanes(
-                max_batch in 1usize..=8,
-                now_ns in 0u64..=10_000_000,
-                draining_bit in 0u8..=1,
                 raw in collection::vec(
                     (0usize..=3, 0u64..=10_000_000, 0u8..=3, 0u64..=20_000_000),
                     1..=12,
@@ -1343,15 +1018,31 @@ mod tests {
                         earliest_deadline_ns: if tag == 0 { NONE_NS } else { dl },
                     })
                     .collect();
-                let pick = select_lane(&views, now_ns, max_batch, 0, draining_bit == 1);
-                let expected = views
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, v)| v.depth > 0)
-                    .min_by_key(|(i, v)| (v.earliest_deadline_ns, v.oldest_ns, *i))
-                    .map(|(i, _)| i);
-                prop_assert_eq!(pick.lane, expected);
-                prop_assert_eq!(pick.next_due_ns, NONE_NS);
+                let pick = select_lane(&views);
+                prop_assert_eq!(pick.is_some(), views.iter().any(|v| v.depth > 0));
+                let Some(chosen) = pick else {
+                    return Ok(());
+                };
+                let c = &views[chosen];
+                prop_assert!(c.depth > 0, "chosen lane must be non-empty: {c:?}");
+                let urgency = |i: usize, v: &LaneView| (v.earliest_deadline_ns, v.oldest_ns, i);
+                for (i, v) in views.iter().enumerate() {
+                    if i == chosen || v.depth == 0 {
+                        continue;
+                    }
+                    prop_assert!(
+                        urgency(chosen, c) < urgency(i, v),
+                        "lane {} ({:?}) is more urgent than chosen lane {} ({:?})",
+                        i, v, chosen, c
+                    );
+                    prop_assert!(
+                        !(v.earliest_deadline_ns <= now_ns
+                            && v.earliest_deadline_ns < c.earliest_deadline_ns),
+                        "lane {} ({:?}) has an expired earlier deadline than \
+                         chosen lane {} ({:?}) at now={}",
+                        i, v, chosen, c, now_ns
+                    );
+                }
             }
         }
     }

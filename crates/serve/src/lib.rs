@@ -51,8 +51,7 @@
 //! Configuration is two-layered: the runtime's
 //! [`SessionConfig`](stepping_runtime::SessionConfig) supplies the
 //! inference-side knobs; [`ServeConfig::builder`] adds workers,
-//! `max_batch`, the opt-in `max_wait` linger (default zero: dispatch is
-//! work-conserving), and the admission bound + shed policy. See
+//! `max_batch`, and the admission bound + shed policy. See
 //! `docs/SERVING.md` for the lane architecture, the deadline math, and the
 //! migration guide from the pre-0.7 API.
 

@@ -200,7 +200,8 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`SteppingError::BadConfig`] for zero workers, a zero
-    /// `max_batch`, a missing device model, or an out-of-range start
+    /// `max_batch` or a missing device model, and
+    /// [`SteppingError::SubnetOutOfRange`] for an out-of-range start
     /// subnet.
     pub fn new(net: &SteppingNet, config: ServeConfig) -> Result<Server> {
         if config.get_workers() == 0 {
@@ -251,7 +252,6 @@ impl Server {
             lanes: LaneSet::new(
                 subnets,
                 config.get_max_batch(),
-                config.get_max_wait(),
                 config.get_lane_capacity(),
                 Arc::clone(&metrics),
             ),
@@ -662,6 +662,23 @@ impl Server {
     /// Aggregate serving statistics so far.
     pub fn stats(&self) -> ServerStats {
         self.shared.stats.snapshot()
+    }
+
+    /// Test hold: requests are still admitted and queued, but no worker
+    /// claims any until [`resume`](Server::resume) or
+    /// [`shutdown`](Server::shutdown) (which drains them). Not a
+    /// scheduling policy — it lets tests fill lanes and batches
+    /// deterministically.
+    #[doc(hidden)]
+    pub fn pause(&self) {
+        self.shared.lanes.pause();
+    }
+
+    /// Lifts [`pause`](Server::pause): the workers claim what queued
+    /// meanwhile.
+    #[doc(hidden)]
+    pub fn resume(&self) {
+        self.shared.lanes.resume();
     }
 
     /// Graceful shutdown: stops accepting requests, drains every lane

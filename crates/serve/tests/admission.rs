@@ -1,7 +1,7 @@
 //! Deterministic admission-control tests: lanes are made to fill (tiny
-//! `lane_capacity`, huge `max_batch`, long `max_wait`, so deadline-free
-//! jobs queue but never flush) and each shed-policy path is pinned down —
-//! downgrade chains, typed rejection, upgrade shedding, and the
+//! `lane_capacity`, huge `max_batch`, and a paused server, so jobs queue
+//! but are not claimed until shutdown) and each shed-policy path is pinned
+//! down — downgrade chains, typed rejection, upgrade shedding, and the
 //! pinned-subnet guarantee.
 
 use std::time::Duration;
@@ -31,15 +31,13 @@ fn sample(seed: u64) -> Tensor {
     init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(seed))
 }
 
-/// A config whose lanes accept exactly one deadline-free job and never
-/// flush it on their own: capacity 1, `max_batch` far above anything
-/// queued, an hour-long window. Only deadlines, full lanes, or shutdown
-/// make a lane ready.
+/// A config whose lanes accept exactly one job: capacity 1, `max_batch`
+/// far above anything queued. With the server paused, jobs stay queued
+/// until shutdown.
 fn congested(policy: ShedPolicy) -> ServeConfig {
     ServeConfig::builder()
         .workers(1)
         .max_batch(64)
-        .max_wait(Duration::from_secs(3600))
         .lane_capacity(1)
         .shed_policy(policy)
         .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
@@ -49,6 +47,7 @@ fn congested(policy: ShedPolicy) -> ServeConfig {
 #[test]
 fn full_requests_downgrade_down_the_subnet_ladder_then_reject() {
     let srv = Server::new(&net(3), congested(ShedPolicy::Downgrade)).unwrap();
+    srv.pause();
     // three full requests land in Begin{2}, Begin{1}, Begin{0} in turn
     let t1 = srv.submit(Request::full(sample(1))).unwrap();
     let t2 = srv.submit(Request::full(sample(2))).unwrap();
@@ -94,6 +93,7 @@ fn full_requests_downgrade_down_the_subnet_ladder_then_reject() {
 #[test]
 fn pinned_subnet_requests_are_never_downgraded() {
     let srv = Server::new(&net(3), congested(ShedPolicy::Downgrade)).unwrap();
+    srv.pause();
     let t1 = srv.submit(Request::at_subnet(sample(1), 2)).unwrap();
     // same lane, pinned: admission must refuse rather than serve subnet 1
     match srv.submit(Request::at_subnet(sample(2), 2)) {
@@ -112,6 +112,7 @@ fn pinned_subnet_requests_are_never_downgraded() {
 #[test]
 fn reject_policy_refuses_without_downgrading() {
     let srv = Server::new(&net(3), congested(ShedPolicy::Reject)).unwrap();
+    srv.pause();
     let t1 = srv.submit(Request::full(sample(1))).unwrap();
     let err = srv.submit(Request::full(sample(2))).unwrap_err();
     assert!(matches!(
@@ -135,8 +136,8 @@ fn full_upgrade_lanes_shed_to_the_session_cache() {
     // two subnets: one upgrade lane (0 → 1), so a second upgrade has no
     // smaller lane to fall back to and must shed
     let srv = Server::new(&net(2), congested(ShedPolicy::Downgrade)).unwrap();
-    // a near-zero budget resolves to subnet 0 with an already-expired
-    // deadline, so the lane flushes immediately and yields a session
+    // a near-zero budget resolves to subnet 0; served at once, it yields
+    // a session
     let ra = srv
         .submit(Request::with_budget(sample(1), 0.001))
         .unwrap()
@@ -148,6 +149,7 @@ fn full_upgrade_lanes_shed_to_the_session_cache() {
         .wait()
         .unwrap();
     assert_eq!((ra.subnet, rb.subnet), (0, 0));
+    srv.pause();
     // first upgrade occupies the single 0→1 lane and sticks there
     let stuck = srv.upgrade(ra.session, None).unwrap();
     // second upgrade finds it full and is shed: answered synchronously
@@ -185,6 +187,7 @@ fn full_upgrade_lanes_reject_under_reject_policy_and_session_survives() {
         .unwrap()
         .wait()
         .unwrap();
+    srv.pause();
     let stuck = srv.upgrade(ra.session, None).unwrap();
     let err = srv.upgrade(rb.session, None).unwrap_err();
     assert!(matches!(
@@ -217,7 +220,8 @@ fn full_upgrade_lanes_reject_under_reject_policy_and_session_survives() {
 #[test]
 fn tickets_can_be_polled_and_time_limited() {
     let srv = Server::new(&net(3), congested(ShedPolicy::Downgrade)).unwrap();
-    // the lane never flushes on its own, so the ticket stays pending
+    srv.pause();
+    // the paused lane is not claimed, so the ticket stays pending
     let t = srv.submit(Request::full(sample(1))).unwrap();
     assert!(t.try_wait().is_none(), "nothing served yet");
     assert!(

@@ -139,12 +139,11 @@ fn launch_allocation_does_not_grow_with_workers() {
 fn worker_scans_allocate_nothing_and_inputs_are_moved() {
     let _turn = take_turn();
     let net = wide_net();
-    // a flush window far longer than the test: a batch runs when it is
-    // full, and until then its requests stay queued
+    // the server is paused while a batch queues, so it runs full, on
+    // resume, and until then its requests stay queued
     let config = ServeConfig::builder()
         .workers(1)
         .max_batch(BATCH)
-        .max_wait(Duration::from_secs(600))
         .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
         .build();
     let server = Server::new(&net, config).unwrap();
@@ -156,14 +155,17 @@ fn worker_scans_allocate_nothing_and_inputs_are_moved() {
 
     // warm-up: one full batch grows every buffer the worker keeps (pack
     // scratch, lane snapshots)
+    server.pause();
     let warm: Vec<_> = (0..BATCH).map(|_| submit()).collect();
+    server.resume();
     for t in warm {
         assert_eq!(t.wait().unwrap().batch_size, BATCH);
     }
     std::thread::sleep(Duration::from_millis(50));
 
     // scans: each push rings the doorbell, the worker rescans the lanes,
-    // finds no batch ready and goes back to sleep
+    // finds the set paused, claims nothing and goes back to sleep
+    server.pause();
     let (before, _) = worker_counts();
     let mut tickets = Vec::new();
     for _ in 0..BATCH - 1 {
@@ -177,11 +179,13 @@ fn worker_scans_allocate_nothing_and_inputs_are_moved() {
         "a lane scan that claims nothing must not allocate"
     );
 
-    // inputs: the push that fills the batch lets it run. Stacking the rows
-    // and handing every session its level-0 activations are two copies of
-    // the inputs; a clone on the way into the batch would be a third
+    // inputs: the push that fills the batch, then the resume that lets it
+    // run. Stacking the rows and handing every session its level-0
+    // activations are two copies of the inputs; a clone on the way into the
+    // batch would be a third
     let (_, before) = worker_counts();
     tickets.push(submit());
+    server.resume();
     for t in tickets {
         assert_eq!(t.wait().unwrap().batch_size, BATCH);
     }
@@ -201,7 +205,7 @@ fn worker_scans_allocate_nothing_and_inputs_are_moved() {
 /// batch's three bookkeeping vectors. Claiming the batch is not among them:
 /// the claim drains the lane into a buffer the worker keeps, where it used
 /// to collect a fresh vector per batch (25 here) — with one-job batches,
-/// the common case once nothing lingers, one more allocation per request.
+/// the common case at an idle server, one more allocation per request.
 const ONE_JOB_BATCH_ALLOCS: usize = 24;
 
 #[test]

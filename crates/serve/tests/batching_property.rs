@@ -4,8 +4,6 @@
 //! response's logits — and therefore its argmax — equal a from-scratch
 //! forward of that input alone.
 
-use std::time::Duration;
-
 use proptest::prelude::*;
 use stepping_baselines::regular_assign;
 use stepping_core::{SteppingNet, SteppingNetBuilder};
@@ -40,7 +38,6 @@ proptest! {
         let config = ServeConfig::builder()
             .workers(workers)
             .max_batch(max_batch)
-            .max_wait(Duration::from_millis(2))
             .session(SessionConfig::new().device(DeviceModel::mobile()))
             .build();
         let srv = Server::new(&reference_net, config).unwrap();

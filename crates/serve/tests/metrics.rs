@@ -53,7 +53,6 @@ fn live_load_populates_every_series() {
     let config = ServeConfig::builder()
         .workers(workers)
         .max_batch(4)
-        .max_wait(Duration::from_millis(10))
         .metrics_snapshot(&snapshot_path)
         .metrics_interval(Duration::from_millis(20))
         .session(SessionConfig::new().device(device))
@@ -61,8 +60,8 @@ fn live_load_populates_every_series() {
     let srv = Server::new(&net(), config).unwrap();
     let costs = srv.subnet_costs().to_vec();
 
-    // Initial runs across both small subnets, batched where the window
-    // allows; keep the sessions for the upgrade wave.
+    // Initial runs across both small subnets, batched where a backlog
+    // forms; keep the sessions for the upgrade wave.
     let tickets: Vec<_> = (0..24u64)
         .map(|i| {
             srv.submit(Request::at_subnet(sample(500 + i), (i % 2) as usize))

@@ -2,8 +2,6 @@
 //! math, incremental upgrades, cache hits, validation, and graceful
 //! shutdown.
 
-use std::time::Duration;
-
 use stepping_baselines::regular_assign;
 use stepping_core::{SteppingError, SteppingNet, SteppingNetBuilder};
 use stepping_runtime::{DeviceModel, SessionConfig};
@@ -26,11 +24,10 @@ fn sample(seed: u64) -> Tensor {
     init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(seed))
 }
 
-fn server(workers: usize, max_batch: usize, max_wait: Duration) -> Server {
+fn server(workers: usize, max_batch: usize) -> Server {
     let config = ServeConfig::builder()
         .workers(workers)
         .max_batch(max_batch)
-        .max_wait(max_wait)
         .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
         .build();
     Server::new(&net(), config).unwrap()
@@ -38,12 +35,14 @@ fn server(workers: usize, max_batch: usize, max_wait: Duration) -> Server {
 
 #[test]
 fn batched_logits_bit_identical_to_lone_forward() {
-    let srv = server(1, 4, Duration::from_millis(100));
+    let srv = server(1, 4);
     let inputs: Vec<Tensor> = (0..4).map(|i| sample(100 + i)).collect();
+    srv.pause();
     let tickets: Vec<_> = inputs
         .iter()
         .map(|x| srv.submit(Request::at_subnet(x.clone(), 1)).unwrap())
         .collect();
+    srv.resume();
     let mut scratch = net();
     let mut saw_fused_batch = false;
     for (x, t) in inputs.iter().zip(tickets) {
@@ -55,11 +54,12 @@ fn batched_logits_bit_identical_to_lone_forward() {
             "batched logits differ from lone run"
         );
         assert_eq!(resp.prediction(), reference.argmax());
+        assert_eq!(resp.batch_size, 4, "all four queued while paused");
         saw_fused_batch |= resp.batch_size > 1;
     }
     assert!(
         saw_fused_batch,
-        "with one worker and a 100ms window, requests should have batched"
+        "with one worker and the server paused, requests should have batched"
     );
     srv.shutdown();
     let stats = srv.stats();
@@ -69,7 +69,7 @@ fn batched_logits_bit_identical_to_lone_forward() {
 
 #[test]
 fn deadline_budget_picks_largest_affordable_subnet() {
-    let srv = server(2, 4, Duration::from_micros(100));
+    let srv = server(2, 4);
     let costs = srv.subnet_costs().to_vec();
     let device = DeviceModel::new(1000.0);
     assert!(costs.windows(2).all(|w| w[0] < w[1]));
@@ -118,7 +118,7 @@ fn deadline_budget_picks_largest_affordable_subnet() {
 
 #[test]
 fn upgrade_reuses_cache_and_matches_scratch() {
-    let srv = server(2, 4, Duration::from_micros(100));
+    let srv = server(2, 4);
     let x = sample(7);
     let first = srv
         .submit(Request::at_subnet(x.clone(), 0))
@@ -144,7 +144,7 @@ fn upgrade_reuses_cache_and_matches_scratch() {
 
 #[test]
 fn unaffordable_upgrade_is_answered_from_cache() {
-    let srv = server(1, 2, Duration::from_micros(100));
+    let srv = server(1, 2);
     let x = sample(9);
     let first = srv
         .submit(Request::at_subnet(x, 1))
@@ -177,32 +177,38 @@ fn validates_configuration_and_requests() {
     assert!(err.is_err());
     // zero workers / zero batch
     let session = SessionConfig::new().device(DeviceModel::mobile());
-    assert!(Server::new(
-        &net(),
-        ServeConfig::builder()
-            .workers(0)
-            .session(session.clone())
-            .build()
-    )
-    .is_err());
-    assert!(Server::new(
-        &net(),
-        ServeConfig::builder()
-            .max_batch(0)
-            .session(session.clone())
-            .build()
-    )
-    .is_err());
+    assert!(matches!(
+        Server::new(
+            &net(),
+            ServeConfig::builder()
+                .workers(0)
+                .session(session.clone())
+                .build()
+        ),
+        Err(SteppingError::BadConfig(_))
+    ));
+    assert!(matches!(
+        Server::new(
+            &net(),
+            ServeConfig::builder()
+                .max_batch(0)
+                .session(session.clone())
+                .build()
+        ),
+        Err(SteppingError::BadConfig(_))
+    ));
     // out-of-range start subnet
-    assert!(Server::new(
-        &net(),
-        ServeConfig::builder()
-            .session(session.clone().start_subnet(9))
-            .build()
-    )
-    .is_err());
+    assert!(matches!(
+        Server::new(
+            &net(),
+            ServeConfig::builder()
+                .session(session.clone().start_subnet(9))
+                .build()
+        ),
+        Err(SteppingError::SubnetOutOfRange { subnet: 9, .. })
+    ));
 
-    let srv = server(1, 2, Duration::from_micros(50));
+    let srv = server(1, 2);
     // out-of-range subnet, bad budgets, empty input
     assert!(srv.submit(Request::at_subnet(sample(1), 9)).is_err());
     assert!(srv.submit(Request::with_budget(sample(1), -1.0)).is_err());
@@ -225,12 +231,13 @@ fn validates_configuration_and_requests() {
 /// would-be batch neighbours are still answered.
 #[test]
 fn malformed_request_is_refused_and_spares_its_batch() {
-    let srv = server(1, 4, Duration::from_millis(100));
+    let srv = server(1, 4);
     let inputs: Vec<Tensor> = (0..3).map(|i| sample(300 + i)).collect();
     let mut tickets = Vec::new();
+    srv.pause();
     for (i, x) in inputs.iter().enumerate() {
         if i == 1 {
-            // same lane, same max_wait window as its neighbours
+            // same lane, queued beside its paused neighbours
             for bad in [Shape::of(&[1, 5]), Shape::of(&[1, 6, 1]), Shape::of(&[6])] {
                 let err = srv
                     .submit(Request::at_subnet(Tensor::zeros(bad), 1))
@@ -243,6 +250,7 @@ fn malformed_request_is_refused_and_spares_its_batch() {
         }
         tickets.push(srv.submit(Request::at_subnet(x.clone(), 1)).unwrap());
     }
+    srv.resume();
     let mut scratch = net();
     for (x, t) in inputs.iter().zip(tickets) {
         let resp = t.wait().expect("a well-formed request failed");
@@ -258,8 +266,9 @@ fn malformed_request_is_refused_and_spares_its_batch() {
 /// the well-formed request submitted alongside it.
 #[test]
 fn non_finite_request_is_refused_at_admission() {
-    let srv = server(1, 4, Duration::from_millis(20));
+    let srv = server(1, 4);
     let good = sample(400);
+    srv.pause();
     let ticket = srv.submit(Request::at_subnet(good.clone(), 1)).unwrap();
     let admitted = srv.stats().admitted;
     for poison in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
@@ -272,6 +281,7 @@ fn non_finite_request_is_refused_at_admission() {
         );
     }
     assert_eq!(srv.stats().admitted, admitted, "a refusal was admitted");
+    srv.resume();
     let resp = ticket.wait().expect("the well-formed request failed");
     assert_eq!(resp.logits, net().forward(&good, 1, false).unwrap());
     srv.shutdown();
@@ -281,7 +291,8 @@ fn non_finite_request_is_refused_at_admission() {
 
 #[test]
 fn shutdown_drains_queued_requests() {
-    let srv = server(1, 4, Duration::from_millis(50));
+    let srv = server(1, 4);
+    srv.pause();
     let tickets: Vec<_> = (0..6)
         .map(|i| srv.submit(Request::at_subnet(sample(200 + i), 0)).unwrap())
         .collect();
@@ -297,7 +308,7 @@ fn shutdown_drains_queued_requests() {
 fn drain_refuses_new_sessions_but_serves_upgrades() {
     use stepping_serve::{AdmissionError, ReplicaHandle, ServeError};
 
-    let srv = server(1, 2, Duration::from_micros(50));
+    let srv = server(1, 2);
     let resp = srv
         .submit(Request::at_subnet(sample(900), 0))
         .unwrap()
@@ -328,7 +339,7 @@ fn drain_refuses_new_sessions_but_serves_upgrades() {
 
 #[test]
 fn release_frees_sessions() {
-    let srv = server(1, 2, Duration::from_micros(50));
+    let srv = server(1, 2);
     let a = srv
         .submit(Request::at_subnet(sample(31), 0))
         .unwrap()
@@ -353,9 +364,9 @@ fn release_frees_sessions() {
 
 #[test]
 fn release_during_an_in_flight_upgrade_is_honoured_on_completion() {
-    // one worker, and a flush window long enough that a lone upgrade job
-    // is still queued — in flight — while the client acts
-    let srv = server(1, 8, Duration::from_millis(300));
+    // one worker, paused once the sessions exist, so that a lone upgrade
+    // job is still queued — in flight — while the client acts
+    let srv = server(1, 8);
     let first = srv
         .submit(Request::at_subnet(sample(41), 0))
         .unwrap()
@@ -368,6 +379,7 @@ fn release_during_an_in_flight_upgrade_is_honoured_on_completion() {
         .unwrap();
     assert_eq!(srv.session_count(), 2);
 
+    srv.pause();
     let ticket = srv.upgrade(first.session, None).unwrap();
     assert_eq!(srv.session_count(), 1, "the cache travels with the job");
     match srv.upgrade(first.session, None) {
@@ -375,6 +387,7 @@ fn release_during_an_in_flight_upgrade_is_honoured_on_completion() {
         other => panic!("second concurrent upgrade: expected UpgradeInFlight, got {other:?}"),
     }
     srv.release(first.session);
+    srv.resume();
 
     // the ticket still resolves, with the upgraded answer
     let upgraded = ticket.wait().unwrap();
@@ -406,13 +419,16 @@ fn release_during_an_in_flight_upgrade_is_honoured_on_completion() {
 #[test]
 fn batch_rows_per_request_are_preserved() {
     // a request may carry several rows; they stay together through batching
-    let srv = server(1, 3, Duration::from_millis(50));
+    let srv = server(1, 3);
     let wide = init::uniform(Shape::of(&[3, 6]), -1.0, 1.0, &mut init::rng(77));
     let narrow = sample(78);
+    srv.pause();
     let t1 = srv.submit(Request::at_subnet(wide.clone(), 2)).unwrap();
     let t2 = srv.submit(Request::at_subnet(narrow.clone(), 2)).unwrap();
+    srv.resume();
     let r1 = t1.wait().unwrap();
     let r2 = t2.wait().unwrap();
+    assert_eq!((r1.batch_size, r2.batch_size), (2, 2), "one batch of two");
     assert_eq!(r1.logits.shape().dims(), &[3, 4]);
     assert_eq!(r2.logits.shape().dims(), &[1, 4]);
     let mut scratch = net();

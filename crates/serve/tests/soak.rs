@@ -2,14 +2,13 @@
 //! producer threads. Asserts zero lost tickets (every accepted request is
 //! answered exactly once), every reply `==` the masked forward, a sane p99
 //! latency, and a coherent final stats tuple — the lane scheduler's
-//! liveness under sustained mixed load, with a linger and with the default
-//! work-conserving dispatch.
+//! liveness under sustained mixed load with work-conserving dispatch: a
+//! free worker claims at once, one push wakes one worker.
 
 mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use common::watchdog;
 use stepping_baselines::regular_assign;
@@ -36,28 +35,17 @@ fn net() -> SteppingNet {
 
 #[test]
 fn ten_thousand_sessions_of_churn_lose_nothing() {
-    churn(Some(Duration::from_micros(200)));
+    watchdog(churn);
 }
 
-/// The same churn under the default configuration's dispatch: no linger, a
-/// free worker claims at once, one push wakes one worker.
-#[test]
-fn ten_thousand_sessions_of_churn_lose_nothing_without_a_linger() {
-    watchdog(|| churn(None));
-}
-
-fn churn(linger: Option<Duration>) {
+fn churn() {
     let device = DeviceModel::new(1000.0);
-    let mut config = ServeConfig::builder()
+    let config = ServeConfig::builder()
         .workers(4)
         .max_batch(8)
         .lane_capacity(512) // far above peak in-flight: no shedding today
-        .session(SessionConfig::new().device(device));
-    if let Some(linger) = linger {
-        config = config.max_wait(linger);
-    }
-    let config = config.build();
-    assert_eq!(config.get_max_wait(), linger.unwrap_or(Duration::ZERO));
+        .session(SessionConfig::new().device(device))
+        .build();
     let srv = Arc::new(Server::new(&net(), config).unwrap());
     let answered = Arc::new(AtomicU64::new(0));
     let upgraded = Arc::new(AtomicU64::new(0));

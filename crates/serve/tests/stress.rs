@@ -1,13 +1,12 @@
 //! Multi-threaded stress test: N producer threads × M requests each, mixed
 //! targets, all completing with the correct subnet for their budget and
-//! logits bit-identical to lone execution — under an explicit linger and
-//! under the default work-conserving dispatch, where batches form from
-//! backlog alone and urgency still decides what a busy worker takes next.
+//! logits bit-identical to lone execution — under the work-conserving
+//! dispatch, where batches form from backlog alone and urgency still
+//! decides what a busy worker takes next.
 
 mod common;
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use common::watchdog;
 use stepping_baselines::regular_assign;
@@ -103,20 +102,8 @@ fn run_producers(config: ServeConfig, wave: usize) -> ServerStats {
     stats
 }
 
-#[test]
-fn concurrent_producers_all_complete_with_correct_subnets() {
-    let config = ServeConfig::builder()
-        .workers(4)
-        .max_batch(8)
-        .max_wait(Duration::from_micros(300))
-        .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
-        .build();
-    run_producers(config, 1);
-}
-
-/// The default configuration — no linger — on one worker: eight clients
-/// six requests deep keep it busy, and what queues meanwhile is its next
-/// batch.
+/// The default configuration on one worker: eight clients six requests
+/// deep keep it busy, and what queues meanwhile is its next batch.
 #[test]
 fn default_config_batches_from_backlog_alone() {
     watchdog(|| {
@@ -124,7 +111,6 @@ fn default_config_batches_from_backlog_alone() {
             .workers(1)
             .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
             .build();
-        assert_eq!(config.get_max_wait(), Duration::ZERO);
         let stats = run_producers(config, 6);
         assert!(
             stats.max_batch >= 2,
@@ -235,7 +221,6 @@ fn concurrent_upgrades_race_safely() {
     let config = ServeConfig::builder()
         .workers(3)
         .max_batch(4)
-        .max_wait(Duration::from_micros(200))
         .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
         .build();
     let srv = Arc::new(Server::new(&net(), config).unwrap());

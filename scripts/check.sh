@@ -84,9 +84,10 @@ echo "==> stepping-obs crate tests"
 cargo test -q -p stepping-obs
 
 # Serving engine: functional + property suite, then under --release, where
-# thread interleavings are most hostile, the lane-level doorbell tests
-# (wake-one, hand-offs, dead worker) and the multi-threaded stress test
-# with its default-config (no linger) variants.
+# thread interleavings are most hostile, the lane-level doorbell and pause
+# tests (wake-one, hand-offs, dead worker, pause/resume/shutdown) and the
+# multi-threaded stress test (EDF under backlog, batches from backlog
+# alone, concurrent upgrades).
 echo "==> stepping-serve crate tests"
 cargo test -q -p stepping-serve
 
@@ -94,8 +95,9 @@ echo "==> stepping-serve release lane + stress"
 cargo test -q --release -p stepping-serve --lib --test stress
 
 # Admission control + lane scheduler under --release: the deterministic
-# shed-policy matrix and the 10k-session soak (zero lost tickets, p99
-# bound), with and without a linger, where interleavings are most hostile.
+# shed-policy matrix (lanes held by a paused server) and the 10k-session
+# soak (zero lost tickets, p99 bound), where interleavings are most
+# hostile.
 echo "==> stepping-serve release admission + soak"
 cargo test -q --release -p stepping-serve --test admission --test soak
 

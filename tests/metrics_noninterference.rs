@@ -41,7 +41,6 @@ fn serve_all() -> Vec<Tensor> {
     let config = ServeConfig::builder()
         .workers(2)
         .max_batch(4)
-        .max_wait(std::time::Duration::from_millis(5))
         .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
         .build();
     let srv = Server::new(&net(), config).unwrap();
