@@ -15,11 +15,23 @@
 //! Results are printed as tables and written to `results/BENCH_plans.json`,
 //! which names the microkernel tier (`"isa"`) that produced them.
 //! The binary asserts that the smallest MLP subnet and the full-net row of
-//! **both** models are at least 2x faster packed than masked, that stepping
-//! from subnet 0 to the top costs at most 1.15x one direct packed pass at
-//! the top subnet on the MLP and at most 1.6x on the conv net
-//! (`chain_vs_direct`, each chain timed against a direct pass run right
-//! after it), and that every compared logits pair is bit-identical.
+//! **both** models are at least 2x faster packed than masked; that a
+//! direct pass multiplies exactly its budget at every MLP subnet (every
+//! full-panel tile holds one level there) and less than the dense
+//! `active_out × active_in` extent at every conv subnet above 0 (two of
+//! conv2's tiles straddle levels); that stepping from subnet 0 to the top
+//! costs at most 1.35x one direct packed pass at the top subnet on the MLP
+//! and at most 1.9x on the conv net (`chain_vs_direct`, each chain timed
+//! against a direct pass run right after it); and that every compared
+//! logits pair is bit-identical.
+//!
+//! The chain bounds were 1.15x and 1.6x while a direct pass multiplied the
+//! zeros its full panels store for row-illegal inputs (1.39x the top
+//! subnet's budget on the MLP). Depth extents took those zeros out of the
+//! denominator without changing the chain: over five alternating
+//! `STEPPING_PLANS_REPS=5` runs per side the MLP ratio read 0.88–0.94 →
+//! 1.14–1.21 and the conv ratio 1.39–1.46 → 1.58–1.68, while the MLP
+//! chain itself read a median 339 µs → 309 µs.
 //!
 //! Run with `cargo run --release -p stepping-bench --bin plans`.
 //! Set `STEPPING_PLANS_REPS` to change the timing repetitions (default 20;
@@ -31,7 +43,7 @@ use std::time::Instant;
 use stepping_baselines::regular_assign;
 use stepping_bench::observe::{self, progress, report_text};
 use stepping_bench::print_table;
-use stepping_core::{IncrementalExecutor, SteppingNet, SteppingNetBuilder};
+use stepping_core::{IncrementalExecutor, Stage, SteppingNet, SteppingNetBuilder};
 use stepping_tensor::microkernel::Tier;
 use stepping_tensor::{init, Shape, Tensor};
 
@@ -79,6 +91,31 @@ fn conv_net() -> SteppingNet {
         .expect("build conv");
     regular_assign(&mut net, &[0.25, 0.5, 0.75, 1.0]).expect("assign conv");
     net
+}
+
+/// What a direct pass at `subnet` multiplied before full panels had depth
+/// extents: every active output against every active input of each masked
+/// stage (times kernel taps and output positions for a convolution), plus
+/// the head.
+fn dense_extent(net: &SteppingNet, subnet: usize) -> u64 {
+    let stages: usize = net
+        .stages()
+        .iter()
+        .map(|stage| match stage {
+            Stage::Linear(l) => {
+                l.out_assign().active_count(subnet) * l.in_assign().active_count(subnet)
+            }
+            Stage::Conv(c) => {
+                c.out_assign().active_count(subnet)
+                    * c.in_assign().active_count(subnet)
+                    * c.kernel()
+                    * c.kernel()
+                    * c.positions()
+            }
+            Stage::Fixed(_) => 0,
+        })
+        .sum();
+    stages as u64 + net.head_macs(subnet)
 }
 
 /// Median wall-clock microseconds of `reps` runs of `f`.
@@ -290,21 +327,43 @@ fn main() {
             last.speedup
         );
     }
+    // The MAC gates: every MLP level is whole 8-row tiles on an
+    // index-monotone assignment, so a direct pass multiplies exactly its
+    // budget; on the conv net two of conv2's tiles straddle levels (filters
+    // 8-15 and 32-39 of its 12-filter levels), so above subnet 0 it pays a
+    // little more than its budget but less than the dense extent.
+    for s in 0..net.subnet_count() {
+        assert_eq!(
+            net.packed_macs(s),
+            net.macs(s, THRESHOLD),
+            "acceptance: MLP subnet {s} direct pass does not multiply exactly its budget"
+        );
+    }
+    for s in 1..cnet.subnet_count() {
+        assert!(
+            cnet.packed_macs(s) < dense_extent(&cnet, s),
+            "acceptance: conv subnet {s} direct pass multiplies its whole dense extent"
+        );
+    }
+    report_text("MLP direct passes multiply exactly their budget; conv below the dense extent");
     // The chain gates: stepping 0 -> top over cached activations may cost
-    // at most 15 % more than one direct packed pass at the top subnet on the
-    // MLP, and 60 % more on the conv net, whose steps still re-pack every
-    // active input channel for their new filters.
+    // at most 35 % more than one direct packed pass at the top subnet on the
+    // MLP, and 90 % more on the conv net, whose steps still re-pack every
+    // active input channel for their new filters. Both bounds were rebased
+    // (from 1.15 and 1.6) when full panels got depth extents: the direct
+    // pass stopped multiplying the zeros of row-illegal inputs, so the
+    // ratio's denominator shrank while the chain did not change.
     report_text(&format!(
         "stepping 0 -> top costs {mlp_chain:.2}x a direct packed pass at the top subnet on the \
          MLP, {conv_chain:.2}x on the conv net"
     ));
     assert!(
-        mlp_chain <= 1.15,
-        "acceptance: MLP expand chain costs {mlp_chain:.2}x a direct packed pass (> 1.15x)"
+        mlp_chain <= 1.35,
+        "acceptance: MLP expand chain costs {mlp_chain:.2}x a direct packed pass (> 1.35x)"
     );
     assert!(
-        conv_chain <= 1.6,
-        "acceptance: conv expand chain costs {conv_chain:.2}x a direct packed pass (> 1.6x)"
+        conv_chain <= 1.9,
+        "acceptance: conv expand chain costs {conv_chain:.2}x a direct packed pass (> 1.9x)"
     );
     report_text("all packed/masked logits pairs bit-identical (asserted)");
 

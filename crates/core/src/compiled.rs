@@ -24,7 +24,8 @@ use crate::{FixedStage, Result, Stage, SteppingError, SteppingNet};
 /// The full and step panels of one masked stage.
 #[derive(Debug)]
 pub(crate) struct Panels<P> {
-    /// `full[s]` covers every neuron active at subnet `s` (a direct pass).
+    /// `full[s]` covers every neuron active at subnet `s` (a direct pass),
+    /// level-major.
     full: Vec<P>,
     /// `step[k - 1]` covers the neurons assigned exactly to subnet `k`
     /// (an expand); no expand targets subnet 0, so it has no step panel.
@@ -168,6 +169,9 @@ pub(crate) struct CompiledConv {
     pub kernel: usize,
     pub stride: usize,
     pub padding: usize,
+    /// Output positions per image the layer was built for (MAC
+    /// accounting only; a run takes its geometry from the input).
+    pub positions: usize,
     pub panels: Panels<ConvPlan>,
 }
 
@@ -468,6 +472,23 @@ impl CompiledModel {
         &self.costs
     }
 
+    /// What a direct pass at `subnet` multiplies per sample: every full
+    /// panel's [`PackedB::macs`] (times the output positions for a
+    /// convolution) plus the head panel's (see
+    /// [`SteppingNet::packed_macs`]).
+    pub(crate) fn packed_macs(&self, subnet: usize) -> u64 {
+        let stages: u64 = self
+            .stages
+            .iter()
+            .map(|stage| match stage {
+                CompiledStage::Linear(l) => l.panels.full[subnet].weight.macs(),
+                CompiledStage::Conv(c) => c.panels.full[subnet].weight.macs() * c.positions as u64,
+                CompiledStage::Fixed { .. } => 0,
+            })
+            .sum();
+        stages + self.heads[subnet].weight.macs()
+    }
+
     /// Full packed inference pass: every stage and the head run their
     /// panels — the per-stage kernels
     /// [`BatchExecutor::begin`](crate::BatchExecutor::begin) runs, over a
@@ -615,5 +636,65 @@ mod tests {
         assert_eq!(runs[1], &vec![vec![1..2, 3..4], vec![2..3]], "max-pool");
         assert_eq!(runs[2], &vec![vec![1..2, 3..4], vec![2..3]], "flatten");
         assert_eq!(runs[3], &vec![vec![], vec![0..2]], "tanh after linear");
+    }
+
+    /// Full panels list their rows level-major, ascending within a level,
+    /// and cut each `NR`-row tile after the last legal input of its rows;
+    /// `packed_macs` sums those tiles.
+    #[test]
+    fn full_panels_are_level_major_and_cut_after_the_last_legal_input() {
+        let mut net = SteppingNetBuilder::new(Shape::of(&[1, 4, 4]), 3, 1)
+            .conv(4, 3, 1, 1)
+            .relu()
+            .conv(10, 3, 1, 1)
+            .flatten()
+            .linear(9)
+            .build(2)
+            .unwrap();
+        // conv1 levels [0, 1, 0, 2]; conv2 levels [2, 0, 0, 1, 0, 0, 0, 1, 0, 2];
+        // linear neuron 0 to subnet 1, neuron 5 to 2
+        net.move_neurons(&[
+            (0, 1, 1),
+            (0, 3, 2),
+            (2, 0, 2),
+            (2, 3, 1),
+            (2, 7, 1),
+            (2, 9, 2),
+            (4, 0, 1),
+            (4, 5, 2),
+        ])
+        .unwrap();
+        let model = net.compile(0.0);
+        let conv2 = match &model.stages[2] {
+            CompiledStage::Conv(c) => &c.panels.full,
+            _ => unreachable!("stage 2 is a conv"),
+        };
+        let linear = match &model.stages[4] {
+            CompiledStage::Linear(l) => &l.panels.full,
+            _ => unreachable!("stage 4 is a linear"),
+        };
+        let conv2_rows = [1, 2, 4, 5, 6, 8, 3, 7, 0, 9];
+        let linear_rows = [1, 2, 3, 4, 6, 7, 8, 0, 5];
+        // (subnet, rows, tile extents): conv2 reads channels [0, 2] at
+        // subnet 0 and [0, 1, 2] at 1, where every filter's last legal
+        // channel is 2 (9 taps each); at 2 the level-2 filters read channel
+        // 3 too. The linear's level-0 and level-1 rows stop after conv2's
+        // channel 8 (16 features each); only neuron 5 reads channel 9.
+        let conv2_want = [(6, vec![18]), (8, vec![27]), (10, vec![27, 36])];
+        let linear_want = [(7, vec![96]), (8, vec![128]), (9, vec![144, 160])];
+        for s in 0..3 {
+            let (rows, extents) = &conv2_want[s];
+            assert_eq!(conv2[s].oc_idx, conv2_rows[..*rows], "conv2 subnet {s}");
+            assert_eq!(conv2[s].weight.extents(), extents, "conv2 subnet {s}");
+            let (rows, extents) = &linear_want[s];
+            assert_eq!(linear[s].out_idx, linear_rows[..*rows], "linear subnet {s}");
+            assert_eq!(linear[s].weight.extents(), extents, "linear subnet {s}");
+        }
+        // conv1 4 rows × 9 taps, conv2 (8 × 27 + 2 × 36), both × 16
+        // positions; the linear 8 × 144 + 160; the head 2 classes × 9
+        assert_eq!(
+            net.packed_macs(2),
+            (4 * 9 + 8 * 27 + 2 * 36) * 16 + 8 * 144 + 160 + 2 * 9
+        );
     }
 }

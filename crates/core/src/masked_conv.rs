@@ -254,17 +254,6 @@ impl MaskedConv2d {
         Ok(z)
     }
 
-    /// MAC operations the packed path actually executes for `subnet`: the
-    /// dense panel extent `active_oc × active_ic × k² × positions`
-    /// (pruned-but-legal entries still occupy panel slots).
-    pub fn packed_macs(&self, subnet: usize) -> u64 {
-        (self.out_assign.active_count(subnet)
-            * self.in_assign.active_count(subnet)
-            * self.kernel
-            * self.kernel
-            * self.positions) as u64
-    }
-
     /// Compiles the layer's full and step panels for every subnet.
     pub(crate) fn compile(&self) -> CompiledConv {
         CompiledConv {
@@ -273,26 +262,33 @@ impl MaskedConv2d {
             kernel: self.kernel,
             stride: self.stride,
             padding: self.padding,
+            positions: self.positions,
             panels: Panels::compile(self.subnet_count(), |subnet, step| self.panel(subnet, step)),
         }
     }
 
     /// One packed panel at `subnet`: the filters assigned exactly to it (a
-    /// step panel) or every filter active there (a full panel), against
-    /// every input channel active at `subnet`.
+    /// step panel) or every filter active there (a full panel,
+    /// level-major), against every input channel active at `subnet`, each
+    /// filter cut short after its last legal channel (see
+    /// `plan::ConvPlan`).
     fn panel(&self, subnet: usize, step: bool) -> ConvPlan {
-        let oc_idx = if step {
+        let mut oc_idx = if step {
             self.out_assign.members(subnet)
         } else {
             self.out_assign.active_members(subnet)
         };
+        // level-major, ascending within a level (a step panel is one level)
+        oc_idx.sort_by_key(|&oc| self.out_assign.subnet_of(oc));
         let ic_idx = self.in_assign.active_members(subnet);
         let kk = self.kernel * self.kernel;
         let patch = self.patch_len();
         let wd = self.weight.value.data();
         let mut weight = vec![0.0f32; oc_idx.len() * ic_idx.len() * kk];
+        let mut extents = Vec::with_capacity(oc_idx.len());
         for (r, &oc) in oc_idx.iter().enumerate() {
             let oa = self.out_assign.subnet_of(oc);
+            let mut extent = 0;
             for (ci, &ic) in ic_idx.iter().enumerate() {
                 // Mirror `effective_weight_flat`: channel blocks from inputs
                 // of a larger subnet than this row's owner stay zero (never
@@ -303,9 +299,11 @@ impl MaskedConv2d {
                 let src = &wd[oc * patch + ic * kk..oc * patch + (ic + 1) * kk];
                 let dst_base = (r * ic_idx.len() + ci) * kk;
                 weight[dst_base..dst_base + kk].copy_from_slice(src);
+                extent = (ci + 1) * kk;
             }
+            extents.push(extent);
         }
-        let weight = PackedB::pack_nt(&weight, oc_idx.len(), ic_idx.len() * kk);
+        let weight = PackedB::pack_nt_extents(&weight, oc_idx.len(), ic_idx.len() * kk, &extents);
         let bias: Vec<f32> = oc_idx
             .iter()
             .map(|&oc| self.bias.value.data()[oc])

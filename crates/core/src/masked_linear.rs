@@ -207,13 +207,6 @@ impl MaskedLinear {
         Ok(z)
     }
 
-    /// MAC operations the packed path actually executes for `subnet`: the
-    /// dense panel extent `active_out × active_in` (pruned-but-legal
-    /// entries still occupy panel slots).
-    pub fn packed_macs(&self, subnet: usize) -> u64 {
-        (self.out_assign.active_count(subnet) * self.in_assign.active_count(subnet)) as u64
-    }
-
     /// Compiles the layer's full and step panels for every subnet.
     pub(crate) fn compile(&self) -> CompiledLinear {
         CompiledLinear {
@@ -224,31 +217,38 @@ impl MaskedLinear {
     }
 
     /// One packed panel at `subnet`: the rows assigned exactly to it (a
-    /// step panel) or every row active there (a full panel), against every
-    /// input active at `subnet`.
+    /// step panel) or every row active there (a full panel, level-major),
+    /// against every input active at `subnet`, each row cut short after its
+    /// last legal input (see `plan::LinearPlan`).
     fn panel(&self, subnet: usize, step: bool) -> LinearPlan {
         let i_n = self.in_features();
-        let out_idx = if step {
+        let mut out_idx = if step {
             self.out_assign.members(subnet)
         } else {
             self.out_assign.active_members(subnet)
         };
+        // level-major, ascending within a level (a step panel is one level)
+        out_idx.sort_by_key(|&o| self.out_assign.subnet_of(o));
         let in_idx = self.in_assign.active_members(subnet);
         let wd = self.weight.value.data();
         let mut weight = vec![0.0f32; out_idx.len() * in_idx.len()];
+        let mut extents = Vec::with_capacity(out_idx.len());
         for (r, &o) in out_idx.iter().enumerate() {
             let oa = self.out_assign.subnet_of(o);
             let dst = &mut weight[r * in_idx.len()..(r + 1) * in_idx.len()];
-            for (d, &i) in dst.iter_mut().zip(in_idx.iter()) {
+            let mut extent = 0;
+            for (c, (d, &i)) in dst.iter_mut().zip(in_idx.iter()).enumerate() {
                 // Mirror `effective_weight`: entries from inputs of a larger
                 // subnet than this row's owner stay zero (never the case in
                 // a step panel, whose rows all own `subnet`).
                 if self.in_assign.subnet_of(i) <= oa {
                     *d = wd[o * i_n + i];
+                    extent = c + 1;
                 }
             }
+            extents.push(extent);
         }
-        let weight = PackedB::pack_nt(&weight, out_idx.len(), in_idx.len());
+        let weight = PackedB::pack_nt_extents(&weight, out_idx.len(), in_idx.len(), &extents);
         let bias: Vec<f32> = out_idx.iter().map(|&o| self.bias.value.data()[o]).collect();
         plan::note_compile("linear", subnet, out_idx.len(), in_idx.len());
         LinearPlan {

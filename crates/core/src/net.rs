@@ -367,13 +367,22 @@ impl SteppingNet {
             .forward(input, subnet, &mut PackScratch::new())
     }
 
-    /// MAC operations the packed path actually executes for `subnet`: dense
-    /// panel extents of every stage plus the head. Compare against
+    /// MAC operations a direct packed pass at `subnet` executes for one
+    /// sample, read off the compiled model's full panels: per `NR`-wide
+    /// tile its real rows times its depth extent (times the output
+    /// positions for a convolution), plus the head panel. Compare against
     /// [`SteppingNet::macs`] (the paper's budget accounting) to see how
-    /// tightly execution tracks the `P_i` budgets.
+    /// tightly execution tracks the `P_i` budgets: pruned and row-illegal
+    /// weights inside a tile's extent still occupy panel slots. On a batch
+    /// of fewer than eight rows the AVX2 tier runs a group of up to eight
+    /// tiles at the group's largest extent, which this count does not
+    /// charge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `subnet` is out of range.
     pub fn packed_macs(&self, subnet: usize) -> u64 {
-        let stage_macs: u64 = self.stages().iter().map(|s| s.packed_macs(subnet)).sum();
-        stage_macs + self.head_macs(subnet)
+        self.compiled(None).packed_macs(subnet)
     }
 
     /// Back-propagates a logits gradient through the head used by the last

@@ -12,15 +12,28 @@
 //!
 //! ## Bit-identity
 //!
-//! Panels keep surviving terms in ascending index order and run the blocked
-//! NT microkernel (`stepping_tensor::microkernel`), whose per-element
-//! accumulation order is identical to the reference `nt_kernel`, and
-//! per-row entries that are *legal at the subnet but illegal for that
-//! particular row* (`assign(in) > assign(out)`) are stored as `0.0`,
-//! mirroring `effective_weight`. The only dropped terms are products with
-//! an exact-zero activation and an exact-zero masked weight, which can
-//! never change a nonzero accumulator. Packed results therefore compare
-//! equal (`f32 ==`) to masked results; the property suites assert this.
+//! Panels keep surviving terms in ascending input index order and run the
+//! blocked NT microkernel (`stepping_tensor::microkernel`), whose
+//! per-element accumulation order is identical to the reference
+//! `nt_kernel`, and per-row entries that are *legal at the subnet but
+//! illegal for that particular row* (`assign(in) > assign(out)`) are stored
+//! as `0.0`, mirroring `effective_weight`. The only dropped terms are
+//! products with an exact-zero activation and an exact-zero masked weight,
+//! which can never change a nonzero accumulator. Packed results therefore
+//! compare equal (`f32 ==`) to masked results; the property suites assert
+//! this.
+//!
+//! A *full* panel orders its rows level-major — by `(assign, index)` — and
+//! cuts each row's chain after its last legal input: the panel's depth
+//! extent per `NR`-wide tile is the largest of its rows'
+//! ([`PackedB::pack_nt_extents`]). The terms cut are the trailing `0.0 ·
+//! x` terms of a chain that started at `+0.0`, the same kind as above, and
+//! no chain is reordered. On an index-monotone assignment a row's legal
+//! inputs are a prefix of the panel's depth, so a tile that holds one
+//! level multiplies exactly its rows' legal weights and a direct pass pays
+//! its budget; a tile that straddles levels pays its deepest row's extent.
+//! A *step* panel's rows all own the subnet and may read every input, so
+//! every extent is the panel's depth.
 //!
 //! ## Compiled model
 //!
@@ -106,16 +119,19 @@ pub(crate) fn pack_timer() -> PhaseTimer {
 /// Packed panel for one `(masked-linear layer, subnet)` pair.
 #[derive(Debug, Clone)]
 pub(crate) struct LinearPlan {
-    /// Output neuron indices covered by this plan, ascending. For a *full*
-    /// plan these are the neurons active at the subnet; for a *step* plan
-    /// they are the neurons assigned exactly to the subnet.
+    /// Output neuron indices covered by this plan. For a *full* plan these
+    /// are the neurons active at the subnet, level-major (by `(assign,
+    /// index)`, so not ascending once a lower index sits at a higher
+    /// level); for a *step* plan they are the neurons assigned exactly to
+    /// the subnet, ascending.
     pub out_idx: Vec<usize>,
     /// Input indices active at the subnet, ascending.
     pub in_idx: Vec<usize>,
     /// Weight panel `[out_idx.len(), in_idx.len()]` pre-packed into the
     /// blocked microkernel's tile-major layout (NT orientation: packed from
     /// row-major `[rows, depth]`); entries illegal for their row
-    /// (`assign(in) > assign(out)`) are `0.0`.
+    /// (`assign(in) > assign(out)`) are `0.0`, and each row's extent ends
+    /// one past its last legal input in `in_idx`.
     pub weight: PackedB,
     /// Bias gathered over `out_idx`.
     pub bias: Vec<f32>,
@@ -124,14 +140,15 @@ pub(crate) struct LinearPlan {
 /// Packed panel for one `(masked-conv layer, subnet)` pair.
 #[derive(Debug, Clone)]
 pub(crate) struct ConvPlan {
-    /// Output channel indices covered by this plan, ascending (see
-    /// [`LinearPlan::out_idx`] for full vs. step semantics).
+    /// Output channel indices covered by this plan: level-major in a full
+    /// plan, ascending in a step plan (see [`LinearPlan::out_idx`]).
     pub oc_idx: Vec<usize>,
     /// Input channel indices active at the subnet, ascending.
     pub ic_idx: Vec<usize>,
     /// Weight panel `[oc_idx.len(), ic_idx.len() * kh * kw]` pre-packed
     /// into the microkernel's tile-major layout (NT orientation); channel
-    /// blocks illegal for their row are `0.0`.
+    /// blocks illegal for their row are `0.0`, and each row's extent ends
+    /// after its last legal channel's `kh · kw` taps.
     pub weight: PackedB,
     /// Bias gathered over `oc_idx`.
     pub bias: Vec<f32>,

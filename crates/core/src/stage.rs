@@ -215,16 +215,6 @@ impl Stage {
         }
     }
 
-    /// MAC operations the packed path actually executes for `subnet` (panel
-    /// extents; 0 for fixed stages).
-    pub fn packed_macs(&self, subnet: usize) -> u64 {
-        match self {
-            Stage::Linear(l) => l.packed_macs(subnet),
-            Stage::Conv(c) => c.packed_macs(subnet),
-            Stage::Fixed(_) => 0,
-        }
-    }
-
     /// Back-propagates through the stage (subnet context is whatever the last
     /// forward used).
     ///

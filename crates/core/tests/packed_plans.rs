@@ -9,6 +9,11 @@
 //!   batch sizes, on one-stage nets that isolate a linear or a conv layer,
 //!   and on a net with every kind of fixed stage between masked ones (a
 //!   step recomputes only the channels it changed in each).
+//! * `packed_macs` — what a direct pass multiplies, read off the full
+//!   panels' depth extents — lies between the budget `macs(s, 0.0)` and the
+//!   dense extent `active_out × active_in` at every subnet of every net
+//!   above, and equals the budget when the assignment is index-monotone and
+//!   every level is whole `NR`-row tiles.
 //! * A net is never served stale: after every kind of mutation the packed
 //!   paths equal the masked reference again and `compile(thr)`'s `MacTable`
 //!   equals the brute-force `macs()` / `neuron_macs()` scans.
@@ -24,6 +29,7 @@ use stepping_core::{
     SteppingNetBuilder,
 };
 use stepping_nn::optim::Sgd;
+use stepping_tensor::microkernel::NR;
 use stepping_tensor::{init, Shape, Tensor};
 
 const SUBNETS: usize = 3;
@@ -128,8 +134,54 @@ fn assert_executor_answers(
     }
 }
 
-/// Every packed path of `net` against its masked reference.
+/// What a direct pass at `subnet` multiplied before full panels had depth
+/// extents: every active output against every active input of each masked
+/// stage (times kernel taps and output positions for a convolution), plus
+/// the head.
+fn dense_extent(net: &SteppingNet, subnet: usize) -> u64 {
+    let stages: usize = net
+        .stages()
+        .iter()
+        .map(|stage| match stage {
+            Stage::Linear(l) => {
+                l.out_assign().active_count(subnet) * l.in_assign().active_count(subnet)
+            }
+            Stage::Conv(c) => {
+                c.out_assign().active_count(subnet)
+                    * c.in_assign().active_count(subnet)
+                    * c.kernel()
+                    * c.kernel()
+                    * c.positions()
+            }
+            Stage::Fixed(_) => 0,
+        })
+        .sum();
+    stages as u64 + net.head_macs(subnet)
+}
+
+/// A direct pass never multiplies more than the dense extent, and never
+/// less than the budget it serves (pruning aside: nothing is pruned at
+/// threshold 0).
+fn assert_packed_macs_bounded(net: &SteppingNet, what: &str) {
+    for s in 0..net.subnet_count() {
+        let packed = net.packed_macs(s);
+        assert!(
+            packed <= dense_extent(net, s),
+            "{what}: packed_macs({s}) = {packed} above the dense extent {}",
+            dense_extent(net, s)
+        );
+        assert!(
+            packed >= net.macs(s, 0.0),
+            "{what}: packed_macs({s}) = {packed} below the budget {}",
+            net.macs(s, 0.0)
+        );
+    }
+}
+
+/// Every packed path of `net` against its masked reference, and its
+/// direct-pass MACs between the budget and the dense extent.
 fn assert_packed_matches(net: &SteppingNet, inputs: &[Tensor], what: &str) {
+    assert_packed_macs_bounded(net, what);
     let want = masked(net, inputs);
     for (s, want) in want.iter().enumerate() {
         for (x, want) in inputs.iter().zip(want) {
@@ -230,6 +282,26 @@ fn every_fixed_kind_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
         sgd.step(&mut net.params_for(SUBNETS - 1).unwrap()).unwrap();
     }
     net
+}
+
+/// Assigns every masked stage of `net` index-monotonically in whole tiles:
+/// level `k` of the `i`-th masked stage takes the next `NR · tiles[i ·
+/// SUBNETS + k]` neurons (fewer where the stage runs out, still a multiple
+/// of `NR` since every width is), and the rest go to the unused pool.
+fn assign_whole_tile_levels(net: &mut SteppingNet, tiles: &[u8]) {
+    let mut moves = Vec::new();
+    for (i, si) in net.masked_stage_indices().into_iter().enumerate() {
+        let width = net.stages()[si].neuron_count().expect("masked");
+        assert_eq!(width % NR, 0, "stage {si} is not whole tiles");
+        let mut cut = 0;
+        for (level, &t) in tiles[i * SUBNETS..(i + 1) * SUBNETS].iter().enumerate() {
+            let end = (cut + NR * t as usize).min(width);
+            moves.extend((cut..end).map(|o| (si, o, level)));
+            cut = end;
+        }
+        moves.extend((cut..width).map(|o| (si, o, SUBNETS)));
+    }
+    net.move_neurons(&moves).unwrap();
 }
 
 /// The table compiled for `thr` against the brute-force weight scans.
@@ -371,6 +443,38 @@ proptest! {
         assert_packed_matches(&net, &inputs, "cold");
         // a second executor serves the remembered model — must still match
         assert_packed_matches(&net, &inputs, "warm");
+    }
+
+    /// On an index-monotone assignment whose every level is whole tiles, a
+    /// direct pass multiplies exactly its budget: every tile of a full
+    /// panel holds one level, whose legal inputs are a prefix of the depth.
+    #[test]
+    fn packed_macs_equal_the_budget_on_whole_tile_monotone_levels(
+        tiles in proptest::collection::vec(0u8..3, 3 * SUBNETS),
+        seed in 0u64..1000,
+    ) {
+        let mlp = SteppingNetBuilder::new(Shape::of(&[IN_F]), SUBNETS, seed)
+            .linear(32)
+            .relu()
+            .linear(24)
+            .relu()
+            .linear(16)
+            .build(4)
+            .unwrap();
+        let conv = SteppingNetBuilder::new(Shape::of(&[2, 4, 4]), SUBNETS, seed)
+            .conv(16, 3, 1, 1)
+            .relu()
+            .conv(24, 3, 1, 1)
+            .flatten()
+            .linear(16)
+            .build(4)
+            .unwrap();
+        for (name, mut net) in [("mlp", mlp), ("conv", conv)] {
+            assign_whole_tile_levels(&mut net, &tiles);
+            for s in 0..SUBNETS {
+                prop_assert_eq!(net.packed_macs(s), net.macs(s, 0.0), "{} subnet {}", name, s);
+            }
+        }
     }
 
     #[test]

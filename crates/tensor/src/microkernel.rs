@@ -15,14 +15,20 @@
 //! * [`PackedB`] — the right-hand operand packed once into `NR`-wide
 //!   micro-panels (`data[(jt·k + kk)·NR + j]`). Execution plans pack their
 //!   weight panels at compile time, so steady-state inference never repacks
-//!   B. The layout is the same in every tier.
+//!   B. The layout is the same in every tier. Each micro-panel (tile)
+//!   carries a depth *extent* past which its rows are all zero: both
+//!   drivers multiply a tile only over `0 .. extent`, so a plan whose rows
+//!   may not read its trailing inputs does not pay for them.
 //! * `pack_a_tile` — the left-hand operand packed per call into
 //!   row-interleaved micro-panels inside a reusable scratch `Vec`; the
 //!   interleave follows the tile that will read it.
 //! * [`gemm_packed`] — the driver: `Kc` (depth) and `Mc` (row) cache
 //!   blocking around `rows_pass`, the one tile body (pack A, then per tile:
 //!   resume, multiply, store), with an optional fused [`Epilogue`] (bias
-//!   add, bias+activation) applied to each tile while it is still hot.
+//!   add, bias+activation) applied to each tile while it is still hot. A
+//!   register tile spanning several micro-panels runs at their largest
+//!   extent, skips the depth blocks past it and applies the epilogue in the
+//!   block where it ends; no block packs A past the deepest extent.
 //! * [`conv_packed`] — the convolution driver, with output *positions* in
 //!   the vector lanes: a plan's [`PackedB`] filter panel is the `8`-row
 //!   left-hand operand as packed (its micro-panels interleave `NR` filters
@@ -76,8 +82,14 @@
 //!   zero-fill).
 //! * Ragged edges are zero-*padded* in `m`/`n` only: padded lanes compute
 //!   garbage that is never stored. `k` is never padded or reordered.
+//! * A tile's depth is *truncated* at its extent, never reordered: each
+//!   chain runs its first `extent` terms in order, and the terms it drops
+//!   are `0.0 · a` products at the end of the chain. An accumulator that
+//!   starts at `+0.0` is never `-0.0` under round-to-nearest (`x + (-x)`
+//!   is `+0.0`), so adding an exact zero to it changes no bit; dropping
+//!   the trailing terms is exact for finite `a`.
 //! * There is **no zero-skip branch** anywhere in this module: packed
-//!   panels are dense by construction, so the branch could only cost; the
+//!   panels are dense inside their extents, so the branch could only cost; the
 //!   `if aik == 0.0` skip survives solely in the masked-reference kernels
 //!   (`nn`/`tn` in [`matmul`](crate::matmul)), where masked full-width
 //!   operands really are mostly zero.
@@ -286,6 +298,12 @@ impl Epilogue<'_> {
 /// the *logical* `[n, k]` operand `Bᵀ` reads against), zero-padded in the
 /// lane dimension.
 ///
+/// Each micro-panel (*tile*) carries a depth *extent*: the drivers multiply
+/// tile `jt` over depth `0 .. extents()[jt]` only, and everything past it is
+/// `0.0` in every row of the tile. [`pack_nt`](Self::pack_nt) and
+/// [`pack_nn`](Self::pack_nn) set every extent to `k`;
+/// [`pack_nt_extents`](Self::pack_nt_extents) cuts each row short.
+///
 /// Packing is done once — by the layer-plan compiler for weights, or by
 /// [`PackedB::pack_nt`]/[`PackedB::pack_nn`] for ad-hoc operands — and
 /// reused by every subsequent [`gemm_packed`] call.
@@ -294,6 +312,7 @@ pub struct PackedB {
     data: Vec<f32>,
     n: usize,
     k: usize,
+    extents: Vec<usize>,
 }
 
 impl PackedB {
@@ -304,20 +323,50 @@ impl PackedB {
     ///
     /// Panics if `b` is shorter than `n * k`.
     pub fn pack_nt(b: &[f32], n: usize, k: usize) -> PackedB {
+        PackedB::pack_nt_extents(b, n, k, &vec![k; n])
+    }
+
+    /// [`pack_nt`](Self::pack_nt) with row `j` read only over depth
+    /// `0 .. row_extents[j]`: the entries past it are packed as `0.0`, and
+    /// each tile's extent is the largest of its rows'. A product against
+    /// the panel equals one against `b` with those entries zeroed, bit for
+    /// bit — a chain from `+0.0` never turns `-0.0`, so its trailing `0.0 ·
+    /// a` terms (finite `a`) cannot change it — while the drivers skip the
+    /// depth past each tile's extent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b` is shorter than `n * k`, or `row_extents` does not
+    /// hold `n` values of at most `k`.
+    pub fn pack_nt_extents(b: &[f32], n: usize, k: usize, row_extents: &[usize]) -> PackedB {
         assert!(b.len() >= n * k, "pack_nt operand too short");
+        assert!(
+            row_extents.len() == n && row_extents.iter().all(|&e| e <= k),
+            "pack_nt needs one extent of at most k per row"
+        );
         let ntiles = n.div_ceil(NR);
         let mut data = vec![0.0f32; ntiles * k * NR];
         for jt in 0..ntiles {
             let nr_act = NR.min(n - jt * NR);
             let panel = &mut data[jt * k * NR..(jt + 1) * k * NR];
             for j in 0..nr_act {
-                let src = &b[(jt * NR + j) * k..(jt * NR + j + 1) * k];
+                let row = jt * NR + j;
+                let src = &b[row * k..row * k + row_extents[row]];
                 for (kk, &v) in src.iter().enumerate() {
                     panel[kk * NR + j] = v;
                 }
             }
         }
-        PackedB { data, n, k }
+        let extents = row_extents
+            .chunks(NR)
+            .map(|rows| rows.iter().copied().max().unwrap_or(0))
+            .collect();
+        PackedB {
+            data,
+            n,
+            k,
+            extents,
+        }
     }
 
     /// Packs a row-major `[k, n]` operand (the NN layout: `k` rows of
@@ -338,7 +387,12 @@ impl PackedB {
                 panel[kk * NR..kk * NR + nr_act].copy_from_slice(src);
             }
         }
-        PackedB { data, n, k }
+        PackedB {
+            data,
+            n,
+            k,
+            extents: vec![k; ntiles],
+        }
     }
 
     /// Logical output width `n` (columns of the product).
@@ -349,6 +403,27 @@ impl PackedB {
     /// Logical depth `k` (inner dimension).
     pub fn k(&self) -> usize {
         self.k
+    }
+
+    /// The depth extent of each `NR`-wide tile, in tile order.
+    pub fn extents(&self) -> &[usize] {
+        &self.extents
+    }
+
+    /// Multiply-adds one left-hand row costs against this panel: each
+    /// tile's real rows times its extent, summed. The AVX2 tier's thin tile
+    /// shapes run a group of up to eight tiles at the group's largest
+    /// extent, so a batch of fewer than eight rows may execute more.
+    pub fn macs(&self) -> u64 {
+        let rows = |jt: usize| NR.min(self.n - jt * NR);
+        let per_tile = self.extents.iter().enumerate().map(|(jt, &e)| rows(jt) * e);
+        per_tile.sum::<usize>() as u64
+    }
+
+    /// The largest extent among tiles `tiles`: the depth a register tile
+    /// spanning them multiplies over.
+    fn extent_of(&self, tiles: Range<usize>) -> usize {
+        self.extents[tiles].iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -486,7 +561,8 @@ fn pack_a_tile(
 /// slice (`out.len() == m * b.n()`), in the host's [`Tier::active`] tier.
 ///
 /// `a` is row-major `[m, k]` (or `[k, m]` with `trans_a`); `b` carries the
-/// packed right-hand operand and the `k`/`n` extents; `apack` is reusable
+/// packed right-hand operand, its `k`/`n` sizes and its tiles' depth
+/// extents; `apack` is reusable
 /// A-packing scratch (zero steady-state allocation once grown); `epi` is
 /// fused into the final store of each tile.
 ///
@@ -512,7 +588,8 @@ pub fn gemm_packed(
 }
 
 /// What one `(Kc, Mc)` block pass needs besides its rows: the operands and
-/// the depth block `pc .. pc + kc` it covers.
+/// the depth block `pc .. pc + kc` its A pack covers (a tile group whose
+/// extent ends inside the block multiplies only up to that extent).
 struct Block<'a> {
     a: &'a [f32],
     trans_a: bool,
@@ -526,10 +603,13 @@ struct Block<'a> {
 /// The one tile body, generic over the tile shape and the multiply: packs
 /// `rows` of A into `R`-row micro-panels, then for every group of `P`
 /// micro-panels of B and every row tile resumes the accumulators from
-/// `out` (unless this is the first depth block), runs `mul` over the depth
-/// block and stores the tile — through the epilogue after the last depth
-/// block. `#[inline(always)]` so that each tier's instantiation is compiled
-/// whole, pack and store loops included, with that tier's instructions.
+/// `out` (unless this is the first depth block), runs `mul` over the part
+/// of the depth block inside the group's extent and stores the tile —
+/// through the epilogue in the block that holds the extent's end (the
+/// first block for an extent of 0, which stores `epilogue(0.0)`). A group
+/// skips every block past its extent. `#[inline(always)]` so that each
+/// tier's instantiation is compiled whole, pack and store loops included,
+/// with that tier's instructions.
 #[inline(always)]
 fn rows_pass<const R: usize, const P: usize>(
     blk: &Block,
@@ -540,9 +620,9 @@ fn rows_pass<const R: usize, const P: usize>(
 ) {
     let (k, n) = (blk.b.k, blk.b.n);
     let (pc, kc) = (blk.pc, blk.kc);
-    let (first, last) = (pc == 0, pc + kc == k);
+    let first = pc == 0;
     let panel_len = kc * R;
-    grow(apack, rows.len().div_ceil(R) * panel_len);
+    let apack = span(apack, rows.len().div_ceil(R) * panel_len);
     for (it, dst) in apack.chunks_exact_mut(panel_len).enumerate() {
         let row0 = rows.start + it * R;
         let tile_rows = row0..rows.end.min(row0 + R);
@@ -559,6 +639,12 @@ fn rows_pass<const R: usize, const P: usize>(
     let ntiles = n.div_ceil(NR);
     for jt in (0..ntiles).step_by(P) {
         let pn = P.min(ntiles - jt);
+        let extent = blk.b.extent_of(jt..jt + pn);
+        if !first && extent <= pc {
+            // finished in an earlier block
+            continue;
+        }
+        let (depth, last) = (kc.min(extent - pc), pc + kc >= extent);
         let bpanels = &blk.b.data[(jt * k + pc) * NR..];
         for (it, apanel) in apack.chunks_exact(panel_len).enumerate() {
             let row0 = rows.start + it * R;
@@ -579,7 +665,7 @@ fn rows_pass<const R: usize, const P: usize>(
                     }
                 }
             }
-            mul(apanel, (bpanels, k * NR, pn), &mut acc);
+            mul(&apanel[..depth * R], (bpanels, k * NR, pn), &mut acc);
             for i in 0..mr_act {
                 for p in 0..pn {
                     let row = &acc[i * P + p];
@@ -648,7 +734,9 @@ pub fn gemm_packed_tier(
     if m == 0 || n == 0 {
         return;
     }
-    if k == 0 {
+    // no tile reads A past the deepest extent, so no block packs it
+    let depth = b.extent_of(0..b.extents.len());
+    if depth == 0 {
         // No depth blocks would run; the reference writes a 0.0 accumulator
         // (plus epilogue) to every element.
         for (idx, o) in out.iter_mut().enumerate() {
@@ -657,8 +745,8 @@ pub fn gemm_packed_tier(
         return;
     }
     let full_rows = tier.rows();
-    for pc in (0..k).step_by(KC) {
-        let kc = KC.min(k - pc);
+    for pc in (0..depth).step_by(KC) {
+        let kc = KC.min(depth - pc);
         let blk = Block {
             a,
             trans_a,
@@ -687,7 +775,12 @@ pub fn gemm_packed_tier(
                             apack,
                             out,
                             |apanel, (bpanel, _, _), acc| {
-                                microtile_portable::<PORTABLE_ROWS>(apanel, &bpanel[..kc * NR], acc)
+                                let depth = apanel.len() / PORTABLE_ROWS;
+                                microtile_portable::<PORTABLE_ROWS>(
+                                    apanel,
+                                    &bpanel[..depth * NR],
+                                    acc,
+                                )
                             },
                         );
                     }
@@ -748,8 +841,9 @@ struct ConvJob<'a> {
 /// window values are packed `[k][NR]` into `scratch.groups` (one fixed-width
 /// copy per tap where the group is a stride-1 run inside one output row,
 /// one gather per lane for any other geometry); the filter panel then
-/// multiplies the group `8` filters at a time and each finished tile row is
-/// stored straight into its filter's plane. There is no patch matrix, no
+/// multiplies the group `8` filters at a time, each such tile over the
+/// prefix of the group's taps inside its extent, and each finished tile row
+/// is stored straight into its filter's plane. There is no patch matrix, no
 /// A repack and no transpose, and the scratch buffers only grow, so a
 /// warmed call allocates nothing.
 ///
@@ -905,10 +999,11 @@ fn conv_body(
                     }
                 }
             }
-            for f0 in (0..nf).step_by(NR) {
-                let apanel = &filters.weight.data[f0 * k..(f0 + NR) * k];
+            for (f0, &extent) in (0..nf).step_by(NR).zip(&filters.weight.extents) {
+                // the tile's filters over the prefix of the group they read
+                let apanel = &filters.weight.data[f0 * k..][..extent * NR];
                 let mut acc: Acc = [[0.0; NR]; ACCS];
-                mul(apanel, group, &mut acc);
+                mul(apanel, &group[..extent * NR], &mut acc);
                 for (f, row) in (f0..nf.min(f0 + NR)).zip(&acc) {
                     let bias = filters.bias[f];
                     let at = (b * out_channels + filters.out_planes[f]) * positions + p0;

@@ -2,6 +2,8 @@
 //! must hold for arbitrary shapes and values.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::Rng;
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
 use stepping_tensor::matmul::GemmSpec;
 use stepping_tensor::microkernel::{
@@ -111,6 +113,97 @@ fn every_tier_and_tile_shape_is_bit_identical_to_the_reference() {
     }
 }
 
+/// A depth extent of at most `k` for each of `n` rows: 0, `k`, one just
+/// before, on or after the first or second `KC` boundary, or any value.
+fn random_extents(rng: &mut StdRng, n: usize, k: usize) -> Vec<usize> {
+    (0..n)
+        .map(|_| {
+            let extent = match rng.random_range(0..6usize) {
+                0 => 0,
+                1 => k,
+                near @ 2..=4 => KC * rng.random_range(1..3usize) + near - 3,
+                _ => rng.random_range(0..=k),
+            };
+            extent.min(k)
+        })
+        .collect()
+}
+
+/// `b` (`[n, k]`) with every entry past its row's extent zeroed.
+fn zeroed_past(b: &[f32], k: usize, extents: &[usize]) -> Vec<f32> {
+    let mut zeroed = b.to_vec();
+    for (j, &extent) in extents.iter().enumerate() {
+        zeroed[j * k + extent..(j + 1) * k].fill(0.0);
+    }
+    zeroed
+}
+
+/// A panel packed with per-row depth extents multiplies exactly the
+/// operand with everything past each row's extent zeroed, `to_bits()`-equal
+/// to the reference `nt_kernel` over that operand, in every tier and tile
+/// shape: extents of 0 and `k` and on both sides of a `KC` boundary, `k` up
+/// to `2·KC + 17`, `m` from 1 to 17 (so the AVX2 tier's groups of 2, 4 and
+/// 8 micro-panels run tiles of different extents together), ragged `n`, and
+/// all four epilogues.
+#[test]
+fn extents_are_exact_in_every_tier_and_tile_shape() {
+    let mut rng = stepping_tensor::init::rng(43);
+    let mut apack = Vec::new();
+    for (n, k) in [
+        (1usize, 1usize),
+        (9, KC + 1),
+        (17, KC),
+        (23, KC - 1),
+        (64, 5),
+        (70, 2 * KC + 17),
+    ] {
+        let b = stepping_tensor::init::uniform(Shape::of(&[n, k]), -2.0, 2.0, &mut rng);
+        let bias = stepping_tensor::init::uniform(Shape::of(&[n]), -1.0, 1.0, &mut rng);
+        for m in 1..=17usize {
+            let extents = random_extents(&mut rng, n, k);
+            let packed = PackedB::pack_nt_extents(b.data(), n, k, &extents);
+            let a = stepping_tensor::init::uniform(Shape::of(&[m, k]), -2.0, 2.0, &mut rng);
+            let mut reference = vec![f32::NAN; m * n];
+            gemm_nt_slice(
+                a.data(),
+                &zeroed_past(b.data(), k, &extents),
+                &mut reference,
+                m,
+                k,
+                n,
+            );
+            for tier in Tier::supported() {
+                for which in 0..4 {
+                    let epi = match which {
+                        0 => Epilogue::None,
+                        1 => Epilogue::Bias(bias.data()),
+                        2 => Epilogue::BiasRelu(bias.data()),
+                        _ => Epilogue::BiasTanh(bias.data()),
+                    };
+                    let mut out = vec![f32::NAN; m * n];
+                    gemm_packed_tier(tier, a.data(), false, &packed, &mut out, m, &mut apack, epi);
+                    for (idx, (&got, &dot)) in out.iter().zip(&reference).enumerate() {
+                        let z = dot + bias.data()[idx % n];
+                        let want = match which {
+                            0 => dot,
+                            1 => z,
+                            2 => z.max(0.0),
+                            _ => z.tanh(),
+                        };
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{} tier, {m}x{k}x{n}, epilogue {which}, element {idx}, row extent {}",
+                            tier.name(),
+                            extents[idx % n]
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// FMA tripwire. With `a = b = 1 + 2⁻¹²` the exact product
 /// `1 + 2⁻¹¹ + 2⁻²⁴` rounds to `1 + 2⁻¹¹`, so multiply-then-add against an
 /// accumulator of `-(1 + 2⁻¹¹)` gives exactly `0`, while a fused
@@ -168,19 +261,22 @@ const UNTOUCHED: f32 = f32::from_bits(0x7fc0_5a5a);
 /// One convolution case for [`conv_packed_tier`]: `images` NCHW inputs
 /// under `geom`, `filters` filters over the input `channels` (any subset,
 /// in ascending order) written to the ascending `planes` of an
-/// `out_channels`-plane target.
+/// `out_channels`-plane target; with `ragged`, each filter reads only a
+/// random prefix of its taps.
 struct ConvCase {
     geom: ConvGeometry,
     images: usize,
     channels: Vec<usize>,
     planes: Vec<usize>,
     out_channels: usize,
+    ragged: bool,
 }
 
 impl ConvCase {
     /// Runs the case in every supported tier through `scratch` and holds
     /// every output `to_bits()`-equal to the unfold over `channels` → the
-    /// reference `nt_kernel` → `+ bias`, and every plane not in `planes`
+    /// reference `nt_kernel` over the weights with every tap past its
+    /// filter's extent zeroed → `+ bias`, and every plane not in `planes`
     /// untouched.
     fn check(&self, seed: u64, scratch: &mut PackScratch) {
         let g = &self.geom;
@@ -195,13 +291,19 @@ impl ConvCase {
         let k = self.channels.len() * g.kernel_h * g.kernel_w;
         let weight = stepping_tensor::init::uniform(Shape::of(&[f, k]), -2.0, 2.0, &mut rng);
         let bias = stepping_tensor::init::uniform(Shape::of(&[f]), -1.0, 1.0, &mut rng);
-        let packed = PackedB::pack_nt(weight.data(), f, k);
+        let extents = if self.ragged {
+            random_extents(&mut rng, f, k)
+        } else {
+            vec![k; f]
+        };
+        let packed = PackedB::pack_nt_extents(weight.data(), f, k, &extents);
 
         let rows = self.images * g.positions();
         let mut cols = Vec::new();
         im2col_channels_into(&input, g, &self.channels, &mut cols).unwrap();
         let mut dots = vec![f32::NAN; rows * f];
-        gemm_nt_slice(&cols, weight.data(), &mut dots, rows, k, f);
+        let zeroed = zeroed_past(weight.data(), k, &extents);
+        gemm_nt_slice(&cols, &zeroed, &mut dots, rows, k, f);
 
         let filters = ConvFilters {
             weight: &packed,
@@ -248,7 +350,7 @@ impl ConvCase {
 /// windows lying wholly in the padding, a 1×1 and a 5×5 kernel, a
 /// one-channel subset and no channel at all — each run twice through one
 /// scratch that also held the other geometries' (larger and smaller)
-/// planes and groups.
+/// planes and groups, the second time with ragged filter extents.
 #[test]
 fn conv_driver_matches_the_unfold_on_fixed_geometries() {
     let mut scratch = PackScratch::new();
@@ -273,6 +375,7 @@ fn conv_driver_matches_the_unfold_on_fixed_geometries() {
                 channels: subset.to_vec(),
                 planes: (1..=filters).collect(),
                 out_channels,
+                ragged: round == 1,
             }
             .check(100 * round + i as u64, &mut scratch);
         }
@@ -324,7 +427,8 @@ proptest! {
     /// `to_bits()`-equal in every tier, over random geometries (kernel
     /// 1/3/5, non-square images, stride 1–3, padding 0–2), 1–3 images,
     /// random — often non-contiguous — channel subsets and 1–17 filters
-    /// scattered over a wider target.
+    /// scattered over a wider target, reading all their taps or (`ragged`)
+    /// a random prefix of them each.
     #[test]
     fn conv_driver_is_bit_identical_to_the_unfold_in_every_tier(
         kernel in 0usize..3,
@@ -336,6 +440,7 @@ proptest! {
         channel_mask in 0u8..32,
         filters in 1usize..18,
         spare in 0usize..4,
+        ragged in 0u8..2,
         seed in 0u64..10_000,
     ) {
         let kernel = [1, 3, 5][kernel];
@@ -349,7 +454,7 @@ proptest! {
         for i in 0..spare {
             planes.remove((seed as usize + 7 * i) % planes.len());
         }
-        ConvCase { geom, images, channels, planes, out_channels }
+        ConvCase { geom, images, channels, planes, out_channels, ragged: ragged == 1 }
             .check(seed, &mut PackScratch::new());
     }
 }

@@ -107,9 +107,11 @@ echo "==> stepping-router crate tests"
 cargo test -q -p stepping-router --features metrics
 
 # Packed-plan smoke run: asserts packed/masked logits bit-identity, the
-# >=2x subnet-0 speedup on the bench MLP, and the chain gates (stepping
-# 0 -> top at most 1.15x a direct pass on the MLP, 1.6x on the conv net),
-# and refreshes BENCH_plans.json.
+# >=2x subnet-0 speedup on the bench MLP, the MAC gates (a direct pass
+# multiplies exactly its budget at every MLP subnet, less than the dense
+# extent on conv above subnet 0), and the chain gates (stepping 0 -> top
+# at most 1.35x a direct pass on the MLP, 1.9x on the conv net), and
+# refreshes BENCH_plans.json.
 echo "==> packed-plan bench smoke (plans)"
 STEPPING_PLANS_REPS=5 cargo run -q --release -p stepping-bench --bin plans
 
