@@ -3,8 +3,9 @@
 //!
 //! [`SteppingNet::compile`] builds one [`CompiledModel`] eagerly — per
 //! masked stage the full and step panels of every subnet, every head panel
-//! with its bias, the fixed stages with the channel runs each step changes
-//! in their input, the [`MacTable`] — and hands it out in an `Arc`.
+//! with its bias, the fixed stages with the channel runs of their input
+//! that each step changes and that each subnet uses (a direct pass skips
+//! the rest), the [`MacTable`] — and hands it out in an `Arc`.
 //! Nothing in it changes afterwards: there is no epoch, no lock and no
 //! scratch inside, so any number of executors on any number of threads run
 //! it through `&self`, each with its own [`PackScratch`]. See the `plan`
@@ -270,11 +271,14 @@ pub(crate) enum CompiledStage {
     Linear(CompiledLinear),
     Conv(CompiledConv),
     /// A fixed stage, run through [`FixedStage::infer_into`] (which reads
-    /// no cache), and per expand target `k` (entry `k - 1`) the channel
-    /// runs of its input that the step to `k` changes.
+    /// no cache), with two tables of channel runs of its input: per expand
+    /// target `k` (entry `k - 1`) the runs the step to `k` changes, and per
+    /// subnet `s` the runs active at `s`, which a direct pass computes —
+    /// `None` before the first masked stage, where the whole level is live.
     Fixed {
         stage: FixedStage,
         step_runs: Vec<Vec<Range<usize>>>,
+        direct_runs: Option<Vec<Vec<Range<usize>>>>,
     },
 }
 
@@ -300,9 +304,17 @@ impl CompiledStage {
     /// [`target`](Self::target)s); a fixed stage — a pure per-element /
     /// per-channel map in inference mode, no MACs — recomputes the channel
     /// runs the step to `subnet` changed when `step` (every other cached
-    /// channel keeps its exact old value) and the whole level, the run
-    /// `0..c`, otherwise. Equal to [`Stage::forward`] with `train == false`
-    /// under `f32 ==`. Every stack must hold levels `si` and `si + 1`.
+    /// channel keeps its exact old value) and the runs active at `subnet`
+    /// otherwise (the whole level, `0..c`, before the first masked stage).
+    ///
+    /// Equal to [`Stage::forward`] with `train == false` under `f32 ==` on
+    /// every channel a later stage reads at `subnet`: masked stages read
+    /// their active inputs, the head its active features. A channel a
+    /// direct pass skips keeps its target's `0.0`, which is what every fixed
+    /// stage but batch norm and sigmoid maps a zero to (those two would
+    /// write `f(0)` there, which nothing reads); the expand that activates
+    /// it recomputes it as a changed run. Every stack must hold levels `si`
+    /// and `si + 1`.
     pub(crate) fn run_into(
         &self,
         (subnet, step): (usize, bool),
@@ -313,20 +325,28 @@ impl CompiledStage {
         match self {
             CompiledStage::Linear(l) => l.run(l.panels.get(subnet, step)?, stacks, si, scratch),
             CompiledStage::Conv(c) => c.run(c.panels.get(subnet, step)?, stacks, si, scratch),
-            CompiledStage::Fixed { stage, step_runs } => {
-                let changed = if step {
-                    let runs = subnet.checked_sub(1).and_then(|i| step_runs.get(i));
-                    Some(runs.ok_or(SteppingError::SubnetOutOfRange {
-                        subnet,
-                        count: step_runs.len() + 1,
-                    })?)
+            CompiledStage::Fixed {
+                stage,
+                step_runs,
+                direct_runs,
+            } => {
+                let listed = if step {
+                    Some(subnet.checked_sub(1).and_then(|i| step_runs.get(i)))
                 } else {
-                    None
+                    direct_runs.as_ref().map(|table| table.get(subnet))
                 };
+                let listed = listed
+                    .map(|runs| {
+                        runs.ok_or(SteppingError::SubnetOutOfRange {
+                            subnet,
+                            count: step_runs.len() + 1,
+                        })
+                    })
+                    .transpose()?;
                 for levels in stacks.iter_mut() {
                     let (done, rest) = levels.split_at_mut(si + 1);
                     let whole = 0..done[si].shape().dims().get(1).copied().unwrap_or(0);
-                    let runs = changed.map_or(std::slice::from_ref(&whole), Vec::as_slice);
+                    let runs = listed.map_or(std::slice::from_ref(&whole), Vec::as_slice);
                     stage.infer_into(&done[si], &mut rest[0], runs)?;
                 }
                 Ok(())
@@ -346,6 +366,13 @@ fn index_runs(idx: &[usize]) -> Vec<Range<usize>> {
         }
     }
     runs
+}
+
+/// [`index_runs`] of a full panel's level-major rows, sorted first.
+fn sorted_runs(rows: &[usize]) -> Vec<Range<usize>> {
+    let mut rows = rows.to_vec();
+    rows.sort_unstable();
+    index_runs(&rows)
 }
 
 /// A [`SteppingNet`] compiled for inference at one prune threshold:
@@ -379,12 +406,15 @@ impl CompiledModel {
         let _compile_timer = plan::compile_timer();
         let subnets = net.subnet_count();
         let mut stage_step = vec![0u64; subnets];
-        // per expand target, the channel runs of the level the stages so far
-        // changed: those of the last masked stage's step panel, mapped
-        // through the fixed stages after it (all channel-local; a flatten
-        // turns channel `c` into features `c·h·w .. (c + 1)·h·w`); nothing
-        // before the first masked stage
+        // the channel runs of the level the stages so far wrote: per expand
+        // target those the step changed (the last masked stage's step
+        // panel), per subnet those active (its full panel, sorted); both
+        // mapped through the fixed stages after it (all channel-local; a
+        // flatten turns channel `c` into features `c·h·w .. (c + 1)·h·w`).
+        // Before the first masked stage no step changes anything and a
+        // direct pass runs the whole level.
         let mut changed: Vec<Vec<Range<usize>>> = vec![Vec::new(); subnets.saturating_sub(1)];
+        let mut active: Option<Vec<Vec<Range<usize>>>> = None;
         let stages = net
             .stages()
             .iter()
@@ -404,6 +434,8 @@ impl CompiledModel {
                             .iter()
                             .map(|p| index_runs(&p.out_idx))
                             .collect();
+                        let full = l.panels.full.iter();
+                        active = Some(full.map(|p| sorted_runs(&p.out_idx)).collect());
                         CompiledStage::Linear(l)
                     }
                     Stage::Conv(c) => {
@@ -414,18 +446,22 @@ impl CompiledModel {
                             .iter()
                             .map(|p| index_runs(&p.oc_idx))
                             .collect();
+                        let full = c.panels.full.iter();
+                        active = Some(full.map(|p| sorted_runs(&p.oc_idx)).collect());
                         CompiledStage::Conv(c)
                     }
                     Stage::Fixed(f) => {
-                        let step_runs = changed.clone();
+                        let (step_runs, direct_runs) = (changed.clone(), active.clone());
                         if let FixedStage::Flatten { factor, .. } = f {
-                            for run in changed.iter_mut().flatten() {
+                            let widened = changed.iter_mut().chain(active.iter_mut().flatten());
+                            for run in widened.flatten() {
                                 *run = run.start * factor..run.end * factor;
                             }
                         }
                         CompiledStage::Fixed {
                             stage: f.clone(),
                             step_runs,
+                            direct_runs,
                         }
                     }
                 }
@@ -636,6 +672,45 @@ mod tests {
         assert_eq!(runs[1], &vec![vec![1..2, 3..4], vec![2..3]], "max-pool");
         assert_eq!(runs[2], &vec![vec![1..2, 3..4], vec![2..3]], "flatten");
         assert_eq!(runs[3], &vec![vec![], vec![0..2]], "tanh after linear");
+    }
+
+    /// Each fixed stage records, per subnet, the runs a direct pass
+    /// computes: the last masked stage's full-panel rows, sorted out of
+    /// their level-major order and merged, widened to features by a
+    /// flatten; none before the first masked stage, whose level runs whole.
+    #[test]
+    fn fixed_stages_record_the_runs_each_subnet_uses() {
+        let mut net = SteppingNetBuilder::new(Shape::of(&[2, 4, 4]), 3, 1)
+            .relu()
+            .conv(4, 3, 1, 1)
+            .max_pool(2, 2)
+            .flatten()
+            .sigmoid()
+            .linear(5)
+            .tanh()
+            .build(2)
+            .unwrap();
+        // conv levels [2, 0, 1, 0] (the full panel at 1 lists 1, 3, 2);
+        // linear levels [2, 0, 0, 0, 1]
+        net.move_neurons(&[(1, 0, 2), (1, 2, 1), (5, 0, 2), (5, 4, 1)])
+            .unwrap();
+        let model = net.compile(0.0);
+        let runs: Vec<&Option<Vec<Vec<Range<usize>>>>> = model
+            .stages
+            .iter()
+            .filter_map(|s| match s {
+                CompiledStage::Fixed { direct_runs, .. } => Some(direct_runs),
+                _ => None,
+            })
+            .collect();
+        let conv = Some(vec![vec![1..2, 3..4], vec![1..4], vec![0..4]]);
+        assert_eq!(runs[0], &None, "before any masked stage");
+        assert_eq!(runs[1], &conv, "max-pool");
+        assert_eq!(runs[2], &conv, "flatten");
+        let features = Some(vec![vec![4..8, 12..16], vec![4..16], vec![0..16]]);
+        assert_eq!(runs[3], &features, "sigmoid after flatten");
+        let linear = Some(vec![vec![1..4], vec![1..5], vec![0..5]]);
+        assert_eq!(runs[4], &linear, "tanh after linear");
     }
 
     /// Full panels list their rows level-major, ascending within a level,

@@ -9,6 +9,10 @@
 //!   batch sizes, on one-stage nets that isolate a linear or a conv layer,
 //!   and on a net with every kind of fixed stage between masked ones (a
 //!   step recomputes only the channels it changed in each).
+//! * A direct pass computes only the channels active at its subnet in each
+//!   fixed stage: a begin at any subnet followed by expands, contractions
+//!   and head-only re-expands stays `==` the masked forward, with batch
+//!   norm, sigmoid and both poolings between masked stages.
 //! * `packed_macs` — what a direct pass multiplies, read off the full
 //!   panels' depth extents — lies between the budget `macs(s, 0.0)` and the
 //!   dense extent `active_out × active_in` at every subnet of every net
@@ -223,15 +227,124 @@ fn table_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
 /// The masked stages of [`every_fixed_kind_net`] and their widths.
 const EVERY_KIND_MASKED: [(usize, usize); 4] = [(1, 6), (5, 5), (10, 9), (14, 7)];
 
+/// Scatters `moves` over the `masked` stages of `net` (non-contiguous, some
+/// to the unused pool), then trains it for a few passes at the top subnet
+/// so its batch norms' running statistics and affine parameters are not
+/// the identity.
+fn scatter_and_train(
+    mut net: SteppingNet,
+    masked: &[(usize, usize)],
+    seed: u64,
+    moves: &[(u8, u8, u8)],
+) -> SteppingNet {
+    for &(stage, width) in masked {
+        assert!(
+            net.stages()[stage].is_masked() && net.stages()[stage].neuron_count() == Some(width)
+        );
+    }
+    let moves: Vec<(usize, usize, usize)> = moves
+        .iter()
+        .map(|&(stage, neuron, target)| {
+            let (stage, width) = masked[stage as usize % masked.len()];
+            (
+                stage,
+                neuron as usize % width,
+                target as usize % (SUBNETS + 1),
+            )
+        })
+        .collect();
+    net.move_neurons(&moves).unwrap();
+    let mut dims = vec![4];
+    dims.extend_from_slice(net.input_shape().dims());
+    let x = init::uniform(Shape::of(&dims), -1.0, 2.0, &mut init::rng(seed ^ 9));
+    let dy = init::uniform(Shape::of(&[4, 4]), -1.0, 1.0, &mut init::rng(seed ^ 10));
+    let mut sgd = Sgd::new(0.1).unwrap();
+    for _ in 0..3 {
+        net.zero_grad();
+        net.forward(&x, SUBNETS - 1, true).unwrap();
+        net.backward(&dy).unwrap();
+        sgd.step(&mut net.params_for(SUBNETS - 1).unwrap()).unwrap();
+    }
+    net
+}
+
+/// The masked stages of [`pooled_net`] and their widths.
+const POOLED_MASKED: [(usize, usize); 4] = [(0, 6), (4, 5), (9, 8), (12, 6)];
+
+/// Batch norm, sigmoid and both poolings between masked stages — the fixed
+/// stages that do not map a zero to zero, and max- and avg-pooling through
+/// their generic (3×3 / 2) and 2×2 / 2 paths — with `moves` scattered over
+/// the masked stages and the batch norms trained.
+fn pooled_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
+    let net = SteppingNetBuilder::new(Shape::of(&[2, 9, 9]), SUBNETS, seed)
+        .conv(6, 3, 1, 1)
+        .batch_norm()
+        .sigmoid()
+        .max_pool(3, 2)
+        .conv(5, 3, 1, 1)
+        .batch_norm()
+        .avg_pool(2, 2)
+        .sigmoid()
+        .flatten()
+        .linear(8)
+        .batch_norm()
+        .sigmoid()
+        .linear(6)
+        .build(4)
+        .unwrap();
+    scatter_and_train(net, &POOLED_MASKED, seed, moves)
+}
+
+/// Begins at every subnet `s`, expands to the top, contracts to subnet 0
+/// and re-expands head-only to the top, requiring the masked logits at
+/// every step. A direct pass at `s` leaves the channels inactive at `s`
+/// zero in every fixed stage (where the masked forward holds `f(0)` after
+/// a batch norm or sigmoid); the expands that activate them, and every
+/// smaller subnet read from the cache, must still answer `==`.
+fn assert_direct_then_steps_answer(net: &SteppingNet, inputs: &[Tensor], what: &str) {
+    let want = masked(net, inputs);
+    let mut exec = BatchExecutor::new(net, 0.0);
+    let logits = |steps: Vec<stepping_core::ExpandStep>| -> Vec<Tensor> {
+        steps.into_iter().map(|s| s.logits).collect()
+    };
+    for s in 0..SUBNETS {
+        let (mut caches, steps): (Vec<_>, Vec<_>) =
+            exec.begin(inputs, s).unwrap().into_iter().unzip();
+        assert_eq!(logits(steps), want[s], "{what}: begin at {s}");
+        for k in s + 1..SUBNETS {
+            let steps = exec.expand(&mut caches).unwrap();
+            assert_eq!(
+                logits(steps),
+                want[k],
+                "{what}: begin at {s}, expand to {k}"
+            );
+        }
+        for k in (0..SUBNETS - 1).rev() {
+            let steps = exec.contract(&mut caches).unwrap();
+            assert_eq!(
+                logits(steps),
+                want[k],
+                "{what}: begin at {s}, contract to {k}"
+            );
+        }
+        for k in 1..SUBNETS {
+            let steps = exec.expand(&mut caches).unwrap();
+            assert_eq!(
+                logits(steps),
+                want[k],
+                "{what}: begin at {s}, re-expand to {k}"
+            );
+        }
+    }
+}
+
 /// Every kind of fixed stage between masked conv and linear stages — a
 /// leading one before any masked stage, batch norm 2-d, tanh, max-pool,
 /// sigmoid, avg-pool, dropout, flatten, batch norm 1-d, relu — with
-/// `moves` scattered over the four masked stages (non-contiguous, some to
-/// the unused pool), then trained for a few passes at the top subnet so
-/// the batch norms' running statistics and affine parameters are not the
-/// identity.
+/// `moves` scattered over the four masked stages and the batch norms
+/// trained (see [`scatter_and_train`]).
 fn every_fixed_kind_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
-    let mut net = SteppingNetBuilder::new(Shape::of(&[2, 8, 8]), SUBNETS, seed)
+    let net = SteppingNetBuilder::new(Shape::of(&[2, 8, 8]), SUBNETS, seed)
         .relu()
         .conv(6, 3, 1, 1)
         .batch_norm()
@@ -250,38 +363,7 @@ fn every_fixed_kind_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
         .tanh()
         .build(4)
         .unwrap();
-    for (stage, width) in EVERY_KIND_MASKED {
-        assert!(
-            net.stages()[stage].is_masked() && net.stages()[stage].neuron_count() == Some(width)
-        );
-    }
-    let moves: Vec<(usize, usize, usize)> = moves
-        .iter()
-        .map(|&(stage, neuron, target)| {
-            let (stage, width) = EVERY_KIND_MASKED[stage as usize % EVERY_KIND_MASKED.len()];
-            (
-                stage,
-                neuron as usize % width,
-                target as usize % (SUBNETS + 1),
-            )
-        })
-        .collect();
-    net.move_neurons(&moves).unwrap();
-    let x = init::uniform(
-        Shape::of(&[4, 2, 8, 8]),
-        -1.0,
-        2.0,
-        &mut init::rng(seed ^ 9),
-    );
-    let dy = init::uniform(Shape::of(&[4, 4]), -1.0, 1.0, &mut init::rng(seed ^ 10));
-    let mut sgd = Sgd::new(0.1).unwrap();
-    for _ in 0..3 {
-        net.zero_grad();
-        net.forward(&x, SUBNETS - 1, true).unwrap();
-        net.backward(&dy).unwrap();
-        sgd.step(&mut net.params_for(SUBNETS - 1).unwrap()).unwrap();
-    }
-    net
+    scatter_and_train(net, &EVERY_KIND_MASKED, seed, moves)
 }
 
 /// Assigns every masked stage of `net` index-monotonically in whole tiles:
@@ -531,6 +613,30 @@ proptest! {
             init::uniform(Shape::of(&[1, 2, 8, 8]), -2.0, 2.0, &mut rng),
         ];
         assert_packed_matches(&net, &inputs, "every fixed kind");
+    }
+
+    /// A direct pass computes only the channels active at its subnet in
+    /// every fixed stage: from a begin at every subnet, under random
+    /// non-monotone assignments, the expands to the top, the contractions
+    /// and the head-only re-expands all stay `==` the masked forward — on
+    /// the every-kind net and on one that puts batch norm, sigmoid and both
+    /// poolings (generic and 2×2 / 2 windows) between masked stages.
+    #[test]
+    fn direct_passes_compute_only_active_channels(
+        moves in proptest::collection::vec((0u8..4, 0u8..64, 0u8..8), 0..20),
+        seed in 0u64..1000,
+        batch in 1usize..3,
+    ) {
+        let mut rng = init::rng(seed ^ 13);
+        let every_kind = every_fixed_kind_net(seed, &moves);
+        let inputs = [init::uniform(Shape::of(&[batch, 2, 8, 8]), -2.0, 2.0, &mut rng)];
+        assert_direct_then_steps_answer(&every_kind, &inputs, "every fixed kind");
+        let pooled = pooled_net(seed, &moves);
+        let inputs = [
+            init::uniform(Shape::of(&[batch, 2, 9, 9]), -2.0, 2.0, &mut rng),
+            init::uniform(Shape::of(&[1, 2, 9, 9]), -2.0, 2.0, &mut rng),
+        ];
+        assert_direct_then_steps_answer(&pooled, &inputs, "pooled");
     }
 
     #[test]

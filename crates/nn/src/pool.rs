@@ -1,3 +1,15 @@
+//! Max and average pooling over square windows (NCHW).
+//!
+//! Each output is one chain over its window's taps in `(ky, kx)` order: a
+//! max starts at `−∞` and takes a tap when `v > best` (so a NaN tap is
+//! never taken, and of two equal taps — `−0.0` and `+0.0` among them — the
+//! first one stays); an average adds from `+0.0` and multiplies the sum by
+//! `1 / (kernel · kernel)`. The training `forward`s walk those chains one
+//! output at a time ([`MaxPool2d`]'s recording each winner for `backward`).
+//! The `infer_into` methods keep every chain as it is and only interleave
+//! independent ones (`fold_windows`), so their outputs are bit-identical
+//! to `forward`'s.
+
 use std::ops::Range;
 
 use stepping_tensor::conv::ConvGeometry;
@@ -21,39 +33,58 @@ fn pool_geometry(
     Ok((dims[0], dims[1], geom))
 }
 
-/// Writes the maximum of every `kernel × kernel` window of the listed
-/// `planes` (indices `b·c + j` among the `n·c` planes) of `src`
-/// (`[n, c, in_h, in_w]`) to the same planes of `dst`
-/// (`[n, c, out_h, out_w]`), telling `picked` the output index and the flat
-/// input index that won it.
-fn max_pool(
+/// The max chain's step: take the tap when it is greater (never a NaN, and
+/// the first of two equal taps stays).
+fn max_step(best: f32, v: f32) -> f32 {
+    if v > best {
+        v
+    } else {
+        best
+    }
+}
+
+/// Folds every `kernel × kernel` window of the listed `planes` (indices
+/// `b·c + j` among the `n·c` planes) of `src` (`[n, c, in_h, in_w]`) into
+/// the same planes of `dst` (`[n, c, out_h, out_w]`): each output's chain
+/// starts at `init`, takes its taps through `step` in `(ky, kx)` order and
+/// ends in `finish`, so it equals the one-output-at-a-time loop bit for
+/// bit, while the chains of independent outputs run side by side. A 2×2 /
+/// stride-2 window reads its two input rows once per output row; any other
+/// sweeps each tap across the whole output row.
+fn fold_windows(
     src: &[f32],
     dst: &mut [f32],
-    geom: ConvGeometry,
+    geom: &ConvGeometry,
     (kernel, stride): (usize, usize),
     planes: impl Iterator<Item = usize>,
-    mut picked: impl FnMut(usize, usize),
+    (init, step, finish): (f32, impl Fn(f32, f32) -> f32, impl Fn(f32) -> f32),
 ) {
-    let (h, w) = (geom.in_h, geom.in_w);
+    let (w, in_len, out_len) = (geom.in_w, geom.in_h * geom.in_w, geom.positions());
     for plane in planes {
-        let base = plane * h * w;
-        let mut o = plane * geom.positions();
-        for oy in 0..geom.out_h {
-            for ox in 0..geom.out_w {
-                let mut best = f32::NEG_INFINITY;
-                let mut best_idx = 0;
+        let src = &src[plane * in_len..(plane + 1) * in_len];
+        let dst = &mut dst[plane * out_len..(plane + 1) * out_len];
+        for (oy, out) in dst.chunks_exact_mut(geom.out_w).enumerate() {
+            let row = |ky: usize| &src[(oy * stride + ky) * w..][..w];
+            if (kernel, stride) == (2, 2) {
+                let pairs = row(0).chunks_exact(2).zip(row(1).chunks_exact(2));
+                for (o, (top, bottom)) in out.iter_mut().zip(pairs) {
+                    let chain = step(step(step(step(init, top[0]), top[1]), bottom[0]), bottom[1]);
+                    *o = finish(chain);
+                }
+            } else {
+                out.fill(init);
                 for ky in 0..kernel {
+                    let row = row(ky);
                     for kx in 0..kernel {
-                        let idx = base + (oy * stride + ky) * w + ox * stride + kx;
-                        if src[idx] > best {
-                            best = src[idx];
-                            best_idx = idx;
+                        let taps = row[kx..].iter().step_by(stride);
+                        for (o, &v) in out.iter_mut().zip(taps) {
+                            *o = step(*o, v);
                         }
                     }
                 }
-                dst[o] = best;
-                picked(o, best_idx);
-                o += 1;
+                for o in out.iter_mut() {
+                    *o = finish(*o);
+                }
             }
         }
     }
@@ -92,8 +123,9 @@ impl MaxPool2d {
 
     /// Inference forward through `&self`: `forward(input, false)` written
     /// into the channel `runs` of `out` (`&[0..c]` is the whole level;
-    /// buffer reused when its shape already matches), keeping no argmax.
-    /// Channels outside the runs keep what `out` held.
+    /// buffer reused when its shape already matches), keeping no argmax and
+    /// running the chains of independent outputs side by side (see the
+    /// module docs). Channels outside the runs keep what `out` held.
     ///
     /// # Errors
     ///
@@ -107,13 +139,13 @@ impl MaxPool2d {
         let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
         let runs = Runs::new(input.shape().dims(), runs)?;
         let dst = shaped(out, &[n, c, geom.out_h, geom.out_w]);
-        max_pool(
+        fold_windows(
             input.data(),
             dst,
-            geom,
+            &geom,
             (self.kernel, self.stride),
             runs.planes(),
-            |_, _| {},
+            (f32::NEG_INFINITY, max_step, |best| best),
         );
         Ok(())
     }
@@ -126,16 +158,33 @@ impl Layer for MaxPool2d {
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
         let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
+        let (k, s, w) = (self.kernel, self.stride, geom.in_w);
+        let src = input.data();
         let mut out = Tensor::zeros(Shape::of(&[n, c, geom.out_h, geom.out_w]));
         let mut argmax = vec![0usize; out.len()];
-        max_pool(
-            input.data(),
-            out.data_mut(),
-            geom,
-            (self.kernel, self.stride),
-            0..n * c,
-            |o, idx| argmax[o] = idx,
-        );
+        let dst = out.data_mut();
+        let mut o = 0;
+        for plane in 0..n * c {
+            let base = plane * geom.in_h * w;
+            for oy in 0..geom.out_h {
+                for ox in 0..geom.out_w {
+                    let mut best = f32::NEG_INFINITY;
+                    let mut best_idx = 0;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let idx = base + (oy * s + ky) * w + ox * s + kx;
+                            if src[idx] > best {
+                                best = src[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    dst[o] = best;
+                    argmax[o] = best_idx;
+                    o += 1;
+                }
+            }
+        }
         self.cached_argmax = Some((argmax, input.shape().clone()));
         Ok(out)
     }
@@ -197,29 +246,22 @@ impl AvgPool2d {
     ) -> Result<()> {
         let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
         let runs = Runs::new(input.shape().dims(), runs)?;
-        let (h, w) = (geom.in_h, geom.in_w);
-        let inv = 1.0 / (self.kernel * self.kernel) as f32;
-        let src = input.data();
+        let inv = self.inv();
         let dst = shaped(out, &[n, c, geom.out_h, geom.out_w]);
-        for plane in runs.planes() {
-            let base = plane * h * w;
-            let mut o = plane * geom.positions();
-            for oy in 0..geom.out_h {
-                for ox in 0..geom.out_w {
-                    let mut acc = 0.0;
-                    for ky in 0..self.kernel {
-                        for kx in 0..self.kernel {
-                            let iy = oy * self.stride + ky;
-                            let ix = ox * self.stride + kx;
-                            acc += src[base + iy * w + ix];
-                        }
-                    }
-                    dst[o] = acc * inv;
-                    o += 1;
-                }
-            }
-        }
+        fold_windows(
+            input.data(),
+            dst,
+            &geom,
+            (self.kernel, self.stride),
+            runs.planes(),
+            (0.0, |acc, v| acc + v, |acc| acc * inv),
+        );
         Ok(())
+    }
+
+    /// The weight of one tap, `1 / (kernel · kernel)`.
+    fn inv(&self) -> f32 {
+        1.0 / (self.kernel * self.kernel) as f32
     }
 }
 
@@ -229,9 +271,27 @@ impl Layer for AvgPool2d {
     }
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Result<Tensor> {
-        let mut out = Tensor::zeros(Shape::of(&[0]));
-        let channels = input.shape().dims().get(1).copied().unwrap_or(0);
-        self.infer_into(input, &mut out, std::slice::from_ref(&(0..channels)))?;
+        let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
+        let (k, s, w) = (self.kernel, self.stride, geom.in_w);
+        let (src, inv) = (input.data(), self.inv());
+        let mut out = Tensor::zeros(Shape::of(&[n, c, geom.out_h, geom.out_w]));
+        let dst = out.data_mut();
+        let mut o = 0;
+        for plane in 0..n * c {
+            let base = plane * geom.in_h * w;
+            for oy in 0..geom.out_h {
+                for ox in 0..geom.out_w {
+                    let mut acc = 0.0;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            acc += src[base + (oy * s + ky) * w + ox * s + kx];
+                        }
+                    }
+                    dst[o] = acc * inv;
+                    o += 1;
+                }
+            }
+        }
         self.cached_in_shape = Some(input.shape().clone());
         Ok(out)
     }
@@ -252,7 +312,7 @@ impl Layer for AvgPool2d {
             )));
         }
         let (h, w) = (geom.in_h, geom.in_w);
-        let inv = 1.0 / (self.kernel * self.kernel) as f32;
+        let inv = self.inv();
         let mut grad_in = Tensor::zeros(in_shape);
         let gd = grad_in.data_mut();
         let mut o = 0;

@@ -222,15 +222,38 @@ impl Tier {
     pub fn rows(self) -> usize {
         self.shapes().last().expect("a tier has a tile").rows
     }
+}
 
-    /// The tile for `rows_left` remaining rows: the shortest shape that
-    /// holds them (the full tile when none does), so absent rows become
-    /// extra panels instead of padding wherever the tier has the shape.
-    fn shape_for(self, rows_left: usize) -> TileShape {
-        let shapes = self.shapes();
-        let fits = shapes.iter().find(|s| s.rows >= rows_left);
-        *fits.unwrap_or(&shapes[shapes.len() - 1])
-    }
+/// The row groups `rows` runs as, each with the tile shape it runs in
+/// (`shapes` shortest first, the last the full tile): the whole full tiles
+/// first, then the ragged rest in the shortest shape that holds it, so
+/// absent rows become extra panels instead of padding wherever the tier
+/// has the shape. A rest that shape would pad by two rows or more runs as
+/// the tallest shape that fits inside it, then the rows after (AVX2: 5 →
+/// 4 + 1, 6 → 4 + 2); one padded row is cheaper than a second group (3 and
+/// 7 stay one `4`- and one `8`-row tile).
+fn row_groups(
+    shapes: &[TileShape],
+    rows: Range<usize>,
+) -> impl Iterator<Item = (Range<usize>, TileShape)> + '_ {
+    let full = shapes[shapes.len() - 1];
+    let mut start = rows.start;
+    std::iter::from_fn(move || {
+        let left = rows.end - start;
+        let (take, shape) = if left == 0 {
+            return None;
+        } else if left >= full.rows {
+            (left - left % full.rows, full)
+        } else {
+            let holds = *shapes.iter().find(|s| s.rows >= left).unwrap_or(&full);
+            match shapes.iter().rev().find(|s| s.rows <= left) {
+                Some(&inside) if holds.rows - left >= 2 => (inside.rows, inside),
+                _ => (left, holds),
+            }
+        };
+        start += take;
+        Some((start - take..start, shape))
+    })
 }
 
 /// Fused per-element epilogue applied to each output tile while it is still
@@ -744,7 +767,6 @@ pub fn gemm_packed_tier(
         }
         return;
     }
-    let full_rows = tier.rows();
     for pc in (0..depth).step_by(KC) {
         let kc = KC.min(depth - pc);
         let blk = Block {
@@ -758,14 +780,7 @@ pub fn gemm_packed_tier(
         };
         for ic in (0..m).step_by(MC) {
             let mc = MC.min(m - ic);
-            // full tiles first, then the ragged rest in the shape that fits
-            // the rows actually present
-            let split = ic + mc - mc % full_rows;
-            for rows in [ic..split, split..ic + mc] {
-                if rows.is_empty() {
-                    continue;
-                }
-                let shape = tier.shape_for(rows.len());
+            for (rows, shape) in row_groups(tier.shapes(), ic..ic + mc) {
                 match tier.0 {
                     Isa::Portable => {
                         debug_assert_eq!((shape.rows, shape.panels), (PORTABLE_ROWS, 1));
@@ -1189,6 +1204,42 @@ mod tests {
             Epilogue::None,
         );
         assert_eq!(out.as_slice(), matmul_bt(&a, &b).unwrap().data());
+    }
+
+    /// For m = 1..=17 the row groups cover every row exactly once, in
+    /// order, and on the AVX2 shapes none pads more than one row (the
+    /// portable tier's lone 4-row tile pads what it must).
+    #[test]
+    fn row_groups_cover_every_row_once_and_pad_at_most_one() {
+        let mut tiers = vec![(Tier(Isa::Portable).shapes(), PORTABLE_ROWS - 1)];
+        #[cfg(target_arch = "x86_64")]
+        tiers.push((&AVX2_TILES[..], 1));
+        for (shapes, max_pad) in tiers {
+            for m in 1..=17 {
+                let mut next = 3;
+                for (rows, shape) in row_groups(shapes, 3..3 + m) {
+                    assert_eq!(rows.start, next, "m = {m}: a gap or an overlap");
+                    assert!(!rows.is_empty(), "m = {m}: an empty group");
+                    let pad = rows.len().div_ceil(shape.rows) * shape.rows - rows.len();
+                    assert!(pad <= max_pad, "m = {m}: {rows:?} in {shape:?} pads {pad}");
+                    next = rows.end;
+                }
+                assert_eq!(next, 3 + m, "m = {m}: rows left over");
+            }
+        }
+        #[cfg(target_arch = "x86_64")]
+        for (m, want) in [
+            (5, &[4, 1][..]),
+            (6, &[4, 2]),
+            (3, &[3]),
+            (7, &[7]),
+            (13, &[8, 4, 1]),
+        ] {
+            let groups: Vec<usize> = row_groups(&AVX2_TILES, 0..m)
+                .map(|(r, _)| r.len())
+                .collect();
+            assert_eq!(groups, want, "m = {m}");
+        }
     }
 
     #[test]
