@@ -373,10 +373,10 @@ impl SteppingNet {
     /// positions for a convolution), plus the head panel. Compare against
     /// [`SteppingNet::macs`] (the paper's budget accounting) to see how
     /// tightly execution tracks the `P_i` budgets: pruned and row-illegal
-    /// weights inside a tile's extent still occupy panel slots. On a batch
-    /// of fewer than eight rows the AVX2 tier runs a group of up to eight
-    /// tiles at the group's largest extent, which this count does not
-    /// charge.
+    /// weights inside a tile's extent still occupy panel slots. The SIMD
+    /// tiers run a group of up to eight tiles at the group's largest extent
+    /// (AVX2 on a batch of fewer than eight rows, AVX-512 on every batch),
+    /// which this count does not charge.
     ///
     /// # Panics
     ///

@@ -36,13 +36,15 @@
 //!   positions at a time, from zero-padded copies of the image's active
 //!   channel planes. Each finished tile row gets its filter's bias and is
 //!   stored straight into that filter's output plane — no patch matrix, no
-//!   A repack, no transpose. It reuses the `8 × 1` multiply of each tier.
+//!   A repack, no transpose. Its group of positions is one vector wide:
+//!   `NR` positions in the portable and AVX2 tiers, `2 · NR` in the
+//!   AVX-512 one.
 //!
 //! ## Tiers and tile shapes
 //!
 //! The tile body is written once, generic over the tile shape and the
-//! multiply, and instantiated in two instruction [`Tier`]s, chosen once per
-//! process from what the CPU reports — no build flag, feature or
+//! multiply, and instantiated in three instruction [`Tier`]s, chosen once
+//! per process from what the CPU reports — no build flag, feature or
 //! environment variable, and one binary runs everywhere:
 //!
 //! * **portable** — plain Rust the compiler vectorises for the build's
@@ -60,6 +62,15 @@
 //!   for a thin batch or the ragged tail of a tall one, so a lone request
 //!   row multiplies against eight weight panels at once instead of
 //!   dragging seven rows of zero padding through the tile.
+//! * **avx512** (x86-64 with AVX2 and AVX-512F detected) — the same, in an
+//!   `#[target_feature(enable = "avx512f")]` function whose multiply holds
+//!   *two* micro-panels per 16-lane vector: panel `p` in the low half,
+//!   `p + 1` in the high half, at the same depth. `8 × 4` full tiles,
+//!   `6 × 4` for 5–6 rows and `4 × 8` for 3–4 keep 16, 12 and 16
+//!   accumulator vectors of the 32 registers; groups of 1–2 rows run the
+//!   AVX2 tier's `1 × 8` / `2 × 4` code, which measured no slower. The
+//!   conv driver puts sixteen positions in a vector against the eight
+//!   filters of a panel tile.
 //!
 //! ## Bit-identity
 //!
@@ -72,10 +83,13 @@
 //! * `m`/`n` tiling, the register tile and the vector lanes only regroup
 //!   *independent* elements; no element's own sum is ever split or
 //!   reordered.
-//! * The AVX2 tier issues `_mm256_mul_ps` then `_mm256_add_ps` and is
-//!   compiled with `avx2` only — **never FMA**: a fused multiply-add rounds
-//!   once where the reference rounds twice, which changes last bits. Rust
-//!   never contracts a separate multiply and add on its own.
+//! * The SIMD tiers issue a multiply intrinsic then an add intrinsic —
+//!   **never FMA**: a fused multiply-add rounds once where the reference
+//!   rounds twice, which changes last bits. `avx512f` implies `fma`, so the
+//!   AVX-512 functions *could* emit `vfmadd`; they do not because rustc
+//!   never marks a multiply or an add as contractible, so LLVM may not fuse
+//!   the two. The tensor crate's FMA tripwire tests and a disassembly leg
+//!   of `scripts/check.sh` hold that in every tier.
 //! * `Kc` blocking spills the partial sum to `out` between depth blocks; an
 //!   `f32` store/load round-trip is exact, and the next block resumes the
 //!   same chain (the first block *writes* its tile, so `out` needs no
@@ -104,9 +118,9 @@
 //!
 //! ## Tuning knobs
 //!
-//! [`NR`]` = 8` is one AVX2 vector (two SSE ones) and stays fixed so a
-//! [`PackedB`] serves every tier; the tile height is the tier's
-//! ([`Tier::rows`]: 4 portable, 8 AVX2). [`KC`]` = 256` keeps one A
+//! [`NR`]` = 8` is one AVX2 vector (two SSE ones, half an AVX-512 one) and
+//! stays fixed so a [`PackedB`] serves every tier; the tile height is the
+//! tier's ([`Tier::rows`]: 4 portable, 8 AVX2 and AVX-512). [`KC`]` = 256` keeps one A
 //! micro-panel (`KC·8` floats ≈ 8 KiB) and one B micro-panel (`KC·NR` ≈
 //! 8 KiB) L1-resident; [`MC`]` = 128` bounds the packed A block (`MC·KC` ≈
 //! 128 KiB) to L2. See `docs/PERFORMANCE.md` § Microkernel for the measured
@@ -115,10 +129,10 @@
 //! ## Unsafe
 //!
 //! This is the one file of the workspace allowed to contain `unsafe`
-//! (`stepping-lint` rule L7): the pointer loads of the AVX2 multiply and
-//! the calls into the AVX2 instantiations of the GEMM and conv bodies. A
+//! (`stepping-lint` rule L7): the pointer loads of the SIMD multiplies and
+//! the calls into the SIMD instantiations of the GEMM and conv bodies. A
 //! [`Tier`] can only be obtained from [`Tier::active`] /
-//! [`Tier::supported`], which run the CPUID check, so holding the AVX2 tier
+//! [`Tier::supported`], which run the CPUID check, so holding a SIMD tier
 //! is the proof the call site needs.
 
 use std::ops::Range;
@@ -137,18 +151,17 @@ pub const KC: usize = 256;
 /// Row (`m`) cache-block: one packed A block stays L2-resident.
 pub const MC: usize = 128;
 
-/// Accumulator vectors in a register tile, in every tier and shape.
-const ACCS: usize = 8;
-
-/// One register tile's accumulators: vector `i·panels + p` holds row `i` of
-/// micro-panel `p`.
-type Acc = [[f32; NR]; ACCS];
+/// One `R × P` register tile's accumulators, sized to its shape:
+/// `acc[i][p]` holds row `i` of micro-panel `p`.
+type Acc<const R: usize, const P: usize> = [[[f32; NR]; P]; R];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
     Portable,
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 /// The instruction tier the microkernel's multiply runs in.
@@ -178,6 +191,21 @@ const AVX2_TILES: [TileShape; 4] = [
     TileShape { rows: 8, panels: 1 },
 ];
 
+/// The shapes `rows_pass_avx512` runs: the AVX2 `1 × 8` and `2 × 4` for
+/// groups of 1–2 rows, then `4 × 8`, `6 × 4` and `8 × 4`, whose
+/// `rows · panels / 2` accumulator vectors (16, 12, 16) hold two
+/// micro-panels each. `6 × 4` takes a rest of 5–6 rows, which runs faster
+/// in it than as `4 × 8` plus a thin group (docs/PERFORMANCE.md § An
+/// AVX-512 tier).
+#[cfg(target_arch = "x86_64")]
+const AVX512_TILES: [TileShape; 5] = [
+    TileShape { rows: 1, panels: 8 },
+    TileShape { rows: 2, panels: 4 },
+    TileShape { rows: 4, panels: 8 },
+    TileShape { rows: 6, panels: 4 },
+    TileShape { rows: 8, panels: 4 },
+];
+
 impl Tier {
     /// The tier [`gemm_packed`] runs in: the widest the host supports,
     /// detected on first use and fixed for the life of the process.
@@ -190,19 +218,27 @@ impl Tier {
     /// the tiers against each other; serving code uses [`Tier::active`].
     #[doc(hidden)]
     pub fn supported() -> Vec<Tier> {
+        let mut tiers = vec![Tier(Isa::Portable)];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
-            return vec![Tier(Isa::Portable), Tier(Isa::Avx2)];
+            tiers.push(Tier(Isa::Avx2));
+            // the AVX-512 tier runs its thin shapes in the AVX2 multiply
+            if std::arch::is_x86_feature_detected!("avx512f") {
+                tiers.push(Tier(Isa::Avx512));
+            }
         }
-        vec![Tier(Isa::Portable)]
+        tiers
     }
 
-    /// Short lower-case name (`"portable"`, `"avx2"`) for reports.
+    /// Short lower-case name (`"portable"`, `"avx2"`, `"avx512"`) for
+    /// reports.
     pub fn name(self) -> &'static str {
         match self.0 {
             Isa::Portable => "portable",
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
         }
     }
 
@@ -215,6 +251,8 @@ impl Tier {
             }],
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => &AVX2_TILES,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => &AVX512_TILES,
         }
     }
 
@@ -230,8 +268,9 @@ impl Tier {
 /// absent rows become extra panels instead of padding wherever the tier
 /// has the shape. A rest that shape would pad by two rows or more runs as
 /// the tallest shape that fits inside it, then the rows after (AVX2: 5 →
-/// 4 + 1, 6 → 4 + 2); one padded row is cheaper than a second group (3 and
-/// 7 stay one `4`- and one `8`-row tile).
+/// 4 + 1, 6 → 4 + 2; AVX-512 has a 6-row shape for both); one padded row is
+/// cheaper than a second group (3 and 7 stay one `4`- and one `8`-row
+/// tile).
 fn row_groups(
     shapes: &[TileShape],
     rows: Range<usize>,
@@ -434,9 +473,9 @@ impl PackedB {
     }
 
     /// Multiply-adds one left-hand row costs against this panel: each
-    /// tile's real rows times its extent, summed. The AVX2 tier's thin tile
+    /// tile's real rows times its extent, summed. The SIMD tiers' tile
     /// shapes run a group of up to eight tiles at the group's largest
-    /// extent, so a batch of fewer than eight rows may execute more.
+    /// extent, so a batch may execute more.
     pub fn macs(&self) -> u64 {
         let rows = |jt: usize| NR.min(self.n - jt * NR);
         let per_tile = self.extents.iter().enumerate().map(|(jt, &e)| rows(jt) * e);
@@ -456,13 +495,13 @@ impl PackedB {
 /// many as the baseline's registers hold; per element the depth order is
 /// strictly ascending, matching the reference dot product.
 #[inline(always)]
-fn microtile_portable<const R: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut Acc) {
+fn microtile_portable<const R: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut Acc<R, 1>) {
     const H: usize = PORTABLE_ROWS;
     for row0 in (0..R).step_by(H) {
         // Work on a by-value copy so the accumulators are locals LLVM can
         // hold in vector registers across the depth loop, instead of memory
         // the caller's `&mut` points at.
-        let mut local: [[f32; NR]; H] = std::array::from_fn(|i| acc[row0 + i]);
+        let mut local: [[f32; NR]; H] = std::array::from_fn(|i| acc[row0 + i][0]);
         for (av, bv) in apanel.chunks_exact(R).zip(bpanel.chunks_exact(NR)) {
             let av: &[f32; H] = av[row0..row0 + H].try_into().expect("row chunk");
             let bv: &[f32; NR] = bv.try_into().expect("NR chunk");
@@ -474,17 +513,41 @@ fn microtile_portable<const R: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut 
                 local[3][j] += av[3] * b;
             }
         }
-        acc[row0..row0 + H].copy_from_slice(&local);
+        for (row, local) in acc[row0..row0 + H].iter_mut().zip(local) {
+            row[0] = local;
+        }
+    }
+}
+
+/// A SIMD multiply's right-hand operand: micro-panel `p` holds `NR` values
+/// per depth step `kk` at `b[p·stride + kk·step]`, and only the first `pn`
+/// panels exist — a ragged last group re-reads panel `pn - 1` in the
+/// missing slots, and the tile body never stores those accumulators.
+#[derive(Clone, Copy)]
+struct Panels<'a> {
+    b: &'a [f32],
+    stride: usize,
+    step: usize,
+    pn: usize,
+}
+
+impl Panels<'_> {
+    /// Where each of `P` panel slots starts, once `b` is checked to hold
+    /// `kc` depth steps of every real panel: reading `NR` floats at
+    /// `starts[p] + kk·step` is then in bounds for every `kk < kc`.
+    #[inline(always)]
+    fn starts<const P: usize>(&self, kc: usize) -> [*const f32; P] {
+        let (stride, step, pn) = (self.stride, self.step, self.pn);
+        assert!((1..=P).contains(&pn));
+        assert!(kc == 0 || self.b.len() >= (pn - 1) * stride + (kc - 1) * step + NR);
+        std::array::from_fn(|p| self.b.as_ptr().wrapping_add(p.min(pn - 1) * stride))
     }
 }
 
 /// The AVX2 tier's multiply: accumulates an `R × P` tile (`R · P = 8`
 /// accumulator vectors) over the depth of `apanel` (groups of `R`
-/// interleaved A values). `panels = (b, stride, pn)`: micro-panel `p`
-/// starts at `b[p · stride]` and holds one group of `NR` B values per depth
-/// step; only the first `pn` panels exist — a ragged last group re-reads
-/// panel `pn - 1` in the missing slots and the tile body never stores those
-/// accumulators.
+/// interleaved A values) against `panels`, resuming the sums in `acc` or,
+/// unless `resume`, starting them from zeroed registers.
 ///
 /// Each term is `_mm256_mul_ps` then `_mm256_add_ps` — two roundings, like
 /// the reference — and the function enables `avx2` only, so no FMA can be
@@ -494,35 +557,113 @@ fn microtile_portable<const R: usize>(apanel: &[f32], bpanel: &[f32], acc: &mut 
 #[inline]
 fn microtile_avx2<const R: usize, const P: usize>(
     apanel: &[f32],
-    (b, stride, pn): (&[f32], usize, usize),
-    acc: &mut Acc,
+    panels: Panels,
+    acc: &mut Acc<R, P>,
+    resume: bool,
 ) {
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_storeu_ps,
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
     };
     let kc = apanel.len() / R;
-    assert!(R * P == ACCS && (1..=P).contains(&pn));
-    assert!(b.len() >= (pn - 1) * stride + kc * NR);
+    assert!(R * P == 8);
     let ap = apanel.as_ptr();
-    let bp: [*const f32; P] = std::array::from_fn(|p| b[p.min(pn - 1) * stride..].as_ptr());
+    let bp = panels.starts::<P>(kc);
     // SAFETY: avx2 is enabled on this function, which is all the intrinsics
     // need. Every load is in bounds: `ap` is read at `kk·R + i < kc·R <=
-    // apanel.len()`, each `bp[p]` at `kk·NR .. kk·NR + 8` with `kk < kc`,
-    // inside `b` by the assert above, and `acc` holds `ACCS = R·P` rows of
-    // exactly 8 floats.
+    // apanel.len()`, each `bp[p]` at `kk·step .. kk·step + 8` with `kk <
+    // kc`, inside `b` by `starts`, and each `acc[i][p]` is exactly 8 floats.
     unsafe {
-        let mut c: [__m256; ACCS] = std::array::from_fn(|t| _mm256_loadu_ps(acc[t].as_ptr()));
+        let mut c: [[__m256; P]; R] = std::array::from_fn(|i| {
+            std::array::from_fn(|p| {
+                if resume {
+                    _mm256_loadu_ps(acc[i][p].as_ptr())
+                } else {
+                    _mm256_setzero_ps()
+                }
+            })
+        });
         for kk in 0..kc {
-            let bv: [__m256; P] = std::array::from_fn(|p| _mm256_loadu_ps(bp[p].add(kk * NR)));
-            for i in 0..R {
+            let bv: [__m256; P] =
+                std::array::from_fn(|p| _mm256_loadu_ps(bp[p].add(kk * panels.step)));
+            for (i, row) in c.iter_mut().enumerate() {
                 let a = _mm256_set1_ps(*ap.add(kk * R + i));
-                for p in 0..P {
-                    c[i * P + p] = _mm256_add_ps(c[i * P + p], _mm256_mul_ps(a, bv[p]));
+                for (v, &b) in row.iter_mut().zip(&bv) {
+                    *v = _mm256_add_ps(*v, _mm256_mul_ps(a, b));
                 }
             }
         }
-        for (row, v) in acc.iter_mut().zip(c) {
-            _mm256_storeu_ps(row.as_mut_ptr(), v);
+        for (row, v) in acc.iter_mut().flatten().zip(c.iter().flatten()) {
+            _mm256_storeu_ps(row.as_mut_ptr(), *v);
+        }
+    }
+}
+
+/// The AVX-512 tier's multiply: the AVX2 one with two micro-panels per
+/// vector — vector `q` of a row holds panel `2q` in its low half and
+/// `2q + 1` in its high half, at the same depth — so an `R × P` tile keeps
+/// `R · P / 2` accumulator vectors. It runs the first `Q` vectors of each
+/// row (`2Q <= P`, and `panels.pn <= 2Q`): the panels past `2Q` are absent
+/// from a ragged group, and their accumulators are neither loaded nor
+/// stored. A vector is built from two 8-float loads and
+/// `_mm512_insertf64x4`, which needs `avx512f` alone.
+///
+/// Each term is `_mm512_mul_ps` then `_mm512_add_ps`. `avx512f` implies
+/// `fma`, but rustc never marks the two as contractible, so LLVM keeps
+/// them apart; the FMA tripwire tests hold that.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+fn microtile_avx512<const R: usize, const P: usize, const Q: usize>(
+    apanel: &[f32],
+    panels: Panels,
+    acc: &mut Acc<R, P>,
+    resume: bool,
+) {
+    use std::arch::x86_64::{
+        __m512, _mm256_castps_pd, _mm256_loadu_ps, _mm512_add_ps, _mm512_castpd_ps,
+        _mm512_castps256_ps512, _mm512_castps_pd, _mm512_insertf64x4, _mm512_loadu_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    let kc = apanel.len() / R;
+    assert!(2 * Q <= P && panels.pn <= 2 * Q);
+    let ap = apanel.as_ptr();
+    let bp = panels.starts::<P>(kc);
+    // SAFETY: avx512f is enabled on this function, which is all the
+    // intrinsics need. Every load is in bounds: `ap` is read at `kk·R + i <
+    // kc·R <= apanel.len()`, each `bp[p]` at `kk·step .. kk·step + 8` with
+    // `kk < kc`, inside `b` by `starts`, and vector `q < Q` of row `i` is
+    // `acc[i]`'s floats `16q .. 16q + 16`, inside its `8 · P >= 16 · Q`.
+    unsafe {
+        let mut c: [[__m512; Q]; R] = std::array::from_fn(|i| {
+            let row = acc[i].as_flattened().as_ptr();
+            std::array::from_fn(|q| {
+                if resume {
+                    _mm512_loadu_ps(row.add(16 * q))
+                } else {
+                    _mm512_setzero_ps()
+                }
+            })
+        });
+        for kk in 0..kc {
+            let bv: [__m512; Q] = std::array::from_fn(|q| {
+                let lo = _mm256_loadu_ps(bp[2 * q].add(kk * panels.step));
+                let hi = _mm256_loadu_ps(bp[2 * q + 1].add(kk * panels.step));
+                let wide = _mm512_castps_pd(_mm512_castps256_ps512(lo));
+                _mm512_castpd_ps(_mm512_insertf64x4::<1>(wide, _mm256_castps_pd(hi)))
+            });
+            for (i, row) in c.iter_mut().enumerate() {
+                let a = _mm512_set1_ps(*ap.add(kk * R + i));
+                for (v, &b) in row.iter_mut().zip(&bv) {
+                    *v = _mm512_add_ps(*v, _mm512_mul_ps(a, b));
+                }
+            }
+        }
+        for (row, vs) in acc.iter_mut().zip(&c) {
+            let row = row.as_flattened_mut().as_mut_ptr();
+            for (q, &v) in vs.iter().enumerate() {
+                _mm512_storeu_ps(row.add(16 * q), v);
+            }
         }
     }
 }
@@ -626,8 +767,9 @@ struct Block<'a> {
 /// The one tile body, generic over the tile shape and the multiply: packs
 /// `rows` of A into `R`-row micro-panels, then for every group of `P`
 /// micro-panels of B and every row tile resumes the accumulators from
-/// `out` (unless this is the first depth block), runs `mul` over the part
-/// of the depth block inside the group's extent and stores the tile —
+/// `out` (unless this is the first depth block, whose `mul` starts from
+/// zero), runs `mul` over the part of the depth block inside the group's
+/// extent and stores the tile —
 /// through the epilogue in the block that holds the extent's end (the
 /// first block for an extent of 0, which stores `epilogue(0.0)`). A group
 /// skips every block past its extent. `#[inline(always)]` so that each
@@ -639,7 +781,7 @@ fn rows_pass<const R: usize, const P: usize>(
     rows: Range<usize>,
     apack: &mut Vec<f32>,
     out: &mut [f32],
-    mul: impl Fn(&[f32], (&[f32], usize, usize), &mut Acc),
+    mul: impl Fn(&[f32], Panels, &mut Acc<R, P>, bool),
 ) {
     let (k, n) = (blk.b.k, blk.b.n);
     let (pc, kc) = (blk.pc, blk.kc);
@@ -668,7 +810,12 @@ fn rows_pass<const R: usize, const P: usize>(
             continue;
         }
         let (depth, last) = (kc.min(extent - pc), pc + kc >= extent);
-        let bpanels = &blk.b.data[(jt * k + pc) * NR..];
+        let panels = Panels {
+            b: &blk.b.data[(jt * k + pc) * NR..],
+            stride: k * NR,
+            step: NR,
+            pn,
+        };
         for (it, apanel) in apack.chunks_exact(panel_len).enumerate() {
             let row0 = rows.start + it * R;
             let mr_act = R.min(rows.end - row0);
@@ -677,21 +824,21 @@ fn rows_pass<const R: usize, const P: usize>(
                 let col0 = (jt + p) * NR;
                 (row0 + i) * n + col0..(row0 + i) * n + n.min(col0 + NR)
             };
-            let mut acc: Acc = [[0.0; NR]; ACCS];
+            let mut acc: Acc<R, P> = [[[0.0; NR]; P]; R];
             if !first {
                 // Resume each element's chain from its spilled partial sum
                 // (exact f32 round-trip).
                 for i in 0..mr_act {
                     for p in 0..pn {
                         let orow = &out[span(i, p)];
-                        acc[i * P + p][..orow.len()].copy_from_slice(orow);
+                        acc[i][p][..orow.len()].copy_from_slice(orow);
                     }
                 }
             }
-            mul(&apanel[..depth * R], (bpanels, k * NR, pn), &mut acc);
+            mul(&apanel[..depth * R], panels, &mut acc, !first);
             for i in 0..mr_act {
                 for p in 0..pn {
-                    let row = &acc[i * P + p];
+                    let row = &acc[i][p];
                     let orow = &mut out[span(i, p)];
                     if last {
                         blk.epi.store(row, (jt + p) * NR, orow);
@@ -707,9 +854,12 @@ fn rows_pass<const R: usize, const P: usize>(
 
 /// [`rows_pass`] with the AVX2 multiply, in the tile `shape`: everything
 /// inlined into this function — the tile body around the multiply too — is
-/// compiled with `avx2` enabled.
+/// compiled with `avx2` enabled. Never inlined, so the AVX-512 tier's thin
+/// shapes run this very code rather than a copy recompiled under
+/// `avx512f`, which measured slower.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[inline(never)]
 fn rows_pass_avx2(
     shape: TileShape,
     blk: &Block,
@@ -720,19 +870,54 @@ fn rows_pass_avx2(
     // the closures inherit this function's `avx2`, which is what lets them
     // call the `avx2` multiply as a safe function
     match (shape.rows, shape.panels) {
-        (8, 1) => rows_pass::<8, 1>(blk, rows, apack, out, |a, b, acc| {
-            microtile_avx2::<8, 1>(a, b, acc)
+        (8, 1) => rows_pass::<8, 1>(blk, rows, apack, out, |a, b, acc, resume| {
+            microtile_avx2::<8, 1>(a, b, acc, resume)
         }),
-        (4, 2) => rows_pass::<4, 2>(blk, rows, apack, out, |a, b, acc| {
-            microtile_avx2::<4, 2>(a, b, acc)
+        (4, 2) => rows_pass::<4, 2>(blk, rows, apack, out, |a, b, acc, resume| {
+            microtile_avx2::<4, 2>(a, b, acc, resume)
         }),
-        (2, 4) => rows_pass::<2, 4>(blk, rows, apack, out, |a, b, acc| {
-            microtile_avx2::<2, 4>(a, b, acc)
+        (2, 4) => rows_pass::<2, 4>(blk, rows, apack, out, |a, b, acc, resume| {
+            microtile_avx2::<2, 4>(a, b, acc, resume)
         }),
-        (1, 8) => rows_pass::<1, 8>(blk, rows, apack, out, |a, b, acc| {
-            microtile_avx2::<1, 8>(a, b, acc)
+        (1, 8) => rows_pass::<1, 8>(blk, rows, apack, out, |a, b, acc, resume| {
+            microtile_avx2::<1, 8>(a, b, acc, resume)
         }),
         _ => unreachable!("{shape:?} is not one of AVX2_TILES"),
+    }
+}
+
+/// [`rows_pass`] in the AVX-512 tier's tile `shape`: everything inlined into
+/// this function is compiled with `avx512f` enabled; the thin shapes call
+/// [`rows_pass_avx2`], which `avx512f` (implying `avx2`) makes a safe call.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn rows_pass_avx512(
+    shape: TileShape,
+    blk: &Block,
+    rows: Range<usize>,
+    apack: &mut Vec<f32>,
+    out: &mut [f32],
+) {
+    // each multiply runs the fewest vectors that hold the group's `pn`
+    // panels, so a ragged last group multiplies no pair of re-read panels
+    match (shape.rows, shape.panels) {
+        (8, 4) => rows_pass::<8, 4>(blk, rows, apack, out, |a, b, acc, resume| match b.pn {
+            1 | 2 => microtile_avx512::<8, 4, 1>(a, b, acc, resume),
+            _ => microtile_avx512::<8, 4, 2>(a, b, acc, resume),
+        }),
+        (4, 8) => rows_pass::<4, 8>(blk, rows, apack, out, |a, b, acc, resume| match b.pn {
+            1 | 2 => microtile_avx512::<4, 8, 1>(a, b, acc, resume),
+            3 | 4 => microtile_avx512::<4, 8, 2>(a, b, acc, resume),
+            5 | 6 => microtile_avx512::<4, 8, 3>(a, b, acc, resume),
+            _ => microtile_avx512::<4, 8, 4>(a, b, acc, resume),
+        }),
+        (6, 4) => rows_pass::<6, 4>(blk, rows, apack, out, |a, b, acc, resume| match b.pn {
+            1 | 2 => microtile_avx512::<6, 4, 1>(a, b, acc, resume),
+            _ => microtile_avx512::<6, 4, 2>(a, b, acc, resume),
+        }),
+        // groups of 1–2 rows run the AVX2 tier's code, as compiled for it
+        (2, 4) | (1, 8) => rows_pass_avx2(shape, blk, rows, apack, out),
+        _ => unreachable!("{shape:?} is not one of AVX512_TILES"),
     }
 }
 
@@ -789,11 +974,11 @@ pub fn gemm_packed_tier(
                             rows,
                             apack,
                             out,
-                            |apanel, (bpanel, _, _), acc| {
+                            |apanel, panels, acc, _| {
                                 let depth = apanel.len() / PORTABLE_ROWS;
                                 microtile_portable::<PORTABLE_ROWS>(
                                     apanel,
-                                    &bpanel[..depth * NR],
+                                    &panels.b[..depth * NR],
                                     acc,
                                 )
                             },
@@ -806,6 +991,14 @@ pub fn gemm_packed_tier(
                         // `is_x86_feature_detected!("avx2")` returned true,
                         // so avx2 code may run on this CPU.
                         unsafe { rows_pass_avx2(shape, &blk, rows, apack, out) }
+                    }
+                    #[cfg(target_arch = "x86_64")]
+                    Isa::Avx512 => {
+                        // SAFETY: a `Tier` holding `Isa::Avx512` is only
+                        // built by `Tier::supported` after
+                        // `is_x86_feature_detected!("avx512f")` returned
+                        // true, so avx512f code may run on this CPU.
+                        unsafe { rows_pass_avx512(shape, &blk, rows, apack, out) }
                     }
                 }
             }
@@ -852,10 +1045,11 @@ struct ConvJob<'a> {
 /// untouched.
 ///
 /// Per image, the active channel planes are copied zero-padded into
-/// `scratch.planes`; per group of `NR` output positions, every tap's `NR`
-/// window values are packed `[k][NR]` into `scratch.groups` (one fixed-width
-/// copy per tap where the group is a stride-1 run inside one output row,
-/// one gather per lane for any other geometry); the filter panel then
+/// `scratch.planes`; per group of one vector's worth of output positions
+/// (`NR`, or `2 · NR` in the AVX-512 tier), every tap's window values are
+/// packed `[k][group]` into `scratch.groups` (one fixed-width copy per tap
+/// where the group is one stride-1 run, one per `NR`-lane half where each
+/// half is, one gather per lane for any other geometry); the filter panel then
 /// multiplies the group `8` filters at a time, each such tile over the
 /// prefix of the group's taps inside its extent, and each finished tile row
 /// is stored straight into its filter's plane. There is no patch matrix, no
@@ -931,35 +1125,52 @@ pub fn conv_packed_tier(
     };
     let bufs = (&mut scratch.planes, &mut scratch.groups);
     match tier.0 {
-        Isa::Portable => conv_body(&job, out.data_mut(), bufs, |a, b, acc| {
-            microtile_portable::<NR>(a, b, acc)
+        Isa::Portable => conv_body::<1>(&job, out.data_mut(), bufs, |a, b, acc| {
+            microtile_portable::<NR>(a, &b.b[..a.len()], acc)
         }),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: a `Tier` holding `Isa::Avx2` is only built by
         // `Tier::supported` after `is_x86_feature_detected!("avx2")`
         // returned true, so avx2 code may run on this CPU.
         Isa::Avx2 => unsafe { conv_avx2(&job, out.data_mut(), bufs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: a `Tier` holding `Isa::Avx512` is only built by
+        // `Tier::supported` after `is_x86_feature_detected!("avx512f")`
+        // returned true, so avx512f code may run on this CPU.
+        Isa::Avx512 => unsafe { conv_avx512(&job, out.data_mut(), bufs) },
     }
 }
 
-/// [`conv_body`] with the AVX2 `8 × 1` multiply: the pack and store loops
-/// inlined into this function are compiled with `avx2` enabled too.
+/// [`conv_body`] over groups of `NR` positions with the AVX2 `8 × 1`
+/// multiply: the pack and store loops inlined into this function are
+/// compiled with `avx2` enabled too.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn conv_avx2(job: &ConvJob, out: &mut [f32], bufs: (&mut Vec<f32>, &mut Vec<f32>)) {
-    conv_body(job, out, bufs, |a, b, acc| {
-        microtile_avx2::<8, 1>(a, (b, 0, 1), acc)
+    conv_body::<1>(job, out, bufs, |a, b, acc| {
+        microtile_avx2::<8, 1>(a, b, acc, false)
     })
 }
 
-/// The one conv body, generic over the `8 × 1` multiply (see
+/// [`conv_body`] over groups of `2 · NR` positions — one 16-lane vector —
+/// with the AVX-512 `8 × 2` multiply, compiled with `avx512f` enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn conv_avx512(job: &ConvJob, out: &mut [f32], bufs: (&mut Vec<f32>, &mut Vec<f32>)) {
+    conv_body::<2>(job, out, bufs, |a, b, acc| {
+        microtile_avx512::<8, 2, 1>(a, b, acc, false)
+    })
+}
+
+/// The one conv body, generic over its group width — `G` micro-panels of
+/// `NR` positions — and the `8 × G` multiply, which starts from zero (see
 /// [`conv_packed`] for what it does and why it is exact).
 #[inline(always)]
-fn conv_body(
+fn conv_body<const G: usize>(
     job: &ConvJob,
     out: &mut [f32],
     (planes, groups): (&mut Vec<f32>, &mut Vec<f32>),
-    mul: impl Fn(&[f32], &[f32], &mut Acc),
+    mul: impl Fn(&[f32], Panels, &mut Acc<NR, G>),
 ) {
     let ConvJob {
         src,
@@ -973,8 +1184,9 @@ fn conv_body(
     let plane = (h + 2 * pad) * pw;
     let (k, nf) = (filters.weight.k, filters.weight.n);
     let positions = g.positions();
+    let width = G * NR;
     let planes = span(planes, filters.in_channels.len() * plane);
-    let group = span(groups, k * NR);
+    let group = span(groups, k * width);
     for b in 0..n {
         // zero-padded copies of the active planes, every element written
         for (dst, &ch) in planes.chunks_exact_mut(plane).zip(filters.in_channels) {
@@ -988,40 +1200,60 @@ fn conv_body(
                 row[pad + w..].fill(0.0);
             }
         }
-        for p0 in (0..positions).step_by(NR) {
-            let lanes = NR.min(positions - p0);
+        for p0 in (0..positions).step_by(width) {
+            let lanes = width.min(positions - p0);
             // where each lane's window starts in a padded plane; a ragged
             // group's missing lanes repeat its last position, and their
             // accumulators are never stored
-            let origin: [usize; NR] = std::array::from_fn(|l| {
+            let mut origin = [[0usize; NR]; G];
+            for (l, o) in origin.as_flattened_mut().iter_mut().enumerate() {
                 let p = p0 + l.min(lanes - 1);
-                (p / g.out_w) * stride * pw + (p % g.out_w) * stride
-            });
-            let contiguous = (1..NR).all(|l| origin[l] == origin[0] + l);
-            let mut taps = group.chunks_exact_mut(NR);
+                *o = (p / g.out_w) * stride * pw + (p % g.out_w) * stride;
+            }
+            let runs = |len: usize| {
+                let origin = origin.as_flattened();
+                origin
+                    .chunks_exact(len)
+                    .all(|run| (1..len).all(|l| run[l] == run[0] + l))
+            };
+            // each tap is one copy of the whole group, one per `NR`-lane
+            // half, or one value per lane
+            let (whole, halves) = (runs(width), runs(NR));
+            let mut taps = group.chunks_exact_mut(width);
             for pl in planes.chunks_exact(plane) {
                 for ky in 0..g.kernel_h {
                     for kx in 0..g.kernel_w {
                         let tap = ky * pw + kx;
                         let dst = taps.next().expect("a group holds every tap");
-                        if contiguous {
-                            dst.copy_from_slice(&pl[origin[0] + tap..][..NR]);
+                        if whole {
+                            dst.copy_from_slice(&pl[origin[0][0] + tap..][..width]);
+                        } else if halves {
+                            for (d, run) in dst.chunks_exact_mut(NR).zip(&origin) {
+                                d.copy_from_slice(&pl[run[0] + tap..][..NR]);
+                            }
                         } else {
-                            for (d, &o) in dst.iter_mut().zip(&origin) {
+                            for (d, &o) in dst.iter_mut().zip(origin.as_flattened()) {
                                 *d = pl[o + tap];
                             }
                         }
                     }
                 }
             }
+            let panels = Panels {
+                b: group,
+                stride: NR,
+                step: width,
+                pn: G,
+            };
             for (f0, &extent) in (0..nf).step_by(NR).zip(&filters.weight.extents) {
                 // the tile's filters over the prefix of the group they read
                 let apanel = &filters.weight.data[f0 * k..][..extent * NR];
-                let mut acc: Acc = [[0.0; NR]; ACCS];
-                mul(apanel, &group[..extent * NR], &mut acc);
+                let mut acc: Acc<NR, G> = [[[0.0; NR]; G]; NR];
+                mul(apanel, panels, &mut acc);
                 for (f, row) in (f0..nf.min(f0 + NR)).zip(&acc) {
                     let bias = filters.bias[f];
                     let at = (b * out_channels + filters.out_planes[f]) * positions + p0;
+                    let row = row.as_flattened();
                     for (o, &v) in out[at..at + lanes].iter_mut().zip(row) {
                         *o = v + bias;
                     }
@@ -1206,39 +1438,96 @@ mod tests {
         assert_eq!(out.as_slice(), matmul_bt(&a, &b).unwrap().data());
     }
 
-    /// For m = 1..=17 the row groups cover every row exactly once, in
-    /// order, and on the AVX2 shapes none pads more than one row (the
-    /// portable tier's lone 4-row tile pads what it must).
+    /// Every tier this build has, whether or not the host can run it — for
+    /// tests that only read a tier's shapes.
+    fn every_tier() -> Vec<Tier> {
+        let mut tiers = vec![Tier(Isa::Portable)];
+        #[cfg(target_arch = "x86_64")]
+        tiers.extend([Tier(Isa::Avx2), Tier(Isa::Avx512)]);
+        tiers
+    }
+
+    /// For m = 1..=17 the row groups of every tier cover every row exactly
+    /// once, in order, and on the SIMD tiers' shapes none pads more than one
+    /// row (the portable tier's lone 4-row tile pads what it must).
     #[test]
     fn row_groups_cover_every_row_once_and_pad_at_most_one() {
-        let mut tiers = vec![(Tier(Isa::Portable).shapes(), PORTABLE_ROWS - 1)];
-        #[cfg(target_arch = "x86_64")]
-        tiers.push((&AVX2_TILES[..], 1));
-        for (shapes, max_pad) in tiers {
+        for tier in every_tier() {
+            let shapes = tier.shapes();
+            let max_pad = if tier.0 == Isa::Portable {
+                PORTABLE_ROWS - 1
+            } else {
+                1
+            };
             for m in 1..=17 {
                 let mut next = 3;
                 for (rows, shape) in row_groups(shapes, 3..3 + m) {
-                    assert_eq!(rows.start, next, "m = {m}: a gap or an overlap");
-                    assert!(!rows.is_empty(), "m = {m}: an empty group");
+                    let name = tier.name();
+                    assert_eq!(rows.start, next, "{name}, m = {m}: a gap or an overlap");
+                    assert!(!rows.is_empty(), "{name}, m = {m}: an empty group");
                     let pad = rows.len().div_ceil(shape.rows) * shape.rows - rows.len();
-                    assert!(pad <= max_pad, "m = {m}: {rows:?} in {shape:?} pads {pad}");
+                    assert!(
+                        pad <= max_pad,
+                        "{name}, m = {m}: {rows:?} in {shape:?} pads {pad}"
+                    );
                     next = rows.end;
                 }
-                assert_eq!(next, 3 + m, "m = {m}: rows left over");
+                assert_eq!(next, 3 + m, "{}, m = {m}: rows left over", tier.name());
+            }
+            let wants: &[(usize, &[usize])] = match tier.name() {
+                "avx2" => &[
+                    (5, &[4, 1]),
+                    (6, &[4, 2]),
+                    (3, &[3]),
+                    (7, &[7]),
+                    (13, &[8, 4, 1]),
+                ],
+                "avx512" => &[(5, &[5]), (6, &[6]), (3, &[3]), (7, &[7]), (13, &[8, 5])],
+                _ => &[],
+            };
+            for &(m, want) in wants {
+                let groups: Vec<usize> = row_groups(shapes, 0..m).map(|(r, _)| r.len()).collect();
+                assert_eq!(groups, want, "{}, m = {m}", tier.name());
             }
         }
+    }
+
+    /// `Tier::supported` lists the tiers narrowest first, the AVX-512 tier
+    /// only where the CPU has `avx512f`, and `Tier::active` is the last;
+    /// every tier's shapes run shortest first, the full tile last, and each
+    /// SIMD shape keeps the accumulator vectors its multiply is written for:
+    /// 8 in the AVX2 multiply, at most 16 (two panels each) in the AVX-512
+    /// one.
+    #[test]
+    fn tiers_are_listed_narrowest_first_with_shapes_shortest_first() {
+        let supported = Tier::supported();
+        let names: Vec<&str> = supported.iter().map(|t| t.name()).collect();
+        let order = ["portable", "avx2", "avx512"];
+        assert_eq!(names, order[..names.len()], "narrowest first, none skipped");
+        assert_eq!(Tier::active(), *supported.last().unwrap());
         #[cfg(target_arch = "x86_64")]
-        for (m, want) in [
-            (5, &[4, 1][..]),
-            (6, &[4, 2]),
-            (3, &[3]),
-            (7, &[7]),
-            (13, &[8, 4, 1]),
-        ] {
-            let groups: Vec<usize> = row_groups(&AVX2_TILES, 0..m)
-                .map(|(r, _)| r.len())
-                .collect();
-            assert_eq!(groups, want, "m = {m}");
+        assert_eq!(
+            names.contains(&"avx512"),
+            std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("avx512f"),
+            "the AVX-512 tier is listed exactly where the CPU has avx512f"
+        );
+        for tier in every_tier() {
+            let shapes = tier.shapes();
+            assert!(
+                shapes.windows(2).all(|w| w[0].rows < w[1].rows),
+                "{}: shapes not shortest first",
+                tier.name()
+            );
+            assert_eq!(tier.rows(), shapes.iter().map(|s| s.rows).max().unwrap());
+            for s in shapes.iter().filter(|_| tier.name() != "portable") {
+                if tier.name() == "avx512" && s.rows > 2 {
+                    // two panels per vector, at most 16 of the 32 registers
+                    assert!(s.panels % 2 == 0 && s.rows * s.panels / 2 <= 16, "{s:?}");
+                } else {
+                    assert_eq!(s.rows * s.panels, 8, "{}: {s:?}", tier.name());
+                }
+            }
         }
     }
 

@@ -45,7 +45,7 @@ fn transposed(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 }
 
 /// Every instruction tier the host supports, in every tile shape, must be
-/// `==` the reference `nt_kernel` dot-product loop: `m` walks through every
+/// `to_bits()`-equal to the reference `nt_kernel` dot-product loop: `m` walks through every
 /// row count a tile shape is chosen from (thin shapes, the full tile, a full
 /// tile plus each ragged tail), `n` leaves ragged lanes and ragged panel
 /// groups (up to and past the eight panels of the widest thin shape), `k`
@@ -100,8 +100,8 @@ fn every_tier_and_tile_shape_is_bit_identical_to_the_reference() {
                                 _ => z.tanh(),
                             };
                             assert_eq!(
-                                got,
-                                want,
+                                got.to_bits(),
+                                want.to_bits(),
                                 "{} tier, {m}x{k}x{n}, trans_a {trans_a}, epilogue {which}, element {idx}",
                                 tier.name()
                             );
@@ -142,7 +142,7 @@ fn zeroed_past(b: &[f32], k: usize, extents: &[usize]) -> Vec<f32> {
 /// operand with everything past each row's extent zeroed, `to_bits()`-equal
 /// to the reference `nt_kernel` over that operand, in every tier and tile
 /// shape: extents of 0 and `k` and on both sides of a `KC` boundary, `k` up
-/// to `2·KC + 17`, `m` from 1 to 17 (so the AVX2 tier's groups of 2, 4 and
+/// to `2·KC + 17`, `m` from 1 to 17 (so the SIMD tiers' groups of 2, 4 and
 /// 8 micro-panels run tiles of different extents together), ragged `n`, and
 /// all four epilogues.
 #[test]
@@ -355,7 +355,17 @@ impl ConvCase {
 fn conv_driver_matches_the_unfold_on_fixed_geometries() {
     let mut scratch = PackScratch::new();
     // (channels, h, w, kernel, stride, padding, subset, filters)
-    let cases: [(usize, usize, usize, usize, usize, usize, &[usize], usize); 8] = [
+    type Case = (
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        usize,
+        &'static [usize],
+        usize,
+    );
+    let cases: [Case; 8] = [
         (3, 16, 16, 3, 1, 1, &[0, 1, 2], 6), // conv1 of the serving net
         (24, 8, 8, 3, 1, 1, &[0, 5, 6, 23], 12), // conv2, non-contiguous
         (2, 5, 13, 3, 1, 0, &[1], 17),       // out_w 11: ragged groups
@@ -428,7 +438,11 @@ proptest! {
     /// 1/3/5, non-square images, stride 1–3, padding 0–2), 1–3 images,
     /// random — often non-contiguous — channel subsets and 1–17 filters
     /// scattered over a wider target, reading all their taps or (`ragged`)
-    /// a random prefix of them each.
+    /// a random prefix of them each. `rows` forces, in three of four cases,
+    /// output rows that make a 16-position group each way it can be
+    /// packed: `out_w` 16 at stride 1 (one run), `out_w` 8 at stride 1 (two
+    /// 8-runs, and a ragged tail of one when `out_h` is odd), or an odd
+    /// `out_w` at stride 2 (a gather per lane).
     #[test]
     fn conv_driver_is_bit_identical_to_the_unfold_in_every_tier(
         kernel in 0usize..3,
@@ -436,6 +450,7 @@ proptest! {
         w in 1usize..21,
         stride in 1usize..4,
         padding in 0usize..3,
+        rows in 0usize..4,
         images in 1usize..4,
         channel_mask in 0u8..32,
         filters in 1usize..18,
@@ -444,6 +459,14 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let kernel = [1, 3, 5][kernel];
+        // the input width giving `out_w` at `stride`
+        let width = |out_w: usize, stride: usize| stride * (out_w - 1) + kernel - 2 * padding;
+        let (w, stride) = match rows {
+            1 => (width(16, 1), 1),
+            2 => (width(8, 1), 1),
+            3 => (width(2 * (w % 5) + 3, 2), 2),
+            _ => (w, stride),
+        };
         prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
         let in_channels = 5;
         let geom = ConvGeometry::new(in_channels, h, w, kernel, kernel, stride, padding).unwrap();

@@ -115,6 +115,24 @@ cargo test -q -p stepping-router --features metrics
 echo "==> packed-plan bench smoke (plans)"
 STEPPING_PLANS_REPS=5 cargo run -q --release -p stepping-bench --bin plans
 
+# No fused multiply-add in the release kernels. A fused multiply-add rounds
+# once where the masked reference rounds twice, so it would fork every
+# logit. `avx512f` implies `fma`, so nothing in the compiler's flags rules
+# it out in the AVX-512 tier; this reads the instructions the plans binary,
+# which links every tier of the microkernel, actually holds.
+echo "==> no fused multiply-add in the release plans binary"
+plans_bin="${CARGO_TARGET_DIR:-target}/release/plans"
+if command -v objdump > /dev/null; then
+    fused=$(objdump -d --no-show-raw-insn "$plans_bin" | grep -E '\sv(fn?madd|fn?msub)' || true)
+    if [ -n "$fused" ]; then
+        echo "error: fused multiply-add instructions in $plans_bin:" >&2
+        echo "$fused" | head -n 20 >&2
+        exit 1
+    fi
+else
+    echo "objdump not found; skipping the fused multiply-add check"
+fi
+
 # Parallel-training matrix: the tier-1 suite must produce identical results
 # at 1 and 4 workers (tests/parallel_property.rs folds STEPPING_THREADS into
 # its thread sweep; everything else must simply stay green).
