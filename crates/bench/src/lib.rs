@@ -10,11 +10,14 @@
 //! | Fig. 7   | `fig7`   | accuracy under different width-expansion ratios |
 //! | Fig. 8   | `fig8`   | ± weight-update suppression / ± knowledge distillation |
 //! | (extra)  | `reuse`  | incremental vs from-scratch expansion cost |
+//! | (extra)  | `ablations` | sensitivity to β, γ, α growth, head warm-start and the selection criterion |
+//! | (extra)  | `plans`  | packed vs masked inference cost per subnet, with the MAC, chain and bit-identity gates |
 //!
-//! All binaries honour `STEPPING_SCALE` = `quick` (minutes, default) /
-//! `standard` / `full` (hours): the construction algorithm is scale-free, so
-//! smaller widths and datasets preserve the qualitative shape of every
-//! result (see `DESIGN.md` §3.6 on substitutions).
+//! The paper binaries (`table1`, `fig6`–`fig8`, `reuse`) honour
+//! `STEPPING_SCALE` = `quick` (minutes, default) / `standard` / `full`
+//! (hours): the construction algorithm is scale-free, so smaller widths and
+//! datasets preserve the qualitative shape of every result (see `DESIGN.md`
+//! §3.6 on substitutions). `plans` takes `STEPPING_PLANS_REPS` instead.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

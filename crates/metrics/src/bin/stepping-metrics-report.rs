@@ -8,8 +8,7 @@
 //! ```
 //!
 //! Snapshot files are the `.jsonl` streams written by the background
-//! `SnapshotWriter` (one JSON snapshot per line, e.g.
-//! `results/serve.metrics.jsonl`).
+//! `SnapshotWriter` (one JSON snapshot per line, e.g. `metrics.jsonl`).
 
 use std::process::ExitCode;
 

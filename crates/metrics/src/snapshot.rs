@@ -3,8 +3,8 @@
 //!
 //! A [`Snapshot`] is what [`MetricsRegistry::snapshot`] returns: every
 //! counter, gauge, and histogram with its rendered series name. It
-//! round-trips through a single JSON line (the `results/serve.metrics.jsonl`
-//! format written by [`SnapshotWriter`]) and renders to Prometheus text
+//! round-trips through a single JSON line (the `.jsonl` format written by
+//! [`SnapshotWriter`]) and renders to Prometheus text
 //! exposition for scraping. [`diff`] subtracts two snapshots into interval
 //! metrics — counters become deltas and rates, histograms become the
 //! bucket-wise difference — which is how the bench harness and the

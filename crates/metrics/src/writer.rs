@@ -1,5 +1,5 @@
 //! Background snapshot writer: one JSON line per interval to a `.jsonl`
-//! file (e.g. `results/serve.metrics.jsonl`).
+//! file (e.g. `metrics.jsonl`).
 //!
 //! The writer owns a thread that sleeps on a `Condvar` with a timeout —
 //! never a busy loop — takes a registry snapshot each tick, and appends it

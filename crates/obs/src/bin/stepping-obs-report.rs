@@ -4,8 +4,8 @@
 //! ```text
 //! stepping-obs-report results/run.events.jsonl
 //! stepping-obs-report -          # read JSONL from stdin
-//! stepping-obs-report results/run.events.jsonl --metrics results/serve.metrics.jsonl
-//! stepping-obs-report --metrics results/serve.metrics.jsonl
+//! stepping-obs-report results/run.events.jsonl --metrics metrics.jsonl
+//! stepping-obs-report --metrics metrics.jsonl
 //! ```
 //!
 //! Renders per-phase event/span totals, construction/training/inference

@@ -7,137 +7,14 @@
 //! to the replica that actually created it. Plus the restart property:
 //! ring lookups are a pure function of `(replicas, vnodes, key)`.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+mod support;
+
+use std::sync::atomic::Ordering;
 
 use proptest::prelude::*;
-use stepping_core::SteppingError;
-use stepping_router::{decode_session, Ring, Router, RouterConfig};
-use stepping_serve::{
-    AdmissionError, Outcome, ReplicaHandle, Request, Response, ServeError, ServerStats, Ticket,
-};
-use stepping_tensor::{Shape, Tensor};
-
-/// An in-memory replica: a session table and nothing else. Tickets
-/// resolve synchronously, so the property test drives thousands of ops
-/// without worker pools.
-#[derive(Debug)]
-struct MockReplica {
-    sessions: Mutex<HashMap<u64, usize>>,
-    next_session: AtomicU64,
-    draining: AtomicBool,
-    /// When set, every submit is refused (simulates overload/shutdown).
-    refuse: AtomicBool,
-    submits: AtomicU64,
-    upgrades: AtomicU64,
-}
-
-impl MockReplica {
-    fn new() -> Self {
-        MockReplica {
-            sessions: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(1),
-            draining: AtomicBool::new(false),
-            refuse: AtomicBool::new(false),
-            submits: AtomicU64::new(0),
-            upgrades: AtomicU64::new(0),
-        }
-    }
-
-    fn table(&self) -> std::sync::MutexGuard<'_, HashMap<u64, usize>> {
-        self.sessions.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn owns(&self, local: u64) -> bool {
-        self.table().contains_key(&local)
-    }
-
-    fn response(&self, session: u64, subnet: usize) -> Response {
-        Response {
-            id: session,
-            session,
-            subnet,
-            logits: Tensor::zeros(Shape::of(&[1, 2])),
-            step_macs: 1,
-            total_macs: 1 + subnet as u64,
-            modeled_latency_us: 1.0,
-            latency_us: 1.0,
-            outcome: Outcome::Met,
-            batch_size: 1,
-            cache_reuse: 0.0,
-        }
-    }
-}
-
-impl ReplicaHandle for MockReplica {
-    fn submit(&self, _request: Request) -> Result<Ticket, ServeError> {
-        if self.refuse.load(Ordering::SeqCst) {
-            return Err(AdmissionError::QueueFull {
-                depth: 1,
-                capacity: 1,
-            }
-            .into());
-        }
-        if self.draining.load(Ordering::SeqCst) {
-            return Err(AdmissionError::Draining.into());
-        }
-        let session = self.next_session.fetch_add(1, Ordering::SeqCst);
-        self.table().insert(session, 0);
-        self.submits.fetch_add(1, Ordering::SeqCst);
-        Ok(Ticket::resolved(Ok(self.response(session, 0))))
-    }
-
-    fn upgrade(&self, session: u64, _extra: Option<f64>) -> Result<Ticket, ServeError> {
-        let mut table = self.table();
-        let subnet = *table
-            .get(&session)
-            .ok_or_else(|| SteppingError::BadConfig(format!("unknown session {session}")))?;
-        table.insert(session, subnet + 1);
-        drop(table);
-        self.upgrades.fetch_add(1, Ordering::SeqCst);
-        Ok(Ticket::resolved(Ok(self.response(session, subnet + 1))))
-    }
-
-    fn release(&self, session: u64) {
-        self.table().remove(&session);
-    }
-
-    fn session_count(&self) -> usize {
-        self.table().len()
-    }
-
-    fn drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
-    }
-
-    fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
-    }
-
-    fn shutdown(&self) {}
-
-    fn stats(&self) -> ServerStats {
-        ServerStats::default()
-    }
-}
-
-fn fleet(replicas: usize) -> (Vec<Arc<MockReplica>>, Router) {
-    let mocks: Vec<Arc<MockReplica>> = (0..replicas)
-        .map(|_| Arc::new(MockReplica::new()))
-        .collect();
-    let handles: Vec<Arc<dyn ReplicaHandle>> = mocks
-        .iter()
-        .map(|m| Arc::clone(m) as Arc<dyn ReplicaHandle>)
-        .collect();
-    let config = RouterConfig::builder().vnodes(32).build();
-    let router = Router::new(handles, &config).unwrap();
-    (mocks, router)
-}
-
-fn request() -> Request {
-    Request::at_subnet(Tensor::zeros(Shape::of(&[1, 2])), 0)
-}
+use stepping_router::{decode_session, Ring};
+use stepping_serve::ReplicaHandle;
+use support::{fleet, request};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
@@ -151,7 +28,7 @@ proptest! {
         replicas in 1usize..6,
         ops in proptest::collection::vec((0u8..10, 0u64..1_000_000), 1..120),
     ) {
-        let (mocks, router) = fleet(replicas);
+        let (mocks, router) = fleet(replicas, 32);
         let mut live: Vec<u64> = Vec::new();
         for (kind, key) in ops {
             match kind {
@@ -230,7 +107,7 @@ proptest! {
         key in 0u64..1_000_000,
         extra in 1usize..40,
     ) {
-        let (mocks, router) = fleet(2);
+        let (mocks, router) = fleet(2, 32);
         let owner = router.owner_of(key);
         let resp = router.submit(key, request()).unwrap().wait().unwrap();
         prop_assert_eq!(decode_session(resp.session).0, owner);

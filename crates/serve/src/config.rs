@@ -124,8 +124,8 @@ impl ServeConfigBuilder {
 
     /// Writes a metrics snapshot (one JSON line) to `path` every
     /// [`metrics_interval`](Self::metrics_interval) while the server runs,
-    /// plus a final line at shutdown — the `results/serve.metrics.jsonl`
-    /// stream read by `stepping-metrics-report`. Only takes effect when
+    /// plus a final line at shutdown — a `.jsonl` stream (say
+    /// `metrics.jsonl`) read by `stepping-metrics-report`. Only takes effect when
     /// metric recording is live (the `metrics` feature); otherwise the
     /// writer is not spawned at all.
     pub fn metrics_snapshot(mut self, path: impl Into<PathBuf>) -> Self {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Lint + test gate: formatting, clippy and rustdoc (warnings are errors),
-# tier-1 tests.
-# Run from anywhere; operates on the workspace root.
+# tier-1 tests, the crate suites and feature matrix, the packed-plan bench
+# smoke and the no-FMA disassembly check.
+# Run from anywhere; operates on the workspace root. Writes nothing into
+# the tree: the bench smoke runs in a temporary directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -110,10 +112,15 @@ cargo test -q -p stepping-router --features metrics
 # >=2x subnet-0 speedup on the bench MLP, the MAC gates (a direct pass
 # multiplies exactly its budget at every MLP subnet, less than the dense
 # extent on conv above subnet 0), and the chain gates (stepping 0 -> top
-# at most 1.35x a direct pass on the MLP, 1.9x on the conv net), and
-# refreshes BENCH_plans.json.
+# at most 1.35x a direct pass on the MLP, 1.9x on the conv net). It runs
+# from a temporary directory, so the results/ files it writes (relative
+# paths) land there and the checked-in full run stays as it is.
 echo "==> packed-plan bench smoke (plans)"
-STEPPING_PLANS_REPS=5 cargo run -q --release -p stepping-bench --bin plans
+cargo build -q --release -p stepping-bench --bin plans
+plans_bin="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/plans"
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
+(cd "$smoke_dir" && STEPPING_PLANS_REPS=5 "$plans_bin")
 
 # No fused multiply-add in the release kernels. A fused multiply-add rounds
 # once where the masked reference rounds twice, so it would fork every
@@ -121,7 +128,6 @@ STEPPING_PLANS_REPS=5 cargo run -q --release -p stepping-bench --bin plans
 # it out in the AVX-512 tier; this reads the instructions the plans binary,
 # which links every tier of the microkernel, actually holds.
 echo "==> no fused multiply-add in the release plans binary"
-plans_bin="${CARGO_TARGET_DIR:-target}/release/plans"
 if command -v objdump > /dev/null; then
     fused=$(objdump -d --no-show-raw-insn "$plans_bin" | grep -E '\sv(fn?madd|fn?msub)' || true)
     if [ -n "$fused" ]; then
@@ -140,50 +146,5 @@ for threads in 1 4; do
     echo "==> tier-1 matrix: STEPPING_THREADS=${threads}"
     STEPPING_THREADS="${threads}" cargo test -q
 done
-
-# Parallel-engine smoke run: always asserts gradient/weight bit-identity
-# between 1 and 4 workers on the Table-I MLP; the >=1.5x speedup gate
-# self-enables only on machines with >=4 cores. Refreshes BENCH_parallel.json.
-echo "==> parallel-engine bench smoke (parallel)"
-STEPPING_PARALLEL_REPS=3 cargo run -q --release -p stepping-bench --bin parallel
-
-# Serving bench smoke: shrunk client population, a lane-diverse 1/2/4
-# worker sweep whose monotonic-throughput gate self-enables on >=4 cores
-# (STEPPING_SERVE_ASSERT=1 forces it), full metrics columns, the
-# metrics-overhead A/B (the <=5% gate self-enables on >=4 cores), and the
-# results/serve.metrics.jsonl snapshot stream.
-echo "==> serve bench smoke (serve)"
-STEPPING_SERVE_SMOKE=1 cargo run -q --release -p stepping-bench --bin serve
-
-# Router bench smoke: two-replica fleet behind the consistent-hash front
-# door under uniform and zipf-skewed keys. Placement-balance and
-# zero-reroute gates always run (deterministic key draws); the zipf
-# >=1.5x two-replica throughput gate self-enables on >=4 cores
-# (STEPPING_ROUTER_ASSERT=1 forces it).
-echo "==> router bench smoke (router)"
-STEPPING_ROUTER_REPS=6 cargo run -q --release -p stepping-bench --bin router
-
-# Bench-regression comparator: the fresh BENCH_*.json runs from the legs
-# above against checked-in baselines. plans/parallel compare against the
-# full baselines (same workload shape, fewer reps); the smoke serve run
-# compares against a smoke baseline. The generous threshold makes this a
-# smoke gate against order-of-magnitude regressions, not a micro-judge;
-# the noisiest fields (sub-microsecond lock waits, the overhead A/B
-# contrast, and the p90 / p99 latencies of the smoke serve run, whose
-# 80-request samples swing by more than 75 % either way between two runs
-# of one binary) are excluded.
-echo "==> bench-regression comparator"
-cargo run -q --release -p stepping-bench --bin bench_compare -- \
-    --threshold-pct 75 --allow-missing BENCH_plans.json BENCH_parallel.json
-cargo run -q --release -p stepping-bench --bin bench_compare -- \
-    --baseline results/baselines/smoke --threshold-pct 75 \
-    --ignore lock_wait --ignore overhead_pct --ignore p90_us --ignore p99_us \
-    BENCH_serve.json
-# Router placement is deterministic (seeded key draws), so shares, reroute
-# counts and ring imbalance must match the smoke baseline exactly; raw
-# throughput/latency are machine-dependent and excluded.
-cargo run -q --release -p stepping-bench --bin bench_compare -- \
-    --baseline results/baselines/smoke --threshold-pct 75 \
-    --ignore throughput_rps --ignore p50_us --ignore speedup BENCH_router.json
 
 echo "check.sh: all gates passed"
