@@ -8,8 +8,6 @@
 //! of even the largest subnet, because the width-expanded starting network
 //! has far more MACs than the largest budget `P_N`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, SteppingError};
 
 /// Subnet assignment of a group of neurons (one layer's outputs).
@@ -29,7 +27,7 @@ use crate::{Result, SteppingError};
 /// assert!(a.is_active(2, 1) && !a.is_active(2, 0));
 /// # Ok::<(), stepping_core::SteppingError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     assign: Vec<u16>,
     subnet_count: usize,

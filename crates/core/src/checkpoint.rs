@@ -19,7 +19,6 @@
 //! per head: weight then bias as (len u32, f32×len)
 //! ```
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use stepping_tensor::{Shape, Tensor};
 
 use crate::{FixedStage, Result, Stage, SteppingError, SteppingNet};
@@ -27,70 +26,105 @@ use crate::{FixedStage, Result, Stage, SteppingError, SteppingNet};
 const MAGIC: &[u8; 4] = b"SNET";
 const VERSION: u32 = 1;
 
-fn put_tensor(buf: &mut BytesMut, t: &Tensor) {
-    buf.put_u32_le(t.len() as u32);
-    for &v in t.data() {
-        buf.put_f32_le(v);
+fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+fn put_tensor(buf: &mut Vec<u8>, t: &Tensor) {
+    put_u32(buf, t.len() as u32);
+    buf.extend(t.data().iter().flat_map(|v| v.to_le_bytes()));
+}
+
+fn put_assign(buf: &mut Vec<u8>, values: &[u16]) {
+    put_u32(buf, values.len() as u32);
+    buf.extend(values.iter().flat_map(|v| v.to_le_bytes()));
+}
+
+fn truncated(at: String) -> SteppingError {
+    SteppingError::BadConfig(format!("checkpoint truncated {at}"))
+}
+
+/// Read cursor over a checkpoint blob. Every read checks the bytes left
+/// first; a short blob is an error, never a panic.
+struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    fn u32(&mut self) -> Option<u32> {
+        let (head, rest) = self.0.split_first_chunk()?;
+        self.0 = rest;
+        Some(u32::from_le_bytes(*head))
+    }
+
+    /// A `u32` length prefix.
+    fn len(&mut self, what: &str) -> Result<usize> {
+        self.u32()
+            .map(|n| n as usize)
+            .ok_or_else(|| truncated(format!("at {what} length")))
+    }
+
+    /// `len` little-endian words of `W` bytes.
+    fn words<const W: usize>(&mut self, len: usize, what: &str) -> Result<&'a [[u8; W]]> {
+        let (head, rest) = len
+            .checked_mul(W)
+            .and_then(|n| self.0.split_at_checked(n))
+            .ok_or_else(|| truncated(format!("inside {what}")))?;
+        self.0 = rest;
+        Ok(head.as_chunks().0)
+    }
+
+    /// A length-prefixed run of `f32`s, still encoded.
+    fn f32s(&mut self, what: &str) -> Result<&'a [[u8; 4]]> {
+        let len = self.len(what)?;
+        self.words(len, what)
     }
 }
 
-fn take_vec(buf: &mut Bytes, what: &str) -> Result<Vec<f32>> {
-    if buf.remaining() < 4 {
-        return Err(SteppingError::BadConfig(format!(
-            "checkpoint truncated at {what} length"
-        )));
+fn decode(dst: &mut [f32], src: &[[u8; 4]]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = f32::from_le_bytes(*s);
     }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len * 4 {
-        return Err(SteppingError::BadConfig(format!(
-            "checkpoint truncated inside {what}"
-        )));
-    }
-    Ok((0..len).map(|_| buf.get_f32_le()).collect())
 }
 
-fn take_into_tensor(buf: &mut Bytes, target: &mut Tensor, what: &str) -> Result<()> {
-    let v = take_vec(buf, what)?;
-    if v.len() != target.len() {
+fn take_vec(r: &mut Reader, what: &str) -> Result<Vec<f32>> {
+    Ok(r.f32s(what)?
+        .iter()
+        .map(|&w| f32::from_le_bytes(w))
+        .collect())
+}
+
+fn take_into_tensor(r: &mut Reader, target: &mut Tensor, what: &str) -> Result<()> {
+    let words = r.f32s(what)?;
+    if words.len() != target.len() {
         return Err(SteppingError::InvalidStructure(format!(
             "checkpoint {what} has {} values, architecture expects {}",
-            v.len(),
+            words.len(),
             target.len()
         )));
     }
-    target.data_mut().copy_from_slice(&v);
+    decode(target.data_mut(), words);
     Ok(())
 }
 
-fn put_assign(buf: &mut BytesMut, values: &[u16]) {
-    buf.put_u32_le(values.len() as u32);
-    for &v in values {
-        buf.put_u16_le(v);
-    }
-}
-
-fn take_assign(buf: &mut Bytes, expected: usize, what: &str) -> Result<Vec<u16>> {
-    if buf.remaining() < 4 {
-        return Err(SteppingError::BadConfig(format!(
-            "checkpoint truncated at {what} length"
-        )));
-    }
-    let len = buf.get_u32_le() as usize;
-    if len != expected || buf.remaining() < len * 2 {
+fn take_assign(r: &mut Reader, expected: usize, what: &str) -> Result<Vec<u16>> {
+    let len = r.len(what)?;
+    if len != expected {
         return Err(SteppingError::InvalidStructure(format!(
             "checkpoint {what} has {len} entries, architecture expects {expected}"
         )));
     }
-    Ok((0..len).map(|_| buf.get_u16_le()).collect())
+    Ok(r.words(len, what)?
+        .iter()
+        .map(|&w| u16::from_le_bytes(w))
+        .collect())
 }
 
-/// Serialises the network's full mutable state.
-pub fn save_state(net: &mut SteppingNet) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(net.subnet_count() as u32);
-    buf.put_u32_le(net.classes() as u32);
+/// Serialises the network's full mutable state into a fresh byte vector.
+pub fn save_state(net: &mut SteppingNet) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(MAGIC);
+    put_u32(&mut buf, VERSION);
+    put_u32(&mut buf, net.subnet_count() as u32);
+    put_u32(&mut buf, net.classes() as u32);
     let n_stages = net.stages().len();
     for si in 0..n_stages {
         // parameters
@@ -130,36 +164,36 @@ pub fn save_state(net: &mut SteppingNet) -> Bytes {
         put_tensor(&mut buf, &w);
         put_tensor(&mut buf, &b);
     }
-    buf.freeze()
+    buf
 }
 
-/// Restores state saved by [`save_state`] into a network of the **same
-/// architecture** (same stages, widths, subnet count, classes).
+/// Restores state saved by [`save_state`], read from the borrowed `data`,
+/// into a network of the **same architecture** (same stages, widths, subnet
+/// count, classes).
 ///
 /// # Errors
 ///
 /// Returns [`SteppingError::BadConfig`] for corrupted/truncated data and
 /// [`SteppingError::InvalidStructure`] for architecture mismatches; on error
 /// the network may be partially restored and should be discarded.
-pub fn load_state(net: &mut SteppingNet, mut data: Bytes) -> Result<()> {
-    if data.remaining() < 16 {
+pub fn load_state(net: &mut SteppingNet, data: &[u8]) -> Result<()> {
+    let mut r = Reader(data);
+    let (Some(magic), Some(version), Some(subnets), Some(classes)) =
+        (r.u32(), r.u32(), r.u32(), r.u32())
+    else {
         return Err(SteppingError::BadConfig("checkpoint too short".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    };
+    if magic.to_le_bytes() != *MAGIC {
         return Err(SteppingError::BadConfig(
             "not a SteppingNet checkpoint".into(),
         ));
     }
-    let version = data.get_u32_le();
     if version != VERSION {
         return Err(SteppingError::BadConfig(format!(
             "unsupported checkpoint version {version}"
         )));
     }
-    let subnets = data.get_u32_le() as usize;
-    let classes = data.get_u32_le() as usize;
+    let (subnets, classes) = (subnets as usize, classes as usize);
     if subnets != net.subnet_count() || classes != net.classes() {
         return Err(SteppingError::InvalidStructure(format!(
             "checkpoint is for {subnets} subnets / {classes} classes, network has {} / {}",
@@ -172,29 +206,29 @@ pub fn load_state(net: &mut SteppingNet, mut data: Bytes) -> Result<()> {
         {
             let stage = &mut net.stages_mut()[si];
             for p in stage.params_mut() {
-                take_into_tensor(&mut data, &mut p.value, "stage parameter")?;
+                take_into_tensor(&mut r, &mut p.value, "stage parameter")?;
             }
         }
         match &mut net.stages_mut()[si] {
             Stage::Fixed(FixedStage::BatchNorm1d { layer: bn, .. }) => {
                 let f = bn.features();
-                let m = Tensor::from_vec(Shape::of(&[f]), take_vec(&mut data, "bn mean")?)
+                let m = Tensor::from_vec(Shape::of(&[f]), take_vec(&mut r, "bn mean")?)
                     .map_err(SteppingError::Tensor)?;
-                let v = Tensor::from_vec(Shape::of(&[f]), take_vec(&mut data, "bn var")?)
+                let v = Tensor::from_vec(Shape::of(&[f]), take_vec(&mut r, "bn var")?)
                     .map_err(SteppingError::Tensor)?;
                 bn.set_running_stats(m, v).map_err(SteppingError::Nn)?;
             }
             Stage::Fixed(FixedStage::BatchNorm2d { layer: bn, .. }) => {
                 let c = bn.channels();
-                let m = Tensor::from_vec(Shape::of(&[c]), take_vec(&mut data, "bn mean")?)
+                let m = Tensor::from_vec(Shape::of(&[c]), take_vec(&mut r, "bn mean")?)
                     .map_err(SteppingError::Tensor)?;
-                let v = Tensor::from_vec(Shape::of(&[c]), take_vec(&mut data, "bn var")?)
+                let v = Tensor::from_vec(Shape::of(&[c]), take_vec(&mut r, "bn var")?)
                     .map_err(SteppingError::Tensor)?;
                 bn.set_running_stats(m, v).map_err(SteppingError::Nn)?;
             }
             s => {
                 if let Some(count) = s.neuron_count() {
-                    let assign = take_assign(&mut data, count, "assignment")?;
+                    let assign = take_assign(&mut r, count, "assignment")?;
                     for (o, &a) in assign.iter().enumerate() {
                         s.move_out_neuron(o, a as usize)?;
                     }
@@ -203,19 +237,19 @@ pub fn load_state(net: &mut SteppingNet, mut data: Bytes) -> Result<()> {
         }
     }
     for k in 0..net.subnet_count() {
-        let w = take_vec(&mut data, "head weight")?;
-        let b = take_vec(&mut data, "head bias")?;
+        let w = r.f32s("head weight")?;
+        let b = r.f32s("head bias")?;
         let head = &mut net.heads_mut()[k];
         if w.len() != head.weight().value.len() || b.len() != head.bias().value.len() {
             return Err(SteppingError::InvalidStructure("head size mismatch".into()));
         }
-        head.weight_mut().value.data_mut().copy_from_slice(&w);
-        head.bias_mut().value.data_mut().copy_from_slice(&b);
+        decode(head.weight_mut().value.data_mut(), w);
+        decode(head.bias_mut().value.data_mut(), b);
     }
-    if data.has_remaining() {
+    if !r.0.is_empty() {
         return Err(SteppingError::BadConfig(format!(
             "{} trailing bytes after checkpoint",
-            data.remaining()
+            r.0.len()
         )));
     }
     net.sync_assignments()?;
@@ -230,8 +264,7 @@ pub fn load_state(net: &mut SteppingNet, mut data: Bytes) -> Result<()> {
 ///
 /// Returns [`SteppingError::BadConfig`] wrapping I/O failures.
 pub fn save_to_file(net: &mut SteppingNet, path: impl AsRef<std::path::Path>) -> Result<()> {
-    let bytes = save_state(net);
-    std::fs::write(path, &bytes)
+    std::fs::write(path, save_state(net))
         .map_err(|e| SteppingError::BadConfig(format!("cannot write checkpoint: {e}")))
 }
 
@@ -244,7 +277,7 @@ pub fn save_to_file(net: &mut SteppingNet, path: impl AsRef<std::path::Path>) ->
 pub fn load_from_file(net: &mut SteppingNet, path: impl AsRef<std::path::Path>) -> Result<()> {
     let data = std::fs::read(path)
         .map_err(|e| SteppingError::BadConfig(format!("cannot read checkpoint: {e}")))?;
-    load_state(net, Bytes::from(data))
+    load_state(net, &data)
 }
 
 #[cfg(test)]
@@ -286,7 +319,7 @@ mod tests {
         let blob = save_state(&mut net);
 
         let mut fresh = cnn();
-        load_state(&mut fresh, blob).unwrap();
+        load_state(&mut fresh, &blob).unwrap();
         fresh.check_invariants().unwrap();
         for (k, r) in refs.iter().enumerate() {
             assert_eq!(
@@ -320,16 +353,15 @@ mod tests {
         let mut net = trained_cnn();
         let blob = save_state(&mut net);
         // magic corruption
-        let mut bad = blob.to_vec();
+        let mut bad = blob.clone();
         bad[0] = b'X';
-        assert!(load_state(&mut cnn(), Bytes::from(bad)).is_err());
+        assert!(load_state(&mut cnn(), &bad).is_err());
         // truncation
-        let short = blob.slice(..blob.len() / 2);
-        assert!(load_state(&mut cnn(), short).is_err());
+        assert!(load_state(&mut cnn(), &blob[..blob.len() / 2]).is_err());
         // trailing garbage
-        let mut long = blob.to_vec();
+        let mut long = blob.clone();
         long.push(0);
-        assert!(load_state(&mut cnn(), Bytes::from(long)).is_err());
+        assert!(load_state(&mut cnn(), &long).is_err());
         // architecture mismatch (different widths)
         let mut other = SteppingNetBuilder::new(Shape::of(&[2, 8, 8]), 3, 5)
             .conv(5, 3, 1, 1)
@@ -341,7 +373,7 @@ mod tests {
             .relu()
             .build(3)
             .unwrap();
-        assert!(load_state(&mut other, blob).is_err());
+        assert!(load_state(&mut other, &blob).is_err());
     }
 
     #[test]
@@ -359,7 +391,7 @@ mod tests {
             .build(3)
             .unwrap();
         assert!(matches!(
-            load_state(&mut fewer, blob),
+            load_state(&mut fewer, &blob),
             Err(SteppingError::InvalidStructure(_))
         ));
     }

@@ -504,7 +504,7 @@ proptest! {
         let mut other = table_net(seed ^ 0x5a, &[(later.0, later.1, later.2)]);
         let state = checkpoint::save_state(&mut other);
         mutated(&mut net, "after load_state", &|net| {
-            checkpoint::load_state(net, state.clone()).unwrap();
+            checkpoint::load_state(net, &state).unwrap();
         });
         prop_assert_eq!(net.mac_table(thr), other.mac_table(thr));
     }

@@ -8,8 +8,8 @@
 //! * [`ParallelConfig::shard_ranges`] — a **canonical shard decomposition**
 //!   that is a pure function of the batch row count and the configured shard
 //!   size. The thread count never influences where shard boundaries fall.
-//! * [`ExecPool`] — a persistent worker pool (built on the vendored
-//!   `crossbeam` bounded channels, mirroring the hand-rolled pool in
+//! * [`ExecPool`] — a persistent worker pool (built on `std::sync::mpsc`
+//!   bounded channels, mirroring the hand-rolled pool in
 //!   `stepping-serve`) that executes indexed jobs and returns their results
 //!   **in job-index order**, regardless of which worker ran which job or in
 //!   what order they finished. Worker panics are caught and surfaced as

@@ -1,4 +1,4 @@
-//! Persistent worker pool over the vendored `crossbeam` bounded channels.
+//! Persistent worker pool over `std::sync::mpsc` bounded channels.
 //!
 //! Workers are spawned once and live until the pool is dropped; each
 //! [`ExecPool::run`] call dispatches indexed jobs round-robin and collects
@@ -8,11 +8,10 @@
 //! instead of poisoning a `JoinHandle` or aborting the process.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{self, Sender};
-use parking_lot::RwLock;
 use stepping_metrics::{start_timer, LogHistogram, MetricsRegistry};
 
 /// Always-on pool phase metrics in the process-wide registry. The names are
@@ -75,8 +74,8 @@ const WORKER_QUEUE: usize = 256;
 /// identical either way because jobs are self-contained and results are
 /// collected by index.
 pub struct ExecPool {
-    senders: Vec<Sender<Task>>,
-    handles: RwLock<Vec<JoinHandle<()>>>,
+    senders: Vec<SyncSender<Task>>,
+    handles: Vec<JoinHandle<()>>,
     threads: usize,
 }
 
@@ -97,7 +96,7 @@ impl ExecPool {
         let mut handles = Vec::new();
         if threads > 1 {
             for _ in 0..threads {
-                let (tx, rx) = channel::bounded::<Task>(WORKER_QUEUE);
+                let (tx, rx) = mpsc::sync_channel::<Task>(WORKER_QUEUE);
                 handles.push(std::thread::spawn(move || {
                     while let Ok(task) = rx.recv() {
                         task();
@@ -108,7 +107,7 @@ impl ExecPool {
         }
         ExecPool {
             senders,
-            handles: RwLock::new(handles),
+            handles,
             threads,
         }
     }
@@ -153,7 +152,7 @@ impl ExecPool {
                 Some(msg) => Err(PoolError::Panicked(msg)),
             };
         }
-        let (tx, rx) = channel::bounded::<(usize, std::thread::Result<T>)>(n);
+        let (tx, rx) = mpsc::sync_channel::<(usize, std::thread::Result<T>)>(n);
         let dispatch_timer = start_timer(&metrics.dispatch_ns);
         for (i, job) in jobs.into_iter().enumerate() {
             let tx = tx.clone();
@@ -198,7 +197,7 @@ impl Drop for ExecPool {
         // Closing the job channels ends the worker loops; join so no thread
         // outlives the pool.
         self.senders.clear();
-        for h in self.handles.write().drain(..) {
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }

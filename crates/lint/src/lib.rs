@@ -6,8 +6,8 @@
 //! registry, and (PR 14) the one file allowed to contain `unsafe`. Each was
 //! maintained by hand (doc comments, review checklists, property tests that
 //! only fire on lucky inputs). This crate mechanizes them: it lexes and
-//! scans the workspace's own sources with a hand-rolled lexer (the vendored
-//! deps are offline API stubs, so there is no `syn`), runs six rules, and
+//! scans the workspace's own sources with a hand-rolled lexer (the build is
+//! offline, so there is no `syn`), runs six rules, and
 //! reports findings with rustc-style diagnostics or JSON. (A seventh, L1
 //! plan-epoch invalidation, was retired once the compiled model made that
 //! invariant one rustc does check.)

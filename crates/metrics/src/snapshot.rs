@@ -10,10 +10,10 @@
 //! bucket-wise difference — which is how the bench harness and the
 //! `stepping-metrics-report` CLI scope always-on totals to one run.
 //!
-//! The JSON parser is hand-rolled (the vendored `serde` is a stub) and is
-//! the workspace's one JSON module: `stepping-obs`, which sits above this
-//! crate in the dependency graph, renders and parses its JSONL event lines
-//! with [`escape`], [`render_f64`] and [`json`] too.
+//! The JSON parser is hand-rolled (the workspace has no serialisation
+//! crate) and is the workspace's one JSON module: `stepping-obs`, which sits
+//! above this crate in the dependency graph, renders and parses its JSONL
+//! event lines with [`escape`], [`render_f64`] and [`json`] too.
 //!
 //! [`MetricsRegistry::snapshot`]: crate::MetricsRegistry::snapshot
 //! [`SnapshotWriter`]: crate::SnapshotWriter

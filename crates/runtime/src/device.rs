@@ -1,7 +1,5 @@
 //! A simple device latency model: MACs → wall-clock time.
 
-use serde::{Deserialize, Serialize};
-
 /// Throughput model of a compute device.
 ///
 /// The paper cites AlexNet at 26 ms on a GTX 1070 Ti; this model lets the
@@ -16,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// let dev = DeviceModel::new(1000.0); // 1000 MACs per µs
 /// assert_eq!(dev.latency_us(5000), 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceModel {
     macs_per_us: f64,
 }

@@ -12,12 +12,11 @@
 //! * [`UpgradePolicy::Recompute`] — slimmable-style: switching to a larger
 //!   subnet discards intermediate results and pays its full MAC count.
 
-use serde::{Deserialize, Serialize};
 use stepping_core::{Result, SteppingError, SteppingNet};
 use stepping_tensor::Tensor;
 
 /// How subnet upgrades are charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpgradePolicy {
     /// Reuse cached activations; pay only new neurons + the new head.
     Incremental,
@@ -36,7 +35,7 @@ impl UpgradePolicy {
 }
 
 /// Log of one timeslice of a drive.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceLog {
     /// Slice index.
     pub slice: usize,

@@ -8,9 +8,8 @@
 //! (e.g. the vehicle's planner) can poll at any moment without blocking
 //! inference. This module keeps the [`LatestPrediction`] cell.
 
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
-use parking_lot::RwLock;
 use stepping_tensor::Tensor;
 
 /// A published prediction: the subnet level it came from and the logits.
@@ -33,11 +32,15 @@ impl LatestPrediction {
 
     /// The latest `(subnet, logits)` published, if any.
     pub fn get(&self) -> Option<(usize, Vec<f32>)> {
-        self.inner.read().clone()
+        self.inner
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     pub(crate) fn publish(&self, subnet: usize, logits: &Tensor) {
-        *self.inner.write() = Some((subnet, logits.data().to_vec()));
+        *self.inner.write().unwrap_or_else(PoisonError::into_inner) =
+            Some((subnet, logits.data().to_vec()));
     }
 }
 

@@ -21,10 +21,9 @@
 //! # Ok::<(), stepping_core::SteppingError>(())
 //! ```
 
+use std::sync::mpsc;
 use std::time::Duration;
 
-use crossbeam::channel;
-use serde::{Deserialize, Serialize};
 use stepping_core::telemetry::{self, Value};
 use stepping_core::{IncrementalExecutor, Result, SteppingError, SteppingNet};
 use stepping_tensor::{reduce, Tensor};
@@ -39,7 +38,7 @@ use crate::{DeviceModel, ResourceTrace};
 /// Defaults: prune threshold `0.0`, [`UpgradePolicy::Incremental`], no
 /// device model, no trace, no confidence threshold, start at subnet 0,
 /// zero live tick.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SessionConfig {
     prune_threshold: f32,
     policy: UpgradePolicy,
@@ -373,7 +372,7 @@ impl Session {
         let policy = self.config.policy;
         let tick = self.config.get_tick();
 
-        let (tx, rx) = channel::bounded::<u64>(4);
+        let (tx, rx) = mpsc::sync_channel::<u64>(4);
         let budgets = trace.budgets().to_vec();
         let producer = std::thread::spawn(move || {
             for b in budgets {

@@ -9,8 +9,6 @@
 //! [`matmul_bt`](crate::matmul::matmul_bt) against the flattened weights,
 //! which is exactly how the `Conv2d` layer in `stepping-nn` is implemented.
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Static geometry of a 2-D convolution or pooling window.
@@ -24,7 +22,7 @@ use crate::{Result, Shape, Tensor, TensorError};
 /// assert_eq!((g.out_h, g.out_w), (32, 32)); // "same" padding
 /// # Ok::<(), stepping_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConvGeometry {
     /// Input channels.
     pub in_channels: usize,

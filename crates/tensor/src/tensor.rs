@@ -1,8 +1,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 use crate::{Result, Shape, TensorError};
 
 /// Owned, contiguous, row-major `f32` tensor.
@@ -23,7 +21,7 @@ use crate::{Result, Shape, TensorError};
 /// assert_eq!(doubled.data(), &[2.0, 4.0, 6.0, 8.0]);
 /// # Ok::<(), stepping_tensor::TensorError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,

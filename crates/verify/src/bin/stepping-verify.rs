@@ -158,7 +158,7 @@ fn run(args: &Args) -> Result<Report, String> {
     let mut report = Report::default();
     // R6 first: it decides whether the blob is loadable at all.
     report.violations.extend(check_blob(&net, &blob));
-    if load_state(&mut net, blob.as_slice().into()).is_ok() {
+    if load_state(&mut net, &blob).is_ok() {
         let opts = AnalyzerOptions {
             prune_threshold: args.threshold,
             mac_budgets: args.budgets.clone(),

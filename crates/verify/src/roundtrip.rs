@@ -7,7 +7,6 @@
 //! and the in-memory structure disagree — the on-disk subnet structure
 //! would silently drift from the one that was verified.
 
-use bytes::Bytes;
 use stepping_core::checkpoint::{load_state, save_state};
 use stepping_core::SteppingNet;
 
@@ -41,7 +40,7 @@ pub fn check_roundtrip(net: &mut SteppingNet) -> Vec<Violation> {
     let mut violations = Vec::new();
 
     let mut copy = net.clone();
-    if let Err(e) = load_state(&mut copy, Bytes::from(blob.to_vec())) {
+    if let Err(e) = load_state(&mut copy, &blob) {
         violations.push(r6(
             format!("checkpoint written by save_state fails to load: {e}"),
             Location::default(),
@@ -71,7 +70,7 @@ pub fn check_roundtrip(net: &mut SteppingNet) -> Vec<Violation> {
     }
 
     let blob2 = save_state(&mut copy);
-    check_digest(blob.as_ref(), blob2.as_ref(), &mut violations);
+    check_digest(&blob, &blob2, &mut violations);
     violations
 }
 
@@ -81,7 +80,7 @@ pub fn check_roundtrip(net: &mut SteppingNet) -> Vec<Violation> {
 pub fn check_blob(template: &SteppingNet, blob: &[u8]) -> Vec<Violation> {
     let mut violations = Vec::new();
     let mut copy = template.clone();
-    if let Err(e) = load_state(&mut copy, Bytes::from(blob.to_vec())) {
+    if let Err(e) = load_state(&mut copy, blob) {
         violations.push(r6(
             format!("checkpoint does not load: {e}"),
             Location::default(),
@@ -90,7 +89,7 @@ pub fn check_blob(template: &SteppingNet, blob: &[u8]) -> Vec<Violation> {
         return violations;
     }
     let blob2 = save_state(&mut copy);
-    check_digest(blob, blob2.as_ref(), &mut violations);
+    check_digest(blob, &blob2, &mut violations);
     violations
 }
 
@@ -143,13 +142,13 @@ mod tests {
         net.move_neuron(2, 2, 3).unwrap(); // unused pool
         assert!(check_roundtrip(&mut net).is_empty());
         let blob = save_state(&mut net);
-        assert!(check_blob(&net, blob.as_ref()).is_empty());
+        assert!(check_blob(&net, &blob).is_empty());
     }
 
     #[test]
     fn corrupt_magic_caught() {
         let mut net = mlp(2);
-        let mut bytes = save_state(&mut net).to_vec();
+        let mut bytes = save_state(&mut net);
         bytes[0] ^= 0xFF;
         let v = check_blob(&net, &bytes);
         assert_eq!(v.len(), 1);
@@ -160,7 +159,7 @@ mod tests {
     #[test]
     fn corrupt_assignment_value_caught() {
         let mut net = mlp(2);
-        let blob = save_state(&mut net).to_vec();
+        let blob = save_state(&mut net);
         // Assignments serialize as little-endian u16; a 0xFFFF value is far
         // beyond the unused-pool index and must be rejected on load. Find a
         // zero u16 in the first stage's assignment region by brute force:
@@ -183,7 +182,7 @@ mod tests {
     #[test]
     fn truncated_blob_caught() {
         let mut net = mlp(2);
-        let blob = save_state(&mut net).to_vec();
+        let blob = save_state(&mut net);
         let v = check_blob(&net, &blob[..blob.len() - 3]);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, Rule::R6Roundtrip);

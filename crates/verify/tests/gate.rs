@@ -81,7 +81,7 @@ fn gate_runs_through_construction_and_checkpoint_load() {
     // Checkpoint load re-verifies the restored structure.
     let blob = save_state(&mut a);
     let mut restored = net(3);
-    load_state(&mut restored, blob).unwrap();
+    load_state(&mut restored, &blob).unwrap();
     let x = init::uniform(Shape::of(&[2, 10]), -1.0, 1.0, &mut init::rng(17));
     for k in 0..3 {
         let ya: Tensor = a.forward(&x, k, false).unwrap();

@@ -70,7 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---- device: restore into a fresh architecture ----------------------
     let mut device_net = architecture()?;
-    load_state(&mut device_net, blob)?;
+    load_state(&mut device_net, &blob)?;
     device_net.check_invariants()?;
     println!(
         "device: restored; subnet MACs {:?}",

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Lint + test gate: formatting, clippy and rustdoc (warnings are errors),
-# tier-1 tests, the crate suites and feature matrix, the packed-plan bench
-# smoke and the no-FMA disassembly check.
+# Lint + test gate: formatting, the third-party package list, clippy and
+# rustdoc (warnings are errors), tier-1 tests, the crate suites and feature
+# matrix, the packed-plan bench smoke and the no-FMA disassembly check.
 # Run from anywhere; operates on the workspace root. Writes nothing into
 # the tree: the bench smoke runs in a temporary directory.
 set -euo pipefail
@@ -9,6 +9,22 @@ cd "$(dirname "$0")/.."
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+# Third-party packages: the workspace runs on std plus two offline
+# stand-ins, `rand` and `proptest`, both path dependencies under vendor/.
+# Anything else in the lockfile or in vendor/ fails here.
+echo "==> third-party packages: proptest and rand only"
+cargo metadata --format-version 1 --offline > /dev/null
+members=$(awk '/^\[/ { pkg = ($0 == "[package]") } pkg && /^name = / { print $3 }' \
+    Cargo.toml crates/*/Cargo.toml | tr -d '"' | sort)
+locked=$(awk '/^name = / { print $3 }' Cargo.lock | tr -d '"' | sort)
+third_party=$(comm -23 <(echo "$locked") <(echo "$members") | tr '\n' ' ')
+vendored=$(ls vendor | tr '\n' ' ')
+if [ "$third_party" != "proptest rand " ] || [ "$vendored" != "proptest rand " ]; then
+    echo "error: third-party packages in Cargo.lock: ${third_party:-none};" \
+        "vendor/ holds: ${vendored:-nothing}; expected proptest and rand" >&2
+    exit 1
+fi
 
 # Executors and sessions take `&SteppingNet` since the compiled model;
 # call sites written `::new(&mut net, ..)` before that still compile by

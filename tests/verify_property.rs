@@ -187,7 +187,7 @@ proptest! {
         seed in 0u64..500,
     ) {
         let mut net = build_with_moves(2, 8, 6, &[], seed);
-        let blob = save_state(&mut net).to_vec();
+        let blob = save_state(&mut net);
         // corrupted magic: refuses to load
         let mut bad = blob.clone();
         bad[0] ^= 0xFF;
