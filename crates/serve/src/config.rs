@@ -13,10 +13,11 @@ pub enum ShedPolicy {
     /// Downgrade the request to the largest smaller subnet whose lane has
     /// room (the nested-subnet property makes the cheaper answer free to
     /// produce and still correct). Budget and full requests step down to
-    /// the configured start subnet before giving up; upgrades whose lanes
-    /// are all full fall back to a synchronous cache answer
-    /// ([`Outcome::Shed`](crate::Outcome::Shed)). Subnet-pinned requests
-    /// are never downgraded. The default.
+    /// the configured start subnet before giving up. An upgrade has one
+    /// lane, that of the level its session sits at; when it is full the
+    /// upgrade falls back at once to a synchronous cache answer
+    /// ([`Outcome::Shed`](crate::Outcome::Shed)), whatever its target.
+    /// Subnet-pinned requests are never downgraded. The default.
     #[default]
     Downgrade,
     /// Refuse immediately with

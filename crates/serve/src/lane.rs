@@ -3,14 +3,20 @@
 //!
 //! PR 7's lock-wait histograms showed every worker serializing on one
 //! queue mutex, inverting the worker sweep (throughput *fell* as workers
-//! rose). Here each batch key — one batched pass the engine can run —
-//! owns a *lane*: its own bounded [`VecDeque`] behind its own lock, plus
-//! lock-free scheduling hints (depth, oldest enqueue, earliest deadline)
-//! published as atomics. Workers scan the hints without taking any lock,
-//! pick the most urgent *ready* lane, and claim a whole batch from it
-//! under that lane's lock alone — pushes to other lanes proceed in
-//! parallel, and two workers only contend when they race for the same
-//! lane.
+//! rose). Here each batch key owns a *lane*: its own bounded [`VecDeque`]
+//! behind its own lock, plus lock-free scheduling hints (depth, oldest
+//! enqueue, earliest deadline) published as atomics. Workers scan the
+//! hints without taking any lock, pick the most urgent *ready* lane, and
+//! claim a whole batch from it under that lane's lock alone — pushes to
+//! other lanes proceed in parallel, and two workers only contend when they
+//! race for the same lane.
+//!
+//! **Keys** follow the paper's steps: one lane per begin subnet and one per
+//! level an upgrade's caches sit at, `2n − 1` lanes for `n` subnets. An
+//! upgrade lane holds jobs bound for different targets; the batch steps
+//! them one level at a time, each pass over the rows whose target is not
+//! reached yet, so two upgrades from the same level share every step they
+//! both take.
 //!
 //! **Readiness** is work-conserving: a lane is ready as soon as it is
 //! non-empty, so a free worker takes the most urgent one *now* and a batch
@@ -69,12 +75,11 @@ pub(crate) enum BatchKey {
         /// Target subnet.
         subnet: usize,
     },
-    /// Incremental expansion of cached activations.
+    /// Incremental expansion of cached activations, whatever level each
+    /// job targets.
     Upgrade {
         /// Level the caches currently sit at.
         from: usize,
-        /// Level to reach.
-        to: usize,
     },
 }
 
@@ -85,6 +90,8 @@ pub(crate) enum Work {
         input: Tensor,
         subnet: usize,
     },
+    /// Its target is the job's `requested` level: admission never lowers
+    /// an upgrade's target.
     Upgrade {
         session: u64,
         cache: ActivationCache,
@@ -92,7 +99,6 @@ pub(crate) enum Work {
         /// `last_subnet`); recorded here so batching never has to re-derive
         /// it from the cache.
         from: usize,
-        target: usize,
     },
 }
 
@@ -118,10 +124,7 @@ impl Job {
     pub fn key(&self) -> BatchKey {
         match &self.work {
             Work::Begin { subnet, .. } => BatchKey::Begin { subnet: *subnet },
-            Work::Upgrade { from, target, .. } => BatchKey::Upgrade {
-                from: *from,
-                to: *target,
-            },
+            Work::Upgrade { from, .. } => BatchKey::Upgrade { from: *from },
         }
     }
 }
@@ -324,8 +327,8 @@ fn dur_ns(d: Duration) -> u64 {
 /// The sharded batch-forming structure shared by admission and workers.
 #[derive(Debug)]
 pub(crate) struct LaneSet {
-    /// Lanes in key order: `Begin { 0..n }` then `Upgrade { from, to }`
-    /// for every `from < to` pair, grouped by `from` ([`Self::index`]).
+    /// Lanes in key order: `Begin { 0..n }` then `Upgrade { 0..n-1 }`
+    /// ([`Self::index`]).
     lanes: Vec<Lane>,
     subnets: usize,
     max_batch: usize,
@@ -352,17 +355,10 @@ impl LaneSet {
         capacity: usize,
         metrics: Arc<ServeMetrics>,
     ) -> Self {
-        let mut lanes = Vec::new();
-        for subnet in 0..subnets {
-            lanes.push(Lane::new(BatchKey::Begin { subnet }));
-        }
-        for from in 0..subnets {
-            for to in from + 1..subnets {
-                lanes.push(Lane::new(BatchKey::Upgrade { from, to }));
-            }
-        }
+        let begins = (0..subnets).map(|subnet| BatchKey::Begin { subnet });
+        let upgrades = (0..subnets.saturating_sub(1)).map(|from| BatchKey::Upgrade { from });
         LaneSet {
-            lanes,
+            lanes: begins.chain(upgrades).map(Lane::new).collect(),
             subnets,
             max_batch,
             capacity: capacity.max(1),
@@ -375,25 +371,18 @@ impl LaneSet {
         }
     }
 
-    /// Number of lanes (`n` begin + `n(n-1)/2` upgrade edges).
+    /// Number of lanes (`n` begin + `n - 1` upgrade levels).
     #[cfg(test)]
     pub fn lane_count(&self) -> usize {
         self.lanes.len()
     }
 
-    /// Maps a key to its lane: begin keys identity-map, upgrade `(f, t)`
-    /// lands after all begin lanes at the `f`-grouped triangular offset.
-    /// Out-of-range keys (impossible for server-admitted jobs) clamp
-    /// instead of indexing out of bounds.
+    /// Maps a key to its lane: begin keys identity-map, an upgrade from
+    /// level `f` lands at `n + f`, after all begin lanes.
     fn index(&self, key: BatchKey) -> usize {
-        let n = self.subnets;
         match key {
-            BatchKey::Begin { subnet } => subnet.min(n - 1),
-            BatchKey::Upgrade { from, to } => {
-                let from = from.min(n.saturating_sub(2));
-                let to = to.clamp(from + 1, n.saturating_sub(1).max(from + 1));
-                n + from * (2 * n - from - 1) / 2 + (to - from - 1)
-            }
+            BatchKey::Begin { subnet } => subnet,
+            BatchKey::Upgrade { from } => self.subnets + from,
         }
     }
 
@@ -679,18 +668,11 @@ mod tests {
     fn lane_indexing_is_a_bijection_over_keys() {
         for n in 1..=6usize {
             let set = test_set(n, 8, 64);
-            assert_eq!(set.lane_count(), n + n * (n - 1) / 2);
+            assert_eq!(set.lane_count(), 2 * n - 1);
             let mut seen = vec![false; set.lane_count()];
-            let mut keys = Vec::new();
-            for subnet in 0..n {
-                keys.push(BatchKey::Begin { subnet });
-            }
-            for from in 0..n {
-                for to in from + 1..n {
-                    keys.push(BatchKey::Upgrade { from, to });
-                }
-            }
-            for key in keys {
+            let begins = (0..n).map(|subnet| BatchKey::Begin { subnet });
+            let upgrades = (0..n - 1).map(|from| BatchKey::Upgrade { from });
+            for key in begins.chain(upgrades) {
                 let idx = set.index(key);
                 assert!(!seen[idx], "key {key:?} collides at lane {idx} (n={n})");
                 seen[idx] = true;

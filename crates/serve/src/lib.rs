@@ -11,10 +11,10 @@
 //!   and scratch buffers of its own;
 //!   clients [`submit`](Server::submit) from any number of threads and
 //!   block only on their own [`Ticket`].
-//! * **Sharded batch lanes** — every batch key (one target subnet, or one
-//!   upgrade step) owns its own bounded lane with its own lock; workers
-//!   scan lock-free scheduling hints and claim whole lanes, so pushes and
-//!   claims on different keys never contend.
+//! * **Sharded batch lanes** — every batch key (one target subnet, or the
+//!   level an upgrade starts from) owns its own bounded lane with its own
+//!   lock; workers scan lock-free scheduling hints and claim whole lanes,
+//!   so pushes and claims on different keys never contend.
 //! * **Work-conserving dispatch** — a free worker claims the most urgent
 //!   non-empty lane at once; a batch is whatever queued while the workers
 //!   were busy. One push wakes one parked worker; the others stay parked.

@@ -14,7 +14,7 @@
 //! * per-worker — `serve.lock_wait_ns{worker="N"}` and
 //!   `serve.worker_busy_ns{worker="N"}` (utilization);
 //! * per batch key — `serve.batch_occupancy{key="begin_K"}` for initial
-//!   runs of subnet `K`, `{key="up_F_T"}` for `F → T` upgrades;
+//!   runs of subnet `K`, `{key="up_F"}` for upgrades from level `F`;
 //! * unlabeled — admission/queue/forward/reply phases, the claimed-lane
 //!   depth histogram, and the admitted/completed/deadline-miss/cache-hit/
 //!   degraded/shed/rejected counters.
@@ -25,7 +25,6 @@
 //! `serve.degraded` (admitted at a smaller subnet), `serve.shed` (upgrade
 //! answered from cache), `serve.rejected` (typed error to the caller).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use stepping_core::events::metric;
@@ -80,15 +79,16 @@ pub(crate) struct ServeMetrics {
     workers: Vec<WorkerMetrics>,
     /// `serve.batch_occupancy{key="begin_K"}`, indexed by subnet.
     begin_occupancy: Vec<Arc<LogHistogram>>,
-    /// `serve.batch_occupancy{key="up_F_T"}` for every `F < T` pair.
-    upgrade_occupancy: HashMap<(usize, usize), Arc<LogHistogram>>,
+    /// `serve.batch_occupancy{key="up_F"}`, indexed by level.
+    upgrade_occupancy: Vec<Arc<LogHistogram>>,
 }
 
 impl ServeMetrics {
     /// Registers every series the server records: `workers` worker series
-    /// and occupancy series for all `subnets` begin keys plus all upgrade
-    /// edges. Idempotent — re-registration returns the existing handles, so
-    /// several servers in one process share the series.
+    /// and occupancy series for all `subnets` begin keys plus the upgrade
+    /// keys of every level but the top. Idempotent — re-registration
+    /// returns the existing handles, so several servers in one process
+    /// share the series.
     pub fn new(registry: &MetricsRegistry, workers: usize, subnets: usize) -> Self {
         registry.set_validator(stepping_core::events::is_metric);
         let workers = (0..workers.max(1))
@@ -105,28 +105,15 @@ impl ServeMetrics {
                 ),
             })
             .collect();
+        let occupancy = |key: String| {
+            registry.register_histogram_labeled(metric::SERVE_BATCH_OCCUPANCY, "key", key)
+        };
         let begin_occupancy = (0..subnets)
-            .map(|k| {
-                registry.register_histogram_labeled(
-                    metric::SERVE_BATCH_OCCUPANCY,
-                    "key",
-                    format!("begin_{k}"),
-                )
-            })
+            .map(|k| occupancy(format!("begin_{k}")))
             .collect();
-        let mut upgrade_occupancy = HashMap::new();
-        for from in 0..subnets {
-            for to in from + 1..subnets {
-                upgrade_occupancy.insert(
-                    (from, to),
-                    registry.register_histogram_labeled(
-                        metric::SERVE_BATCH_OCCUPANCY,
-                        "key",
-                        format!("up_{from}_{to}"),
-                    ),
-                );
-            }
-        }
+        let upgrade_occupancy = (0..subnets.saturating_sub(1))
+            .map(|from| occupancy(format!("up_{from}")))
+            .collect();
         ServeMetrics {
             admitted: registry.register_counter(metric::SERVE_ADMITTED),
             completed: registry.register_counter(metric::SERVE_COMPLETED),
@@ -161,7 +148,7 @@ impl ServeMetrics {
     pub fn occupancy(&self, key: BatchKey) -> Option<&Arc<LogHistogram>> {
         match key {
             BatchKey::Begin { subnet } => self.begin_occupancy.get(subnet),
-            BatchKey::Upgrade { from, to } => self.upgrade_occupancy.get(&(from, to)),
+            BatchKey::Upgrade { from } => self.upgrade_occupancy.get(from),
         }
     }
 }
@@ -176,14 +163,15 @@ mod tests {
         let m = ServeMetrics::new(&registry, 3, 2);
         assert_eq!(registry.invalid_names(), 0, "all names in the registry");
         assert!(m.occupancy(BatchKey::Begin { subnet: 1 }).is_some());
-        assert!(m.occupancy(BatchKey::Upgrade { from: 0, to: 1 }).is_some());
+        assert!(m.occupancy(BatchKey::Upgrade { from: 0 }).is_some());
+        assert!(m.occupancy(BatchKey::Upgrade { from: 1 }).is_none());
         assert!(m.occupancy(BatchKey::Begin { subnet: 9 }).is_none());
         // worker lookup wraps rather than indexing out of bounds
         let _ = m.worker(7);
         let snap = registry.snapshot();
         let series: Vec<&str> = snap.hists.iter().map(|(n, _)| n.as_str()).collect();
         assert!(series.contains(&"serve.lock_wait_ns{worker=\"2\"}"));
-        assert!(series.contains(&"serve.batch_occupancy{key=\"up_0_1\"}"));
+        assert!(series.contains(&"serve.batch_occupancy{key=\"up_0\"}"));
         assert!(series.contains(&"serve.lane_depth"));
     }
 }

@@ -1,6 +1,7 @@
 //! The serving engine: worker pool, deadline math, session table, admission
 //! control, and the sharded-lane dispatch loop.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
@@ -8,8 +9,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use stepping_core::batch::{ActivationCache, BatchExecutor};
-use stepping_core::telemetry::{self, Value};
-use stepping_core::{CompiledModel, MacTable, Result, SteppingError, SteppingNet};
+use stepping_core::telemetry::{self, SpanGuard, Value};
+use stepping_core::{CompiledModel, ExpandStep, MacTable, Result, SteppingError, SteppingNet};
 use stepping_metrics::{elapsed_ns, start_timer, MetricsRegistry, SnapshotWriter};
 use stepping_runtime::DeviceModel;
 use stepping_tensor::Tensor;
@@ -68,8 +69,9 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Ends `session`'s in-flight upgrade: puts `entry` back in the table, or
-/// drops it when the session was released while the job ran.
+/// Puts `session`'s new state in the table (a begin's first entry, or an
+/// upgrade's result), or drops it when the session was released while its
+/// upgrade ran.
 fn settle(sessions: &mut HashMap<u64, Slot>, session: u64, entry: SessionEntry) {
     if matches!(
         sessions.get(&session),
@@ -137,9 +139,10 @@ impl Shared {
 ///
 /// `workers` threads share one immutable
 /// [`CompiledModel`](stepping_core::CompiledModel) of the network — each
-/// through its own executor and scratch buffers — and claim micro-batches of *compatible* requests (same target subnet, or same
-/// upgrade step) from sharded per-key batch lanes, running one batched
-/// pass per claim. Lane selection is earliest-deadline-first, so
+/// through its own executor and scratch buffers — and claim micro-batches
+/// of *compatible* requests (same target subnet, or upgrades from the same
+/// level) from sharded per-key batch lanes, running one batched pass per
+/// claim, or per level an upgrade claim steps. Lane selection is earliest-deadline-first, so
 /// budget-carrying requests are serviced before their deadlines expire
 /// whenever possible. Because every kernel in the workspace computes batch
 /// rows independently, each request's logits are **bit-identical** to
@@ -380,16 +383,12 @@ impl Server {
                     depth,
                     capacity,
                 }) => {
-                    let cur = match &returned.work {
-                        Work::Begin { subnet, .. } => *subnet,
-                        Work::Upgrade { target, .. } => *target,
-                    };
-                    if downgradable && cur > self.shared.start_subnet {
-                        job = *returned;
-                        if let Work::Begin { subnet, .. } = &mut job.work {
-                            *subnet = cur - 1;
+                    job = *returned;
+                    if let Work::Begin { subnet, .. } = &mut job.work {
+                        if downgradable && *subnet > self.shared.start_subnet {
+                            *subnet -= 1;
+                            continue;
                         }
-                        continue;
                     }
                     self.shared.stats.record_rejected(1);
                     self.shared.metrics.rejected.inc();
@@ -407,18 +406,18 @@ impl Server {
     /// largest subnet. If not even one step is affordable, the cached
     /// prediction is returned immediately with zero new MACs
     /// ([`Outcome::CacheHit`](crate::Outcome::CacheHit), `batch_size == 0`,
-    /// `cache_reuse == 1.0`). Under load, [`ShedPolicy::Downgrade`] steps
-    /// the target level down while its lanes are full, shedding to a
-    /// synchronous cache answer
-    /// ([`Outcome::Shed`](crate::Outcome::Shed)) when no upgrade lane has
-    /// room at all — the session stays upgradeable later either way.
+    /// `cache_reuse == 1.0`). Every upgrade from one level shares that
+    /// level's lane, whatever its target; when that lane is full,
+    /// [`ShedPolicy::Downgrade`] sheds to a synchronous cache answer
+    /// ([`Outcome::Shed`](crate::Outcome::Shed)) — the session stays
+    /// upgradeable later either way.
     ///
     /// # Errors
     ///
     /// [`ServeError::Invalid`] for an unknown session or a non-positive
     /// budget; [`ServeError::UpgradeInFlight`] while the session's previous
     /// upgrade has not resolved; [`ServeError::Admission`] when shutting
-    /// down, or when lanes are full under [`ShedPolicy::Reject`].
+    /// down, or when the lane is full under [`ShedPolicy::Reject`].
     pub fn upgrade(
         &self,
         session: u64,
@@ -491,13 +490,12 @@ impl Server {
             return Ok(Ticket { rx });
         }
         let submitted = Instant::now();
-        let mut job = Job {
+        let job = Job {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
             work: Work::Upgrade {
                 session,
                 cache: entry.cache,
                 from: cur,
-                target,
             },
             requested: target,
             budget_us: extra_budget_us,
@@ -506,78 +504,59 @@ impl Server {
             reply: tx,
         };
         self.shared.stats.record_admitted(1);
-        loop {
-            match self.shared.lanes.push(job) {
-                Ok(()) => break,
-                Err(Refused::Draining(returned)) => {
-                    self.shared.stats.record_admission_rejected(1);
-                    self.reinstall(session, *returned, &entry.last_logits, cur);
-                    return Err(AdmissionError::ShuttingDown.into());
-                }
-                Err(Refused::Full {
-                    job: returned,
-                    depth,
-                    capacity,
-                }) => {
-                    let level = match &returned.work {
-                        Work::Upgrade { target, .. } => *target,
-                        Work::Begin { subnet, .. } => *subnet,
-                    };
-                    if self.shared.shed_policy == ShedPolicy::Downgrade {
-                        if level > cur + 1 {
-                            // try the next-smaller upgrade edge's lane
-                            job = *returned;
-                            if let Work::Upgrade { target, .. } = &mut job.work {
-                                *target = level - 1;
-                            }
-                            continue;
-                        }
-                        // every admissible lane is full: shed to the cache
-                        // — the nested-subnet property means the session's
-                        // current level is still a correct answer
-                        let id = returned.id;
-                        let reply = returned.reply.clone();
-                        self.reinstall(session, *returned, &entry.last_logits, cur);
-                        let shed = match lock(&self.shared.sessions).get(&session) {
-                            Some(Slot::Resident(e)) => {
-                                let mut r = self.cached_response(session, e, Outcome::Shed);
-                                r.id = id;
-                                r.latency_us = submitted.elapsed().as_secs_f64() * 1e6;
-                                Some(r)
-                            }
-                            _ => None,
-                        };
-                        if let Some(response) = shed {
-                            self.shared.stats.record_shed();
-                            self.shared.metrics.shed.inc();
-                            self.shared.metrics.completed.inc();
-                            telemetry::point(
-                                "serving",
-                                "serve.shed",
-                                &[
-                                    ("session", Value::U64(session)),
-                                    ("subnet", Value::U64(cur as u64)),
-                                    ("requested", Value::U64(target as u64)),
-                                ],
-                            );
-                            let _ = reply.send(Ok(response));
-                            return Ok(Ticket { rx });
-                        }
-                        // the session vanished while shedding (concurrent
-                        // release): report the staler but honest refusal
-                        self.shared.stats.record_rejected(1);
-                        self.shared.metrics.rejected.inc();
-                        return Err(AdmissionError::QueueFull { depth, capacity }.into());
-                    }
-                    self.shared.stats.record_rejected(1);
-                    self.shared.metrics.rejected.inc();
-                    self.reinstall(session, *returned, &entry.last_logits, cur);
-                    return Err(AdmissionError::QueueFull { depth, capacity }.into());
-                }
+        let (returned, depth, capacity) = match self.shared.lanes.push(job) {
+            Ok(()) => {
+                self.shared.metrics.admitted.inc();
+                return Ok(Ticket { rx });
             }
+            Err(Refused::Draining(returned)) => {
+                self.shared.stats.record_admission_rejected(1);
+                self.reinstall(session, *returned, &entry.last_logits, cur);
+                return Err(AdmissionError::ShuttingDown.into());
+            }
+            Err(Refused::Full {
+                job,
+                depth,
+                capacity,
+            }) => (job, depth, capacity),
+        };
+        // the one lane of level `cur` is full
+        let (id, reply) = (returned.id, returned.reply.clone());
+        self.reinstall(session, *returned, &entry.last_logits, cur);
+        if self.shared.shed_policy == ShedPolicy::Downgrade {
+            // shed to the cache — the nested-subnet property means the
+            // session's current level is still a correct answer
+            let shed = match lock(&self.shared.sessions).get(&session) {
+                Some(Slot::Resident(e)) => {
+                    let mut r = self.cached_response(session, e, Outcome::Shed);
+                    r.id = id;
+                    r.latency_us = submitted.elapsed().as_secs_f64() * 1e6;
+                    Some(r)
+                }
+                _ => None,
+            };
+            if let Some(response) = shed {
+                self.shared.stats.record_shed();
+                self.shared.metrics.shed.inc();
+                self.shared.metrics.completed.inc();
+                telemetry::point(
+                    "serving",
+                    "serve.shed",
+                    &[
+                        ("session", Value::U64(session)),
+                        ("subnet", Value::U64(cur as u64)),
+                        ("requested", Value::U64(target as u64)),
+                    ],
+                );
+                let _ = reply.send(Ok(response));
+                return Ok(Ticket { rx });
+            }
+            // the session vanished while shedding (concurrent release):
+            // report the staler but honest refusal
         }
-        self.shared.metrics.admitted.inc();
-        Ok(Ticket { rx })
+        self.shared.stats.record_rejected(1);
+        self.shared.metrics.rejected.inc();
+        Err(AdmissionError::QueueFull { depth, capacity }.into())
     }
 
     /// Puts a refused upgrade job's cache back into the session table so
@@ -744,9 +723,7 @@ fn worker_loop(shared: Arc<Shared>, mut exec: BatchExecutor, worker: usize) {
         }
         match key {
             BatchKey::Begin { subnet } => run_begin_batch(&shared, &mut exec, &mut batch, subnet),
-            BatchKey::Upgrade { from, to } => {
-                run_upgrade_batch(&shared, &mut exec, &mut batch, from, to)
-            }
+            BatchKey::Upgrade { from } => run_upgrade_batch(&shared, &mut exec, &mut batch, from),
         }
         if let Some(start) = busy_start {
             shared.metrics.worker(worker).busy_ns.add(elapsed_ns(start));
@@ -762,6 +739,27 @@ struct Waiting {
     budget_us: Option<f64>,
     submitted: Instant,
     reply: mpsc::Sender<Result<Response>>,
+}
+
+/// Splits a claimed job into its payload and what its reply needs.
+fn split(job: Job) -> (Work, Waiting) {
+    let Job {
+        id,
+        work,
+        requested,
+        budget_us,
+        submitted,
+        reply,
+        ..
+    } = job;
+    let waiting = Waiting {
+        id,
+        requested,
+        budget_us,
+        submitted,
+        reply,
+    };
+    (work, waiting)
 }
 
 fn respond_error(waiting: Vec<Waiting>, err: SteppingError) {
@@ -793,33 +791,18 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job
     let mut inputs = Vec::with_capacity(jobs.len());
     let mut waiting = Vec::with_capacity(jobs.len());
     for job in jobs.drain(..) {
-        let Job {
-            id,
-            work,
-            requested,
-            budget_us,
-            submitted,
-            reply,
-            ..
-        } = job;
-        match work {
+        match split(job) {
             // the input tensor moves into the pass, it is not copied
-            Work::Begin { input, .. } => {
+            (Work::Begin { input, .. }, w) => {
                 inputs.push(input);
-                waiting.push(Waiting {
-                    id,
-                    requested,
-                    budget_us,
-                    submitted,
-                    reply,
-                });
+                waiting.push(w);
             }
             // A mis-keyed job can't run in this batch; answer it with an
             // error instead of poisoning the whole batch. Its cache is
             // lost with it, so the session ends.
-            Work::Upgrade { session, .. } => {
+            (Work::Upgrade { session, .. }, w) => {
                 shared.forget(session);
-                let _ = reply.send(Err(SteppingError::ExecutorState(
+                let _ = w.reply.send(Err(SteppingError::ExecutorState(
                     "upgrade job routed to a begin batch".into(),
                 )));
             }
@@ -828,58 +811,143 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job
     let forward_timer = start_timer(&shared.metrics.forward_ns);
     let forward = exec.begin(&inputs, subnet);
     forward_timer.stop();
-    let results = match forward {
-        Ok(r) => r,
+    match forward {
+        Ok(results) => {
+            let rows = waiting.into_iter().zip(results).map(|(w, (cache, step))| {
+                let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
+                let step_macs = step.step_macs;
+                (w, session, cache, step, step_macs)
+            });
+            answer(shared, span, BatchKey::Begin { subnet }, rows);
+        }
         Err(e) => {
             span.end(&[("error", Value::Bool(true))]);
             respond_error(waiting, e);
-            return;
         }
-    };
-    let batch_size = waiting.len();
+    }
+}
+
+/// Runs one claimed upgrade batch from level `from` and answers it; `jobs`
+/// is left empty.
+///
+/// The rows may target different levels. Sorted highest target first, the
+/// rows still short of level `k` are a prefix, and step `k` runs one pass
+/// over that prefix: rows share every step they both take, and each keeps
+/// the step of its own target.
+fn run_upgrade_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job>, from: usize) {
+    let span = telemetry::span("serving", "serve.batch");
+    jobs.sort_unstable_by_key(|job| Reverse(job.requested));
+    // each session with what it had spent before this batch
+    let mut sessions = Vec::with_capacity(jobs.len());
+    let mut caches = Vec::with_capacity(jobs.len());
+    let mut waiting = Vec::with_capacity(jobs.len());
+    for job in jobs.drain(..) {
+        match split(job) {
+            (Work::Upgrade { session, cache, .. }, w) => {
+                sessions.push((session, cache.cumulative_macs()));
+                caches.push(cache);
+                waiting.push(w);
+            }
+            // A mis-keyed job can't run in this batch; answer it with an
+            // error instead of poisoning the whole batch.
+            (Work::Begin { .. }, w) => {
+                let _ = w.reply.send(Err(SteppingError::ExecutorState(
+                    "begin job routed to an upgrade batch".into(),
+                )));
+            }
+        }
+    }
+    let top = waiting.first().map_or(from, |w| w.requested);
+    let mut steps = Vec::new();
+    let forward_timer = start_timer(&shared.metrics.forward_ns);
+    for k in from + 1..=top {
+        let rows = waiting.partition_point(|w| w.requested >= k);
+        match exec.expand(&mut caches[..rows]) {
+            Ok(fresh) if steps.is_empty() => steps = fresh,
+            // rows past the prefix keep the step of their own target
+            Ok(fresh) => {
+                steps.splice(..rows, fresh);
+            }
+            Err(e) => {
+                forward_timer.stop();
+                span.end(&[("error", Value::Bool(true))]);
+                // the caches are in an unknown state: the sessions end
+                sessions.into_iter().for_each(|(s, _)| shared.forget(s));
+                respond_error(waiting, e);
+                return;
+            }
+        }
+    }
+    forward_timer.stop();
+    let rows = waiting
+        .into_iter()
+        .zip(sessions)
+        .zip(caches)
+        .zip(steps)
+        .map(|(((w, (session, spent)), cache), step)| {
+            let step_macs = cache.cumulative_macs() - spent;
+            (w, session, cache, step, step_macs)
+        });
+    answer(shared, span, BatchKey::Upgrade { from }, rows);
+}
+
+/// One served row: what its reply needs, its session, the session's new
+/// cache, the step that answered it and the MACs this batch spent on it.
+type Row = (Waiting, u64, ActivationCache, ExpandStep, u64);
+
+/// Answers a served batch, begin or upgrade alike: builds every response,
+/// puts each session's new state into the table, books the batch, then
+/// sends the replies — stats and sessions are visible before any reply is.
+fn answer(
+    shared: &Shared,
+    span: SpanGuard,
+    key: BatchKey,
+    rows: impl ExactSizeIterator<Item = Row>,
+) {
+    let batch_size = rows.len();
     let mut batch_macs = 0u64;
     let mut misses = 0u64;
     let mut degraded = 0u64;
-    // stats and session entries must be visible before any reply is sent,
-    // so sends are buffered until all bookkeeping is done
     let mut outbox = Vec::with_capacity(batch_size);
-    for (job, (_, step)) in waiting.into_iter().zip(&results) {
-        let session = shared.next_session.fetch_add(1, Ordering::Relaxed);
-        let modeled = shared.device.latency_us(step.step_macs);
+    for (job, session, cache, step, step_macs) in rows {
+        let modeled = shared.device.latency_us(step_macs);
         let (outcome, miss) = outcome_of(job.requested, step.subnet, job.budget_us, modeled);
-        if miss {
-            misses += 1;
-        }
-        if step.subnet < job.requested {
-            degraded += 1;
-        }
-        batch_macs += step.step_macs;
+        misses += u64::from(miss);
+        degraded += u64::from(step.subnet < job.requested);
+        batch_macs += step_macs;
+        let total = cache.cumulative_macs();
         let response = Response {
             id: job.id,
             session,
             subnet: step.subnet,
             logits: step.logits.clone(),
-            step_macs: step.step_macs,
-            total_macs: step.cumulative_macs,
+            step_macs,
+            total_macs: total,
             modeled_latency_us: modeled,
             latency_us: job.submitted.elapsed().as_secs_f64() * 1e6,
             outcome,
             batch_size,
-            cache_reuse: 0.0,
+            // exactly 0 for a begin, whose step is all it has spent
+            cache_reuse: if total == 0 {
+                0.0
+            } else {
+                1.0 - step_macs as f64 / total as f64
+            },
         };
-        outbox.push((job.reply, response));
+        let entry = SessionEntry {
+            cache,
+            last_subnet: step.subnet,
+            last_logits: step.logits,
+        };
+        outbox.push((job.reply, response, Some(entry)));
     }
-    // one table lock for the batch, held for the inserts alone
+    // one table lock for the batch, held for the table updates alone: into
+    // the table — or dropped, if released while its upgrade was in flight
     let mut sessions = lock(&shared.sessions);
-    for ((_, response), (cache, step)) in outbox.iter().zip(results) {
-        sessions.insert(
-            response.session,
-            Slot::Resident(SessionEntry {
-                cache,
-                last_subnet: step.subnet,
-                last_logits: step.logits,
-            }),
-        );
+    for (_, response, entry) in &mut outbox {
+        if let Some(entry) = entry.take() {
+            settle(&mut sessions, response.session, entry);
+        }
     }
     drop(sessions);
     shared
@@ -889,152 +957,18 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job
     shared.metrics.degraded.add(degraded);
     shared.metrics.completed.add(batch_size as u64);
     let reply_timer = start_timer(&shared.metrics.reply_ns);
-    for (reply, response) in outbox {
+    for (reply, response, _) in outbox {
         let _ = reply.send(Ok(response));
     }
     reply_timer.stop();
-    span.end(&[
-        ("kind", Value::Str("begin")),
-        ("batch", Value::U64(batch_size as u64)),
-        ("subnet", Value::U64(subnet as u64)),
-        ("macs", Value::U64(batch_macs)),
-    ]);
-}
-
-/// Runs one claimed upgrade batch and answers it; `jobs` is left empty.
-fn run_upgrade_batch(
-    shared: &Shared,
-    exec: &mut BatchExecutor,
-    jobs: &mut Vec<Job>,
-    from: usize,
-    to: usize,
-) {
-    let span = telemetry::span("serving", "serve.batch");
-    let mut sessions_meta = Vec::with_capacity(jobs.len());
-    let mut caches = Vec::with_capacity(jobs.len());
-    let mut replies = Vec::with_capacity(jobs.len());
-    for job in jobs.drain(..) {
-        match job.work {
-            Work::Upgrade { session, cache, .. } => {
-                sessions_meta.push(session);
-                caches.push(cache);
-                replies.push(Waiting {
-                    id: job.id,
-                    requested: job.requested,
-                    budget_us: job.budget_us,
-                    submitted: job.submitted,
-                    reply: job.reply,
-                });
-            }
-            // A mis-keyed job can't run in this batch; answer it with an
-            // error instead of poisoning the whole batch.
-            Work::Begin { .. } => {
-                let _ = job.reply.send(Err(SteppingError::ExecutorState(
-                    "begin job routed to an upgrade batch".into(),
-                )));
-            }
-        }
-    }
-    let mut new_macs = 0u64;
-    let mut last_steps = None;
-    let forward_timer = start_timer(&shared.metrics.forward_ns);
-    for _ in from..to {
-        match exec.expand(&mut caches) {
-            Ok(steps) => {
-                new_macs += steps[0].step_macs;
-                last_steps = Some(steps);
-            }
-            Err(e) => {
-                forward_timer.stop();
-                span.end(&[("error", Value::Bool(true))]);
-                // the caches are in an unknown state: the sessions end
-                sessions_meta.into_iter().for_each(|s| shared.forget(s));
-                respond_error(replies, e);
-                return;
-            }
-        }
-    }
-    forward_timer.stop();
-    let Some(steps) = last_steps else {
-        // `to > from` is guaranteed by the caller, so an empty loop means the
-        // batch key was inconsistent; fail the requests rather than panic.
-        span.end(&[("error", Value::Bool(true))]);
-        sessions_meta.into_iter().for_each(|s| shared.forget(s));
-        respond_error(
-            replies,
-            SteppingError::ExecutorState("upgrade batch performed no expand step".into()),
-        );
-        return;
+    let (kind, level) = match key {
+        BatchKey::Begin { subnet } => ("begin", ("subnet", subnet)),
+        BatchKey::Upgrade { from } => ("upgrade", ("from", from)),
     };
-    let batch_size = replies.len();
-    let mut misses = 0u64;
-    let mut degraded = 0u64;
-    let mut outbox = Vec::with_capacity(batch_size);
-    for (((&session, cache), step), job) in
-        sessions_meta.iter().zip(&caches).zip(&steps).zip(replies)
-    {
-        let modeled = shared.device.latency_us(new_macs);
-        let (outcome, miss) = outcome_of(job.requested, step.subnet, job.budget_us, modeled);
-        if miss {
-            misses += 1;
-        }
-        if step.subnet < job.requested {
-            degraded += 1;
-        }
-        let total = cache.cumulative_macs();
-        let response = Response {
-            id: job.id,
-            session,
-            subnet: step.subnet,
-            logits: step.logits.clone(),
-            step_macs: new_macs,
-            total_macs: total,
-            modeled_latency_us: modeled,
-            latency_us: job.submitted.elapsed().as_secs_f64() * 1e6,
-            outcome,
-            batch_size,
-            cache_reuse: if total == 0 {
-                0.0
-            } else {
-                1.0 - new_macs as f64 / total as f64
-            },
-        };
-        outbox.push((job.reply, response));
-    }
-    // one table lock for the batch, held for the table updates alone:
-    // back into the table — or dropped, if released while in flight
-    let mut sessions = lock(&shared.sessions);
-    for ((session, cache), step) in sessions_meta.into_iter().zip(caches).zip(steps) {
-        settle(
-            &mut sessions,
-            session,
-            SessionEntry {
-                cache,
-                last_subnet: step.subnet,
-                last_logits: step.logits,
-            },
-        );
-    }
-    drop(sessions);
-    shared.stats.record_batch(
-        batch_size as u64,
-        new_macs * batch_size as u64,
-        misses,
-        degraded,
-    );
-    shared.metrics.deadline_miss.add(misses);
-    shared.metrics.degraded.add(degraded);
-    shared.metrics.completed.add(batch_size as u64);
-    let reply_timer = start_timer(&shared.metrics.reply_ns);
-    for (reply, response) in outbox {
-        let _ = reply.send(Ok(response));
-    }
-    reply_timer.stop();
     span.end(&[
-        ("kind", Value::Str("upgrade")),
+        ("kind", Value::Str(kind)),
         ("batch", Value::U64(batch_size as u64)),
-        ("from", Value::U64(from as u64)),
-        ("to", Value::U64(to as u64)),
-        ("macs", Value::U64(new_macs * batch_size as u64)),
+        (level.0, Value::U64(level.1 as u64)),
+        ("macs", Value::U64(batch_macs)),
     ]);
 }

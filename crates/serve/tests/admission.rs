@@ -133,45 +133,54 @@ fn reject_policy_refuses_without_downgrading() {
 
 #[test]
 fn full_upgrade_lanes_shed_to_the_session_cache() {
-    // two subnets: one upgrade lane (0 → 1), so a second upgrade has no
-    // smaller lane to fall back to and must shed
-    let srv = Server::new(&net(2), congested(ShedPolicy::Downgrade)).unwrap();
-    // a near-zero budget resolves to subnet 0; served at once, it yields
-    // a session
-    let ra = srv
-        .submit(Request::with_budget(sample(1), 0.001))
-        .unwrap()
-        .wait()
-        .unwrap();
-    let rb = srv
-        .submit(Request::with_budget(sample(2), 0.001))
-        .unwrap()
-        .wait()
-        .unwrap();
-    assert_eq!((ra.subnet, rb.subnet), (0, 0));
-    srv.pause();
-    // first upgrade occupies the single 0→1 lane and sticks there
-    let stuck = srv.upgrade(ra.session, None).unwrap();
-    // second upgrade finds it full and is shed: answered synchronously
-    // from its session cache, no compute, session retained
-    let shed = srv.upgrade(rb.session, None).unwrap().wait().unwrap();
-    assert_eq!(shed.outcome, Outcome::Shed);
-    assert!(shed.outcome.is_degraded());
-    assert_eq!(shed.subnet, 0);
-    assert_eq!(shed.step_macs, 0);
-    assert_eq!(shed.batch_size, 0);
-    assert_eq!(shed.cache_reuse, 1.0);
-    assert_eq!(shed.logits, rb.logits, "shed answer is the cached one");
-    let stats = srv.stats();
-    assert_eq!(stats.shed, 1);
-    assert_eq!(stats.rejected, 0);
-    // session A's cache rides in the queued upgrade; B's was reinstalled
-    assert_eq!(srv.session_count(), 1, "shed session survives");
-    srv.shutdown();
-    let upgraded = stuck.wait().unwrap();
-    assert_eq!(upgraded.subnet, 1);
-    assert_eq!(upgraded.outcome, Outcome::Met);
-    assert_eq!(srv.session_count(), 2, "both sessions back in the table");
+    // each level has one upgrade lane, whatever the target: with two
+    // subnets the second upgrade from level 0 has no other lane, and with
+    // four it is not walked down to a smaller target's lane either
+    for subnets in [2, 4] {
+        let srv = Server::new(&net(subnets), congested(ShedPolicy::Downgrade)).unwrap();
+        // a near-zero budget resolves to subnet 0; served at once, it
+        // yields a session
+        let ra = srv
+            .submit(Request::with_budget(sample(1), 0.001))
+            .unwrap()
+            .wait()
+            .unwrap();
+        let rb = srv
+            .submit(Request::with_budget(sample(2), 0.001))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!((ra.subnet, rb.subnet), (0, 0));
+        srv.pause();
+        // first upgrade occupies the single lane of level 0 and sticks there
+        let stuck = srv.upgrade(ra.session, None).unwrap();
+        // second upgrade finds it full and is shed: answered synchronously
+        // from its session cache, no compute, session retained
+        let shed = srv
+            .upgrade(rb.session, None)
+            .unwrap()
+            .try_wait()
+            .expect("a shed upgrade is answered before upgrade returns")
+            .unwrap();
+        assert_eq!(shed.outcome, Outcome::Shed, "{subnets} subnets");
+        assert!(shed.outcome.is_degraded());
+        assert_eq!(shed.subnet, 0);
+        assert_eq!(shed.step_macs, 0);
+        assert_eq!(shed.batch_size, 0);
+        assert_eq!(shed.cache_reuse, 1.0);
+        assert_eq!(shed.logits, rb.logits, "shed answer is the cached one");
+        let stats = srv.stats();
+        assert_eq!(stats.shed, 1);
+        assert_eq!(stats.rejected, 0);
+        assert_eq!(stats.degraded, 0, "no smaller target was tried");
+        // session A's cache rides in the queued upgrade; B's was reinstalled
+        assert_eq!(srv.session_count(), 1, "shed session survives");
+        srv.shutdown();
+        let upgraded = stuck.wait().unwrap();
+        assert_eq!(upgraded.subnet, subnets - 1);
+        assert_eq!(upgraded.outcome, Outcome::Met);
+        assert_eq!(srv.session_count(), 2, "both sessions back in the table");
+    }
 }
 
 #[test]

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
+use stepping_baselines::regular_assign;
 use stepping_core::{SteppingNet, SteppingNetBuilder};
 use stepping_runtime::{DeviceModel, SessionConfig};
 use stepping_serve::{Request, ServeConfig, Server};
@@ -208,41 +209,76 @@ fn worker_scans_allocate_nothing_and_inputs_are_moved() {
 /// the common case at an idle server, one more allocation per request.
 const ONE_JOB_BATCH_ALLOCS: usize = 24;
 
+/// The same for a one-step upgrade of a session in a batch of its own: the
+/// step pass, the reply (its logits, its channel block) and the batch's
+/// bookkeeping vectors. The cache moves through the lane and back into the
+/// table; no level of it is copied.
+const ONE_STEP_UPGRADE_ALLOCS: usize = 13;
+
 #[test]
 fn warmed_one_job_claim_allocates_nothing() {
     let _turn = take_turn();
-    let net = wide_net();
+    // two levels, so that a session begun at subnet 0 has one step to take
+    let mut net = SteppingNetBuilder::new(Shape::of(&[WIDTH]), 2, 3)
+        .linear(4)
+        .relu()
+        .build(2)
+        .unwrap();
+    regular_assign(&mut net, &[0.5, 1.0]).unwrap();
     let config = ServeConfig::builder()
         .workers(1)
         .session(SessionConfig::new().device(DeviceModel::new(1000.0)))
         .build();
     let server = Server::new(&net, config).unwrap();
-    let round_trip = || {
-        let response = server
-            .submit(Request::full(Tensor::ones(Shape::of(&[1, WIDTH]))))
+    let begin = || {
+        server
+            .submit(Request::at_subnet(Tensor::ones(Shape::of(&[1, WIDTH])), 0))
             .unwrap()
             .wait()
-            .unwrap();
+            .unwrap()
+    };
+    // the reply is sent before the worker is done with the batch
+    let settle = || std::thread::sleep(Duration::from_millis(20));
+    // worker allocations of one round trip: a begin, or a one-step upgrade
+    // of a session begun (uncounted) just before
+    let round_trip = |upgrade: bool| {
+        let (before, response) = if upgrade {
+            let session = begin().session;
+            settle();
+            let (before, _) = worker_counts();
+            (
+                before,
+                server.upgrade(session, None).unwrap().wait().unwrap(),
+            )
+        } else {
+            let (before, _) = worker_counts();
+            (before, begin())
+        };
         assert_eq!(response.batch_size, 1);
+        assert_eq!(response.subnet, usize::from(upgrade));
         // the session table stays at one entry and never regrows
         server.release(response.session);
-        // the reply is sent before the worker is done with the batch
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    // warm-up: grows the pack scratch, the lane snapshots, the claim buffer
-    // and the session table
-    for _ in 0..4 {
-        round_trip();
-    }
-    for _ in 0..4 {
-        let (before, _) = worker_counts();
-        round_trip();
+        settle();
         let (after, _) = worker_counts();
-        assert!(
-            after - before <= ONE_JOB_BATCH_ALLOCS,
-            "a one-job batch cost the worker {} allocations, {ONE_JOB_BATCH_ALLOCS} budgeted",
-            after - before
-        );
+        after - before
+    };
+    for (upgrade, budget) in [
+        (false, ONE_JOB_BATCH_ALLOCS),
+        (true, ONE_STEP_UPGRADE_ALLOCS),
+    ] {
+        // warm-up: grows the pack scratch, the lane snapshots, the claim
+        // buffer and the session table
+        for _ in 0..4 {
+            round_trip(upgrade);
+        }
+        for _ in 0..4 {
+            let allocs = round_trip(upgrade);
+            assert!(
+                allocs <= budget,
+                "a one-job batch (upgrade: {upgrade}) cost the worker {allocs} allocations, \
+                 {budget} budgeted"
+            );
+        }
     }
     server.shutdown();
 }

@@ -82,7 +82,7 @@ fn live_load_populates_every_series() {
         .unwrap();
     assert!(miss.outcome.is_degraded(), "starved budget degrades");
 
-    // Upgrades (exercising the up_F_T occupancy keys) plus one zero-budget
+    // Upgrades (exercising the up_F occupancy keys) plus one zero-budget
     // upgrade answered synchronously from cache.
     for &s in sessions.iter().take(8) {
         srv.upgrade(s, None).unwrap().wait().unwrap();
@@ -155,12 +155,12 @@ fn live_load_populates_every_series() {
     assert_eq!(occupancy.count, stats.batches);
     assert!(
         after
-            .hist("serve.batch_occupancy{key=\"up_1_2\"}")
+            .hist("serve.batch_occupancy{key=\"up_0\"}")
             .is_some_and(|h| h.count > 0)
             || after
-                .hist("serve.batch_occupancy{key=\"up_0_1\"}")
+                .hist("serve.batch_occupancy{key=\"up_1\"}")
                 .is_some_and(|h| h.count > 0),
-        "some upgrade edge recorded occupancy"
+        "some upgrade level recorded occupancy"
     );
 
     // -- phase histograms all saw traffic.

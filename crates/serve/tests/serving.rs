@@ -436,3 +436,70 @@ fn batch_rows_per_request_are_preserved() {
     assert_eq!(r2.logits, scratch.forward(&narrow, 2, false).unwrap());
     srv.shutdown();
 }
+
+#[test]
+fn upgrades_from_one_level_share_their_steps_whatever_their_targets() {
+    // four subnets: from level 0, one upgrade affords one step and the
+    // other takes all three, yet both ride the one lane of level 0
+    let mut net = SteppingNetBuilder::new(Shape::of(&[6]), 4, 11)
+        .linear(16)
+        .relu()
+        .linear(12)
+        .relu()
+        .build(4)
+        .unwrap();
+    regular_assign(&mut net, &[0.25, 0.5, 0.75, 1.0]).unwrap();
+    let device = DeviceModel::new(1000.0);
+    let config = ServeConfig::builder()
+        .workers(1)
+        .max_batch(8)
+        .session(SessionConfig::new().device(device))
+        .build();
+    let srv = Server::new(&net, config).unwrap();
+    let table = net.mac_table(0.0);
+    let (direct, step) = (table.direct(), table.step());
+    let begun: Vec<_> = [51, 52]
+        .map(|seed| {
+            srv.submit(Request::at_subnet(sample(seed), 0))
+                .unwrap()
+                .wait()
+                .unwrap()
+        })
+        .into();
+    assert!(begun.iter().all(|r| r.subnet == 0));
+    let before = srv.stats();
+
+    srv.pause();
+    // enough for the step to level 1, not for the one after it
+    let one_step = (step[1] as f64 + 0.5) / device.macs_per_us();
+    assert!(step[1] + step[2] > device.budget_for_us(one_step));
+    let a = srv.upgrade(begun[0].session, Some(one_step)).unwrap();
+    let b = srv.upgrade(begun[1].session, None).unwrap();
+    srv.resume();
+    let (a, b) = (a.wait().unwrap(), b.wait().unwrap());
+
+    assert_eq!((a.batch_size, b.batch_size), (2, 2), "one batch of two");
+    assert_eq!((a.subnet, b.subnet), (1, 3));
+    for (response, seed, target) in [(&a, 51, 1), (&b, 52, 3)] {
+        assert_eq!(
+            response.logits,
+            net.forward(&sample(seed), target, false).unwrap(),
+            "logits at subnet {target}"
+        );
+        assert_eq!(response.outcome, Outcome::Met);
+        let step_macs: u64 = step[1..=target].iter().sum();
+        let total = direct[0] + step_macs;
+        assert_eq!(response.step_macs, step_macs, "subnet {target}");
+        assert_eq!(response.total_macs, total, "subnet {target}");
+        assert_eq!(response.modeled_latency_us, device.latency_us(step_macs));
+        assert_eq!(
+            response.cache_reuse,
+            1.0 - step_macs as f64 / total as f64,
+            "subnet {target}"
+        );
+    }
+    let after = srv.stats();
+    assert_eq!(after.batches, before.batches + 1, "one claim, one batch");
+    assert_eq!(after.requests, before.requests + 2);
+    srv.shutdown();
+}
