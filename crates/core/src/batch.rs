@@ -37,6 +37,7 @@ use std::sync::Arc;
 use stepping_tensor::pack::PackScratch;
 use stepping_tensor::{Shape, Tensor};
 
+use crate::events::{event, phase};
 use crate::telemetry::{self, Value};
 use crate::{CompiledModel, ExpandStep, Result, SteppingError, SteppingNet};
 
@@ -279,7 +280,7 @@ impl BatchExecutor {
                 count: self.model.subnet_count(),
             });
         }
-        let span = telemetry::span("inference", "exec.begin");
+        let span = telemetry::span(phase::INFERENCE, event::EXEC_BEGIN);
         let row_counts: Vec<usize> = inputs.iter().map(|t| t.shape().dims()[0]).collect();
         let (acts, logits) =
             full_pass(&self.model, stack_rows(inputs)?, subnet, &mut self.scratch)?;
@@ -354,7 +355,7 @@ impl BatchExecutor {
                 "batch mixes head-only and fresh expansions".into(),
             ));
         }
-        let span = telemetry::span("inference", "exec.expand");
+        let span = telemetry::span(phase::INFERENCE, event::EXEC_EXPAND);
         let (logits, step_macs) = if head_only {
             (self.head_pass(caches, k)?, self.model.mac_table().head()[k])
         } else {
@@ -399,7 +400,7 @@ impl BatchExecutor {
                 "already at smallest subnet".into(),
             ));
         }
-        let span = telemetry::span("inference", "exec.contract");
+        let span = telemetry::span(phase::INFERENCE, event::EXEC_CONTRACT);
         let k = cur - 1;
         let step_macs = self.model.mac_table().head()[k];
         let logits = self.head_pass(caches, k)?;
@@ -517,7 +518,7 @@ mod tests {
     #[test]
     fn batched_begin_and_expand_match_lone_executor_bitwise() {
         let inputs = samples(5, &[6], 20);
-        let mut net = mlp();
+        let net = mlp();
         let mut batch = BatchExecutor::new(&net, 1e-5);
         let mut started = batch.begin(&inputs, 0).unwrap();
         let mut caches: Vec<ActivationCache> = Vec::new();
@@ -539,7 +540,7 @@ mod tests {
         }
         let mut reference = mlp();
         for (i, x) in inputs.iter().enumerate() {
-            let mut lone_net = mlp();
+            let lone_net = mlp();
             let head2 = lone_net.head_macs(2);
             let mut lone = IncrementalExecutor::new(&lone_net, 1e-5);
             let mut steps = lone.run_to(x, 2).unwrap();
@@ -584,7 +585,7 @@ mod tests {
     #[test]
     fn begin_at_larger_subnet_skips_smaller_heads() {
         let inputs = samples(2, &[6], 40);
-        let mut net = mlp();
+        let net = mlp();
         let expected = net.macs(1, 0.0);
         let mut batch = BatchExecutor::new(&net, 0.0);
         let started = batch.begin(&inputs, 1).unwrap();
@@ -604,7 +605,7 @@ mod tests {
     #[test]
     fn contract_then_head_only_reexpand() {
         let inputs = samples(3, &[6], 50);
-        let mut net = mlp();
+        let net = mlp();
         let head1 = net.head_macs(1);
         let head2 = net.head_macs(2);
         let mut batch = BatchExecutor::new(&net, 0.0);
@@ -625,7 +626,7 @@ mod tests {
     #[test]
     fn mixed_levels_rejected() {
         let inputs = samples(2, &[6], 60);
-        let mut net = mlp();
+        let net = mlp();
         let mut batch = BatchExecutor::new(&net, 0.0);
         let mut caches: Vec<ActivationCache> = batch
             .begin(&inputs, 0)
@@ -642,7 +643,7 @@ mod tests {
 
     #[test]
     fn validates_batch_shape_and_bounds() {
-        let mut net = mlp();
+        let net = mlp();
         let mut batch = BatchExecutor::new(&net, 0.0);
         assert!(batch.begin(&[], 0).is_err());
         let x = Tensor::zeros(Shape::of(&[1, 6]));

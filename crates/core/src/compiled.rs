@@ -266,7 +266,10 @@ impl CompiledConv {
 /// One stage of a compiled model (a model holds a handful, so the unequal
 /// variant sizes cost nothing worth a `Box`).
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
+#[allow(
+    clippy::large_enum_variant,
+    reason = "a model holds a handful of stages, so boxing saves nothing"
+)]
 pub(crate) enum CompiledStage {
     Linear(CompiledLinear),
     Conv(CompiledConv),
@@ -636,7 +639,7 @@ mod tests {
     #[test]
     fn index_runs_merge_consecutive_indices() {
         assert_eq!(index_runs(&[1, 2, 3, 7, 9, 10]), [1..4, 7..8, 9..11]);
-        assert_eq!(index_runs(&[4]), [4..5]);
+        assert_eq!(index_runs(&[4]), std::slice::from_ref(&(4..5)));
         assert!(index_runs(&[]).is_empty());
     }
 

@@ -26,6 +26,7 @@ use stepping_data::{BatchIter, Dataset, Split};
 use stepping_exec::ParallelConfig;
 use stepping_nn::optim::Sgd;
 
+use crate::events::{event, phase};
 use crate::parallel::{BatchLoss, ParallelRunner};
 use crate::telemetry::{self, Value};
 use crate::{Result, SteppingError, SteppingNet};
@@ -244,8 +245,8 @@ fn train_round(
         }
         *loss = total / count.max(1) as f32;
         telemetry::counter(
-            "construction",
-            "construct.train_batches",
+            phase::CONSTRUCTION,
+            event::CONSTRUCT_TRAIN_BATCHES,
             count as u64,
             &[
                 ("iteration", Value::U64(iteration as u64)),
@@ -333,8 +334,8 @@ fn move_round(
         let n = cands.len() as f64;
         let mean = cands.iter().map(|c| c.score).sum::<f64>() / n;
         telemetry::point(
-            "construction",
-            "construct.importance",
+            phase::CONSTRUCTION,
+            event::CONSTRUCT_IMPORTANCE,
             &[
                 ("subnet", Value::U64(subnet as u64)),
                 ("candidates", Value::U64(cands.len() as u64)),
@@ -400,8 +401,8 @@ pub fn construct(
     opts: &ConstructionOptions,
 ) -> Result<ConstructionReport> {
     validate(net, opts)?;
-    let run_span = telemetry::span("construction", "construct.run");
-    let runner = ParallelRunner::new(opts.parallel, "construction")?;
+    let run_span = telemetry::span(phase::CONSTRUCTION, event::CONSTRUCT_RUN);
+    let runner = ParallelRunner::new(opts.parallel, phase::CONSTRUCTION)?;
     if opts.warm_start_heads {
         net.warm_start_heads();
     }
@@ -443,7 +444,7 @@ pub fn construct(
 
     let mut satisfied = false;
     for it in 0..opts.iterations {
-        let iter_span = telemetry::span("construction", "construct.iteration");
+        let iter_span = telemetry::span(phase::CONSTRUCTION, event::CONSTRUCT_ITERATION);
         let zeroed_before = net.zeroed_weight_masks();
         net.reset_importance();
         let train_loss = train_round(net, data, opts, it, &runner)?;
@@ -468,8 +469,8 @@ pub fn construct(
         if telemetry::enabled() {
             for k in 0..n {
                 telemetry::point(
-                    "construction",
-                    "construct.subnet",
+                    phase::CONSTRUCTION,
+                    event::CONSTRUCT_SUBNET,
                     &[
                         ("iteration", Value::U64(it as u64)),
                         ("subnet", Value::U64(k as u64)),

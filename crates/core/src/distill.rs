@@ -12,6 +12,7 @@ use stepping_nn::optim::Sgd;
 use stepping_nn::schedule::LrSchedule;
 use stepping_tensor::reduce;
 
+use crate::events::{event, phase};
 use crate::parallel::{BatchLoss, ParallelRunner};
 use crate::telemetry::{self, Value};
 use crate::{Result, SteppingError, SteppingNet};
@@ -118,12 +119,12 @@ pub fn distill(
         )));
     }
     let n = net.subnet_count();
-    let run_span = telemetry::span("training", "distill.run");
-    let runner = ParallelRunner::new(opts.parallel, "training")?;
+    let run_span = telemetry::span(phase::TRAINING, event::DISTILL_RUN);
+    let runner = ParallelRunner::new(opts.parallel, phase::TRAINING)?;
     let mut sgd = Sgd::new(opts.lr).map_err(SteppingError::Nn)?;
     let mut losses = Vec::with_capacity(opts.epochs);
     for epoch in 0..opts.epochs {
-        let epoch_span = telemetry::span("training", "distill.epoch");
+        let epoch_span = telemetry::span(phase::TRAINING, event::DISTILL_EPOCH);
         sgd.set_lr(opts.lr * opts.schedule.multiplier(epoch))
             .map_err(SteppingError::Nn)?;
         let mut epoch_losses = vec![0.0f32; n];
@@ -187,8 +188,8 @@ pub fn distill(
                     1.0
                 };
                 telemetry::point(
-                    "training",
-                    "distill.subnet",
+                    phase::TRAINING,
+                    event::DISTILL_SUBNET,
                     &[
                         ("epoch", Value::U64(epoch as u64)),
                         ("subnet", Value::U64(k as u64)),
@@ -200,8 +201,8 @@ pub fn distill(
                     ],
                 );
                 telemetry::counter(
-                    "training",
-                    "distill.batches",
+                    phase::TRAINING,
+                    event::DISTILL_BATCHES,
                     batch_counts[k] as u64,
                     &[("subnet", Value::U64(k as u64))],
                 );

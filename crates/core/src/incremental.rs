@@ -206,7 +206,7 @@ mod tests {
 
     #[test]
     fn incremental_equals_from_scratch_mlp() {
-        let mut net = mlp();
+        let net = mlp();
         let x = init::uniform(Shape::of(&[3, 6]), -1.0, 1.0, &mut init::rng(5));
         // From-scratch references first (separate clone so caches don't mix).
         let mut scratch = net.clone();
@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn expand_costs_less_than_from_scratch() {
-        let mut net = mlp();
+        let net = mlp();
         let from_scratch: Vec<u64> = (0..3).map(|k| net.macs(k, 1e-5)).collect();
         let head_total: u64 = (0..3).map(|k| net.head_macs(k)).sum();
         let stage_total = from_scratch[2] - net.head_macs(2);
@@ -267,7 +267,7 @@ mod tests {
 
     #[test]
     fn executor_state_errors() {
-        let mut net = mlp();
+        let net = mlp();
         let mut exec = IncrementalExecutor::new(&net, 1e-5);
         assert!(exec.expand().is_err());
         let x = init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(9));
@@ -283,7 +283,7 @@ mod tests {
 
     #[test]
     fn begin_resets_state() {
-        let mut net = mlp();
+        let net = mlp();
         let x = init::uniform(Shape::of(&[1, 6]), -1.0, 1.0, &mut init::rng(10));
         let mut exec = IncrementalExecutor::new(&net, 1e-5);
         exec.begin(&x).unwrap();
@@ -296,7 +296,7 @@ mod tests {
 
     #[test]
     fn contract_reuses_larger_subnet_results() {
-        let mut net = mlp();
+        let net = mlp();
         let head1_macs = net.head_macs(1);
         let head2_macs = net.head_macs(2);
         let x = init::uniform(Shape::of(&[2, 6]), -1.0, 1.0, &mut init::rng(11));
@@ -332,7 +332,7 @@ mod tests {
 
     #[test]
     fn contract_before_begin_errors() {
-        let mut net = mlp();
+        let net = mlp();
         let mut exec = IncrementalExecutor::new(&net, 1e-5);
         assert!(exec.contract().is_err());
     }

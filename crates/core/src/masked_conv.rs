@@ -48,7 +48,10 @@ impl MaskedConv2d {
     ///
     /// `positions` is the number of output spatial positions per image at
     /// this layer's place in the model (for MAC accounting).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per convolution hyper-parameter"
+    )]
     pub fn new(
         in_channels: usize,
         out_channels: usize,

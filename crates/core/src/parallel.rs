@@ -40,7 +40,8 @@ use stepping_exec::{tree_reduce, ExecPool, Job, ParallelConfig};
 use stepping_nn::loss;
 use stepping_tensor::{GradStore, Tensor};
 
-use crate::telemetry::{self, Value};
+use crate::events::event;
+use crate::telemetry::{self, Phase, Value};
 use crate::{Result, SteppingError, SteppingNet};
 
 /// Which loss drives one training batch.
@@ -86,23 +87,24 @@ struct ShardOut {
 pub struct ParallelRunner {
     pool: ExecPool,
     config: ParallelConfig,
-    phase: &'static str,
+    phase: Phase,
 }
 
 impl ParallelRunner {
     /// Builds a runner (spawning `config.threads` persistent workers) that
-    /// tags its telemetry with `phase` (`"training"` or `"construction"`).
+    /// tags its telemetry with `phase` ([`crate::events::phase::TRAINING`] or
+    /// [`crate::events::phase::CONSTRUCTION`]).
     ///
     /// # Errors
     ///
     /// Returns [`SteppingError::BadConfig`] for an invalid configuration.
-    pub fn new(config: ParallelConfig, phase: &'static str) -> Result<Self> {
+    pub fn new(config: ParallelConfig, phase: Phase) -> Result<Self> {
         config.validate().map_err(SteppingError::BadConfig)?;
         let pool = ExecPool::new(config.threads);
         if telemetry::enabled() {
             telemetry::point(
                 phase,
-                "pool.spawn",
+                event::POOL_SPAWN,
                 &[
                     ("threads", Value::U64(pool.threads() as u64)),
                     ("shard_rows", Value::U64(config.shard_rows as u64)),
@@ -141,6 +143,7 @@ impl ParallelRunner {
     ///
     /// Propagates forward/backward/loss errors from any shard and surfaces
     /// worker panics as [`SteppingError::Worker`].
+    #[deny(clippy::disallowed_types, clippy::disallowed_methods)]
     pub fn train_batch(
         &self,
         net: &mut SteppingNet,
@@ -164,14 +167,14 @@ impl ParallelRunner {
         if !net.train_parallel_safe() {
             telemetry::counter(
                 self.phase,
-                "pool.fallback",
+                event::POOL_FALLBACK,
                 1,
                 &[("reason", Value::Str("shard-unsafe stage"))],
             );
             return inline_batch(net, x, y, subnet, batch_loss, want_ce);
         }
         let shards = ranges.len();
-        let spawn_span = telemetry::span(self.phase, "pool.spawn");
+        let spawn_span = telemetry::span(self.phase, event::POOL_SPAWN);
         let master = Arc::new(net.clone());
         let inv_rows = 1.0f32 / rows as f32;
         let phase = self.phase;
@@ -189,12 +192,12 @@ impl ParallelRunner {
             let m = Arc::clone(&master);
             telemetry::counter(
                 phase,
-                "pool.shard.rows",
+                event::POOL_SHARD_ROWS,
                 (r.end - r.start) as u64,
                 &[("subnet", Value::U64(subnet as u64))],
             );
             jobs.push(Box::new(move || -> Result<ShardOut> {
-                let shard_span = telemetry::span(phase, "pool.shard");
+                let shard_span = telemetry::span(phase, event::POOL_SHARD);
                 let m_s = xs.shape().dims()[0];
                 let weight = m_s as f32 * inv_rows;
                 let mut replica = (*m).clone();
@@ -235,7 +238,7 @@ impl ParallelRunner {
         ]);
         let outs: Vec<ShardOut> = results.into_iter().collect::<Result<Vec<_>>>()?;
 
-        let reduce_span = telemetry::span(self.phase, "pool.reduce");
+        let reduce_span = telemetry::span(self.phase, event::POOL_REDUCE);
         let mut merge_err: Option<SteppingError> = None;
         let merged = tree_reduce(outs, |a, b| {
             if merge_err.is_none() {
@@ -258,7 +261,7 @@ impl ParallelRunner {
         }
         telemetry::counter(
             self.phase,
-            "pool.reduce.ops",
+            event::POOL_REDUCE_OPS,
             tree_reduce_ops(shards),
             &[("shards", Value::U64(shards as u64))],
         );
@@ -318,6 +321,7 @@ fn inline_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::phase;
     use crate::SteppingNetBuilder;
     use stepping_data::{Dataset, GaussianBlobs, GaussianBlobsConfig, Split};
     use stepping_nn::optim::Sgd;
@@ -358,7 +362,7 @@ mod tests {
         let (x, y) = d.batch(Split::Train, &(0..24).collect::<Vec<_>>()).unwrap();
         let mut a = mlp();
         let mut b = mlp();
-        let runner = ParallelRunner::new(ParallelConfig::sequential(), "training").unwrap();
+        let runner = ParallelRunner::new(ParallelConfig::sequential(), phase::TRAINING).unwrap();
         let out = runner
             .train_batch(&mut a, &x, &y, 0, BatchLoss::CrossEntropy, false)
             .unwrap();
@@ -383,7 +387,7 @@ mod tests {
                 shard_rows: 6,
                 min_rows: 0,
             };
-            let runner = ParallelRunner::new(cfg, "training").unwrap();
+            let runner = ParallelRunner::new(cfg, phase::TRAINING).unwrap();
             let out = runner
                 .train_batch(&mut net, &x, &y, 0, BatchLoss::CrossEntropy, false)
                 .unwrap();
@@ -417,7 +421,7 @@ mod tests {
                 shard_rows: 8,
                 min_rows: 0,
             };
-            let runner = ParallelRunner::new(cfg, "training").unwrap();
+            let runner = ParallelRunner::new(cfg, phase::TRAINING).unwrap();
             runner
                 .train_batch(&mut net, &x, &y, 0, BatchLoss::CrossEntropy, false)
                 .unwrap();
@@ -440,13 +444,13 @@ mod tests {
             shard_rows: 2,
             min_rows: 16,
         };
-        let runner = ParallelRunner::new(cfg, "training").unwrap();
+        let runner = ParallelRunner::new(cfg, phase::TRAINING).unwrap();
         let mut a = mlp();
         runner
             .train_batch(&mut a, &x, &y, 0, BatchLoss::CrossEntropy, false)
             .unwrap();
         let mut b = mlp();
-        let seq = ParallelRunner::new(ParallelConfig::sequential(), "training").unwrap();
+        let seq = ParallelRunner::new(ParallelConfig::sequential(), phase::TRAINING).unwrap();
         seq.train_batch(&mut b, &x, &y, 0, BatchLoss::CrossEntropy, false)
             .unwrap();
         assert_eq!(grads_of(&mut a, 0), grads_of(&mut b, 0));
@@ -464,7 +468,7 @@ mod tests {
             shard_rows: 4,
             min_rows: 0,
         };
-        let runner = ParallelRunner::new(cfg, "training").unwrap();
+        let runner = ParallelRunner::new(cfg, phase::TRAINING).unwrap();
         let mut net = mlp();
         let out = runner
             .train_batch(
@@ -487,7 +491,7 @@ mod tests {
     fn rejects_mismatched_targets_and_zero_threads() {
         let d = data();
         let (x, y) = d.batch(Split::Train, &[0, 1, 2, 3]).unwrap();
-        let runner = ParallelRunner::new(ParallelConfig::sequential(), "training").unwrap();
+        let runner = ParallelRunner::new(ParallelConfig::sequential(), phase::TRAINING).unwrap();
         let mut net = mlp();
         assert!(runner
             .train_batch(&mut net, &x, &y[..3], 0, BatchLoss::CrossEntropy, false)
@@ -498,7 +502,7 @@ mod tests {
                 shard_rows: 8,
                 min_rows: 0
             },
-            "training"
+            phase::TRAINING
         )
         .is_err());
     }

@@ -65,6 +65,7 @@ use std::sync::{Arc, OnceLock};
 use stepping_metrics::{start_timer, LogHistogram, MetricsRegistry, PhaseTimer, ShardedCounter};
 use stepping_tensor::microkernel::{ConvFilters, PackedB};
 
+use crate::events::{event, phase};
 use crate::telemetry::{self, Value};
 
 /// Always-on plan metrics in the process-wide registry, distinct from the
@@ -86,7 +87,6 @@ fn plan_metrics() -> &'static PlanMetrics {
     static METRICS: OnceLock<PlanMetrics> = OnceLock::new();
     METRICS.get_or_init(|| {
         let registry = MetricsRegistry::global();
-        registry.set_validator(crate::events::is_metric);
         PlanMetrics {
             compile: registry.register_counter(crate::events::metric::PLAN_COMPILE),
             compile_ns: registry.register_histogram(crate::events::metric::PLAN_COMPILE_NS),
@@ -237,8 +237,8 @@ impl MacTable {
 pub(crate) fn note_compile(kind: &'static str, subnet: usize, rows: usize, cols: usize) {
     plan_metrics().compile.inc();
     telemetry::point(
-        "plan",
-        "plan.compile",
+        phase::PLAN,
+        event::PLAN_COMPILE,
         &[
             ("layer", Value::Str(kind)),
             ("subnet", Value::U64(subnet as u64)),
@@ -252,7 +252,7 @@ pub(crate) fn note_compile(kind: &'static str, subnet: usize, rows: usize, cols:
 /// compiled model.
 pub(crate) fn note_invalidate() {
     plan_metrics().invalidate.inc();
-    telemetry::counter("plan", "plan.invalidate", 1, &[]);
+    telemetry::counter(phase::PLAN, event::PLAN_INVALIDATE, 1, &[]);
 }
 
 #[cfg(test)]

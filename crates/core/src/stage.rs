@@ -191,10 +191,15 @@ impl Stage {
     ///
     /// Every variant is matched explicitly — no wildcard, no negated
     /// `matches!` — so adding a stage kind without deciding its shard
-    /// safety is a compile error, and the `stepping-lint` L2 rule
-    /// additionally requires each variant name to appear here. A silent
-    /// `true` default would let a new stateful stage break the
-    /// thread-count-invariance guarantee of `docs/PARALLELISM.md`.
+    /// safety is a compile error: rustc checks the match is exhaustive and
+    /// the two clippy lints denied below reject a `_` arm, whether it
+    /// stands for several variants or one. A silent `true` default would
+    /// let a new stateful stage break the thread-count-invariance
+    /// guarantee of `docs/PARALLELISM.md`.
+    #[deny(
+        clippy::wildcard_enum_match_arm,
+        clippy::match_wildcard_for_single_variants
+    )]
     pub fn shard_safe(&self) -> bool {
         match self {
             Stage::Linear(_) => true,

@@ -25,6 +25,56 @@
 use std::sync::OnceLock;
 use std::time::Instant;
 
+/// A registered pipeline phase: the first argument of every emission. Its
+/// field is private to this crate, so its only values are the consts of
+/// [`crate::events::phase`], and an ad-hoc phase does not compile:
+///
+/// ```compile_fail,E0308
+/// use stepping_core::{events::event, telemetry};
+/// telemetry::point("trianing", event::TRAIN_EPOCH, &[]);
+/// ```
+///
+/// while a registered one does:
+///
+/// ```
+/// use stepping_core::{events::{event, phase}, telemetry};
+/// telemetry::point(phase::TRAINING, event::TRAIN_EPOCH, &[]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Phase(pub(crate) &'static str);
+
+impl Phase {
+    /// The phase as it appears in [`Event::phase`], e.g. `"training"`.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
+/// A registered event name: the second argument of every emission. Its
+/// field is private to this crate, so its only values are the consts of
+/// [`crate::events::event`], and an ad-hoc name does not compile:
+///
+/// ```compile_fail,E0308
+/// use stepping_core::{events::phase, telemetry};
+/// telemetry::counter(phase::TRAINING, "train.batchs", 1, &[]);
+/// ```
+///
+/// while a registered one does:
+///
+/// ```
+/// use stepping_core::{events::{event, phase}, telemetry};
+/// telemetry::counter(phase::TRAINING, event::TRAIN_BATCHES, 1, &[]);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventName(pub(crate) &'static str);
+
+impl EventName {
+    /// The name as it appears in [`Event::name`], e.g. `"train.epoch"`.
+    pub const fn as_str(self) -> &'static str {
+        self.0
+    }
+}
+
 /// A single typed field value attached to an [`Event`].
 ///
 /// Values are borrowed and `Copy`, so building a field slice on the stack
@@ -60,12 +110,13 @@ pub enum EventKind {
     },
 }
 
-/// A borrowed, stack-allocated telemetry event.
+/// A borrowed, stack-allocated telemetry event, as an observer sees it.
 ///
-/// `phase` groups events into the three instrumented layers
-/// (`"construction"`, `"training"`, `"inference"`) plus `"report"` for
-/// harness output; `name` is a dot-separated identifier such as
-/// `construct.iteration`.
+/// `phase` groups events into the instrumented layers (`"construction"`,
+/// `"training"`, `"inference"`, ...) plus `"report"` for harness output;
+/// `name` is a dot-separated identifier such as `construct.iteration`.
+/// Emitters pass a [`Phase`] and an [`EventName`]; the observer reads their
+/// strings.
 #[derive(Debug, Clone, Copy)]
 pub struct Event<'a> {
     /// Coarse pipeline phase this event belongs to.
@@ -118,12 +169,12 @@ pub fn enabled() -> bool {
 /// Emits an event to the installed observer. No-op when the `obs` feature
 /// is off or no observer is installed.
 #[inline]
-pub fn emit(phase: &str, name: &str, kind: EventKind, fields: &[(&str, Value<'_>)]) {
+pub fn emit(phase: Phase, name: EventName, kind: EventKind, fields: &[(&str, Value<'_>)]) {
     #[cfg(feature = "obs")]
     if let Some(hook) = OBSERVER.get() {
         hook(&Event {
-            phase,
-            name,
+            phase: phase.0,
+            name: name.0,
             kind,
             fields,
         });
@@ -136,13 +187,13 @@ pub fn emit(phase: &str, name: &str, kind: EventKind, fields: &[(&str, Value<'_>
 
 /// Emits an instantaneous [`EventKind::Point`] event.
 #[inline]
-pub fn point(phase: &str, name: &str, fields: &[(&str, Value<'_>)]) {
+pub fn point(phase: Phase, name: EventName, fields: &[(&str, Value<'_>)]) {
     emit(phase, name, EventKind::Point, fields);
 }
 
 /// Emits an [`EventKind::Counter`] increment of `delta`.
 #[inline]
-pub fn counter(phase: &str, name: &str, delta: u64, fields: &[(&str, Value<'_>)]) {
+pub fn counter(phase: Phase, name: EventName, delta: u64, fields: &[(&str, Value<'_>)]) {
     emit(phase, name, EventKind::Counter { delta }, fields);
 }
 
@@ -154,8 +205,8 @@ pub fn counter(phase: &str, name: &str, delta: u64, fields: &[(&str, Value<'_>)]
 /// is disabled the guard holds no timestamp and does nothing.
 #[derive(Debug)]
 pub struct SpanGuard {
-    phase: &'static str,
-    name: &'static str,
+    phase: Phase,
+    name: EventName,
     start: Option<Instant>,
 }
 
@@ -163,7 +214,7 @@ pub struct SpanGuard {
 /// elapsed values are monotonic (never negative, nested spans never outlast
 /// their parent).
 #[inline]
-pub fn span(phase: &'static str, name: &'static str) -> SpanGuard {
+pub fn span(phase: Phase, name: EventName) -> SpanGuard {
     SpanGuard {
         phase,
         name,
@@ -215,12 +266,13 @@ impl Drop for SpanGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::events::{event, phase};
 
     #[test]
     fn disabled_span_is_inert() {
         // No observer installed in this process (tests that install one live
         // in stepping-obs, a separate test binary).
-        let s = span("construction", "test.span");
+        let s = span(phase::CONSTRUCTION, event::CONSTRUCT_RUN);
         if !enabled() {
             assert!(!s.is_active());
             assert_eq!(s.elapsed_ns(), 0);
@@ -230,8 +282,12 @@ mod tests {
 
     #[test]
     fn emit_without_observer_is_a_noop() {
-        point("training", "test.point", &[("loss", Value::F64(0.5))]);
-        counter("inference", "test.counter", 3, &[]);
+        point(
+            phase::TRAINING,
+            event::DISTILL_SUBNET,
+            &[("loss", Value::F64(0.5))],
+        );
+        counter(phase::INFERENCE, event::POOL_SHARD_ROWS, 3, &[]);
     }
 
     #[test]

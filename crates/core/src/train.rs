@@ -12,6 +12,7 @@ use stepping_nn::optim::Sgd;
 use stepping_nn::schedule::LrSchedule;
 use stepping_tensor::{reduce, Tensor};
 
+use crate::events::{event, phase};
 use crate::parallel::{BatchLoss, ParallelRunner};
 use crate::telemetry::{self, Value};
 use crate::{Result, SteppingError, SteppingNet};
@@ -90,12 +91,12 @@ pub fn train_subnet(
             "invalid learning-rate schedule".into(),
         ));
     }
-    let run_span = telemetry::span("training", "train.subnet");
-    let runner = ParallelRunner::new(opts.parallel, "training")?;
+    let run_span = telemetry::span(phase::TRAINING, event::TRAIN_SUBNET);
+    let runner = ParallelRunner::new(opts.parallel, phase::TRAINING)?;
     let mut sgd = Sgd::new(opts.lr).map_err(SteppingError::Nn)?;
     let mut epoch_losses = Vec::with_capacity(opts.epochs);
     for epoch in 0..opts.epochs {
-        let epoch_span = telemetry::span("training", "train.epoch");
+        let epoch_span = telemetry::span(phase::TRAINING, event::TRAIN_EPOCH);
         let lr = opts.lr * opts.schedule.multiplier(epoch);
         sgd.set_lr(lr).map_err(SteppingError::Nn)?;
         let mut total = 0.0;
@@ -111,8 +112,8 @@ pub fn train_subnet(
         let mean = total / batches.max(1) as f32;
         epoch_losses.push(mean);
         telemetry::counter(
-            "training",
-            "train.batches",
+            phase::TRAINING,
+            event::TRAIN_BATCHES,
             batches as u64,
             &[
                 ("subnet", Value::U64(subnet as u64)),

@@ -18,6 +18,11 @@
 //! The counting allocator is process-wide, but the count is kept per
 //! thread, so the harness and the other tests cannot disturb it.
 
+#![allow(
+    unsafe_code,
+    reason = "a `#[global_allocator]` must implement the unsafe `GlobalAlloc` trait"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 

@@ -311,11 +311,11 @@ fn assert_direct_then_steps_answer(net: &SteppingNet, inputs: &[Tensor], what: &
         let (mut caches, steps): (Vec<_>, Vec<_>) =
             exec.begin(inputs, s).unwrap().into_iter().unzip();
         assert_eq!(logits(steps), want[s], "{what}: begin at {s}");
-        for k in s + 1..SUBNETS {
+        for (k, want_k) in want.iter().enumerate().take(SUBNETS).skip(s + 1) {
             let steps = exec.expand(&mut caches).unwrap();
             assert_eq!(
                 logits(steps),
-                want[k],
+                *want_k,
                 "{what}: begin at {s}, expand to {k}"
             );
         }
@@ -327,11 +327,11 @@ fn assert_direct_then_steps_answer(net: &SteppingNet, inputs: &[Tensor], what: &
                 "{what}: begin at {s}, contract to {k}"
             );
         }
-        for k in 1..SUBNETS {
+        for (k, want_k) in want.iter().enumerate().take(SUBNETS).skip(1) {
             let steps = exec.expand(&mut caches).unwrap();
             assert_eq!(
                 logits(steps),
-                want[k],
+                *want_k,
                 "{what}: begin at {s}, re-expand to {k}"
             );
         }

@@ -27,6 +27,19 @@
 //! `docs/PARALLELISM.md` for the full argument.
 
 #![warn(missing_docs)]
+// Panic discipline: library code reports failures as errors. Test code is
+// exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod pool;
@@ -121,6 +134,7 @@ impl ParallelConfig {
     /// consecutive chunks of `shard_rows` (the last may be short). A pure
     /// function of `(rows, shard_rows, min_rows)` — thread count plays no
     /// part.
+    #[deny(clippy::disallowed_types, clippy::disallowed_methods)]
     pub fn shard_ranges(&self, rows: usize) -> Vec<Range<usize>> {
         if rows == 0 {
             return Vec::new();

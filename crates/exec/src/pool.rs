@@ -12,12 +12,9 @@ use std::sync::mpsc::{self, SyncSender};
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 
-use stepping_metrics::{start_timer, LogHistogram, MetricsRegistry};
+use stepping_metrics::{metric, start_timer, LogHistogram, MetricsRegistry};
 
-/// Always-on pool phase metrics in the process-wide registry. The names are
-/// string literals (this crate sits below `stepping-core`, so it cannot
-/// name `events::metric` constants); they must match
-/// `crates/core/src/events.rs` and the L6 lint checks them there.
+/// Always-on pool phase metrics in the process-wide registry.
 struct PoolMetrics {
     dispatch_ns: Arc<LogHistogram>,
     reduce_ns: Arc<LogHistogram>,
@@ -29,9 +26,9 @@ fn pool_metrics() -> &'static PoolMetrics {
     METRICS.get_or_init(|| {
         let registry = MetricsRegistry::global();
         PoolMetrics {
-            dispatch_ns: registry.register_histogram("exec.dispatch_ns"),
-            reduce_ns: registry.register_histogram("exec.reduce_ns"),
-            run_ns: registry.register_histogram("exec.pool_run_ns"),
+            dispatch_ns: registry.register_histogram(metric::EXEC_DISPATCH_NS),
+            reduce_ns: registry.register_histogram(metric::EXEC_REDUCE_NS),
+            run_ns: registry.register_histogram(metric::EXEC_POOL_RUN_NS),
         }
     })
 }

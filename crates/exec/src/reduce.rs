@@ -7,6 +7,12 @@
 //! the item count — with shard results always presented in shard-index
 //! order, the merged value is bit-identical no matter how many threads
 //! produced the shards or in what order they finished.
+//!
+//! The whole module is a determinism zone: the bans of the root
+//! `clippy.toml` (unordered containers, wall clocks, the machine's thread
+//! count) are errors here.
+
+#![deny(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use stepping_tensor::{GradStore, TensorError};
 

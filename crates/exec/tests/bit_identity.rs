@@ -9,6 +9,7 @@
 //! thread counts {1, 2, 3, 8}.
 
 use proptest::prelude::*;
+use stepping_core::events::phase;
 use stepping_core::parallel::{BatchLoss, ParallelRunner};
 use stepping_core::{SteppingNet, SteppingNetBuilder};
 use stepping_exec::ParallelConfig;
@@ -81,7 +82,7 @@ proptest! {
         for threads in THREAD_MATRIX {
             let mut net = build_with_moves(3, 11, 7, &moves, seed);
             let cfg = ParallelConfig { threads, shard_rows, min_rows: 0 };
-            let runner = ParallelRunner::new(cfg, "training").unwrap();
+            let runner = ParallelRunner::new(cfg, phase::TRAINING).unwrap();
             let out = runner
                 .train_batch(&mut net, &x, &y, subnet, BatchLoss::CrossEntropy, false)
                 .unwrap();
@@ -110,7 +111,7 @@ proptest! {
         for threads in THREAD_MATRIX {
             let mut net = build_with_moves(3, 9, 7, &moves, seed);
             let cfg = ParallelConfig { threads, shard_rows, min_rows: 0 };
-            let runner = ParallelRunner::new(cfg, "training").unwrap();
+            let runner = ParallelRunner::new(cfg, phase::TRAINING).unwrap();
             // two steps, so the second batch runs from parallel-updated weights
             let mut sgd = Sgd::new(0.05).unwrap();
             for step in 0..2u64 {
@@ -141,7 +142,7 @@ proptest! {
             let mut net = build_with_moves(3, 9, 7, &[], seed);
             net.reset_importance();
             let cfg = ParallelConfig { threads, shard_rows: 4, min_rows: 0 };
-            let runner = ParallelRunner::new(cfg, "training").unwrap();
+            let runner = ParallelRunner::new(cfg, phase::TRAINING).unwrap();
             runner
                 .train_batch(&mut net, &x, &y, 0, BatchLoss::CrossEntropy, false)
                 .unwrap();

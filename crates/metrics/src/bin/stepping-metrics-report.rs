@@ -43,10 +43,9 @@ fn load(path: &str) -> Result<Vec<Snapshot>, String> {
 fn render_last(snap: &Snapshot) -> String {
     // Render as a diff against an empty snapshot: same table, totals only.
     let mut text = format!(
-        "snapshot seq={} uptime={:.3}s invalid_names={}\n",
+        "snapshot seq={} uptime={:.3}s\n",
         snap.seq,
-        snap.uptime_ns as f64 / 1e9,
-        snap.invalid_names
+        snap.uptime_ns as f64 / 1e9
     );
     text.push_str(&diff(&Snapshot::default(), snap).render_text());
     text

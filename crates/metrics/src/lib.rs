@@ -10,10 +10,9 @@
 //! code compiles to nothing.
 //!
 //! Layering: this crate is std-only and sits *below* `stepping-core` (which
-//! needs to record into it). Metric-name validation against the central
-//! registry in `crates/core/src/events.rs` is therefore injected from above
-//! via [`MetricsRegistry::set_validator`]; the `stepping-lint` L6 rule
-//! checks the same names statically.
+//! needs to record into it), so it owns the metric-name table: [`metric`]
+//! holds every name, and `register_*` take a [`Metric`], whose only values
+//! are that table's consts. A name outside the table does not compile.
 //!
 //! Feature/runtime matrix:
 //!
@@ -27,6 +26,7 @@
 
 pub mod counter;
 pub mod hist;
+pub mod metric;
 pub mod registry;
 pub mod snapshot;
 pub mod timer;
@@ -34,6 +34,7 @@ pub mod writer;
 
 pub use counter::{Gauge, ShardedCounter};
 pub use hist::{bucket_bounds, bucket_index, HistSnapshot, LogHistogram, BUCKET_COUNT};
+pub use metric::Metric;
 pub use registry::{MetricKey, MetricsRegistry};
 pub use snapshot::{diff, Snapshot, SnapshotDiff};
 pub use timer::{elapsed_ns, start_timer, PhaseTimer};

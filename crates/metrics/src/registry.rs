@@ -7,14 +7,9 @@
 //! to thread a handle through (the exec pool, the plan cache); servers and
 //! tests may also build private registries.
 //!
-//! Metric *names* are owned by the central telemetry registry
-//! (`crates/core/src/events.rs`, `mod metric`) and checked two ways: the
-//! `stepping-lint` L6 rule statically verifies every `register_*` call
-//! site, and at runtime an injected validator (see
-//! [`MetricsRegistry::set_validator`] — `stepping-core` cannot be a
-//! dependency of this crate, so the function pointer arrives from above)
-//! counts unknown names into the snapshot's `invalid_names` field instead
-//! of panicking on a serving path.
+//! Metric *names* are the [`Metric`] consts of [`crate::metric`]:
+//! `register_*` take nothing else, so an unregistered name cannot split a
+//! series.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, PoisonError, RwLock};
@@ -22,6 +17,7 @@ use std::time::Instant;
 
 use crate::counter::{Gauge, ShardedCounter};
 use crate::hist::LogHistogram;
+use crate::metric::Metric;
 use crate::snapshot::Snapshot;
 
 /// Identity of one metric series: a registered name plus an optional
@@ -29,7 +25,7 @@ use crate::snapshot::Snapshot;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricKey {
     /// Registered base name, e.g. `serve.lock_wait_ns`.
-    pub name: &'static str,
+    pub name: Metric,
     /// Optional series label, e.g. `("worker", "3")`.
     pub label: Option<(&'static str, String)>,
 }
@@ -39,8 +35,8 @@ impl MetricKey {
     /// snapshots and parsed back by the report CLI.
     pub fn render(&self) -> String {
         match &self.label {
-            None => self.name.to_string(),
-            Some((k, v)) => format!("{}{{{}=\"{}\"}}", self.name, k, v),
+            None => self.name.as_str().to_string(),
+            Some((k, v)) => format!("{}{{{}=\"{}\"}}", self.name.as_str(), k, v),
         }
     }
 }
@@ -58,8 +54,6 @@ pub struct MetricsRegistry {
     tables: RwLock<Tables>,
     start: Instant,
     seq: AtomicU64,
-    invalid: AtomicU64,
-    validator: OnceLock<fn(&str) -> bool>,
 }
 
 impl Default for MetricsRegistry {
@@ -68,8 +62,6 @@ impl Default for MetricsRegistry {
             tables: RwLock::new(Tables::default()),
             start: Instant::now(),
             seq: AtomicU64::new(0),
-            invalid: AtomicU64::new(0),
-            validator: OnceLock::new(),
         }
     }
 }
@@ -88,28 +80,6 @@ impl MetricsRegistry {
         Arc::clone(GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new())))
     }
 
-    /// Installs the name validator (typically
-    /// `stepping_core::events::is_metric`). First install wins; returns
-    /// whether this call installed it.
-    pub fn set_validator(&self, validator: fn(&str) -> bool) -> bool {
-        self.validator.set(validator).is_ok()
-    }
-
-    /// How many registrations used a name the validator rejected (0 when no
-    /// validator is installed). Surfaced in every snapshot so an
-    /// unregistered name is visible instead of silently splitting a series.
-    pub fn invalid_names(&self) -> u64 {
-        self.invalid.load(Ordering::Relaxed)
-    }
-
-    fn check_name(&self, name: &'static str) {
-        if let Some(v) = self.validator.get() {
-            if !v(name) {
-                self.invalid.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
     fn tables_read(&self) -> std::sync::RwLockReadGuard<'_, Tables> {
         self.tables.read().unwrap_or_else(PoisonError::into_inner)
     }
@@ -123,7 +93,6 @@ impl MetricsRegistry {
         table: impl Fn(&mut Tables) -> &mut Vec<(MetricKey, Arc<T>)>,
         key: MetricKey,
     ) -> Arc<T> {
-        self.check_name(key.name);
         let mut tables = self.tables_write();
         let entries = table(&mut tables);
         if let Some((_, existing)) = entries.iter().find(|(k, _)| *k == key) {
@@ -135,14 +104,14 @@ impl MetricsRegistry {
     }
 
     /// Registers (or retrieves) the unlabeled counter `name`.
-    pub fn register_counter(&self, name: &'static str) -> Arc<ShardedCounter> {
+    pub fn register_counter(&self, name: Metric) -> Arc<ShardedCounter> {
         self.register(|t| &mut t.counters, MetricKey { name, label: None })
     }
 
     /// Registers (or retrieves) the counter series `name{key="value"}`.
     pub fn register_counter_labeled(
         &self,
-        name: &'static str,
+        name: Metric,
         key: &'static str,
         value: impl Into<String>,
     ) -> Arc<ShardedCounter> {
@@ -156,14 +125,14 @@ impl MetricsRegistry {
     }
 
     /// Registers (or retrieves) the unlabeled gauge `name`.
-    pub fn register_gauge(&self, name: &'static str) -> Arc<Gauge> {
+    pub fn register_gauge(&self, name: Metric) -> Arc<Gauge> {
         self.register(|t| &mut t.gauges, MetricKey { name, label: None })
     }
 
     /// Registers (or retrieves) the gauge series `name{key="value"}`.
     pub fn register_gauge_labeled(
         &self,
-        name: &'static str,
+        name: Metric,
         key: &'static str,
         value: impl Into<String>,
     ) -> Arc<Gauge> {
@@ -177,14 +146,14 @@ impl MetricsRegistry {
     }
 
     /// Registers (or retrieves) the unlabeled histogram `name`.
-    pub fn register_histogram(&self, name: &'static str) -> Arc<LogHistogram> {
+    pub fn register_histogram(&self, name: Metric) -> Arc<LogHistogram> {
         self.register(|t| &mut t.hists, MetricKey { name, label: None })
     }
 
     /// Registers (or retrieves) the histogram series `name{key="value"}`.
     pub fn register_histogram_labeled(
         &self,
-        name: &'static str,
+        name: Metric,
         key: &'static str,
         value: impl Into<String>,
     ) -> Arc<LogHistogram> {
@@ -210,7 +179,6 @@ impl MetricsRegistry {
         let mut snap = Snapshot {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             uptime_ns: self.uptime_ns(),
-            invalid_names: self.invalid_names(),
             ..Snapshot::default()
         };
         for (key, c) in &tables.counters {
@@ -232,40 +200,30 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric;
 
     #[test]
     fn registration_is_idempotent() {
         let r = MetricsRegistry::new();
-        let a = r.register_counter("serve.cache_hit");
-        let b = r.register_counter("serve.cache_hit");
+        let a = r.register_counter(metric::SERVE_CACHE_HIT);
+        let b = r.register_counter(metric::SERVE_CACHE_HIT);
         assert!(Arc::ptr_eq(&a, &b));
-        let h1 = r.register_histogram_labeled("serve.lock_wait_ns", "worker", "0");
-        let h2 = r.register_histogram_labeled("serve.lock_wait_ns", "worker", "0");
-        let h3 = r.register_histogram_labeled("serve.lock_wait_ns", "worker", "1");
+        let h1 = r.register_histogram_labeled(metric::SERVE_LOCK_WAIT_NS, "worker", "0");
+        let h2 = r.register_histogram_labeled(metric::SERVE_LOCK_WAIT_NS, "worker", "0");
+        let h3 = r.register_histogram_labeled(metric::SERVE_LOCK_WAIT_NS, "worker", "1");
         assert!(Arc::ptr_eq(&h1, &h2));
         assert!(!Arc::ptr_eq(&h1, &h3));
     }
 
     #[test]
-    fn validator_counts_unknown_names() {
-        let r = MetricsRegistry::new();
-        r.set_validator(|n| n == "serve.cache_hit");
-        let _ = r.register_counter("serve.cache_hit");
-        assert_eq!(r.invalid_names(), 0);
-        let _ = r.register_counter("made.up_name");
-        assert_eq!(r.invalid_names(), 1);
-        assert_eq!(r.snapshot().invalid_names, 1);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_sequenced() {
         let r = MetricsRegistry::new();
-        let _ = r.register_counter("z.last");
-        let _ = r.register_counter("a.first");
+        let _ = r.register_counter(metric::SERVE_SHED);
+        let _ = r.register_counter(metric::EXEC_DISPATCH_NS);
         let s0 = r.snapshot();
         let s1 = r.snapshot();
         assert_eq!(s0.seq + 1, s1.seq);
         let names: Vec<&str> = s0.counters.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["a.first", "z.last"]);
+        assert_eq!(names, vec!["exec.dispatch_ns", "serve.shed"]);
     }
 }

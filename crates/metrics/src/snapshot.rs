@@ -29,8 +29,6 @@ pub struct Snapshot {
     pub seq: u64,
     /// Monotonic nanoseconds since the registry was created.
     pub uptime_ns: u64,
-    /// Registrations whose name failed validation (should be 0).
-    pub invalid_names: u64,
     /// `(series name, total)` counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(series name, level)` gauge values, sorted by name.
@@ -76,8 +74,8 @@ impl Snapshot {
         let mut out = String::with_capacity(256);
         let _ = write!(
             out,
-            "{{\"seq\": {}, \"uptime_ns\": {}, \"invalid_names\": {}, \"counters\": {{",
-            self.seq, self.uptime_ns, self.invalid_names
+            "{{\"seq\": {}, \"uptime_ns\": {}, \"counters\": {{",
+            self.seq, self.uptime_ns
         );
         for (i, (name, v)) in self.counters.iter().enumerate() {
             let sep = if i == 0 { "" } else { ", " };
@@ -157,7 +155,6 @@ impl Snapshot {
         let mut snap = Snapshot {
             seq: value.field_u64("seq")?,
             uptime_ns: value.field_u64("uptime_ns")?,
-            invalid_names: value.field_u64("invalid_names").unwrap_or(0),
             ..Snapshot::default()
         };
         if let Some(json::Json::Object(fields)) = value.get("counters") {
@@ -601,7 +598,6 @@ mod tests {
         Snapshot {
             seq: 4,
             uptime_ns: 2_000_000_000,
-            invalid_names: 0,
             counters: vec![
                 ("serve.cache_hit".into(), 12),
                 ("serve.deadline_miss".into(), 1),

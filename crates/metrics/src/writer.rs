@@ -162,7 +162,7 @@ mod tests {
         ));
         let path = dir.join("serve.metrics.jsonl");
         let registry = Arc::new(MetricsRegistry::new());
-        let counter = registry.register_counter("serve.cache_hit");
+        let counter = registry.register_counter(crate::metric::SERVE_CACHE_HIT);
         let writer = SnapshotWriter::spawn(Arc::clone(&registry), &path, Duration::from_millis(5))
             .expect("spawn writer");
         counter.add(3);

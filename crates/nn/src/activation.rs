@@ -289,14 +289,15 @@ mod tests {
     #[test]
     fn infer_into_matches_forward_and_reuses_the_buffer() {
         let input = x();
-        let whole = [0..4];
+        let channels = 0..4;
+        let whole = std::slice::from_ref(&channels);
         let mut out = Tensor::zeros(Shape::of(&[1, 4]));
         let buffer = out.data().as_ptr();
-        Relu::new().infer_into(&input, &mut out, &whole).unwrap();
+        Relu::new().infer_into(&input, &mut out, whole).unwrap();
         assert_eq!(out, Relu::new().forward(&input, false).unwrap());
-        Tanh::new().infer_into(&input, &mut out, &whole).unwrap();
+        Tanh::new().infer_into(&input, &mut out, whole).unwrap();
         assert_eq!(out, Tanh::new().forward(&input, false).unwrap());
-        Sigmoid::new().infer_into(&input, &mut out, &whole).unwrap();
+        Sigmoid::new().infer_into(&input, &mut out, whole).unwrap();
         assert_eq!(out, Sigmoid::new().forward(&input, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
@@ -305,7 +306,7 @@ mod tests {
         );
         // a mismatched target is replaced, not written out of bounds
         let mut other = Tensor::zeros(Shape::of(&[2]));
-        Relu::new().infer_into(&input, &mut other, &whole).unwrap();
+        Relu::new().infer_into(&input, &mut other, whole).unwrap();
         assert_eq!(other, Relu::new().forward(&input, false).unwrap());
     }
 
@@ -327,7 +328,9 @@ mod tests {
             let expect = if channel == 1 { 9.0 } else { want };
             assert_eq!(got, expect, "element {i}");
         }
-        assert!(Relu::new().infer_into(&input, &mut out, &[2..4]).is_err());
+        assert!(Relu::new()
+            .infer_into(&input, &mut out, std::slice::from_ref(&(2..4)))
+            .is_err());
         let flat = Tensor::zeros(Shape::of(&[4]));
         assert!(Relu::new().infer_into(&flat, &mut out, &[]).is_err());
     }

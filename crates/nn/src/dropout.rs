@@ -111,7 +111,8 @@ mod tests {
         let x = Tensor::ones(Shape::of(&[4, 4]));
         assert_eq!(d.forward(&x, false).unwrap(), x);
         let mut out = Tensor::zeros(Shape::of(&[1]));
-        d.infer_into(&x, &mut out, &[0..4]).unwrap();
+        d.infer_into(&x, &mut out, std::slice::from_ref(&(0..4)))
+            .unwrap();
         assert_eq!(out, x);
     }
 

@@ -117,11 +117,13 @@ mod tests {
         let x = Tensor::from_vec(Shape::of(&[2, 1, 1, 2]), vec![1., 2., 3., 4.]).unwrap();
         let mut out = Tensor::zeros(Shape::of(&[2, 2]));
         let buffer = out.data().as_ptr();
-        f.infer_into(&x, &mut out, &[0..1]).unwrap();
+        f.infer_into(&x, &mut out, std::slice::from_ref(&(0..1)))
+            .unwrap();
         assert_eq!(out, Flatten::new().forward(&x, false).unwrap());
         assert_eq!(out.data().as_ptr(), buffer);
         let mut other = Tensor::zeros(Shape::of(&[1]));
-        f.infer_into(&x, &mut other, &[0..1]).unwrap();
+        f.infer_into(&x, &mut other, std::slice::from_ref(&(0..1)))
+            .unwrap();
         assert_eq!(other, out);
         assert!(f
             .infer_into(&Tensor::zeros(Shape::of(&[4])), &mut other, &[])
@@ -136,7 +138,9 @@ mod tests {
         )
         .unwrap();
         let mut out = Tensor::full(Shape::of(&[2, 6]), -1.0);
-        Flatten::new().infer_into(&x, &mut out, &[1..2]).unwrap();
+        Flatten::new()
+            .infer_into(&x, &mut out, std::slice::from_ref(&(1..2)))
+            .unwrap();
         assert_eq!(
             out.data(),
             &[-1., -1., 2., 3., -1., -1., -1., -1., 8., 9., -1., -1.]

@@ -576,26 +576,32 @@ mod tests {
         for p in bn1.params_mut().into_iter().chain(bn2.params_mut()) {
             p.value = uniform(p.value.shape().clone(), 0.5, 1.5, &mut rng(13));
         }
-        let whole = [0..3];
+        let channels = 0..3;
+        let whole = std::slice::from_ref(&channels);
         let mut out = Tensor::zeros(Shape::of(&[6, 3]));
         let buffer = out.data().as_ptr();
-        bn1.infer_into(&x1, &mut out, &whole).unwrap();
+        bn1.infer_into(&x1, &mut out, whole).unwrap();
         assert_eq!(out, bn1.forward(&x1, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
             buffer,
             "matching shape writes in place"
         );
-        bn2.infer_into(&x2, &mut out, &whole).unwrap();
+        bn2.infer_into(&x2, &mut out, whole).unwrap();
         assert_eq!(out, bn2.forward(&x2, false).unwrap());
-        assert!(bn1.infer_into(&x2, &mut out, &whole).is_err());
-        assert!(bn2.infer_into(&x1, &mut out, &whole).is_err());
+        assert!(bn1.infer_into(&x2, &mut out, whole).is_err());
+        assert!(bn2.infer_into(&x1, &mut out, whole).is_err());
         let wide = Tensor::zeros(Shape::of(&[2, 4]));
-        assert!(bn1.infer_into(&wide, &mut out, &[0..4]).is_err());
-        assert!(bn1.infer_into(&x1, &mut out, &[0..4]).is_err());
+        assert!(bn1
+            .infer_into(&wide, &mut out, std::slice::from_ref(&(0..4)))
+            .is_err());
+        assert!(bn1
+            .infer_into(&x1, &mut out, std::slice::from_ref(&(0..4)))
+            .is_err());
         // one channel alone: the others keep what the target held
         let mut part = Tensor::full(Shape::of(&[4, 3, 2, 5]), 7.0);
-        bn2.infer_into(&x2, &mut part, &[1..2]).unwrap();
+        bn2.infer_into(&x2, &mut part, std::slice::from_ref(&(1..2)))
+            .unwrap();
         for (i, (&got, &want)) in part.data().iter().zip(out.data()).enumerate() {
             let expect = if i / 10 % 3 == 1 { want } else { 7.0 };
             assert_eq!(got, expect, "element {i}");

@@ -419,15 +419,16 @@ mod tests {
             (0..16).map(|v| ((v * 7) % 11) as f32 - 5.0).collect(),
         )
         .unwrap();
-        let whole = [0..2];
+        let channels = 0..2;
+        let whole = std::slice::from_ref(&channels);
         let mut out = Tensor::zeros(Shape::of(&[1, 2, 1, 2]));
         let buffer = out.data().as_ptr();
         MaxPool2d::new(2, 2)
-            .infer_into(&x, &mut out, &whole)
+            .infer_into(&x, &mut out, whole)
             .unwrap();
         assert_eq!(out, MaxPool2d::new(2, 2).forward(&x, false).unwrap());
         AvgPool2d::new(2, 2)
-            .infer_into(&x, &mut out, &whole)
+            .infer_into(&x, &mut out, whole)
             .unwrap();
         assert_eq!(out, AvgPool2d::new(2, 2).forward(&x, false).unwrap());
         assert_eq!(
@@ -438,12 +439,12 @@ mod tests {
         // a mismatched target is replaced; a bad input is an error
         let mut other = Tensor::zeros(Shape::of(&[3]));
         MaxPool2d::new(2, 2)
-            .infer_into(&x, &mut other, &whole)
+            .infer_into(&x, &mut other, whole)
             .unwrap();
         assert_eq!(other, MaxPool2d::new(2, 2).forward(&x, false).unwrap());
         let flat = Tensor::zeros(Shape::of(&[2, 2]));
         assert!(AvgPool2d::new(2, 2)
-            .infer_into(&flat, &mut other, &whole)
+            .infer_into(&flat, &mut other, whole)
             .is_err());
     }
 
@@ -461,11 +462,11 @@ mod tests {
             let mut out = Tensor::full(Shape::of(&[2, 3, 1, 1]), 99.0);
             if whole {
                 AvgPool2d::new(2, 2)
-                    .infer_into(&x, &mut out, &[1..3])
+                    .infer_into(&x, &mut out, std::slice::from_ref(&(1..3)))
                     .unwrap();
             } else {
                 MaxPool2d::new(2, 2)
-                    .infer_into(&x, &mut out, &[1..3])
+                    .infer_into(&x, &mut out, std::slice::from_ref(&(1..3)))
                     .unwrap();
             }
             for (plane, (&got, &want)) in out.data().iter().zip(pool.data()).enumerate() {
@@ -475,7 +476,7 @@ mod tests {
         }
         let mut out = Tensor::zeros(Shape::of(&[2, 3, 1, 1]));
         assert!(MaxPool2d::new(2, 2)
-            .infer_into(&x, &mut out, &[0..4])
+            .infer_into(&x, &mut out, std::slice::from_ref(&(0..4)))
             .is_err());
     }
 

@@ -54,11 +54,14 @@ fn bits(v: f32) -> u32 {
     }
 }
 
+/// A layer's `infer_into`, bound to the layer.
+type InferInto<'a> = dyn Fn(&Tensor, &mut Tensor, &[Range<usize>]) -> stepping_nn::Result<()> + 'a;
+
 /// `infer_into` over `runs` against `forward`: every listed channel
 /// bit-equal, every other channel untouched.
 fn check(
     pool: &mut dyn Layer,
-    infer: &dyn Fn(&Tensor, &mut Tensor, &[Range<usize>]) -> stepping_nn::Result<()>,
+    infer: &InferInto<'_>,
     x: &Tensor,
     runs: &[Range<usize>],
     what: &str,
@@ -138,7 +141,8 @@ fn max_ties_keep_the_first_tap_in_row_major_order() {
     for (k, s) in [(2, 2), (2, 1)] {
         let pool = MaxPool2d::new(k, s);
         let mut out = Tensor::zeros(Shape::of(&[0]));
-        pool.infer_into(&x, &mut out, &[0..2]).unwrap();
+        pool.infer_into(&x, &mut out, std::slice::from_ref(&(0..2)))
+            .unwrap();
         let bits: Vec<u32> = out.data().iter().map(|v| v.to_bits()).collect();
         assert_eq!(bits, [neg.to_bits(), pos.to_bits()], "k{k} s{s}");
     }

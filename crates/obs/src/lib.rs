@@ -137,7 +137,7 @@ pub fn report_text(text: &str) {
     if installed() {
         dispatch(&Event {
             phase: REPORT_PHASE,
-            name: stepping_core::events::event::REPORT_TEXT,
+            name: stepping_core::events::event::REPORT_TEXT.as_str(),
             kind: EventKind::Point,
             fields: &[("text", Value::Str(text))],
         });
@@ -151,7 +151,7 @@ pub fn progress(text: &str) {
     if installed() {
         dispatch(&Event {
             phase: REPORT_PHASE,
-            name: stepping_core::events::event::REPORT_PROGRESS,
+            name: stepping_core::events::event::REPORT_PROGRESS.as_str(),
             kind: EventKind::Point,
             fields: &[("text", Value::Str(text))],
         });

@@ -202,7 +202,7 @@ impl OwnedEvent {
 /// kept verbatim in the `text` field by the JSONL sink). An alias of
 /// [`stepping_core::events::phase::REPORT`] — the shared registry is the
 /// single source of truth for phase names.
-pub const REPORT_PHASE: &str = stepping_core::events::phase::REPORT;
+pub const REPORT_PHASE: &str = stepping_core::events::phase::REPORT.as_str();
 
 /// Human-readable sink. Telemetry events render as one aligned line each on
 /// stderr; `report`-phase events carry pre-formatted text and go to stdout
@@ -231,7 +231,7 @@ impl Sink for ConsoleSink {
                     _ => None,
                 })
                 .unwrap_or("");
-            if e.name == stepping_core::events::event::REPORT_PROGRESS {
+            if e.name == stepping_core::events::event::REPORT_PROGRESS.as_str() {
                 eprintln!("{text}");
             } else {
                 println!("{text}");

@@ -10,6 +10,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use stepping_core::events::{event, phase};
+use stepping_core::telemetry::{EventName, Phase};
 
 use crate::metrics::{CounterStats, RatioHistogram, SpanStats};
 use crate::sink::{OwnedEvent, OwnedValue};
@@ -168,41 +169,40 @@ pub fn summarize(events: &[OwnedEvent]) -> Summary {
             }
             _ => {}
         }
-        // Roll-up keys come from the shared registry (`stepping_core::events`)
-        // so the aggregator cannot drift from the emitters; the stepping-lint
-        // L6 rule enforces the same registry at every emission site.
-        match (ev.phase.as_str(), ev.name.as_str(), ev.kind) {
-            (phase::CONSTRUCTION, event::CONSTRUCT_ITERATION, "span") => {
-                s.construction_iterations += 1;
-                s.neurons_moved += field_u64(ev, "neurons_moved").unwrap_or(0);
-                s.synapses_pruned += field_u64(ev, "synapses_pruned").unwrap_or(0);
-                s.synapses_revived += field_u64(ev, "synapses_revived").unwrap_or(0);
+        // Roll-up keys come from the shared registry (`stepping_core::events`),
+        // the only names an emitter can pass, so the aggregator cannot drift
+        // from the emitters.
+        let is = |p: Phase, n: EventName, kind: &str| {
+            ev.phase == p.as_str() && ev.name == n.as_str() && ev.kind == kind
+        };
+        if is(phase::CONSTRUCTION, event::CONSTRUCT_ITERATION, "span") {
+            s.construction_iterations += 1;
+            s.neurons_moved += field_u64(ev, "neurons_moved").unwrap_or(0);
+            s.synapses_pruned += field_u64(ev, "synapses_pruned").unwrap_or(0);
+            s.synapses_revived += field_u64(ev, "synapses_revived").unwrap_or(0);
+        } else if is(phase::TRAINING, event::TRAIN_BATCHES, "counter") {
+            s.train_batches += ev.delta.unwrap_or(0);
+        } else if is(phase::TRAINING, event::DISTILL_BATCHES, "counter") {
+            s.distill_batches += ev.delta.unwrap_or(0);
+        } else if is(
+            phase::CONSTRUCTION,
+            event::CONSTRUCT_TRAIN_BATCHES,
+            "counter",
+        ) {
+            s.construct_train_batches += ev.delta.unwrap_or(0);
+        } else if is(phase::INFERENCE, event::DRIVE_SLICE, "span") {
+            s.inference_slices += 1;
+            s.upgrades += field_u64(ev, "upgrades").unwrap_or(0);
+            let spent = field_u64(ev, "spent").unwrap_or(0);
+            s.inference_macs += spent;
+            if let Some(budget) = field_u64(ev, "budget").filter(|&b| b > 0) {
+                s.budget_utilization.record(spent as f64 / budget as f64);
             }
-            (phase::TRAINING, event::TRAIN_BATCHES, "counter") => {
-                s.train_batches += ev.delta.unwrap_or(0);
+        } else if is(phase::INFERENCE, event::EXEC_EXPAND, "span") {
+            if let Some(r) = field_f64(ev, "reuse_ratio") {
+                reuse_sum += r;
+                reuse_n += 1;
             }
-            (phase::TRAINING, event::DISTILL_BATCHES, "counter") => {
-                s.distill_batches += ev.delta.unwrap_or(0);
-            }
-            (phase::CONSTRUCTION, event::CONSTRUCT_TRAIN_BATCHES, "counter") => {
-                s.construct_train_batches += ev.delta.unwrap_or(0);
-            }
-            (phase::INFERENCE, event::DRIVE_SLICE, "span") => {
-                s.inference_slices += 1;
-                s.upgrades += field_u64(ev, "upgrades").unwrap_or(0);
-                let spent = field_u64(ev, "spent").unwrap_or(0);
-                s.inference_macs += spent;
-                if let Some(budget) = field_u64(ev, "budget").filter(|&b| b > 0) {
-                    s.budget_utilization.record(spent as f64 / budget as f64);
-                }
-            }
-            (phase::INFERENCE, event::EXEC_EXPAND, "span") => {
-                if let Some(r) = field_f64(ev, "reuse_ratio") {
-                    reuse_sum += r;
-                    reuse_n += 1;
-                }
-            }
-            _ => {}
         }
     }
     if reuse_n > 0 {

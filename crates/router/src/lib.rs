@@ -34,6 +34,19 @@
 //! stickiness rule, and the drain/failover policy.
 
 #![warn(missing_docs)]
+// Panic discipline: library code reports failures as errors. Test code is
+// exempt.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 #![warn(missing_debug_implementations)]
 
 mod config;

@@ -2,8 +2,9 @@
 
 use std::sync::Arc;
 
+use stepping_core::events::{event, phase};
 use stepping_core::telemetry::{self, Value};
-use stepping_core::{events::event, Result, SteppingError, SteppingNet};
+use stepping_core::{Result, SteppingError, SteppingNet};
 use stepping_metrics::MetricsRegistry;
 use stepping_serve::{
     AdmissionError, ReplicaHandle, Request, Response, ServeConfig, ServeError, Server, ServerStats,
@@ -233,7 +234,7 @@ impl Router {
                     } else {
                         self.metrics.reroute.inc();
                         telemetry::point(
-                            "serving",
+                            phase::SERVING,
                             event::ROUTER_REROUTE,
                             &[
                                 ("key", Value::U64(key)),
@@ -252,7 +253,7 @@ impl Router {
                     if self.health[replica].record(true) {
                         self.metrics.breaker_trip.inc();
                         telemetry::point(
-                            "serving",
+                            phase::SERVING,
                             event::ROUTER_BREAKER_TRIP,
                             &[("replica", Value::U64(replica as u64))],
                         );
@@ -316,7 +317,7 @@ impl Router {
         handle.drain();
         self.metrics.drain.inc();
         telemetry::point(
-            "serving",
+            phase::SERVING,
             event::ROUTER_DRAIN,
             &[
                 ("replica", Value::U64(replica as u64)),

@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn generous_trace_reaches_largest_subnet() {
-        let mut n = net();
+        let n = net();
         let full = n.macs(2, 0.0);
         let trace = ResourceTrace::constant(full, 4);
         let cfg = session_cfg(trace, UpgradePolicy::Incremental);
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn starved_trace_stays_small() {
-        let mut n = net();
+        let n = net();
         let small = n.macs(0, 0.0);
         // just enough for subnet 0 over the whole trace, never more
         let per_slice = small / 4 + 1;
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn incremental_policy_upgrades_sooner_than_recompute() {
-        let mut n = net();
+        let n = net();
         let budget = n.macs(0, 0.0) + expand_macs(&n, 0, 0.0).unwrap();
         let trace = ResourceTrace::constant(budget, 1);
         let inc = Session::new(&n, session_cfg(trace.clone(), UpgradePolicy::Incremental))
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn incremental_total_macs_below_recompute() {
-        let mut n = net();
+        let n = net();
         let full = n.macs(2, 0.0);
         let trace = ResourceTrace::constant(full, 6);
         let inc = Session::new(&n, session_cfg(trace.clone(), UpgradePolicy::Incremental))
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn deadline_truncates() {
-        let mut n = net();
+        let n = net();
         let full = n.macs(2, 0.0);
         let trace = ResourceTrace::constant(full / 3, 9);
         let cfg = session_cfg(trace, UpgradePolicy::Incremental);
@@ -210,7 +210,7 @@ mod tests {
 
     #[test]
     fn empty_trace_rejected() {
-        let mut n = net();
+        let n = net();
         let trace = ResourceTrace::from_budgets(vec![]);
         let cfg = session_cfg(trace, UpgradePolicy::Incremental);
         assert!(Session::new(&n, cfg).run(&x()).is_err());

@@ -69,11 +69,11 @@ mod tests {
         let trace = ResourceTrace::constant(net().macs(1, 0.0), 3);
         let latest = LatestPrediction::new();
         let cfg = SessionConfig::new().trace(trace);
-        let mut n1 = net();
+        let n1 = net();
         let live = Session::new(&n1, cfg.clone())
             .run_live(&x, &latest)
             .unwrap();
-        let mut n2 = net();
+        let n2 = net();
         let offline = Session::new(&n2, cfg).run(&x).unwrap();
         assert_eq!(live.final_subnet, offline.final_subnet);
         assert_eq!(live.total_macs, offline.total_macs);
@@ -100,7 +100,7 @@ mod tests {
             }
             false
         });
-        let mut n = net();
+        let n = net();
         let cfg = SessionConfig::new()
             .trace(trace)
             .tick(Duration::from_micros(100));

@@ -24,6 +24,7 @@
 use std::sync::mpsc;
 use std::time::Duration;
 
+use stepping_core::events::{event, phase};
 use stepping_core::telemetry::{self, Value};
 use stepping_core::{IncrementalExecutor, Result, SteppingError, SteppingNet};
 use stepping_tensor::{reduce, Tensor};
@@ -257,8 +258,8 @@ impl Session {
             )));
         }
         telemetry::point(
-            "inference",
-            "drive.deadline",
+            phase::INFERENCE,
+            event::DRIVE_DEADLINE,
             &[
                 ("deadline_slice", Value::U64(deadline_slice as u64)),
                 ("trace_len", Value::U64(trace.len() as u64)),
@@ -272,7 +273,7 @@ impl Session {
         let start = self.config.start_subnet;
         let step_cost = self.step_costs()?;
         let policy = self.config.policy;
-        let run_span = telemetry::span("inference", "drive.run");
+        let run_span = telemetry::span(phase::INFERENCE, event::DRIVE_RUN);
         let exec = &mut self.exec;
         let mut timeline = Vec::with_capacity(trace.len());
         let mut bank = 0u64;
@@ -282,14 +283,14 @@ impl Session {
         let mut total_macs = 0u64;
         let mut first_prediction_slice = None;
         for (i, &budget) in trace.budgets().iter().enumerate() {
-            let slice_span = telemetry::span("inference", "drive.slice");
+            let slice_span = telemetry::span(phase::INFERENCE, event::DRIVE_SLICE);
             bank += budget;
             let mut spent = 0u64;
             let mut upgrades = 0u64;
             while next_step < step_cost.len() && bank >= step_cost[next_step] {
                 telemetry::point(
-                    "inference",
-                    "drive.upgrade",
+                    phase::INFERENCE,
+                    event::DRIVE_UPGRADE,
                     &[
                         ("slice", Value::U64(i as u64)),
                         ("to_subnet", Value::U64((start + next_step) as u64)),
@@ -407,8 +408,8 @@ impl Session {
                 };
                 latest.publish(step.subnet, &step.logits);
                 telemetry::point(
-                    "inference",
-                    "live.prediction",
+                    phase::INFERENCE,
+                    event::LIVE_PREDICTION,
                     &[
                         ("slice", Value::U64(slice as u64)),
                         ("subnet", Value::U64(step.subnet as u64)),
@@ -521,7 +522,7 @@ mod tests {
 
     #[test]
     fn missing_trace_and_confidence_rejected() {
-        let mut n = net();
+        let n = net();
         let mut s = Session::new(&n, SessionConfig::new());
         assert!(s.run(&x()).is_err());
         assert!(s.run_until_deadline(&x(), 1).is_err());
@@ -532,7 +533,7 @@ mod tests {
 
     #[test]
     fn start_subnet_skips_smaller_predictions() {
-        let mut n = net();
+        let n = net();
         let full = n.macs(2, 0.0);
         let trace = ResourceTrace::constant(full, 4);
         let cfg = SessionConfig::new().trace(trace).start_subnet(1);
@@ -547,7 +548,7 @@ mod tests {
 
     #[test]
     fn start_subnet_out_of_range_rejected() {
-        let mut n = net();
+        let n = net();
         let cfg = SessionConfig::new()
             .trace(ResourceTrace::constant(10, 2))
             .start_subnet(7);
@@ -556,7 +557,7 @@ mod tests {
 
     #[test]
     fn start_subnet_confident_run_charges_direct_cost() {
-        let mut n = net();
+        let n = net();
         let direct = n.macs(1, 0.0);
         let cfg = SessionConfig::new().confidence(1e-6).start_subnet(1);
         let out = Session::new(&n, cfg).run_until_confident(&x()).unwrap();

@@ -5,9 +5,7 @@
 //! registry (so benches and operators can snapshot one place) and are
 //! registered once at [`Server::new`](crate::Server::new) — the hot path
 //! only touches pre-resolved `Arc` handles. Names come from
-//! `stepping_core::events::metric` and the registry's runtime validator is
-//! installed here, so a name that drifts from the central table shows up in
-//! every snapshot's `invalid_names`.
+//! `stepping_core::events::metric`, the only values `register_*` accept.
 //!
 //! Series layout:
 //!
@@ -90,7 +88,6 @@ impl ServeMetrics {
     /// returns the existing handles, so several servers in one process
     /// share the series.
     pub fn new(registry: &MetricsRegistry, workers: usize, subnets: usize) -> Self {
-        registry.set_validator(stepping_core::events::is_metric);
         let workers = (0..workers.max(1))
             .map(|w| WorkerMetrics {
                 lock_wait_ns: registry.register_histogram_labeled(
@@ -161,7 +158,6 @@ mod tests {
     fn every_series_registers_cleanly() {
         let registry = MetricsRegistry::new();
         let m = ServeMetrics::new(&registry, 3, 2);
-        assert_eq!(registry.invalid_names(), 0, "all names in the registry");
         assert!(m.occupancy(BatchKey::Begin { subnet: 1 }).is_some());
         assert!(m.occupancy(BatchKey::Upgrade { from: 0 }).is_some());
         assert!(m.occupancy(BatchKey::Upgrade { from: 1 }).is_none());

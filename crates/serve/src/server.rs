@@ -9,6 +9,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use stepping_core::batch::{ActivationCache, BatchExecutor};
+use stepping_core::events::{event, phase};
 use stepping_core::telemetry::{self, SpanGuard, Value};
 use stepping_core::{CompiledModel, ExpandStep, MacTable, Result, SteppingError, SteppingNet};
 use stepping_metrics::{elapsed_ns, start_timer, MetricsRegistry, SnapshotWriter};
@@ -478,8 +479,8 @@ impl Server {
             self.shared.metrics.cache_hit.inc();
             self.shared.metrics.completed.inc();
             telemetry::point(
-                "serving",
-                "serve.cache_hit",
+                phase::SERVING,
+                event::SERVE_CACHE_HIT,
                 &[
                     ("session", Value::U64(session)),
                     ("subnet", Value::U64(cur as u64)),
@@ -540,8 +541,8 @@ impl Server {
                 self.shared.metrics.shed.inc();
                 self.shared.metrics.completed.inc();
                 telemetry::point(
-                    "serving",
-                    "serve.shed",
+                    phase::SERVING,
+                    event::SERVE_SHED,
                     &[
                         ("session", Value::U64(session)),
                         ("subnet", Value::U64(cur as u64)),
@@ -787,7 +788,7 @@ fn outcome_of(
 
 /// Runs one claimed begin batch and answers it; `jobs` is left empty.
 fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job>, subnet: usize) {
-    let span = telemetry::span("serving", "serve.batch");
+    let span = telemetry::span(phase::SERVING, event::SERVE_BATCH);
     let mut inputs = Vec::with_capacity(jobs.len());
     let mut waiting = Vec::with_capacity(jobs.len());
     for job in jobs.drain(..) {
@@ -835,7 +836,7 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job
 /// over that prefix: rows share every step they both take, and each keeps
 /// the step of its own target.
 fn run_upgrade_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job>, from: usize) {
-    let span = telemetry::span("serving", "serve.batch");
+    let span = telemetry::span(phase::SERVING, event::SERVE_BATCH);
     jobs.sort_unstable_by_key(|job| Reverse(job.requested));
     // each session with what it had spent before this batch
     let mut sessions = Vec::with_capacity(jobs.len());

@@ -20,6 +20,11 @@
 //! (the client: tickets, channels, jobs) is exempt, everything else is a
 //! worker.
 
+#![allow(
+    unsafe_code,
+    reason = "a `#[global_allocator]` must implement the unsafe `GlobalAlloc` trait"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -99,7 +99,6 @@ fn live_load_populates_every_series() {
     srv.shutdown();
     let stats = srv.stats();
     let after = registry.snapshot();
-    assert_eq!(after.invalid_names, 0, "no series name escaped the table");
 
     // -- counters: deltas agree with the coherent ServerStats snapshot.
     let delta = |name: &str| after.counter(name).unwrap() - before.counter(name).unwrap_or(0);

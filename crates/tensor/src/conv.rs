@@ -51,7 +51,10 @@ impl ConvGeometry {
     ///
     /// Returns [`TensorError::InvalidGeometry`] when the stride is zero or
     /// the (padded) input is smaller than the kernel.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "one argument per convolution hyper-parameter"
+    )]
     pub fn new(
         in_channels: usize,
         in_h: usize,

@@ -40,6 +40,10 @@ mod error;
 mod grads;
 pub mod init;
 pub mod matmul;
+#[allow(
+    unsafe_code,
+    reason = "the SIMD tiers call `core::arch` intrinsics; every block names the CPU feature that was detected"
+)]
 pub mod microkernel;
 pub mod pack;
 pub mod reduce;

@@ -128,8 +128,10 @@
 //!
 //! ## Unsafe
 //!
-//! This is the one file of the workspace allowed to contain `unsafe`
-//! (`stepping-lint` rule L7): the pointer loads of the SIMD multiplies and
+//! This is the one library module of the workspace allowed to contain
+//! `unsafe` (the workspace denies `unsafe_code`; `mod microkernel` allows it,
+//! and clippy's `undocumented_unsafe_blocks` wants a `// SAFETY:` comment
+//! on every block): the pointer loads of the SIMD multiplies and
 //! the calls into the SIMD instantiations of the GEMM and conv bodies. A
 //! [`Tier`] can only be obtained from [`Tier::active`] /
 //! [`Tier::supported`], which run the CPUID check, so holding a SIMD tier
@@ -924,7 +926,10 @@ fn rows_pass_avx512(
 /// [`gemm_packed`] in a named tier — the entry point the tier-parity tests
 /// use to hold every supported tier against the reference.
 #[doc(hidden)]
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "takes the arguments of `gemm_packed` plus the tier"
+)]
 pub fn gemm_packed_tier(
     tier: Tier,
     a: &[f32],
