@@ -14,11 +14,12 @@
 //!
 //! Panels keep surviving terms in ascending input index order and run the
 //! blocked NT microkernel (`stepping_tensor::microkernel`), whose
-//! per-element accumulation order is identical to the reference
-//! `nt_kernel`, and per-row entries that are *legal at the subnet but
-//! illegal for that particular row* (`assign(in) > assign(out)`) are stored
-//! as `0.0`, mirroring `effective_weight`. The only dropped terms are
-//! products with an exact-zero activation and an exact-zero masked weight,
+//! per-element accumulation order is identical to the oracle
+//! `stepping_tensor::matmul::reference_gemm`, and per-row entries that are
+//! *legal at the subnet but illegal for that particular row*
+//! (`assign(in) > assign(out)`) are stored as `0.0`, mirroring
+//! `effective_weight`. The only dropped terms are products with an
+//! exact-zero activation and an exact-zero masked weight,
 //! which can never change a nonzero accumulator. Packed results therefore
 //! compare equal (`f32 ==`) to masked results; the property suites assert
 //! this.

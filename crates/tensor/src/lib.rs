@@ -7,10 +7,10 @@
 //!
 //! * [`Shape`] — n-dimensional extents with row-major strides,
 //! * [`Tensor`] — owned, contiguous, row-major `f32` storage,
-//! * [`matmul`] — matrix multiplication with transpose variants (the
-//!   masked-reference kernels),
-//! * [`microkernel`] — the blocked, register-tiled GEMM behind the packed
-//!   inference paths (bit-identical to the reference kernels),
+//! * [`matmul`] — matrix multiplication with transpose variants, and the
+//!   loop-form oracle every kernel is tested against,
+//! * [`microkernel`] — the blocked, register-tiled GEMM behind every
+//!   product, masked and packed (bit-identical to the oracle),
 //! * [`conv`] — `im2col`/`col2im` based 2-D convolution kernels,
 //! * [`reduce`] — reductions (sum/mean/max/argmax/softmax, per-axis),
 //! * [`init`] — deterministic random initialisers (uniform, normal,

@@ -1,65 +1,21 @@
-//! Blocked matrix multiplication kernels.
+//! Matrix multiplication on rank-2 [`Tensor`]s.
 //!
-//! These are the hot loops behind every [`Linear`](../../stepping_nn) layer
-//! and the `im2col` formulation of convolution. All kernels operate on
-//! rank-2 [`Tensor`]s and are cache-blocked over the inner dimension.
+//! One general product, [`gemm`], handles every transpose combination via a
+//! [`GemmSpec`]; [`matmul`], [`matmul_bt`] and [`matmul_at`] are thin
+//! wrappers kept for their self-explanatory names. These products carry
+//! every `Linear` layer, the `im2col` formulation of convolution and the
+//! masked training and reference paths (forward, `dW`, `dX`). [`gemm`]
+//! packs `B` per spec and makes one call of the blocked, register-tiled
+//! [`microkernel`] — the kernel packed inference runs against
+//! plan-compiled panels — on the calling thread.
 //!
-//! One general kernel, [`gemm`], handles every transpose combination via a
-//! [`GemmSpec`]; the historical entry points [`matmul`], [`matmul_bt`] and
-//! [`matmul_at`] are documented thin wrappers kept for their
-//! self-explanatory names. Each transpose combination preserves the exact
-//! loop structure (and therefore the exact floating-point rounding) of the
-//! original per-function kernels — the incremental-property tests depend on
-//! bit-identical results.
-//!
-//! These are the *masked-reference* kernels: they serve the full-width
-//! masked paths (where operands are mostly zero, so the `nn`/`tn` kernels
-//! keep their `if aik == 0.0` skip) and act as the oracle the blocked
-//! [`microkernel`](crate::microkernel) — which has no zero-skip, because
-//! packed panels are dense by construction — is property-tested against.
+//! [`reference_gemm`] is the definition that kernel is tested against: the
+//! one loop-form product in the crate, with no blocking, no zero skip and
+//! no threads. The kernel matches it bit for bit (see the [`microkernel`]
+//! module docs for the argument).
 
+use crate::microkernel::{self, Epilogue, PackedB};
 use crate::{Result, Shape, Tensor, TensorError};
-
-/// Cache block size (elements) for the k-loop; tuned for L1-resident panels.
-const BLOCK: usize = 64;
-
-/// Below this many multiply-adds a product stays single-threaded (thread
-/// spawn overhead would dominate).
-const PARALLEL_FLOP_THRESHOLD: usize = 4_000_000;
-
-/// Number of worker threads for large products.
-fn worker_count(rows: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(rows)
-        .min(8)
-}
-
-/// Runs `kernel` over disjoint row chunks of `out`, in parallel when the
-/// problem is big enough. `kernel(row_offset, out_rows)` must fill the given
-/// rows only.
-fn par_rows<F>(out: &mut [f32], rows: usize, row_width: usize, flops: usize, kernel: F)
-where
-    F: Fn(usize, &mut [f32]) + Sync,
-{
-    let workers = if flops >= PARALLEL_FLOP_THRESHOLD {
-        worker_count(rows)
-    } else {
-        1
-    };
-    if workers <= 1 || rows == 0 {
-        kernel(0, out);
-        return;
-    }
-    let chunk_rows = rows.div_ceil(workers);
-    std::thread::scope(|s| {
-        for (ci, chunk) in out.chunks_mut(chunk_rows * row_width).enumerate() {
-            let kernel = &kernel;
-            s.spawn(move || kernel(ci * chunk_rows, chunk));
-        }
-    });
-}
 
 fn check2(t: &Tensor) -> Result<(usize, usize)> {
     if t.shape().rank() != 2 {
@@ -69,6 +25,21 @@ fn check2(t: &Tensor) -> Result<(usize, usize)> {
         });
     }
     Ok((t.shape().dims()[0], t.shape().dims()[1]))
+}
+
+/// `(m, k, n)` of `op(A) · op(B)`, or the error both products return.
+fn extents(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<(usize, usize, usize)> {
+    let (a0, a1) = check2(a)?;
+    let (b0, b1) = check2(b)?;
+    let (m, ka) = if spec.trans_a { (a1, a0) } else { (a0, a1) };
+    let (kb, n) = if spec.trans_b { (b1, b0) } else { (b0, b1) };
+    if ka != kb {
+        return Err(TensorError::InnerDimMismatch {
+            left: ka,
+            right: kb,
+        });
+    }
+    Ok((m, ka, n))
 }
 
 /// Transpose flags for [`gemm`]: which operands are read transposed.
@@ -127,6 +98,10 @@ impl GemmSpec {
 /// | [`GemmSpec::TN`] | `[k, m]` | `[k, n]` |
 /// | [`GemmSpec::TT`] | `[k, m]` | `[n, k]` |
 ///
+/// Packs `B` into a [`PackedB`] and runs [`microkernel::gemm_packed`] in
+/// the host's widest tier. The result is bit-identical to
+/// [`reference_gemm`].
+///
 /// # Errors
 ///
 /// Returns [`TensorError::RankMismatch`] for non-matrices and
@@ -144,154 +119,71 @@ impl GemmSpec {
 /// # Ok::<(), stepping_tensor::TensorError>(())
 /// ```
 pub fn gemm(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
-    let (a0, a1) = check2(a)?;
-    let (b0, b1) = check2(b)?;
-    let (m, ka) = if spec.trans_a { (a1, a0) } else { (a0, a1) };
-    let (kb, n) = if spec.trans_b { (b1, b0) } else { (b0, b1) };
-    if ka != kb {
-        return Err(TensorError::InnerDimMismatch {
-            left: ka,
-            right: kb,
-        });
-    }
-    let (ad, bd) = (a.data(), b.data());
-    // NN/TN accumulate into the output (and skip zero A entries), so they
-    // need a zeroed buffer; serial NT/TT write every element exactly once
-    // in row-major order and stream into unfilled storage instead. The
-    // parallel NT path keeps the zeroed buffer: disjoint row chunks need
-    // initialised storage to split safely.
-    let out = match (spec.trans_a, spec.trans_b) {
-        (false, false) => {
-            let mut out = Tensor::zeros(Shape::of(&[m, n]));
-            nn_kernel(ad, bd, out.data_mut(), m, ka, n);
-            out
-        }
-        (false, true) => {
-            if m * ka * n >= PARALLEL_FLOP_THRESHOLD && worker_count(m) > 1 {
-                let mut out = Tensor::zeros(Shape::of(&[m, n]));
-                nt_kernel(ad, bd, out.data_mut(), m, ka, n);
-                out
-            } else {
-                nt_stream(ad, bd, m, ka, n)
-            }
-        }
-        (true, false) => {
-            let mut out = Tensor::zeros(Shape::of(&[m, n]));
-            tn_kernel(ad, bd, out.data_mut(), m, ka, n);
-            out
-        }
-        (true, true) => tt_stream(ad, bd, m, ka, n),
+    let (m, k, n) = extents(a, b, spec)?;
+    let packed = if spec.trans_b {
+        PackedB::pack_nt(b.data(), n, k)
+    } else {
+        PackedB::pack_nn(b.data(), k, n)
     };
+    let mut out = Tensor::zeros(Shape::of(&[m, n]));
+    microkernel::gemm_packed(
+        a.data(),
+        spec.trans_a,
+        &packed,
+        out.data_mut(),
+        m,
+        &mut Vec::new(),
+        Epilogue::None,
+    );
     Ok(out)
 }
 
-/// `C = A · B`: k-blocked, row-parallel, skipping zero `A` entries.
-fn nn_kernel(ad: &[f32], bd: &[f32], od: &mut [f32], m: usize, ka: usize, n: usize) {
-    par_rows(od, m, n, m * ka * n, |row0, chunk| {
-        let rows = chunk.len() / n;
-        for k0 in (0..ka).step_by(BLOCK) {
-            let k1 = (k0 + BLOCK).min(ka);
-            for r in 0..rows {
-                let i = row0 + r;
-                let arow = &ad[i * ka..(i + 1) * ka];
-                let orow = &mut chunk[r * n..(r + 1) * n];
-                for k in k0..k1 {
-                    let aik = arow[k];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let brow = &bd[k * n..(k + 1) * n];
-                    for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                        *o += aik * bv;
-                    }
-                }
-            }
-        }
-    });
-}
-
-/// `C = A · Bᵀ`: both operands row-major over `k`, dot-product form.
+/// The definition of `C = op(A) · op(B)` (shapes as in [`gemm`]): each
+/// output element is one chain that starts at `+0.0` and runs over `k` in
+/// ascending order, one rounded multiply and one rounded add per term. No
+/// blocking, no zero skip, no threads — the test oracle for [`gemm`] and
+/// every tier of the [`microkernel`], not a path any layer runs.
 ///
-/// `pub(crate)` so the [`pack`](crate::pack) module can run packed panels
-/// through the exact same loop (and therefore the exact same rounding) as
-/// [`matmul_bt`].
-pub(crate) fn nt_kernel(ad: &[f32], bd: &[f32], od: &mut [f32], m: usize, ka: usize, n: usize) {
-    if m == 0 || n == 0 {
-        // packed panels may be degenerate (a subnet with no active outputs)
-        return;
-    }
-    par_rows(od, m, n, m * ka * n, |row0, chunk| {
-        let rows = chunk.len() / n;
-        for r in 0..rows {
-            let i = row0 + r;
-            let arow = &ad[i * ka..(i + 1) * ka];
-            for j in 0..n {
-                let brow = &bd[j * ka..(j + 1) * ka];
-                let mut acc = 0.0f32;
-                for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                    acc += av * bv;
-                }
-                chunk[r * n + j] = acc;
-            }
-        }
-    });
-}
-
-/// Serial [`nt_kernel`] streaming into unfilled storage: the dot-product
-/// form writes each output element exactly once, in strictly ascending
-/// row-major order, so the result `Vec` is built by `push` instead of
-/// zero-filling `m * n` floats first. Arithmetic (and therefore rounding)
-/// is identical to [`nt_kernel`] term for term.
-fn nt_stream(ad: &[f32], bd: &[f32], m: usize, ka: usize, n: usize) -> Tensor {
+/// A zero skip would change no finite result, which is why masked
+/// operands, mostly exact zeros, need none: the chain starts at `+0.0` and
+/// under round-to-nearest only ever holds `+0.0` or a nonzero value
+/// (`x + (-x)` is `+0.0`), so adding a `±0.0` product — an exact zero
+/// times a finite value — never changes a bit of it.
+///
+/// # Errors
+///
+/// Same conditions as [`gemm`].
+///
+/// # Example
+///
+/// ```
+/// use stepping_tensor::matmul::{gemm, reference_gemm, GemmSpec};
+/// use stepping_tensor::{Shape, Tensor};
+///
+/// let a = Tensor::from_vec(Shape::of(&[2, 1]), vec![1.0, 2.0])?;
+/// let b = Tensor::from_vec(Shape::of(&[2, 2]), vec![3.0, 4.0, 5.0, 6.0])?;
+/// let c = reference_gemm(&a, &b, GemmSpec::TN)?;
+/// assert_eq!(c.data(), &[13.0, 16.0]);
+/// assert_eq!(c, gemm(&a, &b, GemmSpec::TN)?);
+/// # Ok::<(), stepping_tensor::TensorError>(())
+/// ```
+pub fn reference_gemm(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
+    let (m, k, n) = extents(a, b, spec)?;
+    let (ad, bd) = (a.data(), b.data());
+    // element strides of op(A)'s rows and depth, and op(B)'s depth and columns
+    let (a_row, a_k) = if spec.trans_a { (1, m) } else { (k, 1) };
+    let (b_k, b_col) = if spec.trans_b { (1, k) } else { (n, 1) };
     let mut data = Vec::with_capacity(m * n);
     for i in 0..m {
-        let arow = &ad[i * ka..(i + 1) * ka];
         for j in 0..n {
-            let brow = &bd[j * ka..(j + 1) * ka];
             let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
+            for kk in 0..k {
+                acc += ad[i * a_row + kk * a_k] * bd[kk * b_k + j * b_col];
             }
             data.push(acc);
         }
     }
-    Tensor::from_vec(Shape::of(&[m, n]), data).expect("extent matches shape")
-}
-
-/// `C = Aᵀ · B`: outer-product accumulation over `k`, skipping zero `A`
-/// entries (gradient layout; `m`/`n` are small, `k` is the batch).
-fn tn_kernel(ad: &[f32], bd: &[f32], od: &mut [f32], m: usize, ka: usize, n: usize) {
-    for k in 0..ka {
-        let arow = &ad[k * m..(k + 1) * m];
-        let brow = &bd[k * n..(k + 1) * n];
-        for (i, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let orow = &mut od[i * n..(i + 1) * n];
-            for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                *o += av * bv;
-            }
-        }
-    }
-}
-
-/// `C = Aᵀ · Bᵀ`: column gather on `A`, strided reads on `B`. Streams into
-/// unfilled storage — each element is written exactly once in row-major
-/// order, so no zero-fill is needed.
-fn tt_stream(ad: &[f32], bd: &[f32], m: usize, ka: usize, n: usize) -> Tensor {
-    let mut data = Vec::with_capacity(m * n);
-    for i in 0..m {
-        for j in 0..n {
-            let brow = &bd[j * ka..(j + 1) * ka];
-            let mut acc = 0.0f32;
-            for (k, &bv) in brow.iter().enumerate() {
-                acc += ad[k * m + i] * bv;
-            }
-            data.push(acc);
-        }
-    }
-    Tensor::from_vec(Shape::of(&[m, n]), data).expect("extent matches shape")
+    Tensor::from_vec(Shape::of(&[m, n]), data)
 }
 
 /// `C = A · B` for `A: [m, k]`, `B: [k, n]`.
@@ -342,54 +234,11 @@ pub fn matmul_at(a: &Tensor, b: &Tensor) -> Result<Tensor> {
     gemm(a, b, GemmSpec::TN)
 }
 
-/// Matrix–vector product `y = A · x` for `A: [m, k]`, `x: [k]`.
-///
-/// # Errors
-///
-/// Returns rank/dimension errors as in [`matmul`].
-pub fn matvec(a: &Tensor, x: &Tensor) -> Result<Tensor> {
-    let (m, k) = check2(a)?;
-    if x.shape().rank() != 1 {
-        return Err(TensorError::RankMismatch {
-            expected: 1,
-            actual: x.shape().rank(),
-        });
-    }
-    if x.len() != k {
-        return Err(TensorError::InnerDimMismatch {
-            left: k,
-            right: x.len(),
-        });
-    }
-    let mut out = Tensor::zeros(Shape::of(&[m]));
-    let (ad, xd) = (a.data(), x.data());
-    let od = out.data_mut();
-    for i in 0..m {
-        let row = &ad[i * k..(i + 1) * k];
-        od[i] = row.iter().zip(xd.iter()).map(|(&a, &b)| a * b).sum();
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn naive(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k) = (a.shape().dims()[0], a.shape().dims()[1]);
-        let n = b.shape().dims()[1];
-        let mut out = Tensor::zeros(Shape::of(&[m, n]));
-        for i in 0..m {
-            for j in 0..n {
-                let mut acc = 0.0;
-                for kk in 0..k {
-                    acc += a.data()[i * k + kk] * b.data()[kk * n + j];
-                }
-                out.data_mut()[i * n + j] = acc;
-            }
-        }
-        out
-    }
+    use crate::init;
+    use crate::microkernel::{Tier, KC, NR};
 
     fn seq(shape: &[usize]) -> Tensor {
         let len: usize = shape.iter().product();
@@ -400,202 +249,76 @@ mod tests {
         .unwrap()
     }
 
+    const SPECS: [GemmSpec; 4] = [GemmSpec::NN, GemmSpec::NT, GemmSpec::TN, GemmSpec::TT];
+
+    /// The oracle reads each spec's layout: `op(A) · op(B)` over stored
+    /// transposes equals the plain product of the logical operands.
     #[test]
-    fn matmul_matches_naive() {
-        let a = seq(&[7, 130]);
-        let b = seq(&[130, 5]);
-        let fast = matmul(&a, &b).unwrap();
-        let slow = naive(&a, &b);
-        for (x, y) in fast.data().iter().zip(slow.data().iter()) {
-            assert!((x - y).abs() < 1e-2, "{x} vs {y}");
+    fn reference_reads_every_layout() {
+        let (a, b) = (seq(&[4, 6]), seq(&[6, 3]));
+        let plain = reference_gemm(&a, &b, GemmSpec::NN).unwrap();
+        let (at, bt) = (a.transpose2().unwrap(), b.transpose2().unwrap());
+        for spec in SPECS {
+            let lhs = if spec.trans_a { &at } else { &a };
+            let rhs = if spec.trans_b { &bt } else { &b };
+            assert_eq!(reference_gemm(lhs, rhs, spec).unwrap(), plain, "{spec:?}");
+        }
+        // row 0 of A times column 0 of B: 9 + 3.75 + 0 - 2.25 - 3 - 2.25
+        assert_eq!(plain.data()[0], 5.25);
+    }
+
+    /// [`gemm`] is `to_bits()`-equal to the oracle for every spec on shapes
+    /// ragged against the active tier's register tile and `NR`, deep enough
+    /// to spill a partial sum across a `KC` block, and fully degenerate.
+    #[test]
+    fn gemm_is_bit_identical_to_the_reference() {
+        let mr = Tier::active().rows();
+        let shapes = [
+            (1usize, 1usize, 1usize),
+            (3, 5, 7),
+            (9, 70, 13),
+            (17, 300, 33),
+            (mr, KC, NR),
+            (mr + 1, KC + 1, NR + 1),
+            (3, 2 * KC + 17, 5),
+            (0, 4, 3),
+            (4, 0, 3),
+            (4, 3, 0),
+            (0, 0, 0),
+        ];
+        let mut rng = init::rng(1);
+        for spec in SPECS {
+            for (m, k, n) in shapes {
+                let a_dims = if spec.trans_a { [k, m] } else { [m, k] };
+                let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
+                let a = init::uniform(Shape::of(&a_dims), -1.0, 1.0, &mut rng);
+                let b = init::uniform(Shape::of(&b_dims), -1.0, 1.0, &mut rng);
+                let got = gemm(&a, &b, spec).unwrap();
+                let want = reference_gemm(&a, &b, spec).unwrap();
+                assert_eq!(got.shape(), want.shape(), "{spec:?} {m}x{k}x{n}");
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{spec:?} {m}x{k}x{n}");
+            }
         }
     }
 
     #[test]
-    fn matmul_bt_equals_matmul_with_transpose() {
-        let a = seq(&[4, 6]);
-        let b = seq(&[3, 6]);
-        let direct = matmul_bt(&a, &b).unwrap();
-        let via_t = matmul(&a, &b.transpose2().unwrap()).unwrap();
-        assert_eq!(direct, via_t);
-    }
-
-    #[test]
-    fn matmul_at_equals_matmul_with_transpose() {
-        let a = seq(&[6, 4]);
-        let b = seq(&[6, 3]);
-        let direct = matmul_at(&a, &b).unwrap();
-        let via_t = matmul(&a.transpose2().unwrap(), &b).unwrap();
-        assert_eq!(direct, via_t);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let a = seq(&[5, 9]);
-        let x = seq(&[9]);
-        let xm = x.reshape(Shape::of(&[9, 1])).unwrap();
-        let ym = matmul(&a, &xm).unwrap();
-        let y = matvec(&a, &x).unwrap();
-        assert_eq!(y.data(), ym.data());
-    }
-
-    #[test]
-    fn dimension_errors() {
+    fn every_spec_validates_shapes() {
         let a = seq(&[2, 3]);
         let b = seq(&[4, 5]);
-        assert!(matches!(
-            matmul(&a, &b),
-            Err(TensorError::InnerDimMismatch { .. })
-        ));
         let v = seq(&[3]);
-        assert!(matmul(&a, &v).is_err());
-    }
-
-    #[test]
-    fn parallel_path_matches_serial() {
-        // big enough to cross PARALLEL_FLOP_THRESHOLD
-        let a = seq(&[300, 200]);
-        let b = seq(&[200, 100]);
-        let big = matmul(&a, &b).unwrap();
-        let slow = naive(&a, &b);
-        for (x, y) in big.data().iter().zip(slow.data().iter()) {
-            assert!((x - y).abs() < (y.abs() * 1e-4).max(1e-2), "{x} vs {y}");
-        }
-        let bt_b = seq(&[100, 200]);
-        let bt = matmul_bt(&a, &bt_b).unwrap();
-        let via = matmul(&a, &bt_b.transpose2().unwrap()).unwrap();
-        assert_eq!(bt, via);
-    }
-
-    /// The pre-`gemm` `matmul` kernel, kept verbatim as a reference.
-    fn old_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, ka) = (a.shape().dims()[0], a.shape().dims()[1]);
-        let n = b.shape().dims()[1];
-        let mut out = Tensor::zeros(Shape::of(&[m, n]));
-        let (ad, bd) = (a.data(), b.data());
-        let od = out.data_mut();
-        par_rows(od, m, n, m * ka * n, |row0, chunk| {
-            let rows = chunk.len() / n;
-            for k0 in (0..ka).step_by(BLOCK) {
-                let k1 = (k0 + BLOCK).min(ka);
-                for r in 0..rows {
-                    let i = row0 + r;
-                    let arow = &ad[i * ka..(i + 1) * ka];
-                    let orow = &mut chunk[r * n..(r + 1) * n];
-                    for k in k0..k1 {
-                        let aik = arow[k];
-                        if aik == 0.0 {
-                            continue;
-                        }
-                        let brow = &bd[k * n..(k + 1) * n];
-                        for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                            *o += aik * bv;
-                        }
-                    }
-                }
+        for product in [gemm, reference_gemm] {
+            for spec in SPECS {
+                assert!(matches!(
+                    product(&a, &b, spec),
+                    Err(TensorError::InnerDimMismatch { .. })
+                ));
             }
-        });
-        out
-    }
-
-    /// The pre-`gemm` `matmul_bt` kernel, kept verbatim as a reference.
-    fn old_matmul_bt(a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, ka) = (a.shape().dims()[0], a.shape().dims()[1]);
-        let n = b.shape().dims()[0];
-        let mut out = Tensor::zeros(Shape::of(&[m, n]));
-        let (ad, bd) = (a.data(), b.data());
-        let od = out.data_mut();
-        par_rows(od, m, n, m * ka * n, |row0, chunk| {
-            let rows = chunk.len() / n;
-            for r in 0..rows {
-                let i = row0 + r;
-                let arow = &ad[i * ka..(i + 1) * ka];
-                for j in 0..n {
-                    let brow = &bd[j * ka..(j + 1) * ka];
-                    let mut acc = 0.0f32;
-                    for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                        acc += av * bv;
-                    }
-                    chunk[r * n + j] = acc;
-                }
-            }
-        });
-        out
-    }
-
-    /// The pre-`gemm` `matmul_at` kernel, kept verbatim as a reference.
-    fn old_matmul_at(a: &Tensor, b: &Tensor) -> Tensor {
-        let (ka, m) = (a.shape().dims()[0], a.shape().dims()[1]);
-        let n = b.shape().dims()[1];
-        let mut out = Tensor::zeros(Shape::of(&[m, n]));
-        let (ad, bd) = (a.data(), b.data());
-        let od = out.data_mut();
-        for k in 0..ka {
-            let arow = &ad[k * m..(k + 1) * m];
-            let brow = &bd[k * n..(k + 1) * n];
-            for (i, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let orow = &mut od[i * n..(i + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow.iter()) {
-                    *o += av * bv;
-                }
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn wrappers_bit_identical_to_old_kernels() {
-        // small (serial) and large (parallel-path) problem sizes
-        for &(m, k, n) in &[(3usize, 5usize, 4usize), (300, 200, 100)] {
-            let a = seq(&[m, k]);
-            let b = seq(&[k, n]);
-            assert_eq!(
-                matmul(&a, &b).unwrap(),
-                old_matmul(&a, &b),
-                "NN {m}x{k}x{n}"
-            );
-            let bt = seq(&[n, k]);
-            assert_eq!(
-                matmul_bt(&a, &bt).unwrap(),
-                old_matmul_bt(&a, &bt),
-                "NT {m}x{k}x{n}"
-            );
-            let at = seq(&[k, m]);
-            assert_eq!(
-                matmul_at(&at, &b).unwrap(),
-                old_matmul_at(&at, &b),
-                "TN {m}x{k}x{n}"
-            );
-        }
-    }
-
-    #[test]
-    fn gemm_tt_equals_double_transpose() {
-        let a = seq(&[6, 4]); // Aᵀ: [4, 6]
-        let b = seq(&[3, 6]); // Bᵀ: [6, 3]
-        let direct = gemm(&a, &b, GemmSpec::TT).unwrap();
-        let via_t = matmul(&a.transpose2().unwrap(), &b.transpose2().unwrap()).unwrap();
-        assert_eq!(direct.shape().dims(), &[4, 3]);
-        for (x, y) in direct.data().iter().zip(via_t.data().iter()) {
-            assert!((x - y).abs() < 1e-4, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn gemm_validates_all_spec_shapes() {
-        let a = seq(&[2, 3]);
-        let b = seq(&[4, 5]);
-        for spec in [GemmSpec::NN, GemmSpec::NT, GemmSpec::TN, GemmSpec::TT] {
             assert!(matches!(
-                gemm(&a, &b, spec),
-                Err(TensorError::InnerDimMismatch { .. })
+                product(&a, &v, GemmSpec::NN),
+                Err(TensorError::RankMismatch { .. })
             ));
         }
-        let v = seq(&[3]);
-        assert!(gemm(&a, &v, GemmSpec::NN).is_err());
     }
 
     #[test]

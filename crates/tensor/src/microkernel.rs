@@ -1,14 +1,16 @@
 //! Cache-blocked, register-tiled f32 GEMM microkernel, run at the host's
 //! vector width.
 //!
-//! The naive kernels in [`matmul`](crate::matmul) accumulate each output
-//! element through a single dependent add chain, so they run at the FP-add
-//! *latency* (one multiply-add every ~4 cycles) instead of the FP
-//! *throughput* of the machine. This module is the packed-path replacement:
-//! a BLIS-style blocked GEMM whose inner loop keeps a register tile of
-//! independent accumulators live — separate add chains that the CPU can
-//! overlap — while A and B stream from contiguous, tile-major packed
-//! panels.
+//! The one GEMM of the workspace: [`matmul::gemm`](crate::matmul::gemm)
+//! packs its `B` and calls [`gemm_packed`], and the packed inference paths
+//! call it against plan-compiled panels. The loop-form definition,
+//! [`matmul::reference_gemm`](crate::matmul::reference_gemm), accumulates
+//! each output element through a single dependent add chain, so it would
+//! run at the FP-add *latency* (one multiply-add every ~4 cycles) instead
+//! of the FP *throughput* of the machine. This module is a BLIS-style
+//! blocked GEMM whose inner loop keeps a register tile of independent
+//! accumulators live — separate add chains that the CPU can overlap — while
+//! A and B stream from contiguous, tile-major packed panels.
 //!
 //! ## Structure
 //!
@@ -74,11 +76,11 @@
 //!
 //! ## Bit-identity
 //!
-//! Results are bit-identical (`f32 ==`, with `-0.0 == 0.0`) to the
-//! reference `nt_kernel` dot-product loop *in every tier and shape*,
-//! because for every output element the accumulation is *sequential in `k`
-//! starting from `+0.0`* with one rounded multiply followed by one rounded
-//! add per term — exactly the reference order:
+//! Results are bit-identical (`to_bits()`-equal) to
+//! [`reference_gemm`](crate::matmul::reference_gemm) *in every tier and
+//! shape*, because for every output element the accumulation is
+//! *sequential in `k` starting from `+0.0`* with one rounded multiply
+//! followed by one rounded add per term — exactly the reference order:
 //!
 //! * `m`/`n` tiling, the register tile and the vector lanes only regroup
 //!   *independent* elements; no element's own sum is ever split or
@@ -102,11 +104,10 @@
 //!   starts at `+0.0` is never `-0.0` under round-to-nearest (`x + (-x)`
 //!   is `+0.0`), so adding an exact zero to it changes no bit; dropping
 //!   the trailing terms is exact for finite `a`.
-//! * There is **no zero-skip branch** anywhere in this module: packed
-//!   panels are dense inside their extents, so the branch could only cost; the
-//!   `if aik == 0.0` skip survives solely in the masked-reference kernels
-//!   (`nn`/`tn` in [`matmul`](crate::matmul)), where masked full-width
-//!   operands really are mostly zero.
+//! * There is **no zero-skip branch**, here or in the reference: by the
+//!   same argument an exact-zero term changes no bit of a chain, and packed
+//!   panels are dense inside their extents, where the branch could only
+//!   cost.
 //!
 //! Fused epilogues reproduce the downstream ops verbatim: bias is one add
 //! after the finished dot product (as in the masked layers), ReLU is
@@ -141,9 +142,8 @@ use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::conv::ConvGeometry;
-use crate::matmul::GemmSpec;
 use crate::pack::{span, PackScratch};
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::Tensor;
 
 /// Register-tile columns: accumulator lanes per row — one micro-panel of
 /// [`PackedB`], one 8-lane vector (or two 4-lane ones).
@@ -734,8 +734,9 @@ fn pack_a_tile(
 ///
 /// Every output element is written (first depth block stores, later blocks
 /// read-modify-write), so `out` does not need to be zeroed beforehand.
-/// Results are bit-identical to the reference `nt_kernel` loop in every
-/// tier — see the module docs for the argument.
+/// Results are bit-identical to
+/// [`reference_gemm`](crate::matmul::reference_gemm) in every tier — see
+/// the module docs for the argument.
 ///
 /// # Panics
 ///
@@ -1062,10 +1063,11 @@ struct ConvJob<'a> {
 /// warmed call allocates nothing.
 ///
 /// Every output is bit-identical to `im2col` over the listed channels →
-/// the reference `nt_kernel` → `+ bias`: its k-chain runs in ascending
-/// `(channel, ky, kx)` order from `+0.0`, one rounded multiply then one
-/// rounded add per tap, a padding tap contributing `w · 0.0` exactly as the
-/// unfold's zero does, and the bias is added once after the chain.
+/// [`reference_gemm`](crate::matmul::reference_gemm) (`NT`) → `+ bias`: its
+/// k-chain runs in ascending `(channel, ky, kx)` order from `+0.0`, one
+/// rounded multiply then one rounded add per tap, a padding tap
+/// contributing `w · 0.0` exactly as the unfold's zero does, and the bias
+/// is added once after the chain.
 ///
 /// # Panics
 ///
@@ -1268,108 +1270,15 @@ fn conv_body<const G: usize>(
     }
 }
 
-/// Whole-matrix blocked GEMM mirroring [`gemm`](crate::matmul::gemm): packs
-/// B per `spec` and runs [`gemm_packed`]. Results are bit-identical
-/// (`f32 ==`) to the reference kernels for every `GemmSpec` variant — the
-/// property tests assert this; the packed inference paths use the
-/// plan-compiled [`PackedB`] directly instead.
-///
-/// # Errors
-///
-/// Returns the same rank/inner-dimension errors as
-/// [`gemm`](crate::matmul::gemm).
-pub fn gemm_blocked(a: &Tensor, b: &Tensor, spec: GemmSpec) -> Result<Tensor> {
-    let check2 = |t: &Tensor| -> Result<(usize, usize)> {
-        if t.shape().rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                expected: 2,
-                actual: t.shape().rank(),
-            });
-        }
-        Ok((t.shape().dims()[0], t.shape().dims()[1]))
-    };
-    let (a0, a1) = check2(a)?;
-    let (b0, b1) = check2(b)?;
-    let (m, ka) = if spec.trans_a { (a1, a0) } else { (a0, a1) };
-    let (kb, n) = if spec.trans_b { (b1, b0) } else { (b0, b1) };
-    if ka != kb {
-        return Err(TensorError::InnerDimMismatch {
-            left: ka,
-            right: kb,
-        });
-    }
-    let packed = if spec.trans_b {
-        PackedB::pack_nt(b.data(), n, ka)
-    } else {
-        PackedB::pack_nn(b.data(), ka, n)
-    };
-    let mut out = Tensor::zeros(Shape::of(&[m, n]));
-    let mut apack = Vec::new();
-    gemm_packed(
-        a.data(),
-        spec.trans_a,
-        &packed,
-        out.data_mut(),
-        m,
-        &mut apack,
-        Epilogue::None,
-    );
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::init;
-    use crate::matmul::{gemm, matmul_bt};
+    use crate::matmul::{reference_gemm, GemmSpec};
+    use crate::Shape;
 
     fn seq(shape: &[usize], seed: u64) -> Tensor {
         init::uniform(Shape::of(shape), -1.0, 1.0, &mut init::rng(seed))
-    }
-
-    #[test]
-    fn blocked_nt_matches_reference_ragged() {
-        // deliberately not multiples of the tile/NR/KC; the tile edge is
-        // the active (widest supported) tier's, whatever this host runs
-        let mr = Tier::active().rows();
-        for &(m, k, n) in &[
-            (1usize, 1usize, 1usize),
-            (3, 5, 7),
-            (17, 300, 33),
-            (mr, KC, NR),
-            (mr + 1, KC + 1, NR + 1),
-        ] {
-            let a = seq(&[m, k], 1);
-            let b = seq(&[n, k], 2);
-            let reference = matmul_bt(&a, &b).unwrap();
-            let blocked = gemm_blocked(&a, &b, GemmSpec::NT).unwrap();
-            assert_eq!(reference, blocked, "NT {m}x{k}x{n}");
-        }
-    }
-
-    #[test]
-    fn blocked_all_specs_match_reference() {
-        let (m, k, n) = (9, 70, 13);
-        for spec in [GemmSpec::NN, GemmSpec::NT, GemmSpec::TN, GemmSpec::TT] {
-            let a_dims = if spec.trans_a { [k, m] } else { [m, k] };
-            let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
-            let a = seq(&a_dims, 3);
-            let b = seq(&b_dims, 4);
-            let reference = gemm(&a, &b, spec).unwrap();
-            let blocked = gemm_blocked(&a, &b, spec).unwrap();
-            assert_eq!(reference, blocked, "{spec:?}");
-        }
-    }
-
-    #[test]
-    fn degenerate_extents() {
-        for &(m, k, n) in &[(0usize, 4usize, 3usize), (4, 0, 3), (4, 3, 0), (0, 0, 0)] {
-            let a = seq(&[m, k], 5);
-            let b = seq(&[n, k], 6);
-            let reference = matmul_bt(&a, &b).unwrap();
-            let blocked = gemm_blocked(&a, &b, GemmSpec::NT).unwrap();
-            assert_eq!(reference, blocked, "{m}x{k}x{n}");
-        }
     }
 
     #[test]
@@ -1401,7 +1310,7 @@ mod tests {
             &mut apack,
             Epilogue::BiasRelu(&bias),
         );
-        let reference = matmul_bt(&a, &b).unwrap();
+        let reference = reference_gemm(&a, &b, GemmSpec::NT).unwrap();
         for i in 0..m {
             for j in 0..n {
                 let z = reference.data()[i * n + j] + bias[j];
@@ -1409,18 +1318,6 @@ mod tests {
                 assert_eq!(relu[i * n + j], z.max(0.0));
             }
         }
-    }
-
-    #[test]
-    fn kc_spill_resumes_exactly() {
-        // k > KC forces at least one partial-sum spill/reload per element.
-        let (m, k, n) = (3, 2 * KC + 17, 5);
-        let a = seq(&[m, k], 9);
-        let b = seq(&[n, k], 10);
-        assert_eq!(
-            matmul_bt(&a, &b).unwrap(),
-            gemm_blocked(&a, &b, GemmSpec::NT).unwrap()
-        );
     }
 
     #[test]
@@ -1440,7 +1337,8 @@ mod tests {
             &mut apack,
             Epilogue::None,
         );
-        assert_eq!(out.as_slice(), matmul_bt(&a, &b).unwrap().data());
+        let reference = reference_gemm(&a, &b, GemmSpec::NT).unwrap();
+        assert_eq!(out.as_slice(), reference.data());
     }
 
     /// Every tier this build has, whether or not the host can run it — for
@@ -1543,67 +1441,5 @@ mod tests {
         assert_eq!(v, [1.0, 2.0, 0.0, 0.0]);
         grow(&mut v, 1);
         assert_eq!(v, [1.0]);
-    }
-}
-
-#[cfg(test)]
-mod timing {
-    use super::*;
-    use crate::init;
-    use crate::matmul::matmul_bt;
-    use crate::Shape;
-
-    #[test]
-    #[ignore]
-    fn probe() {
-        let (m, k, n) = (16usize, 512usize, 512usize);
-        let a = init::uniform(Shape::of(&[m, k]), -1.0, 1.0, &mut init::rng(1));
-        let b = init::uniform(Shape::of(&[n, k]), -1.0, 1.0, &mut init::rng(2));
-        let packed = PackedB::pack_nt(b.data(), n, k);
-        let mut apack = Vec::new();
-        let mut out = vec![0.0f32; m * n];
-        let reps = 200;
-        // warm
-        for _ in 0..5 {
-            gemm_packed(
-                a.data(),
-                false,
-                &packed,
-                &mut out,
-                m,
-                &mut apack,
-                Epilogue::None,
-            );
-            let _ = matmul_bt(&a, &b).unwrap();
-        }
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            gemm_packed(
-                a.data(),
-                false,
-                &packed,
-                &mut out,
-                m,
-                &mut apack,
-                Epilogue::None,
-            );
-        }
-        let blocked_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            let _ = matmul_bt(&a, &b).unwrap();
-        }
-        let naive_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        // include on-the-fly B packing cost for reference
-        let t = std::time::Instant::now();
-        for _ in 0..reps {
-            let p = PackedB::pack_nt(b.data(), n, k);
-            gemm_packed(a.data(), false, &p, &mut out, m, &mut apack, Epilogue::None);
-        }
-        let pack_us = t.elapsed().as_secs_f64() * 1e6 / reps as f64;
-        println!(
-            "naive {naive_us:.1}us blocked {blocked_us:.1}us (x{:.2}) blocked+pack {pack_us:.1}us",
-            naive_us / blocked_us
-        );
     }
 }

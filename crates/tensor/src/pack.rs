@@ -8,20 +8,17 @@
 //! none of this: [`microkernel::conv_packed`] packs its operand straight from
 //! the image and stores straight into the output planes.)
 //!
-//! Two GEMM entry points exist: [`gemm_nt_into`]/[`gemm_nt_slice`] run the
-//! exact reference dot-product loop behind
-//! [`matmul_bt`](crate::matmul::matmul_bt) (kept as the test oracle), while
-//! [`gemm_packed_nt_into`]/[`gemm_packed_nt_slice`] run the blocked,
-//! register-tiled [`microkernel`] against a pre-packed
-//! weight panel with an optional fused bias/activation epilogue — the hot
-//! inference path.
+//! The GEMM entry point, [`gemm_packed_nt_slice`], runs the blocked,
+//! register-tiled [`microkernel`] — the kernel behind
+//! [`matmul_bt`](crate::matmul::matmul_bt) too — against a pre-packed
+//! weight panel with an optional fused bias/activation epilogue.
 //!
 //! ## Bit-identity contract
 //!
-//! Both entry points accumulate every output element sequentially in `k`
-//! from `+0.0`, one rounding step per term — the identical per-element
-//! order as the dense loop (see [`microkernel`] for the
-//! blocked kernel's argument). As long as the gathered indices are in
+//! The kernel accumulates every output element sequentially in `k` from
+//! `+0.0`, one rounding step per term — the per-element order of
+//! [`reference_gemm`](crate::matmul::reference_gemm) (see [`microkernel`]
+//! for the argument). As long as the gathered indices are in
 //! ascending order, the surviving terms of each dot product are accumulated
 //! in the same order as the dense path; the dropped terms are all exact
 //! `±0.0` products, which can only affect the *sign* of a zero accumulator,
@@ -39,7 +36,6 @@
 use std::ops::Range;
 
 use crate::conv::ConvGeometry;
-use crate::matmul::nt_kernel;
 use crate::microkernel::{self, Epilogue, PackedB};
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -144,53 +140,15 @@ pub fn scatter_columns(src: &[f32], rows: usize, idx: &[usize], dst: &mut [f32],
     }
 }
 
-/// `C = A · Bᵀ` on raw packed panels, writing into a reusable buffer.
-///
-/// `a` is `[m, k]`, `b` is `[n, k]`, and `out` is resized to `[m, n]`. Runs
-/// the exact kernel behind [`matmul_bt`](crate::matmul::matmul_bt), so the
-/// per-element accumulation order matches the dense path bit for bit.
-///
-/// This is the *reference* packed entry point (and the oracle the blocked
-/// kernel is tested against); the hot inference paths use
-/// [`gemm_packed_nt_into`] with a plan-compiled [`PackedB`] instead.
-///
-/// # Panics
-///
-/// Panics if `a` or `b` is shorter than its implied extent.
-pub fn gemm_nt_into(a: &[f32], b: &[f32], out: &mut Vec<f32>, m: usize, k: usize, n: usize) {
-    out.clear();
-    out.resize(m * n, 0.0);
-    gemm_nt_slice(a, b, out, m, k, n);
-}
-
 /// `C = A · Bᵀ` through the blocked, register-tiled microkernel
-/// ([`microkernel::gemm_packed`]), writing into a reusable buffer that is
-/// grown without re-zeroing (the kernel overwrites every element).
+/// ([`microkernel::gemm_packed`]) into a caller-sized slice
+/// (`out.len() == m * b.n()`).
 ///
 /// `a` is `[m, b.k()]`, `b` is the pre-packed weight panel, `a_pack` is the
 /// A-packing scratch (typically [`PackScratch::a_pack`]), and `epi` fuses
 /// bias/activation into the final tile store. Bit-identical to
-/// [`gemm_nt_into`] + a separate bias/activation pass — see
-/// [`microkernel`] for the argument.
-///
-/// # Panics
-///
-/// Panics if `a` or an epilogue bias is shorter than its implied extent.
-pub fn gemm_packed_nt_into(
-    a: &[f32],
-    b: &PackedB,
-    out: &mut Vec<f32>,
-    m: usize,
-    a_pack: &mut Vec<f32>,
-    epi: Epilogue,
-) {
-    microkernel::grow(out, m * b.n());
-    microkernel::gemm_packed(a, false, b, out, m, a_pack, epi);
-}
-
-/// [`gemm_packed_nt_into`] writing into a caller-sized slice
-/// (`out.len() == m * b.n()`) — used when the result lands directly in a
-/// pre-allocated [`Tensor`].
+/// [`reference_gemm`](crate::matmul::reference_gemm) + a separate
+/// bias/activation pass — see [`microkernel`] for the argument.
 ///
 /// # Panics
 ///
@@ -204,19 +162,6 @@ pub fn gemm_packed_nt_slice(
     epi: Epilogue,
 ) {
     microkernel::gemm_packed(a, false, b, out, m, a_pack, epi);
-}
-
-/// [`gemm_nt_into`] writing into a caller-sized slice (`out.len() == m * n`)
-/// — used when the result lands directly in a pre-allocated [`Tensor`].
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its implied extent.
-pub fn gemm_nt_slice(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    assert!(a.len() >= m * k, "packed A panel too short");
-    assert!(b.len() >= n * k, "packed B panel too short");
-    assert_eq!(out.len(), m * n, "packed output extent mismatch");
-    nt_kernel(&a[..m * k], &b[..n * k], out, m, k, n);
 }
 
 /// Unfolds the listed input channels of an NCHW tensor into an `im2col`
@@ -311,7 +256,6 @@ mod tests {
     use super::*;
     use crate::conv::im2col;
     use crate::init;
-    use crate::matmul::matmul_bt;
 
     #[test]
     fn gather_scatter_roundtrip() {
@@ -322,16 +266,6 @@ mod tests {
         let mut dst = vec![0.0; 6];
         scatter_columns(&packed, 2, &[0, 2], &mut dst, 3);
         assert_eq!(dst, vec![1.0, 0.0, 3.0, 4.0, 0.0, 6.0]);
-    }
-
-    #[test]
-    fn gemm_nt_into_matches_matmul_bt() {
-        let a = init::uniform(Shape::of(&[3, 5]), -1.0, 1.0, &mut init::rng(7));
-        let b = init::uniform(Shape::of(&[4, 5]), -1.0, 1.0, &mut init::rng(8));
-        let dense = matmul_bt(&a, &b).unwrap();
-        let mut out = Vec::new();
-        gemm_nt_into(a.data(), b.data(), &mut out, 3, 5, 4);
-        assert_eq!(out.as_slice(), dense.data());
     }
 
     /// `im2col_channels_into` must equal the dense unfold restricted to the

@@ -5,32 +5,22 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
-use stepping_tensor::matmul::GemmSpec;
+use stepping_tensor::matmul::{gemm, reference_gemm, GemmSpec};
 use stepping_tensor::microkernel::{
-    conv_packed_tier, gemm_blocked, gemm_packed, gemm_packed_tier, ConvFilters, Epilogue, PackedB,
-    Tier, KC,
+    conv_packed_tier, gemm_packed, gemm_packed_tier, ConvFilters, Epilogue, PackedB, Tier, KC,
 };
-use stepping_tensor::pack::{gemm_nt_slice, im2col_channels_into, PackScratch};
-use stepping_tensor::{matmul, reduce, Shape, Tensor};
+use stepping_tensor::pack::{im2col_channels_into, PackScratch};
+use stepping_tensor::{reduce, Shape, Tensor};
 
 fn tensor_strategy(len: usize) -> impl Strategy<Value = Vec<f32>> {
     proptest::collection::vec(-10.0f32..10.0, len)
 }
 
-fn naive_matmul(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.shape().dims()[0], a.shape().dims()[1]);
-    let n = b.shape().dims()[1];
-    let mut out = Tensor::zeros(Shape::of(&[m, n]));
-    for i in 0..m {
-        for j in 0..n {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc += a.data()[i * k + kk] * b.data()[kk * n + j];
-            }
-            out.data_mut()[i * n + j] = acc;
-        }
-    }
-    out
+/// The oracle's `A · Bᵀ` of a row-major `[m, k]` and an `[n, k]` operand.
+fn reference_nt(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let a = Tensor::from_vec(Shape::of(&[m, k]), a.to_vec()).unwrap();
+    let b = Tensor::from_vec(Shape::of(&[n, k]), b.to_vec()).unwrap();
+    reference_gemm(&a, &b, GemmSpec::NT).unwrap().into_vec()
 }
 
 /// `[rows, cols]` row-major → `[cols, rows]`.
@@ -45,7 +35,7 @@ fn transposed(a: &[f32], rows: usize, cols: usize) -> Vec<f32> {
 }
 
 /// Every instruction tier the host supports, in every tile shape, must be
-/// `to_bits()`-equal to the reference `nt_kernel` dot-product loop: `m` walks through every
+/// `to_bits()`-equal to the oracle, `reference_gemm`: `m` walks through every
 /// row count a tile shape is chosen from (thin shapes, the full tile, a full
 /// tile plus each ragged tail), `n` leaves ragged lanes and ragged panel
 /// groups (up to and past the eight panels of the widest thin shape), `k`
@@ -75,8 +65,7 @@ fn every_tier_and_tile_shape_is_bit_identical_to_the_reference() {
                 .to_vec();
             a[(m / 2) * k..(m / 2 + 1) * k].fill(-0.0);
             let a_t = transposed(&a, m, k);
-            let mut reference = vec![f32::NAN; m * n];
-            gemm_nt_slice(&a, b.data(), &mut reference, m, k, n);
+            let reference = reference_nt(&a, b.data(), m, k, n);
             for tier in Tier::supported() {
                 for trans_a in [false, true] {
                     let operand = if trans_a { &a_t } else { &a };
@@ -140,7 +129,7 @@ fn zeroed_past(b: &[f32], k: usize, extents: &[usize]) -> Vec<f32> {
 
 /// A panel packed with per-row depth extents multiplies exactly the
 /// operand with everything past each row's extent zeroed, `to_bits()`-equal
-/// to the reference `nt_kernel` over that operand, in every tier and tile
+/// to the oracle over that operand, in every tier and tile
 /// shape: extents of 0 and `k` and on both sides of a `KC` boundary, `k` up
 /// to `2·KC + 17`, `m` from 1 to 17 (so the SIMD tiers' groups of 2, 4 and
 /// 8 micro-panels run tiles of different extents together), ragged `n`, and
@@ -163,15 +152,8 @@ fn extents_are_exact_in_every_tier_and_tile_shape() {
             let extents = random_extents(&mut rng, n, k);
             let packed = PackedB::pack_nt_extents(b.data(), n, k, &extents);
             let a = stepping_tensor::init::uniform(Shape::of(&[m, k]), -2.0, 2.0, &mut rng);
-            let mut reference = vec![f32::NAN; m * n];
-            gemm_nt_slice(
-                a.data(),
-                &zeroed_past(b.data(), k, &extents),
-                &mut reference,
-                m,
-                k,
-                n,
-            );
+            let zeroed = zeroed_past(b.data(), k, &extents);
+            let reference = reference_nt(a.data(), &zeroed, m, k, n);
             for tier in Tier::supported() {
                 for which in 0..4 {
                     let epi = match which {
@@ -227,8 +209,7 @@ fn no_tier_fuses_multiply_and_add() {
     for tier in Tier::supported() {
         for m in 1..=17usize {
             let lhs = [c, a].repeat(m);
-            let mut reference = vec![f32::NAN; m * n];
-            gemm_nt_slice(&lhs, &[1.0, a].repeat(n), &mut reference, m, k, n);
+            let reference = reference_nt(&lhs, &[1.0, a].repeat(n), m, k, n);
             assert!(
                 reference.iter().all(|&v| v == 0.0),
                 "reference kernel fused"
@@ -275,7 +256,7 @@ struct ConvCase {
 impl ConvCase {
     /// Runs the case in every supported tier through `scratch` and holds
     /// every output `to_bits()`-equal to the unfold over `channels` → the
-    /// reference `nt_kernel` over the weights with every tap past its
+    /// oracle over the weights with every tap past its
     /// filter's extent zeroed → `+ bias`, and every plane not in `planes`
     /// untouched.
     fn check(&self, seed: u64, scratch: &mut PackScratch) {
@@ -301,9 +282,8 @@ impl ConvCase {
         let rows = self.images * g.positions();
         let mut cols = Vec::new();
         im2col_channels_into(&input, g, &self.channels, &mut cols).unwrap();
-        let mut dots = vec![f32::NAN; rows * f];
         let zeroed = zeroed_past(weight.data(), k, &extents);
-        gemm_nt_slice(&cols, &zeroed, &mut dots, rows, k, f);
+        let dots = reference_nt(&cols, &zeroed, rows, k, f);
 
         let filters = ConvFilters {
             weight: &packed,
@@ -433,7 +413,7 @@ fn no_tier_fuses_multiply_and_add_in_the_conv_driver() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The conv driver against the unfold → reference `nt_kernel` → bias,
+    /// The conv driver against the unfold → oracle → bias,
     /// `to_bits()`-equal in every tier, over random geometries (kernel
     /// 1/3/5, non-square images, stride 1–3, padding 0–2), 1–3 images,
     /// random — often non-contiguous — channel subsets and 1–17 filters
@@ -484,40 +464,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
-
-    #[test]
-    fn matmul_matches_naive(
-        m in 1usize..8, k in 1usize..12, n in 1usize..8,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = stepping_tensor::init::rng(seed);
-        let a = stepping_tensor::init::uniform(Shape::of(&[m, k]), -2.0, 2.0, &mut rng);
-        let b = stepping_tensor::init::uniform(Shape::of(&[k, n]), -2.0, 2.0, &mut rng);
-        let fast = matmul::matmul(&a, &b).unwrap();
-        let slow = naive_matmul(&a, &b);
-        for (x, y) in fast.data().iter().zip(slow.data().iter()) {
-            prop_assert!((x - y).abs() < 1e-3, "{} vs {}", x, y);
-        }
-    }
-
-    #[test]
-    fn matmul_transpose_identities(
-        m in 1usize..6, k in 1usize..8, n in 1usize..6,
-        seed in 0u64..10_000,
-    ) {
-        let mut rng = stepping_tensor::init::rng(seed);
-        let a = stepping_tensor::init::uniform(Shape::of(&[m, k]), -2.0, 2.0, &mut rng);
-        let b = stepping_tensor::init::uniform(Shape::of(&[n, k]), -2.0, 2.0, &mut rng);
-        // A·Bᵀ computed directly equals A·(Bᵀ)
-        let direct = matmul::matmul_bt(&a, &b).unwrap();
-        let via = matmul::matmul(&a, &b.transpose2().unwrap()).unwrap();
-        prop_assert_eq!(direct, via);
-        // Aᵀ·C identity
-        let c = stepping_tensor::init::uniform(Shape::of(&[m, n]), -2.0, 2.0, &mut rng);
-        let direct = matmul::matmul_at(&a, &c).unwrap();
-        let via = matmul::matmul(&a.transpose2().unwrap(), &c).unwrap();
-        prop_assert_eq!(direct, via);
-    }
 
     #[test]
     fn transpose_is_involutive(
@@ -576,29 +522,6 @@ proptest! {
         prop_assert!((lhs - rhs).abs() / scale < 1e-4, "{} vs {}", lhs, rhs);
     }
 
-    /// The blocked, register-tiled microkernel must be bit-identical
-    /// (`f32 ==`, not approximate) to the reference streaming kernels for
-    /// every transpose variant, including shapes that are ragged against
-    /// the register tile of the active tier (`m` reaches past two of its
-    /// widest, 8-row tiles) and deep enough to force a Kc partial-sum
-    /// spill, plus fully degenerate extents.
-    #[test]
-    fn blocked_gemm_bit_identical_to_reference(
-        m in 0usize..21, k in 0usize..280, n in 0usize..21,
-        which in 0usize..4,
-        seed in 0u64..10_000,
-    ) {
-        let spec = [GemmSpec::NN, GemmSpec::NT, GemmSpec::TN, GemmSpec::TT][which];
-        let a_dims = if spec.trans_a { [k, m] } else { [m, k] };
-        let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
-        let mut rng = stepping_tensor::init::rng(seed);
-        let a = stepping_tensor::init::uniform(Shape::of(&a_dims), -2.0, 2.0, &mut rng);
-        let b = stepping_tensor::init::uniform(Shape::of(&b_dims), -2.0, 2.0, &mut rng);
-        let reference = matmul::gemm(&a, &b, spec).unwrap();
-        let blocked = gemm_blocked(&a, &b, spec).unwrap();
-        prop_assert_eq!(reference, blocked, "{:?} {}x{}x{}", spec, m, k, n);
-    }
-
     /// Fused bias/activation epilogues must equal the unfused sequence
     /// (GEMM, then add bias, then activate) bitwise — the packed inference
     /// pipeline relies on this to stay `==` with the masked oracle.
@@ -613,7 +536,7 @@ proptest! {
         let bias = stepping_tensor::init::uniform(Shape::of(&[n]), -1.0, 1.0, &mut rng);
         let packed = PackedB::pack_nt(b.data(), n, k);
         let mut apack = Vec::new();
-        let reference = matmul::matmul_bt(&a, &b).unwrap();
+        let reference = reference_gemm(&a, &b, GemmSpec::NT).unwrap();
         for which in 0..3 {
             let epi = match which {
                 0 => Epilogue::Bias(bias.data()),
@@ -652,5 +575,50 @@ proptest! {
         for (x, y) in c.data().iter().zip(expected.data().iter()) {
             prop_assert!((x - y).abs() < 1e-4);
         }
+    }
+}
+
+proptest! {
+    // Many cases: a sign-of-zero fault shows only where a whole chain of
+    // products is `-0.0`, which needs a short `k` at 90 % zeros.
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// `gemm`, the blocked, register-tiled microkernel, must be
+    /// `to_bits()`-equal to the oracle for every transpose variant,
+    /// including shapes that are ragged against the register tile of the
+    /// active tier (`m` reaches past two of its widest, 8-row tiles) and
+    /// deep enough to force a Kc partial-sum spill, plus fully degenerate
+    /// extents. Like training operands (masked weights, inactive neurons,
+    /// ReLU-masked gradients), the operands hold exact zeros — none, half
+    /// or 90 % of the entries, a third of them `-0.0` — which the kernel
+    /// multiplies: it has no zero skip.
+    #[test]
+    fn blocked_gemm_bit_identical_to_reference(
+        m in 0usize..21, k in 0usize..280, n in 0usize..21,
+        which in 0usize..4,
+        zeros in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let spec = [GemmSpec::NN, GemmSpec::NT, GemmSpec::TN, GemmSpec::TT][which];
+        let a_dims = if spec.trans_a { [k, m] } else { [m, k] };
+        let b_dims = if spec.trans_b { [n, k] } else { [k, n] };
+        let p_zero = [0.0, 0.5, 0.9][zeros];
+        let mut rng = stepping_tensor::init::rng(seed);
+        let mut operand = |dims: [usize; 2]| {
+            let mut t = stepping_tensor::init::uniform(Shape::of(&dims), -2.0, 2.0, &mut rng);
+            for v in t.data_mut() {
+                if rng.random::<f64>() < p_zero {
+                    *v = if rng.random_range(0..3u8) == 0 { -0.0 } else { 0.0 };
+                }
+            }
+            t
+        };
+        let a = operand(a_dims);
+        let b = operand(b_dims);
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let reference = reference_gemm(&a, &b, spec).unwrap();
+        let blocked = gemm(&a, &b, spec).unwrap();
+        prop_assert_eq!(reference.shape(), blocked.shape());
+        prop_assert_eq!(bits(&reference), bits(&blocked), "{:?} {}x{}x{}", spec, m, k, n);
     }
 }

@@ -69,6 +69,13 @@ cargo test -q -p stepping-tensor -p stepping-nn -p stepping-core -p stepping-run
     -p stepping-exec -p stepping-verify -p stepping-models \
     -p stepping-data -p stepping-baselines
 
+# The bench and benchmark crates' own tests (report formatting, cases,
+# the benchmark's drivers and metrics), in an invocation of their own: the
+# benchmark enables `stepping-metrics/metrics`, and built together with
+# the crates above that feature would unify into their test builds.
+echo "==> crate tests: bench benchmark"
+cargo test -q -p stepping-bench -p stepping-benchmark
+
 # The two proptest-heavy suites once more under --release, the build the
 # kernels ship in: tensor's conv-driver and GEMM tier properties, and core's
 # packed-plan properties (every fixed stage kind recomputing only the
