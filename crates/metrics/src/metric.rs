@@ -72,6 +72,8 @@ pub const SERVE_DEGRADED: Metric = Metric("serve.degraded");
 pub const SERVE_SHED: Metric = Metric("serve.shed");
 /// Requests refused outright by admission control (queue full).
 pub const SERVE_REJECTED: Metric = Metric("serve.rejected");
+/// Parked serve workers woken by the doorbell's wake rule, one per wake.
+pub const SERVE_WORKER_WAKES: Metric = Metric("serve.worker_wakes");
 
 // routing front door (stepping-router)
 /// Sessions routed to their ring-owner replica (first placement).
@@ -130,6 +132,7 @@ pub const ALL: &[Metric] = &[
     SERVE_DEGRADED,
     SERVE_SHED,
     SERVE_REJECTED,
+    SERVE_WORKER_WAKES,
     ROUTER_ROUTE,
     ROUTER_REROUTE,
     ROUTER_DRAIN,

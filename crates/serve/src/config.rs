@@ -81,9 +81,12 @@ pub struct ServeConfigBuilder {
 
 impl ServeConfigBuilder {
     /// Number of worker threads (they share one compiled model of the
-    /// network). A push wakes one parked worker, not all of them, but
-    /// nothing keeps more workers than the host has cores from being awake
-    /// at once: size the pool to the cores.
+    /// network). The pool is elastic under this cap: a parked worker is
+    /// woken only when every worker is parked, or when the queued work
+    /// reaches a full batch (`max_batch` requests) at the top subnet, and
+    /// then the lowest-numbered one. Under light load worker 0 alone
+    /// serves, in batches that grow with the queue. Under heavy load every
+    /// worker can be awake at once, so size the pool to the cores.
     pub fn workers(mut self, workers: usize) -> Self {
         self.config.workers = workers;
         self

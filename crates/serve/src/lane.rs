@@ -31,18 +31,23 @@
 //! oldest-first among themselves.
 //!
 //! **Pausing** holds every lane still so that tests can queue jobs
-//! deterministically: while the set is paused (and not draining) a scan
-//! claims nothing and the worker parks; [`LaneSet::resume`] wakes them all.
+//! deterministically: while the set is paused (and not draining) a claim
+//! takes the lane lock, leaves the jobs, and the worker parks;
+//! [`LaneSet::pause`] and [`LaneSet::resume`] wake them all.
 //! It is a test hold, not a scheduling policy, and shutdown overrides it.
 //!
 //! **Sleeping** uses an eventcount-style [`Doorbell`]: a version word
-//! bumped on every push plus a count of parked workers, so an idle worker
-//! can re-check the hints and park without a lost-wakeup window, and a
-//! push only touches the doorbell mutex when it is going to wake somebody.
-//! A ring wakes **one** parked worker, not all of them: one push is one
-//! batch of work, and a claim that leaves jobs behind rings again. That is
-//! never a lost wake-up — every ring bumps the version, and an awake
-//! worker re-reads it before it parks.
+//! bumped on every push and every claim that leaves jobs behind, plus one
+//! parking slot per worker, so an idle worker can re-check the hints and
+//! park without a lost-wakeup window. Whether a ring also wakes a parked
+//! worker is one pure rule, [`wakes`]: only when every live worker is
+//! parked, or when the work queued across all lanes reaches a full batch
+//! at the top subnet (`max_batch × direct()[top]` MACs, each [`Job`]
+//! carrying its cost). The woken worker is the lowest-index parked one, so
+//! under light load worker 0 stays warm and serves batches that grow with
+//! the queue, and the others join only when a full batch's worth waits.
+//! A skipped wake is never a lost one: it happens only while some live
+//! worker is awake, and that worker re-reads the version before it parks.
 //!
 //! **Shutdown** is two-phase: the `shutting_down` flag stops admissions,
 //! a lock barrier over every lane guarantees no push that saw the flag
@@ -118,6 +123,9 @@ pub(crate) struct Job {
     pub deadline: Option<Instant>,
     pub submitted: Instant,
     pub reply: mpsc::Sender<Result<Response>>,
+    /// MACs its pass multiplies, as admission costs it from the model's
+    /// MAC table: what the job adds to the set's queued work.
+    pub macs: u64,
 }
 
 impl Job {
@@ -244,74 +252,170 @@ pub(crate) fn select_lane(views: &[LaneView]) -> Option<usize> {
         .map(|(index, _)| index)
 }
 
-/// Eventcount-style doorbell: parks idle workers and wakes them without a
-/// lock on the push fast path.
+/// The wake rule: whether a ring wakes one of `parked` workers out of
+/// `live`, with `queued_macs` of work in the lanes.
+///
+/// It does when some worker is parked and either every live worker is —
+/// nobody awake would see the work — or the queued work reaches
+/// `threshold`, a full batch at the top subnet: more than an awake worker
+/// should make wait behind its current batch. Otherwise the ring only
+/// bumps the version, and the awake workers take the work on their next
+/// scan. Pure so the property test can drive it directly.
+pub(crate) fn wakes(parked: usize, live: usize, queued_macs: u64, threshold: u64) -> bool {
+    parked > 0 && (parked >= live || queued_macs >= threshold)
+}
+
+/// One worker's parking place in the [`Doorbell`].
+#[derive(Debug, Default)]
+struct Slot {
+    /// Whether the worker is parked here. The worker sets it under the
+    /// lock and holds the lock until its wait lets go of it; it is cleared
+    /// by the ring that wakes the worker, or by the worker itself when it
+    /// leaves for any other reason.
+    parked: Mutex<bool>,
+    cond: Condvar,
+}
+
+/// The workers' parking slots, indexed by worker.
+#[derive(Debug)]
+struct Bells {
+    slots: Vec<Slot>,
+}
+
+impl Bells {
+    /// Wakes every parked worker. The lock/unlock pairs with each
+    /// worker's registration, so no notify lands between a worker's
+    /// version check and its wait.
+    fn notify_all(&self) {
+        for slot in &self.slots {
+            drop(lock(&slot.parked));
+            slot.cond.notify_one();
+        }
+    }
+}
+
+/// Eventcount-style doorbell: parks idle workers, each in a slot of its
+/// own, and wakes them by the rule of [`wakes`], lowest index first.
 ///
 /// **No lost wake-up.** A worker reads [`version`](Doorbell::version)
-/// *before* scanning, and [`sleep`](Doorbell::sleep) registers as a sleeper
-/// under the doorbell mutex and re-checks the version before waiting — so
-/// a push that lands between scan and sleep either bumps the version first
-/// (the worker sees it and does not park) or sees `sleepers > 0` and
-/// notifies.
+/// *before* scanning, and [`sleep`](Doorbell::sleep) registers it as parked
+/// under its slot's lock and re-checks the version before waiting. Every
+/// ring bumps the version first, then counts the parked and the live
+/// workers. A ring that wakes takes the lowest-index parked worker off the
+/// parked count under that worker's lock, so a second ring picks the next
+/// one. A ring that skips saw fewer parked workers than live ones, so some
+/// live worker was not registered: it either reads the version after the
+/// bump and its scan finds the job, or its registration comes after the
+/// bump and its version check sends it back to rescan.
 ///
-/// **Wake one.** A ring notifies a single sleeper; the rest stay parked
-/// instead of waking to lose the claim race. The notified worker may be one
-/// that is leaving `sleep` anyway (woken by an earlier ring, not yet out of
-/// the sleeper count) — then nobody new wakes, but that worker rescans
-/// before it parks again and the version bump makes sure it does. A sleeper
-/// woken for nothing rescans, finds nothing and parks again.
-#[derive(Debug, Default)]
+/// **Dead workers.** That awake worker may die instead. Each worker holds
+/// the guard of [`LaneSet::clock_in`]: on exit or unwind it counts the
+/// worker out of `live` and rings every slot, so the parked workers rescan
+/// and, with the dead one gone from the count, the next ring that finds
+/// them all parked wakes one. A worker that dies awake strands nothing.
+///
+/// A worker woken for nothing rescans, finds nothing and parks again.
+#[derive(Debug)]
 struct Doorbell {
     version: AtomicU64,
-    sleepers: AtomicUsize,
-    mutex: Mutex<()>,
-    bell: Condvar,
-    /// Waits that ended, counted once the worker is off `sleepers`: one
-    /// per ring that found somebody waiting.
+    /// Workers registered in their slot and not yet woken by a ring.
+    parked: AtomicUsize,
+    /// Workers holding a [`Shift`] guard.
+    live: AtomicUsize,
+    bell: Bells,
+    /// Waits that ended, counted once the worker is off `parked`.
     #[cfg(test)]
     wakeups: AtomicUsize,
 }
 
 impl Doorbell {
+    fn new(workers: usize) -> Self {
+        Doorbell {
+            version: AtomicU64::new(0),
+            parked: AtomicUsize::new(0),
+            live: AtomicUsize::new(0),
+            bell: Bells {
+                slots: (0..workers).map(|_| Slot::default()).collect(),
+            },
+            #[cfg(test)]
+            wakeups: AtomicUsize::new(0),
+        }
+    }
+
     fn version(&self) -> u64 {
         self.version.load(Ordering::SeqCst)
     }
 
-    /// Signals that lane state changed; wakes one sleeper if there is any.
-    fn ring(&self) {
+    /// Signals that lane state changed, and wakes the lowest-index parked
+    /// worker when [`wakes`] says so; returns whether it woke one.
+    fn ring(&self, queued_macs: u64, threshold: u64) -> bool {
         self.version.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            // lock/unlock pairs with the sleeper's registration so the
-            // notify cannot land between its version check and its wait
-            drop(lock(&self.mutex));
-            self.bell.notify_one();
-        }
+        let parked = self.parked.load(Ordering::SeqCst);
+        let live = self.live.load(Ordering::SeqCst);
+        wakes(parked, live, queued_macs, threshold) && self.wake_lowest()
     }
 
-    /// Wakes every sleeper (shutdown path).
+    /// Takes the lowest-index parked worker off the parked count and
+    /// notifies it; `false` when every slot is empty by now.
+    fn wake_lowest(&self) -> bool {
+        for slot in &self.bell.slots {
+            let mut parked = lock(&slot.parked);
+            if *parked {
+                *parked = false;
+                self.parked.fetch_sub(1, Ordering::SeqCst);
+                drop(parked);
+                slot.cond.notify_one();
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Wakes every parked worker (resume, shutdown, a worker's exit).
     fn ring_all(&self) {
         self.version.fetch_add(1, Ordering::SeqCst);
-        drop(lock(&self.mutex));
         self.bell.notify_all();
     }
 
-    /// Sleeps until a ring wakes this worker. Returns immediately if the
+    /// Parks `worker` until a ring wakes it. Returns immediately if the
     /// version already moved past `seen`.
-    fn sleep(&self, seen: u64) {
-        let guard = lock(&self.mutex);
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
+    fn sleep(&self, worker: usize, seen: u64) {
+        let slot = &self.bell.slots[worker];
+        let mut parked = lock(&slot.parked);
+        *parked = true;
+        self.parked.fetch_add(1, Ordering::SeqCst);
         let waits = self.version.load(Ordering::SeqCst) == seen;
         if waits {
-            let _guard = self
-                .bell
-                .wait(guard)
+            parked = slot
+                .cond
+                .wait(parked)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        if *parked {
+            // not taken by a ring: the version moved, or a wake-all
+            *parked = false;
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+        drop(parked);
         #[cfg(test)]
         if waits {
             self.wakeups.fetch_add(1, Ordering::SeqCst);
         }
+    }
+}
+
+/// A worker's place in the live count of the [`Doorbell`]
+/// ([`LaneSet::clock_in`]); dropping it, on exit or unwind, counts the
+/// worker out and wakes every parked worker.
+#[derive(Debug)]
+pub(crate) struct Shift<'a> {
+    doorbell: &'a Doorbell,
+}
+
+impl Drop for Shift<'_> {
+    fn drop(&mut self) {
+        self.doorbell.live.fetch_sub(1, Ordering::SeqCst);
+        self.doorbell.ring_all();
     }
 }
 
@@ -344,15 +448,27 @@ pub(crate) struct LaneSet {
     /// Phase 2: every in-flight push has completed; workers may exit on an
     /// all-empty scan.
     sealed: AtomicBool,
+    /// MACs of every queued job, across all lanes: a push adds its job's
+    /// under the lane lock before the job is visible, a claim takes its
+    /// batch's back under the lane lock before the lane's new depth is.
+    queued_macs: AtomicU64,
+    /// Queued MACs at which a ring wakes a parked worker although another
+    /// is awake ([`wakes`]).
+    wake_threshold: u64,
     doorbell: Doorbell,
     metrics: Arc<ServeMetrics>,
 }
 
 impl LaneSet {
+    /// Lanes for `subnets` subnets, parking slots for `workers` workers
+    /// (worker ids `0..workers`), and the queued-MAC `wake_threshold` of
+    /// the wake rule: a full batch at the top subnet for the server.
     pub fn new(
         subnets: usize,
         max_batch: usize,
         capacity: usize,
+        workers: usize,
+        wake_threshold: u64,
         metrics: Arc<ServeMetrics>,
     ) -> Self {
         let begins = (0..subnets).map(|subnet| BatchKey::Begin { subnet });
@@ -366,8 +482,29 @@ impl LaneSet {
             paused: AtomicBool::new(false),
             shutting_down: AtomicBool::new(false),
             sealed: AtomicBool::new(false),
-            doorbell: Doorbell::default(),
+            queued_macs: AtomicU64::new(0),
+            wake_threshold,
+            doorbell: Doorbell::new(workers),
             metrics,
+        }
+    }
+
+    /// Counts the calling worker live until the guard drops. Every worker
+    /// that calls [`take_batch`](Self::take_batch) holds one: the wake
+    /// rule leaves work to awake workers only while the live count says
+    /// some worker is awake.
+    pub fn clock_in(&self) -> Shift<'_> {
+        self.doorbell.live.fetch_add(1, Ordering::SeqCst);
+        Shift {
+            doorbell: &self.doorbell,
+        }
+    }
+
+    /// Rings the doorbell with the queued work; counts a worker it woke.
+    fn ring(&self) {
+        let queued = self.queued_macs.load(Ordering::SeqCst);
+        if self.doorbell.ring(queued, self.wake_threshold) {
+            self.metrics.worker_wakes.inc();
         }
     }
 
@@ -434,11 +571,12 @@ impl LaneSet {
                 capacity: self.capacity,
             });
         }
+        self.queued_macs.fetch_add(job.macs, Ordering::SeqCst);
         queue.push_back(job);
         lane.admit(queue.len(), submitted_ns, deadline_ns);
         drop(queue);
         self.metrics.queue_depth.add(1);
-        self.doorbell.ring();
+        self.ring();
         Ok(())
     }
 
@@ -464,16 +602,28 @@ impl LaneSet {
             views.clear();
             views.extend(self.lanes.iter().map(Lane::view));
             match select_lane(views) {
-                Some(index) if !held => {
+                Some(index) => {
                     if let Some(key) = self.claim(index, worker, batch) {
                         return Some(key);
                     }
+                    // held: the claim took the lane lock and left the
+                    // jobs, park for a resume or shutdown; otherwise it
                     // lost the race for that lane (or a pause came in
                     // between) — rescan immediately
+                    if held {
+                        self.doorbell.sleep(worker, version);
+                    }
                 }
-                None if sealed => return None,
+                None if sealed => {
+                    debug_assert_eq!(
+                        self.queued_macs.load(Ordering::SeqCst),
+                        0,
+                        "queued MACs drifted"
+                    );
+                    return None;
+                }
                 // nothing to claim: park for a push, a resume or shutdown
-                _ => self.doorbell.sleep(version),
+                None => self.doorbell.sleep(worker, version),
             }
         }
     }
@@ -510,6 +660,8 @@ impl LaneSet {
         }
         let take = view.depth.min(self.max_batch);
         batch.extend(queue.drain(..take));
+        let claimed: u64 = batch[batch.len() - take..].iter().map(|j| j.macs).sum();
+        self.queued_macs.fetch_sub(claimed, Ordering::SeqCst);
         let rest = self.recompute(&queue);
         lane.publish(rest);
         drop(queue);
@@ -526,8 +678,9 @@ impl LaneSet {
             }
         }
         if rest.depth > 0 {
-            // what is left may be ready already — wake another worker
-            self.doorbell.ring();
+            // what is left is ready: this worker comes back for it, and
+            // the rule wakes another only for a full batch's worth
+            self.ring();
         }
         Some(lane.key)
     }
@@ -549,11 +702,17 @@ impl LaneSet {
     }
 
     /// Holds every lane: pushes are still accepted, but nothing is claimed
-    /// until [`resume`](Self::resume) or [`shutdown`](Self::shutdown). A
-    /// woken worker still scans, finds nothing to claim and parks. The
+    /// until [`resume`](Self::resume) or [`shutdown`](Self::shutdown). The
     /// deterministic way for tests to keep jobs queued.
+    ///
+    /// Every parked worker is woken to see the hold: it scans, takes the
+    /// lock of the most urgent non-empty lane (a `serve.lock_wait_ns`
+    /// sample), leaves its jobs and parks again — as does any worker a push
+    /// wakes while the set is held. Pausing a held set again thus has every
+    /// worker look at what queued meanwhile.
     pub fn pause(&self) {
         self.paused.store(true, Ordering::SeqCst);
+        self.doorbell.ring_all();
     }
 
     /// Lifts [`pause`](Self::pause) and wakes every worker to claim what
@@ -572,10 +731,22 @@ mod tests {
     use stepping_metrics::MetricsRegistry;
     use stepping_tensor::{Shape, Tensor};
 
+    /// Parking slots of every test set: the most workers a test spawns.
+    const SLOTS: usize = 8;
+
+    /// A set whose every job costs one MAC ([`begin_job`]), so the wake
+    /// threshold — a full batch — is `max_batch` queued jobs.
     fn test_set(subnets: usize, max_batch: usize, capacity: usize) -> LaneSet {
         let registry = MetricsRegistry::new();
         let metrics = Arc::new(ServeMetrics::new(&registry, 1, subnets));
-        LaneSet::new(subnets, max_batch, capacity, metrics)
+        LaneSet::new(
+            subnets,
+            max_batch,
+            capacity,
+            SLOTS,
+            max_batch as u64,
+            metrics,
+        )
     }
 
     /// Runs a blocking test body on a thread of its own and fails the test
@@ -611,6 +782,7 @@ mod tests {
                 let set = Arc::clone(set);
                 let on_claim = on_claim.clone();
                 std::thread::spawn(move || {
+                    let _shift = set.clock_in();
                     let (mut views, mut batch) = (Vec::new(), Vec::new());
                     while set.take_batch(worker, &mut views, &mut batch).is_some() {
                         on_claim(worker, std::mem::take(&mut batch));
@@ -624,11 +796,19 @@ mod tests {
     /// watchdog bounds this). Call it with no push in flight and every
     /// earlier wake-up counted.
     fn await_parked(set: &LaneSet, n: usize) {
-        while set.doorbell.sleepers.load(Ordering::SeqCst) != n {
+        while set.doorbell.parked.load(Ordering::SeqCst) != n {
             std::thread::yield_now();
         }
-        // a registered sleeper holds the mutex until its wait lets go of it
-        drop(lock(&set.doorbell.mutex));
+        // a registered worker holds its slot's lock until its wait lets go
+        // of it
+        for slot in &set.doorbell.bell.slots {
+            drop(lock(&slot.parked));
+        }
+    }
+
+    /// Whether `worker` is parked in its slot.
+    fn is_parked(set: &LaneSet, worker: usize) -> bool {
+        *lock(&set.doorbell.bell.slots[worker].parked)
     }
 
     /// Pushes one job and spins until a worker has claimed and dropped it,
@@ -660,6 +840,7 @@ mod tests {
             deadline,
             submitted: Instant::now(),
             reply: tx,
+            macs: 1,
         };
         (job, rx)
     }
@@ -944,18 +1125,39 @@ mod tests {
         watchdog(|| {
             let set = Arc::new(test_set(2, 8, 64));
             let died = Arc::new(AtomicBool::new(false));
-            let pool = spawn_workers(&set, 3, move |_, jobs| {
+            let (entered, in_batch) = mpsc::channel();
+            let (release, gate) = mpsc::channel::<()>();
+            let gate = Arc::new(Mutex::new(gate));
+            let pool = spawn_workers(&set, 3, move |worker, jobs| {
                 if !died.swap(true, Ordering::SeqCst) {
-                    // the first claimer dies inside its batch; the unwind
-                    // drops its jobs (no panic message: this does not run
-                    // the panic hook)
+                    // the first claimer waits inside its batch, then dies
+                    // there; the unwind drops its jobs (no panic message:
+                    // this does not run the panic hook)
+                    entered.send(worker).unwrap();
+                    let _ = lock(&gate).recv();
                     std::panic::resume_unwind(Box::new("worker died in its batch"));
                 }
                 drop(jobs);
             });
             await_parked(&set, 3);
-            // a dead worker is no sleeper: every ring goes to a live one
-            for id in 0..200 {
+            // an idle set wakes worker 0, from then on the only awake one
+            let (job, _first) = begin_job(0, 0, None);
+            set.push(job).map_err(|_| "push").unwrap();
+            assert_eq!(in_batch.recv().unwrap(), 0);
+            await_parked(&set, 2);
+            // below a full batch, the push leaves its job to worker 0 ...
+            let (job, queued) = begin_job(1, 0, None);
+            set.push(job).map_err(|_| "push").unwrap();
+            assert!(is_parked(&set, 1) && is_parked(&set, 2), "nobody woken");
+            // ... which dies instead: its exit wakes the parked workers,
+            // and one of them claims the job
+            release.send(()).unwrap();
+            while !matches!(queued.try_recv(), Err(mpsc::TryRecvError::Disconnected)) {
+                std::thread::yield_now();
+            }
+            // a dead worker is neither parked nor live: with the survivors
+            // parked, every ring wakes one of them
+            for id in 2..200 {
                 hand_off(&set, id);
             }
             set.shutdown();
@@ -966,6 +1168,154 @@ mod tests {
                 .count();
             assert_eq!(deaths, 1, "shutdown joins the two survivors");
         });
+    }
+
+    /// Claims as they are reported: `(worker, job ids)`.
+    type Claims = mpsc::Receiver<(usize, Vec<u64>)>;
+
+    /// Workers whose first claim waits inside its batch until the returned
+    /// sender fires; every claim is reported to the [`Claims`].
+    fn spawn_holding(
+        set: &Arc<LaneSet>,
+        n: usize,
+    ) -> (Vec<JoinHandle<()>>, Claims, mpsc::Sender<()>) {
+        let (claimed, claims) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Arc::new(Mutex::new(gate));
+        let held = Arc::new(AtomicBool::new(false));
+        let pool = spawn_workers(set, n, move |worker, jobs: Vec<Job>| {
+            let ids = jobs.iter().map(|job| job.id).collect();
+            claimed.send((worker, ids)).unwrap();
+            if !held.swap(true, Ordering::SeqCst) {
+                let _ = lock(&gate).recv();
+            }
+        });
+        (pool, claims, release)
+    }
+
+    fn push_one(set: &LaneSet, id: u64) {
+        let (job, _reply) = begin_job(id, 0, None);
+        set.push(job).map_err(|_| "push").unwrap();
+    }
+
+    #[test]
+    fn an_idle_set_wakes_worker_0_first() {
+        watchdog(|| {
+            const WORKERS: usize = 3;
+            let set = Arc::new(test_set(2, 8, 64));
+            let (claimed, claims) = mpsc::channel();
+            let pool = spawn_workers(&set, WORKERS, move |worker, jobs: Vec<Job>| {
+                claimed.send((worker, jobs.len())).unwrap();
+            });
+            for id in 0..5 {
+                await_parked(&set, WORKERS);
+                push_one(&set, id);
+                assert!(is_parked(&set, 1) && is_parked(&set, 2));
+                assert_eq!(claims.recv().unwrap(), (0, 1));
+            }
+            await_parked(&set, WORKERS);
+            assert_eq!(set.doorbell.wakeups.load(Ordering::SeqCst), 5);
+            set.shutdown();
+            for worker in pool {
+                worker.join().unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn a_push_below_a_full_batch_rings_but_wakes_nobody() {
+        watchdog(|| {
+            let set = Arc::new(test_set(2, 8, 64));
+            let (pool, claims, release) = spawn_holding(&set, 2);
+            let wakeups = || set.doorbell.wakeups.load(Ordering::SeqCst);
+            await_parked(&set, 2);
+            push_one(&set, 0);
+            assert_eq!(claims.recv().unwrap(), (0, vec![0]), "worker 0 is held");
+            await_parked(&set, 1);
+            let (woken, version) = (wakeups(), set.doorbell.version());
+            push_one(&set, 1);
+            assert!(set.doorbell.version() > version, "the push rings");
+            assert!(is_parked(&set, 1), "worker 1 stays parked");
+            assert_eq!(set.doorbell.parked.load(Ordering::SeqCst), 1);
+            assert_eq!(wakeups(), woken, "nobody woke");
+            release.send(()).unwrap();
+            assert_eq!(claims.recv().unwrap(), (0, vec![1]), "worker 0 came back");
+            await_parked(&set, 2);
+            assert_eq!(wakeups(), woken, "worker 1 slept through");
+            set.shutdown();
+            for worker in pool {
+                worker.join().unwrap();
+            }
+        });
+    }
+
+    #[test]
+    fn crossing_a_full_batch_wakes_the_lowest_parked_worker_alone() {
+        watchdog(|| {
+            const MAX_BATCH: usize = 4;
+            let set = Arc::new(test_set(2, MAX_BATCH, 64));
+            let (pool, claims, release) = spawn_holding(&set, 3);
+            let wakeups = || set.doorbell.wakeups.load(Ordering::SeqCst);
+            await_parked(&set, 3);
+            push_one(&set, 0);
+            assert_eq!(claims.recv().unwrap(), (0, vec![0]), "worker 0 is held");
+            await_parked(&set, 2);
+            let woken = wakeups();
+            // one job short of a full batch: nobody wakes
+            for id in 1..MAX_BATCH as u64 {
+                push_one(&set, id);
+                assert!(is_parked(&set, 1) && is_parked(&set, 2), "after job {id}");
+            }
+            // the job that completes the batch wakes worker 1, not 2
+            push_one(&set, MAX_BATCH as u64);
+            assert!(is_parked(&set, 2), "worker 2 stays parked");
+            assert_eq!(
+                claims.recv().unwrap(),
+                (1, (1..=MAX_BATCH as u64).collect())
+            );
+            await_parked(&set, 2);
+            assert_eq!(wakeups(), woken + 1, "exactly one worker woke");
+            assert!(is_parked(&set, 2));
+            release.send(()).unwrap();
+            await_parked(&set, 3);
+            set.shutdown();
+            for worker in pool {
+                worker.join().unwrap();
+            }
+        });
+    }
+
+    mod wake_property {
+        use super::super::wakes;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+            /// The wake rule, driven directly: it never wakes without a
+            /// parked worker, always wakes one when every live worker is
+            /// parked, and otherwise wakes one iff a full batch is queued
+            /// — so a skipped wake always leaves a live worker awake, and
+            /// more queued work never turns a wake into a skip.
+            #[test]
+            fn wakes_only_to_keep_work_seen_or_to_add_a_worker_for_a_full_batch(
+                live in 0usize..=8,
+                parked in 0usize..=8,
+                queued in 0u64..=4_000,
+                threshold in 1u64..=2_000,
+            ) {
+                let woke = wakes(parked, live, queued, threshold);
+                if parked == 0 {
+                    prop_assert!(!woke, "nobody to wake");
+                } else if parked >= live {
+                    prop_assert!(woke, "every live worker is parked");
+                } else {
+                    prop_assert_eq!(woke, queued >= threshold);
+                }
+                prop_assert!(woke || parked == 0 || parked < live);
+                prop_assert!(!woke || wakes(parked, live, queued + 1, threshold));
+            }
+        }
     }
 
     mod edf_property {

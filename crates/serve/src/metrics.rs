@@ -15,7 +15,8 @@
 //!   runs of subnet `K`, `{key="up_F"}` for upgrades from level `F`;
 //! * unlabeled — admission/queue/forward/reply phases, the claimed-lane
 //!   depth histogram, and the admitted/completed/deadline-miss/cache-hit/
-//!   degraded/shed/rejected counters.
+//!   degraded/shed/rejected counters, and `serve.worker_wakes`, the
+//!   parked workers the doorbell's wake rule woke.
 //!
 //! With sharded lanes, `serve.lock_wait_ns` measures the *lane* lock a
 //! worker claims a batch under (pushes to other lanes no longer contend),
@@ -73,6 +74,8 @@ pub(crate) struct ServeMetrics {
     pub shed: Arc<ShardedCounter>,
     /// Requests refused outright by admission control.
     pub rejected: Arc<ShardedCounter>,
+    /// Parked workers woken by the wake rule.
+    pub worker_wakes: Arc<ShardedCounter>,
     /// Per-worker series, indexed by worker id.
     workers: Vec<WorkerMetrics>,
     /// `serve.batch_occupancy{key="begin_K"}`, indexed by subnet.
@@ -127,6 +130,7 @@ impl ServeMetrics {
             degraded: registry.register_counter(metric::SERVE_DEGRADED),
             shed: registry.register_counter(metric::SERVE_SHED),
             rejected: registry.register_counter(metric::SERVE_REJECTED),
+            worker_wakes: registry.register_counter(metric::SERVE_WORKER_WAKES),
             workers,
             begin_occupancy,
             upgrade_occupancy,

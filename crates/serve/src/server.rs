@@ -121,6 +121,17 @@ impl Shared {
         best
     }
 
+    /// MACs a begin of `rows` samples at `subnet` multiplies.
+    fn begin_macs(&self, rows: usize, subnet: usize) -> u64 {
+        rows as u64 * self.costs().direct()[subnet]
+    }
+
+    /// MACs an upgrade of `rows` samples from level `from` to `to`
+    /// multiplies.
+    fn upgrade_macs(&self, rows: usize, from: usize, to: usize) -> u64 {
+        rows as u64 * self.costs().step()[from + 1..=to].iter().sum::<u64>()
+    }
+
     /// Ends `session`'s in-flight upgrade when its cache was lost with a
     /// failed job: the session is gone.
     fn forget(&self, session: u64) {
@@ -252,17 +263,24 @@ impl Server {
             ),
             _ => None,
         };
+        let model = net.compile(thr);
+        // a full batch at the top subnet: the queued work at which a ring
+        // wakes a parked worker while another is awake
+        let full_batch =
+            (config.get_max_batch() as u64).saturating_mul(model.mac_table().direct()[subnets - 1]);
         let shared = Arc::new(Shared {
             lanes: LaneSet::new(
                 subnets,
                 config.get_max_batch(),
                 config.get_lane_capacity(),
+                config.get_workers(),
+                full_batch,
                 Arc::clone(&metrics),
             ),
             device,
             start_subnet: start,
             shed_policy: config.get_shed_policy(),
-            model: net.compile(thr),
+            model,
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             next_session: AtomicU64::new(0),
@@ -354,6 +372,7 @@ impl Server {
         // contract, so its full lane rejects instead
         let downgradable = self.shared.shed_policy == ShedPolicy::Downgrade
             && matches!(request.target, TargetSpec::BudgetUs(_) | TargetSpec::Full);
+        let rows = dims[0];
         let submitted = Instant::now();
         let (tx, rx) = mpsc::channel();
         let mut job = Job {
@@ -367,6 +386,7 @@ impl Server {
             deadline: Shared::deadline_of(submitted, budget_us),
             submitted,
             reply: tx,
+            macs: self.shared.begin_macs(rows, subnet),
         };
         // admitted is counted before the push so a worker can never answer
         // (bumping `requests`) before the admission is visible; a refused
@@ -388,6 +408,7 @@ impl Server {
                     if let Work::Begin { subnet, .. } = &mut job.work {
                         if downgradable && *subnet > self.shared.start_subnet {
                             *subnet -= 1;
+                            job.macs = self.shared.begin_macs(rows, *subnet);
                             continue;
                         }
                     }
@@ -493,6 +514,7 @@ impl Server {
         let submitted = Instant::now();
         let job = Job {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
+            macs: self.shared.upgrade_macs(entry.cache.rows(), cur, target),
             work: Work::Upgrade {
                 session,
                 cache: entry.cache,
@@ -648,7 +670,10 @@ impl Server {
     /// claims any until [`resume`](Server::resume) or
     /// [`shutdown`](Server::shutdown) (which drains them). Not a
     /// scheduling policy — it lets tests fill lanes and batches
-    /// deterministically.
+    /// deterministically. Every parked worker wakes to see the hold; one
+    /// that finds queued jobs takes that lane's lock, leaves them and
+    /// parks again, so pausing a held server once more has every worker
+    /// look at what queued meanwhile.
     #[doc(hidden)]
     pub fn pause(&self) {
         self.shared.lanes.pause();
@@ -715,6 +740,7 @@ impl Drop for Server {
 /// Serves batches with `exec` — this worker's handle on the shared compiled
 /// model and its private scratch — until the lanes shut down.
 fn worker_loop(shared: Arc<Shared>, mut exec: BatchExecutor, worker: usize) {
+    let _shift = shared.lanes.clock_in();
     let mut lane_views = Vec::new();
     let mut batch = Vec::new();
     while let Some(key) = shared.lanes.take_batch(worker, &mut lane_views, &mut batch) {

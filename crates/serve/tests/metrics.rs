@@ -9,7 +9,7 @@
 //! (`stepping_metrics::diff` / `HistSnapshot::since`), which also exercises
 //! the exact interval arithmetic `stepping-metrics-report` relies on.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use stepping_baselines::regular_assign;
 use stepping_core::{SteppingNet, SteppingNetBuilder};
@@ -49,10 +49,11 @@ fn live_load_populates_every_series() {
     let snapshot_path = dir.join("serve.metrics.jsonl");
 
     let workers = 3usize;
+    let max_batch = 4usize;
     let device = DeviceModel::new(1000.0);
     let config = ServeConfig::builder()
         .workers(workers)
-        .max_batch(4)
+        .max_batch(max_batch)
         .metrics_snapshot(&snapshot_path)
         .metrics_interval(Duration::from_millis(20))
         .session(SessionConfig::new().device(device))
@@ -60,14 +61,34 @@ fn live_load_populates_every_series() {
     let srv = Server::new(&net(), config).unwrap();
     let costs = srv.subnet_costs().to_vec();
 
-    // Initial runs across both small subnets, batched where a backlog
-    // forms; keep the sessions for the upgrade wave.
+    // Initial runs across both small subnets, queued behind a hold: more
+    // than a full batch at the top subnet waits, so the wake rule would
+    // call every worker in. Pausing again wakes each worker to look at the
+    // held lanes, and each takes a lane lock before the hold lifts. Keep
+    // the sessions for the upgrade wave.
+    let subnet_of = |i: u64| (i % 2) as usize;
+    let queued: u64 = (0..24).map(|i| costs[subnet_of(i)]).sum();
+    assert!(queued > max_batch as u64 * costs[costs.len() - 1]);
+    srv.pause();
     let tickets: Vec<_> = (0..24u64)
         .map(|i| {
-            srv.submit(Request::at_subnet(sample(500 + i), (i % 2) as usize))
+            srv.submit(Request::at_subnet(sample(500 + i), subnet_of(i)))
                 .unwrap()
         })
         .collect();
+    srv.pause();
+    let lock_waits = |w: usize| {
+        registry
+            .snapshot()
+            .hist(&format!("serve.lock_wait_ns{{worker=\"{w}\"}}"))
+            .map_or(0, |h| h.count)
+    };
+    let looked = Instant::now() + Duration::from_secs(30);
+    while (0..workers).any(|w| lock_waits(w) == 0) {
+        assert!(Instant::now() < looked, "a woken worker never scanned");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    srv.resume();
     let sessions: Vec<u64> = tickets
         .into_iter()
         .map(|t| t.wait().unwrap().session)
@@ -108,6 +129,14 @@ fn live_load_populates_every_series() {
     assert_eq!(delta("serve.cache_hit"), stats.cache_hits);
     assert_eq!(stats.deadline_misses, 1);
     assert_eq!(stats.cache_hits, 1);
+    // a parked worker is woken for an idle pool or a full batch, not for
+    // every push
+    assert!(
+        delta("serve.worker_wakes") < stats.requests,
+        "{} wakes for {} requests",
+        delta("serve.worker_wakes"),
+        stats.requests
+    );
 
     // -- queue depth: gauge drained back to its starting level, and the
     // sampled-depth histogram saw every extracted batch.

@@ -111,14 +111,15 @@ cargo test -q -p stepping-obs
 
 # Serving engine: functional + property suite, then under --release, where
 # thread interleavings are most hostile, the lane-level doorbell and pause
-# tests (wake-one, hand-offs, dead worker, pause/resume/shutdown) and the
-# multi-threaded stress test (EDF under backlog, batches from backlog
-# alone, concurrent upgrades).
+# tests (the wake rule, lowest index first, hand-offs, a dead awake worker,
+# pause/resume/shutdown), the multi-threaded stress test (EDF under
+# backlog, batches from backlog alone, concurrent upgrades) and the
+# live-load metrics test (every worker's series, held behind a pause).
 echo "==> stepping-serve crate tests"
 cargo test -q -p stepping-serve
 
-echo "==> stepping-serve release lane + stress"
-cargo test -q --release -p stepping-serve --lib --test stress
+echo "==> stepping-serve release lane + stress + metrics"
+cargo test -q --release -p stepping-serve --lib --test stress --test metrics
 
 # Admission control + lane scheduler under --release: the deterministic
 # shed-policy matrix (lanes held by a paused server) and the 10k-session
