@@ -122,22 +122,36 @@ impl Assignment {
             .collect()
     }
 
-    /// Neurons active in `subnet` (assignment ≤ subnet).
-    pub fn active_members(&self, subnet: usize) -> Vec<usize> {
-        self.assign
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| (a as usize) <= subnet)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Count of neurons active in `subnet`.
     pub fn active_count(&self, subnet: usize) -> usize {
         self.assign
             .iter()
             .filter(|&&a| (a as usize) <= subnet)
             .count()
+    }
+
+    /// Whether the neurons are stored level-major: index order equals
+    /// `(level, index)` order, so subnet `s`'s neurons are the prefix
+    /// `0..active_count(s)` and each level is a contiguous range.
+    pub fn is_level_major(&self) -> bool {
+        self.assign.is_sorted()
+    }
+
+    /// The stable sort of the neurons by level — entry `j` is the index of
+    /// the neuron that moves to index `j` — or `None` when they are already
+    /// level-major.
+    pub fn level_order(&self) -> Option<Vec<usize>> {
+        if self.is_level_major() {
+            return None;
+        }
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.sort_by_key(|&i| self.assign[i]);
+        Some(order)
+    }
+
+    /// Reorders the neurons: neuron `j` takes the level of neuron `perm[j]`.
+    pub(crate) fn permute(&mut self, perm: &[usize]) {
+        stepping_nn::permute_axis(&mut self.assign, perm, 1);
     }
 
     /// Expands each value `factor` times (channel assignment → flattened
@@ -151,19 +165,6 @@ impl Assignment {
             assign,
             subnet_count: self.subnet_count,
         }
-    }
-
-    /// Checks the nesting invariant against another assignment claiming to be
-    /// a later snapshot: neurons may only move to *larger* indices
-    /// (subnets only shed neurons downstream during construction).
-    pub fn is_monotone_successor(&self, later: &Assignment) -> bool {
-        self.assign.len() == later.assign.len()
-            && self.subnet_count == later.subnet_count
-            && self
-                .assign
-                .iter()
-                .zip(later.assign.iter())
-                .all(|(a, b)| b >= a)
     }
 }
 
@@ -188,7 +189,6 @@ mod tests {
         assert_eq!(a.members(0), vec![0, 2]);
         assert_eq!(a.members(1), vec![1]);
         assert_eq!(a.members(2), vec![3]);
-        assert_eq!(a.active_members(1), vec![0, 1, 2]);
         assert_eq!(a.active_count(0), 2);
         assert!(!a.is_active(3, 1));
     }
@@ -207,18 +207,6 @@ mod tests {
         let f = a.repeat_each(3);
         assert_eq!(f.values(), &[0, 0, 0, 1, 1, 1]);
         assert_eq!(f.subnet_count(), 2);
-    }
-
-    #[test]
-    fn monotone_successor_detects_illegal_backflow() {
-        let mut a = Assignment::new(3, 2);
-        a.move_neuron(0, 1).unwrap();
-        let mut later = a.clone();
-        later.move_neuron(1, 1).unwrap();
-        assert!(a.is_monotone_successor(&later));
-        let mut bad = a.clone();
-        bad.move_neuron(0, 0).unwrap();
-        assert!(!a.is_monotone_successor(&bad));
     }
 
     #[test]

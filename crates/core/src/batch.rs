@@ -16,12 +16,12 @@
 //!   at once**. A `begin` stacks
 //!   the inputs along the batch dimension, runs every stage once and
 //!   splits each level back into the per-request caches; an `expand` works
-//!   **in place**: each masked stage gathers its step plan's input columns
-//!   straight from the requests' cached rows into one panel, runs one GEMM
-//!   for the batch, and scatters every request's rows straight back into
-//!   its cached activation (a conv stage writes its new filters' planes
-//!   straight into each cached level); each fixed stage then recomputes
-//!   only the channels the step changed.
+//!   **in place**: each masked stage copies the prefix of the requests'
+//!   cached rows its step plan reads into one panel, runs one GEMM for the
+//!   batch, and writes every request's rows straight back into the new
+//!   level's column range of its cached activation (a conv stage writes its
+//!   new filters' plane range straight into each cached level); each fixed
+//!   stage then recomputes only the channel range the step changed.
 //!
 //! Because every kernel in this workspace computes each batch row
 //! independently (row-major loops, per-image convolution, inference-mode

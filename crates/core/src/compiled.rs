@@ -3,39 +3,42 @@
 //!
 //! [`SteppingNet::compile`] builds one [`CompiledModel`] eagerly — per
 //! masked stage the full and step panels of every subnet, every head panel
-//! with its bias, the fixed stages with the channel runs of their input
-//! that each step changes and that each subnet uses (a direct pass skips
-//! the rest), the [`MacTable`] — and hands it out in an `Arc`.
-//! Nothing in it changes afterwards: there is no epoch, no lock and no
-//! scratch inside, so any number of executors on any number of threads run
-//! it through `&self`, each with its own [`PackScratch`]. See the `plan`
-//! module docs for bit-identity and `crate::parts` for how the net forgets
-//! a model when it is mutated.
-
-use std::ops::Range;
+//! with its bias, the fixed stages with the level ends of their input, the
+//! [`MacTable`] — and hands it out in an `Arc`. Every masked layer stores
+//! its neurons level-major (see the `plan` module docs), so each subnet is
+//! a channel prefix of every level and each step a channel range: a masked
+//! stage copies a row prefix of its input and writes its output at an
+//! offset, and a fixed stage recomputes `end(k − 1)..end(k)` on a step to
+//! `k` and `0..end(s)` on a direct pass at `s`.
+//! Nothing in the model changes afterwards: there is no epoch, no lock and
+//! no scratch inside, so any number of executors on any number of threads
+//! run it through `&self`, each with its own [`PackScratch`]. See the
+//! `plan` module docs for bit-identity and `crate::parts` for how the net
+//! forgets a model when it is mutated.
 
 use stepping_tensor::conv::ConvGeometry;
-use stepping_tensor::microkernel::{self, Epilogue, PackedB};
+use stepping_tensor::microkernel::{self, Epilogue};
 use stepping_tensor::pack::{self, span, PackScratch};
 use stepping_tensor::{Shape, Tensor};
 
-use crate::plan::{self, ConvPlan, HeadPlan, LinearPlan, MacTable};
-use crate::{FixedStage, Result, Stage, SteppingError, SteppingNet};
+use crate::plan::{self, MacTable, Plan};
+use crate::{Assignment, FixedStage, Result, Stage, SteppingError, SteppingNet};
 
 /// The full and step panels of one masked stage.
 #[derive(Debug)]
-pub(crate) struct Panels<P> {
+pub(crate) struct Panels {
     /// `full[s]` covers every neuron active at subnet `s` (a direct pass),
-    /// level-major.
-    full: Vec<P>,
+    /// rows `0..end(s)`.
+    full: Vec<Plan>,
     /// `step[k - 1]` covers the neurons assigned exactly to subnet `k`
-    /// (an expand); no expand targets subnet 0, so it has no step panel.
-    step: Vec<P>,
+    /// (an expand), rows `end(k − 1)..end(k)`; no expand targets subnet 0,
+    /// so it has no step panel.
+    step: Vec<Plan>,
 }
 
-impl<P> Panels<P> {
+impl Panels {
     /// Compiles both families: `panel(subnet, step)` builds one panel.
-    pub fn compile(subnets: usize, panel: impl Fn(usize, bool) -> P) -> Self {
+    pub fn compile(subnets: usize, panel: impl Fn(usize, bool) -> Plan) -> Self {
         Panels {
             full: (0..subnets).map(|s| panel(s, false)).collect(),
             step: (1..subnets).map(|k| panel(k, true)).collect(),
@@ -43,7 +46,7 @@ impl<P> Panels<P> {
     }
 
     /// The step panel of `subnet` or its full panel.
-    fn get(&self, subnet: usize, step: bool) -> Result<&P> {
+    fn get(&self, subnet: usize, step: bool) -> Result<&Plan> {
         let panel = if step {
             subnet.checked_sub(1).and_then(|i| self.step.get(i))
         } else {
@@ -62,7 +65,7 @@ impl<P> Panels<P> {
 pub(crate) struct CompiledLinear {
     pub in_features: usize,
     pub out_features: usize,
-    pub panels: Panels<LinearPlan>,
+    pub panels: Panels,
 }
 
 impl CompiledLinear {
@@ -76,24 +79,25 @@ impl CompiledLinear {
     /// reads level `si` of every stack (`[n_i, in_features]`), computes
     /// `plan`'s rows — a step panel's (the neurons assigned exactly to a
     /// subnet) or a full panel's (every neuron active at it), against every
-    /// input active at the subnet — for all their rows in **one** GEMM —
-    /// rows are independent in every kernel — and scatters each stack's
-    /// rows straight into the matching columns of its level `si + 1`
-    /// (`[n_i, out_features]`: the cached full-width activation, or a
-    /// zeroed [`target`](Self::target)). The stacked panels live in
-    /// `scratch`; untouched columns keep their exact old values, so the
-    /// result equals [`MaskedLinear::forward`](crate::MaskedLinear::forward)
-    /// under `f32 ==` (see the `plan` module docs). Every stack must hold
-    /// levels `si` and `si + 1`.
+    /// input active at the subnet, a prefix of each row — for all their rows
+    /// in **one** GEMM — rows are independent in every kernel — and writes
+    /// each stack's rows straight into columns `plan.rows` of its level
+    /// `si + 1` (`[n_i, out_features]`: the cached full-width activation, or
+    /// a zeroed [`target`](Self::target)). The stacked input panel and the
+    /// output live in `scratch`; untouched columns keep their exact old
+    /// values, so the result equals
+    /// [`MaskedLinear::forward`](crate::MaskedLinear::forward) under
+    /// `f32 ==` (see the `plan` module docs). Every stack must hold levels
+    /// `si` and `si + 1`.
     fn run(
         &self,
-        plan: &LinearPlan,
+        plan: &Plan,
         stacks: &mut [&mut [Tensor]],
         si: usize,
         scratch: &mut PackScratch,
     ) -> Result<()> {
         let (i_n, o_n) = (self.in_features, self.out_features);
-        if plan.out_idx.is_empty() {
+        if plan.rows.is_empty() {
             return Ok(());
         }
         let mut total = 0usize;
@@ -114,7 +118,7 @@ impl CompiledLinear {
             }
             total += n;
         }
-        let (cols_in, cols_out) = (plan.in_idx.len(), plan.out_idx.len());
+        let (cols_in, cols_out) = (plan.inputs, plan.rows.len());
         let packed = span(&mut scratch.input, total * cols_in);
         {
             let _pack_timer = plan::pack_timer();
@@ -122,13 +126,8 @@ impl CompiledLinear {
             for levels in stacks.iter() {
                 let input = &levels[si];
                 let n = input.shape().dims()[0];
-                pack::gather_columns_slice(
-                    input.data(),
-                    n,
-                    i_n,
-                    &plan.in_idx,
-                    &mut packed[row * cols_in..(row + n) * cols_in],
-                );
+                let dst = &mut packed[row * cols_in..(row + n) * cols_in];
+                copy_prefixes(input.data(), i_n, cols_in, dst);
                 row += n;
             }
         }
@@ -144,20 +143,28 @@ impl CompiledLinear {
                 Epilogue::Bias(&plan.bias),
             );
         }
-        let mut row = 0;
+        let mut rows = out.chunks_exact(cols_out);
         for levels in stacks.iter_mut() {
-            let target = &mut levels[si + 1];
-            let n = target.shape().dims()[0];
-            pack::scatter_columns(
-                &out[row * cols_out..(row + n) * cols_out],
-                n,
-                &plan.out_idx,
-                target.data_mut(),
-                o_n,
-            );
-            row += n;
+            for (dst, src) in levels[si + 1]
+                .data_mut()
+                .chunks_exact_mut(o_n)
+                .zip(&mut rows)
+            {
+                dst[plan.rows.clone()].copy_from_slice(src);
+            }
         }
         Ok(())
+    }
+}
+
+/// Copies the first `cols` columns of each `width`-wide row of the
+/// row-major `src` into `dst`, back to back.
+fn copy_prefixes(src: &[f32], width: usize, cols: usize, dst: &mut [f32]) {
+    if cols == 0 {
+        return;
+    }
+    for (d, s) in dst.chunks_exact_mut(cols).zip(src.chunks_exact(width)) {
+        d.copy_from_slice(&s[..cols]);
     }
 }
 
@@ -173,7 +180,7 @@ pub(crate) struct CompiledConv {
     /// Output positions per image the layer was built for (MAC
     /// accounting only; a run takes its geometry from the input).
     pub positions: usize,
-    pub panels: Panels<ConvPlan>,
+    pub panels: Panels,
 }
 
 impl CompiledConv {
@@ -211,9 +218,10 @@ impl CompiledConv {
     /// stack, reads level `si` (`[n_i, in_channels, h, w]`) and writes
     /// `plan`'s filters — a step panel's (the filters assigned exactly to a
     /// subnet) or a full panel's (every filter active at it), over every
-    /// input channel active at the subnet — straight into their channels of
-    /// level `si + 1` (`[n_i, out_channels, oh, ow]`: the cached full-width
-    /// activation, or a zeroed [`target`](Self::target)) through
+    /// input channel active at the subnet, a channel prefix — straight into
+    /// their channel range of level `si + 1` (`[n_i, out_channels, oh,
+    /// ow]`: the cached full-width activation, or a zeroed
+    /// [`target`](Self::target)) through
     /// [`microkernel::conv_packed`], which packs its operand from the image
     /// and keeps its buffers in `scratch`. Untouched channels keep their
     /// exact old values, so the result equals
@@ -221,13 +229,13 @@ impl CompiledConv {
     /// `f32 ==`. Every stack must hold levels `si` and `si + 1`.
     fn run(
         &self,
-        plan: &ConvPlan,
+        plan: &Plan,
         stacks: &mut [&mut [Tensor]],
         si: usize,
         scratch: &mut PackScratch,
     ) -> Result<()> {
         let (ic_n, oc_n) = (self.in_channels, self.out_channels);
-        if plan.oc_idx.is_empty() {
+        if plan.rows.is_empty() {
             return Ok(());
         }
         // every stack is checked before any is written
@@ -274,14 +282,13 @@ pub(crate) enum CompiledStage {
     Linear(CompiledLinear),
     Conv(CompiledConv),
     /// A fixed stage, run through [`FixedStage::infer_into`] (which reads
-    /// no cache), with two tables of channel runs of its input: per expand
-    /// target `k` (entry `k - 1`) the runs the step to `k` changes, and per
-    /// subnet `s` the runs active at `s`, which a direct pass computes —
-    /// `None` before the first masked stage, where the whole level is live.
+    /// no cache), with the level ends of its input: `ends[s]` channels are
+    /// active at subnet `s`, those of the last masked stage before it
+    /// (widened by a flatten between), or the whole level before the
+    /// first masked stage.
     Fixed {
         stage: FixedStage,
-        step_runs: Vec<Vec<Range<usize>>>,
-        direct_runs: Option<Vec<Vec<Range<usize>>>>,
+        ends: Vec<usize>,
     },
 }
 
@@ -305,10 +312,10 @@ impl CompiledStage {
     /// exactly to `subnet` when `step` (an expand over cached levels) and
     /// every neuron active at it otherwise (a direct pass into
     /// [`target`](Self::target)s); a fixed stage — a pure per-element /
-    /// per-channel map in inference mode, no MACs — recomputes the channel
-    /// runs the step to `subnet` changed when `step` (every other cached
-    /// channel keeps its exact old value) and the runs active at `subnet`
-    /// otherwise (the whole level, `0..c`, before the first masked stage).
+    /// per-channel map in inference mode, no MACs — recomputes the channels
+    /// `ends[subnet − 1]..ends[subnet]` the step to `subnet` changed when
+    /// `step` (every other cached channel keeps its exact old value) and
+    /// the channels `0..ends[subnet]` active at `subnet` otherwise.
     ///
     /// Equal to [`Stage::forward`] with `train == false` under `f32 ==` on
     /// every channel a later stage reads at `subnet`: masked stages read
@@ -316,8 +323,8 @@ impl CompiledStage {
     /// direct pass skips keeps its target's `0.0`, which is what every fixed
     /// stage but batch norm and sigmoid maps a zero to (those two would
     /// write `f(0)` there, which nothing reads); the expand that activates
-    /// it recomputes it as a changed run. Every stack must hold levels `si`
-    /// and `si + 1`.
+    /// it recomputes it as a changed channel. Every stack must hold levels
+    /// `si` and `si + 1`.
     pub(crate) fn run_into(
         &self,
         (subnet, step): (usize, bool),
@@ -328,54 +335,28 @@ impl CompiledStage {
         match self {
             CompiledStage::Linear(l) => l.run(l.panels.get(subnet, step)?, stacks, si, scratch),
             CompiledStage::Conv(c) => c.run(c.panels.get(subnet, step)?, stacks, si, scratch),
-            CompiledStage::Fixed {
-                stage,
-                step_runs,
-                direct_runs,
-            } => {
-                let listed = if step {
-                    Some(subnet.checked_sub(1).and_then(|i| step_runs.get(i)))
-                } else {
-                    direct_runs.as_ref().map(|table| table.get(subnet))
-                };
-                let listed = listed
-                    .map(|runs| {
-                        runs.ok_or(SteppingError::SubnetOutOfRange {
-                            subnet,
-                            count: step_runs.len() + 1,
-                        })
+            CompiledStage::Fixed { stage, ends } => {
+                let end = |s: usize| {
+                    ends.get(s).copied().ok_or(SteppingError::SubnetOutOfRange {
+                        subnet,
+                        count: ends.len(),
                     })
-                    .transpose()?;
+                };
+                // a step to subnet 0 asks for `ends[usize::MAX]`: an error
+                let start = if step {
+                    end(subnet.wrapping_sub(1))?
+                } else {
+                    0
+                };
+                let channels = start..end(subnet)?;
                 for levels in stacks.iter_mut() {
                     let (done, rest) = levels.split_at_mut(si + 1);
-                    let whole = 0..done[si].shape().dims().get(1).copied().unwrap_or(0);
-                    let runs = listed.map_or(std::slice::from_ref(&whole), Vec::as_slice);
-                    stage.infer_into(&done[si], &mut rest[0], runs)?;
+                    stage.infer_into(&done[si], &mut rest[0], channels.clone())?;
                 }
                 Ok(())
             }
         }
     }
-}
-
-/// The ascending indices `idx` as maximal runs of consecutive values:
-/// `[1, 2, 3, 7, 9, 10]` → `[1..4, 7..8, 9..11]`.
-fn index_runs(idx: &[usize]) -> Vec<Range<usize>> {
-    let mut runs: Vec<Range<usize>> = Vec::new();
-    for &i in idx {
-        match runs.last_mut() {
-            Some(run) if run.end == i => run.end += 1,
-            _ => runs.push(i..i + 1),
-        }
-    }
-    runs
-}
-
-/// [`index_runs`] of a full panel's level-major rows, sorted first.
-fn sorted_runs(rows: &[usize]) -> Vec<Range<usize>> {
-    let mut rows = rows.to_vec();
-    rows.sort_unstable();
-    index_runs(&rows)
 }
 
 /// A [`SteppingNet`] compiled for inference at one prune threshold:
@@ -388,7 +369,7 @@ fn sorted_runs(rows: &[usize]) -> Vec<Range<usize>> {
 #[derive(Debug)]
 pub struct CompiledModel {
     pub(crate) stages: Vec<CompiledStage>,
-    heads: Vec<HeadPlan>,
+    heads: Vec<Plan>,
     costs: MacTable,
     prune_threshold: f32,
     input_shape: Shape,
@@ -407,17 +388,20 @@ impl CompiledModel {
     /// `prune_threshold`.
     pub(crate) fn new(net: &SteppingNet, prune_threshold: f32) -> Self {
         let _compile_timer = plan::compile_timer();
+        debug_assert!(
+            net.stages()
+                .iter()
+                .filter_map(Stage::out_assign)
+                .all(Assignment::is_level_major),
+            "a masked stage is not level-major: call sync_assignments()"
+        );
         let subnets = net.subnet_count();
         let mut stage_step = vec![0u64; subnets];
-        // the channel runs of the level the stages so far wrote: per expand
-        // target those the step changed (the last masked stage's step
-        // panel), per subnet those active (its full panel, sorted); both
-        // mapped through the fixed stages after it (all channel-local; a
-        // flatten turns channel `c` into features `c·h·w .. (c + 1)·h·w`).
-        // Before the first masked stage no step changes anything and a
-        // direct pass runs the whole level.
-        let mut changed: Vec<Vec<Range<usize>>> = vec![Vec::new(); subnets.saturating_sub(1)];
-        let mut active: Option<Vec<Vec<Range<usize>>>> = None;
+        // the level ends of the level the stages so far wrote: the last
+        // masked stage's, widened by every flatten after it (a flatten
+        // turns channel `c` into features `c·h·w .. (c + 1)·h·w`); before
+        // the first masked stage every subnet runs the whole level
+        let mut ends = vec![net.input_shape().dims()[0]; subnets];
         let stages = net
             .stages()
             .iter()
@@ -428,44 +412,21 @@ impl CompiledModel {
                 {
                     *total += macs;
                 }
+                if let Some(assign) = stage.out_assign() {
+                    ends = (0..subnets).map(|s| assign.active_count(s)).collect();
+                }
                 match stage {
-                    Stage::Linear(l) => {
-                        let l = l.compile();
-                        changed = l
-                            .panels
-                            .step
-                            .iter()
-                            .map(|p| index_runs(&p.out_idx))
-                            .collect();
-                        let full = l.panels.full.iter();
-                        active = Some(full.map(|p| sorted_runs(&p.out_idx)).collect());
-                        CompiledStage::Linear(l)
-                    }
-                    Stage::Conv(c) => {
-                        let c = c.compile();
-                        changed = c
-                            .panels
-                            .step
-                            .iter()
-                            .map(|p| index_runs(&p.oc_idx))
-                            .collect();
-                        let full = c.panels.full.iter();
-                        active = Some(full.map(|p| sorted_runs(&p.oc_idx)).collect());
-                        CompiledStage::Conv(c)
-                    }
+                    Stage::Linear(l) => CompiledStage::Linear(l.compile()),
+                    Stage::Conv(c) => CompiledStage::Conv(c.compile()),
                     Stage::Fixed(f) => {
-                        let (step_runs, direct_runs) = (changed.clone(), active.clone());
-                        if let FixedStage::Flatten { factor, .. } = f {
-                            let widened = changed.iter_mut().chain(active.iter_mut().flatten());
-                            for run in widened.flatten() {
-                                *run = run.start * factor..run.end * factor;
-                            }
-                        }
-                        CompiledStage::Fixed {
+                        let compiled = CompiledStage::Fixed {
                             stage: f.clone(),
-                            step_runs,
-                            direct_runs,
+                            ends: ends.clone(),
+                        };
+                        if let FixedStage::Flatten { factor, .. } = f {
+                            ends.iter_mut().for_each(|e| *e *= factor);
                         }
+                        compiled
                     }
                 }
             })
@@ -548,11 +509,12 @@ impl CompiledModel {
     }
 
     /// The packed head of `subnet` over the feature tensors of several
-    /// requests at once: their active columns are gathered into one stacked
-    /// panel and multiplied against the compiled `[classes, active]` head
-    /// panel in a single GEMM, bias fused into the epilogue — equal to the
-    /// masked [`SteppingNet::head_forward`] under `f32 ==`. Returns the
-    /// logits of all rows, `[Σ n_i, classes]`, in `features` order.
+    /// requests at once: the prefix of their rows active at `subnet` is
+    /// stacked into one panel and multiplied against the compiled
+    /// `[classes, active]` head panel in a single GEMM, bias fused into the
+    /// epilogue — equal to the masked [`SteppingNet::head_forward`] under
+    /// `f32 ==`. Returns the logits of all rows, `[Σ n_i, classes]`, in
+    /// `features` order.
     pub(crate) fn head_rows<'t>(
         &self,
         features: impl Iterator<Item = &'t Tensor> + Clone,
@@ -577,20 +539,14 @@ impl CompiledModel {
             }
             total += t.shape().dims()[0];
         }
-        let cols = plan.feat_idx.len();
+        let cols = plan.inputs;
         let packed = span(&mut scratch.input, total * cols);
         {
             let _pack_timer = plan::pack_timer();
             let mut row = 0;
             for t in features {
                 let n = t.shape().dims()[0];
-                pack::gather_columns_slice(
-                    t.data(),
-                    n,
-                    f,
-                    &plan.feat_idx,
-                    &mut packed[row * cols..(row + n) * cols],
-                );
+                copy_prefixes(t.data(), f, cols, &mut packed[row * cols..(row + n) * cols]);
                 row += n;
             }
         }
@@ -609,26 +565,19 @@ impl CompiledModel {
 }
 
 /// Compiles the packed head panel of `subnet`: the head's weight restricted
-/// to the features active there.
-fn compile_head(net: &SteppingNet, subnet: usize) -> HeadPlan {
+/// to the features active there, a prefix of each row.
+fn compile_head(net: &SteppingNet, subnet: usize) -> Plan {
     let head = &net.heads()[subnet];
     let (f, classes) = (net.feature_assign().len(), net.classes());
-    let feat_idx = net.feature_assign().active_members(subnet);
-    let wd = head.weight().value.data();
-    let cols = feat_idx.len();
-    let mut weight = vec![0.0f32; classes * cols];
-    for r in 0..classes {
-        let dst = &mut weight[r * cols..(r + 1) * cols];
-        for (d, &i) in dst.iter_mut().zip(feat_idx.iter()) {
-            *d = wd[r * f + i];
-        }
-    }
-    plan::note_compile("head", subnet, classes, cols);
-    HeadPlan {
-        feat_idx,
-        weight: PackedB::pack_nt(&weight, classes, cols),
-        bias: head.bias().value.data().to_vec(),
-    }
+    let active = net.feature_assign().active_count(subnet);
+    plan::note_compile("head", subnet, classes, active);
+    Plan::pack(
+        (head.weight().value.data(), head.bias().value.data()),
+        (f, 1),
+        0..classes,
+        active,
+        |_| active,
+    )
 }
 
 #[cfg(test)]
@@ -636,53 +585,12 @@ mod tests {
     use super::*;
     use crate::SteppingNetBuilder;
 
+    /// Each fixed stage records the level ends of its input: the input
+    /// width before the first masked stage, else the last masked stage's
+    /// ends after the move sorted it level-major, widened to features by a
+    /// flatten.
     #[test]
-    fn index_runs_merge_consecutive_indices() {
-        assert_eq!(index_runs(&[1, 2, 3, 7, 9, 10]), [1..4, 7..8, 9..11]);
-        assert_eq!(index_runs(&[4]), std::slice::from_ref(&(4..5)));
-        assert!(index_runs(&[]).is_empty());
-    }
-
-    /// Each fixed stage records, per step, the runs of the last masked
-    /// stage's step panel — one contiguous span per run, none before the
-    /// first masked stage — and a flatten widens each channel run to its
-    /// features.
-    #[test]
-    fn fixed_stages_record_the_runs_each_step_changes() {
-        let mut net = SteppingNetBuilder::new(Shape::of(&[2, 4, 4]), 3, 1)
-            .relu()
-            .conv(4, 3, 1, 1)
-            .max_pool(2, 2)
-            .flatten()
-            .linear(5)
-            .tanh()
-            .build(2)
-            .unwrap();
-        // conv filters 1 and 3 to subnet 1, filter 2 to 2; linear 0..2 to 2
-        net.move_neurons(&[(1, 1, 1), (1, 3, 1), (1, 2, 2), (4, 0, 2), (4, 1, 2)])
-            .unwrap();
-        let model = net.compile(0.0);
-        let runs: Vec<&Vec<Vec<Range<usize>>>> = model
-            .stages
-            .iter()
-            .filter_map(|s| match s {
-                CompiledStage::Fixed { step_runs, .. } => Some(step_runs),
-                _ => None,
-            })
-            .collect();
-        let none: Vec<Vec<Range<usize>>> = vec![vec![], vec![]];
-        assert_eq!(runs[0], &none, "before any masked stage");
-        assert_eq!(runs[1], &vec![vec![1..2, 3..4], vec![2..3]], "max-pool");
-        assert_eq!(runs[2], &vec![vec![1..2, 3..4], vec![2..3]], "flatten");
-        assert_eq!(runs[3], &vec![vec![], vec![0..2]], "tanh after linear");
-    }
-
-    /// Each fixed stage records, per subnet, the runs a direct pass
-    /// computes: the last masked stage's full-panel rows, sorted out of
-    /// their level-major order and merged, widened to features by a
-    /// flatten; none before the first masked stage, whose level runs whole.
-    #[test]
-    fn fixed_stages_record_the_runs_each_subnet_uses() {
+    fn fixed_stages_record_the_level_ends_of_their_input() {
         let mut net = SteppingNetBuilder::new(Shape::of(&[2, 4, 4]), 3, 1)
             .relu()
             .conv(4, 3, 1, 1)
@@ -693,32 +601,29 @@ mod tests {
             .tanh()
             .build(2)
             .unwrap();
-        // conv levels [2, 0, 1, 0] (the full panel at 1 lists 1, 3, 2);
-        // linear levels [2, 0, 0, 0, 1]
+        // conv levels [2, 0, 1, 0] are stored [0, 0, 1, 2]; linear levels
+        // [2, 0, 0, 0, 1] are stored [0, 0, 0, 1, 2]
         net.move_neurons(&[(1, 0, 2), (1, 2, 1), (5, 0, 2), (5, 4, 1)])
             .unwrap();
         let model = net.compile(0.0);
-        let runs: Vec<&Option<Vec<Vec<Range<usize>>>>> = model
+        let ends: Vec<&Vec<usize>> = model
             .stages
             .iter()
             .filter_map(|s| match s {
-                CompiledStage::Fixed { direct_runs, .. } => Some(direct_runs),
+                CompiledStage::Fixed { ends, .. } => Some(ends),
                 _ => None,
             })
             .collect();
-        let conv = Some(vec![vec![1..2, 3..4], vec![1..4], vec![0..4]]);
-        assert_eq!(runs[0], &None, "before any masked stage");
-        assert_eq!(runs[1], &conv, "max-pool");
-        assert_eq!(runs[2], &conv, "flatten");
-        let features = Some(vec![vec![4..8, 12..16], vec![4..16], vec![0..16]]);
-        assert_eq!(runs[3], &features, "sigmoid after flatten");
-        let linear = Some(vec![vec![1..4], vec![1..5], vec![0..5]]);
-        assert_eq!(runs[4], &linear, "tanh after linear");
+        assert_eq!(ends[0], &[2, 2, 2], "before any masked stage");
+        assert_eq!(ends[1], &[2, 3, 4], "max-pool");
+        assert_eq!(ends[2], &[2, 3, 4], "flatten");
+        assert_eq!(ends[3], &[8, 12, 16], "sigmoid after flatten");
+        assert_eq!(ends[4], &[3, 4, 5], "tanh after linear");
     }
 
-    /// Full panels list their rows level-major, ascending within a level,
-    /// and cut each `NR`-row tile after the last legal input of its rows;
-    /// `packed_macs` sums those tiles.
+    /// Full panels cover the row prefix of their subnet and cut each
+    /// `NR`-row tile after the last legal input of its rows; `packed_macs`
+    /// sums those tiles.
     #[test]
     fn full_panels_are_level_major_and_cut_after_the_last_legal_input() {
         let mut net = SteppingNetBuilder::new(Shape::of(&[1, 4, 4]), 3, 1)
@@ -730,7 +635,8 @@ mod tests {
             .build(2)
             .unwrap();
         // conv1 levels [0, 1, 0, 2]; conv2 levels [2, 0, 0, 1, 0, 0, 0, 1, 0, 2];
-        // linear neuron 0 to subnet 1, neuron 5 to 2
+        // linear neuron 0 to subnet 1, neuron 5 to 2 — stored level-major:
+        // conv1 [0, 0, 1, 2], conv2 six 0s, two 1s, two 2s, linear seven 0s
         net.move_neurons(&[
             (0, 1, 1),
             (0, 3, 2),
@@ -751,28 +657,58 @@ mod tests {
             CompiledStage::Linear(l) => &l.panels.full,
             _ => unreachable!("stage 4 is a linear"),
         };
-        let conv2_rows = [1, 2, 4, 5, 6, 8, 3, 7, 0, 9];
-        let linear_rows = [1, 2, 3, 4, 6, 7, 8, 0, 5];
-        // (subnet, rows, tile extents): conv2 reads channels [0, 2] at
-        // subnet 0 and [0, 1, 2] at 1, where every filter's last legal
-        // channel is 2 (9 taps each); at 2 the level-2 filters read channel
-        // 3 too. The linear's level-0 and level-1 rows stop after conv2's
-        // channel 8 (16 features each); only neuron 5 reads channel 9.
-        let conv2_want = [(6, vec![18]), (8, vec![27]), (10, vec![27, 36])];
-        let linear_want = [(7, vec![96]), (8, vec![128]), (9, vec![144, 160])];
+        // (subnet, rows, channels read, tile extents): conv2 reads channels
+        // 0..2 at subnet 0, 0..3 at 1 and 0..4 at 2 (9 taps each), each
+        // level-0 filter only 0..2; the linear reads conv2's level-0 and
+        // level-1 channels (16 features each), only its last row all 160
+        let conv2_want = [(6, 2, vec![18]), (8, 3, vec![27]), (10, 4, vec![27, 36])];
+        let linear_want = [
+            (7, 96, vec![96]),
+            (8, 128, vec![128]),
+            (9, 160, vec![128, 160]),
+        ];
         for s in 0..3 {
-            let (rows, extents) = &conv2_want[s];
-            assert_eq!(conv2[s].oc_idx, conv2_rows[..*rows], "conv2 subnet {s}");
+            let (rows, inputs, extents) = &conv2_want[s];
+            assert_eq!(conv2[s].rows, 0..*rows, "conv2 subnet {s}");
+            assert_eq!(conv2[s].inputs, *inputs, "conv2 subnet {s}");
             assert_eq!(conv2[s].weight.extents(), extents, "conv2 subnet {s}");
-            let (rows, extents) = &linear_want[s];
-            assert_eq!(linear[s].out_idx, linear_rows[..*rows], "linear subnet {s}");
+            let (rows, inputs, extents) = &linear_want[s];
+            assert_eq!(linear[s].rows, 0..*rows, "linear subnet {s}");
+            assert_eq!(linear[s].inputs, *inputs, "linear subnet {s}");
             assert_eq!(linear[s].weight.extents(), extents, "linear subnet {s}");
         }
         // conv1 4 rows × 9 taps, conv2 (8 × 27 + 2 × 36), both × 16
-        // positions; the linear 8 × 144 + 160; the head 2 classes × 9
+        // positions; the linear 8 × 128 + 160; the head 2 classes × 9
         assert_eq!(
             net.packed_macs(2),
-            (4 * 9 + 8 * 27 + 2 * 36) * 16 + 8 * 144 + 160 + 2 * 9
+            (4 * 9 + 8 * 27 + 2 * 36) * 16 + 8 * 128 + 160 + 2 * 9
         );
+    }
+
+    /// A step panel covers exactly the rows of its level, against every
+    /// input active at the level.
+    #[test]
+    fn step_panels_are_the_rows_of_one_level() {
+        let mut net = SteppingNetBuilder::new(Shape::of(&[6]), 3, 1)
+            .linear(8)
+            .relu()
+            .linear(5)
+            .build(2)
+            .unwrap();
+        net.move_neurons(&[(0, 0, 2), (0, 5, 1), (0, 6, 1), (2, 1, 1), (2, 2, 3)])
+            .unwrap();
+        let model = net.compile(0.0);
+        let [CompiledStage::Linear(first), _, CompiledStage::Linear(second)] = &model.stages[..]
+        else {
+            unreachable!("linear, relu, linear")
+        };
+        let steps = |p: &Panels| {
+            p.step
+                .iter()
+                .map(|s| (s.rows.clone(), s.inputs))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(steps(&first.panels), [(5..7, 6), (7..8, 6)]);
+        assert_eq!(steps(&second.panels), [(3..4, 7), (4..4, 8)]);
     }
 }

@@ -1,11 +1,10 @@
 use rand::rngs::StdRng;
-use stepping_nn::{Param, ParamLr};
+use stepping_nn::{permute_axis, Param, ParamLr};
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
-use stepping_tensor::microkernel::PackedB;
 use stepping_tensor::{init, matmul, Shape, Tensor};
 
 use crate::compiled::{CompiledConv, Panels};
-use crate::plan::{self, ConvPlan};
+use crate::plan::Plan;
 use crate::{Assignment, Result, SteppingError};
 
 /// A 2-D convolution whose filters (output channels) carry subnet
@@ -266,58 +265,36 @@ impl MaskedConv2d {
             stride: self.stride,
             padding: self.padding,
             positions: self.positions,
-            panels: Panels::compile(self.subnet_count(), |subnet, step| self.panel(subnet, step)),
+            panels: Panels::compile(self.subnet_count(), |subnet, step| {
+                Plan::layer(
+                    "conv",
+                    (&self.out_assign, &self.in_assign),
+                    (self.weight.value.data(), self.bias.value.data()),
+                    (self.patch_len(), self.kernel * self.kernel),
+                    subnet,
+                    step,
+                )
+            }),
         }
     }
 
-    /// One packed panel at `subnet`: the filters assigned exactly to it (a
-    /// step panel) or every filter active there (a full panel,
-    /// level-major), against every input channel active at `subnet`, each
-    /// filter cut short after its last legal channel (see
-    /// `plan::ConvPlan`).
-    fn panel(&self, subnet: usize, step: bool) -> ConvPlan {
-        let mut oc_idx = if step {
-            self.out_assign.members(subnet)
-        } else {
-            self.out_assign.active_members(subnet)
-        };
-        // level-major, ascending within a level (a step panel is one level)
-        oc_idx.sort_by_key(|&oc| self.out_assign.subnet_of(oc));
-        let ic_idx = self.in_assign.active_members(subnet);
-        let kk = self.kernel * self.kernel;
-        let patch = self.patch_len();
-        let wd = self.weight.value.data();
-        let mut weight = vec![0.0f32; oc_idx.len() * ic_idx.len() * kk];
-        let mut extents = Vec::with_capacity(oc_idx.len());
-        for (r, &oc) in oc_idx.iter().enumerate() {
-            let oa = self.out_assign.subnet_of(oc);
-            let mut extent = 0;
-            for (ci, &ic) in ic_idx.iter().enumerate() {
-                // Mirror `effective_weight_flat`: channel blocks from inputs
-                // of a larger subnet than this row's owner stay zero (never
-                // the case in a step panel, whose rows all own `subnet`).
-                if self.in_assign.subnet_of(ic) > oa {
-                    continue;
-                }
-                let src = &wd[oc * patch + ic * kk..oc * patch + (ic + 1) * kk];
-                let dst_base = (r * ic_idx.len() + ci) * kk;
-                weight[dst_base..dst_base + kk].copy_from_slice(src);
-                extent = (ci + 1) * kk;
-            }
-            extents.push(extent);
-        }
-        let weight = PackedB::pack_nt_extents(&weight, oc_idx.len(), ic_idx.len() * kk, &extents);
-        let bias: Vec<f32> = oc_idx
-            .iter()
-            .map(|&oc| self.bias.value.data()[oc])
-            .collect();
-        plan::note_compile("conv", subnet, oc_idx.len(), ic_idx.len());
-        ConvPlan {
-            oc_idx,
-            ic_idx,
-            weight,
-            bias,
-        }
+    /// Reorders the filters — weights, bias, their gradients and
+    /// learning-rate scales, importance and assignment — so that filter `j`
+    /// is the old filter `perm[j]`, and drops the cached forward.
+    pub(crate) fn permute_outputs(&mut self, perm: &[usize]) {
+        self.weight.permute(perm, self.patch_len());
+        self.bias.permute(perm, 1);
+        permute_axis(&mut self.importance, perm, 1);
+        self.out_assign.permute(perm);
+        self.cached = None;
+    }
+
+    /// Reorders the input channels of every filter the same way, after the
+    /// upstream filters were reordered (the input assignment is re-derived
+    /// by the net).
+    pub(crate) fn permute_inputs(&mut self, perm: &[usize]) {
+        self.weight.permute(perm, self.kernel * self.kernel);
+        self.cached = None;
     }
 
     /// Backward pass for the subnet used in the last forward; accumulates

@@ -1,10 +1,9 @@
 use rand::rngs::StdRng;
-use stepping_nn::{Param, ParamLr};
-use stepping_tensor::microkernel::PackedB;
+use stepping_nn::{permute_axis, Param, ParamLr};
 use stepping_tensor::{init, reduce, Shape, Tensor};
 
 use crate::compiled::{CompiledLinear, Panels};
-use crate::plan::{self, LinearPlan};
+use crate::plan::Plan;
 use crate::{Assignment, Result, SteppingError};
 
 /// A fully-connected layer whose output neurons carry subnet assignments —
@@ -212,51 +211,35 @@ impl MaskedLinear {
         CompiledLinear {
             in_features: self.in_features(),
             out_features: self.out_features(),
-            panels: Panels::compile(self.subnet_count(), |subnet, step| self.panel(subnet, step)),
+            panels: Panels::compile(self.subnet_count(), |subnet, step| {
+                Plan::layer(
+                    "linear",
+                    (&self.out_assign, &self.in_assign),
+                    (self.weight.value.data(), self.bias.value.data()),
+                    (self.in_features(), 1),
+                    subnet,
+                    step,
+                )
+            }),
         }
     }
 
-    /// One packed panel at `subnet`: the rows assigned exactly to it (a
-    /// step panel) or every row active there (a full panel, level-major),
-    /// against every input active at `subnet`, each row cut short after its
-    /// last legal input (see `plan::LinearPlan`).
-    fn panel(&self, subnet: usize, step: bool) -> LinearPlan {
-        let i_n = self.in_features();
-        let mut out_idx = if step {
-            self.out_assign.members(subnet)
-        } else {
-            self.out_assign.active_members(subnet)
-        };
-        // level-major, ascending within a level (a step panel is one level)
-        out_idx.sort_by_key(|&o| self.out_assign.subnet_of(o));
-        let in_idx = self.in_assign.active_members(subnet);
-        let wd = self.weight.value.data();
-        let mut weight = vec![0.0f32; out_idx.len() * in_idx.len()];
-        let mut extents = Vec::with_capacity(out_idx.len());
-        for (r, &o) in out_idx.iter().enumerate() {
-            let oa = self.out_assign.subnet_of(o);
-            let dst = &mut weight[r * in_idx.len()..(r + 1) * in_idx.len()];
-            let mut extent = 0;
-            for (c, (d, &i)) in dst.iter_mut().zip(in_idx.iter()).enumerate() {
-                // Mirror `effective_weight`: entries from inputs of a larger
-                // subnet than this row's owner stay zero (never the case in
-                // a step panel, whose rows all own `subnet`).
-                if self.in_assign.subnet_of(i) <= oa {
-                    *d = wd[o * i_n + i];
-                    extent = c + 1;
-                }
-            }
-            extents.push(extent);
-        }
-        let weight = PackedB::pack_nt_extents(&weight, out_idx.len(), in_idx.len(), &extents);
-        let bias: Vec<f32> = out_idx.iter().map(|&o| self.bias.value.data()[o]).collect();
-        plan::note_compile("linear", subnet, out_idx.len(), in_idx.len());
-        LinearPlan {
-            out_idx,
-            in_idx,
-            weight,
-            bias,
-        }
+    /// Reorders the output neurons — weight rows, bias, their gradients and
+    /// learning-rate scales, importance and assignment — so that neuron `j`
+    /// is the old neuron `perm[j]`, and drops the cached forward.
+    pub(crate) fn permute_outputs(&mut self, perm: &[usize]) {
+        self.weight.permute(perm, self.in_features());
+        self.bias.permute(perm, 1);
+        permute_axis(&mut self.importance, perm, 1);
+        self.out_assign.permute(perm);
+        self.cached = None;
+    }
+
+    /// Reorders the input columns the same way, after the upstream neurons
+    /// were reordered (the input assignment is re-derived by the net).
+    pub(crate) fn permute_inputs(&mut self, perm: &[usize]) {
+        self.weight.permute(perm, 1);
+        self.cached = None;
     }
 
     /// Backward pass for the subnet used in the last forward: accumulates

@@ -115,9 +115,14 @@ impl SteppingNet {
         &mut self.parts.write().heads
     }
 
-    /// Re-derives every masked stage's input assignment (and the feature
-    /// assignment) from the chain of output assignments. Call after moving
-    /// neurons.
+    /// Restores level-major order in every masked stage (verify rule R7),
+    /// then re-derives every masked stage's input assignment (and the
+    /// feature assignment) from the chain of output assignments. Call after
+    /// moving neurons. A stage out of `(assign, index)` order is stably
+    /// sorted by level, and a neuron's weight row, bias (with gradients and
+    /// learning-rate scales), importance, batch-norm channels and consumer
+    /// input columns (or head columns) move with it: the net computes the
+    /// same function, only the order of its sums changes.
     ///
     /// # Errors
     ///
@@ -127,6 +132,18 @@ impl SteppingNet {
         let input_width = self.input_shape.dims()[0];
         let mut cur = Assignment::new(input_width, self.subnets);
         let parts = self.parts.write();
+        for i in 0..parts.stages.len() {
+            let (done, after) = parts.stages.split_at_mut(i + 1);
+            let order = done[i]
+                .sort_by_level()
+                .and_then(|order| after.iter_mut().try_fold(order, |o, s| s.permute_inputs(o)));
+            // no masked stage consumed it: the heads read these neurons
+            if let Some(order) = order {
+                for head in &mut parts.heads {
+                    head.weight_mut().permute(&order, 1);
+                }
+            }
+        }
         for stage in &mut parts.stages {
             match stage {
                 Stage::Linear(l) => {
@@ -159,8 +176,8 @@ impl SteppingNet {
         Ok(())
     }
 
-    /// Verifies the structural invariants (nesting + head geometry); intended
-    /// for tests and debug assertions.
+    /// Verifies the structural invariants (nesting, level-major order and
+    /// head geometry); intended for tests and debug assertions.
     ///
     /// # Errors
     ///
@@ -169,6 +186,11 @@ impl SteppingNet {
         let input_width = self.input_shape.dims()[0];
         let mut cur = Assignment::new(input_width, self.subnets);
         for (i, stage) in self.stages().iter().enumerate() {
+            if stage.out_assign().is_some_and(|a| !a.is_level_major()) {
+                return Err(SteppingError::InvalidStructure(format!(
+                    "stage {i}: neurons not in level-major order; call sync_assignments()"
+                )));
+            }
             match stage {
                 Stage::Linear(l) => {
                     if l.in_assign() != &cur {
@@ -244,16 +266,15 @@ impl SteppingNet {
         }
     }
 
-    /// 0/1 mask of features active in `subnet`, shaped `[features]`.
-    pub fn feature_mask(&self, subnet: usize) -> Tensor {
+    /// Zeroes the features inactive at `subnet` in every row of `features`
+    /// (`[n, features]`): the suffix past `active_count(subnet)`, the
+    /// neurons being stored level-major.
+    fn mask_features(&self, features: &mut Tensor, subnet: usize) {
         let assign = self.feature_assign();
-        let mut m = Tensor::zeros(Shape::of(&[assign.len()]));
-        for (i, v) in m.data_mut().iter_mut().enumerate() {
-            if assign.is_active(i, subnet) {
-                *v = 1.0;
-            }
+        let end = assign.active_count(subnet);
+        for row in features.data_mut().chunks_exact_mut(assign.len().max(1)) {
+            row[end..].fill(0.0);
         }
-        m
     }
 
     /// Runs the feature extractor (all stages, no head) for `subnet`.
@@ -313,15 +334,8 @@ impl SteppingNet {
                 count: self.subnets,
             });
         }
-        let mask = self.feature_mask(subnet);
         let mut masked = features.clone();
-        let f = mask.len();
-        let n = features.shape().dims()[0];
-        for b in 0..n {
-            for i in 0..f {
-                masked.data_mut()[b * f + i] *= mask.data()[i];
-            }
-        }
+        self.mask_features(&mut masked, subnet);
         Ok(self.heads_mut()[subnet].forward(&masked, train)?)
     }
 
@@ -398,14 +412,7 @@ impl SteppingNet {
             .last_subnet
             .ok_or_else(|| SteppingError::ExecutorState("backward called before forward".into()))?;
         let mut dfeat = self.heads_mut()[subnet].backward(dlogits)?;
-        let mask = self.feature_mask(subnet);
-        let f = mask.len();
-        let n = dfeat.shape().dims()[0];
-        for b in 0..n {
-            for i in 0..f {
-                dfeat.data_mut()[b * f + i] *= mask.data()[i];
-            }
-        }
+        self.mask_features(&mut dfeat, subnet);
         let mut g = dfeat;
         for stage in self.stages_mut().iter_mut().rev() {
             g = stage.backward(&g)?;
@@ -1074,10 +1081,11 @@ mod tests {
     #[test]
     fn move_neuron_propagates_to_downstream_in_assign() {
         let mut net = mlp();
-        // stage 0 linear 6→8; stage 2 linear 8→5
+        // stage 0 linear 6→8; stage 2 linear 8→5. Neuron 3 moves to subnet
+        // 1 and, stored level-major, becomes neuron 7.
         net.move_neuron(0, 3, 1).unwrap();
         match &net.stages()[2] {
-            Stage::Linear(l) => assert_eq!(l.in_assign().subnet_of(3), 1),
+            Stage::Linear(l) => assert_eq!(l.in_assign().values(), &[0, 0, 0, 0, 0, 0, 0, 1]),
             _ => unreachable!(),
         }
         net.check_invariants().unwrap();

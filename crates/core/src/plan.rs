@@ -5,36 +5,42 @@
 //! inactive or illegal entry is zero, so a subnet at a 25% MAC budget still
 //! pays >100% of the dense FLOPs plus an `O(out × in)` re-masking
 //! allocation per call. A *plan* compiles the surviving structure of one
-//! `(layer, subnet)` pair once — the active output neurons, the active
-//! input neurons, and a contiguous weight panel over exactly those — so
-//! inference runs a small dense GEMM and scatters the result back to the
-//! full-width activation (inactive outputs stay exactly zero).
+//! `(layer, subnet)` pair once into a contiguous weight panel, so inference
+//! runs a small dense GEMM and writes the result into the full-width
+//! activation (inactive outputs stay exactly zero).
+//!
+//! ## Level-major layout
+//!
+//! Every masked layer stores its neurons level-major: index order equals
+//! `(assign, index)` order (verify rule R7), and
+//! [`SteppingNet::sync_assignments`](crate::SteppingNet::sync_assignments)
+//! restores that order after every move and every checkpoint load. So the
+//! neurons of subnet `s` are the prefix `0..end(s)` of every layer, and
+//! the neurons a step to `k` adds are the range `end(k − 1)..end(k)`. A
+//! plan is therefore a rectangle: a *full* panel at subnet `s` covers rows
+//! `0..end(s)` against inputs `0..in_end(s)`, a *step* panel at `k` covers
+//! rows `end(k − 1)..end(k)` against inputs `0..in_end(k)`, and a head
+//! panel reads features `0..f_end(s)`. Inference copies a row prefix of
+//! its input and writes its output at a column (or plane) offset.
 //!
 //! ## Bit-identity
 //!
-//! Panels keep surviving terms in ascending input index order and run the
-//! blocked NT microkernel (`stepping_tensor::microkernel`), whose
-//! per-element accumulation order is identical to the oracle
-//! `stepping_tensor::matmul::reference_gemm`, and per-row entries that are
-//! *legal at the subnet but illegal for that particular row*
-//! (`assign(in) > assign(out)`) are stored as `0.0`, mirroring
+//! Panels keep every term in stored input order and run the blocked NT
+//! microkernel (`stepping_tensor::microkernel`), whose per-element
+//! accumulation order is identical to the oracle
+//! `stepping_tensor::matmul::reference_gemm`. Row `r`'s legal inputs
+//! (`assign(in) ≤ assign(r)`) are the prefix `0..in_end(assign(r))`, and its
+//! chain is cut after it: the panel's depth extent per `NR`-wide tile is
+//! the largest of its rows' ([`PackedB::pack_nt_extents`]), and entries
+//! past a row's own extent are stored as `0.0`, mirroring
 //! `effective_weight`. The only dropped terms are products with an
-//! exact-zero activation and an exact-zero masked weight,
-//! which can never change a nonzero accumulator. Packed results therefore
-//! compare equal (`f32 ==`) to masked results; the property suites assert
-//! this.
-//!
-//! A *full* panel orders its rows level-major — by `(assign, index)` — and
-//! cuts each row's chain after its last legal input: the panel's depth
-//! extent per `NR`-wide tile is the largest of its rows'
-//! ([`PackedB::pack_nt_extents`]). The terms cut are the trailing `0.0 ·
-//! x` terms of a chain that started at `+0.0`, the same kind as above, and
-//! no chain is reordered. On an index-monotone assignment a row's legal
-//! inputs are a prefix of the panel's depth, so a tile that holds one
-//! level multiplies exactly its rows' legal weights and a direct pass pays
-//! its budget; a tile that straddles levels pays its deepest row's extent.
-//! A *step* panel's rows all own the subnet and may read every input, so
-//! every extent is the panel's depth.
+//! exact-zero activation or an exact-zero masked weight at the end of a
+//! chain that started at `+0.0`, which can never change a nonzero
+//! accumulator. Packed results therefore compare equal (`f32 ==`) to masked
+//! results; the property suites assert this. A tile that holds one level
+//! multiplies exactly its rows' legal weights; a tile that straddles levels
+//! pays its deepest row's extent. A step panel's rows all own the subnet
+//! and may read every input, so every extent is the panel's depth.
 //!
 //! ## Compiled model
 //!
@@ -61,6 +67,7 @@
 //!
 //! [`SteppingNet::compile`]: crate::SteppingNet::compile
 
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use stepping_metrics::{start_timer, LogHistogram, MetricsRegistry, PhaseTimer, ShardedCounter};
@@ -68,6 +75,7 @@ use stepping_tensor::microkernel::{ConvFilters, PackedB};
 
 use crate::events::{event, phase};
 use crate::telemetry::{self, Value};
+use crate::Assignment;
 
 /// Always-on plan metrics in the process-wide registry, distinct from the
 /// offline `obs` telemetry below: these are live production counters
@@ -111,75 +119,93 @@ pub(crate) fn gemm_timer() -> PhaseTimer {
     start_timer(&plan_metrics().gemm_ns)
 }
 
-/// Starts the `plan.pack_ns` phase timer; bind it across the gather
-/// packing of one packed linear or head pass.
+/// Starts the `plan.pack_ns` phase timer; bind it across the input copy
+/// of one packed linear or head pass.
 pub(crate) fn pack_timer() -> PhaseTimer {
     start_timer(&plan_metrics().pack_ns)
 }
 
-/// Packed panel for one `(masked-linear layer, subnet)` pair.
+/// Packed panel for one `(masked stage or head, subnet)` pair: a
+/// contiguous range of a level-major layer's rows against a prefix of its
+/// inputs.
 #[derive(Debug, Clone)]
-pub(crate) struct LinearPlan {
-    /// Output neuron indices covered by this plan. For a *full* plan these
-    /// are the neurons active at the subnet, level-major (by `(assign,
-    /// index)`, so not ascending once a lower index sits at a higher
-    /// level); for a *step* plan they are the neurons assigned exactly to
-    /// the subnet, ascending.
-    pub out_idx: Vec<usize>,
-    /// Input indices active at the subnet, ascending.
-    pub in_idx: Vec<usize>,
-    /// Weight panel `[out_idx.len(), in_idx.len()]` pre-packed into the
+pub(crate) struct Plan {
+    /// The output neurons covered: `0..end(s)` for a full plan,
+    /// `end(k − 1)..end(k)` for a step plan, every class for a head.
+    pub rows: Range<usize>,
+    /// The plan reads inputs (features or channels) `0..inputs`.
+    pub inputs: usize,
+    /// Weight panel `[rows.len(), inputs · taps]` pre-packed into the
     /// blocked microkernel's tile-major layout (NT orientation: packed from
-    /// row-major `[rows, depth]`); entries illegal for their row
-    /// (`assign(in) > assign(out)`) are `0.0`, and each row's extent ends
-    /// one past its last legal input in `in_idx`.
+    /// row-major `[rows, depth]`); each row's extent ends after its last
+    /// legal input's taps, and entries past it are `0.0`.
     pub weight: PackedB,
-    /// Bias gathered over `out_idx`.
+    /// Bias over `rows`.
     pub bias: Vec<f32>,
 }
 
-/// Packed panel for one `(masked-conv layer, subnet)` pair.
-#[derive(Debug, Clone)]
-pub(crate) struct ConvPlan {
-    /// Output channel indices covered by this plan: level-major in a full
-    /// plan, ascending in a step plan (see [`LinearPlan::out_idx`]).
-    pub oc_idx: Vec<usize>,
-    /// Input channel indices active at the subnet, ascending.
-    pub ic_idx: Vec<usize>,
-    /// Weight panel `[oc_idx.len(), ic_idx.len() * kh * kw]` pre-packed
-    /// into the microkernel's tile-major layout (NT orientation); channel
-    /// blocks illegal for their row are `0.0`, and each row's extent ends
-    /// after its last legal channel's `kh · kw` taps.
-    pub weight: PackedB,
-    /// Bias gathered over `oc_idx`.
-    pub bias: Vec<f32>,
-}
+impl Plan {
+    /// The panel of a level-major masked layer at `subnet`: the rows
+    /// assigned exactly to it (a `step` panel) or every row active there (a
+    /// full panel), against every input active at `subnet`, each row cut
+    /// after its last legal input. `out` and `inp` are the layer's output
+    /// and input assignments; see [`pack`](Self::pack) for the rest.
+    pub fn layer(
+        kind: &'static str,
+        (out, inp): (&Assignment, &Assignment),
+        params: (&[f32], &[f32]),
+        shape: (usize, usize),
+        subnet: usize,
+        step: bool,
+    ) -> Plan {
+        let in_ends: Vec<usize> = (0..=subnet).map(|k| inp.active_count(k)).collect();
+        let start = match subnet.checked_sub(1) {
+            Some(below) if step => out.active_count(below),
+            _ => 0,
+        };
+        let rows = start..out.active_count(subnet);
+        note_compile(kind, subnet, rows.len(), in_ends[subnet]);
+        Plan::pack(params, shape, rows, in_ends[subnet], |o| {
+            in_ends[out.subnet_of(o)]
+        })
+    }
 
-impl ConvPlan {
+    /// Packs rows `rows` of a layer whose row `r` is `weight[r · width..]`
+    /// (`taps` entries per input) against its first `inputs` inputs, row
+    /// `r` cut after input `legal(r)` (capped at `inputs`); `bias` is the
+    /// layer's whole bias.
+    pub fn pack(
+        (weight, bias): (&[f32], &[f32]),
+        (width, taps): (usize, usize),
+        rows: Range<usize>,
+        inputs: usize,
+        legal: impl Fn(usize) -> usize,
+    ) -> Plan {
+        let depth = inputs * taps;
+        let extents: Vec<usize> = rows.clone().map(|r| legal(r).min(inputs) * taps).collect();
+        let mut panel = vec![0.0f32; rows.len() * depth];
+        for (i, (r, &extent)) in rows.clone().zip(&extents).enumerate() {
+            panel[i * depth..][..extent].copy_from_slice(&weight[r * width..][..extent]);
+        }
+        Plan {
+            weight: PackedB::pack_nt_extents(&panel, rows.len(), depth, &extents),
+            bias: bias[rows.clone()].to_vec(),
+            rows,
+            inputs,
+        }
+    }
+
     /// The panel as [`conv_packed`](stepping_tensor::microkernel::conv_packed)
-    /// reads it: filter `r` over the channels `ic_idx`, stored into plane
-    /// `oc_idx[r]`.
+    /// reads it: filter `f` over channels `0..inputs`, stored into plane
+    /// `rows.start + f`.
     pub fn filters(&self) -> ConvFilters<'_> {
         ConvFilters {
             weight: &self.weight,
             bias: &self.bias,
-            in_channels: &self.ic_idx,
-            out_planes: &self.oc_idx,
+            in_channels: self.inputs,
+            out_offset: self.rows.start,
         }
     }
-}
-
-/// Packed head panel: the classifier head of one subnet restricted to the
-/// features active at that subnet.
-#[derive(Debug, Clone)]
-pub(crate) struct HeadPlan {
-    /// Feature indices active at the subnet, ascending.
-    pub feat_idx: Vec<usize>,
-    /// Weight panel `[classes, feat_idx.len()]` pre-packed into the
-    /// microkernel's tile-major layout (NT orientation).
-    pub weight: PackedB,
-    /// The head's bias, one entry per class.
-    pub bias: Vec<f32>,
 }
 
 /// Per-subnet MAC accounting of one network at one prune threshold: what a

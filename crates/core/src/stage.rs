@@ -91,30 +91,31 @@ impl FixedStage {
     }
 
     /// Inference forward through `&self`: `forward(x, false)` of the wrapped
-    /// layer written into the channel (or feature) `runs` of `out` — the
-    /// same per-element arithmetic in the same order — reading and writing
-    /// no backward cache. Every fixed stage is channel-local, so `runs` may
-    /// name any channels of `x` (`[n, c, ..]`): `&[0..c]` is the whole
-    /// level, and channels outside the runs keep what `out` held (a
-    /// flatten's run of channel `j` is its features `j·h·w .. (j + 1)·h·w`).
-    /// `out`'s buffer is reused when its shape already matches (an
-    /// executor's level), so a warmed pass allocates nothing here.
+    /// layer written into the channel (or feature) range `channels` of
+    /// `out` — the same per-element arithmetic in the same order — reading
+    /// and writing no backward cache. Every fixed stage is channel-local, so
+    /// any range of the channels of `x` (`[n, c, ..]`) can be computed
+    /// alone: `0..c` is the whole level, and channels outside the range keep
+    /// what `out` held (a flatten's channel `j` is its features `j·h·w ..
+    /// (j + 1)·h·w`). `out`'s buffer is reused when its shape already
+    /// matches (an executor's level), so a warmed pass allocates nothing
+    /// here.
     ///
     /// # Errors
     ///
-    /// Propagates the layer's input-shape errors and rejects a run beyond
+    /// Propagates the layer's input-shape errors and rejects a range beyond
     /// the channels of `x`.
-    pub fn infer_into(&self, x: &Tensor, out: &mut Tensor, runs: &[Range<usize>]) -> Result<()> {
+    pub fn infer_into(&self, x: &Tensor, out: &mut Tensor, channels: Range<usize>) -> Result<()> {
         match self {
-            FixedStage::Relu(l) => l.infer_into(x, out, runs)?,
-            FixedStage::Tanh(l) => l.infer_into(x, out, runs)?,
-            FixedStage::Sigmoid(l) => l.infer_into(x, out, runs)?,
-            FixedStage::MaxPool(l) => l.infer_into(x, out, runs)?,
-            FixedStage::AvgPool(l) => l.infer_into(x, out, runs)?,
-            FixedStage::BatchNorm1d { layer, .. } => layer.infer_into(x, out, runs)?,
-            FixedStage::BatchNorm2d { layer, .. } => layer.infer_into(x, out, runs)?,
-            FixedStage::Flatten { layer, .. } => layer.infer_into(x, out, runs)?,
-            FixedStage::Dropout(l) => l.infer_into(x, out, runs)?,
+            FixedStage::Relu(l) => l.infer_into(x, out, channels)?,
+            FixedStage::Tanh(l) => l.infer_into(x, out, channels)?,
+            FixedStage::Sigmoid(l) => l.infer_into(x, out, channels)?,
+            FixedStage::MaxPool(l) => l.infer_into(x, out, channels)?,
+            FixedStage::AvgPool(l) => l.infer_into(x, out, channels)?,
+            FixedStage::BatchNorm1d { layer, .. } => layer.infer_into(x, out, channels)?,
+            FixedStage::BatchNorm2d { layer, .. } => layer.infer_into(x, out, channels)?,
+            FixedStage::Flatten { layer, .. } => layer.infer_into(x, out, channels)?,
+            FixedStage::Dropout(l) => l.infer_into(x, out, channels)?,
         }
         Ok(())
     }
@@ -330,6 +331,41 @@ impl Stage {
                 f.name()
             ))),
         }
+    }
+
+    /// Stably sorts a masked stage's neurons by level and returns the order
+    /// applied (entry `j` is the old index of neuron `j`): its weight rows,
+    /// bias, their gradients and learning-rate scales, importance and
+    /// assignment move with their neurons. `None` for a fixed stage or one
+    /// already level-major.
+    pub(crate) fn sort_by_level(&mut self) -> Option<Vec<usize>> {
+        let order = self.out_assign()?.level_order()?;
+        match self {
+            Stage::Linear(l) => l.permute_outputs(&order),
+            Stage::Conv(c) => c.permute_outputs(&order),
+            Stage::Fixed(_) => {}
+        }
+        Some(order)
+    }
+
+    /// Carries `order`, a reorder of the upstream neurons, into this stage
+    /// and returns it for the next one: a batch norm reorders its
+    /// per-channel parameters and statistics, a flatten widens each channel
+    /// into its `h·w` features, and a masked stage reorders its input
+    /// columns and returns `None` — the stages after it read its neurons.
+    pub(crate) fn permute_inputs(&mut self, order: Vec<usize>) -> Option<Vec<usize>> {
+        match self {
+            Stage::Linear(l) => l.permute_inputs(&order),
+            Stage::Conv(c) => c.permute_inputs(&order),
+            Stage::Fixed(FixedStage::BatchNorm1d { layer, .. }) => layer.permute_features(&order),
+            Stage::Fixed(FixedStage::BatchNorm2d { layer, .. }) => layer.permute_channels(&order),
+            Stage::Fixed(FixedStage::Flatten { factor, .. }) => {
+                let f = *factor;
+                return Some(order.iter().flat_map(|&c| c * f..(c + 1) * f).collect());
+            }
+            Stage::Fixed(_) => {}
+        }
+        (!self.is_masked()).then_some(order)
     }
 
     /// Replaces the input assignment of a masked stage (no-op for fixed).

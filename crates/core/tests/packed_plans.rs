@@ -40,14 +40,19 @@ const SUBNETS: usize = 3;
 const IN_F: usize = 10;
 const OUT_F: usize = 12;
 
-/// Replaces stage 0's input assignment behind the net's back: legality
-/// (`assign(in) ≤ assign(out)`) is the masking rule, not an invariant the
-/// packed path may assume of its inputs.
+/// Replaces stage 0's input assignment behind the net's back with the
+/// random moves' levels, canonicalised level-major (every input assignment
+/// a synced net derives is): legality (`assign(in) ≤ assign(out)`) is the
+/// masking rule, not an invariant the packed path may assume of its inputs.
 fn assign_inputs(net: &mut SteppingNet, width: usize, in_moves: &[(u8, u8)]) {
-    let mut ia = Assignment::new(width, SUBNETS);
+    let mut levels = vec![0; width];
     for &(n, t) in in_moves {
-        ia.move_neuron(n as usize % width, t as usize % (SUBNETS + 1))
-            .unwrap();
+        levels[n as usize % width] = t as usize % (SUBNETS + 1);
+    }
+    levels.sort_unstable();
+    let mut ia = Assignment::new(width, SUBNETS);
+    for (n, &t) in levels.iter().enumerate() {
+        ia.move_neuron(n, t).unwrap();
     }
     net.stages_mut()[0].set_in_assign(ia).unwrap();
 }

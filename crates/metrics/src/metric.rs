@@ -108,7 +108,7 @@ pub const PLAN_INVALIDATE: Metric = Metric("plan.invalidate");
 /// Blocked-GEMM time inside packed plan execution (for a convolution,
 /// its whole kernel).
 pub const PLAN_GEMM_NS: Metric = Metric("plan.gemm_ns");
-/// Panel gather packing time inside packed linear and head execution
+/// Input-prefix copy time inside packed linear and head execution
 /// (a convolution packs inside its kernel, timed as `plan.gemm_ns`).
 pub const PLAN_PACK_NS: Metric = Metric("plan.pack_ns");
 

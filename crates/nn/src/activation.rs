@@ -2,7 +2,7 @@ use std::ops::Range;
 
 use stepping_tensor::{Shape, Tensor};
 
-use crate::layer::{shaped, Runs};
+use crate::layer::map_into;
 use crate::{Layer, NnError, Result};
 
 macro_rules! check_backward_shape {
@@ -19,26 +19,6 @@ macro_rules! check_backward_shape {
         }
         cached
     }};
-}
-
-/// Writes `f(input)` into the channel `runs` of `out` — one contiguous
-/// span per run and image, so a whole level is one span per image —
-/// reusing `out`'s buffer when the shapes already agree (the
-/// cached-activation case) and replacing it otherwise.
-fn map_into(
-    input: &Tensor,
-    out: &mut Tensor,
-    runs: &[Range<usize>],
-    f: impl Fn(f32) -> f32,
-) -> Result<()> {
-    let runs = Runs::new(input.shape().dims(), runs)?;
-    let dst = shaped(out, input.shape().dims());
-    for span in runs.spans() {
-        for (o, &x) in dst[span.clone()].iter_mut().zip(&input.data()[span]) {
-            *o = f(x);
-        }
-    }
-    Ok(())
 }
 
 fn relu(x: f32) -> f32 {
@@ -74,20 +54,20 @@ impl Relu {
     }
 
     /// Inference forward through `&self`: `forward(input, false)` written
-    /// into the channel `runs` of `out` (`[n, c, ..]`; `&[0..c]` is the
+    /// into the channel range of `out` (`[n, c, ..]`; `0..c` is the
     /// whole level), whose buffer is reused when its shape already matches.
-    /// Channels outside the runs keep what `out` held.
+    /// Channels outside the range keep what `out` held.
     ///
     /// # Errors
     ///
-    /// Rejects an input of rank below 2 and a run beyond its channels.
+    /// Rejects an input of rank below 2 and a range beyond its channels.
     pub fn infer_into(
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
-        map_into(input, out, runs, relu)
+        map_into(input, out, input.shape().dims(), channels, relu)
     }
 }
 
@@ -136,9 +116,9 @@ impl Tanh {
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
-        map_into(input, out, runs, f32::tanh)
+        map_into(input, out, input.shape().dims(), channels, f32::tanh)
     }
 }
 
@@ -186,9 +166,9 @@ impl Sigmoid {
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
-        map_into(input, out, runs, sigmoid)
+        map_into(input, out, input.shape().dims(), channels, sigmoid)
     }
 }
 
@@ -289,15 +269,13 @@ mod tests {
     #[test]
     fn infer_into_matches_forward_and_reuses_the_buffer() {
         let input = x();
-        let channels = 0..4;
-        let whole = std::slice::from_ref(&channels);
         let mut out = Tensor::zeros(Shape::of(&[1, 4]));
         let buffer = out.data().as_ptr();
-        Relu::new().infer_into(&input, &mut out, whole).unwrap();
+        Relu::new().infer_into(&input, &mut out, 0..4).unwrap();
         assert_eq!(out, Relu::new().forward(&input, false).unwrap());
-        Tanh::new().infer_into(&input, &mut out, whole).unwrap();
+        Tanh::new().infer_into(&input, &mut out, 0..4).unwrap();
         assert_eq!(out, Tanh::new().forward(&input, false).unwrap());
-        Sigmoid::new().infer_into(&input, &mut out, whole).unwrap();
+        Sigmoid::new().infer_into(&input, &mut out, 0..4).unwrap();
         assert_eq!(out, Sigmoid::new().forward(&input, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
@@ -306,12 +284,12 @@ mod tests {
         );
         // a mismatched target is replaced, not written out of bounds
         let mut other = Tensor::zeros(Shape::of(&[2]));
-        Relu::new().infer_into(&input, &mut other, whole).unwrap();
+        Relu::new().infer_into(&input, &mut other, 0..4).unwrap();
         assert_eq!(other, Relu::new().forward(&input, false).unwrap());
     }
 
     #[test]
-    fn infer_into_recomputes_only_its_runs() {
+    fn infer_into_recomputes_only_its_range() {
         // two images of three channels of two elements each
         let input = Tensor::from_vec(
             Shape::of(&[2, 3, 2]),
@@ -319,20 +297,16 @@ mod tests {
         )
         .unwrap();
         let mut out = Tensor::full(Shape::of(&[2, 3, 2]), 9.0);
-        Relu::new()
-            .infer_into(&input, &mut out, &[0..1, 2..3])
-            .unwrap();
+        Relu::new().infer_into(&input, &mut out, 1..3).unwrap();
         let relu = Relu::new().forward(&input, false).unwrap();
         for (i, (&got, &want)) in out.data().iter().zip(relu.data()).enumerate() {
             let channel = i / 2 % 3;
-            let expect = if channel == 1 { 9.0 } else { want };
+            let expect = if channel == 0 { 9.0 } else { want };
             assert_eq!(got, expect, "element {i}");
         }
-        assert!(Relu::new()
-            .infer_into(&input, &mut out, std::slice::from_ref(&(2..4)))
-            .is_err());
+        assert!(Relu::new().infer_into(&input, &mut out, 2..4).is_err());
         let flat = Tensor::zeros(Shape::of(&[4]));
-        assert!(Relu::new().infer_into(&flat, &mut out, &[]).is_err());
+        assert!(Relu::new().infer_into(&flat, &mut out, 0..0).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use stepping_tensor::{init, Shape, Tensor};
 
-use crate::layer::{shaped, Runs};
+use crate::layer::map_into;
 use crate::{Layer, NnError, Result};
 
 /// Inverted dropout: during training each element is zeroed with probability
@@ -42,25 +42,20 @@ impl Dropout {
     }
 
     /// Inference forward through `&self`: dropout is the identity at
-    /// inference, so the channel `runs` of `input` (`&[0..c]` is the whole
-    /// level) are copied into `out` (buffer reused when its shape already
-    /// matches). Channels outside the runs keep what `out` held.
+    /// inference, so the channel range of `input` (`0..c` is the whole
+    /// level) is copied into `out` (buffer reused when its shape already
+    /// matches). Channels outside the range keep what `out` held.
     ///
     /// # Errors
     ///
-    /// Rejects an input of rank below 2 and a run beyond its channels.
+    /// Rejects an input of rank below 2 and a range beyond its channels.
     pub fn infer_into(
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
-        let runs = Runs::new(input.shape().dims(), runs)?;
-        let dst = shaped(out, input.shape().dims());
-        for span in runs.spans() {
-            dst[span.clone()].copy_from_slice(&input.data()[span]);
-        }
-        Ok(())
+        map_into(input, out, input.shape().dims(), channels, |x| x)
     }
 }
 
@@ -111,8 +106,7 @@ mod tests {
         let x = Tensor::ones(Shape::of(&[4, 4]));
         assert_eq!(d.forward(&x, false).unwrap(), x);
         let mut out = Tensor::zeros(Shape::of(&[1]));
-        d.infer_into(&x, &mut out, std::slice::from_ref(&(0..4)))
-            .unwrap();
+        d.infer_into(&x, &mut out, 0..4).unwrap();
         assert_eq!(out, x);
     }
 

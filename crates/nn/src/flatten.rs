@@ -2,7 +2,7 @@ use std::ops::Range;
 
 use stepping_tensor::{Shape, Tensor};
 
-use crate::layer::{shaped, Runs};
+use crate::layer::map_into;
 use crate::{Layer, NnError, Result};
 
 /// Flattens `[n, …]` activations to `[n, prod(…)]` (the conv→fc bridge).
@@ -31,28 +31,23 @@ impl Flatten {
         }
     }
 
-    /// Inference forward through `&self`: the channel `runs` of `input`
-    /// (`&[0..c]` is the whole level) copied into the same elements of its
+    /// Inference forward through `&self`: the channel range of `input`
+    /// (`0..c` is the whole level) copied into the same elements of its
     /// `[n, rest]` view `out` — input channel `j` becomes features
     /// `j·inner .. (j + 1)·inner` — whose buffer is reused when its shape
-    /// already matches. Features outside the runs keep what `out` held.
+    /// already matches. Features outside the range keep what `out` held.
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`], and for a run beyond the input's channels.
+    /// As [`Layer::forward`], and for a range beyond the input's channels.
     pub fn infer_into(
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
         let n = flat_rows(input)?;
-        let runs = Runs::new(input.shape().dims(), runs)?;
-        let dst = shaped(out, &[n, input.len() / n.max(1)]);
-        for span in runs.spans() {
-            dst[span.clone()].copy_from_slice(&input.data()[span]);
-        }
-        Ok(())
+        map_into(input, out, &[n, input.len() / n.max(1)], channels, |x| x)
     }
 }
 
@@ -117,30 +112,26 @@ mod tests {
         let x = Tensor::from_vec(Shape::of(&[2, 1, 1, 2]), vec![1., 2., 3., 4.]).unwrap();
         let mut out = Tensor::zeros(Shape::of(&[2, 2]));
         let buffer = out.data().as_ptr();
-        f.infer_into(&x, &mut out, std::slice::from_ref(&(0..1)))
-            .unwrap();
+        f.infer_into(&x, &mut out, 0..1).unwrap();
         assert_eq!(out, Flatten::new().forward(&x, false).unwrap());
         assert_eq!(out.data().as_ptr(), buffer);
         let mut other = Tensor::zeros(Shape::of(&[1]));
-        f.infer_into(&x, &mut other, std::slice::from_ref(&(0..1)))
-            .unwrap();
+        f.infer_into(&x, &mut other, 0..1).unwrap();
         assert_eq!(other, out);
         assert!(f
-            .infer_into(&Tensor::zeros(Shape::of(&[4])), &mut other, &[])
+            .infer_into(&Tensor::zeros(Shape::of(&[4])), &mut other, 0..0)
             .is_err());
     }
 
     #[test]
-    fn infer_into_copies_only_its_channel_runs() {
+    fn infer_into_copies_only_its_channel_range() {
         let x = Tensor::from_vec(
             Shape::of(&[2, 3, 1, 2]),
             (0..12).map(|v| v as f32).collect(),
         )
         .unwrap();
         let mut out = Tensor::full(Shape::of(&[2, 6]), -1.0);
-        Flatten::new()
-            .infer_into(&x, &mut out, std::slice::from_ref(&(1..2)))
-            .unwrap();
+        Flatten::new().infer_into(&x, &mut out, 1..2).unwrap();
         assert_eq!(
             out.data(),
             &[-1., -1., 2., 3., -1., -1., -1., -1., 8., 9., -1., -1.]

@@ -83,6 +83,31 @@ impl Param {
             ParamLr::PerElement(t) => t.data()[i],
         }
     }
+
+    /// Reorders the parameter along one axis — value, gradient and a
+    /// per-element learning-rate scale alike (see [`permute_axis`]).
+    pub fn permute(&mut self, perm: &[usize], inner: usize) {
+        permute_axis(self.value.data_mut(), perm, inner);
+        permute_axis(self.grad.data_mut(), perm, inner);
+        if let ParamLr::PerElement(scale) = &mut self.lr {
+            permute_axis(scale.data_mut(), perm, inner);
+        }
+    }
+}
+
+/// Reorders `data`, viewed as `[outer, perm.len(), inner]`, along its middle
+/// axis: slice `j` of every outer block becomes the old slice `perm[j]`.
+pub fn permute_axis<T: Copy>(data: &mut [T], perm: &[usize], inner: usize) {
+    let block = perm.len() * inner;
+    if block == 0 {
+        return;
+    }
+    for chunk in data.chunks_exact_mut(block) {
+        let old = chunk.to_vec();
+        for (dst, &src) in chunk.chunks_exact_mut(inner).zip(perm) {
+            dst.copy_from_slice(&old[src * inner..(src + 1) * inner]);
+        }
+    }
 }
 
 /// The buffer of `out` once it holds `dims`: kept when the shape already
@@ -96,64 +121,78 @@ pub(crate) fn shaped<'a>(out: &'a mut Tensor, dims: &[usize]) -> &'a mut [f32] {
     out.data_mut()
 }
 
-/// The channel runs an `infer_into` call recomputes, checked against its
-/// input `[n, c, inner…]` (`inner` = 1 for `[n, c]` features). Every
-/// stateless and batch-norm layer is *channel-local* — output channel `j`
-/// of an image reads input channel `j` of that image and nothing else — so
-/// any set of channel runs can be recomputed alone.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Runs<'r> {
+/// Writes `f(input)` into the channel range of `out` — one contiguous span
+/// per image — through [`shaped`]`(out, dims)`, so `out`'s buffer is reused
+/// when it already holds `dims` (the cached-activation case).
+pub(crate) fn map_into(
+    input: &Tensor,
+    out: &mut Tensor,
+    dims: &[usize],
+    channels: Range<usize>,
+    f: impl Fn(f32) -> f32,
+) -> Result<()> {
+    let channels = Channels::new(input.shape().dims(), channels)?;
+    let dst = shaped(out, dims);
+    for span in channels.spans() {
+        for (o, &x) in dst[span.clone()].iter_mut().zip(&input.data()[span]) {
+            *o = f(x);
+        }
+    }
+    Ok(())
+}
+
+/// The channels an `infer_into` call recomputes, checked against its input
+/// `[n, c, inner…]` (`inner` = 1 for `[n, c]` features). Every stateless
+/// and batch-norm layer is *channel-local* — output channel `j` of an image
+/// reads input channel `j` of that image and nothing else — so any channel
+/// range can be recomputed alone.
+#[derive(Debug, Clone)]
+pub(crate) struct Channels {
     /// Images (the batch dimension).
     n: usize,
     /// Channels (or features) per image.
     pub c: usize,
     /// Elements per channel.
     pub inner: usize,
-    runs: &'r [Range<usize>],
+    range: Range<usize>,
 }
 
-impl<'r> Runs<'r> {
-    /// Checks `runs` against an input of shape `dims`.
-    pub fn new(dims: &[usize], runs: &'r [Range<usize>]) -> Result<Self> {
+impl Channels {
+    /// Checks `range` against an input of shape `dims`.
+    pub fn new(dims: &[usize], range: Range<usize>) -> Result<Self> {
         let (&n, &c) = match dims {
             [n, c, ..] => (n, c),
             _ => {
                 return Err(NnError::BadInput(format!(
-                    "channel runs need a [n, c, ..] input, got rank {}",
+                    "a channel range needs a [n, c, ..] input, got rank {}",
                     dims.len()
                 )))
             }
         };
-        if let Some(bad) = runs.iter().find(|r| r.start > r.end || r.end > c) {
+        if range.start > range.end || range.end > c {
             return Err(NnError::BadInput(format!(
-                "channel run {bad:?} out of range for {c} channels"
+                "channel range {range:?} out of range for {c} channels"
             )));
         }
-        Ok(Runs {
+        Ok(Channels {
             n,
             c,
             inner: dims[2..].iter().product(),
-            runs,
+            range,
         })
     }
 
-    /// Each run of each image as one contiguous element span.
-    pub fn spans(self) -> impl Iterator<Item = Range<usize>> + 'r {
-        let Runs { n, c, inner, runs } = self;
-        (0..n).flat_map(move |b| {
-            runs.iter()
-                .map(move |r| (b * c + r.start) * inner..(b * c + r.end) * inner)
-        })
+    /// The range in each image as one contiguous element span.
+    pub fn spans(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let (c, inner, r) = (self.c, self.inner, &self.range);
+        (0..self.n).map(move |b| (b * c + r.start) * inner..(b * c + r.end) * inner)
     }
 
-    /// Every channel the runs cover, image by image, as its index `b·c + j`
+    /// Every channel in the range, image by image, as its index `b·c + j`
     /// among the `n·c` planes of the input.
-    pub fn planes(self) -> impl Iterator<Item = usize> + 'r {
-        let Runs { n, c, runs, .. } = self;
-        (0..n).flat_map(move |b| {
-            runs.iter()
-                .flat_map(move |r| r.clone().map(move |j| b * c + j))
-        })
+    pub fn planes(&self) -> impl Iterator<Item = usize> + '_ {
+        let (c, r) = (self.c, &self.range);
+        (0..self.n).flat_map(move |b| r.clone().map(move |j| b * c + j))
     }
 }
 

@@ -57,7 +57,7 @@ pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use error::NnError;
 pub use flatten::Flatten;
-pub use layer::{Layer, Param, ParamLr};
+pub use layer::{permute_axis, Layer, Param, ParamLr};
 pub use linear::Linear;
 pub use norm::{BatchNorm1d, BatchNorm2d};
 pub use pool::{AvgPool2d, MaxPool2d};

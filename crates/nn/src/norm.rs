@@ -2,7 +2,7 @@ use std::ops::Range;
 
 use stepping_tensor::{reduce, Shape, Tensor};
 
-use crate::layer::{shaped, Runs};
+use crate::layer::{permute_axis, shaped, Channels};
 use crate::{Layer, NnError, Param, Result};
 
 /// Shared batch-normalisation math over a `[m, c]` matrix view
@@ -106,20 +106,20 @@ impl BatchNormCore {
         Ok(out)
     }
 
-    /// Inference-mode normalisation of the channel `runs` of `input`
+    /// Inference-mode normalisation of the channel range of `input`
     /// (`[n, features, inner…]`) into `out` with the running statistics:
     /// per element the arithmetic of `forward_mat(.., false)` in the same
     /// order — `x̂ = (x − mean) · inv_std`, then `x̂ · γ + β` — with no
-    /// cache and no temporary tensor. Channels outside the runs keep what
+    /// cache and no temporary tensor. Channels outside the range keep what
     /// `out` held.
-    fn infer_into(&self, input: &Tensor, out: &mut Tensor, runs: &[Range<usize>]) -> Result<()> {
-        let runs = Runs::new(input.shape().dims(), runs)?;
-        self.check_features(runs.c)?;
+    fn infer_into(&self, input: &Tensor, out: &mut Tensor, channels: Range<usize>) -> Result<()> {
+        let channels = Channels::new(input.shape().dims(), channels)?;
+        self.check_features(channels.c)?;
         let (mean, var) = (self.running_mean.data(), self.running_var.data());
         let (gamma, beta) = (self.gamma.value.data(), self.beta.value.data());
-        let (src, inner) = (input.data(), runs.inner);
+        let (src, inner) = (input.data(), channels.inner);
         let dst = shaped(out, input.shape().dims());
-        for plane in runs.planes() {
+        for plane in channels.planes() {
             let j = plane % self.features;
             let inv_std = 1.0 / (var[j] + self.eps).sqrt();
             let span = plane * inner..(plane + 1) * inner;
@@ -128,6 +128,15 @@ impl BatchNormCore {
             }
         }
         Ok(())
+    }
+
+    /// Channel `j`'s γ, β (with their gradients and scales) and running
+    /// statistics become those of channel `perm[j]`.
+    fn permute(&mut self, perm: &[usize]) {
+        self.gamma.permute(perm, 1);
+        self.beta.permute(perm, 1);
+        permute_axis(self.running_mean.data_mut(), perm, 1);
+        permute_axis(self.running_var.data_mut(), perm, 1);
     }
 
     fn check_features(&self, c: usize) -> Result<()> {
@@ -250,19 +259,19 @@ impl BatchNorm1d {
     }
 
     /// Inference forward through `&self`: `forward(input, false)` written
-    /// into the feature `runs` of `out` (`&[0..c]` is the whole level;
+    /// into the feature range of `out` (`0..c` is the whole level;
     /// buffer reused when its shape already matches), the same per-element
     /// arithmetic in the same order, keeping no backward cache. Features
-    /// outside the runs keep what `out` held.
+    /// outside the range keep what `out` held.
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`], and for a run beyond the input's features.
+    /// As [`Layer::forward`], and for a range beyond the input's features.
     pub fn infer_into(
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
         if input.shape().rank() != 2 {
             return Err(NnError::BadInput(format!(
@@ -270,7 +279,13 @@ impl BatchNorm1d {
                 input.shape()
             )));
         }
-        self.core.infer_into(input, out, runs)
+        self.core.infer_into(input, out, channels)
+    }
+
+    /// Reorders the features after the upstream neurons were reordered:
+    /// feature `j`'s γ, β and running statistics become feature `perm[j]`'s.
+    pub fn permute_features(&mut self, perm: &[usize]) {
+        self.core.permute(perm);
     }
 
     /// Copies γ/β and running statistics from another instance.
@@ -379,17 +394,17 @@ impl BatchNorm2d {
     }
 
     /// Inference forward through `&self` (see
-    /// [`BatchNorm1d::infer_into`]) over channel `runs`, normalising NCHW in
+    /// [`BatchNorm1d::infer_into`]) over a channel range, normalising NCHW in
     /// place of the `[n·h·w, c]` round trip `forward` makes.
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`], and for a run beyond the input's channels.
+    /// As [`Layer::forward`], and for a range beyond the input's channels.
     pub fn infer_into(
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
         if input.shape().rank() != 4 {
             return Err(NnError::BadInput(format!(
@@ -397,7 +412,12 @@ impl BatchNorm2d {
                 input.shape()
             )));
         }
-        self.core.infer_into(input, out, runs)
+        self.core.infer_into(input, out, channels)
+    }
+
+    /// Reorders the channels (see [`BatchNorm1d::permute_features`]).
+    pub fn permute_channels(&mut self, perm: &[usize]) {
+        self.core.permute(perm);
     }
 }
 
@@ -576,32 +596,25 @@ mod tests {
         for p in bn1.params_mut().into_iter().chain(bn2.params_mut()) {
             p.value = uniform(p.value.shape().clone(), 0.5, 1.5, &mut rng(13));
         }
-        let channels = 0..3;
-        let whole = std::slice::from_ref(&channels);
         let mut out = Tensor::zeros(Shape::of(&[6, 3]));
         let buffer = out.data().as_ptr();
-        bn1.infer_into(&x1, &mut out, whole).unwrap();
+        bn1.infer_into(&x1, &mut out, 0..3).unwrap();
         assert_eq!(out, bn1.forward(&x1, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
             buffer,
             "matching shape writes in place"
         );
-        bn2.infer_into(&x2, &mut out, whole).unwrap();
+        bn2.infer_into(&x2, &mut out, 0..3).unwrap();
         assert_eq!(out, bn2.forward(&x2, false).unwrap());
-        assert!(bn1.infer_into(&x2, &mut out, whole).is_err());
-        assert!(bn2.infer_into(&x1, &mut out, whole).is_err());
+        assert!(bn1.infer_into(&x2, &mut out, 0..3).is_err());
+        assert!(bn2.infer_into(&x1, &mut out, 0..3).is_err());
         let wide = Tensor::zeros(Shape::of(&[2, 4]));
-        assert!(bn1
-            .infer_into(&wide, &mut out, std::slice::from_ref(&(0..4)))
-            .is_err());
-        assert!(bn1
-            .infer_into(&x1, &mut out, std::slice::from_ref(&(0..4)))
-            .is_err());
+        assert!(bn1.infer_into(&wide, &mut out, 0..4).is_err());
+        assert!(bn1.infer_into(&x1, &mut out, 0..4).is_err());
         // one channel alone: the others keep what the target held
         let mut part = Tensor::full(Shape::of(&[4, 3, 2, 5]), 7.0);
-        bn2.infer_into(&x2, &mut part, std::slice::from_ref(&(1..2)))
-            .unwrap();
+        bn2.infer_into(&x2, &mut part, 1..2).unwrap();
         for (i, (&got, &want)) in part.data().iter().zip(out.data()).enumerate() {
             let expect = if i / 10 % 3 == 1 { want } else { 7.0 };
             assert_eq!(got, expect, "element {i}");

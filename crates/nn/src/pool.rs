@@ -15,7 +15,7 @@ use std::ops::Range;
 use stepping_tensor::conv::ConvGeometry;
 use stepping_tensor::{Shape, Tensor};
 
-use crate::layer::{shaped, Runs};
+use crate::layer::{shaped, Channels};
 use crate::{Layer, NnError, Result};
 
 fn pool_geometry(
@@ -122,29 +122,29 @@ impl MaxPool2d {
     }
 
     /// Inference forward through `&self`: `forward(input, false)` written
-    /// into the channel `runs` of `out` (`&[0..c]` is the whole level;
+    /// into the channel range of `out` (`0..c` is the whole level;
     /// buffer reused when its shape already matches), keeping no argmax and
     /// running the chains of independent outputs side by side (see the
-    /// module docs). Channels outside the runs keep what `out` held.
+    /// module docs). Channels outside the range keep what `out` held.
     ///
     /// # Errors
     ///
-    /// As [`Layer::forward`], and for a run beyond the input's channels.
+    /// As [`Layer::forward`], and for a range beyond the input's channels.
     pub fn infer_into(
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
         let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
-        let runs = Runs::new(input.shape().dims(), runs)?;
+        let channels = Channels::new(input.shape().dims(), channels)?;
         let dst = shaped(out, &[n, c, geom.out_h, geom.out_w]);
         fold_windows(
             input.data(),
             dst,
             &geom,
             (self.kernel, self.stride),
-            runs.planes(),
+            channels.planes(),
             (f32::NEG_INFINITY, max_step, |best| best),
         );
         Ok(())
@@ -242,10 +242,10 @@ impl AvgPool2d {
         &self,
         input: &Tensor,
         out: &mut Tensor,
-        runs: &[Range<usize>],
+        channels: Range<usize>,
     ) -> Result<()> {
         let (n, c, geom) = pool_geometry(input.shape().dims(), self.kernel, self.stride)?;
-        let runs = Runs::new(input.shape().dims(), runs)?;
+        let channels = Channels::new(input.shape().dims(), channels)?;
         let inv = self.inv();
         let dst = shaped(out, &[n, c, geom.out_h, geom.out_w]);
         fold_windows(
@@ -253,7 +253,7 @@ impl AvgPool2d {
             dst,
             &geom,
             (self.kernel, self.stride),
-            runs.planes(),
+            channels.planes(),
             (0.0, |acc, v| acc + v, |acc| acc * inv),
         );
         Ok(())
@@ -419,17 +419,11 @@ mod tests {
             (0..16).map(|v| ((v * 7) % 11) as f32 - 5.0).collect(),
         )
         .unwrap();
-        let channels = 0..2;
-        let whole = std::slice::from_ref(&channels);
         let mut out = Tensor::zeros(Shape::of(&[1, 2, 1, 2]));
         let buffer = out.data().as_ptr();
-        MaxPool2d::new(2, 2)
-            .infer_into(&x, &mut out, whole)
-            .unwrap();
+        MaxPool2d::new(2, 2).infer_into(&x, &mut out, 0..2).unwrap();
         assert_eq!(out, MaxPool2d::new(2, 2).forward(&x, false).unwrap());
-        AvgPool2d::new(2, 2)
-            .infer_into(&x, &mut out, whole)
-            .unwrap();
+        AvgPool2d::new(2, 2).infer_into(&x, &mut out, 0..2).unwrap();
         assert_eq!(out, AvgPool2d::new(2, 2).forward(&x, false).unwrap());
         assert_eq!(
             out.data().as_ptr(),
@@ -439,17 +433,17 @@ mod tests {
         // a mismatched target is replaced; a bad input is an error
         let mut other = Tensor::zeros(Shape::of(&[3]));
         MaxPool2d::new(2, 2)
-            .infer_into(&x, &mut other, whole)
+            .infer_into(&x, &mut other, 0..2)
             .unwrap();
         assert_eq!(other, MaxPool2d::new(2, 2).forward(&x, false).unwrap());
         let flat = Tensor::zeros(Shape::of(&[2, 2]));
         assert!(AvgPool2d::new(2, 2)
-            .infer_into(&flat, &mut other, whole)
+            .infer_into(&flat, &mut other, 0..2)
             .is_err());
     }
 
     #[test]
-    fn infer_into_recomputes_only_its_runs() {
+    fn infer_into_recomputes_only_its_range() {
         let x = Tensor::from_vec(
             Shape::of(&[2, 3, 2, 2]),
             (0..24).map(|v| ((v * 5) % 13) as f32 - 6.0).collect(),
@@ -461,13 +455,9 @@ mod tests {
         ] {
             let mut out = Tensor::full(Shape::of(&[2, 3, 1, 1]), 99.0);
             if whole {
-                AvgPool2d::new(2, 2)
-                    .infer_into(&x, &mut out, std::slice::from_ref(&(1..3)))
-                    .unwrap();
+                AvgPool2d::new(2, 2).infer_into(&x, &mut out, 1..3).unwrap();
             } else {
-                MaxPool2d::new(2, 2)
-                    .infer_into(&x, &mut out, std::slice::from_ref(&(1..3)))
-                    .unwrap();
+                MaxPool2d::new(2, 2).infer_into(&x, &mut out, 1..3).unwrap();
             }
             for (plane, (&got, &want)) in out.data().iter().zip(pool.data()).enumerate() {
                 let expect = if plane % 3 == 0 { 99.0 } else { want };
@@ -475,9 +465,7 @@ mod tests {
             }
         }
         let mut out = Tensor::zeros(Shape::of(&[2, 3, 1, 1]));
-        assert!(MaxPool2d::new(2, 2)
-            .infer_into(&x, &mut out, std::slice::from_ref(&(0..4)))
-            .is_err());
+        assert!(MaxPool2d::new(2, 2).infer_into(&x, &mut out, 0..4).is_err());
     }
 
     #[test]

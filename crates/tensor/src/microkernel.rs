@@ -1014,9 +1014,9 @@ pub fn gemm_packed_tier(
 
 /// The filter side of a packed convolution, as a layer plan compiles it.
 ///
-/// `weight` is a `[filters, in_channels.len() · kh · kw]` operand packed by
-/// [`PackedB::pack_nt`]: row `f` holds filter `f`'s taps over the listed
-/// input channels in `(channel, ky, kx)` order. Its micro-panels hold `NR`
+/// `weight` is a `[filters, in_channels · kh · kw]` operand packed by
+/// [`PackedB::pack_nt`]: row `f` holds filter `f`'s taps over input
+/// channels `0..in_channels` in `(channel, ky, kx)` order. Its micro-panels hold `NR`
 /// filters interleaved per tap — exactly the row-interleaved left-hand
 /// operand an `8 × 1` register tile reads — so [`conv_packed`] multiplies
 /// the panel a plan packed for the GEMM without repacking it.
@@ -1026,10 +1026,10 @@ pub struct ConvFilters<'a> {
     pub weight: &'a PackedB,
     /// One bias per filter, added once to the filter's finished sum.
     pub bias: &'a [f32],
-    /// The input channels the taps read, in tap order.
-    pub in_channels: &'a [usize],
-    /// The output plane each filter is stored into, one per filter.
-    pub out_planes: &'a [usize],
+    /// The taps read input channels `0..in_channels`.
+    pub in_channels: usize,
+    /// Filter `f` is stored into output plane `out_offset + f`.
+    pub out_offset: usize,
 }
 
 /// A validated [`conv_packed`] call: `n` images of `src` under `geom`,
@@ -1044,13 +1044,13 @@ struct ConvJob<'a> {
 }
 
 /// Direct convolution with output positions in the vector lanes, in the
-/// host's [`Tier::active`] tier: writes `filters.out_planes[f]` of every
-/// image of `out` (`[n, out_channels, out_h, out_w]`) with filter `f` over
-/// the listed channels of `input` (`[n, in_channels, in_h, in_w]`, as
-/// `geom` describes), bias added, and leaves every other plane of `out`
-/// untouched.
+/// host's [`Tier::active`] tier: writes plane `filters.out_offset + f` of
+/// every image of `out` (`[n, out_channels, out_h, out_w]`) with filter `f`
+/// over the first `filters.in_channels` channels of `input` (`[n,
+/// in_channels, in_h, in_w]`, as `geom` describes), bias added, and leaves
+/// every other plane of `out` untouched.
 ///
-/// Per image, the active channel planes are copied zero-padded into
+/// Per image, the channel planes read are copied zero-padded into
 /// `scratch.planes`; per group of one vector's worth of output positions
 /// (`NR`, or `2 · NR` in the AVX-512 tier), every tap's window values are
 /// packed `[k][group]` into `scratch.groups` (one fixed-width copy per tap
@@ -1062,7 +1062,7 @@ struct ConvJob<'a> {
 /// A repack and no transpose, and the scratch buffers only grow, so a
 /// warmed call allocates nothing.
 ///
-/// Every output is bit-identical to `im2col` over the listed channels →
+/// Every output is bit-identical to `im2col` over the channels read →
 /// [`reference_gemm`](crate::matmul::reference_gemm) (`NT`) → `+ bias`: its
 /// k-chain runs in ascending `(channel, ky, kx)` order from `+0.0`, one
 /// rounded multiply then one rounded add per tap, a padding tap
@@ -1072,8 +1072,8 @@ struct ConvJob<'a> {
 /// # Panics
 ///
 /// Panics if `input` or `out` does not match `geom`, if the panel's depth is
-/// not `in_channels.len() · kh · kw`, or if a channel or plane index, the
-/// bias or the plane list does not fit.
+/// not `in_channels · kh · kw`, or if the channels read, the planes written
+/// or the bias do not fit.
 pub fn conv_packed(
     input: &Tensor,
     geom: &ConvGeometry,
@@ -1111,17 +1111,16 @@ pub fn conv_packed_tier(
     let w = filters.weight;
     assert_eq!(
         w.k,
-        filters.in_channels.len() * g.kernel_h * g.kernel_w,
+        filters.in_channels * g.kernel_h * g.kernel_w,
         "conv panel depth is not channels × kernel taps"
     );
     assert!(
-        filters.bias.len() >= w.n && filters.out_planes.len() == w.n,
-        "conv bias or plane list does not cover the panel's filters"
+        filters.bias.len() >= w.n,
+        "conv bias does not cover the panel's filters"
     );
     assert!(
-        filters.in_channels.iter().all(|&c| c < g.in_channels)
-            && filters.out_planes.iter().all(|&p| p < out_channels),
-        "conv channel or plane index out of range"
+        filters.in_channels <= g.in_channels && filters.out_offset + w.n <= out_channels,
+        "conv channels or planes out of range"
     );
     let job = ConvJob {
         src: input.data(),
@@ -1192,11 +1191,11 @@ fn conv_body<const G: usize>(
     let (k, nf) = (filters.weight.k, filters.weight.n);
     let positions = g.positions();
     let width = G * NR;
-    let planes = span(planes, filters.in_channels.len() * plane);
+    let planes = span(planes, filters.in_channels * plane);
     let group = span(groups, k * width);
     for b in 0..n {
-        // zero-padded copies of the active planes, every element written
-        for (dst, &ch) in planes.chunks_exact_mut(plane).zip(filters.in_channels) {
+        // zero-padded copies of the planes read, every element written
+        for (dst, ch) in planes.chunks_exact_mut(plane).zip(0..filters.in_channels) {
             let image = &src[(b * c + ch) * h * w..][..h * w];
             dst[..pad * pw].fill(0.0);
             dst[(pad + h) * pw..].fill(0.0);
@@ -1259,7 +1258,7 @@ fn conv_body<const G: usize>(
                 mul(apanel, panels, &mut acc);
                 for (f, row) in (f0..nf.min(f0 + NR)).zip(&acc) {
                     let bias = filters.bias[f];
-                    let at = (b * out_channels + filters.out_planes[f]) * positions + p0;
+                    let at = (b * out_channels + filters.out_offset + f) * positions + p0;
                     let row = row.as_flattened();
                     for (o, &v) in out[at..at + lanes].iter_mut().zip(row) {
                         *o = v + bias;

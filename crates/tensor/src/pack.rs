@@ -2,11 +2,13 @@
 //!
 //! A SteppingNet subnet touches only a subset of each layer's neurons, yet
 //! the masked reference path multiplies full-width matrices whose inactive
-//! entries are zero. The helpers here let callers *gather* the surviving
-//! rows/columns into small contiguous panels, run a dense NT GEMM on them,
-//! and *scatter* the result back to full-width buffers. (Convolutions need
-//! none of this: [`microkernel::conv_packed`] packs its operand straight from
-//! the image and stores straight into the output planes.)
+//! entries are zero. Neurons are stored level-major, so a subnet's inputs
+//! are a prefix of each row and its outputs a contiguous range: a compiled
+//! plan copies the prefix into a contiguous panel, runs a dense NT GEMM on
+//! it and writes the result at a column offset. ([`microkernel::conv_packed`]
+//! reads a channel prefix straight from the image and stores straight into
+//! a plane range.) The index-list helpers [`gather_columns`] and
+//! [`scatter_columns`] remain for callers whose columns are not a range.
 //!
 //! The GEMM entry point, [`gemm_packed_nt_slice`], runs the blocked,
 //! register-tiled [`microkernel`] — the kernel behind
@@ -18,7 +20,7 @@
 //! The kernel accumulates every output element sequentially in `k` from
 //! `+0.0`, one rounding step per term — the per-element order of
 //! [`reference_gemm`](crate::matmul::reference_gemm) (see [`microkernel`]
-//! for the argument). As long as the gathered indices are in
+//! for the argument). As long as the packed columns keep their
 //! ascending order, the surviving terms of each dot product are accumulated
 //! in the same order as the dense path; the dropped terms are all exact
 //! `±0.0` products, which can only affect the *sign* of a zero accumulator,
@@ -48,7 +50,7 @@ use crate::{Result, Shape, Tensor, TensorError};
 /// does zero heap allocation *and* zero redundant memset per forward.
 #[derive(Debug, Clone, Default)]
 pub struct PackScratch {
-    /// Gathered input panel (`[rows, packed_in]`).
+    /// Stacked input panel (`[rows, packed_in]`).
     pub input: Vec<f32>,
     /// Packed GEMM output (`[rows, packed_out]`).
     pub out: Vec<f32>,
@@ -93,23 +95,6 @@ pub fn gather_columns(src: &[f32], rows: usize, width: usize, idx: &[usize], dst
     // every element is overwritten below, so retained capacity is not
     // re-zeroed
     microkernel::grow(dst, rows * idx.len());
-    gather_columns_slice(src, rows, width, idx, dst);
-}
-
-/// [`gather_columns`] writing into a caller-sized slice
-/// (`dst.len() >= rows * idx.len()`) — used to stack the gathered rows of
-/// several source matrices into one panel.
-///
-/// # Panics
-///
-/// Panics if a slice is shorter than implied or any index is out of bounds.
-pub fn gather_columns_slice(
-    src: &[f32],
-    rows: usize,
-    width: usize,
-    idx: &[usize],
-    dst: &mut [f32],
-) {
     let k = idx.len();
     for r in 0..rows {
         let srow = &src[r * width..(r + 1) * width];

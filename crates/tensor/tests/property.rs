@@ -240,25 +240,25 @@ fn no_tier_fuses_multiply_and_add() {
 const UNTOUCHED: f32 = f32::from_bits(0x7fc0_5a5a);
 
 /// One convolution case for [`conv_packed_tier`]: `images` NCHW inputs
-/// under `geom`, `filters` filters over the input `channels` (any subset,
-/// in ascending order) written to the ascending `planes` of an
-/// `out_channels`-plane target; with `ragged`, each filter reads only a
-/// random prefix of its taps.
+/// under `geom`, `filters` filters over the first `channels` input channels
+/// written to planes `offset..offset + filters` of an `out_channels`-plane
+/// target; with `ragged`, each filter reads only a random prefix of its
+/// taps.
 struct ConvCase {
     geom: ConvGeometry,
     images: usize,
-    channels: Vec<usize>,
-    planes: Vec<usize>,
+    channels: usize,
+    filters: usize,
+    offset: usize,
     out_channels: usize,
     ragged: bool,
 }
 
 impl ConvCase {
     /// Runs the case in every supported tier through `scratch` and holds
-    /// every output `to_bits()`-equal to the unfold over `channels` → the
-    /// oracle over the weights with every tap past its
-    /// filter's extent zeroed → `+ bias`, and every plane not in `planes`
-    /// untouched.
+    /// every output `to_bits()`-equal to the unfold over the channels read
+    /// → the oracle over the weights with every tap past its filter's
+    /// extent zeroed → `+ bias`, and every plane no filter owns untouched.
     fn check(&self, seed: u64, scratch: &mut PackScratch) {
         let g = &self.geom;
         let mut rng = stepping_tensor::init::rng(seed);
@@ -268,8 +268,8 @@ impl ConvCase {
             2.0,
             &mut rng,
         );
-        let f = self.planes.len();
-        let k = self.channels.len() * g.kernel_h * g.kernel_w;
+        let f = self.filters;
+        let k = self.channels * g.kernel_h * g.kernel_w;
         let weight = stepping_tensor::init::uniform(Shape::of(&[f, k]), -2.0, 2.0, &mut rng);
         let bias = stepping_tensor::init::uniform(Shape::of(&[f]), -1.0, 1.0, &mut rng);
         let extents = if self.ragged {
@@ -281,15 +281,16 @@ impl ConvCase {
 
         let rows = self.images * g.positions();
         let mut cols = Vec::new();
-        im2col_channels_into(&input, g, &self.channels, &mut cols).unwrap();
+        let channels: Vec<usize> = (0..self.channels).collect();
+        im2col_channels_into(&input, g, &channels, &mut cols).unwrap();
         let zeroed = zeroed_past(weight.data(), k, &extents);
         let dots = reference_nt(&cols, &zeroed, rows, k, f);
 
         let filters = ConvFilters {
             weight: &packed,
             bias: bias.data(),
-            in_channels: &self.channels,
-            out_planes: &self.planes,
+            in_channels: self.channels,
+            out_offset: self.offset,
         };
         for tier in Tier::supported() {
             let mut out = Tensor::full(
@@ -301,7 +302,7 @@ impl ConvCase {
                 for plane in 0..self.out_channels {
                     let at = (b * self.out_channels + plane) * g.positions();
                     let got = &out.data()[at..at + g.positions()];
-                    let Some(fi) = self.planes.iter().position(|&p| p == plane) else {
+                    let Some(fi) = plane.checked_sub(self.offset).filter(|&fi| fi < f) else {
                         assert!(
                             got.iter().all(|v| v.to_bits() == UNTOUCHED.to_bits()),
                             "{} tier wrote plane {plane}, which no filter owns: {g:?}",
@@ -314,7 +315,7 @@ impl ConvCase {
                         assert_eq!(
                             v.to_bits(),
                             want.to_bits(),
-                            "{} tier, {g:?}, channels {:?}, image {b}, filter {fi}, position {p}",
+                            "{} tier, {g:?}, {} channels, image {b}, filter {fi}, position {p}",
                             tier.name(),
                             self.channels
                         );
@@ -328,43 +329,33 @@ impl ConvCase {
 /// The conv driver on hand-picked geometries: `out_w` a multiple of the
 /// lane count (whole groups, fixed-width copies) and not, stride 2 and 3,
 /// windows lying wholly in the padding, a 1×1 and a 5×5 kernel, a
-/// one-channel subset and no channel at all — each run twice through one
+/// one-channel prefix and no channel at all — each run twice through one
 /// scratch that also held the other geometries' (larger and smaller)
 /// planes and groups, the second time with ragged filter extents.
 #[test]
 fn conv_driver_matches_the_unfold_on_fixed_geometries() {
     let mut scratch = PackScratch::new();
-    // (channels, h, w, kernel, stride, padding, subset, filters)
-    type Case = (
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        usize,
-        &'static [usize],
-        usize,
-    );
-    let cases: [Case; 8] = [
-        (3, 16, 16, 3, 1, 1, &[0, 1, 2], 6), // conv1 of the serving net
-        (24, 8, 8, 3, 1, 1, &[0, 5, 6, 23], 12), // conv2, non-contiguous
-        (2, 5, 13, 3, 1, 0, &[1], 17),       // out_w 11: ragged groups
-        (3, 7, 9, 5, 2, 2, &[0, 2], 9),      // 5×5, stride 2
-        (2, 4, 6, 1, 3, 2, &[0, 1], 3),      // 1×1: corners wholly padding
-        (1, 1, 1, 3, 2, 2, &[0], 8),         // every window mostly padding
-        (2, 3, 9, 3, 1, 1, &[], 5),          // no input channel: bias only
-        (4, 6, 17, 3, 1, 1, &[3], 1),        // out_w 17, one filter
+    // (channels, h, w, kernel, stride, padding, channels read, filters)
+    let cases: [[usize; 8]; 8] = [
+        [3, 16, 16, 3, 1, 1, 3, 6],  // conv1 of the serving net
+        [24, 8, 8, 3, 1, 1, 13, 12], // conv2 at a lower level
+        [2, 5, 13, 3, 1, 0, 1, 17],  // out_w 11: ragged groups
+        [3, 7, 9, 5, 2, 2, 2, 9],    // 5×5, stride 2
+        [2, 4, 6, 1, 3, 2, 2, 3],    // 1×1: corners wholly padding
+        [1, 1, 1, 3, 2, 2, 1, 8],    // every window mostly padding
+        [2, 3, 9, 3, 1, 1, 0, 5],    // no input channel: bias only
+        [4, 6, 17, 3, 1, 1, 1, 1],   // out_w 17, one filter
     ];
     for round in 0..2 {
-        for (i, &(c, h, w, k, stride, pad, subset, filters)) in cases.iter().enumerate() {
+        for (i, &[c, h, w, k, stride, pad, read, filters]) in cases.iter().enumerate() {
             let geom = ConvGeometry::new(c, h, w, k, k, stride, pad).unwrap();
-            let out_channels = filters + 2;
             ConvCase {
                 geom,
                 images: 1 + i % 3,
-                channels: subset.to_vec(),
-                planes: (1..=filters).collect(),
-                out_channels,
+                channels: read,
+                filters,
+                offset: 1,
+                out_channels: filters + 2,
                 ragged: round == 1,
             }
             .check(100 * round + i as u64, &mut scratch);
@@ -389,12 +380,11 @@ fn no_tier_fuses_multiply_and_add_in_the_conv_driver() {
         for f in 1..=17usize {
             let packed = PackedB::pack_nt(&[1.0, a].repeat(f), f, 2);
             let bias = vec![0.0f32; f];
-            let planes: Vec<usize> = (0..f).collect();
             let filters = ConvFilters {
                 weight: &packed,
                 bias: &bias,
-                in_channels: &[0, 1],
-                out_planes: &planes,
+                in_channels: 2,
+                out_offset: 0,
             };
             for tier in Tier::supported() {
                 let mut out = Tensor::full(Shape::of(&[1, f, h, w]), f32::NAN);
@@ -416,8 +406,8 @@ proptest! {
     /// The conv driver against the unfold → oracle → bias,
     /// `to_bits()`-equal in every tier, over random geometries (kernel
     /// 1/3/5, non-square images, stride 1–3, padding 0–2), 1–3 images,
-    /// random — often non-contiguous — channel subsets and 1–17 filters
-    /// scattered over a wider target, reading all their taps or (`ragged`)
+    /// random channel prefixes and 1–17 filters at a random offset into a
+    /// wider target, reading all their taps or (`ragged`)
     /// a random prefix of them each. `rows` forces, in three of four cases,
     /// output rows that make a 16-position group each way it can be
     /// packed: `out_w` 16 at stride 1 (one run), `out_w` 8 at stride 1 (two
@@ -432,7 +422,7 @@ proptest! {
         padding in 0usize..3,
         rows in 0usize..4,
         images in 1usize..4,
-        channel_mask in 0u8..32,
+        read in 0usize..6,
         filters in 1usize..18,
         spare in 0usize..4,
         ragged in 0u8..2,
@@ -450,14 +440,10 @@ proptest! {
         prop_assume!(h + 2 * padding >= kernel && w + 2 * padding >= kernel);
         let in_channels = 5;
         let geom = ConvGeometry::new(in_channels, h, w, kernel, kernel, stride, padding).unwrap();
-        let channels: Vec<usize> = (0..in_channels).filter(|c| channel_mask >> c & 1 == 1).collect();
         // the filters land on all planes of the target but `spare` of them
+        let offset = seed as usize % (spare + 1);
         let out_channels = filters + spare;
-        let mut planes: Vec<usize> = (0..out_channels).collect();
-        for i in 0..spare {
-            planes.remove((seed as usize + 7 * i) % planes.len());
-        }
-        ConvCase { geom, images, channels, planes, out_channels, ragged: ragged == 1 }
+        ConvCase { geom, images, channels: read, filters, offset, out_channels, ragged: ragged == 1 }
             .check(seed, &mut PackScratch::new());
     }
 }

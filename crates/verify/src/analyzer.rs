@@ -2,13 +2,14 @@
 //!
 //! [`analyze`] walks the stage list once, re-deriving the assignment chain
 //! exactly like `SteppingNet::sync_assignments` does, and checks rules
-//! R1–R5 against the stored state — without running any inference:
+//! R1–R5 and R7 against the stored state — without running any inference:
 //!
 //! * **R1** incremental property / assignment monotonicity,
 //! * **R2** subnet nesting and unused-pool consistency,
 //! * **R3** per-subnet MAC counts vs configured budgets,
 //! * **R4** mask/weight shape agreement and sub-threshold active weights,
-//! * **R5** dead neurons and unreachable per-subnet heads.
+//! * **R5** dead neurons and unreachable per-subnet heads,
+//! * **R7** level-major order of every masked layer's neurons.
 //!
 //! R6 (checkpoint round-trip) lives in [`crate::roundtrip`] because it
 //! needs serialization, not graph inspection.
@@ -102,7 +103,7 @@ impl Sink {
     }
 }
 
-/// Runs rules R1–R5 over `net` and returns the findings.
+/// Runs rules R1–R5 and R7 over `net` and returns the findings.
 ///
 /// The pass is read-only and performs no inference; a freshly built or
 /// correctly constructed network yields an empty report.
@@ -124,6 +125,7 @@ pub fn analyze(net: &SteppingNet, opts: &AnalyzerOptions) -> Report {
                 checked_stages += 1;
                 checked_synapses += (l.in_features() * l.out_features()) as u64;
                 check_assignment_ranges(&mut sink, si, name, l.out_assign(), subnets);
+                check_level_order(&mut sink, si, name, l.out_assign());
                 check_chain(&mut sink, si, name, l.in_assign(), &cur);
                 check_linear_shapes(&mut sink, si, name, l);
                 check_subthreshold_linear(&mut sink, si, name, l, opts.prune_threshold);
@@ -136,6 +138,7 @@ pub fn analyze(net: &SteppingNet, opts: &AnalyzerOptions) -> Report {
                 checked_synapses +=
                     (c.in_channels() * c.out_channels() * c.kernel() * c.kernel()) as u64;
                 check_assignment_ranges(&mut sink, si, name, c.out_assign(), subnets);
+                check_level_order(&mut sink, si, name, c.out_assign());
                 check_chain(&mut sink, si, name, c.in_assign(), &cur);
                 check_conv_shapes(&mut sink, si, name, c);
                 check_subthreshold_conv(&mut sink, si, name, c, opts.prune_threshold);
@@ -259,6 +262,31 @@ fn check_assignment_ranges(
             });
         }
     }
+}
+
+/// R7: a masked layer stores its neurons level-major — index order equals
+/// `(assign, index)` order — so every subnet is a prefix of the layer. One
+/// violation per layer, at the first neuron stored after a higher level.
+fn check_level_order(sink: &mut Sink, si: usize, name: &'static str, assign: &Assignment) {
+    let values = assign.values();
+    let Some(i) = values.windows(2).position(|w| w[0] > w[1]) else {
+        return;
+    };
+    sink.push(Violation {
+        rule: Rule::R7LevelOrder,
+        severity: Severity::Error,
+        message: format!(
+            "neuron {} (subnet {}) is stored after neuron {i} (subnet {}); packed \
+             plans read each subnet as a prefix of the layer",
+            i + 1,
+            values[i + 1],
+            values[i]
+        ),
+        location: Location::neuron(si, name, i + 1),
+        hint: "call sync_assignments() after moving neurons directly on a stage: it \
+               restores level-major order"
+            .into(),
+    });
 }
 
 /// R1: the stored input assignment must equal the derived upstream chain.
@@ -660,6 +688,31 @@ mod tests {
         assert!(!v.is_empty(), "{}", r.render_text());
         assert_eq!(v[0].location.input, Some(3));
         assert!(!r.is_clean());
+    }
+
+    #[test]
+    fn r7_unordered_layer_detected_until_sync() {
+        let mut net = cnn(2);
+        let first = net.masked_stage_indices()[0];
+        // filter 1 to subnet 1 without sync_assignments(): filters 2 and 3
+        // (subnet 0) now sit after it
+        net.stages_mut()[first].move_out_neuron(1, 1).unwrap();
+        let r = analyze(&net, &AnalyzerOptions::default());
+        let v = r.of_rule(Rule::R7LevelOrder);
+        assert_eq!(v.len(), 1, "{}", r.render_text());
+        assert_eq!(v[0].severity, Severity::Error);
+        assert_eq!(v[0].location.stage, Some(first));
+        assert_eq!(v[0].location.neuron, Some(2));
+        assert!(v[0].hint.contains("sync_assignments()"), "{}", v[0].hint);
+        let err = net.check_invariants().unwrap_err().to_string();
+        assert!(
+            err.contains("level-major") && err.contains("sync_assignments()"),
+            "{err}"
+        );
+        net.sync_assignments().unwrap();
+        let r = analyze(&net, &AnalyzerOptions::default());
+        assert!(r.violations.is_empty(), "{}", r.render_text());
+        net.check_invariants().unwrap();
     }
 
     #[test]

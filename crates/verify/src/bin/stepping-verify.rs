@@ -1,7 +1,7 @@
 //! `stepping-verify` — lint a SteppingNet checkpoint from the command line.
 //!
 //! Rebuilds the network architecture from a preset, loads the checkpoint
-//! and runs the full rule set (R1–R6). Exit code 0 means no error-severity
+//! and runs the full rule set (R1–R7). Exit code 0 means no error-severity
 //! violation was found, 1 means the checkpoint is broken, 2 means the
 //! invocation itself was invalid.
 //!

@@ -33,6 +33,10 @@ pub enum Rule {
     /// R6 — checkpoint round-trip: save → load must reproduce identical
     /// assignments, masks and bytes (stable digest).
     R6Roundtrip,
+    /// R7 — level-major order: in every masked layer index order equals
+    /// `(assign, index)` order, so each subnet is a prefix of the layer and
+    /// each step a contiguous range — the layout packed plans compile.
+    R7LevelOrder,
 }
 
 impl Rule {
@@ -45,6 +49,7 @@ impl Rule {
             Rule::R4WeightMask => "R4",
             Rule::R5Reachability => "R5",
             Rule::R6Roundtrip => "R6",
+            Rule::R7LevelOrder => "R7",
         }
     }
 
@@ -57,11 +62,12 @@ impl Rule {
             Rule::R4WeightMask => "mask/weight agreement",
             Rule::R5Reachability => "dead neurons and unreachable heads",
             Rule::R6Roundtrip => "checkpoint round-trip stability",
+            Rule::R7LevelOrder => "level-major neuron order",
         }
     }
 
     /// All rules, in id order.
-    pub fn all() -> [Rule; 6] {
+    pub fn all() -> [Rule; 7] {
         [
             Rule::R1Monotonicity,
             Rule::R2Nesting,
@@ -69,6 +75,7 @@ impl Rule {
             Rule::R4WeightMask,
             Rule::R5Reachability,
             Rule::R6Roundtrip,
+            Rule::R7LevelOrder,
         ]
     }
 }
@@ -413,9 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn rule_ids_cover_all_six() {
+    fn rule_ids_cover_all_seven() {
         let ids: Vec<&str> = Rule::all().iter().map(|r| r.id()).collect();
-        assert_eq!(ids, ["R1", "R2", "R3", "R4", "R5", "R6"]);
+        assert_eq!(ids, ["R1", "R2", "R3", "R4", "R5", "R6", "R7"]);
         for r in Rule::all() {
             assert!(!r.title().is_empty());
         }

@@ -4,7 +4,7 @@
 //! [`SteppingNet`] or a serialized checkpoint
 //! and — **without running inference** — rebuilds the synapse dependency
 //! graph from the masks and [`Assignment`](stepping_core::Assignment)s and
-//! checks six rules:
+//! checks seven rules:
 //!
 //! | rule | checks |
 //! |------|--------|
@@ -14,6 +14,7 @@
 //! | R4 | mask/weight shape agreement; no sub-threshold weight still mask-active |
 //! | R5 | dead neurons (no active incoming synapses) and unreachable per-subnet heads |
 //! | R6 | checkpoint round-trip stability (`save → load` reproduces assignments and bytes) |
+//! | R7 | level-major order: index order equals `(assign, index)` order in every masked layer |
 //!
 //! Findings are structured [`Violation`]s (rule id, severity, stage /
 //! neuron / synapse coordinates, fix hint) collected in a [`Report`] that
@@ -21,7 +22,7 @@
 //!
 //! ## Entry points
 //!
-//! * [`analyze`] — rules R1–R5 over an in-memory network,
+//! * [`analyze`] — rules R1–R5 and R7 over an in-memory network,
 //! * [`check_roundtrip`] / [`check_blob`] — rule R6 over checkpoints,
 //! * `stepping-verify` — the CLI binary: verify a checkpoint file against
 //!   an architecture preset,
@@ -60,7 +61,7 @@ pub use roundtrip::{check_blob, check_roundtrip, digest};
 use stepping_core::{Result, SteppingError, SteppingNet};
 
 /// The hook body installed by [`install_analyzer_gate`]: runs the full
-/// R1–R5 analysis and fails on any error-severity violation.
+/// R1–R5 and R7 analysis and fails on any error-severity violation.
 fn analyzer_hook(net: &SteppingNet) -> Result<()> {
     let report = analyze(net, &AnalyzerOptions::default());
     if report.is_clean() {

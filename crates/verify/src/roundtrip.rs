@@ -76,6 +76,10 @@ pub fn check_roundtrip(net: &mut SteppingNet) -> Vec<Violation> {
 
 /// Checks that an externally supplied checkpoint blob loads into a network
 /// of `template`'s architecture and is a fixed point of `load → save`.
+/// `load_state` stores every layer level-major, so a blob that stores some
+/// layer out of that order (as checkpoints written before the order was an
+/// invariant do) re-saves reordered: when that re-save is itself a fixed
+/// point, the blob draws an R7 warning instead of an R6 error.
 /// `template` itself is not modified.
 pub fn check_blob(template: &SteppingNet, blob: &[u8]) -> Vec<Violation> {
     let mut violations = Vec::new();
@@ -89,6 +93,21 @@ pub fn check_blob(template: &SteppingNet, blob: &[u8]) -> Vec<Violation> {
         return violations;
     }
     let blob2 = save_state(&mut copy);
+    if blob2.as_slice() != blob && blob2.len() == blob.len() {
+        let mut again = template.clone();
+        if load_state(&mut again, &blob2).is_ok() && save_state(&mut again) == blob2 {
+            violations.push(Violation {
+                rule: Rule::R7LevelOrder,
+                severity: Severity::Warning,
+                message: "checkpoint stores neurons out of level-major order; loading \
+                          reordered them"
+                    .into(),
+                location: Location::default(),
+                hint: "re-save it (load_state, then save_state) to store it level-major".into(),
+            });
+            return violations;
+        }
+    }
     check_digest(blob, &blob2, &mut violations);
     violations
 }

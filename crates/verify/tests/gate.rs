@@ -56,6 +56,12 @@ fn gate_runs_through_construction_and_checkpoint_load() {
         format!("{err}").contains("R2"),
         "analyzer rule id expected: {err}"
     );
+    // neuron 0 now sits in subnet 1 ahead of subnet-0 neurons: R7 names
+    // the fix
+    assert!(
+        format!("{err}").contains("R7") && format!("{err}").contains("sync_assignments()"),
+        "level-order violation expected: {err}"
+    );
 
     // Construction re-verifies after every iteration — and succeeds on a
     // healthy run without altering results: two identical runs agree.

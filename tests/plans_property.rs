@@ -68,8 +68,9 @@ proptest! {
     /// Two stage shapes in which a packed layer's scattered zeros matter: a
     /// sigmoid between masked linear stages (`sigmoid(0) != 0`, so inactive
     /// columns are non-zero downstream), and a masked linear stage whose
-    /// input columns are not its producer's output columns. The direct
-    /// packed pass, the executor's full pass and the masked reference agree.
+    /// input columns are not its producer's output columns (their levels
+    /// drawn at random, canonicalised level-major). The direct packed pass,
+    /// the executor's full pass and the masked reference agree.
     #[test]
     fn packed_paths_agree_on_sigmoid_and_mismatched_columns(
         moves in proptest::collection::vec((0u8..4, 0u8..32, 0u8..4), 0..24),
@@ -88,9 +89,14 @@ proptest! {
             .build(3)
             .unwrap();
         apply_moves(&mut net, &moves);
-        let mut ia = Assignment::new(8, subnets);
+        let mut levels = [0; 8];
         for &(n, t) in &in_moves {
-            ia.move_neuron(n as usize % 8, t as usize % (subnets + 1)).unwrap();
+            levels[n as usize % 8] = t as usize % (subnets + 1);
+        }
+        levels.sort_unstable();
+        let mut ia = Assignment::new(8, subnets);
+        for (n, &t) in levels.iter().enumerate() {
+            ia.move_neuron(n, t).unwrap();
         }
         net.stages_mut()[4].set_in_assign(ia).unwrap();
         let x = init::uniform(Shape::of(&[batch, 6]), -2.0, 2.0, &mut init::rng(seed ^ 1));
