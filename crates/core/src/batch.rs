@@ -11,6 +11,9 @@
 //!   subnet currently answered, the largest subnet materialised in the
 //!   caches, cumulative MACs). It is plain data: it can be stored in a
 //!   session table, shipped between worker threads, and upgraded later.
+//!   Its levels follow the [`CompiledModel`]'s stages, one per compiled
+//!   stage plus the features: a ReLU or tanh folded into the masked stage
+//!   before it has no level of its own.
 //! * [`BatchExecutor`] — a handle on the net's [`CompiledModel`] plus its
 //!   own scratch that runs **one batched stage pass for several requests
 //!   at once**. A `begin` stacks
@@ -29,6 +32,10 @@
 //! to running each request alone — the property the serve crate's tests
 //! assert exhaustively.
 //!
+//! An answer nothing will step from needs no cache:
+//! [`BatchExecutor::forward`] runs the same batched direct pass through two
+//! scratch levels and returns the logits alone.
+//!
 //! MAC figures come from the model's [`MacTable`](crate::MacTable): a step
 //! costs a table lookup, not a pass over the weights.
 
@@ -43,7 +50,8 @@ use crate::{CompiledModel, ExpandStep, Result, SteppingError, SteppingNet};
 
 /// Per-request anytime-inference state, detached from any executor borrow.
 ///
-/// `acts[i]` is the input of stage `i`; `acts[stages]` is the feature tensor
+/// `acts[i]` is the input of compiled stage `i` (see
+/// [`CompiledModel::cache_levels`]); the last level is the feature tensor
 /// feeding the heads. An empty cache (before any `begin`) holds no
 /// activations.
 #[derive(Debug, Clone, Default)]
@@ -109,7 +117,7 @@ fn full_pass(
     let mut acts = Vec::with_capacity(model.stages.len() + 1);
     acts.push(input);
     for (si, stage) in model.stages.iter().enumerate() {
-        let target = stage.target(&acts[si])?;
+        let target = stage.target(&acts[si]);
         acts.push(target);
         stage.run_into((subnet, false), &mut [&mut acts[..]], si, scratch)?;
     }
@@ -269,17 +277,7 @@ impl BatchExecutor {
         inputs: &[Tensor],
         subnet: usize,
     ) -> Result<Vec<(ActivationCache, ExpandStep)>> {
-        if inputs.is_empty() {
-            return Err(SteppingError::BadConfig(
-                "cannot begin an empty batch".into(),
-            ));
-        }
-        if subnet >= self.model.subnet_count() {
-            return Err(SteppingError::SubnetOutOfRange {
-                subnet,
-                count: self.model.subnet_count(),
-            });
-        }
+        self.check_begin(inputs, subnet)?;
         let span = telemetry::span(phase::INFERENCE, event::EXEC_BEGIN);
         let row_counts: Vec<usize> = inputs.iter().map(|t| t.shape().dims()[0]).collect();
         let (acts, logits) =
@@ -299,6 +297,7 @@ impl BatchExecutor {
             ("batch", Value::U64(inputs.len() as u64)),
             ("subnet", Value::U64(subnet as u64)),
             ("step_macs", Value::U64(step_macs)),
+            ("cached", Value::Bool(true)),
         ]);
         Ok(per_req
             .into_iter()
@@ -320,6 +319,59 @@ impl BatchExecutor {
                 )
             })
             .collect())
+    }
+
+    /// Runs subnet `subnet` for every input in **one** batched direct pass
+    /// that keeps no activation level, returning each request's step: the
+    /// logits and MACs [`begin`](Self::begin) would answer, bit for bit,
+    /// without a cache to step from. The pass runs through two scratch
+    /// levels this executor keeps, so a warmed call allocates the logits
+    /// and a few lists, however deep the net — for an answer nothing will
+    /// step from, such as a server's sessions at the top subnet.
+    ///
+    /// # Errors
+    ///
+    /// As [`begin`](Self::begin).
+    pub fn forward(&mut self, inputs: &[Tensor], subnet: usize) -> Result<Vec<ExpandStep>> {
+        self.check_begin(inputs, subnet)?;
+        let span = telemetry::span(phase::INFERENCE, event::EXEC_BEGIN);
+        let logits = self
+            .model
+            .forward(inputs.iter(), subnet, &mut self.scratch)?;
+        let step_macs = self.model.mac_table().direct()[subnet];
+        let row_counts: Vec<usize> = inputs.iter().map(|t| t.shape().dims()[0]).collect();
+        let steps = split_rows(logits, &row_counts)?
+            .into_iter()
+            .map(|logits| ExpandStep {
+                subnet,
+                logits,
+                step_macs,
+                cumulative_macs: step_macs,
+            })
+            .collect();
+        span.end(&[
+            ("batch", Value::U64(inputs.len() as u64)),
+            ("subnet", Value::U64(subnet as u64)),
+            ("step_macs", Value::U64(step_macs)),
+            ("cached", Value::Bool(false)),
+        ]);
+        Ok(steps)
+    }
+
+    /// Rejects an empty batch and an out-of-range subnet.
+    fn check_begin(&self, inputs: &[Tensor], subnet: usize) -> Result<()> {
+        if inputs.is_empty() {
+            return Err(SteppingError::BadConfig(
+                "cannot begin an empty batch".into(),
+            ));
+        }
+        if subnet >= self.model.subnet_count() {
+            return Err(SteppingError::SubnetOutOfRange {
+                subnet,
+                count: self.model.subnet_count(),
+            });
+        }
+        Ok(())
     }
 
     /// Steps every cache to the next larger subnet in **one** batched pass.

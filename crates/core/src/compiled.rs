@@ -9,7 +9,10 @@
 //! a channel prefix of every level and each step a channel range: a masked
 //! stage copies a row prefix of its input and writes its output at an
 //! offset, and a fixed stage recomputes `end(k − 1)..end(k)` on a step to
-//! `k` and `0..end(s)` on a direct pass at `s`.
+//! `k` and `0..end(s)` on a direct pass at `s`. A ReLU or tanh that directly
+//! follows a masked stage is folded into that stage's store (an
+//! [`Activation`]), so the compiled model has one stage, and an executor's
+//! cache one level, fewer per folded activation.
 //! Nothing in the model changes afterwards: there is no epoch, no lock and
 //! no scratch inside, so any number of executors on any number of threads
 //! run it through `&self`, each with its own [`PackScratch`]. See the
@@ -17,12 +20,38 @@
 //! forgets a model when it is mutated.
 
 use stepping_tensor::conv::ConvGeometry;
-use stepping_tensor::microkernel::{self, Epilogue};
+use stepping_tensor::microkernel::{self, ConvFilters, Epilogue};
 use stepping_tensor::pack::{self, span, PackScratch};
 use stepping_tensor::{Shape, Tensor};
 
 use crate::plan::{self, MacTable, Plan};
-use crate::{Assignment, FixedStage, Result, Stage, SteppingError, SteppingNet};
+use crate::{FixedStage, Result, Stage, SteppingError, SteppingNet};
+
+/// The activation a masked stage applies as it stores its outputs: the
+/// `Relu` or `Tanh` stage that directly followed it in the net, folded in
+/// by [`CompiledModel::new`]. Its epilogue computes `(acc + bias).max(0.0)`
+/// or `(acc + bias).tanh()`, the standalone layer's arithmetic on the
+/// value the masked stage would have stored, so folding changes no bit
+/// (an inactive neuron stays `0.0`, which both map to `0.0`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) enum Activation {
+    /// Bias only: no activation follows the stage directly.
+    #[default]
+    Identity,
+    Relu,
+    Tanh,
+}
+
+impl Activation {
+    /// The store epilogue over `bias`.
+    pub fn epilogue(self, bias: &[f32]) -> Epilogue<'_> {
+        match self {
+            Activation::Identity => Epilogue::Bias(bias),
+            Activation::Relu => Epilogue::BiasRelu(bias),
+            Activation::Tanh => Epilogue::BiasTanh(bias),
+        }
+    }
+}
 
 /// The full and step panels of one masked stage.
 #[derive(Debug)]
@@ -66,15 +95,11 @@ pub(crate) struct CompiledLinear {
     pub in_features: usize,
     pub out_features: usize,
     pub panels: Panels,
+    /// Applied in the GEMM's epilogue.
+    pub activation: Activation,
 }
 
 impl CompiledLinear {
-    /// A zeroed `[n, out_features]` level for the rows of `input`.
-    fn target(&self, input: &Tensor) -> Tensor {
-        let n = input.shape().dims().first().copied().unwrap_or(0);
-        Tensor::zeros(Shape::of(&[n, self.out_features]))
-    }
-
     /// The one packed kernel, batched over per-request activation stacks:
     /// reads level `si` of every stack (`[n_i, in_features]`), computes
     /// `plan`'s rows — a step panel's (the neurons assigned exactly to a
@@ -83,12 +108,12 @@ impl CompiledLinear {
     /// in **one** GEMM — rows are independent in every kernel — and writes
     /// each stack's rows straight into columns `plan.rows` of its level
     /// `si + 1` (`[n_i, out_features]`: the cached full-width activation, or
-    /// a zeroed [`target`](Self::target)). The stacked input panel and the
-    /// output live in `scratch`; untouched columns keep their exact old
-    /// values, so the result equals
-    /// [`MaskedLinear::forward`](crate::MaskedLinear::forward) under
-    /// `f32 ==` (see the `plan` module docs). Every stack must hold levels
-    /// `si` and `si + 1`.
+    /// a [`CompiledStage::target`]), through the stage's [`Activation`]. The
+    /// stacked input panel and the output live in `scratch`; untouched
+    /// columns keep their exact old values, so the result equals
+    /// [`MaskedLinear::forward`](crate::MaskedLinear::forward), then the
+    /// folded activation, under `f32 ==` (see the `plan` module docs).
+    /// Every stack must hold levels `si` and `si + 1`.
     fn run(
         &self,
         plan: &Plan,
@@ -140,7 +165,7 @@ impl CompiledLinear {
                 out,
                 total,
                 &mut scratch.a_pack,
-                Epilogue::Bias(&plan.bias),
+                self.activation.epilogue(&plan.bias),
             );
         }
         let mut rows = out.chunks_exact(cols_out);
@@ -181,6 +206,8 @@ pub(crate) struct CompiledConv {
     /// accounting only; a run takes its geometry from the input).
     pub positions: usize,
     pub panels: Panels,
+    /// Applied in the conv driver's store.
+    pub activation: Activation,
 }
 
 impl CompiledConv {
@@ -196,37 +223,20 @@ impl CompiledConv {
         )?)
     }
 
-    /// A zeroed `[n, out_channels, oh, ow]` level for the images of `input`.
-    fn target(&self, input: &Tensor) -> Result<Tensor> {
-        let &[n, _, h, w] = input.shape().dims() else {
-            return Err(SteppingError::InvalidStructure(format!(
-                "masked conv expects [n, {}, h, w], got {}",
-                self.in_channels,
-                input.shape()
-            )));
-        };
-        let geom = self.geometry(h, w)?;
-        Ok(Tensor::zeros(Shape::of(&[
-            n,
-            self.out_channels,
-            geom.out_h,
-            geom.out_w,
-        ])))
-    }
-
     /// The one packed kernel, over per-request activation stacks: for each
     /// stack, reads level `si` (`[n_i, in_channels, h, w]`) and writes
     /// `plan`'s filters — a step panel's (the filters assigned exactly to a
     /// subnet) or a full panel's (every filter active at it), over every
     /// input channel active at the subnet, a channel prefix — straight into
     /// their channel range of level `si + 1` (`[n_i, out_channels, oh,
-    /// ow]`: the cached full-width activation, or a zeroed
-    /// [`target`](Self::target)) through
-    /// [`microkernel::conv_packed`], which packs its operand from the image
-    /// and keeps its buffers in `scratch`. Untouched channels keep their
-    /// exact old values, so the result equals
-    /// [`MaskedConv2d::forward`](crate::MaskedConv2d::forward) under
-    /// `f32 ==`. Every stack must hold levels `si` and `si + 1`.
+    /// ow]`: the cached full-width activation, or a
+    /// [`CompiledStage::target`]) through [`microkernel::conv_packed`],
+    /// which packs its operand from the image, keeps its buffers in
+    /// `scratch` and stores through the stage's [`Activation`]. Untouched
+    /// channels keep their exact old values, so the result equals
+    /// [`MaskedConv2d::forward`](crate::MaskedConv2d::forward), then the
+    /// folded activation, under `f32 ==`. Every stack must hold levels `si`
+    /// and `si + 1`.
     fn run(
         &self,
         plan: &Plan,
@@ -260,12 +270,18 @@ impl CompiledConv {
                 )));
             }
         }
+        let filters = ConvFilters {
+            weight: &plan.weight,
+            epilogue: self.activation.epilogue(&plan.bias),
+            in_channels: plan.inputs,
+            out_offset: plan.rows.start,
+        };
         let _gemm_timer = plan::gemm_timer();
         for levels in stacks.iter_mut() {
             let (done, rest) = levels.split_at_mut(si + 1);
             let dims = done[si].shape().dims();
             let geom = self.geometry(dims[2], dims[3])?;
-            microkernel::conv_packed(&done[si], &geom, plan.filters(), &mut rest[0], scratch);
+            microkernel::conv_packed(&done[si], &geom, filters, &mut rest[0], scratch);
         }
         Ok(())
     }
@@ -293,18 +309,84 @@ pub(crate) enum CompiledStage {
 }
 
 impl CompiledStage {
-    /// A zeroed level for this stage to write the rows of `input` into:
-    /// full-width for a masked stage (inactive neurons stay exactly zero),
-    /// the stage's output shape for a fixed one (empty for an input it
-    /// cannot take, whose run then reports why).
-    pub(crate) fn target(&self, input: &Tensor) -> Result<Tensor> {
+    /// The shape this stage writes for an input of shape `input`, batch
+    /// dimension first: full-width for a masked stage, the layer's output
+    /// shape for a fixed one; `None` for an input it cannot take.
+    fn output_dims(&self, input: &[usize]) -> Option<Vec<usize>> {
         match self {
-            CompiledStage::Linear(l) => Ok(l.target(input)),
-            CompiledStage::Conv(c) => c.target(input),
-            CompiledStage::Fixed { stage, .. } => Ok(stage
-                .output_shape(input.shape())
-                .map_or_else(|| Tensor::zeros(Shape::of(&[0])), Tensor::zeros)),
+            CompiledStage::Linear(l) => Some(vec![*input.first()?, l.out_features]),
+            CompiledStage::Conv(c) => {
+                let &[n, _, h, w] = input else {
+                    return None;
+                };
+                let geom = c.geometry(h, w).ok()?;
+                Some(vec![n, c.out_channels, geom.out_h, geom.out_w])
+            }
+            CompiledStage::Fixed { stage, .. } => stage
+                .output_shape(&Shape::of(input))
+                .map(|shape| shape.dims().to_vec()),
         }
+    }
+
+    /// A zeroed level for this stage to write the rows of `input` into
+    /// ([`output_dims`](Self::output_dims); inactive neurons stay exactly
+    /// zero), empty for an input it cannot take, whose run then reports
+    /// why.
+    pub(crate) fn target(&self, input: &Tensor) -> Tensor {
+        let shape = match self {
+            CompiledStage::Fixed { stage, .. } => stage.output_shape(input.shape()),
+            masked => masked.output_dims(input.shape().dims()).map(Shape::from),
+        };
+        shape.map_or_else(|| Tensor::zeros(Shape::of(&[0])), Tensor::zeros)
+    }
+
+    /// The channels (or features) of its input a direct pass at `subnet`
+    /// reads, a prefix of each row: a masked stage's full panel inputs, a
+    /// fixed stage's `ends[subnet]`. `None` for a subnet out of range.
+    fn reads(&self, subnet: usize) -> Option<usize> {
+        match self {
+            CompiledStage::Linear(l) => l.panels.full.get(subnet).map(|p| p.inputs),
+            CompiledStage::Conv(c) => c.panels.full.get(subnet).map(|p| p.inputs),
+            CompiledStage::Fixed { ends, .. } => ends.get(subnet).copied(),
+        }
+    }
+
+    /// The channels (or features) of its output a direct pass at `subnet`
+    /// writes, a prefix of each row: a masked stage's full panel rows, a
+    /// fixed stage's `ends[subnet]` (times `h·w` through a flatten).
+    fn writes(&self, subnet: usize) -> Option<usize> {
+        match self {
+            CompiledStage::Linear(l) => l.panels.full.get(subnet).map(|p| p.rows.end),
+            CompiledStage::Conv(c) => c.panels.full.get(subnet).map(|p| p.rows.end),
+            CompiledStage::Fixed { stage, ends } => {
+                let factor = match stage {
+                    FixedStage::Flatten { factor, .. } => *factor,
+                    _ => 1,
+                };
+                ends.get(subnet).map(|e| e * factor)
+            }
+        }
+    }
+
+    /// Folds `next`, the net stage directly after this one, into this
+    /// stage's store when this is a masked stage that stores no activation
+    /// yet and `next` a ReLU or tanh. Returns whether it did.
+    fn fold(&mut self, next: &FixedStage) -> bool {
+        let activation = match next {
+            FixedStage::Relu(_) => Activation::Relu,
+            FixedStage::Tanh(_) => Activation::Tanh,
+            _ => return false,
+        };
+        let slot = match self {
+            CompiledStage::Linear(l) => &mut l.activation,
+            CompiledStage::Conv(c) => &mut c.activation,
+            CompiledStage::Fixed { .. } => return false,
+        };
+        if *slot != Activation::Identity {
+            return false;
+        }
+        *slot = activation;
+        true
     }
 
     /// Runs the stage over every stack in place, reading level `si` and
@@ -317,14 +399,15 @@ impl CompiledStage {
     /// `step` (every other cached channel keeps its exact old value) and
     /// the channels `0..ends[subnet]` active at `subnet` otherwise.
     ///
-    /// Equal to [`Stage::forward`] with `train == false` under `f32 ==` on
-    /// every channel a later stage reads at `subnet`: masked stages read
-    /// their active inputs, the head its active features. A channel a
-    /// direct pass skips keeps its target's `0.0`, which is what every fixed
-    /// stage but batch norm and sigmoid maps a zero to (those two would
-    /// write `f(0)` there, which nothing reads); the expand that activates
-    /// it recomputes it as a changed channel. Every stack must hold levels
-    /// `si` and `si + 1`.
+    /// Equal to [`Stage::forward`] with `train == false` (a masked stage
+    /// followed by its folded activation) under `f32 ==` on every channel a
+    /// later stage reads at `subnet`: masked stages read their active
+    /// inputs, fixed stages their active channels, the head its active
+    /// features — a prefix of each row every time. A channel a direct pass
+    /// skips keeps what its target held (a [`target`](Self::target)'s
+    /// `0.0`, stale values in a reused scratch level), which nothing reads
+    /// at `subnet`; the expand that activates it recomputes it as a changed
+    /// channel. Every stack must hold levels `si` and `si + 1`.
     pub(crate) fn run_into(
         &self,
         (subnet, step): (usize, bool),
@@ -369,6 +452,10 @@ impl CompiledStage {
 #[derive(Debug)]
 pub struct CompiledModel {
     pub(crate) stages: Vec<CompiledStage>,
+    /// What `stages[i]` writes per sample (its output shape without the
+    /// batch dimension) for inputs of `input_shape`; `None` where a stage
+    /// cannot take what the stage before it writes.
+    samples: Vec<Option<Vec<usize>>>,
     heads: Vec<Plan>,
     costs: MacTable,
     prune_threshold: f32,
@@ -384,15 +471,19 @@ const _: fn() = || {
 };
 
 impl CompiledModel {
-    /// Compiles every panel of `net` and counts its MACs at
+    /// Compiles every panel of `net`, folds each ReLU or tanh that
+    /// directly follows a masked stage into it, and counts the MACs at
     /// `prune_threshold`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a masked stage is not level-major (a move without
+    /// [`SteppingNet::sync_assignments`]): its panels would cover the wrong
+    /// rows.
     pub(crate) fn new(net: &SteppingNet, prune_threshold: f32) -> Self {
         let _compile_timer = plan::compile_timer();
-        debug_assert!(
-            net.stages()
-                .iter()
-                .filter_map(Stage::out_assign)
-                .all(Assignment::is_level_major),
+        assert!(
+            net.is_level_major(),
             "a masked stage is not level-major: call sync_assignments()"
         );
         let subnets = net.subnet_count();
@@ -402,38 +493,46 @@ impl CompiledModel {
         // turns channel `c` into features `c·h·w .. (c + 1)·h·w`); before
         // the first masked stage every subnet runs the whole level
         let mut ends = vec![net.input_shape().dims()[0]; subnets];
-        let stages = net
-            .stages()
-            .iter()
-            .map(|stage| {
-                for (total, macs) in stage_step
-                    .iter_mut()
-                    .zip(stage.step_macs(prune_threshold).unwrap_or_default())
-                {
-                    *total += macs;
-                }
-                if let Some(assign) = stage.out_assign() {
-                    ends = (0..subnets).map(|s| assign.active_count(s)).collect();
-                }
-                match stage {
-                    Stage::Linear(l) => CompiledStage::Linear(l.compile()),
-                    Stage::Conv(c) => CompiledStage::Conv(c.compile()),
-                    Stage::Fixed(f) => {
-                        let compiled = CompiledStage::Fixed {
-                            stage: f.clone(),
-                            ends: ends.clone(),
-                        };
-                        if let FixedStage::Flatten { factor, .. } = f {
-                            ends.iter_mut().for_each(|e| *e *= factor);
-                        }
-                        compiled
+        let mut stages: Vec<CompiledStage> = Vec::with_capacity(net.stages().len());
+        for stage in net.stages() {
+            for (total, macs) in stage_step
+                .iter_mut()
+                .zip(stage.step_macs(prune_threshold).unwrap_or_default())
+            {
+                *total += macs;
+            }
+            if let Some(assign) = stage.out_assign() {
+                ends = (0..subnets).map(|s| assign.active_count(s)).collect();
+            }
+            match stage {
+                Stage::Linear(l) => stages.push(CompiledStage::Linear(l.compile())),
+                Stage::Conv(c) => stages.push(CompiledStage::Conv(c.compile())),
+                Stage::Fixed(f) => {
+                    if stages.last_mut().is_some_and(|last| last.fold(f)) {
+                        continue;
+                    }
+                    stages.push(CompiledStage::Fixed {
+                        stage: f.clone(),
+                        ends: ends.clone(),
+                    });
+                    if let FixedStage::Flatten { factor, .. } = f {
+                        ends.iter_mut().for_each(|e| *e *= factor);
                     }
                 }
+            }
+        }
+        let mut dims = Some([&[1], net.input_shape().dims()].concat());
+        let samples = stages
+            .iter()
+            .map(|stage| {
+                dims = dims.as_deref().and_then(|d| stage.output_dims(d));
+                dims.as_ref().map(|d| d[1..].to_vec())
             })
             .collect();
         let head_macs = (0..subnets).map(|k| net.head_macs(k)).collect();
         CompiledModel {
             stages,
+            samples,
             heads: (0..subnets).map(|k| compile_head(net, k)).collect(),
             costs: MacTable::new(&stage_step, head_macs),
             prune_threshold,
@@ -489,20 +588,86 @@ impl CompiledModel {
         stages + self.heads[subnet].weight.macs()
     }
 
-    /// Full packed inference pass: every stage and the head run their
-    /// panels — the per-stage kernels
-    /// [`BatchExecutor::begin`](crate::BatchExecutor::begin) runs, over a
-    /// two-level stack that keeps no intermediate level.
-    pub(crate) fn forward(
+    /// Number of levels an activation cache of this model holds: the
+    /// input of every compiled stage and the features.
+    pub fn cache_levels(&self) -> usize {
+        self.stages.len() + 1
+    }
+
+    /// Full packed inference pass over the rows of `inputs`, stacked in
+    /// order: every stage and the head run their full panels — the
+    /// per-stage kernels [`BatchExecutor::begin`](crate::BatchExecutor::begin)
+    /// runs — but no level is kept. The stages alternate between the two
+    /// levels in `scratch.levels`, each reshaped in place, so a warmed pass
+    /// allocates only the logits it returns (`[Σ n_i, classes]`). Nothing
+    /// is zeroed but what a level grows by: every stage writes the prefix
+    /// of each row that the next one reads at `subnet` (see
+    /// [`CompiledStage::run_into`]).
+    pub(crate) fn forward<'t>(
         &self,
-        input: &Tensor,
+        inputs: impl Iterator<Item = &'t Tensor> + Clone,
         subnet: usize,
         scratch: &mut PackScratch,
     ) -> Result<Tensor> {
-        let mut levels = [input.clone(), Tensor::zeros(Shape::of(&[0]))];
-        for stage in &self.stages {
-            levels[1] = stage.target(&levels[0])?;
-            stage.run_into((subnet, false), &mut [&mut levels[..]], 0, scratch)?;
+        let sample = self.input_shape.dims();
+        let mut rows = 0usize;
+        for input in inputs.clone() {
+            match input.shape().dims().split_first() {
+                Some((&n, dims)) if dims == sample => rows += n,
+                _ => {
+                    return Err(SteppingError::InvalidStructure(format!(
+                        "input {} does not hold samples of shape {}",
+                        input.shape(),
+                        self.input_shape
+                    )))
+                }
+            }
+        }
+        let mut levels = std::mem::take(&mut scratch.levels);
+        levels.resize_with(2, || Tensor::zeros(Shape::scalar()));
+        levels[0].reshape_rows(rows, sample);
+        let mut at = 0;
+        for input in inputs {
+            levels[0].data_mut()[at..at + input.len()].copy_from_slice(input.data());
+            at += input.len();
+        }
+        let logits = self.direct_pass(&mut levels, subnet, scratch);
+        // each buffer keeps its role — the input and every even level, or
+        // every odd one — so each grows to its largest level once
+        if self.stages.len() % 2 == 1 {
+            levels.swap(0, 1);
+        }
+        scratch.levels = levels;
+        logits
+    }
+
+    /// The stages and the head of [`forward`](Self::forward) over the
+    /// stacked input in `levels[0]`.
+    fn direct_pass(
+        &self,
+        levels: &mut [Tensor],
+        subnet: usize,
+        scratch: &mut PackScratch,
+    ) -> Result<Tensor> {
+        let rows = levels[0].shape().dims()[0];
+        for (si, (stage, sample)) in self.stages.iter().zip(&self.samples).enumerate() {
+            let sample = sample.as_deref().ok_or_else(|| {
+                SteppingError::InvalidStructure(format!(
+                    "stage {si} cannot take the output of the stage before it"
+                ))
+            })?;
+            levels[1].reshape_rows(rows, sample);
+            stage.run_into((subnet, false), &mut [&mut *levels], 0, scratch)?;
+            // the next reader reads past what this stage wrote only when
+            // its input assignment was set apart from the chain; those
+            // channels are inactive, zero in a masked level
+            let read = match self.stages.get(si + 1) {
+                Some(next) => next.reads(subnet),
+                None => self.heads.get(subnet).map(|head| head.inputs),
+            };
+            if let (Some(written), Some(read)) = (stage.writes(subnet), read) {
+                zero_channels(&mut levels[1], written..read);
+            }
             levels.swap(0, 1);
         }
         self.head_rows(std::iter::once(&levels[0]), subnet, scratch)
@@ -564,6 +729,23 @@ impl CompiledModel {
     }
 }
 
+/// Zeroes channels `channels` (clipped to the level's channels) of every
+/// row of `level` (`[n, c, inner…]`); nothing for an empty range.
+fn zero_channels(level: &mut Tensor, channels: std::ops::Range<usize>) {
+    let dims = level.shape().dims();
+    let (Some(&c), false) = (dims.get(1), channels.is_empty()) else {
+        return;
+    };
+    let inner: usize = dims[2..].iter().product();
+    if c * inner == 0 {
+        return;
+    }
+    let span = channels.start.min(c) * inner..channels.end.min(c) * inner;
+    for row in level.data_mut().chunks_exact_mut(c * inner) {
+        row[span.clone()].fill(0.0);
+    }
+}
+
 /// Compiles the packed head panel of `subnet`: the head's weight restricted
 /// to the features active there, a prefix of each row.
 fn compile_head(net: &SteppingNet, subnet: usize) -> Plan {
@@ -588,7 +770,9 @@ mod tests {
     /// Each fixed stage records the level ends of its input: the input
     /// width before the first masked stage, else the last masked stage's
     /// ends after the move sorted it level-major, widened to features by a
-    /// flatten.
+    /// flatten. A ReLU before any masked stage stays a fixed stage; the
+    /// tanh right after the linear is folded into it, and the sigmoid after
+    /// that reads the linear's level.
     #[test]
     fn fixed_stages_record_the_level_ends_of_their_input() {
         let mut net = SteppingNetBuilder::new(Shape::of(&[2, 4, 4]), 3, 1)
@@ -599,6 +783,7 @@ mod tests {
             .sigmoid()
             .linear(5)
             .tanh()
+            .sigmoid()
             .build(2)
             .unwrap();
         // conv levels [2, 0, 1, 0] are stored [0, 0, 1, 2]; linear levels
@@ -618,7 +803,12 @@ mod tests {
         assert_eq!(ends[1], &[2, 3, 4], "max-pool");
         assert_eq!(ends[2], &[2, 3, 4], "flatten");
         assert_eq!(ends[3], &[8, 12, 16], "sigmoid after flatten");
-        assert_eq!(ends[4], &[3, 4, 5], "tanh after linear");
+        assert_eq!(ends[4], &[3, 4, 5], "sigmoid after linear and tanh");
+        assert_eq!(ends.len(), 5, "the tanh has no stage of its own");
+        let CompiledStage::Linear(linear) = &model.stages[5] else {
+            unreachable!("relu, conv, pool, flatten, sigmoid, linear")
+        };
+        assert_eq!(linear.activation, Activation::Tanh);
     }
 
     /// Full panels cover the row prefix of their subnet and cut each
@@ -649,13 +839,14 @@ mod tests {
         ])
         .unwrap();
         let model = net.compile(0.0);
-        let conv2 = match &model.stages[2] {
+        // the relu is folded into conv1: conv2 is compiled stage 1
+        let conv2 = match &model.stages[1] {
             CompiledStage::Conv(c) => &c.panels.full,
-            _ => unreachable!("stage 2 is a conv"),
+            _ => unreachable!("compiled stage 1 is a conv"),
         };
-        let linear = match &model.stages[4] {
+        let linear = match &model.stages[3] {
             CompiledStage::Linear(l) => &l.panels.full,
-            _ => unreachable!("stage 4 is a linear"),
+            _ => unreachable!("compiled stage 3 is a linear"),
         };
         // (subnet, rows, channels read, tile extents): conv2 reads channels
         // 0..2 at subnet 0, 0..3 at 1 and 0..4 at 2 (9 taps each), each
@@ -698,10 +889,14 @@ mod tests {
         net.move_neurons(&[(0, 0, 2), (0, 5, 1), (0, 6, 1), (2, 1, 1), (2, 2, 3)])
             .unwrap();
         let model = net.compile(0.0);
-        let [CompiledStage::Linear(first), _, CompiledStage::Linear(second)] = &model.stages[..]
+        let [CompiledStage::Linear(first), CompiledStage::Linear(second)] = &model.stages[..]
         else {
-            unreachable!("linear, relu, linear")
+            unreachable!("linear with its relu folded in, linear")
         };
+        assert_eq!(
+            (first.activation, second.activation),
+            (Activation::Relu, Activation::Identity)
+        );
         let steps = |p: &Panels| {
             p.step
                 .iter()

@@ -3,7 +3,7 @@ use stepping_nn::{permute_axis, Param, ParamLr};
 use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
 use stepping_tensor::{init, matmul, Shape, Tensor};
 
-use crate::compiled::{CompiledConv, Panels};
+use crate::compiled::{Activation, CompiledConv, Panels};
 use crate::plan::Plan;
 use crate::{Assignment, Result, SteppingError};
 
@@ -275,6 +275,7 @@ impl MaskedConv2d {
                     step,
                 )
             }),
+            activation: Activation::Identity,
         }
     }
 

@@ -2,7 +2,7 @@ use rand::rngs::StdRng;
 use stepping_nn::{permute_axis, Param, ParamLr};
 use stepping_tensor::{init, reduce, Shape, Tensor};
 
-use crate::compiled::{CompiledLinear, Panels};
+use crate::compiled::{Activation, CompiledLinear, Panels};
 use crate::plan::Plan;
 use crate::{Assignment, Result, SteppingError};
 
@@ -221,6 +221,7 @@ impl MaskedLinear {
                     step,
                 )
             }),
+            activation: Activation::Identity,
         }
     }
 

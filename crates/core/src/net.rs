@@ -115,6 +115,17 @@ impl SteppingNet {
         &mut self.parts.write().heads
     }
 
+    /// Whether every masked stage stores its neurons level-major (verify
+    /// rule R7), which [`compile`](Self::compile) requires. A move through
+    /// [`stages_mut`](Self::stages_mut) can break it;
+    /// [`sync_assignments`](Self::sync_assignments) restores it.
+    pub fn is_level_major(&self) -> bool {
+        self.stages()
+            .iter()
+            .filter_map(Stage::out_assign)
+            .all(Assignment::is_level_major)
+    }
+
     /// Restores level-major order in every masked stage (verify rule R7),
     /// then re-derives every masked stage's input assignment (and the
     /// feature assignment) from the chain of output assignments. Call after
@@ -353,6 +364,10 @@ impl SteppingNet {
     /// next call recompiles from the mutated net. A model handed out
     /// earlier is unaffected: it is a snapshot, and executors created from
     /// it keep serving it.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the net [`is_level_major`](Self::is_level_major).
     pub fn compile(&self, prune_threshold: f32) -> Arc<CompiledModel> {
         self.compiled(Some(prune_threshold))
     }
@@ -378,7 +393,7 @@ impl SteppingNet {
     /// Propagates stage/head errors.
     pub fn forward_packed(&self, input: &Tensor, subnet: usize) -> Result<Tensor> {
         self.compiled(None)
-            .forward(input, subnet, &mut PackScratch::new())
+            .forward(std::iter::once(input), subnet, &mut PackScratch::new())
     }
 
     /// MAC operations a direct packed pass at `subnet` executes for one

@@ -71,7 +71,7 @@ use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use stepping_metrics::{start_timer, LogHistogram, MetricsRegistry, PhaseTimer, ShardedCounter};
-use stepping_tensor::microkernel::{ConvFilters, PackedB};
+use stepping_tensor::microkernel::PackedB;
 
 use crate::events::{event, phase};
 use crate::telemetry::{self, Value};
@@ -192,18 +192,6 @@ impl Plan {
             bias: bias[rows.clone()].to_vec(),
             rows,
             inputs,
-        }
-    }
-
-    /// The panel as [`conv_packed`](stepping_tensor::microkernel::conv_packed)
-    /// reads it: filter `f` over channels `0..inputs`, stored into plane
-    /// `rows.start + f`.
-    pub fn filters(&self) -> ConvFilters<'_> {
-        ConvFilters {
-            weight: &self.weight,
-            bias: &self.bias,
-            in_channels: self.inputs,
-            out_offset: self.rows.start,
         }
     }
 }

@@ -226,8 +226,12 @@ fn warmed_conv_expand_allocates_no_tensor_in_its_fixed_stages() {
 fn warmed_conv_begin_and_expand_allocate_nothing_in_a_kernel_or_a_fixed_stage() {
     const REQUESTS: usize = 8;
     let net = serving_conv_net();
-    let stages = net.stages().len();
     let mut exec = BatchExecutor::new(&net, 0.0);
+    // the compiled stages' levels: each relu is folded into its conv or
+    // linear, so the net's 9 stages compile to 6, whose inputs and the
+    // features make 7 levels
+    let levels = exec.model().cache_levels();
+    assert_eq!(levels, 7);
     let inputs = inputs(&exec, REQUESTS);
     // warm-up: every full and step panel through the one scratch
     for subnet in 0..SUBNETS {
@@ -242,12 +246,12 @@ fn warmed_conv_begin_and_expand_allocate_nothing_in_a_kernel_or_a_fixed_stage() 
     let (_, tensor, _) = count_allocs(|| Tensor::zeros(Shape::of(&[REQUESTS, CLASSES])));
     for subnet in 0..SUBNETS {
         let (_, allocs, _) = count_allocs(|| exec.begin(&inputs, subnet).unwrap());
-        // the stacked input, one level per stage and the stacked logits, each
-        // also split into one tensor per request; a list per split level and
-        // per request; the row counts, the level stack, the request list and
-        // the result
-        let tensors = (stages + 2) * (REQUESTS + 1);
-        let lists = (stages + 2) + REQUESTS + 4;
+        // the stacked input, one level per compiled stage and the stacked
+        // logits, each also split into one tensor per request; a list per
+        // split level and per request; the row counts, the level stack, the
+        // request list and the result
+        let tensors = (levels + 1) * (REQUESTS + 1);
+        let lists = (levels + 1) + REQUESTS + 4;
         assert!(
             allocs <= tensors * tensor + lists,
             "a warmed begin at subnet {subnet} made {allocs} allocations; its {tensors} \
@@ -266,5 +270,41 @@ fn warmed_conv_begin_and_expand_allocate_nothing_in_a_kernel_or_a_fixed_stage() 
             "a warmed expand to subnet {k} made {allocs} allocations, its logits and \
              bookkeeping {expected}"
         );
+    }
+}
+
+/// A warmed pass that keeps no level — `BatchExecutor::forward`, at every
+/// subnet of the MLP and the serving conv net — allocates its logits and
+/// nothing that grows with the net: the stacked logits and each request's
+/// share, the row counts, the split list and the result. Its stages run
+/// through two scratch levels the executor keeps, each reshaped in place.
+#[test]
+fn warmed_forward_allocates_only_the_logits() {
+    const REQUESTS: usize = 8;
+    for net in [mlp(), serving_conv_net()] {
+        let mut exec = BatchExecutor::new(&net, 0.0);
+        let inputs = inputs(&exec, REQUESTS);
+        // warm-up: every full panel and both scratch levels at every size
+        for subnet in 0..SUBNETS {
+            exec.forward(&inputs, subnet).unwrap();
+        }
+        let (_, tensor, _) = count_allocs(|| Tensor::zeros(Shape::of(&[REQUESTS, CLASSES])));
+        // one request's logits
+        let (_, _, logits_bytes) = count_allocs(|| Tensor::zeros(Shape::of(&[1, CLASSES])));
+        for subnet in 0..SUBNETS {
+            let (steps, allocs, bytes) = count_allocs(|| exec.forward(&inputs, subnet).unwrap());
+            assert_eq!(steps.len(), REQUESTS);
+            let expected = (REQUESTS + 1) * tensor + 3;
+            assert!(
+                allocs <= expected,
+                "a warmed forward at subnet {subnet} made {allocs} allocations, its logits \
+                 and lists {expected}"
+            );
+            assert!(
+                bytes <= 4 * REQUESTS * logits_bytes + 1024,
+                "a warmed forward at subnet {subnet} allocated {bytes} bytes; one request's \
+                 logits take {logits_bytes}"
+            );
+        }
     }
 }

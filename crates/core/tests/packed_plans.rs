@@ -119,10 +119,18 @@ fn assert_executor_answers(
     let logits = |steps: Vec<stepping_core::ExpandStep>| -> Vec<Tensor> {
         steps.into_iter().map(|s| s.logits).collect()
     };
-    // full panels: a direct pass at every subnet
+    // full panels: a direct pass at every subnet, keeping its levels or not
     for (s, want) in want.iter().enumerate() {
         let (_, steps): (Vec<_>, Vec<_>) = exec.begin(inputs, s).unwrap().into_iter().unzip();
         assert_eq!(&logits(steps), want, "{what}: begin at subnet {s}");
+        let steps = exec.forward(inputs, s).unwrap();
+        assert_eq!(&logits(steps), want, "{what}: forward at subnet {s}");
+    }
+    // a level-free forward leaves the larger subnets' values in its scratch
+    // levels, past the prefix a smaller subnet reads
+    for (s, want) in want.iter().enumerate().rev() {
+        let steps = exec.forward(inputs, s).unwrap();
+        assert_eq!(&logits(steps), want, "{what}: forward down at subnet {s}");
     }
     // step panels: begin at 0, expand to the top ...
     let (mut caches, steps): (Vec<_>, Vec<_>) = exec.begin(inputs, 0).unwrap().into_iter().unzip();
@@ -369,6 +377,56 @@ fn every_fixed_kind_net(seed: u64, moves: &[(u8, u8, u8)]) -> SteppingNet {
         .build(4)
         .unwrap();
     scatter_and_train(net, &EVERY_KIND_MASKED, seed, moves)
+}
+
+/// What follows a masked stage in [`folded_net`], by `kind % 7`: nothing,
+/// a ReLU or a tanh (each folded into the masked stage), a sigmoid (never
+/// folded), batch norm then ReLU (the ReLU stays a fixed stage), two ReLUs
+/// (the first folded, the second not), tanh then sigmoid. Returns the
+/// builder and how many stages folded.
+fn activation_tail(b: SteppingNetBuilder, kind: u8) -> (SteppingNetBuilder, usize) {
+    match kind % 7 {
+        0 => (b, 0),
+        1 => (b.relu(), 1),
+        2 => (b.tanh(), 1),
+        3 => (b.sigmoid(), 0),
+        4 => (b.batch_norm().relu(), 0),
+        5 => (b.relu().relu(), 1),
+        _ => (b.tanh().sigmoid(), 1),
+    }
+}
+
+/// Conv → tail → max- or avg-pool → conv → tail → flatten → linear → tail
+/// → linear → tail, each tail drawn by [`activation_tail`] from `tails`,
+/// with `moves` scattered over the four masked stages (some into the
+/// unused pool) and the batch norms trained (see [`scatter_and_train`]).
+/// Returns the net and how many stages its compiled model folds.
+fn folded_net(
+    seed: u64,
+    tails: [u8; 4],
+    avg: bool,
+    moves: &[(u8, u8, u8)],
+) -> (SteppingNet, usize) {
+    let b = SteppingNetBuilder::new(Shape::of(&[2, 8, 8]), SUBNETS, seed).conv(6, 3, 1, 1);
+    let (b, f0) = activation_tail(b, tails[0]);
+    let b = if avg {
+        b.avg_pool(2, 2)
+    } else {
+        b.max_pool(2, 2)
+    };
+    let (b, f1) = activation_tail(b.conv(5, 3, 1, 1), tails[1]);
+    let (b, f2) = activation_tail(b.flatten().linear(9), tails[2]);
+    let (b, f3) = activation_tail(b.linear(7), tails[3]);
+    let net = b.build(4).unwrap();
+    let masked: Vec<(usize, usize)> = net
+        .masked_stage_indices()
+        .into_iter()
+        .map(|si| (si, net.stages()[si].neuron_count().expect("masked")))
+        .collect();
+    (
+        scatter_and_train(net, &masked, seed, moves),
+        f0 + f1 + f2 + f3,
+    )
 }
 
 /// Assigns every masked stage of `net` index-monotonically in whole tiles:
@@ -618,6 +676,36 @@ proptest! {
             init::uniform(Shape::of(&[1, 2, 8, 8]), -2.0, 2.0, &mut rng),
         ];
         assert_packed_matches(&net, &inputs, "every fixed kind");
+    }
+
+    /// A ReLU or tanh right after a masked stage is folded into that
+    /// stage's store, and the cache loses its level: on random nets mixing
+    /// folded and unfolded activations (sigmoid, batch norm, a second ReLU,
+    /// both poolings) under random level-major assignments with moves into
+    /// the unused pool, every path stays `==` the masked forward —
+    /// `forward_packed`, a begin and a level-free forward at every subnet,
+    /// the expand chain, the contractions and the head-only re-expands,
+    /// from a begin at every subnet.
+    #[test]
+    fn folded_activations_equal_the_masked_reference_on_every_path(
+        tails in (0u8..7, 0u8..7, 0u8..7, 0u8..7),
+        avg in 0u8..2,
+        moves in proptest::collection::vec((0u8..4, 0u8..64, 0u8..8), 0..20),
+        seed in 0u64..1000,
+        batch in 1usize..3,
+    ) {
+        let (net, folded) = folded_net(seed, [tails.0, tails.1, tails.2, tails.3], avg == 1, &moves);
+        prop_assert_eq!(
+            BatchExecutor::new(&net, 0.0).model().cache_levels(),
+            net.stages().len() + 1 - folded
+        );
+        let mut rng = init::rng(seed ^ 17);
+        let inputs = [
+            init::uniform(Shape::of(&[batch, 2, 8, 8]), -2.0, 2.0, &mut rng),
+            init::uniform(Shape::of(&[1, 2, 8, 8]), -2.0, 2.0, &mut rng),
+        ];
+        assert_packed_matches(&net, &inputs, "folded");
+        assert_direct_then_steps_answer(&net, &inputs, "folded");
     }
 
     /// A direct pass computes only the channels active at its subnet in

@@ -25,9 +25,29 @@ use crate::stats::{ServerStats, StatsInner};
 /// Retained per-request state between an initial run and later upgrades.
 #[derive(Debug)]
 struct SessionEntry {
-    cache: ActivationCache,
+    /// The cached levels an upgrade steps from; `None` at the top subnet,
+    /// which nothing steps up from (the server never contracts).
+    cache: Option<ActivationCache>,
+    /// Batch rows of the session's input.
+    rows: usize,
+    /// MACs charged to the session since its begin.
+    total_macs: u64,
     last_subnet: usize,
     last_logits: Tensor,
+}
+
+impl SessionEntry {
+    /// The state a served step leaves: `cache` is dropped here when the
+    /// step reached the top subnet (`top`).
+    fn new(cache: Option<ActivationCache>, step: ExpandStep, top: usize) -> Self {
+        SessionEntry {
+            cache: cache.filter(|_| step.subnet < top),
+            rows: step.logits.shape().dims().first().copied().unwrap_or(0),
+            total_macs: step.cumulative_macs,
+            last_subnet: step.subnet,
+            last_logits: step.logits,
+        }
+    }
 }
 
 /// One row of the session table.
@@ -91,6 +111,11 @@ impl Shared {
 
     fn subnet_count(&self) -> usize {
         self.model.subnet_count()
+    }
+
+    /// The largest subnet.
+    fn top(&self) -> usize {
+        self.subnet_count() - 1
     }
 
     /// Largest subnet (≥ the configured start subnet) whose direct cost
@@ -167,10 +192,12 @@ impl Shared {
 /// property makes the cheaper answer free — or refuses it with a typed
 /// [`AdmissionError`].
 ///
-/// Every answered request leaves its activation cache in a session table;
-/// [`upgrade`](Server::upgrade) later steps it to a larger subnet paying
-/// only the newly added neurons plus the new head — the paper's incremental
-/// property, applied per request.
+/// Every answered request leaves its answer in a session table, and below
+/// the top subnet its activation cache too; [`upgrade`](Server::upgrade)
+/// later steps it to a larger subnet paying only the newly added neurons
+/// plus the new head — the paper's incremental property, applied per
+/// request. A session at the top subnet keeps its logits and MACs alone:
+/// nothing steps up from there, so its upgrades are cache hits.
 ///
 /// # Example
 ///
@@ -215,9 +242,11 @@ impl Server {
     /// # Errors
     ///
     /// Returns [`SteppingError::BadConfig`] for zero workers, a zero
-    /// `max_batch` or a missing device model, and
+    /// `max_batch` or a missing device model,
     /// [`SteppingError::SubnetOutOfRange`] for an out-of-range start
-    /// subnet.
+    /// subnet, and [`SteppingError::InvalidStructure`] for a net that is
+    /// not [level-major](SteppingNet::is_level_major) (a move without
+    /// [`SteppingNet::sync_assignments`]), which cannot be compiled.
     pub fn new(net: &SteppingNet, config: ServeConfig) -> Result<Server> {
         if config.get_workers() == 0 {
             return Err(SteppingError::BadConfig(
@@ -243,6 +272,11 @@ impl Server {
                 subnet: start,
                 count: subnets,
             });
+        }
+        if !net.is_level_major() {
+            return Err(SteppingError::InvalidStructure(
+                "a masked stage is not level-major: call sync_assignments() before serving".into(),
+            ));
         }
         let registry = MetricsRegistry::global();
         let metrics = Arc::new(crate::metrics::ServeMetrics::new(
@@ -469,7 +503,7 @@ impl Server {
                 .into());
             }
         }
-        let entry = {
+        let mut entry = {
             let mut sessions = lock(&self.shared.sessions);
             let Some(slot) = sessions.get_mut(&session) else {
                 return Err(SteppingError::BadConfig(format!("unknown session {session}")).into());
@@ -485,39 +519,46 @@ impl Server {
         };
         let cur = entry.last_subnet;
         let target = match extra_budget_us {
-            None => self.shared.subnet_count() - 1,
+            None => self.shared.top(),
             Some(b) => self
                 .shared
                 .largest_upgrade_within(cur, self.shared.device.budget_for_us(b)),
         };
         let (tx, rx) = mpsc::channel();
-        if target <= cur {
-            // nothing affordable (or already at the top): answer from cache
-            let response = self.cached_response(session, &entry, Outcome::CacheHit);
-            self.shared.stats.record_admitted(1);
-            self.shared.stats.record_cache_hit();
-            self.shared.metrics.admitted.inc();
-            self.shared.metrics.cache_hit.inc();
-            self.shared.metrics.completed.inc();
-            telemetry::point(
-                phase::SERVING,
-                event::SERVE_CACHE_HIT,
-                &[
-                    ("session", Value::U64(session)),
-                    ("subnet", Value::U64(cur as u64)),
-                ],
-            );
-            settle(&mut lock(&self.shared.sessions), session, entry);
-            let _ = tx.send(Ok(response));
-            return Ok(Ticket { rx });
-        }
+        // only a session below the top holds a cache, and only one below
+        // the top has a level above it
+        let cache = match entry.cache.take() {
+            Some(cache) if target > cur => cache,
+            kept => {
+                entry.cache = kept;
+                // nothing affordable (or already at the top): answer from
+                // the session's last answer
+                let response = self.cached_response(session, &entry, Outcome::CacheHit);
+                self.shared.stats.record_admitted(1);
+                self.shared.stats.record_cache_hit();
+                self.shared.metrics.admitted.inc();
+                self.shared.metrics.cache_hit.inc();
+                self.shared.metrics.completed.inc();
+                telemetry::point(
+                    phase::SERVING,
+                    event::SERVE_CACHE_HIT,
+                    &[
+                        ("session", Value::U64(session)),
+                        ("subnet", Value::U64(cur as u64)),
+                    ],
+                );
+                settle(&mut lock(&self.shared.sessions), session, entry);
+                let _ = tx.send(Ok(response));
+                return Ok(Ticket { rx });
+            }
+        };
         let submitted = Instant::now();
         let job = Job {
             id: self.shared.next_id.fetch_add(1, Ordering::Relaxed),
-            macs: self.shared.upgrade_macs(entry.cache.rows(), cur, target),
+            macs: self.shared.upgrade_macs(entry.rows, cur, target),
             work: Work::Upgrade {
                 session,
-                cache: entry.cache,
+                cache,
                 from: cur,
             },
             requested: target,
@@ -534,7 +575,7 @@ impl Server {
             }
             Err(Refused::Draining(returned)) => {
                 self.shared.stats.record_admission_rejected(1);
-                self.reinstall(session, *returned, &entry.last_logits, cur);
+                self.reinstall(session, *returned, entry);
                 return Err(AdmissionError::ShuttingDown.into());
             }
             Err(Refused::Full {
@@ -545,7 +586,7 @@ impl Server {
         };
         // the one lane of level `cur` is full
         let (id, reply) = (returned.id, returned.reply.clone());
-        self.reinstall(session, *returned, &entry.last_logits, cur);
+        self.reinstall(session, *returned, entry);
         if self.shared.shed_policy == ShedPolicy::Downgrade {
             // shed to the cache — the nested-subnet property means the
             // session's current level is still a correct answer
@@ -582,19 +623,13 @@ impl Server {
         Err(AdmissionError::QueueFull { depth, capacity }.into())
     }
 
-    /// Puts a refused upgrade job's cache back into the session table so
-    /// the session survives the refusal (unless it was released meanwhile).
-    fn reinstall(&self, session: u64, job: Job, last_logits: &Tensor, last_subnet: usize) {
+    /// Puts a refused upgrade job's cache back into the session's `entry`
+    /// and the entry into the table, so the session survives the refusal
+    /// (unless it was released meanwhile).
+    fn reinstall(&self, session: u64, job: Job, mut entry: SessionEntry) {
         if let Work::Upgrade { cache, .. } = job.work {
-            settle(
-                &mut lock(&self.shared.sessions),
-                session,
-                SessionEntry {
-                    cache,
-                    last_subnet,
-                    last_logits: last_logits.clone(),
-                },
-            );
+            entry.cache = Some(cache);
+            settle(&mut lock(&self.shared.sessions), session, entry);
         }
     }
 
@@ -606,7 +641,7 @@ impl Server {
             subnet: entry.last_subnet,
             logits: entry.last_logits.clone(),
             step_macs: 0,
-            total_macs: entry.cache.cumulative_macs(),
+            total_macs: entry.total_macs,
             modeled_latency_us: 0.0,
             latency_us: 0.0,
             outcome,
@@ -632,9 +667,9 @@ impl Server {
         self.shared.draining.load(Ordering::SeqCst)
     }
 
-    /// Forgets a session, freeing its activation cache. A session whose
-    /// upgrade is in flight is forgotten when that upgrade completes — its
-    /// ticket still resolves. Unknown sessions are ignored.
+    /// Forgets a session, freeing its answer and activation cache. A
+    /// session whose upgrade is in flight is forgotten when that upgrade
+    /// completes — its ticket still resolves. Unknown sessions are ignored.
     pub fn release(&self, session: u64) {
         let mut sessions = lock(&self.shared.sessions);
         match sessions.get_mut(&session) {
@@ -836,7 +871,18 @@ fn run_begin_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<Job
         }
     }
     let forward_timer = start_timer(&shared.metrics.forward_ns);
-    let forward = exec.begin(&inputs, subnet);
+    // a session at the top subnet keeps no levels: nothing steps from it
+    let forward: Result<Vec<(Option<ActivationCache>, ExpandStep)>> = if subnet == shared.top() {
+        exec.forward(&inputs, subnet)
+            .map(|steps| steps.into_iter().map(|step| (None, step)).collect())
+    } else {
+        exec.begin(&inputs, subnet).map(|results| {
+            results
+                .into_iter()
+                .map(|(cache, step)| (Some(cache), step))
+                .collect()
+        })
+    };
     forward_timer.stop();
     match forward {
         Ok(results) => {
@@ -913,18 +959,21 @@ fn run_upgrade_batch(shared: &Shared, exec: &mut BatchExecutor, jobs: &mut Vec<J
         .zip(steps)
         .map(|(((w, (session, spent)), cache), step)| {
             let step_macs = cache.cumulative_macs() - spent;
-            (w, session, cache, step, step_macs)
+            (w, session, Some(cache), step, step_macs)
         });
     answer(shared, span, BatchKey::Upgrade { from }, rows);
 }
 
 /// One served row: what its reply needs, its session, the session's new
-/// cache, the step that answered it and the MACs this batch spent on it.
-type Row = (Waiting, u64, ActivationCache, ExpandStep, u64);
+/// cache (none from a pass that keeps no levels), the step that answered
+/// it and the MACs this batch spent on it.
+type Row = (Waiting, u64, Option<ActivationCache>, ExpandStep, u64);
 
 /// Answers a served batch, begin or upgrade alike: builds every response,
-/// puts each session's new state into the table, books the batch, then
-/// sends the replies — stats and sessions are visible before any reply is.
+/// puts each session's new state into the table — dropping, before the
+/// table is locked, the cache of every row whose step reached the top
+/// subnet — books the batch, then sends the replies: stats and sessions
+/// are visible before any reply is.
 fn answer(
     shared: &Shared,
     span: SpanGuard,
@@ -942,7 +991,7 @@ fn answer(
         misses += u64::from(miss);
         degraded += u64::from(step.subnet < job.requested);
         batch_macs += step_macs;
-        let total = cache.cumulative_macs();
+        let total = step.cumulative_macs;
         let response = Response {
             id: job.id,
             session,
@@ -961,11 +1010,7 @@ fn answer(
                 1.0 - step_macs as f64 / total as f64
             },
         };
-        let entry = SessionEntry {
-            cache,
-            last_subnet: step.subnet,
-            last_logits: step.logits,
-        };
+        let entry = SessionEntry::new(cache, step, shared.top());
         outbox.push((job.reply, response, Some(entry)));
     }
     // one table lock for the batch, held for the table updates alone: into

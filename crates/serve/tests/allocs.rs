@@ -7,6 +7,11 @@
 //! moved, so a scan that claims nothing allocates nothing, and a begin
 //! batch allocates less than it did by the size of its inputs.
 //!
+//! And two copies of the inputs a begin at the top subnet used to
+//! allocate: the stacked rows and every session's level 0. Such a session
+//! now keeps its logits alone and the pass runs through scratch levels the
+//! executor keeps, so the batch allocates no copy of its inputs at all.
+//!
 //! And one thing a launch used to allocate per worker: a deep clone of the
 //! net. Workers now share one compiled model, so what `Server::new`
 //! allocates does not grow with the worker count.
@@ -186,9 +191,11 @@ fn worker_scans_allocate_nothing_and_inputs_are_moved() {
     );
 
     // inputs: the push that fills the batch, then the resume that lets it
-    // run. Stacking the rows and handing every session its level-0
-    // activations are two copies of the inputs; a clone on the way into the
-    // batch would be a third
+    // run. A begin at the top subnet copies the rows into the scratch level
+    // the warm-up grew and keeps no level, so no copy of the inputs is
+    // allocated; stacking them into a fresh tensor, handing every session
+    // its level-0 activations, or a clone on the way into the batch would
+    // each be one
     let (_, before) = worker_counts();
     tickets.push(submit());
     server.resume();
@@ -199,44 +206,67 @@ fn worker_scans_allocate_nothing_and_inputs_are_moved() {
     let inputs_bytes = BATCH * WIDTH * std::mem::size_of::<f32>();
     let batch_bytes = after - before;
     assert!(
-        batch_bytes < 2 * inputs_bytes + inputs_bytes / 2,
+        batch_bytes < inputs_bytes / 4,
         "the begin batch allocated {batch_bytes} B for {inputs_bytes} B of inputs"
     );
     server.shutdown();
 }
 
 /// Allocations a warmed worker makes to serve one request in a batch of its
-/// own, everything counted: the pass (stacked rows, the session's cached
-/// levels, logits), the reply (its logits, its channel block) and the
-/// batch's three bookkeeping vectors. Claiming the batch is not among them:
-/// the claim drains the lane into a buffer the worker keeps, where it used
-/// to collect a fresh vector per batch (25 here) — with one-job batches,
-/// the common case at an idle server, one more allocation per request.
-/// A warmed begin on `wide_net` now counts 23; the budget stays at the
-/// figure the claim buffer set.
-const ONE_JOB_BATCH_ALLOCS: usize = 24;
+/// own at the top subnet, everything counted: the pass (its logits), the
+/// reply (its logits, its channel block) and the batch's bookkeeping
+/// vectors. Claiming the batch is not among them: the claim drains the
+/// lane into a buffer the worker keeps, where it used to collect a fresh
+/// vector per batch. Nor is any activation level: a session at the top
+/// subnet keeps its logits alone, and the pass runs through two scratch
+/// levels the executor keeps, where a begin that caches its levels stacks
+/// the rows and hands the session every level (23 here, 25 before the
+/// claim buffer).
+const ONE_JOB_BATCH_ALLOCS: usize = 12;
+
+/// The same for a one-job begin below the top subnet, which keeps the
+/// session's levels for later upgrades: the stacked rows, one zeroed level
+/// per compiled stage, the logits and the per-request lists.
+const ONE_JOB_CACHED_BEGIN_ALLOCS: usize = 20;
 
 /// The same for a one-step upgrade of a session in a batch of its own: the
 /// step pass, the reply (its logits, its channel block) and the batch's
-/// bookkeeping vectors. The cache moves through the lane and back into the
-/// table; no level of it is copied.
+/// bookkeeping vectors. The cache moves through the lane and, below the
+/// top, back into the table; no level of it is copied. This step reaches
+/// the top, so the worker frees the levels instead, which allocates
+/// nothing.
 const ONE_STEP_UPGRADE_ALLOCS: usize = 13;
+
+/// What one counted round trip of [`warmed_one_job_claim_allocates_nothing`]
+/// serves.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Trip {
+    /// A begin at the top subnet.
+    TopBegin,
+    /// A begin at subnet 0 of a two-level net.
+    CachedBegin,
+    /// A one-step upgrade, to the top, of a session begun (uncounted) at 0.
+    Upgrade,
+}
 
 #[test]
 fn warmed_one_job_claim_allocates_nothing() {
     let _turn = take_turn();
     // a second net of the same width with two levels, so that a session
-    // begun at subnet 0 has one step to take
-    let mut stepped = SteppingNetBuilder::new(Shape::of(&[WIDTH]), 2, 3)
-        .linear(4)
-        .relu()
-        .build(2)
-        .unwrap();
-    regular_assign(&mut stepped, &[0.5, 1.0]).unwrap();
-    // begins at full on `wide_net`, one-step upgrades on `stepped`
-    for (net, upgrade, budget) in [
-        (wide_net(), false, ONE_JOB_BATCH_ALLOCS),
-        (stepped, true, ONE_STEP_UPGRADE_ALLOCS),
+    // begun at subnet 0 keeps its levels and has one step to take
+    let stepped = || {
+        let mut net = SteppingNetBuilder::new(Shape::of(&[WIDTH]), 2, 3)
+            .linear(4)
+            .relu()
+            .build(2)
+            .unwrap();
+        regular_assign(&mut net, &[0.5, 1.0]).unwrap();
+        net
+    };
+    for (net, trip, budget) in [
+        (wide_net(), Trip::TopBegin, ONE_JOB_BATCH_ALLOCS),
+        (stepped(), Trip::CachedBegin, ONE_JOB_CACHED_BEGIN_ALLOCS),
+        (stepped(), Trip::Upgrade, ONE_STEP_UPGRADE_ALLOCS),
     ] {
         let config = ServeConfig::builder()
             .workers(1)
@@ -247,23 +277,23 @@ fn warmed_one_job_claim_allocates_nothing() {
         let input = || Tensor::ones(Shape::of(&[1, WIDTH]));
         // the reply is sent before the worker is done with the batch
         let settle = || std::thread::sleep(Duration::from_millis(20));
-        // worker allocations of one round trip: a begin, or a one-step
-        // upgrade of a session begun (uncounted) just before
+        // worker allocations of one round trip
         let round_trip = || {
-            let (before, response) = if upgrade {
-                let session = begin(Request::at_subnet(input(), 0)).session;
-                settle();
-                let (before, _) = worker_counts();
-                (
-                    before,
-                    server.upgrade(session, None).unwrap().wait().unwrap(),
-                )
-            } else {
-                let (before, _) = worker_counts();
-                (before, begin(Request::full(input())))
+            let (before, response) = match trip {
+                Trip::TopBegin => (worker_counts().0, begin(Request::full(input()))),
+                Trip::CachedBegin => (worker_counts().0, begin(Request::at_subnet(input(), 0))),
+                Trip::Upgrade => {
+                    let session = begin(Request::at_subnet(input(), 0)).session;
+                    settle();
+                    let (before, _) = worker_counts();
+                    (
+                        before,
+                        server.upgrade(session, None).unwrap().wait().unwrap(),
+                    )
+                }
             };
             assert_eq!(response.batch_size, 1);
-            assert_eq!(response.subnet, usize::from(upgrade));
+            assert_eq!(response.subnet, usize::from(trip == Trip::Upgrade));
             // the session table stays at one entry and never regrows
             server.release(response.session);
             settle();
@@ -279,7 +309,7 @@ fn warmed_one_job_claim_allocates_nothing() {
             let allocs = round_trip();
             assert!(
                 allocs <= budget,
-                "a one-job batch (upgrade: {upgrade}) cost the worker {allocs} allocations, \
+                "a one-job batch ({trip:?}) cost the worker {allocs} allocations, \
                  {budget} budgeted"
             );
         }

@@ -503,3 +503,78 @@ fn upgrades_from_one_level_share_their_steps_whatever_their_targets() {
     assert_eq!(after.requests, before.requests + 2);
     srv.shutdown();
 }
+
+/// A session at the top subnet — begun there, or upgraded there — holds its
+/// answer alone: it stays counted, a further upgrade is a cache hit with
+/// the same logits and `total_macs`, and `release` frees it.
+#[test]
+fn top_sessions_answer_later_upgrades_from_their_logits() {
+    let srv = server(1, 4);
+    let top = srv.subnet_costs().len() - 1;
+    let x = sample(41);
+    let reference = net().forward(&x, top, false).unwrap();
+    let begun = srv
+        .submit(Request::full(x.clone()))
+        .unwrap()
+        .wait()
+        .unwrap();
+    let stepped = {
+        let first = srv
+            .submit(Request::at_subnet(x, 0))
+            .unwrap()
+            .wait()
+            .unwrap();
+        srv.upgrade(first.session, None).unwrap().wait().unwrap()
+    };
+    assert_eq!(srv.session_count(), 2, "both top sessions stay counted");
+    for (what, answer) in [("top begin", &begun), ("upgrade to the top", &stepped)] {
+        assert_eq!(answer.subnet, top, "{what}");
+        assert_eq!(answer.logits, reference, "{what}");
+        let again = srv.upgrade(answer.session, None).unwrap().wait().unwrap();
+        assert_eq!(again.outcome, Outcome::CacheHit, "{what}");
+        assert_eq!(again.subnet, top, "{what}");
+        assert_eq!(again.logits, answer.logits, "{what}");
+        assert_eq!(again.total_macs, answer.total_macs, "{what}");
+        assert_eq!((again.step_macs, again.batch_size), (0, 0), "{what}");
+        // a budgeted upgrade from the top is a cache hit too
+        let budgeted = srv
+            .upgrade(answer.session, Some(1e9))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(budgeted.outcome, Outcome::CacheHit, "{what}");
+        assert_eq!(budgeted.total_macs, answer.total_macs, "{what}");
+    }
+    assert_eq!(begun.total_macs, srv.subnet_costs()[top]);
+    assert_eq!(srv.stats().cache_hits, 4);
+    srv.release(begun.session);
+    assert_eq!(srv.session_count(), 1);
+    assert!(srv.upgrade(begun.session, None).is_err(), "released");
+    srv.release(stepped.session);
+    assert_eq!(srv.session_count(), 0);
+    srv.shutdown();
+}
+
+/// A neuron moved through `stages_mut()` without `sync_assignments()`
+/// leaves its stage out of level order, which no panel can be compiled
+/// for: `Server::new` refuses the net with a typed error naming the fix,
+/// in release builds too, where compiling it would index out of bounds
+/// or pack the wrong rows.
+#[test]
+fn a_net_out_of_level_order_is_refused() {
+    let mut unsynced = net();
+    unsynced.stages_mut()[0].move_out_neuron(0, 1).unwrap();
+    assert!(!unsynced.is_level_major());
+    let config = ServeConfig::builder()
+        .session(SessionConfig::new().device(DeviceModel::mobile()))
+        .build();
+    match Server::new(&unsynced, config.clone()) {
+        Err(SteppingError::InvalidStructure(msg)) => {
+            assert!(msg.contains("sync_assignments()"), "{msg}");
+        }
+        other => panic!("expected InvalidStructure, got {other:?}"),
+    }
+    unsynced.sync_assignments().unwrap();
+    assert!(unsynced.is_level_major());
+    Server::new(&unsynced, config).unwrap().shutdown();
+}

@@ -348,6 +348,30 @@ impl Epilogue<'_> {
         }
     }
 
+    /// Stores one filter's finished lanes: `out[l] = apply(acc[l], j)` for
+    /// every lane — the conv driver's store, where the bias index `j` is
+    /// the filter and the lanes are output positions. Matched once per
+    /// row, as in [`store`](Self::store).
+    #[inline(always)]
+    fn store_splat(&self, acc: &[f32], j: usize, out: &mut [f32]) {
+        let lanes = out.iter_mut().zip(acc);
+        match self {
+            Epilogue::None => lanes.for_each(|(o, &v)| *o = v),
+            Epilogue::Bias(bias) => {
+                let b = bias[j];
+                lanes.for_each(|(o, &v)| *o = v + b);
+            }
+            Epilogue::BiasRelu(bias) => {
+                let b = bias[j];
+                lanes.for_each(|(o, &v)| *o = (v + b).max(0.0));
+            }
+            Epilogue::BiasTanh(bias) => {
+                let b = bias[j];
+                lanes.for_each(|(o, &v)| *o = (v + b).tanh());
+            }
+        }
+    }
+
     fn check(&self, n: usize) {
         let len = match self {
             Epilogue::None => return,
@@ -1024,8 +1048,11 @@ pub fn gemm_packed_tier(
 pub struct ConvFilters<'a> {
     /// The packed `[filters, taps]` weight panel.
     pub weight: &'a PackedB,
-    /// One bias per filter, added once to the filter's finished sum.
-    pub bias: &'a [f32],
+    /// Applied once to each filter's finished sum as it is stored; a bias
+    /// variant holds one bias per filter (`bias[f]` for filter `f`, every
+    /// output position), so `BiasRelu` / `BiasTanh` store the activation
+    /// that follows the convolution.
+    pub epilogue: Epilogue<'a>,
     /// The taps read input channels `0..in_channels`.
     pub in_channels: usize,
     /// Filter `f` is stored into output plane `out_offset + f`.
@@ -1047,8 +1074,9 @@ struct ConvJob<'a> {
 /// host's [`Tier::active`] tier: writes plane `filters.out_offset + f` of
 /// every image of `out` (`[n, out_channels, out_h, out_w]`) with filter `f`
 /// over the first `filters.in_channels` channels of `input` (`[n,
-/// in_channels, in_h, in_w]`, as `geom` describes), bias added, and leaves
-/// every other plane of `out` untouched.
+/// in_channels, in_h, in_w]`, as `geom` describes), `filters.epilogue`
+/// applied (bias added, then ReLU or tanh for the fused variants), and
+/// leaves every other plane of `out` untouched.
 ///
 /// Per image, the channel planes read are copied zero-padded into
 /// `scratch.planes`; per group of one vector's worth of output positions
@@ -1067,7 +1095,8 @@ struct ConvJob<'a> {
 /// k-chain runs in ascending `(channel, ky, kx)` order from `+0.0`, one
 /// rounded multiply then one rounded add per tap, a padding tap
 /// contributing `w · 0.0` exactly as the unfold's zero does, and the bias
-/// is added once after the chain.
+/// is added once after the chain, followed by the fused activation — the
+/// same `max(0.0)` / `tanh` the standalone layers apply.
 ///
 /// # Panics
 ///
@@ -1114,10 +1143,7 @@ pub fn conv_packed_tier(
         filters.in_channels * g.kernel_h * g.kernel_w,
         "conv panel depth is not channels × kernel taps"
     );
-    assert!(
-        filters.bias.len() >= w.n,
-        "conv bias does not cover the panel's filters"
-    );
+    filters.epilogue.check(w.n);
     assert!(
         filters.in_channels <= g.in_channels && filters.out_offset + w.n <= out_channels,
         "conv channels or planes out of range"
@@ -1257,12 +1283,10 @@ fn conv_body<const G: usize>(
                 let mut acc: Acc<NR, G> = [[[0.0; NR]; G]; NR];
                 mul(apanel, panels, &mut acc);
                 for (f, row) in (f0..nf.min(f0 + NR)).zip(&acc) {
-                    let bias = filters.bias[f];
                     let at = (b * out_channels + filters.out_offset + f) * positions + p0;
-                    let row = row.as_flattened();
-                    for (o, &v) in out[at..at + lanes].iter_mut().zip(row) {
-                        *o = v + bias;
-                    }
+                    filters
+                        .epilogue
+                        .store_splat(row.as_flattened(), f, &mut out[at..at + lanes]);
                 }
             }
         }

@@ -62,6 +62,10 @@ pub struct PackScratch {
     /// One group of `NR` output positions' taps, `[k][NR]`
     /// ([`microkernel::conv_packed`]).
     pub groups: Vec<f32>,
+    /// The two levels a pass that keeps no activations alternates between
+    /// — one stage reads the one and writes the other — reshaped per stage
+    /// with [`Tensor::reshape_rows`]; empty until the first such pass.
+    pub levels: Vec<Tensor>,
 }
 
 /// The first `len` elements of a scratch buffer, grown — never shrunk — to

@@ -36,6 +36,13 @@ impl Shape {
         Shape { dims: Vec::new() }
     }
 
+    /// Becomes `[rows, sample…]`, reusing its buffer.
+    pub(crate) fn set_rows(&mut self, rows: usize, sample: &[usize]) {
+        self.dims.clear();
+        self.dims.push(rows);
+        self.dims.extend_from_slice(sample);
+    }
+
     /// The extents, outermost first.
     pub fn dims(&self) -> &[usize] {
         &self.dims

@@ -149,6 +149,17 @@ impl Tensor {
         Ok(())
     }
 
+    /// Reshapes to `[rows, sample…]` in place, keeping both buffers: the
+    /// elements the new shape keeps hold their old values and any it adds
+    /// are zero. Allocates only when a buffer must grow, so a scratch level
+    /// that a pass resizes per stage, and whose every element it reads it
+    /// first writes, costs no allocation once it has held the largest
+    /// shape.
+    pub fn reshape_rows(&mut self, rows: usize, sample: &[usize]) {
+        self.shape.set_rows(rows, sample);
+        self.data.resize(self.shape.len(), 0.0);
+    }
+
     /// Element-wise map into a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {

@@ -239,11 +239,41 @@ fn no_tier_fuses_multiply_and_add() {
 /// keep these bits.
 const UNTOUCHED: f32 = f32::from_bits(0x7fc0_5a5a);
 
+/// What the conv driver's store applies after the bias: nothing, or the
+/// activation a compiled stage folds into it.
+#[derive(Debug, Clone, Copy)]
+enum Act {
+    Bias,
+    Relu,
+    Tanh,
+}
+
+const ACTS: [Act; 3] = [Act::Bias, Act::Relu, Act::Tanh];
+
+impl Act {
+    fn epilogue(self, bias: &[f32]) -> Epilogue<'_> {
+        match self {
+            Act::Bias => Epilogue::Bias(bias),
+            Act::Relu => Epilogue::BiasRelu(bias),
+            Act::Tanh => Epilogue::BiasTanh(bias),
+        }
+    }
+
+    /// The standalone activation layer's arithmetic.
+    fn apply(self, z: f32) -> f32 {
+        match self {
+            Act::Bias => z,
+            Act::Relu => z.max(0.0),
+            Act::Tanh => z.tanh(),
+        }
+    }
+}
+
 /// One convolution case for [`conv_packed_tier`]: `images` NCHW inputs
 /// under `geom`, `filters` filters over the first `channels` input channels
 /// written to planes `offset..offset + filters` of an `out_channels`-plane
-/// target; with `ragged`, each filter reads only a random prefix of its
-/// taps.
+/// target, stored through `act`; with `ragged`, each filter reads only a
+/// random prefix of its taps.
 struct ConvCase {
     geom: ConvGeometry,
     images: usize,
@@ -252,13 +282,15 @@ struct ConvCase {
     offset: usize,
     out_channels: usize,
     ragged: bool,
+    act: Act,
 }
 
 impl ConvCase {
     /// Runs the case in every supported tier through `scratch` and holds
     /// every output `to_bits()`-equal to the unfold over the channels read
     /// → the oracle over the weights with every tap past its filter's
-    /// extent zeroed → `+ bias`, and every plane no filter owns untouched.
+    /// extent zeroed → `+ bias` → the activation, and every plane no filter
+    /// owns untouched.
     fn check(&self, seed: u64, scratch: &mut PackScratch) {
         let g = &self.geom;
         let mut rng = stepping_tensor::init::rng(seed);
@@ -288,7 +320,7 @@ impl ConvCase {
 
         let filters = ConvFilters {
             weight: &packed,
-            bias: bias.data(),
+            epilogue: self.act.epilogue(bias.data()),
             in_channels: self.channels,
             out_offset: self.offset,
         };
@@ -311,12 +343,14 @@ impl ConvCase {
                         continue;
                     };
                     for (p, v) in got.iter().enumerate() {
-                        let want = dots[(b * g.positions() + p) * f + fi] + bias.data()[fi];
+                        let z = dots[(b * g.positions() + p) * f + fi] + bias.data()[fi];
+                        let want = self.act.apply(z);
                         assert_eq!(
                             v.to_bits(),
                             want.to_bits(),
-                            "{} tier, {g:?}, {} channels, image {b}, filter {fi}, position {p}",
+                            "{} tier, {:?}, {g:?}, {} channels, image {b}, filter {fi}, position {p}",
                             tier.name(),
+                            self.act,
                             self.channels
                         );
                     }
@@ -357,8 +391,41 @@ fn conv_driver_matches_the_unfold_on_fixed_geometries() {
                 offset: 1,
                 out_channels: filters + 2,
                 ragged: round == 1,
+                act: Act::Bias,
             }
             .check(100 * round + i as u64, &mut scratch);
+        }
+    }
+}
+
+/// The activation a compiled conv stage folds into the driver's store:
+/// on the same fixed geometries, in every tier, ReLU and tanh after the
+/// bias are `to_bits()`-equal to the unfold → oracle → `+ bias` → the
+/// standalone layer's `max(0.0)` / `tanh`, ragged extents included.
+#[test]
+fn conv_store_applies_the_fused_activation_in_every_tier() {
+    let mut scratch = PackScratch::new();
+    // (channels, h, w, kernel, stride, padding, channels read, filters)
+    let cases: [[usize; 8]; 4] = [
+        [3, 16, 16, 3, 1, 1, 3, 6],  // conv1 of the serving net
+        [24, 8, 8, 3, 1, 1, 13, 12], // conv2 at a lower level
+        [2, 5, 13, 3, 1, 0, 1, 17],  // out_w 11: ragged groups
+        [2, 3, 9, 3, 1, 1, 0, 5],    // no input channel: f(bias)
+    ];
+    for (round, act) in [Act::Relu, Act::Tanh].into_iter().enumerate() {
+        for (i, &[c, h, w, k, stride, pad, read, filters]) in cases.iter().enumerate() {
+            let geom = ConvGeometry::new(c, h, w, k, k, stride, pad).unwrap();
+            ConvCase {
+                geom,
+                images: 1 + i % 3,
+                channels: read,
+                filters,
+                offset: 1,
+                out_channels: filters + 2,
+                ragged: i % 2 == 1,
+                act,
+            }
+            .check(300 + 10 * round as u64 + i as u64, &mut scratch);
         }
     }
 }
@@ -382,7 +449,7 @@ fn no_tier_fuses_multiply_and_add_in_the_conv_driver() {
             let bias = vec![0.0f32; f];
             let filters = ConvFilters {
                 weight: &packed,
-                bias: &bias,
+                epilogue: Epilogue::Bias(&bias),
                 in_channels: 2,
                 out_offset: 0,
             };
@@ -403,12 +470,12 @@ fn no_tier_fuses_multiply_and_add_in_the_conv_driver() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
-    /// The conv driver against the unfold → oracle → bias,
-    /// `to_bits()`-equal in every tier, over random geometries (kernel
-    /// 1/3/5, non-square images, stride 1–3, padding 0–2), 1–3 images,
-    /// random channel prefixes and 1–17 filters at a random offset into a
-    /// wider target, reading all their taps or (`ragged`)
-    /// a random prefix of them each. `rows` forces, in three of four cases,
+    /// The conv driver against the unfold → oracle → bias → activation
+    /// (none, ReLU or tanh), `to_bits()`-equal in every tier, over random
+    /// geometries (kernel 1/3/5, non-square images, stride 1–3, padding
+    /// 0–2), 1–3 images, random channel prefixes and 1–17 filters at a
+    /// random offset into a wider target, reading all their taps or
+    /// (`ragged`) a random prefix of them each. `rows` forces, in three of four cases,
     /// output rows that make a 16-position group each way it can be
     /// packed: `out_w` 16 at stride 1 (one run), `out_w` 8 at stride 1 (two
     /// 8-runs, and a ragged tail of one when `out_h` is odd), or an odd
@@ -426,6 +493,7 @@ proptest! {
         filters in 1usize..18,
         spare in 0usize..4,
         ragged in 0u8..2,
+        act in 0usize..3,
         seed in 0u64..10_000,
     ) {
         let kernel = [1, 3, 5][kernel];
@@ -443,8 +511,11 @@ proptest! {
         // the filters land on all planes of the target but `spare` of them
         let offset = seed as usize % (spare + 1);
         let out_channels = filters + spare;
-        ConvCase { geom, images, channels: read, filters, offset, out_channels, ragged: ragged == 1 }
-            .check(seed, &mut PackScratch::new());
+        ConvCase {
+            geom, images, channels: read, filters, offset, out_channels, ragged: ragged == 1,
+            act: ACTS[act],
+        }
+        .check(seed, &mut PackScratch::new());
     }
 }
 

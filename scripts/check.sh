@@ -2,9 +2,10 @@
 # Lint + test gate: formatting, the third-party package list, clippy (which
 # with rustc checks the workspace invariants of docs/ANALYSIS.md) and
 # rustdoc (warnings are errors), tier-1 tests, the crate suites and feature
-# matrix, the packed-plan bench smoke and the no-FMA disassembly check.
+# matrix, the packed-plan bench smoke, the no-FMA disassembly check and an
+# end-to-end smoke of the serving benchmark's four workloads.
 # Run from anywhere; operates on the workspace root. Writes nothing into
-# the tree: the bench smoke runs in a temporary directory.
+# the tree: the bench and end-to-end smokes run in a temporary directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -121,6 +122,13 @@ cargo test -q -p stepping-serve
 echo "==> stepping-serve release lane + stress + metrics"
 cargo test -q --release -p stepping-serve --lib --test stress --test metrics
 
+# A net left out of level order (a neuron moved through `stages_mut()`
+# without `sync_assignments()`) must be refused by `Server::new` with a
+# typed error in the build the server ships in, where compiling it would
+# index out of bounds or pack the wrong rows instead.
+echo "==> stepping-serve release: a net out of level order is refused"
+cargo test -q --release -p stepping-serve --test serving a_net_out_of_level_order_is_refused
+
 # Admission control + lane scheduler under --release: the deterministic
 # shed-policy matrix (lanes held by a paused server) and the 10k-session
 # soak (zero lost tickets, p99 bound), where interleavings are most
@@ -163,6 +171,22 @@ if command -v objdump > /dev/null; then
 else
     echo "objdump not found; skipping the fused multiply-add check"
 fi
+
+# End-to-end smoke: the serving benchmark's four workloads, two seconds
+# each, untraced, through the one binary the benchmark builds. `e2e` exits
+# non-zero when a sampled logit differs from the masked reference or a
+# request goes unanswered (its conservation check), so a serving path that
+# answers wrong, or loses work, fails here. Results and traces go to the
+# temporary directory.
+echo "==> end-to-end smoke (e2e, four workloads)"
+cargo build -q --release -p stepping-benchmark --bin e2e
+e2e_bin="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/e2e"
+for workload in direct_mlp stepping_mlp routed_stepping_mlp anytime_conv_open; do
+    echo "    e2e --workload $workload"
+    mkdir "$smoke_dir/e2e-$workload"
+    "$e2e_bin" --workload "$workload" --seed 1 --seconds 2 --trace 0 \
+        --out "$smoke_dir/e2e-$workload" > /dev/null
+done
 
 # Parallel-training matrix: the tier-1 suite must produce identical results
 # at 1 and 4 workers (tests/parallel_property.rs folds STEPPING_THREADS into
