@@ -19,7 +19,7 @@ use stepping_data::{BatchIter, Dataset, Split};
 use stepping_nn::{
     loss, metrics, optim::Sgd, BatchNorm2d, Flatten, Layer, Linear, MaxPool2d, Param, Relu,
 };
-use stepping_tensor::conv::{col2im, im2col, ConvGeometry};
+use stepping_tensor::conv::{col2im, im2col, mat_to_nchw, nchw_to_mat, ConvGeometry};
 use stepping_tensor::{init, matmul, reduce, Shape, Tensor};
 
 use crate::any_width::JointTrainOptions;
@@ -656,36 +656,6 @@ impl Slimmable {
         }
         Ok((correct / total as f64) as f32)
     }
-}
-
-fn mat_to_nchw(mat: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
-    let positions = oh * ow;
-    let mut out = Tensor::zeros(Shape::of(&[n, c, oh, ow]));
-    let src = mat.data();
-    let dst = out.data_mut();
-    for b in 0..n {
-        for p in 0..positions {
-            for ch in 0..c {
-                dst[(b * c + ch) * positions + p] = src[(b * positions + p) * c + ch];
-            }
-        }
-    }
-    out
-}
-
-fn nchw_to_mat(t: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
-    let positions = oh * ow;
-    let mut out = Tensor::zeros(Shape::of(&[n * positions, c]));
-    let src = t.data();
-    let dst = out.data_mut();
-    for b in 0..n {
-        for p in 0..positions {
-            for ch in 0..c {
-                dst[(b * positions + p) * c + ch] = src[(b * c + ch) * positions + p];
-            }
-        }
-    }
-    out
 }
 
 /// Where the slimmable builder currently is, shape-wise.

@@ -101,18 +101,12 @@ fn dense_extent(net: &SteppingNet, subnet: usize) -> u64 {
     let stages: usize = net
         .stages()
         .iter()
-        .map(|stage| match stage {
-            Stage::Linear(l) => {
-                l.out_assign().active_count(subnet) * l.in_assign().active_count(subnet)
-            }
-            Stage::Conv(c) => {
-                c.out_assign().active_count(subnet)
-                    * c.in_assign().active_count(subnet)
-                    * c.kernel()
-                    * c.kernel()
-                    * c.positions()
-            }
-            Stage::Fixed(_) => 0,
+        .filter_map(Stage::masked)
+        .map(|m| {
+            m.out_assign().active_count(subnet)
+                * m.in_assign().active_count(subnet)
+                * m.taps()
+                * m.positions()
         })
         .sum();
     stages as u64 + net.head_macs(subnet)

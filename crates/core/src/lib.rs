@@ -66,7 +66,7 @@ pub mod eval;
 pub mod events;
 pub mod hook;
 mod incremental;
-mod layout;
+mod masked;
 mod masked_conv;
 mod masked_linear;
 mod net;
@@ -86,6 +86,7 @@ pub use construct::{
 pub use distill::{distill, DistillOptions, DistillReport};
 pub use error::SteppingError;
 pub use incremental::{ExpandStep, IncrementalExecutor};
+pub use masked::MaskedLayer;
 pub use masked_conv::MaskedConv2d;
 pub use masked_linear::MaskedLinear;
 pub use net::{SteppingNet, SteppingNetBuilder};

@@ -156,24 +156,14 @@ impl SteppingNet {
             }
         }
         for stage in &mut parts.stages {
-            match stage {
-                Stage::Linear(l) => {
-                    l.set_in_assign(cur.clone())?;
-                    cur = l.out_assign().clone();
-                }
-                Stage::Conv(c) => {
-                    c.set_in_assign(cur.clone())?;
-                    cur = c.out_assign().clone();
-                }
-                Stage::Fixed(FixedStage::Flatten { factor, .. }) => {
-                    cur = cur.repeat_each(*factor);
-                }
-                s @ Stage::Fixed(
-                    FixedStage::BatchNorm1d { .. } | FixedStage::BatchNorm2d { .. },
-                ) => {
-                    s.set_in_assign(cur.clone())?;
-                }
-                Stage::Fixed(_) => {}
+            if let Stage::Fixed(FixedStage::Flatten { factor, .. }) = stage {
+                cur = cur.repeat_each(*factor);
+                continue;
+            }
+            // a masked stage or a batch norm mirrors the level it reads
+            stage.set_in_assign(cur.clone())?;
+            if let Some(out) = stage.out_assign() {
+                cur = out.clone();
             }
         }
         if cur.len() != parts.heads[0].in_features() {
@@ -202,35 +192,27 @@ impl SteppingNet {
                     "stage {i}: neurons not in level-major order; call sync_assignments()"
                 )));
             }
+            if let Some(m) = stage.masked() {
+                if m.in_assign() != &cur {
+                    return Err(SteppingError::InvalidStructure(format!(
+                        "stage {i}: stale input assignment"
+                    )));
+                }
+                cur = m.out_assign().clone();
+            }
             match stage {
-                Stage::Linear(l) => {
-                    if l.in_assign() != &cur {
-                        return Err(SteppingError::InvalidStructure(format!(
-                            "stage {i}: stale input assignment"
-                        )));
-                    }
-                    cur = l.out_assign().clone();
-                }
-                Stage::Conv(c) => {
-                    if c.in_assign() != &cur {
-                        return Err(SteppingError::InvalidStructure(format!(
-                            "stage {i}: stale input assignment"
-                        )));
-                    }
-                    cur = c.out_assign().clone();
-                }
                 Stage::Fixed(FixedStage::Flatten { factor, .. }) => {
                     cur = cur.repeat_each(*factor);
                 }
                 Stage::Fixed(FixedStage::BatchNorm1d { assign, .. })
-                | Stage::Fixed(FixedStage::BatchNorm2d { assign, .. }) => {
-                    if assign.as_ref() != Some(&cur) {
-                        return Err(SteppingError::InvalidStructure(format!(
-                            "stage {i}: stale batch-norm assignment"
-                        )));
-                    }
+                | Stage::Fixed(FixedStage::BatchNorm2d { assign, .. })
+                    if assign.as_ref() != Some(&cur) =>
+                {
+                    return Err(SteppingError::InvalidStructure(format!(
+                        "stage {i}: stale batch-norm assignment"
+                    )));
                 }
-                Stage::Fixed(_) => {}
+                _ => {}
             }
         }
         if &cur != self.feature_assign() {
@@ -606,18 +588,16 @@ impl SteppingNet {
     /// Architectural MAC capacity: every weight legal and unpruned, one head
     /// reading all features — the `P_t` of the construction flow.
     pub fn full_macs(&self) -> u64 {
-        let mut total = 0u64;
-        for s in self.stages() {
-            total += match s {
-                Stage::Linear(l) => (l.out_features() * l.in_features()) as u64,
-                Stage::Conv(c) => {
-                    (c.out_channels() * c.in_channels() * c.kernel() * c.kernel()) as u64
-                        * c.positions() as u64
-                }
-                Stage::Fixed(_) => 0,
-            };
-        }
-        total + (self.feature_assign().len() * self.classes) as u64
+        let stages: u64 = self
+            .stages()
+            .iter()
+            .filter_map(Stage::masked)
+            .map(|m| {
+                (m.out_assign().len() * m.in_assign().len() * m.taps()) as u64
+                    * m.positions() as u64
+            })
+            .sum();
+        stages + (self.feature_assign().len() * self.classes) as u64
     }
 
     /// Applies non-permanent pruning to every masked stage; returns the

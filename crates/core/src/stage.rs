@@ -6,7 +6,7 @@ use stepping_nn::{
 };
 use stepping_tensor::{Shape, Tensor};
 
-use crate::{Assignment, MaskedConv2d, MaskedLinear, Result};
+use crate::{Assignment, MaskedConv2d, MaskedLayer, MaskedLinear, Result};
 
 /// A subnet-agnostic layer inside a SteppingNet (activation, pooling,
 /// normalisation, flatten, dropout). These layers never mix neurons across
@@ -148,6 +148,26 @@ pub enum Stage {
 }
 
 impl Stage {
+    /// The masked core of a steppable stage — the one place its assignment,
+    /// mask, MAC, importance and suppression rules live; `None` for a fixed
+    /// stage.
+    pub fn masked(&self) -> Option<&MaskedLayer> {
+        match self {
+            Stage::Linear(l) => Some(l),
+            Stage::Conv(c) => Some(c),
+            Stage::Fixed(_) => None,
+        }
+    }
+
+    /// Mutable access to the masked core of a steppable stage.
+    pub fn masked_mut(&mut self) -> Option<&mut MaskedLayer> {
+        match self {
+            Stage::Linear(l) => Some(l),
+            Stage::Conv(c) => Some(c),
+            Stage::Fixed(_) => None,
+        }
+    }
+
     /// Runs the stage forward for `subnet`.
     ///
     /// # Errors
@@ -238,24 +258,21 @@ impl Stage {
     /// Trainable parameters of the stage.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         match self {
-            Stage::Linear(l) => l.params_mut(),
-            Stage::Conv(c) => c.params_mut(),
             Stage::Fixed(f) => f.layer_mut().params_mut(),
+            masked => masked
+                .masked_mut()
+                .map_or_else(Vec::new, MaskedLayer::params_mut),
         }
     }
 
     /// Whether this is a masked (steppable) stage.
     pub fn is_masked(&self) -> bool {
-        matches!(self, Stage::Linear(_) | Stage::Conv(_))
+        self.masked().is_some()
     }
 
     /// Output-neuron assignment for masked stages.
     pub fn out_assign(&self) -> Option<&Assignment> {
-        match self {
-            Stage::Linear(l) => Some(l.out_assign()),
-            Stage::Conv(c) => Some(c.out_assign()),
-            Stage::Fixed(_) => None,
-        }
+        self.masked().map(MaskedLayer::out_assign)
     }
 
     /// Number of output neurons for masked stages.
@@ -266,11 +283,7 @@ impl Stage {
     /// MAC operations of `subnet` through this stage (0 for fixed stages —
     /// activations/pooling are not MACs, matching the paper's accounting).
     pub fn macs(&self, subnet: usize, threshold: f32) -> u64 {
-        match self {
-            Stage::Linear(l) => l.macs(subnet, threshold),
-            Stage::Conv(c) => c.macs(subnet, threshold),
-            Stage::Fixed(_) => 0,
-        }
+        self.masked().map_or(0, |m| m.macs(subnet, threshold))
     }
 
     /// MACs each step adds at a masked stage: entry `k` is the sum of
@@ -279,11 +292,12 @@ impl Stage {
     /// [`macs`](Self::macs)`(s, threshold)` is the sum of entries `0..=s`.
     /// `None` for fixed stages.
     pub(crate) fn step_macs(&self, threshold: f32) -> Option<Vec<u64>> {
-        let assign = self.out_assign()?;
+        let m = self.masked()?;
+        let assign = m.out_assign();
         let mut counts = vec![0u64; assign.subnet_count()];
         for o in 0..assign.len() {
             if let Some(c) = counts.get_mut(assign.subnet_of(o)) {
-                *c += self.neuron_macs(o, threshold)?;
+                *c += m.neuron_macs(o, threshold);
             }
         }
         Some(counts)
@@ -291,29 +305,17 @@ impl Stage {
 
     /// MAC contribution of output neuron `o` for masked stages.
     pub fn neuron_macs(&self, o: usize, threshold: f32) -> Option<u64> {
-        match self {
-            Stage::Linear(l) => Some(l.neuron_macs(o, threshold)),
-            Stage::Conv(c) => Some(c.neuron_macs(o, threshold)),
-            Stage::Fixed(_) => None,
-        }
+        self.masked().map(|m| m.neuron_macs(o, threshold))
     }
 
     /// Selection criterion `M_o^i` for masked stages.
     pub fn selection_score(&self, o: usize, alpha: &[f64]) -> Option<f64> {
-        match self {
-            Stage::Linear(l) => Some(l.selection_score(o, alpha)),
-            Stage::Conv(c) => Some(c.selection_score(o, alpha)),
-            Stage::Fixed(_) => None,
-        }
+        self.masked().map(|m| m.selection_score(o, alpha))
     }
 
     /// Naive magnitude criterion for masked stages (ablation baseline).
     pub fn magnitude_score(&self, o: usize) -> Option<f64> {
-        match self {
-            Stage::Linear(l) => Some(l.magnitude_score(o)),
-            Stage::Conv(c) => Some(c.magnitude_score(o)),
-            Stage::Fixed(_) => None,
-        }
+        self.masked().map(|m| m.magnitude_score(o))
     }
 
     /// Moves output neuron `o` of a masked stage to `target`.
@@ -323,12 +325,11 @@ impl Stage {
     /// Returns [`crate::SteppingError::InvalidStructure`] for fixed stages
     /// and propagates assignment errors.
     pub fn move_out_neuron(&mut self, o: usize, target: usize) -> Result<()> {
-        match self {
-            Stage::Linear(l) => l.move_out_neuron(o, target),
-            Stage::Conv(c) => c.move_out_neuron(o, target),
-            Stage::Fixed(f) => Err(crate::SteppingError::InvalidStructure(format!(
+        match self.masked_mut() {
+            Some(m) => m.move_out_neuron(o, target),
+            None => Err(crate::SteppingError::InvalidStructure(format!(
                 "stage {} has no steppable neurons",
-                f.name()
+                self.name()
             ))),
         }
     }
@@ -339,12 +340,9 @@ impl Stage {
     /// assignment move with their neurons. `None` for a fixed stage or one
     /// already level-major.
     pub(crate) fn sort_by_level(&mut self) -> Option<Vec<usize>> {
-        let order = self.out_assign()?.level_order()?;
-        match self {
-            Stage::Linear(l) => l.permute_outputs(&order),
-            Stage::Conv(c) => c.permute_outputs(&order),
-            Stage::Fixed(_) => {}
-        }
+        let m = self.masked_mut()?;
+        let order = m.out_assign().level_order()?;
+        m.permute_outputs(&order);
         Some(order)
     }
 
@@ -355,8 +353,6 @@ impl Stage {
     /// columns and returns `None` — the stages after it read its neurons.
     pub(crate) fn permute_inputs(&mut self, order: Vec<usize>) -> Option<Vec<usize>> {
         match self {
-            Stage::Linear(l) => l.permute_inputs(&order),
-            Stage::Conv(c) => c.permute_inputs(&order),
             Stage::Fixed(FixedStage::BatchNorm1d { layer, .. }) => layer.permute_features(&order),
             Stage::Fixed(FixedStage::BatchNorm2d { layer, .. }) => layer.permute_channels(&order),
             Stage::Fixed(FixedStage::Flatten { factor, .. }) => {
@@ -364,97 +360,73 @@ impl Stage {
                 return Some(order.iter().flat_map(|&c| c * f..(c + 1) * f).collect());
             }
             Stage::Fixed(_) => {}
+            masked => {
+                masked.masked_mut()?.permute_inputs(&order);
+                return None;
+            }
         }
-        (!self.is_masked()).then_some(order)
+        Some(order)
     }
 
-    /// Replaces the input assignment of a masked stage (no-op for fixed).
+    /// Replaces the input assignment of a masked stage or a batch norm
+    /// (no-op for other fixed stages).
     ///
     /// # Errors
     ///
     /// Propagates geometry mismatches.
     pub fn set_in_assign(&mut self, assign: Assignment) -> Result<()> {
-        match self {
-            Stage::Linear(l) => l.set_in_assign(assign),
-            Stage::Conv(c) => c.set_in_assign(assign),
-            Stage::Fixed(FixedStage::BatchNorm1d {
-                layer,
-                assign: slot,
-            }) => {
-                if assign.len() != layer.features() {
-                    return Err(crate::SteppingError::InvalidStructure(format!(
-                        "batch norm over {} features got assignment of {}",
-                        layer.features(),
-                        assign.len()
-                    )));
-                }
-                *slot = Some(assign);
-                Ok(())
-            }
-            Stage::Fixed(FixedStage::BatchNorm2d {
-                layer,
-                assign: slot,
-            }) => {
-                if assign.len() != layer.channels() {
-                    return Err(crate::SteppingError::InvalidStructure(format!(
-                        "batch norm over {} channels got assignment of {}",
-                        layer.channels(),
-                        assign.len()
-                    )));
-                }
-                *slot = Some(assign);
-                Ok(())
-            }
-            Stage::Fixed(_) => Ok(()),
+        if let Some(m) = self.masked_mut() {
+            return m.set_in_assign(assign);
         }
+        let (len, noun, slot) = match self {
+            Stage::Fixed(FixedStage::BatchNorm1d { layer, assign }) => {
+                (layer.features(), "features", assign)
+            }
+            Stage::Fixed(FixedStage::BatchNorm2d { layer, assign }) => {
+                (layer.channels(), "channels", assign)
+            }
+            _ => return Ok(()),
+        };
+        if assign.len() != len {
+            return Err(crate::SteppingError::InvalidStructure(format!(
+                "batch norm over {len} {noun} got assignment of {}",
+                assign.len()
+            )));
+        }
+        *slot = Some(assign);
+        Ok(())
     }
 
     /// Non-permanent magnitude pruning; returns zeroed-weight count.
     pub fn prune(&mut self, threshold: f32) -> usize {
-        match self {
-            Stage::Linear(l) => l.prune(threshold),
-            Stage::Conv(c) => c.prune(threshold),
-            Stage::Fixed(_) => 0,
-        }
+        self.masked_mut().map_or(0, |m| m.prune(threshold))
     }
 
     /// Boolean mask of currently-zeroed weights on masked stages (empty for
     /// fixed stages), for revival tracking across a training round.
     pub fn zeroed_weights(&self) -> Vec<bool> {
-        match self {
-            Stage::Linear(l) => l.zeroed_weights(),
-            Stage::Conv(c) => c.zeroed_weights(),
-            Stage::Fixed(_) => Vec::new(),
-        }
+        self.masked()
+            .map_or_else(Vec::new, MaskedLayer::zeroed_weights)
     }
 
     /// Counts weights zero in `before` now at magnitude `>= threshold`
     /// (always `0` for fixed stages).
     pub fn count_revived(&self, before: &[bool], threshold: f32) -> usize {
-        match self {
-            Stage::Linear(l) => l.count_revived(before, threshold),
-            Stage::Conv(c) => c.count_revived(before, threshold),
-            Stage::Fixed(_) => 0,
-        }
+        self.masked()
+            .map_or(0, |m| m.count_revived(before, threshold))
     }
 
     /// Clears accumulated importance on masked stages.
     pub fn reset_importance(&mut self) {
-        match self {
-            Stage::Linear(l) => l.reset_importance(),
-            Stage::Conv(c) => c.reset_importance(),
-            Stage::Fixed(_) => {}
+        if let Some(m) = self.masked_mut() {
+            m.reset_importance();
         }
     }
 
     /// Raw accumulated importance of a masked stage (flattened
     /// `[subnet][out]`); `None` for fixed stages.
     pub fn importance_values(&self) -> Option<&[f64]> {
-        match self {
-            Stage::Linear(l) => Some(l.importance_values()),
-            Stage::Conv(c) => Some(c.importance_values()),
-            Stage::Fixed(_) => None,
-        }
+        self.masked().map(MaskedLayer::importance_values)
     }
 
     /// Adds a merged importance delta into a masked stage; no-op for fixed
@@ -465,11 +437,10 @@ impl Stage {
     /// Returns [`crate::SteppingError::InvalidStructure`] on length
     /// mismatch.
     pub fn add_importance_values(&mut self, delta: &[f64]) -> Result<()> {
-        match self {
-            Stage::Linear(l) => l.add_importance_values(delta),
-            Stage::Conv(c) => c.add_importance_values(delta),
-            Stage::Fixed(_) if delta.is_empty() => Ok(()),
-            Stage::Fixed(_) => Err(crate::SteppingError::InvalidStructure(
+        match self.masked_mut() {
+            Some(m) => m.add_importance_values(delta),
+            None if delta.is_empty() => Ok(()),
+            None => Err(crate::SteppingError::InvalidStructure(
                 "importance delta for a fixed stage".into(),
             )),
         }
@@ -477,19 +448,15 @@ impl Stage {
 
     /// Installs weight-update suppression for training `subnet`.
     pub fn apply_lr_suppression(&mut self, subnet: usize, beta: f32) {
-        match self {
-            Stage::Linear(l) => l.apply_lr_suppression(subnet, beta),
-            Stage::Conv(c) => c.apply_lr_suppression(subnet, beta),
-            Stage::Fixed(_) => {}
+        if let Some(m) = self.masked_mut() {
+            m.apply_lr_suppression(subnet, beta);
         }
     }
 
     /// Removes weight-update suppression.
     pub fn clear_lr_suppression(&mut self) {
-        match self {
-            Stage::Linear(l) => l.clear_lr_suppression(),
-            Stage::Conv(c) => c.clear_lr_suppression(),
-            Stage::Fixed(_) => {}
+        if let Some(m) = self.masked_mut() {
+            m.clear_lr_suppression();
         }
     }
 

@@ -159,18 +159,12 @@ fn dense_extent(net: &SteppingNet, subnet: usize) -> u64 {
     let stages: usize = net
         .stages()
         .iter()
-        .map(|stage| match stage {
-            Stage::Linear(l) => {
-                l.out_assign().active_count(subnet) * l.in_assign().active_count(subnet)
-            }
-            Stage::Conv(c) => {
-                c.out_assign().active_count(subnet)
-                    * c.in_assign().active_count(subnet)
-                    * c.kernel()
-                    * c.kernel()
-                    * c.positions()
-            }
-            Stage::Fixed(_) => 0,
+        .filter_map(Stage::masked)
+        .map(|m| {
+            m.out_assign().active_count(subnet)
+                * m.in_assign().active_count(subnet)
+                * m.taps()
+                * m.positions()
         })
         .sum();
     stages as u64 + net.head_macs(subnet)
@@ -526,11 +520,10 @@ proptest! {
         });
         mutated(&mut net, "after weight_mut", &|net| {
             for si in [0, 5] {
-                let weight = match &mut net.stages_mut()[si] {
-                    Stage::Linear(l) => l.weight_mut(),
-                    Stage::Conv(c) => c.weight_mut(),
-                    Stage::Fixed(_) => unreachable!("stages 0 and 5 are masked"),
-                };
+                let weight = net.stages_mut()[si]
+                    .masked_mut()
+                    .expect("stages 0 and 5 are masked")
+                    .weight_mut();
                 for w in weight.value.data_mut() {
                     *w *= scale;
                 }

@@ -198,9 +198,9 @@ impl Channels {
 
 /// A differentiable network layer with explicit forward/backward passes.
 ///
-/// The trait is object-safe; heterogeneous stacks compose through
-/// [`Sequential`](crate::Sequential). Implementations cache whatever they
-/// need during `forward` and consume it in `backward`.
+/// The trait is object-safe, so heterogeneous stacks hold boxed layers.
+/// Implementations cache whatever they need during `forward` and consume it
+/// in `backward`.
 ///
 /// Contract:
 /// * `forward(x, train)` — `train` selects training behaviour (batch-norm

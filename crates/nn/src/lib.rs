@@ -13,24 +13,35 @@
 //! * **Per-element learning-rate scaling** on parameters ([`Param`]'s
 //!   [`ParamLr`]) — the hook SteppingNet's weight-update suppression
 //!   (`β^(j−i)`, paper §III-A2) plugs into.
-//! * All layers implement the object-safe [`Layer`] trait so heterogeneous
-//!   stacks compose via [`Sequential`].
+//! * All layers implement the object-safe [`Layer`] trait, so a
+//!   heterogeneous stack is a list of boxed layers run forward in order and
+//!   backward in reverse. SteppingNet's own stack (`stepping-core`'s
+//!   `Stage` list) wraps these layers beside its masked linear and
+//!   convolution layers.
 //!
 //! ## Example
 //!
 //! ```
-//! use stepping_nn::{Linear, Relu, Sequential, Layer};
+//! use stepping_nn::{Layer, Linear, Relu};
 //! use stepping_tensor::{Shape, Tensor};
 //!
 //! let mut rng = stepping_tensor::init::rng(0);
-//! let mut net = Sequential::new(vec![
+//! let mut layers: Vec<Box<dyn Layer>> = vec![
 //!     Box::new(Linear::new(4, 8, &mut rng)),
 //!     Box::new(Relu::new()),
 //!     Box::new(Linear::new(8, 3, &mut rng)),
-//! ]);
-//! let x = Tensor::zeros(Shape::of(&[2, 4]));
-//! let y = net.forward(&x, true)?;
+//! ];
+//! let mut y = Tensor::zeros(Shape::of(&[2, 4]));
+//! for layer in &mut layers {
+//!     y = layer.forward(&y, true)?;
+//! }
 //! assert_eq!(y.shape().dims(), &[2, 3]);
+//! // backward visits the layers in reverse and returns ∂L/∂x
+//! let mut g = Tensor::ones(y.shape().clone());
+//! for layer in layers.iter_mut().rev() {
+//!     g = layer.backward(&g)?;
+//! }
+//! assert_eq!(g.shape().dims(), &[2, 4]);
 //! # Ok::<(), stepping_nn::NnError>(())
 //! ```
 
@@ -38,7 +49,6 @@
 #![warn(missing_debug_implementations)]
 
 mod activation;
-mod conv;
 mod dropout;
 mod error;
 mod flatten;
@@ -50,10 +60,8 @@ mod norm;
 pub mod optim;
 mod pool;
 pub mod schedule;
-mod sequential;
 
 pub use activation::{Relu, Sigmoid, Tanh};
-pub use conv::Conv2d;
 pub use dropout::Dropout;
 pub use error::NnError;
 pub use flatten::Flatten;
@@ -61,7 +69,6 @@ pub use layer::{permute_axis, Layer, Param, ParamLr};
 pub use linear::Linear;
 pub use norm::{BatchNorm1d, BatchNorm2d};
 pub use pool::{AvgPool2d, MaxPool2d};
-pub use sequential::Sequential;
 
 /// Convenience result alias used across this crate.
 pub type Result<T> = std::result::Result<T, NnError>;

@@ -7,7 +7,10 @@
 //!
 //! With these layouts a convolution forward pass is a single
 //! [`matmul_bt`](crate::matmul::matmul_bt) against the flattened weights,
-//! which is exactly how the `Conv2d` layer in `stepping-nn` is implemented.
+//! which yields `[batch * oh * ow, out_channels]` rows; [`mat_to_nchw`] and
+//! [`nchw_to_mat`] move between those rows and NCHW. This is how the masked
+//! convolution of `stepping-core` and the slimmable baseline's convolution
+//! run.
 
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -214,9 +217,64 @@ pub fn col2im(cols: &Tensor, batch: usize, geom: &ConvGeometry) -> Result<Tensor
     Ok(out)
 }
 
+/// Scatters `[n·positions, channels]` rows — a convolution's output in
+/// `im2col` row order — into NCHW `[n, channels, oh, ow]`.
+pub fn mat_to_nchw(mat: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
+    let positions = oh * ow;
+    let mut out = Tensor::zeros(Shape::of(&[n, c, oh, ow]));
+    let src = mat.data();
+    let dst = out.data_mut();
+    for b in 0..n {
+        for p in 0..positions {
+            let row = (b * positions + p) * c;
+            for ch in 0..c {
+                dst[(b * c + ch) * positions + p] = src[row + ch];
+            }
+        }
+    }
+    out
+}
+
+/// Gathers NCHW `[n, channels, oh, ow]` into `[n·positions, channels]` rows —
+/// the inverse of [`mat_to_nchw`].
+pub fn nchw_to_mat(t: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
+    let positions = oh * ow;
+    let mut out = Tensor::zeros(Shape::of(&[n * positions, c]));
+    let src = t.data();
+    let dst = out.data_mut();
+    for b in 0..n {
+        for p in 0..positions {
+            let row = (b * positions + p) * c;
+            for ch in 0..c {
+                dst[row + ch] = src[(b * c + ch) * positions + p];
+            }
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::init::{rng, uniform};
+
+    #[test]
+    fn nchw_round_trip_is_identity() {
+        let x = uniform(Shape::of(&[2, 3, 2, 4]), -1.0, 1.0, &mut rng(0));
+        let mat = nchw_to_mat(&x, 2, 3, 2, 4);
+        assert_eq!(mat.shape().dims(), &[16, 3]);
+        let back = mat_to_nchw(&mat, 2, 3, 2, 4);
+        assert_eq!(back, x);
+    }
+
+    #[test]
+    fn nchw_rows_put_known_values_in_the_right_cells() {
+        // n=1, c=2, 1x2 spatial
+        let x = Tensor::from_vec(Shape::of(&[1, 2, 1, 2]), vec![1., 2., 3., 4.]).unwrap();
+        let mat = nchw_to_mat(&x, 1, 2, 1, 2);
+        // row 0 = position 0 → [ch0=1, ch1=3]; row 1 = position 1 → [2, 4]
+        assert_eq!(mat.data(), &[1., 3., 2., 4.]);
+    }
 
     #[test]
     fn geometry_same_padding() {

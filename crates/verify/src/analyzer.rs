@@ -14,7 +14,7 @@
 //! R6 (checkpoint round-trip) lives in [`crate::roundtrip`] because it
 //! needs serialization, not graph inspection.
 
-use stepping_core::{Assignment, FixedStage, MaskedConv2d, MaskedLinear, Stage, SteppingNet};
+use stepping_core::{Assignment, FixedStage, MaskedLayer, Stage, SteppingNet};
 
 use crate::diagnostics::{Location, Report, Rule, Severity, Violation};
 
@@ -120,32 +120,19 @@ pub fn analyze(net: &SteppingNet, opts: &AnalyzerOptions) -> Report {
 
     for (si, stage) in net.stages().iter().enumerate() {
         let name = stage.name();
+        if let Some(m) = stage.masked() {
+            checked_stages += 1;
+            checked_synapses += (m.in_assign().len() * m.out_assign().len() * m.taps()) as u64;
+            check_assignment_ranges(&mut sink, si, name, m.out_assign(), subnets);
+            check_level_order(&mut sink, si, name, m.out_assign());
+            check_chain(&mut sink, si, name, m.in_assign(), &cur);
+            check_shapes(&mut sink, si, name, stage, m);
+            check_subthreshold(&mut sink, si, name, m, opts.prune_threshold);
+            check_dead_neurons(&mut sink, si, name, m, opts.prune_threshold);
+            check_subnet_coverage(&mut sink, si, name, m.out_assign(), subnets);
+            cur = m.out_assign().clone();
+        }
         match stage {
-            Stage::Linear(l) => {
-                checked_stages += 1;
-                checked_synapses += (l.in_features() * l.out_features()) as u64;
-                check_assignment_ranges(&mut sink, si, name, l.out_assign(), subnets);
-                check_level_order(&mut sink, si, name, l.out_assign());
-                check_chain(&mut sink, si, name, l.in_assign(), &cur);
-                check_linear_shapes(&mut sink, si, name, l);
-                check_subthreshold_linear(&mut sink, si, name, l, opts.prune_threshold);
-                check_dead_neurons(&mut sink, si, name, stage, opts.prune_threshold);
-                check_subnet_coverage(&mut sink, si, name, l.out_assign(), subnets);
-                cur = l.out_assign().clone();
-            }
-            Stage::Conv(c) => {
-                checked_stages += 1;
-                checked_synapses +=
-                    (c.in_channels() * c.out_channels() * c.kernel() * c.kernel()) as u64;
-                check_assignment_ranges(&mut sink, si, name, c.out_assign(), subnets);
-                check_level_order(&mut sink, si, name, c.out_assign());
-                check_chain(&mut sink, si, name, c.in_assign(), &cur);
-                check_conv_shapes(&mut sink, si, name, c);
-                check_subthreshold_conv(&mut sink, si, name, c, opts.prune_threshold);
-                check_dead_neurons(&mut sink, si, name, stage, opts.prune_threshold);
-                check_subnet_coverage(&mut sink, si, name, c.out_assign(), subnets);
-                cur = c.out_assign().clone();
-            }
             Stage::Fixed(FixedStage::Flatten { factor, .. }) => {
                 cur = cur.repeat_each(*factor);
             }
@@ -164,7 +151,7 @@ pub fn analyze(net: &SteppingNet, opts: &AnalyzerOptions) -> Report {
                     }),
                 }
             }
-            Stage::Fixed(_) => {}
+            _ => {}
         }
     }
 
@@ -333,61 +320,22 @@ fn check_chain(
     sink.flush_bucket(Rule::R1Monotonicity, si, name);
 }
 
-/// R4 (shape part) for a masked linear stage.
-fn check_linear_shapes(sink: &mut Sink, si: usize, name: &'static str, l: &MaskedLinear) {
-    let w = l.weight().value.shape().dims().to_vec();
-    let expect = [l.out_features(), l.in_features()];
+/// R4 (shape part): the weight is `[out, in]` for a linear stage and
+/// `[out, in, k, k]` for a convolution, the bias `[out]`, with `out` and
+/// `in` the assignment lengths.
+fn check_shapes(sink: &mut Sink, si: usize, name: &'static str, stage: &Stage, m: &MaskedLayer) {
+    let (out, inputs) = (m.out_assign().len(), m.in_assign().len());
+    let mut expect = vec![out, inputs];
+    if let Stage::Conv(c) = stage {
+        expect.extend([c.kernel(), c.kernel()]);
+    }
+    let w = m.weight().value.shape().dims();
     if w != expect {
-        sink.push(shape_violation(si, name, &w, &expect));
+        sink.push(shape_violation(si, name, w, &expect));
     }
-    let b = l.bias().value.shape().dims().to_vec();
-    if b != [l.out_features()] {
-        sink.push(shape_violation(si, name, &b, &[l.out_features()]));
-    }
-    if l.out_assign().len() != l.out_features() || l.in_assign().len() != l.in_features() {
-        sink.push(Violation {
-            rule: Rule::R4WeightMask,
-            severity: Severity::Error,
-            message: format!(
-                "assignment lengths (out {}, in {}) disagree with weight geometry \
-                 (out {}, in {})",
-                l.out_assign().len(),
-                l.in_assign().len(),
-                l.out_features(),
-                l.in_features()
-            ),
-            location: Location::stage(si, name),
-            hint: "the mask and the weight tensor must describe the same layer".into(),
-        });
-    }
-}
-
-/// R4 (shape part) for a masked convolution stage.
-fn check_conv_shapes(sink: &mut Sink, si: usize, name: &'static str, c: &MaskedConv2d) {
-    let w = c.weight().value.shape().dims().to_vec();
-    let expect = [c.out_channels(), c.in_channels(), c.kernel(), c.kernel()];
-    if w != expect {
-        sink.push(shape_violation(si, name, &w, &expect));
-    }
-    let b = c.bias().value.shape().dims().to_vec();
-    if b != [c.out_channels()] {
-        sink.push(shape_violation(si, name, &b, &[c.out_channels()]));
-    }
-    if c.out_assign().len() != c.out_channels() || c.in_assign().len() != c.in_channels() {
-        sink.push(Violation {
-            rule: Rule::R4WeightMask,
-            severity: Severity::Error,
-            message: format!(
-                "assignment lengths (out {}, in {}) disagree with filter geometry \
-                 (out {}, in {})",
-                c.out_assign().len(),
-                c.in_assign().len(),
-                c.out_channels(),
-                c.in_channels()
-            ),
-            location: Location::stage(si, name),
-            hint: "the mask and the weight tensor must describe the same layer".into(),
-        });
+    let b = m.bias().value.shape().dims();
+    if b != [out] {
+        sink.push(shape_violation(si, name, b, &[out]));
     }
 }
 
@@ -401,67 +349,49 @@ fn shape_violation(si: usize, name: &'static str, got: &[usize], expect: &[usize
     }
 }
 
-/// R4 (threshold part): legal weights below the prune threshold that are
-/// still mask-active should have been pruned to exact zero.
-fn check_subthreshold_linear(
-    sink: &mut Sink,
-    si: usize,
-    name: &'static str,
-    l: &MaskedLinear,
-    threshold: f32,
-) {
-    sink.reset_bucket(Rule::R4WeightMask, si, name);
-    let (out_n, in_n) = (l.out_features(), l.in_features());
-    let data = l.weight().value.data();
-    if data.len() != out_n * in_n {
-        return; // shape violation already reported
-    }
-    for o in 0..out_n {
-        if l.out_assign().subnet_of(o) >= l.out_assign().subnet_count() {
-            continue; // unused pool: weight never participates
-        }
-        for i in 0..in_n {
-            if !l.is_legal(o, i) {
-                continue;
-            }
-            let w = data[o * in_n + i];
-            if w != 0.0 && w.abs() < threshold {
-                sink.push_capped(subthreshold_violation(si, name, o, i, w, threshold));
-            }
-        }
-    }
-    sink.flush_bucket(Rule::R4WeightMask, si, name);
+/// Whether the weight holds `out · in · taps` values; when it does not, the
+/// shape violation is reported and the per-weight checks are skipped.
+fn weight_fits(m: &MaskedLayer) -> bool {
+    m.weight().value.len() == m.out_assign().len() * m.in_assign().len() * m.taps()
 }
 
-/// R4 (threshold part) for convolutions; legality is at filter granularity.
-fn check_subthreshold_conv(
+/// Neuron `o`'s legal incoming weights as `(input, weight)` pairs — every
+/// tap of every input `i` with `assign(i) ≤ assign(o)` — recomputed from the
+/// stored assignments and weights rather than taken from the layer's own
+/// legality rule, which is what the analyzer checks. Requires
+/// [`weight_fits`].
+fn legal_weights(m: &MaskedLayer, o: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+    let (inp, taps) = (m.in_assign(), m.taps());
+    let oa = m.out_assign().subnet_of(o);
+    let width = inp.len() * taps;
+    let row = &m.weight().value.data()[o * width..(o + 1) * width];
+    (0..inp.len())
+        .filter(move |&i| inp.subnet_of(i) <= oa)
+        .flat_map(move |i| row[i * taps..(i + 1) * taps].iter().map(move |&w| (i, w)))
+}
+
+/// R4 (threshold part): legal weights below the prune threshold that are
+/// still mask-active should have been pruned to exact zero; a filter's
+/// legality is per input channel.
+fn check_subthreshold(
     sink: &mut Sink,
     si: usize,
     name: &'static str,
-    c: &MaskedConv2d,
+    m: &MaskedLayer,
     threshold: f32,
 ) {
     sink.reset_bucket(Rule::R4WeightMask, si, name);
-    let (oc_n, ic_n, k) = (c.out_channels(), c.in_channels(), c.kernel());
-    let data = c.weight().value.data();
-    if data.len() != oc_n * ic_n * k * k {
+    if !weight_fits(m) {
         return;
     }
-    for oc in 0..oc_n {
-        let oa = c.out_assign().subnet_of(oc);
-        if oa >= c.out_assign().subnet_count() {
-            continue;
+    let out = m.out_assign();
+    for o in 0..out.len() {
+        if out.subnet_of(o) >= out.subnet_count() {
+            continue; // unused pool: weight never participates
         }
-        for ic in 0..ic_n {
-            if c.in_assign().subnet_of(ic) > oa {
-                continue; // illegal filter pair, masked anyway
-            }
-            let base = (oc * ic_n + ic) * k * k;
-            for t in 0..k * k {
-                let w = data[base + t];
-                if w != 0.0 && w.abs() < threshold {
-                    sink.push_capped(subthreshold_violation(si, name, oc, ic, w, threshold));
-                }
+        for (i, w) in legal_weights(m, o) {
+            if w != 0.0 && w.abs() < threshold {
+                sink.push_capped(subthreshold_violation(si, name, o, i, w, threshold));
             }
         }
     }
@@ -495,18 +425,19 @@ fn check_dead_neurons(
     sink: &mut Sink,
     si: usize,
     name: &'static str,
-    stage: &Stage,
+    m: &MaskedLayer,
     threshold: f32,
 ) {
-    let Some(assign) = stage.out_assign() else {
-        return;
-    };
+    let assign = m.out_assign();
     sink.reset_bucket(Rule::R5Reachability, si, name);
+    if !weight_fits(m) {
+        return;
+    }
     for o in 0..assign.len() {
         if assign.subnet_of(o) >= assign.subnet_count() {
             continue; // unused pool
         }
-        if stage.neuron_macs(o, threshold) == Some(0) {
+        if legal_weights(m, o).all(|(_, w)| w.abs() < threshold) {
             sink.push_capped(Violation {
                 rule: Rule::R5Reachability,
                 severity: Severity::Warning,

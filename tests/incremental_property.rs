@@ -6,9 +6,14 @@
 //!   and shared neurons' activations are identical across subnets.
 //! * **Structure safety** — arbitrary legal move sequences keep the network
 //!   invariants intact.
+//! * **Gradients** — the masked backward passes agree with central finite
+//!   differences of their forwards, legal and illegal pairs alike.
 
 use proptest::prelude::*;
-use steppingnet::core::{IncrementalExecutor, SteppingNet, SteppingNetBuilder};
+use steppingnet::core::{
+    Assignment, IncrementalExecutor, MaskedConv2d, SteppingNet, SteppingNetBuilder,
+};
+use steppingnet::nn::{Layer, Tanh};
 use steppingnet::tensor::{init, Shape, Tensor};
 
 /// Builds a 2-hidden-layer MLP and applies a random move sequence.
@@ -161,5 +166,74 @@ proptest! {
                 "w[{}]: numeric {} vs analytic {}", idx, num, analytic[idx]
             );
         }
+    }
+
+    #[test]
+    fn masked_conv_gradients_match_central_differences(
+        cin in 2usize..4,
+        cout in 2usize..5,
+        in_levels in proptest::collection::vec(0usize..3, 2),
+        moves in proptest::collection::vec((0u8..8, 0u8..4), 0..6),
+        seed in 0u64..1000,
+    ) {
+        // A 3×3 conv at subnet 1 with its input channels and filters spread
+        // over the levels: filter 0 stays in subnet 0 and reads input
+        // channel 0 (legal) but not channel 1 (subnet 1: illegal), and the
+        // moves may send filters to subnet 2 (inactive) or the unused pool.
+        // Tanh follows the conv so L = <tanh(conv(x)), dy> is smooth.
+        let subnets = 3;
+        let mut conv = MaskedConv2d::new(cin, cout, 3, 1, 1, 25, subnets, &mut init::rng(seed));
+        let mut in_assign = Assignment::new(cin, subnets);
+        in_assign.move_neuron(1, 1).unwrap();
+        for (c, &level) in (2..cin).zip(&in_levels) {
+            in_assign.move_neuron(c, level).unwrap();
+        }
+        conv.set_in_assign(in_assign).unwrap();
+        for &(filter, target) in &moves {
+            let filter = 1 + filter as usize % (cout - 1);
+            conv.move_out_neuron(filter, target as usize).unwrap();
+        }
+        let subnet = 1;
+        let x = init::uniform(Shape::of(&[2, cin, 5, 5]), -1.0, 1.0, &mut init::rng(seed ^ 5));
+        let dy = init::uniform(Shape::of(&[2, cout, 5, 5]), -1.0, 1.0, &mut init::rng(seed ^ 6));
+        let mut tanh = Tanh::new();
+        let z = conv.forward(&x, subnet, true).unwrap();
+        tanh.forward(&z, true).unwrap();
+        let dz = tanh.backward(&dy).unwrap();
+        let dx = conv.backward(&dz).unwrap();
+        let dw = conv.weight().grad.data().to_vec();
+        let loss = |conv: &mut MaskedConv2d, x: &Tensor| -> f32 {
+            let z = conv.forward(x, subnet, false).unwrap();
+            Tanh::new().forward(&z, false).unwrap().dot(&dy).unwrap()
+        };
+        let eps = 1e-2f32;
+        for i in 0..x.len() {
+            let (mut xp, mut xm) = (x.clone(), x.clone());
+            xp.data_mut()[i] += eps;
+            xm.data_mut()[i] -= eps;
+            let num = (loss(&mut conv, &xp) - loss(&mut conv, &xm)) / (2.0 * eps);
+            prop_assert!(
+                (num - dx.data()[i]).abs() < 2e-2,
+                "dx[{}]: numeric {} vs analytic {}", i, num, dx.data()[i]
+            );
+        }
+        for (i, &analytic) in dw.iter().enumerate() {
+            let w = conv.weight().value.data()[i];
+            conv.weight_mut().value.data_mut()[i] = w + eps;
+            let lp = loss(&mut conv, &x);
+            conv.weight_mut().value.data_mut()[i] = w - eps;
+            let lm = loss(&mut conv, &x);
+            conv.weight_mut().value.data_mut()[i] = w;
+            let num = (lp - lm) / (2.0 * eps);
+            prop_assert!(
+                (num - analytic).abs() < 2e-2,
+                "dW[{}]: numeric {} vs analytic {}", i, num, analytic
+            );
+        }
+        // the subnet reads legal pairs and masks illegal ones
+        let patch = cin * 9;
+        prop_assert!(dw[..9].iter().any(|&g| g != 0.0), "legal pair (0, 0) got no gradient");
+        prop_assert!(dw[9..18].iter().all(|&g| g == 0.0), "illegal pair (0, 1) got a gradient");
+        prop_assert_eq!(dw.len(), cout * patch);
     }
 }
