@@ -10,9 +10,7 @@
 //! scaled down ([`ExperimentScale`]); every algorithmic parameter keeps the
 //! paper's value or scales proportionally.
 
-use stepping_core::{
-    construct::ConstructionOptions, distill::DistillOptions, train::TrainOptions, ParallelConfig,
-};
+use stepping_core::{construct::ConstructionOptions, distill::DistillOptions, train::TrainOptions};
 use stepping_data::{DataError, SyntheticImages, SyntheticImagesConfig};
 use stepping_models::Architecture;
 use stepping_nn::schedule::LrSchedule;
@@ -245,7 +243,6 @@ impl TestCase {
             lr: 0.05,
             schedule: LrSchedule::Constant,
             seed: self.model_seed ^ 0xAAAA,
-            parallel: ParallelConfig::default(),
         }
     }
 
@@ -273,7 +270,6 @@ impl TestCase {
             warm_start_heads: true,
             criterion: Default::default(),
             seed: self.model_seed ^ 0xBBBB,
-            parallel: ParallelConfig::default(),
         }
     }
 
@@ -290,7 +286,6 @@ impl TestCase {
             // decay toward fine-tuning so late epochs stabilise the subnets
             schedule: LrSchedule::Exponential { factor: 0.92 },
             seed: self.model_seed ^ 0xCCCC,
-            parallel: ParallelConfig::default(),
         }
     }
 }

@@ -23,12 +23,11 @@
 //! rounds).
 
 use stepping_data::{BatchIter, Dataset, Split};
-use stepping_exec::ParallelConfig;
 use stepping_nn::optim::Sgd;
 
 use crate::events::{event, phase};
-use crate::parallel::{BatchLoss, ParallelRunner};
 use crate::telemetry::{self, Value};
+use crate::train::{batch_step, BatchLoss};
 use crate::{Result, SteppingError, SteppingNet};
 
 /// Which neuron-selection criterion drives reallocation.
@@ -82,9 +81,6 @@ pub struct ConstructionOptions {
     pub criterion: SelectionCriterion,
     /// Shuffling seed.
     pub seed: u64,
-    /// Data-parallel execution of the per-iteration training rounds
-    /// (defaults to the sequential reference).
-    pub parallel: ParallelConfig,
 }
 
 impl Default for ConstructionOptions {
@@ -103,7 +99,6 @@ impl Default for ConstructionOptions {
             warm_start_heads: true,
             criterion: SelectionCriterion::GradientImportance,
             seed: 0,
-            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -218,7 +213,6 @@ fn train_round(
     data: &dyn Dataset,
     opts: &ConstructionOptions,
     iteration: usize,
-    runner: &ParallelRunner,
 ) -> Result<Vec<f32>> {
     let n = net.subnet_count();
     let mut losses = vec![0.0f32; n];
@@ -237,10 +231,10 @@ fn train_round(
                 break;
             }
             let (x, y) = batch?;
-            let out = runner.train_batch(net, &x, &y, k, BatchLoss::CrossEntropy, false)?;
+            let (batch_loss, _) = batch_step(net, &x, &y, k, BatchLoss::CrossEntropy, false)?;
             sgd.step(&mut net.params_for(k)?)
                 .map_err(SteppingError::Nn)?;
-            total += out.loss;
+            total += batch_loss;
             count += 1;
         }
         *loss = total / count.max(1) as f32;
@@ -402,7 +396,6 @@ pub fn construct(
 ) -> Result<ConstructionReport> {
     validate(net, opts)?;
     let run_span = telemetry::span(phase::CONSTRUCTION, event::CONSTRUCT_RUN);
-    let runner = ParallelRunner::new(opts.parallel, phase::CONSTRUCTION)?;
     if opts.warm_start_heads {
         net.warm_start_heads();
     }
@@ -447,7 +440,7 @@ pub fn construct(
         let iter_span = telemetry::span(phase::CONSTRUCTION, event::CONSTRUCT_ITERATION);
         let zeroed_before = net.zeroed_weight_masks();
         net.reset_importance();
-        let train_loss = train_round(net, data, opts, it, &runner)?;
+        let train_loss = train_round(net, data, opts, it)?;
         let iter_pruned = net.prune(opts.prune_threshold);
         pruned_weights += iter_pruned;
         let revived = net.count_revived(&zeroed_before, opts.prune_threshold);

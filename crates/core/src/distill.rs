@@ -7,14 +7,13 @@
 //! active so larger subnets don't destabilise smaller ones.
 
 use stepping_data::{BatchIter, Dataset, Split};
-use stepping_exec::ParallelConfig;
 use stepping_nn::optim::Sgd;
 use stepping_nn::schedule::LrSchedule;
 use stepping_tensor::reduce;
 
 use crate::events::{event, phase};
-use crate::parallel::{BatchLoss, ParallelRunner};
 use crate::telemetry::{self, Value};
+use crate::train::{batch_step, BatchLoss};
 use crate::{Result, SteppingError, SteppingNet};
 
 /// Options for [`distill`].
@@ -39,8 +38,6 @@ pub struct DistillOptions {
     pub schedule: LrSchedule,
     /// Shuffling seed.
     pub seed: u64,
-    /// Data-parallel execution (defaults to the sequential reference).
-    pub parallel: ParallelConfig,
 }
 
 impl Default for DistillOptions {
@@ -55,7 +52,6 @@ impl Default for DistillOptions {
             use_distillation: true,
             schedule: LrSchedule::Constant,
             seed: 0,
-            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -120,7 +116,6 @@ pub fn distill(
     }
     let n = net.subnet_count();
     let run_span = telemetry::span(phase::TRAINING, event::DISTILL_RUN);
-    let runner = ParallelRunner::new(opts.parallel, phase::TRAINING)?;
     let mut sgd = Sgd::new(opts.lr).map_err(SteppingError::Nn)?;
     let mut losses = Vec::with_capacity(opts.epochs);
     for epoch in 0..opts.epochs {
@@ -155,13 +150,13 @@ pub fn distill(
                     },
                     None => BatchLoss::CrossEntropy,
                 };
-                let out = runner.train_batch(net, &x, &y, k, batch_loss, telemetry::enabled())?;
-                if let Some(ce) = out.ce {
+                let (loss, ce) = batch_step(net, &x, &y, k, batch_loss, telemetry::enabled())?;
+                if let Some(ce) = ce {
                     ce_sums[k] += f64::from(ce);
                 }
                 sgd.step(&mut net.params_for(k)?)
                     .map_err(SteppingError::Nn)?;
-                epoch_losses[k] += out.loss;
+                epoch_losses[k] += loss;
                 batch_counts[k] += 1;
             }
         }

@@ -29,8 +29,8 @@ pub enum SteppingError {
     /// The incremental executor was driven out of order
     /// (e.g. `expand` before `begin`).
     ExecutorState(String),
-    /// A parallel worker failed: a job panicked inside the execution pool or
-    /// the pool shut down mid-run. Carries the pool's description.
+    /// A worker thread panicked (one of [`crate::eval::evaluate_all`]'s
+    /// per-subnet jobs). Carries the panic message.
     Worker(String),
 }
 
@@ -80,12 +80,6 @@ impl From<DataError> for SteppingError {
     }
 }
 
-impl From<stepping_exec::PoolError> for SteppingError {
-    fn from(e: stepping_exec::PoolError) -> Self {
-        SteppingError::Worker(e.to_string())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,8 +98,7 @@ mod tests {
         };
         assert!(e.to_string().contains('4'));
         assert!(std::error::Error::source(&e).is_none());
-        let e: SteppingError = stepping_exec::PoolError::Panicked("boom".into()).into();
-        assert!(matches!(&e, SteppingError::Worker(m) if m.contains("boom")));
-        assert!(e.to_string().starts_with("worker"));
+        let e = SteppingError::Worker("boom".into());
+        assert_eq!(e.to_string(), "worker error: boom");
     }
 }

@@ -1,17 +1,17 @@
 //! Accuracy evaluation of stepping networks.
 //!
-//! The parallel helpers ([`evaluate_parallel`], [`evaluate_all`]) run on the
-//! shared `stepping-exec` worker pool instead of ad-hoc scoped threads:
-//! worker panics surface as typed [`SteppingError::Worker`] values rather
-//! than aborting via `JoinHandle::join().expect(..)`. Because pool jobs are
-//! `'static`, the evaluated batches are materialised on the calling thread
-//! and shipped to the workers as owned tensors.
+//! [`evaluate_all`] runs one job per subnet on scoped threads; each job
+//! evaluates a clone of the network, so every value equals a sequential
+//! [`evaluate`] call, and a panicking job comes back as a typed
+//! [`SteppingError::Worker`] rather than a process abort.
 
-use std::sync::Arc;
+use std::any::Any;
+use std::borrow::Borrow;
+use std::num::NonZeroUsize;
 
 use stepping_data::{BatchIter, Dataset, Split};
-use stepping_exec::{ExecPool, Job};
 use stepping_nn::metrics;
+use stepping_tensor::Tensor;
 
 use crate::{Result, SteppingError, SteppingNet};
 
@@ -43,6 +43,13 @@ pub fn evaluate(
     subnet: usize,
     batch_size: usize,
 ) -> Result<f32> {
+    check_split(data, split, batch_size)?;
+    // epoch/seed 0: evaluation order does not matter, but keep it stable.
+    accuracy(net, BatchIter::new(data, split, batch_size, 0, 0), subnet)
+}
+
+/// Refuses a zero batch size and an empty split.
+fn check_split(data: &dyn Dataset, split: Split, batch_size: usize) -> Result<()> {
     if batch_size == 0 {
         return Err(SteppingError::BadConfig(
             "batch size must be nonzero".into(),
@@ -53,149 +60,106 @@ pub fn evaluate(
             "cannot evaluate on an empty split".into(),
         ));
     }
+    Ok(())
+}
+
+/// Top-1 accuracy of `subnet` over `batches` (inference mode), weighted by
+/// rows.
+fn accuracy<B, E>(
+    net: &mut SteppingNet,
+    batches: impl IntoIterator<Item = std::result::Result<B, E>>,
+    subnet: usize,
+) -> Result<f32>
+where
+    B: Borrow<(Tensor, Vec<usize>)>,
+    SteppingError: From<E>,
+{
     let mut correct = 0.0f64;
     let mut total = 0usize;
-    // epoch/seed 0: evaluation order does not matter, but keep it stable.
-    for batch in BatchIter::new(data, split, batch_size, 0, 0) {
-        let (x, y) = batch?;
-        let logits = net.forward(&x, subnet, false)?;
-        let acc = metrics::accuracy(&logits, &y).map_err(SteppingError::Nn)?;
+    for batch in batches {
+        let batch = batch?;
+        let (x, y) = batch.borrow();
+        let logits = net.forward(x, subnet, false)?;
+        let acc = metrics::accuracy(&logits, y).map_err(SteppingError::Nn)?;
         correct += acc as f64 * y.len() as f64;
         total += y.len();
     }
     Ok((correct / total as f64) as f32)
 }
 
-/// Top-1 accuracy of `subnet` on a split, sharded across `threads` worker
-/// threads of a `stepping-exec` pool (each job works on a cloned network, so
-/// batch-norm inference caches don't interfere). Produces the same value as
-/// [`evaluate`].
+/// Accuracy of every subnet on a split, smallest first. Each subnet is one
+/// job on a scoped thread, at most the machine's available parallelism at a
+/// time; each value is identical to a sequential [`evaluate`] call because
+/// every job evaluates a clone of the network over the same batches, in the
+/// same order.
 ///
 /// # Errors
 ///
-/// Returns [`SteppingError::BadConfig`] for zero `threads`/`batch_size` or
-/// an empty split, propagates forward errors from any worker, and reports a
-/// worker panic as [`SteppingError::Worker`].
-pub fn evaluate_parallel(
-    net: &SteppingNet,
-    data: &dyn Dataset,
-    split: Split,
-    subnet: usize,
-    batch_size: usize,
-    threads: usize,
-) -> Result<f32> {
-    if batch_size == 0 || threads == 0 {
-        return Err(SteppingError::BadConfig(
-            "batch size and threads must be nonzero".into(),
-        ));
-    }
-    let len = data.len(split);
-    if len == 0 {
-        return Err(SteppingError::BadConfig(
-            "cannot evaluate on an empty split".into(),
-        ));
-    }
-    let master = Arc::new(net.clone());
-    let shard = len.div_ceil(threads);
-    let pool = ExecPool::new(threads);
-    let mut jobs: Vec<Job<Result<(usize, usize)>>> = Vec::new();
-    for t in 0..threads {
-        let lo = t * shard;
-        let hi = ((t + 1) * shard).min(len);
-        if lo >= hi {
-            continue;
-        }
-        // Materialise this shard's batches on the calling thread: pool jobs
-        // are 'static and must not borrow the dataset.
-        let mut batches = Vec::with_capacity((hi - lo).div_ceil(batch_size));
-        let mut i = lo;
-        while i < hi {
-            let end = (i + batch_size).min(hi);
-            let idx: Vec<usize> = (i..end).collect();
-            batches.push(data.batch(split, &idx)?);
-            i = end;
-        }
-        let m = Arc::clone(&master);
-        jobs.push(Box::new(move || -> Result<(usize, usize)> {
-            let mut worker = (*m).clone();
-            let mut correct = 0usize;
-            let mut total = 0usize;
-            for (x, y) in &batches {
-                let logits = worker.forward(x, subnet, false)?;
-                let preds = metrics::predictions(&logits).map_err(SteppingError::Nn)?;
-                correct += preds.iter().zip(y.iter()).filter(|(p, t)| p == t).count();
-                total += y.len();
-            }
-            Ok((correct, total))
-        }));
-    }
-    let mut correct = 0usize;
-    let mut total = 0usize;
-    for r in pool.run(jobs)? {
-        let (c, t) = r?;
-        correct += c;
-        total += t;
-    }
-    Ok(correct as f32 / total as f32)
-}
-
-/// Accuracy of every subnet on a split, smallest first. Subnets are
-/// evaluated as independent jobs on a `stepping-exec` pool (one worker per
-/// subnet, capped by the machine's available parallelism); each value is
-/// identical to a sequential [`evaluate`] call because every job clones the
-/// network and replays the same deterministic batch order.
-///
-/// # Errors
-///
-/// Propagates [`evaluate`] errors; reports a worker panic as
-/// [`SteppingError::Worker`].
+/// Propagates [`evaluate`] errors; reports a panicking job as
+/// [`SteppingError::Worker`] with its panic message.
 pub fn evaluate_all(
     net: &mut SteppingNet,
     data: &dyn Dataset,
     split: Split,
     batch_size: usize,
 ) -> Result<Vec<f32>> {
-    if batch_size == 0 {
-        return Err(SteppingError::BadConfig(
-            "batch size must be nonzero".into(),
-        ));
-    }
-    if data.is_empty(split) {
-        return Err(SteppingError::BadConfig(
-            "cannot evaluate on an empty split".into(),
-        ));
-    }
+    check_split(data, split, batch_size)?;
     // Materialise the split's batches once (deterministic epoch/seed-0
     // order, as in `evaluate`) and share them read-only across the jobs.
-    let mut batches = Vec::new();
-    for batch in BatchIter::new(data, split, batch_size, 0, 0) {
-        batches.push(batch?);
-    }
-    let batches = Arc::new(batches);
-    let master = Arc::new(net.clone());
-    let subnets = net.subnet_count();
-    let workers =
-        subnets.min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    let pool = ExecPool::new(workers);
-    let jobs: Vec<Job<Result<f32>>> = (0..subnets)
+    let batches = BatchIter::new(data, split, batch_size, 0, 0)
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let (net, batches) = (&*net, &batches);
+    let jobs: Vec<_> = (0..net.subnet_count())
         .map(|k| {
-            let m = Arc::clone(&master);
-            let batches = Arc::clone(&batches);
-            Box::new(move || -> Result<f32> {
-                let mut worker = (*m).clone();
-                let mut correct = 0.0f64;
-                let mut total = 0usize;
-                for (x, y) in batches.iter() {
-                    let logits = worker.forward(x, k, false)?;
-                    let acc = metrics::accuracy(&logits, y).map_err(SteppingError::Nn)?;
-                    correct += acc as f64 * y.len() as f64;
-                    total += y.len();
-                }
-                Ok((correct / total as f64) as f32)
-            }) as Job<Result<f32>>
+            move || {
+                accuracy(
+                    &mut net.clone(),
+                    batches.iter().map(Ok::<_, SteppingError>),
+                    k,
+                )
+            }
         })
         .collect();
-    pool.run(jobs)?.into_iter().collect()
+    let width = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    run_scoped(jobs, width)
+}
+
+/// Runs `jobs` on scoped threads, at most `width` at a time, and returns
+/// their results in job order. A job that panics is reported as
+/// [`SteppingError::Worker`] carrying its panic message.
+fn run_scoped<T, F>(jobs: Vec<F>, width: usize) -> Result<Vec<T>>
+where
+    T: Send,
+    F: FnOnce() -> Result<T> + Send,
+{
+    let mut jobs = jobs.into_iter();
+    let mut out = Vec::with_capacity(jobs.len());
+    loop {
+        let wave: Vec<F> = jobs.by_ref().take(width.max(1)).collect();
+        if wave.is_empty() {
+            return Ok(out);
+        }
+        // Join every thread of the wave before looking at any result, so a
+        // panic never escapes the scope.
+        let joined: Vec<_> = std::thread::scope(|s| {
+            let handles: Vec<_> = wave.into_iter().map(|job| s.spawn(job)).collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        for result in joined {
+            out.push(result.map_err(|p| SteppingError::Worker(panic_message(&*p)))??);
+        }
+    }
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "job panicked".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -252,39 +216,34 @@ mod tests {
             .relu()
             .build(3)
             .unwrap();
-        let accs = evaluate_all(&mut net, &d, Split::Test, 16).unwrap();
+        let opts = TrainOptions {
+            epochs: 2,
+            ..Default::default()
+        };
+        train_subnet(&mut net, &d, 0, &opts).unwrap();
+        // 45 test rows: batches of 7 leave a short last batch.
+        let accs = evaluate_all(&mut net, &d, Split::Test, 7).unwrap();
         assert_eq!(accs.len(), 3);
+        for (k, acc) in accs.iter().enumerate() {
+            let seq = evaluate(&mut net, &d, Split::Test, k, 7).unwrap();
+            assert_eq!(acc.to_bits(), seq.to_bits(), "subnet {k}");
+        }
     }
 
     #[test]
-    fn parallel_evaluation_matches_sequential() {
-        let d = data();
-        let mut net = SteppingNetBuilder::new(Shape::of(&[8]), 2, 5)
-            .linear(16)
-            .relu()
-            .build(3)
-            .unwrap();
-        train_subnet(
-            &mut net,
-            &d,
-            0,
-            &TrainOptions {
-                epochs: 4,
-                lr: 0.1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let seq = evaluate(&mut net, &d, Split::Test, 0, 7).unwrap();
-        for threads in [1usize, 2, 4, 16] {
-            let par = evaluate_parallel(&net, &d, Split::Test, 0, 7, threads).unwrap();
-            assert!(
-                (par - seq).abs() < 1e-6,
-                "threads {threads}: {par} vs {seq}"
-            );
-        }
-        assert!(evaluate_parallel(&net, &d, Split::Test, 0, 7, 0).is_err());
-        assert!(evaluate_parallel(&net, &d, Split::Test, 0, 0, 2).is_err());
+    fn a_panicking_job_is_a_worker_error() {
+        let jobs: Vec<Box<dyn FnOnce() -> Result<usize> + Send>> = vec![
+            Box::new(|| Ok(1)),
+            Box::new(|| panic!("boom")),
+            Box::new(|| Ok(3)),
+        ];
+        let err = run_scoped(jobs, 2).unwrap_err();
+        assert!(
+            matches!(&err, SteppingError::Worker(m) if m == "boom"),
+            "{err}"
+        );
+        let jobs: Vec<_> = (0..5).map(|k| move || Ok(k * 10)).collect();
+        assert_eq!(run_scoped(jobs, 2).unwrap(), vec![0, 10, 20, 30, 40]);
     }
 
     #[test]

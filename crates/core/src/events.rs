@@ -112,20 +112,6 @@ pub mod event {
     /// A mutation dropped the net's compiled model.
     pub const PLAN_INVALIDATE: EventName = EventName("plan.invalidate");
 
-    // parallel execution pool
-    /// Pool construction point / per-batch dispatch span.
-    pub const POOL_SPAWN: EventName = EventName("pool.spawn");
-    /// One shard job span.
-    pub const POOL_SHARD: EventName = EventName("pool.shard");
-    /// Rows dispatched to shards.
-    pub const POOL_SHARD_ROWS: EventName = EventName("pool.shard.rows");
-    /// Fixed-order tree-reduction span.
-    pub const POOL_REDUCE: EventName = EventName("pool.reduce");
-    /// Pairwise combines performed by the reduction.
-    pub const POOL_REDUCE_OPS: EventName = EventName("pool.reduce.ops");
-    /// Batch fell back to the sequential path (shard-unsafe stage).
-    pub const POOL_FALLBACK: EventName = EventName("pool.fallback");
-
     // report channel (stepping-obs report_text / progress)
     /// Pre-formatted stdout report text.
     pub const REPORT_TEXT: EventName = EventName("text");
@@ -162,12 +148,6 @@ pub mod event {
         ROUTER_BREAKER_TRIP,
         PLAN_COMPILE,
         PLAN_INVALIDATE,
-        POOL_SPAWN,
-        POOL_SHARD,
-        POOL_SHARD_ROWS,
-        POOL_REDUCE,
-        POOL_REDUCE_OPS,
-        POOL_FALLBACK,
         REPORT_TEXT,
         REPORT_PROGRESS,
     ];
@@ -175,7 +155,8 @@ pub mod event {
 
 /// Production metric names — the series registered with
 /// `stepping_metrics::MetricsRegistry::register_*`. The table lives in
-/// `stepping-metrics`, below this crate, so `stepping-exec` can name it too.
+/// `stepping-metrics`, below this crate, so crates that do not depend on
+/// this one can name it too.
 pub use stepping_metrics::metric;
 
 #[cfg(test)]

@@ -70,7 +70,6 @@ mod masked;
 mod masked_conv;
 mod masked_linear;
 mod net;
-pub mod parallel;
 mod parts;
 mod plan;
 mod stage;
@@ -90,10 +89,8 @@ pub use masked::MaskedLayer;
 pub use masked_conv::MaskedConv2d;
 pub use masked_linear::MaskedLinear;
 pub use net::{SteppingNet, SteppingNetBuilder};
-pub use parallel::{BatchLoss, BatchOutcome, ParallelRunner};
 pub use plan::MacTable;
 pub use stage::{FixedStage, Stage};
-pub use stepping_exec::ParallelConfig;
 
 /// Convenience result alias used across this crate.
 pub type Result<T> = std::result::Result<T, SteppingError>;

@@ -403,14 +403,13 @@ impl MaskedLayer {
         self.importance.fill(0.0);
     }
 
-    /// The raw accumulated importance buffer, flattened `[subnet][out]` —
-    /// exported by replica workers so shard contributions can be merged.
+    /// The raw accumulated importance buffer, flattened `[subnet][out]`.
     pub fn importance_values(&self) -> &[f64] {
         &self.importance
     }
 
-    /// Adds a merged importance delta (same flattened layout) into this
-    /// layer's accumulator.
+    /// Adds an importance delta (same flattened layout) into this layer's
+    /// accumulator.
     ///
     /// # Errors
     ///

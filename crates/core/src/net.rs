@@ -7,7 +7,7 @@ use stepping_nn::{
 
 use stepping_tensor::conv::ConvGeometry;
 use stepping_tensor::pack::PackScratch;
-use stepping_tensor::{init, GradStore, Shape, Tensor};
+use stepping_tensor::{init, Shape, Tensor};
 
 use crate::parts::{Guarded, Parts};
 use crate::plan::MacTable;
@@ -474,54 +474,6 @@ impl SteppingNet {
         }
     }
 
-    /// Snapshots the gradients of every parameter trained for `subnet`, in
-    /// [`SteppingNet::params_for`] order (all stage parameters, then the
-    /// subnet head's weight and bias).
-    ///
-    /// Together with [`SteppingNet::import_grads`] this is the transport the
-    /// stepping-exec engine uses to move per-shard gradients between replica
-    /// nets and the master.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SteppingError::SubnetOutOfRange`].
-    pub fn export_grads(&mut self, subnet: usize) -> Result<GradStore> {
-        let params = self.params_for(subnet)?;
-        Ok(GradStore::new(
-            params.iter().map(|p| p.grad.clone()).collect(),
-        ))
-    }
-
-    /// Overwrites the gradients of every parameter trained for `subnet` with
-    /// the slots of `grads` (a [`SteppingNet::export_grads`] snapshot from a
-    /// structurally identical net).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SteppingError::SubnetOutOfRange`] or
-    /// [`SteppingError::InvalidStructure`] on slot-count/shape mismatch.
-    pub fn import_grads(&mut self, subnet: usize, grads: &GradStore) -> Result<()> {
-        let mut params = self.params_for(subnet)?;
-        if params.len() != grads.len() {
-            return Err(SteppingError::InvalidStructure(format!(
-                "gradient import expects {} slots, got {}",
-                params.len(),
-                grads.len()
-            )));
-        }
-        for (p, g) in params.iter_mut().zip(grads.iter()) {
-            if p.grad.shape() != g.shape() {
-                return Err(SteppingError::InvalidStructure(format!(
-                    "gradient slot shape mismatch: {} vs {}",
-                    p.grad.shape(),
-                    g.shape()
-                )));
-            }
-            p.grad = g.clone();
-        }
-        Ok(())
-    }
-
     /// Snapshots the accumulated per-neuron importance of every masked
     /// stage, index-aligned with [`SteppingNet::masked_stage_indices`].
     pub fn export_importance(&self) -> Vec<Vec<f64>> {
@@ -531,8 +483,8 @@ impl SteppingNet {
             .collect()
     }
 
-    /// Adds an [`SteppingNet::export_importance`] snapshot (from a replica
-    /// net) onto this net's accumulated importance, stage by stage.
+    /// Adds an [`SteppingNet::export_importance`] snapshot onto this net's
+    /// accumulated importance, stage by stage.
     ///
     /// # Errors
     ///
@@ -551,14 +503,6 @@ impl SteppingNet {
             self.stages_mut()[idx].add_importance_values(d)?;
         }
         Ok(())
-    }
-
-    /// Whether training-mode forwards of this net are shard-decomposable:
-    /// true iff no stage couples rows of a batch (batch norm) or consumes a
-    /// per-batch RNG stream (dropout). When false, the stepping-exec engine
-    /// falls back to a single shard regardless of configuration.
-    pub fn train_parallel_safe(&self) -> bool {
-        self.stages().iter().all(Stage::shard_safe)
     }
 
     /// MAC operations executed by subnet `subnet` (stages + its head).

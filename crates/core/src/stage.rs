@@ -206,41 +206,6 @@ impl Stage {
         }
     }
 
-    /// Whether train-mode forwards of this stage are row-independent and
-    /// free of cross-batch state, i.e. safe to run on sharded sub-batches:
-    /// batch-norm (batch statistics) and dropout (an RNG stream) are not.
-    ///
-    /// Every variant is matched explicitly — no wildcard, no negated
-    /// `matches!` — so adding a stage kind without deciding its shard
-    /// safety is a compile error: rustc checks the match is exhaustive and
-    /// the two clippy lints denied below reject a `_` arm, whether it
-    /// stands for several variants or one. A silent `true` default would
-    /// let a new stateful stage break the thread-count-invariance
-    /// guarantee of `docs/PARALLELISM.md`.
-    #[deny(
-        clippy::wildcard_enum_match_arm,
-        clippy::match_wildcard_for_single_variants
-    )]
-    pub fn shard_safe(&self) -> bool {
-        match self {
-            Stage::Linear(_) => true,
-            Stage::Conv(_) => true,
-            Stage::Fixed(f) => match f {
-                FixedStage::Relu(_) => true,
-                FixedStage::Tanh(_) => true,
-                FixedStage::Sigmoid(_) => true,
-                FixedStage::MaxPool(_) => true,
-                FixedStage::AvgPool(_) => true,
-                // batch statistics couple rows across the whole batch
-                FixedStage::BatchNorm1d { .. } => false,
-                FixedStage::BatchNorm2d { .. } => false,
-                // one RNG stream per layer, consumed in row order
-                FixedStage::Dropout(_) => false,
-                FixedStage::Flatten { .. } => true,
-            },
-        }
-    }
-
     /// Back-propagates through the stage (subnet context is whatever the last
     /// forward used).
     ///

@@ -287,7 +287,7 @@ mod tests {
             event::DISTILL_SUBNET,
             &[("loss", Value::F64(0.5))],
         );
-        counter(phase::INFERENCE, event::POOL_SHARD_ROWS, 3, &[]);
+        counter(phase::TRAINING, event::TRAIN_BATCHES, 3, &[]);
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! knowledge-distillation teacher.
 
 use stepping_data::{BatchIter, Dataset, Split};
-use stepping_exec::ParallelConfig;
+use stepping_nn::loss;
 use stepping_nn::optim::Sgd;
 use stepping_nn::schedule::LrSchedule;
 use stepping_tensor::{reduce, Tensor};
 
 use crate::events::{event, phase};
-use crate::parallel::{BatchLoss, ParallelRunner};
 use crate::telemetry::{self, Value};
 use crate::{Result, SteppingError, SteppingNet};
 
@@ -30,8 +29,6 @@ pub struct TrainOptions {
     pub schedule: LrSchedule,
     /// Shuffling seed.
     pub seed: u64,
-    /// Data-parallel execution (defaults to the sequential reference).
-    pub parallel: ParallelConfig,
 }
 
 impl Default for TrainOptions {
@@ -42,7 +39,6 @@ impl Default for TrainOptions {
             lr: 0.05,
             schedule: LrSchedule::Constant,
             seed: 0,
-            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -92,7 +88,6 @@ pub fn train_subnet(
         ));
     }
     let run_span = telemetry::span(phase::TRAINING, event::TRAIN_SUBNET);
-    let runner = ParallelRunner::new(opts.parallel, phase::TRAINING)?;
     let mut sgd = Sgd::new(opts.lr).map_err(SteppingError::Nn)?;
     let mut epoch_losses = Vec::with_capacity(opts.epochs);
     for epoch in 0..opts.epochs {
@@ -103,10 +98,10 @@ pub fn train_subnet(
         let mut batches = 0;
         for batch in BatchIter::new(data, Split::Train, opts.batch_size, epoch as u64, opts.seed) {
             let (x, y) = batch?;
-            let out = runner.train_batch(net, &x, &y, subnet, BatchLoss::CrossEntropy, false)?;
+            let (loss, _) = batch_step(net, &x, &y, subnet, BatchLoss::CrossEntropy, false)?;
             sgd.step(&mut net.params_for(subnet)?)
                 .map_err(SteppingError::Nn)?;
-            total += out.loss;
+            total += loss;
             batches += 1;
         }
         let mean = total / batches.max(1) as f32;
@@ -137,6 +132,71 @@ pub fn train_subnet(
         ),
     ]);
     Ok(epoch_losses)
+}
+
+/// Which loss drives one training batch.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BatchLoss<'a> {
+    /// Plain cross-entropy against integer targets.
+    CrossEntropy,
+    /// Knowledge distillation (paper eq. 4): `γ·CE + (1−γ)·KL(teacher ‖ s)`.
+    Distill {
+        /// Teacher softmax probabilities for the whole batch, `[n, classes]`.
+        teacher_probs: &'a Tensor,
+        /// Cross-entropy weight `γ`.
+        gamma: f32,
+    },
+}
+
+/// One training batch on `net`, the step every trainer takes: zero-grad,
+/// forward (training mode), loss, backward. The gradients stay in `net` for
+/// the caller's optimizer step. Returns the batch's mean loss and, when
+/// `want_ce` asks for it, its cross-entropy component (for
+/// [`BatchLoss::CrossEntropy`] the loss itself).
+///
+/// # Errors
+///
+/// Returns [`SteppingError::BadConfig`] when `x` and `y` disagree on the row
+/// count, and propagates forward, loss and backward errors.
+pub(crate) fn batch_step(
+    net: &mut SteppingNet,
+    x: &Tensor,
+    y: &[usize],
+    subnet: usize,
+    batch_loss: BatchLoss<'_>,
+    want_ce: bool,
+) -> Result<(f32, Option<f32>)> {
+    let rows = x.shape().dims().first().copied().unwrap_or(0);
+    if rows != y.len() {
+        return Err(SteppingError::BadConfig(format!(
+            "batch has {rows} rows but {} targets",
+            y.len()
+        )));
+    }
+    net.zero_grad();
+    let logits = net.forward(x, subnet, true)?;
+    match batch_loss {
+        BatchLoss::CrossEntropy => {
+            let (l, dlogits) = loss::cross_entropy(&logits, y).map_err(SteppingError::Nn)?;
+            net.backward(&dlogits)?;
+            Ok((l, want_ce.then_some(l)))
+        }
+        BatchLoss::Distill {
+            teacher_probs,
+            gamma,
+        } => {
+            let ce = if want_ce {
+                let (c, _) = loss::cross_entropy(&logits, y).map_err(SteppingError::Nn)?;
+                Some(c)
+            } else {
+                None
+            };
+            let (l, dlogits) =
+                loss::distillation(&logits, teacher_probs, y, gamma).map_err(SteppingError::Nn)?;
+            net.backward(&dlogits)?;
+            Ok((l, ce))
+        }
+    }
 }
 
 /// Softmax class probabilities of `subnet` on a batch, in inference mode —
@@ -225,6 +285,37 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    #[test]
+    fn batch_step_rejects_mismatched_targets() {
+        let data = blob_data();
+        let mut net = mlp(2);
+        let (x, y) = data.batch(Split::Train, &[0, 1, 2, 3]).unwrap();
+        assert!(batch_step(&mut net, &x, &y[..3], 0, BatchLoss::CrossEntropy, false).is_err());
+    }
+
+    #[test]
+    fn distill_step_reports_its_cross_entropy_component() {
+        let data = blob_data();
+        let (x, y) = data
+            .batch(Split::Train, &(0..16).collect::<Vec<_>>())
+            .unwrap();
+        let tp = subnet_probs(&mut mlp(2), &x, 0).unwrap();
+        let distill = BatchLoss::Distill {
+            teacher_probs: &tp,
+            gamma: 0.4,
+        };
+        let mut net = mlp(2);
+        let (ce, _) =
+            batch_step(&mut net.clone(), &x, &y, 0, BatchLoss::CrossEntropy, false).unwrap();
+        let (loss, reported) = batch_step(&mut net, &x, &y, 0, distill, true).unwrap();
+        assert_eq!(reported.map(f32::to_bits), Some(ce.to_bits()));
+        assert!(loss.is_finite());
+        assert_eq!(
+            batch_step(&mut net, &x, &y, 0, distill, false).unwrap().1,
+            None
+        );
     }
 
     #[test]

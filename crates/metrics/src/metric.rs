@@ -90,14 +90,6 @@ pub const ROUTER_REPLICA_DEPTH: Metric = Metric("router.replica_depth");
 /// replica in tenths of a percent.
 pub const ROUTER_RING_IMBALANCE: Metric = Metric("router.ring_imbalance");
 
-// execution pool
-/// Dispatch side of one pool run (send jobs to workers).
-pub const EXEC_DISPATCH_NS: Metric = Metric("exec.dispatch_ns");
-/// Collect/reduce side of one pool run.
-pub const EXEC_REDUCE_NS: Metric = Metric("exec.reduce_ns");
-/// Whole pool run (dispatch + workers + collect).
-pub const EXEC_POOL_RUN_NS: Metric = Metric("exec.pool_run_ns");
-
 // compiled plans
 /// Panels compiled.
 pub const PLAN_COMPILE: Metric = Metric("plan.compile");
@@ -139,9 +131,6 @@ pub const ALL: &[Metric] = &[
     ROUTER_BREAKER_TRIP,
     ROUTER_REPLICA_DEPTH,
     ROUTER_RING_IMBALANCE,
-    EXEC_DISPATCH_NS,
-    EXEC_REDUCE_NS,
-    EXEC_POOL_RUN_NS,
     PLAN_COMPILE,
     PLAN_COMPILE_NS,
     PLAN_INVALIDATE,

@@ -4,7 +4,7 @@
 //! metric at startup and hands back an `Arc` handle; every record after
 //! that touches only the handle's atomics. A process-wide
 //! [`MetricsRegistry::global`] registry serves code with no natural place
-//! to thread a handle through (the exec pool, the plan cache); servers and
+//! to thread a handle through (the plan cache); servers and
 //! tests may also build private registries.
 //!
 //! Metric *names* are the [`Metric`] consts of [`crate::metric`]:
@@ -74,8 +74,8 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// The process-wide registry shared by the exec pool, the plan cache,
-    /// and the serving engine.
+    /// The process-wide registry shared by the plan cache and the serving
+    /// engine.
     pub fn global() -> Arc<MetricsRegistry> {
         Arc::clone(GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new())))
     }
@@ -219,11 +219,11 @@ mod tests {
     fn snapshot_is_sorted_and_sequenced() {
         let r = MetricsRegistry::new();
         let _ = r.register_counter(metric::SERVE_SHED);
-        let _ = r.register_counter(metric::EXEC_DISPATCH_NS);
+        let _ = r.register_counter(metric::PLAN_COMPILE);
         let s0 = r.snapshot();
         let s1 = r.snapshot();
         assert_eq!(s0.seq + 1, s1.seq);
         let names: Vec<&str> = s0.counters.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["exec.dispatch_ns", "serve.shed"]);
+        assert_eq!(names, vec!["plan.compile", "serve.shed"]);
     }
 }

@@ -37,7 +37,6 @@
 
 pub mod conv;
 mod error;
-mod grads;
 pub mod init;
 pub mod matmul;
 #[allow(
@@ -51,7 +50,6 @@ mod shape;
 mod tensor;
 
 pub use error::TensorError;
-pub use grads::GradStore;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

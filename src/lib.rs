@@ -15,9 +15,6 @@
 //! * [`baselines`] — the any-width and slimmable comparison networks,
 //! * [`runtime`] — the resource-varying platform simulator and the
 //!   [`runtime::Session`] inference API,
-//! * [`exec`] — the deterministic data-parallel training engine (worker
-//!   pool, canonical sharding, fixed-order tree reduction — see
-//!   `docs/PARALLELISM.md`),
 //! * [`serve`] — the concurrent, deadline-aware batched serving engine,
 //! * [`router`] — the scale-out front door: consistent-hash session
 //!   sharding across serving replicas with sticky incremental upgrades,
@@ -57,7 +54,6 @@
 pub use stepping_baselines as baselines;
 pub use stepping_core as core;
 pub use stepping_data as data;
-pub use stepping_exec as exec;
 pub use stepping_metrics as metrics;
 pub use stepping_models as models;
 pub use stepping_nn as nn;
@@ -87,8 +83,7 @@ pub mod prelude {
     // `core::Result` is deliberately left out: re-exporting it would shadow
     // `std::result::Result` for any program that glob-imports the prelude.
     pub use stepping_core::{
-        construct, ConstructionOptions, ParallelConfig, SteppingError, SteppingNet,
-        SteppingNetBuilder,
+        construct, ConstructionOptions, SteppingError, SteppingNet, SteppingNetBuilder,
     };
     pub use stepping_data::{Dataset, Split};
     pub use stepping_router::{RoutedTicket, Router, RouterConfig, RouterConfigBuilder};

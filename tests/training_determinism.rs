@@ -1,17 +1,26 @@
-//! Seeded construction pinned bit for bit: a tiny conv net (conv, batch
-//! norm, ReLU, pool, flatten, linear) is built, constructed under each
-//! selection criterion and saved, and the checkpoint's FNV-1a digest must
-//! equal a constant pinned from an earlier build. Any change to the masked
-//! forward, backward, importance, suppression, pruning or move rules that
-//! moves a single bit of a weight or an assignment fails here — and it must
-//! not depend on the thread count, so every case runs at 1 and 4 threads.
+//! Seeded training pinned bit for bit, for each of the three trainers:
+//!
+//! - `construct`: a tiny conv net (conv, batch norm, ReLU, pool, flatten,
+//!   linear) is built, constructed under each selection criterion and saved,
+//!   and the checkpoint's FNV-1a digest must equal a constant pinned from an
+//!   earlier build;
+//! - `train_subnet`: the per-epoch mean losses of a small MLP, as `f32` bits;
+//! - `distill`: the checkpoint digest of the conv net after pretraining,
+//!   construction and a distillation run against its pretrained copy.
+//!
+//! Any change to the masked forward, backward, loss, importance,
+//! suppression, pruning or move rules that moves a single bit of a weight,
+//! a loss or an assignment fails here.
 
 use steppingnet::core::checkpoint::save_state;
+use steppingnet::core::distill::{distill, DistillOptions};
+use steppingnet::core::train::{train_subnet, TrainOptions};
 use steppingnet::core::{
-    construct, ConstructionOptions, ParallelConfig, SelectionCriterion, SteppingNet,
-    SteppingNetBuilder,
+    construct, ConstructionOptions, SelectionCriterion, SteppingNet, SteppingNetBuilder,
 };
-use steppingnet::data::{SyntheticImages, SyntheticImagesConfig};
+use steppingnet::data::{
+    GaussianBlobs, GaussianBlobsConfig, SyntheticImages, SyntheticImagesConfig,
+};
 use steppingnet::tensor::Shape;
 use steppingnet::verify::digest;
 
@@ -19,6 +28,11 @@ use steppingnet::verify::digest;
 const IMPORTANCE_DIGEST: u64 = 0x636f_c736_f7f7_bdf7;
 /// Weight magnitude with β suppression off.
 const MAGNITUDE_DIGEST: u64 = 0x1cc6_e9d7_82e1_823f;
+/// `train_subnet`'s per-epoch mean losses on the MLP, as `f32` bits.
+const TRAIN_LOSS_BITS: [u32; 4] = [0x3f27_2a2a, 0x3ea0_922f, 0x3e65_1d1c, 0x3e24_787e];
+/// Pretrain, construct, then distill the conv net against its pretrained
+/// copy.
+const DISTILL_DIGEST: u64 = 0xad22_03ef_c225_af8a;
 
 fn data() -> SyntheticImages {
     SyntheticImages::new(
@@ -52,7 +66,7 @@ fn net() -> SteppingNet {
 }
 
 /// Digest of the checkpoint a seeded construction leaves behind.
-fn constructed(criterion: SelectionCriterion, suppress_updates: bool, threads: usize) -> u64 {
+fn constructed(criterion: SelectionCriterion, suppress_updates: bool) -> u64 {
     let mut net = net();
     let full = net.full_macs() as f64;
     let opts = ConstructionOptions {
@@ -67,11 +81,6 @@ fn constructed(criterion: SelectionCriterion, suppress_updates: bool, threads: u
         criterion,
         suppress_updates,
         seed: 5,
-        parallel: ParallelConfig {
-            threads,
-            shard_rows: 8,
-            min_rows: 0,
-        },
         ..Default::default()
     };
     construct(&mut net, &data(), &opts).unwrap();
@@ -79,7 +88,7 @@ fn constructed(criterion: SelectionCriterion, suppress_updates: bool, threads: u
 }
 
 #[test]
-fn seeded_construction_is_pinned_at_every_thread_count() {
+fn seeded_construction_is_pinned() {
     let cases = [
         (
             "gradient importance, suppression on",
@@ -95,12 +104,80 @@ fn seeded_construction_is_pinned_at_every_thread_count() {
         ),
     ];
     for (what, criterion, suppress, want) in cases {
-        for threads in [1, 4] {
-            let got = constructed(criterion, suppress, threads);
-            assert_eq!(
-                got, want,
-                "{what} at {threads} threads: checkpoint digest {got:#018x}"
-            );
-        }
+        let got = constructed(criterion, suppress);
+        assert_eq!(got, want, "{what}: checkpoint digest {got:#018x}");
     }
+}
+
+#[test]
+fn seeded_training_losses_are_pinned() {
+    let blobs = GaussianBlobs::new(
+        GaussianBlobsConfig {
+            classes: 3,
+            features: 10,
+            train_per_class: 30,
+            test_per_class: 5,
+            separation: 1.5,
+            noise_std: 1.0,
+        },
+        23,
+    )
+    .unwrap();
+    let mut mlp = SteppingNetBuilder::new(Shape::of(&[10]), 2, 9)
+        .linear(16)
+        .relu()
+        .linear(12)
+        .relu()
+        .build(3)
+        .unwrap();
+    let opts = TrainOptions {
+        epochs: 4,
+        batch_size: 16,
+        lr: 0.05,
+        seed: 3,
+        ..Default::default()
+    };
+    let losses = train_subnet(&mut mlp, &blobs, 0, &opts).unwrap();
+    let bits: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
+    assert_eq!(
+        bits, TRAIN_LOSS_BITS,
+        "epoch losses {losses:?}, bits {bits:#010x?}"
+    );
+}
+
+#[test]
+fn seeded_distillation_is_pinned() {
+    let data = data();
+    let mut teacher = net();
+    let pretrain = TrainOptions {
+        epochs: 2,
+        batch_size: 12,
+        seed: 7,
+        ..Default::default()
+    };
+    train_subnet(&mut teacher, &data, 0, &pretrain).unwrap();
+    let mut student = teacher.clone();
+    let full = student.full_macs() as f64;
+    let construction = ConstructionOptions {
+        mac_targets: vec![
+            (full * 0.3) as u64,
+            (full * 0.6) as u64,
+            (full * 0.9) as u64,
+        ],
+        iterations: 2,
+        batches_per_iter: 2,
+        batch_size: 12,
+        seed: 5,
+        ..Default::default()
+    };
+    construct(&mut student, &data, &construction).unwrap();
+    let opts = DistillOptions {
+        epochs: 2,
+        batch_size: 12,
+        seed: 11,
+        ..Default::default()
+    };
+    distill(&mut student, &mut teacher, 0, &data, &opts).unwrap();
+    let got = digest(&save_state(&mut student));
+    assert_eq!(got, DISTILL_DIGEST, "checkpoint digest {got:#018x}");
 }
