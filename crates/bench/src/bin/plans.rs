@@ -43,7 +43,7 @@ use std::time::Instant;
 use stepping_baselines::regular_assign;
 use stepping_bench::observe::{self, progress, report_text};
 use stepping_bench::print_table;
-use stepping_core::{IncrementalExecutor, Stage, SteppingNet, SteppingNetBuilder};
+use stepping_core::{ActivationCache, BatchExecutor, Stage, SteppingNet, SteppingNetBuilder};
 use stepping_tensor::microkernel::Tier;
 use stepping_tensor::{init, Shape, Tensor};
 
@@ -159,12 +159,27 @@ fn run_model(name: &str, net: &mut SteppingNet, input: &Tensor) -> (Vec<SubnetRe
     let mut expand_logits = Vec::with_capacity(subnets);
     {
         let direct_net = net.clone();
-        let mut exec = IncrementalExecutor::new(net, THRESHOLD);
+        // one request: a batch of one over its own cache
+        let mut exec = BatchExecutor::new(net, THRESHOLD);
+        let mut cache = ActivationCache::new();
+        let mut run_step = |s: usize| {
+            if s == 0 {
+                let (fresh, step) = exec
+                    .begin(std::slice::from_ref(input), 0)
+                    .expect("begin")
+                    .remove(0);
+                cache = fresh;
+                step
+            } else {
+                exec.expand(std::slice::from_mut(&mut cache))
+                    .expect("expand")
+                    .remove(0)
+            }
+        };
         // warm-up grows the scratch panels so timing sees the steady state
         // (the model was compiled when the executor was created)
-        let _ = exec.begin(input).expect("warm begin");
-        for _ in 1..subnets {
-            let _ = exec.expand().expect("warm expand");
+        for s in 0..subnets {
+            let _ = run_step(s);
         }
         let _ = direct_net
             .forward_packed(input, subnets - 1)
@@ -174,11 +189,7 @@ fn run_model(name: &str, net: &mut SteppingNet, input: &Tensor) -> (Vec<SubnetRe
             let mut chain_us = 0.0;
             for (s, samples) in step_samples.iter_mut().enumerate() {
                 let t = Instant::now();
-                let step = if s == 0 {
-                    exec.begin(input).expect("begin")
-                } else {
-                    exec.expand().expect("expand")
-                };
+                let step = run_step(s);
                 let step_us = t.elapsed().as_secs_f64() * 1e6;
                 samples.push(step_us);
                 expand_logits.push(step.logits);

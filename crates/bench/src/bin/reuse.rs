@@ -7,7 +7,7 @@
 
 use stepping_bench::observe::{self, progress, report_text};
 use stepping_bench::{print_table, ExperimentScale, TestCase};
-use stepping_core::{construct, train::train_subnet, IncrementalExecutor};
+use stepping_core::{construct, train::train_subnet, BatchExecutor};
 use stepping_data::{Dataset, Split};
 use stepping_runtime::{
     expand_macs, DeviceModel, ResourceTrace, Session, SessionConfig, UpgradePolicy,
@@ -62,14 +62,18 @@ fn main() {
     // verify the executor agrees with the static accounting
     let (x, _) = data.batch(Split::Test, &[0]).expect("sample");
     let subnets = net.subnet_count();
-    let mut exec = IncrementalExecutor::new(&mut net, thr);
-    exec.begin(&x).expect("begin");
+    let mut exec = BatchExecutor::new(&net, thr);
+    let (mut cache, _) = exec
+        .begin(std::slice::from_ref(&x), 0)
+        .expect("begin")
+        .remove(0);
     for _ in 1..subnets {
-        exec.expand().expect("expand");
+        exec.expand(std::slice::from_mut(&mut cache))
+            .expect("expand");
     }
     report_text(&format!(
         "\nexecutor cumulative MACs after final step: {}",
-        exec.cumulative_macs()
+        cache.cumulative_macs()
     ));
 
     // anytime drive over a bursty trace: incremental vs recompute policies

@@ -1,7 +1,8 @@
 //! Batched cached-activation execution — the one state machine behind
-//! anytime inference (`begin` / `expand` / `contract`).
-//! [`IncrementalExecutor`](crate::IncrementalExecutor) is this executor
-//! over a batch of one request.
+//! anytime inference (`begin` / `expand` / `contract`), the deployment-side
+//! payoff of the stepping structure (paper §I contribution 2: "intermediate
+//! results of a subnet can directly be reused in subsequent larger
+//! subnets"). A lone request is a batch of one: a one-element slice.
 //!
 //! A serving engine handles many concurrent requests whose anytime state
 //! must outlive any single executor borrow. This module therefore splits
@@ -46,7 +47,22 @@ use stepping_tensor::{Shape, Tensor};
 
 use crate::events::{event, phase};
 use crate::telemetry::{self, Value};
-use crate::{CompiledModel, ExpandStep, Result, SteppingError, SteppingNet};
+use crate::{CompiledModel, Result, SteppingError, SteppingNet};
+
+/// Outcome of one request's executor step ([`BatchExecutor::begin`],
+/// [`BatchExecutor::forward`], [`BatchExecutor::expand`] or
+/// [`BatchExecutor::contract`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExpandStep {
+    /// The subnet now active.
+    pub subnet: usize,
+    /// Class logits of that subnet's head.
+    pub logits: Tensor,
+    /// MAC operations executed by this step alone (new neurons + head).
+    pub step_macs: u64,
+    /// Total MAC operations executed since `begin`.
+    pub cumulative_macs: u64,
+}
 
 /// Per-request anytime-inference state, detached from any executor borrow.
 ///
@@ -522,7 +538,7 @@ impl BatchExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IncrementalExecutor, SteppingNetBuilder};
+    use crate::SteppingNetBuilder;
     use stepping_tensor::init;
 
     fn mlp() -> SteppingNet {
@@ -564,50 +580,85 @@ mod tests {
             .collect()
     }
 
+    /// Runs `schedule` (`true` = expand, `false` = contract) after a begin
+    /// at subnet 0, returning the caches and every request's steps.
+    fn run_schedule(
+        exec: &mut BatchExecutor,
+        inputs: &[Tensor],
+        schedule: &[bool],
+    ) -> (Vec<ActivationCache>, Vec<Vec<ExpandStep>>) {
+        let mut caches = Vec::new();
+        let mut steps = Vec::new();
+        for (c, s) in exec.begin(inputs, 0).unwrap() {
+            caches.push(c);
+            steps.push(vec![s]);
+        }
+        for &up in schedule {
+            let next = if up {
+                exec.expand(&mut caches).unwrap()
+            } else {
+                exec.contract(&mut caches).unwrap()
+            };
+            for (i, s) in next.into_iter().enumerate() {
+                steps[i].push(s);
+            }
+        }
+        (caches, steps)
+    }
+
     /// Every transition — begin, fresh expands, contract, head-only
-    /// re-expand — over a batch of several requests against the delegating
-    /// [`IncrementalExecutor`] (a batch of one) and the masked reference.
+    /// re-expand — over a batch of several requests against each request
+    /// run alone (a batch of one, on an executor of its own) and the masked
+    /// reference.
     #[test]
     fn batched_begin_and_expand_match_lone_executor_bitwise() {
         let inputs = samples(5, &[6], 20);
         let net = mlp();
-        let mut batch = BatchExecutor::new(&net, 1e-5);
-        let mut started = batch.begin(&inputs, 0).unwrap();
-        let mut caches: Vec<ActivationCache> = Vec::new();
-        let mut batch_steps: Vec<Vec<ExpandStep>> = Vec::new();
-        for (c, s) in started.drain(..) {
-            caches.push(c);
-            batch_steps.push(vec![s]);
-        }
         // up to 1, up to 2, down to 1, head-only back up to 2
-        for up in [true, true, false, true] {
-            let steps = if up {
-                batch.expand(&mut caches).unwrap()
-            } else {
-                batch.contract(&mut caches).unwrap()
-            };
-            for (i, s) in steps.into_iter().enumerate() {
-                batch_steps[i].push(s);
-            }
-        }
+        let schedule = [true, true, false, true];
+        let mut batch = BatchExecutor::new(&net, 1e-5);
+        let (caches, batch_steps) = run_schedule(&mut batch, &inputs, &schedule);
         let mut reference = mlp();
         for (i, x) in inputs.iter().enumerate() {
             let lone_net = mlp();
             let head2 = lone_net.head_macs(2);
-            let mut lone = IncrementalExecutor::new(&lone_net, 1e-5);
-            let mut steps = lone.run_to(x, 2).unwrap();
-            steps.push(lone.contract().unwrap());
-            steps.push(lone.expand().unwrap());
+            let mut lone = BatchExecutor::new(&lone_net, 1e-5);
+            let (lone_caches, mut lone_steps) =
+                run_schedule(&mut lone, std::slice::from_ref(x), &schedule);
+            let steps = lone_steps.remove(0);
             assert_eq!(steps[4].step_macs, head2, "re-expand is head-only");
             assert_eq!(steps, batch_steps[i], "request {i} differs");
             for step in &steps {
                 let masked = reference.forward(x, step.subnet, false).unwrap();
                 assert_eq!(step.logits, masked, "request {i} subnet {}", step.subnet);
             }
-            assert_eq!(caches[i].cumulative_macs(), lone.cumulative_macs());
-            assert_eq!(caches[i].current_subnet(), lone.current_subnet());
-            assert_eq!(caches[i].computed_level(), lone.cache().computed_level());
+            let alone = &lone_caches[0];
+            assert_eq!(caches[i].cumulative_macs(), alone.cumulative_macs());
+            assert_eq!(caches[i].current_subnet(), alone.current_subnet());
+            assert_eq!(caches[i].computed_level(), alone.computed_level());
         }
+    }
+
+    /// Each fresh expand charges only the new neurons plus the new head:
+    /// below a from-scratch run of the target subnet, and over a whole
+    /// chain every stage MAC once plus every head.
+    #[test]
+    fn expand_costs_less_than_from_scratch() {
+        let net = mlp();
+        let from_scratch: Vec<u64> = (0..3).map(|k| net.macs(k, 1e-5)).collect();
+        let head_total: u64 = (0..3).map(|k| net.head_macs(k)).sum();
+        let stage_total = from_scratch[2] - net.head_macs(2);
+        let mut exec = BatchExecutor::new(&net, 1e-5);
+        let (caches, steps) = run_schedule(&mut exec, &samples(1, &[6], 8), &[true, true]);
+        for k in 1..3 {
+            assert!(
+                steps[0][k].step_macs < from_scratch[k],
+                "expansion cost {} should be below from-scratch {}",
+                steps[0][k].step_macs,
+                from_scratch[k]
+            );
+        }
+        assert_eq!(caches[0].cumulative_macs(), stage_total + head_total);
     }
 
     #[test]
@@ -620,17 +671,12 @@ mod tests {
         let inputs = samples(3, &[2, 8, 8], 30);
         let mut scratch = net.clone();
         let mut batch = BatchExecutor::new(&net, 1e-5);
-        let mut caches: Vec<ActivationCache> = batch
-            .begin(&inputs, 0)
-            .unwrap()
-            .into_iter()
-            .map(|(c, _)| c)
-            .collect();
-        batch.expand(&mut caches).unwrap();
-        let final_steps = batch.expand(&mut caches).unwrap();
+        let (_, steps) = run_schedule(&mut batch, &inputs, &[true, true]);
         for (i, x) in inputs.iter().enumerate() {
-            let reference = scratch.forward(x, 2, false).unwrap();
-            assert_eq!(final_steps[i].logits, reference, "request {i} differs");
+            for (k, step) in steps[i].iter().enumerate() {
+                let reference = scratch.forward(x, k, false).unwrap();
+                assert_eq!(step.logits, reference, "request {i} subnet {k} differs");
+            }
         }
     }
 
@@ -673,6 +719,16 @@ mod tests {
         assert!(down.iter().all(|s| s.subnet == 1 && s.step_macs == head1));
         let up = batch.expand(&mut caches).unwrap();
         assert!(up.iter().all(|s| s.subnet == 2 && s.step_macs == head2));
+        assert!(
+            batch.expand(&mut caches).is_err(),
+            "expanding past the largest subnet must fail"
+        );
+        batch.contract(&mut caches).unwrap();
+        batch.contract(&mut caches).unwrap();
+        assert!(
+            batch.contract(&mut caches).is_err(),
+            "contracting below subnet 0 must fail"
+        );
     }
 
     #[test]

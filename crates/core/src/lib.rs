@@ -15,9 +15,10 @@
 //!   with non-permanent pruning and weight-update suppression `β^(j−i)`.
 //! * [`distill()`](distill()) — §III-B knowledge-distillation retraining with the
 //!   combined cost `γ·L_i + (1−γ)·KL(teacher ‖ subnet)` (eq. 4).
-//! * [`IncrementalExecutor`] — anytime inference: run the smallest subnet,
-//!   then *expand* on newly available resources, computing only the neurons
-//!   added by the next subnet.
+//! * [`BatchExecutor`] — anytime inference: run the smallest subnet, then
+//!   *expand* on newly available resources, computing only the neurons
+//!   added by the next subnet, for a batch of requests (a lone request is a
+//!   batch of one) whose per-request state is an [`ActivationCache`].
 //! * [`CompiledModel`] — the immutable inference form of a net
 //!   ([`SteppingNet::compile`]): every packed panel and the MAC table,
 //!   shared through an `Arc` by any number of executors and threads.
@@ -65,7 +66,6 @@ mod error;
 pub mod eval;
 pub mod events;
 pub mod hook;
-mod incremental;
 mod masked;
 mod masked_conv;
 mod masked_linear;
@@ -77,14 +77,13 @@ pub mod telemetry;
 pub mod train;
 
 pub use assign::Assignment;
-pub use batch::{ActivationCache, BatchExecutor};
+pub use batch::{ActivationCache, BatchExecutor, ExpandStep};
 pub use compiled::CompiledModel;
 pub use construct::{
     construct, ConstructionOptions, ConstructionReport, IterationLog, SelectionCriterion,
 };
 pub use distill::{distill, DistillOptions, DistillReport};
 pub use error::SteppingError;
-pub use incremental::{ExpandStep, IncrementalExecutor};
 pub use masked::MaskedLayer;
 pub use masked_conv::MaskedConv2d;
 pub use masked_linear::MaskedLinear;

@@ -474,37 +474,6 @@ impl SteppingNet {
         }
     }
 
-    /// Snapshots the accumulated per-neuron importance of every masked
-    /// stage, index-aligned with [`SteppingNet::masked_stage_indices`].
-    pub fn export_importance(&self) -> Vec<Vec<f64>> {
-        self.stages()
-            .iter()
-            .filter_map(|s| s.importance_values().map(<[f64]>::to_vec))
-            .collect()
-    }
-
-    /// Adds an [`SteppingNet::export_importance`] snapshot onto this net's
-    /// accumulated importance, stage by stage.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SteppingError::InvalidStructure`] on stage-count or
-    /// neuron-count mismatch.
-    pub fn add_importance(&mut self, delta: &[Vec<f64>]) -> Result<()> {
-        let masked = self.masked_stage_indices();
-        if masked.len() != delta.len() {
-            return Err(SteppingError::InvalidStructure(format!(
-                "importance import expects {} masked stages, got {}",
-                masked.len(),
-                delta.len()
-            )));
-        }
-        for (idx, d) in masked.into_iter().zip(delta.iter()) {
-            self.stages_mut()[idx].add_importance_values(d)?;
-        }
-        Ok(())
-    }
-
     /// MAC operations executed by subnet `subnet` (stages + its head).
     pub fn macs(&self, subnet: usize, threshold: f32) -> u64 {
         let stage_macs: u64 = self

@@ -394,23 +394,6 @@ impl Stage {
         self.masked().map(MaskedLayer::importance_values)
     }
 
-    /// Adds a merged importance delta into a masked stage; no-op for fixed
-    /// stages given an empty delta.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::SteppingError::InvalidStructure`] on length
-    /// mismatch.
-    pub fn add_importance_values(&mut self, delta: &[f64]) -> Result<()> {
-        match self.masked_mut() {
-            Some(m) => m.add_importance_values(delta),
-            None if delta.is_empty() => Ok(()),
-            None => Err(crate::SteppingError::InvalidStructure(
-                "importance delta for a fixed stage".into(),
-            )),
-        }
-    }
-
     /// Installs weight-update suppression for training `subnet`.
     pub fn apply_lr_suppression(&mut self, subnet: usize, beta: f32) {
         if let Some(m) = self.masked_mut() {

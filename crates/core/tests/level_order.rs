@@ -91,17 +91,14 @@ fn integer_net(mut net: SteppingNet, seed: u64) -> SteppingNet {
             fill(p, &mut rng, &mut next);
         }
     }
-    let importance: Vec<Vec<f64>> = net
-        .export_importance()
-        .iter()
-        .map(|stage| {
-            stage
-                .iter()
-                .map(|_| f64::from(next) + rng.random::<f64>())
-                .collect()
-        })
-        .collect();
-    net.add_importance(&importance).unwrap();
+    for layer in net.stages_mut().iter_mut().filter_map(Stage::masked_mut) {
+        let importance: Vec<f64> = layer
+            .importance_values()
+            .iter()
+            .map(|_| f64::from(next) + rng.random::<f64>())
+            .collect();
+        layer.add_importance_values(&importance).unwrap();
+    }
     net
 }
 
@@ -186,7 +183,6 @@ fn moved_with(
 /// Every per-neuron quantity of `net` sits where `tracker` says its
 /// neuron went from `pre`.
 fn assert_moved(net: &SteppingNet, pre: &SteppingNet, t: &Tracker) -> Result<(), TestCaseError> {
-    let (now_imp, pre_imp) = (net.export_importance(), pre.export_importance());
     let mut inputs: Vec<usize> = (0..net.input_shape().dims()[0]).collect();
     let mut m = 0;
     for (si, (stage, old)) in net.stages().iter().zip(pre.stages()).enumerate() {
@@ -228,6 +224,10 @@ fn assert_moved(net: &SteppingNet, pre: &SteppingNet, t: &Tracker) -> Result<(),
         }
         if let Some(assign) = stage.out_assign() {
             let orig = &t.orig[m];
+            let (now_imp, pre_imp) = (
+                stage.importance_values().unwrap(),
+                old.importance_values().unwrap(),
+            );
             prop_assert!(assign.is_level_major(), "{} {:?}", what, assign.values());
             let width = orig.len();
             for j in 0..width {
@@ -240,8 +240,8 @@ fn assert_moved(net: &SteppingNet, pre: &SteppingNet, t: &Tracker) -> Result<(),
                 );
                 for s in 0..SUBNETS {
                     prop_assert_eq!(
-                        now_imp[m][s * width + j],
-                        pre_imp[m][s * width + orig[j]],
+                        now_imp[s * width + j],
+                        pre_imp[s * width + orig[j]],
                         "{} importance",
                         what
                     );

@@ -29,8 +29,7 @@ use std::sync::Barrier;
 
 use proptest::prelude::*;
 use stepping_core::{
-    checkpoint, Assignment, BatchExecutor, CompiledModel, IncrementalExecutor, Stage, SteppingNet,
-    SteppingNetBuilder,
+    checkpoint, Assignment, BatchExecutor, CompiledModel, Stage, SteppingNet, SteppingNetBuilder,
 };
 use stepping_nn::optim::Sgd;
 use stepping_tensor::microkernel::NR;
@@ -855,11 +854,14 @@ fn fused_mlp_pipeline_tracks_sgd_updates() {
             assert_eq!(packed, masked[s], "step {step} subnet {s}: direct path");
         }
         {
-            let mut exec = IncrementalExecutor::new(&net, 0.0);
-            let first = exec.begin(&x).unwrap();
+            let mut exec = BatchExecutor::new(&net, 0.0);
+            let (mut cache, first) = exec.begin(std::slice::from_ref(&x), 0).unwrap().remove(0);
             assert_eq!(first.logits, masked[0], "step {step}: expand subnet 0");
             for (s, want) in masked.iter().enumerate().skip(1) {
-                let inc = exec.expand().unwrap();
+                let inc = exec
+                    .expand(std::slice::from_mut(&mut cache))
+                    .unwrap()
+                    .remove(0);
                 assert_eq!(&inc.logits, want, "step {step}: expand subnet {s}");
             }
         }
@@ -900,11 +902,14 @@ fn fused_conv_pipeline_tracks_sgd_updates() {
             assert_eq!(packed, masked[s], "step {step} subnet {s}: direct path");
         }
         {
-            let mut exec = IncrementalExecutor::new(&net, 0.0);
-            let first = exec.begin(&x).unwrap();
+            let mut exec = BatchExecutor::new(&net, 0.0);
+            let (mut cache, first) = exec.begin(std::slice::from_ref(&x), 0).unwrap().remove(0);
             assert_eq!(first.logits, masked[0], "step {step}: expand subnet 0");
             for (s, want) in masked.iter().enumerate().skip(1) {
-                let inc = exec.expand().unwrap();
+                let inc = exec
+                    .expand(std::slice::from_mut(&mut cache))
+                    .unwrap()
+                    .remove(0);
                 assert_eq!(&inc.logits, want, "step {step}: expand subnet {s}");
             }
         }

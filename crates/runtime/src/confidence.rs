@@ -22,7 +22,11 @@ pub struct ConfidentOutcome {
     pub prediction: usize,
     /// Softmax confidence of the accepted prediction.
     pub confidence: f32,
-    /// Total MACs executed (all steps, with reuse).
+    /// Total MACs charged, as [`Session::run`](crate::Session::run)
+    /// charges them under the configured
+    /// [`UpgradePolicy`](crate::UpgradePolicy): the start subnet's direct
+    /// cost, then each step's incremental cost (`Incremental`) or the
+    /// larger subnet's direct cost (`Recompute`).
     pub total_macs: u64,
     /// Whether the run stopped because the threshold was met (`true`) or
     /// because the largest subnet was reached (`false`).

@@ -8,7 +8,7 @@
 //! measured directly:
 //!
 //! * [`UpgradePolicy::Incremental`] — SteppingNet-style: pay only the new
-//!   neurons (the incremental-executor path);
+//!   neurons and the new head;
 //! * [`UpgradePolicy::Recompute`] — slimmable-style: switching to a larger
 //!   subnet discards intermediate results and pays its full MAC count.
 

@@ -10,10 +10,17 @@
 //! * [`ResourceTrace`] — deterministic per-timeslice MAC budgets (constant,
 //!   power-mode steps, random walk, bursty),
 //! * [`DeviceModel`] — MACs → latency conversion,
+//! * [`Policy`] — the anytime step decision, written once and pure: at a
+//!   level, with MACs banked and the last answer's top-1 probability, step
+//!   to which level at what cost under the [`UpgradePolicy`], or [`Stop`]
+//!   for the budget, the top subnet or confidence; `Policy::reach` is its
+//!   greedy fold, which a server's upgrade admission calls,
 //! * [`SessionConfig`] / [`Session`] — the unified inference API. One
 //!   builder configures prune threshold, upgrade policy, device model,
 //!   resource trace, confidence threshold, and start subnet; one
-//!   [`Session`] then exposes every run mode:
+//!   [`Session`] — a `BatchExecutor` over one request's cache — then
+//!   exposes every run mode, each the same loop over a budget iterator
+//!   asking the [`Policy`]:
 //!   [`run`](Session::run) / [`run_until_deadline`](Session::run_until_deadline)
 //!   — the on-the-fly decision loop: bank budget, produce the smallest
 //!   subnet's prediction early, and expand whenever the next step becomes
@@ -53,6 +60,7 @@ mod confidence;
 mod device;
 mod driver;
 mod live;
+mod policy;
 mod session;
 mod trace;
 
@@ -60,5 +68,6 @@ pub use confidence::ConfidentOutcome;
 pub use device::DeviceModel;
 pub use driver::{expand_macs, DriveOutcome, SliceLog, UpgradePolicy};
 pub use live::LatestPrediction;
+pub use policy::{Decision, Policy, Stop};
 pub use session::{Session, SessionConfig};
 pub use trace::ResourceTrace;

@@ -26,12 +26,15 @@ use std::time::Duration;
 
 use stepping_core::events::{event, phase};
 use stepping_core::telemetry::{self, Value};
-use stepping_core::{IncrementalExecutor, Result, SteppingError, SteppingNet};
+use stepping_core::{
+    ActivationCache, BatchExecutor, ExpandStep, Result, SteppingError, SteppingNet,
+};
 use stepping_tensor::{reduce, Tensor};
 
 use crate::confidence::ConfidentOutcome;
 use crate::driver::{DriveOutcome, SliceLog, UpgradePolicy};
 use crate::live::LatestPrediction;
+use crate::policy::{Decision, Policy, Stop};
 use crate::{DeviceModel, ResourceTrace};
 
 /// Everything an anytime-inference run needs, gathered behind a builder.
@@ -156,15 +159,34 @@ impl SessionConfig {
 /// An anytime-inference session over one network: every run mode of this
 /// crate as a method, configured once via [`SessionConfig`].
 ///
-/// The session does not borrow the net: it holds the executor created from
-/// it — the `Arc` of the net's
+/// The session does not borrow the net: it holds a [`BatchExecutor`]
+/// created from it — the `Arc` of the net's
 /// [`CompiledModel`](stepping_core::CompiledModel) at the configured prune
-/// threshold plus scratch buffers of its own — so every run serves the net
-/// as it was when the session was created.
+/// threshold plus scratch buffers of its own — and the one request's
+/// [`ActivationCache`], so every run serves the net as it was when the
+/// session was created.
+///
+/// Every mode is one loop: bank each slice's budget and step while the
+/// [`Policy`] says so.
 #[derive(Debug)]
 pub struct Session {
-    exec: IncrementalExecutor,
+    exec: BatchExecutor,
+    cache: ActivationCache,
     config: SessionConfig,
+}
+
+/// The single request of a batch of one.
+fn only<T>(mut batch: Vec<T>) -> Result<T> {
+    batch
+        .pop()
+        .ok_or_else(|| SteppingError::ExecutorState("a batch of one produced no step".into()))
+}
+
+/// The top-1 class of one sample's logits and its softmax probability.
+fn top1(logits: &Tensor) -> Result<(usize, f32)> {
+    let probs = reduce::softmax_rows(logits)?;
+    let class = probs.argmax();
+    Ok((class, probs.data()[class]))
 }
 
 impl Session {
@@ -173,7 +195,8 @@ impl Session {
     /// compiled at the configured threshold).
     pub fn new(net: &SteppingNet, config: SessionConfig) -> Self {
         Session {
-            exec: IncrementalExecutor::new(net, config.prune_threshold),
+            exec: BatchExecutor::new(net, config.prune_threshold),
+            cache: ActivationCache::new(),
             config,
         }
     }
@@ -183,26 +206,15 @@ impl Session {
         &self.config
     }
 
-    /// Per-step costs under the configured policy: entry 0 is the cost of
-    /// producing the first (start-subnet) prediction, entry `j` the cost of
-    /// stepping on to subnet `start_subnet + j`.
-    fn step_costs(&self) -> Result<Vec<u64>> {
-        let start = self.config.start_subnet;
-        let subnets = self.exec.model().subnet_count();
-        if start >= subnets {
-            return Err(SteppingError::SubnetOutOfRange {
-                subnet: start,
-                count: subnets,
-            });
-        }
-        let table = self.exec.model().mac_table();
-        let upgrades = match self.config.policy {
-            UpgradePolicy::Incremental => table.step(),
-            UpgradePolicy::Recompute => table.direct(),
-        };
-        let mut costs = vec![table.direct()[start]];
-        costs.extend_from_slice(&upgrades[start + 1..]);
-        Ok(costs)
+    /// The step rule of this session's model and configuration, gated on
+    /// `confidence` when given.
+    fn policy(&self, confidence: Option<f32>) -> Result<Policy> {
+        Policy::new(
+            self.exec.model().mac_table(),
+            self.config.policy,
+            self.config.start_subnet,
+            confidence,
+        )
     }
 
     fn require_trace(&self) -> Result<ResourceTrace> {
@@ -225,7 +237,9 @@ impl Session {
     /// the start subnet, then an upgrade whenever the accumulated budget
     /// covers the next step's cost under the configured policy. This is the
     /// paper's deployment story: "decide on-the-fly whether to enhance the
-    /// inference accuracy by executing further MAC operations".
+    /// inference accuracy by executing further MAC operations". A configured
+    /// confidence threshold plays no part here; it gates
+    /// [`Session::run_until_confident`] only.
     ///
     /// # Errors
     ///
@@ -233,7 +247,9 @@ impl Session {
     /// out-of-range start subnet.
     pub fn run(&mut self, input: &Tensor) -> Result<DriveOutcome> {
         let trace = self.require_trace()?;
-        self.run_over(input, &trace)
+        let policy = self.policy(None)?;
+        let budgets = trace.budgets().iter().copied();
+        Ok(self.drive(input, &policy, budgets, |_, _| {})?.0)
     }
 
     /// Runs [`Session::run`] but stops consuming the trace at
@@ -265,101 +281,17 @@ impl Session {
                 ("trace_len", Value::U64(trace.len() as u64)),
             ],
         );
-        let truncated = ResourceTrace::from_budgets(trace.budgets()[..deadline_slice].to_vec());
-        self.run_over(input, &truncated)
-    }
-
-    fn run_over(&mut self, input: &Tensor, trace: &ResourceTrace) -> Result<DriveOutcome> {
-        let start = self.config.start_subnet;
-        let step_cost = self.step_costs()?;
-        let policy = self.config.policy;
-        let run_span = telemetry::span(phase::INFERENCE, event::DRIVE_RUN);
-        let exec = &mut self.exec;
-        let mut timeline = Vec::with_capacity(trace.len());
-        let mut bank = 0u64;
-        let mut next_step = 0usize; // 0 = begin at start subnet, j>0 = expand
-        let mut final_subnet = None;
-        let mut final_logits = None;
-        let mut total_macs = 0u64;
-        let mut first_prediction_slice = None;
-        for (i, &budget) in trace.budgets().iter().enumerate() {
-            let slice_span = telemetry::span(phase::INFERENCE, event::DRIVE_SLICE);
-            bank += budget;
-            let mut spent = 0u64;
-            let mut upgrades = 0u64;
-            while next_step < step_cost.len() && bank >= step_cost[next_step] {
-                telemetry::point(
-                    phase::INFERENCE,
-                    event::DRIVE_UPGRADE,
-                    &[
-                        ("slice", Value::U64(i as u64)),
-                        ("to_subnet", Value::U64((start + next_step) as u64)),
-                        ("cost", Value::U64(step_cost[next_step])),
-                        ("bank_before", Value::U64(bank)),
-                        ("policy", Value::Str(policy.label())),
-                    ],
-                );
-                bank -= step_cost[next_step];
-                spent += step_cost[next_step];
-                let step = if next_step == 0 {
-                    exec.begin_at(input, start)?
-                } else {
-                    exec.expand()?
-                };
-                final_subnet = Some(step.subnet);
-                final_logits = Some(step.logits);
-                if next_step == 0 {
-                    first_prediction_slice = Some(i);
-                }
-                next_step += 1;
-                upgrades += 1;
-            }
-            total_macs += spent;
-            slice_span.end(&[
-                ("slice", Value::U64(i as u64)),
-                ("budget", Value::U64(budget)),
-                ("spent", Value::U64(spent)),
-                ("bank", Value::U64(bank)),
-                ("upgrades", Value::U64(upgrades)),
-                (
-                    "subnet_ready",
-                    Value::I64(final_subnet.map(|s| s as i64).unwrap_or(-1)),
-                ),
-            ]);
-            timeline.push(SliceLog {
-                slice: i,
-                budget,
-                spent,
-                subnet_ready: final_subnet,
-            });
-        }
-        run_span.end(&[
-            ("slices", Value::U64(trace.len() as u64)),
-            ("total_macs", Value::U64(total_macs)),
-            ("policy", Value::Str(policy.label())),
-            (
-                "final_subnet",
-                Value::I64(final_subnet.map(|s| s as i64).unwrap_or(-1)),
-            ),
-            (
-                "first_prediction_slice",
-                Value::I64(first_prediction_slice.map(|s| s as i64).unwrap_or(-1)),
-            ),
-        ]);
-        Ok(DriveOutcome {
-            timeline,
-            final_subnet,
-            final_logits,
-            total_macs,
-            first_prediction_slice,
-        })
+        let policy = self.policy(None)?;
+        let budgets = trace.budgets()[..deadline_slice].iter().copied();
+        Ok(self.drive(input, &policy, budgets, |_, _| {})?.0)
     }
 
     /// Runs anytime inference live: a producer thread emits one budget tick
     /// per configured [`tick`](SessionConfig::tick) interval; the calling
     /// thread banks budget and performs begin/expand steps as they become
     /// affordable, publishing each new prediction into `latest` for
-    /// concurrent observers.
+    /// concurrent observers. The producer is scoped to the call: no thread
+    /// outlives it.
     ///
     /// Semantics match [`Session::run`] over the same trace.
     ///
@@ -368,44 +300,24 @@ impl Session {
     /// As [`Session::run`].
     pub fn run_live(&mut self, input: &Tensor, latest: &LatestPrediction) -> Result<DriveOutcome> {
         let trace = self.require_trace()?;
-        let start = self.config.start_subnet;
-        let step_cost = self.step_costs()?;
-        let policy = self.config.policy;
+        let policy = self.policy(None)?;
         let tick = self.config.get_tick();
-
-        let (tx, rx) = mpsc::sync_channel::<u64>(4);
-        let budgets = trace.budgets().to_vec();
-        let producer = std::thread::spawn(move || {
-            for b in budgets {
-                if tx.send(b).is_err() {
-                    break;
+        let label = self.config.policy.label();
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::sync_channel::<u64>(4);
+            let producer = scope.spawn(move || {
+                for &b in trace.budgets() {
+                    if tx.send(b).is_err() {
+                        break;
+                    }
+                    if !tick.is_zero() {
+                        std::thread::sleep(tick);
+                    }
                 }
-                if !tick.is_zero() {
-                    std::thread::sleep(tick);
-                }
-            }
-        });
-
-        let exec = &mut self.exec;
-        let mut timeline = Vec::with_capacity(trace.len());
-        let mut bank = 0u64;
-        let mut next_step = 0usize;
-        let mut final_subnet = None;
-        let mut final_logits: Option<Tensor> = None;
-        let mut total_macs = 0u64;
-        let mut first_prediction_slice = None;
-        let mut slice = 0usize;
-        while let Ok(budget) = rx.recv() {
-            bank += budget;
-            let mut spent = 0u64;
-            while next_step < step_cost.len() && bank >= step_cost[next_step] {
-                bank -= step_cost[next_step];
-                spent += step_cost[next_step];
-                let step = if next_step == 0 {
-                    exec.begin_at(input, start)?
-                } else {
-                    exec.expand()?
-                };
+            });
+            // the receiver goes with the drive, so a failed drive ends the
+            // producer's next send
+            let drive = self.drive(input, &policy, rx, |slice, step| {
                 latest.publish(step.subnet, &step.logits);
                 telemetry::point(
                     phase::INFERENCE,
@@ -415,34 +327,14 @@ impl Session {
                         ("subnet", Value::U64(step.subnet as u64)),
                         ("step_macs", Value::U64(step.step_macs)),
                         ("cumulative_macs", Value::U64(step.cumulative_macs)),
-                        ("policy", Value::Str(policy.label())),
+                        ("policy", Value::Str(label)),
                     ],
                 );
-                final_subnet = Some(step.subnet);
-                final_logits = Some(step.logits);
-                if next_step == 0 {
-                    first_prediction_slice = Some(slice);
-                }
-                next_step += 1;
-            }
-            total_macs += spent;
-            timeline.push(SliceLog {
-                slice,
-                budget,
-                spent,
-                subnet_ready: final_subnet,
             });
-            slice += 1;
-        }
-        producer.join().map_err(|_| {
-            SteppingError::ExecutorState("resource producer thread panicked".into())
-        })?;
-        Ok(DriveOutcome {
-            timeline,
-            final_subnet,
-            final_logits,
-            total_macs,
-            first_prediction_slice,
+            producer.join().map_err(|_| {
+                SteppingError::ExecutorState("resource producer thread panicked".into())
+            })?;
+            Ok(drive?.0)
         })
     }
 
@@ -451,7 +343,8 @@ impl Session {
     /// [`confidence`](SessionConfig::confidence) threshold or the largest
     /// subnet is exhausted — the BranchyNet-style early-exit policy, which
     /// composes naturally with the stepping structure because each
-    /// additional opinion costs only the new neurons.
+    /// additional opinion costs only the new neurons. Steps are charged as
+    /// [`Session::run`] charges them under the configured policy.
     ///
     /// # Errors
     ///
@@ -474,26 +367,120 @@ impl Session {
                 "confidence-gated inference expects a single sample (batch 1)".into(),
             ));
         }
-        let subnets = self.exec.model().subnet_count();
-        let start = self.config.start_subnet;
-        let exec = &mut self.exec;
-        let mut step = exec.begin_at(input, start)?;
-        loop {
-            let probs = reduce::softmax_rows(&step.logits)?;
-            let prediction = probs.argmax();
-            let confidence = probs.data()[prediction];
-            let at_top = step.subnet + 1 >= subnets;
-            if confidence >= threshold || at_top {
-                return Ok(ConfidentOutcome {
-                    subnet: step.subnet,
-                    prediction,
-                    confidence,
-                    total_macs: exec.cumulative_macs(),
-                    early_exit: confidence >= threshold,
-                });
-            }
-            step = exec.expand()?;
+        let policy = self.policy(Some(threshold))?;
+        // one unbounded slice: only the top subnet or the gate stops it
+        let (out, stop) = self.drive(input, &policy, std::iter::once(u64::MAX), |_, _| {})?;
+        let (Some(subnet), Some(logits)) = (out.final_subnet, &out.final_logits) else {
+            return Err(SteppingError::ExecutorState(
+                "an unbounded slice produced no answer".into(),
+            ));
+        };
+        let (prediction, confidence) = top1(logits)?;
+        Ok(ConfidentOutcome {
+            subnet,
+            prediction,
+            confidence,
+            total_macs: out.total_macs,
+            early_exit: stop == Stop::Confident,
+        })
+    }
+
+    /// The one anytime loop: banks each slice's budget from `budgets`
+    /// (saturating) and, while `policy` says step, begins at the start
+    /// subnet or expands to the next one, handing every step to `observe`
+    /// with its slice index. Returns the outcome and why the last slice
+    /// stopped stepping.
+    fn drive(
+        &mut self,
+        input: &Tensor,
+        policy: &Policy,
+        budgets: impl IntoIterator<Item = u64>,
+        mut observe: impl FnMut(usize, &ExpandStep),
+    ) -> Result<(DriveOutcome, Stop)> {
+        let label = self.config.policy.label();
+        let run_span = telemetry::span(phase::INFERENCE, event::DRIVE_RUN);
+        let mut timeline = Vec::new();
+        let mut bank = 0u64;
+        let mut at = None;
+        let mut final_logits = None;
+        // the last answer's top-1 probability, when the policy gates on it
+        let mut p = None;
+        let mut total_macs = 0u64;
+        let mut first_prediction_slice = None;
+        let mut stop = Stop::Budget;
+        for (i, budget) in budgets.into_iter().enumerate() {
+            let slice_span = telemetry::span(phase::INFERENCE, event::DRIVE_SLICE);
+            bank = bank.saturating_add(budget);
+            let mut spent = 0u64;
+            let mut upgrades = 0u64;
+            stop = loop {
+                let (to, cost) = match policy.decide(at, bank, p) {
+                    Decision::Step { to, cost } => (to, cost),
+                    Decision::Stop(why) => break why,
+                };
+                telemetry::point(
+                    phase::INFERENCE,
+                    event::DRIVE_UPGRADE,
+                    &[
+                        ("slice", Value::U64(i as u64)),
+                        ("to_subnet", Value::U64(to as u64)),
+                        ("cost", Value::U64(cost)),
+                        ("bank_before", Value::U64(bank)),
+                        ("policy", Value::Str(label)),
+                    ],
+                );
+                bank -= cost;
+                spent += cost;
+                let step = if at.is_none() {
+                    let (cache, step) = only(self.exec.begin(std::slice::from_ref(input), to)?)?;
+                    self.cache = cache;
+                    first_prediction_slice = Some(i);
+                    step
+                } else {
+                    only(self.exec.expand(std::slice::from_mut(&mut self.cache))?)?
+                };
+                observe(i, &step);
+                if policy.gates_confidence() {
+                    p = Some(top1(&step.logits)?.1);
+                }
+                at = Some(step.subnet);
+                final_logits = Some(step.logits);
+                upgrades += 1;
+            };
+            total_macs += spent;
+            slice_span.end(&[
+                ("slice", Value::U64(i as u64)),
+                ("budget", Value::U64(budget)),
+                ("spent", Value::U64(spent)),
+                ("bank", Value::U64(bank)),
+                ("upgrades", Value::U64(upgrades)),
+                ("subnet_ready", Value::I64(at.map_or(-1, |s| s as i64))),
+            ]);
+            timeline.push(SliceLog {
+                slice: i,
+                budget,
+                spent,
+                subnet_ready: at,
+            });
         }
+        run_span.end(&[
+            ("slices", Value::U64(timeline.len() as u64)),
+            ("total_macs", Value::U64(total_macs)),
+            ("policy", Value::Str(label)),
+            ("final_subnet", Value::I64(at.map_or(-1, |s| s as i64))),
+            (
+                "first_prediction_slice",
+                Value::I64(first_prediction_slice.map_or(-1, |s| s as i64)),
+            ),
+        ]);
+        let outcome = DriveOutcome {
+            timeline,
+            final_subnet: at,
+            final_logits,
+            total_macs,
+            first_prediction_slice,
+        };
+        Ok((outcome, stop))
     }
 }
 
@@ -563,6 +550,35 @@ mod tests {
         let out = Session::new(&n, cfg).run_until_confident(&x()).unwrap();
         assert_eq!(out.subnet, 1);
         assert!(out.early_exit);
+        assert_eq!(out.total_macs, direct);
+    }
+
+    #[test]
+    fn unbounded_budgets_reach_the_top_without_overflow() {
+        let n = net();
+        for policy in [UpgradePolicy::Incremental, UpgradePolicy::Recompute] {
+            let cfg = SessionConfig::new()
+                .trace(ResourceTrace::from_budgets(vec![u64::MAX; 3]))
+                .policy(policy);
+            let mut session = Session::new(&n, cfg);
+            let out = session.run(&x()).unwrap();
+            assert_eq!(out.final_subnet, Some(2));
+            assert_eq!(out.first_prediction_slice, Some(0));
+            let live = session.run_live(&x(), &LatestPrediction::new()).unwrap();
+            assert_eq!(live, out);
+        }
+    }
+
+    #[test]
+    fn recompute_confident_run_charges_direct_costs() {
+        let n = net();
+        let cfg = SessionConfig::new()
+            .confidence(1.0)
+            .policy(UpgradePolicy::Recompute);
+        let out = Session::new(&n, cfg).run_until_confident(&x()).unwrap();
+        assert_eq!(out.subnet, 2);
+        assert!(!out.early_exit);
+        let direct: u64 = (0..=2).map(|k| n.macs(k, 0.0)).sum();
         assert_eq!(out.total_macs, direct);
     }
 

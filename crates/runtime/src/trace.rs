@@ -119,9 +119,11 @@ impl ResourceTrace {
         &self.slices
     }
 
-    /// Total MAC budget over the whole trace.
+    /// Total MAC budget over the whole trace, saturating at `u64::MAX`.
     pub fn total(&self) -> u64 {
-        self.slices.iter().sum()
+        self.slices
+            .iter()
+            .fold(0u64, |total, &budget| total.saturating_add(budget))
     }
 }
 
@@ -135,6 +137,7 @@ mod tests {
         assert_eq!(t.total(), 50);
         assert!(!t.is_empty());
         assert_eq!(t.get(9), None);
+        assert_eq!(ResourceTrace::constant(u64::MAX, 2).total(), u64::MAX);
     }
 
     #[test]

@@ -13,7 +13,7 @@ use stepping_core::events::{event, phase};
 use stepping_core::telemetry::{self, SpanGuard, Value};
 use stepping_core::{CompiledModel, ExpandStep, MacTable, Result, SteppingError, SteppingNet};
 use stepping_metrics::{elapsed_ns, start_timer, MetricsRegistry, SnapshotWriter};
-use stepping_runtime::DeviceModel;
+use stepping_runtime::{DeviceModel, Policy, UpgradePolicy};
 use stepping_tensor::Tensor;
 
 use crate::admission::{AdmissionError, ServeError};
@@ -76,6 +76,9 @@ struct Shared {
     /// input shape (one sample, no batch dimension) is what `submit` holds
     /// requests to, before they can share a batch with well-formed ones.
     model: Arc<CompiledModel>,
+    /// The anytime step rule over `model`'s incremental steps, which
+    /// upgrade admission folds over a session's budget.
+    policy: Policy,
     sessions: Mutex<HashMap<u64, Slot>>,
     next_id: AtomicU64,
     next_session: AtomicU64,
@@ -133,17 +136,7 @@ impl Shared {
     /// Largest subnet reachable from `cur` whose *incremental* cost fits
     /// `mac_budget`; `cur` itself if not even one step fits.
     fn largest_upgrade_within(&self, cur: usize, mac_budget: u64) -> usize {
-        let mut best = cur;
-        let mut spent = 0u64;
-        for k in cur + 1..self.subnet_count() {
-            spent += self.costs().step()[k];
-            if spent <= mac_budget {
-                best = k;
-            } else {
-                break;
-            }
-        }
-        best
+        self.policy.reach(cur, mac_budget)
     }
 
     /// MACs a begin of `rows` samples at `subnet` multiplies.
@@ -302,6 +295,7 @@ impl Server {
         // wakes a parked worker while another is awake
         let full_batch =
             (config.get_max_batch() as u64).saturating_mul(model.mac_table().direct()[subnets - 1]);
+        let policy = Policy::new(model.mac_table(), UpgradePolicy::Incremental, start, None)?;
         let shared = Arc::new(Shared {
             lanes: LaneSet::new(
                 subnets,
@@ -315,6 +309,7 @@ impl Server {
             start_subnet: start,
             shed_policy: config.get_shed_policy(),
             model,
+            policy,
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             next_session: AtomicU64::new(0),

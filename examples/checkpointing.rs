@@ -5,7 +5,7 @@
 //! Run with `cargo run --release --example checkpointing`.
 
 use steppingnet::core::checkpoint::{load_state, save_state};
-use steppingnet::core::IncrementalExecutor;
+use steppingnet::core::BatchExecutor;
 use steppingnet::data::{GaussianBlobs, GaussianBlobsConfig};
 use steppingnet::prelude::*;
 
@@ -79,23 +79,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // the restored network serves anytime inference immediately
     let (x, label) = data.batch(Split::Test, &[7])?;
-    let mut exec = IncrementalExecutor::new(&device_net, 1e-5);
-    let mut step = exec.begin(&x)?;
+    let mut exec = BatchExecutor::new(&device_net, 1e-5);
+    let (mut cache, first) = exec.begin(std::slice::from_ref(&x), 0)?.remove(0);
+    let mut steps = vec![first];
+    for _ in 1..device_net.subnet_count() {
+        steps.extend(exec.expand(std::slice::from_mut(&mut cache))?);
+    }
     println!(
         "device: anytime inference on one sample (true class {}):",
         label[0]
     );
-    loop {
+    for step in &steps {
         println!(
             "  subnet {} predicts {} ({} MACs this step)",
             step.subnet,
             step.logits.argmax(),
             step.step_macs
         );
-        match exec.expand() {
-            Ok(next) => step = next,
-            Err(_) => break,
-        }
     }
 
     // restored and server nets agree exactly

@@ -9,7 +9,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use steppingnet::core::{distill, DistillOptions, IncrementalExecutor};
+use steppingnet::core::{distill, BatchExecutor, DistillOptions};
 use steppingnet::data::{GaussianBlobs, GaussianBlobsConfig};
 use steppingnet::prelude::*;
 
@@ -100,24 +100,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Anytime inference: classify one sample incrementally.
+    // Anytime inference: classify one sample incrementally — a batch of
+    // one request, whose cached activations each expand reuses.
     let (x, label) = data.batch(Split::Test, &[0])?;
-    let mut exec = IncrementalExecutor::new(&net, opts.prune_threshold);
-    let mut step = exec.begin(&x)?;
+    let mut exec = BatchExecutor::new(&net, opts.prune_threshold);
+    let (mut cache, first) = exec.begin(std::slice::from_ref(&x), 0)?.remove(0);
+    let mut steps = vec![first];
+    for _ in 1..net.subnet_count() {
+        steps.extend(exec.expand(std::slice::from_mut(&mut cache))?);
+    }
     println!(
         "\nanytime inference on one sample (true class {}):",
         label[0]
     );
-    loop {
+    for step in &steps {
         let pred = step.logits.argmax();
         println!(
             "  subnet {}: predicted {} ({} MACs this step, {} cumulative)",
             step.subnet, pred, step.step_macs, step.cumulative_macs
         );
-        match exec.expand() {
-            Ok(next) => step = next,
-            Err(_) => break, // largest subnet reached
-        }
     }
     Ok(())
 }

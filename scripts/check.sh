@@ -2,10 +2,12 @@
 # Lint + test gate: formatting, the third-party package list, clippy (which
 # with rustc checks the workspace invariants of docs/ANALYSIS.md) and
 # rustdoc (warnings are errors), tier-1 tests, the crate suites and feature
-# matrix, the packed-plan bench smoke, the no-FMA disassembly check and an
-# end-to-end smoke of the serving benchmark's four workloads.
+# matrix, the packed-plan bench smoke, a run of every example, the no-FMA
+# disassembly check and an end-to-end smoke of the serving benchmark's four
+# workloads.
 # Run from anywhere; operates on the workspace root. Writes nothing into
-# the tree: the bench and end-to-end smokes run in a temporary directory.
+# the tree: the bench smoke, the examples and the end-to-end smoke run in a
+# temporary directory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -149,6 +151,18 @@ plans_bin="$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)/plans"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 (cd "$smoke_dir" && STEPPING_PLANS_REPS=5 "$plans_bin")
+
+# Examples: the six programs under examples/ run to completion (each exits
+# non-zero on an error) from the temporary directory, so a file one writes
+# by a relative path lands there. About 1.5 s in total on a 2-core host.
+echo "==> examples (release, all six)"
+cargo build -q --release --examples
+examples_dir="$(cd "${CARGO_TARGET_DIR:-target}/release/examples" && pwd)"
+for example in examples/*.rs; do
+    name=$(basename "$example" .rs)
+    echo "    example $name"
+    (cd "$smoke_dir" && "$examples_dir/$name" > /dev/null)
+done
 
 # No fused multiply-add in the release kernels. A fused multiply-add rounds
 # once where the masked reference rounds twice, so it would fork every

@@ -5,8 +5,7 @@
 use steppingnet::core::eval::evaluate_all;
 use steppingnet::core::train::{train_subnet, TrainOptions};
 use steppingnet::core::{
-    construct, distill, ConstructionOptions, DistillOptions, IncrementalExecutor,
-    SteppingNetBuilder,
+    construct, distill, BatchExecutor, ConstructionOptions, DistillOptions, SteppingNetBuilder,
 };
 use steppingnet::data::{Dataset, Split, SyntheticImages, SyntheticImagesConfig};
 use steppingnet::tensor::Shape;
@@ -95,10 +94,15 @@ fn cnn_pipeline_with_batchnorm_end_to_end() {
     let refs: Vec<_> = (0..3)
         .map(|k| scratch.forward(&x, k, false).unwrap())
         .collect();
-    let mut exec = IncrementalExecutor::new(&mut net, opts.prune_threshold);
-    let steps = exec.run_to(&x, 2).unwrap();
-    for (k, step) in steps.iter().enumerate() {
-        assert_eq!(step.logits, refs[k], "subnet {k} incremental mismatch");
+    let mut exec = BatchExecutor::new(&net, opts.prune_threshold);
+    let (mut cache, first) = exec.begin(std::slice::from_ref(&x), 0).unwrap().remove(0);
+    assert_eq!(first.logits, refs[0], "subnet 0 mismatch");
+    for (k, reference) in refs.iter().enumerate().skip(1) {
+        let step = exec
+            .expand(std::slice::from_mut(&mut cache))
+            .unwrap()
+            .remove(0);
+        assert_eq!(step.logits, *reference, "subnet {k} incremental mismatch");
     }
 }
 

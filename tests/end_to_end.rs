@@ -5,7 +5,7 @@
 use steppingnet::core::eval::{evaluate, evaluate_all};
 use steppingnet::core::train::{train_subnet, TrainOptions};
 use steppingnet::core::{
-    construct, distill, ConstructionOptions, DistillOptions, IncrementalExecutor, SteppingNet,
+    construct, distill, BatchExecutor, ConstructionOptions, DistillOptions, SteppingNet,
     SteppingNetBuilder,
 };
 use steppingnet::data::{Dataset, GaussianBlobs, GaussianBlobsConfig, Split};
@@ -109,14 +109,18 @@ fn full_pipeline_produces_budgeted_accurate_subnets() {
 #[test]
 fn incremental_execution_matches_from_scratch_after_pipeline() {
     let d = data();
-    let (mut net, opts) = pipeline();
+    let (net, opts) = pipeline();
     let (x, _) = d.batch(Split::Test, &[0, 1, 2, 3]).unwrap();
     let mut scratch = net.clone();
     let refs: Vec<_> = (0..4)
         .map(|k| scratch.forward(&x, k, false).unwrap())
         .collect();
-    let mut exec = IncrementalExecutor::new(&mut net, opts.prune_threshold);
-    let steps = exec.run_to(&x, 3).unwrap();
+    let mut exec = BatchExecutor::new(&net, opts.prune_threshold);
+    let (mut cache, first) = exec.begin(std::slice::from_ref(&x), 0).unwrap().remove(0);
+    let mut steps = vec![first];
+    for _ in 1..4 {
+        steps.extend(exec.expand(std::slice::from_mut(&mut cache)).unwrap());
+    }
     assert_eq!(steps.len(), 4);
     for (k, step) in steps.iter().enumerate() {
         assert_eq!(

@@ -10,9 +10,7 @@
 //!   differences of their forwards, legal and illegal pairs alike.
 
 use proptest::prelude::*;
-use steppingnet::core::{
-    Assignment, IncrementalExecutor, MaskedConv2d, SteppingNet, SteppingNetBuilder,
-};
+use steppingnet::core::{Assignment, BatchExecutor, MaskedConv2d, SteppingNet, SteppingNetBuilder};
 use steppingnet::nn::{Layer, Tanh};
 use steppingnet::tensor::{init, Shape, Tensor};
 
@@ -52,13 +50,17 @@ proptest! {
         batch in 1usize..4,
     ) {
         let subnets = 3;
-        let mut net = build_with_moves(subnets, 11, 7, &moves, seed);
+        let net = build_with_moves(subnets, 11, 7, &moves, seed);
         let x = init::uniform(Shape::of(&[batch, 6]), -2.0, 2.0, &mut init::rng(seed ^ 1));
         let mut scratch = net.clone();
         let refs: Vec<Tensor> =
             (0..subnets).map(|k| scratch.forward(&x, k, false).unwrap()).collect();
-        let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
-        let steps = exec.run_to(&x, subnets - 1).unwrap();
+        let mut exec = BatchExecutor::new(&net, 1e-5);
+        let (mut cache, first) = exec.begin(std::slice::from_ref(&x), 0).unwrap().remove(0);
+        let mut steps = vec![first];
+        for _ in 1..subnets {
+            steps.extend(exec.expand(std::slice::from_mut(&mut cache)).unwrap());
+        }
         for (k, step) in steps.iter().enumerate() {
             prop_assert_eq!(&step.logits, &refs[k], "subnet {} logits differ", k);
         }

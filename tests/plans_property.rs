@@ -5,9 +5,7 @@
 //! never go stale across SGD weight updates.
 
 use proptest::prelude::*;
-use steppingnet::core::{
-    Assignment, BatchExecutor, IncrementalExecutor, SteppingNet, SteppingNetBuilder,
-};
+use steppingnet::core::{Assignment, BatchExecutor, SteppingNet, SteppingNetBuilder};
 use steppingnet::nn::optim::Sgd;
 use steppingnet::tensor::{init, Shape, Tensor};
 
@@ -104,7 +102,11 @@ proptest! {
             let masked = net.clone().forward(&x, k, false).unwrap();
             let packed = net.forward_packed(&x, k).unwrap();
             prop_assert_eq!(&packed, &masked, "direct packed pass differs at subnet {}", k);
-            let begun = IncrementalExecutor::new(&mut net, 0.0).begin_at(&x, k).unwrap();
+            let begun = BatchExecutor::new(&net, 0.0)
+                .begin(std::slice::from_ref(&x), k)
+                .unwrap()
+                .remove(0)
+                .1;
             prop_assert_eq!(&begun.logits, &masked, "executor begin differs at subnet {}", k);
         }
     }
@@ -128,8 +130,12 @@ proptest! {
                 let mut scratch = net.clone();
                 (0..subnets).map(|k| scratch.forward(&x, k, false).unwrap()).collect()
             };
-            let mut exec = IncrementalExecutor::new(&mut net, 1e-5);
-            let steps = exec.run_to(&x, subnets - 1).unwrap();
+            let mut exec = BatchExecutor::new(&net, 1e-5);
+            let (mut cache, first) = exec.begin(std::slice::from_ref(&x), 0).unwrap().remove(0);
+            let mut steps = vec![first];
+            for _ in 1..subnets {
+                steps.extend(exec.expand(std::slice::from_mut(&mut cache)).unwrap());
+            }
             for (k, step) in steps.iter().enumerate() {
                 prop_assert_eq!(&step.logits, &refs[k], "subnet {} logits differ", k);
             }
